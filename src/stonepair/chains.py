@@ -19,7 +19,8 @@ The multiplication embeddings ``i(n, nm)`` preserve ``oplus`` but never
 system defining the doubled interval is built on floor maps; floor and
 ceiling on the point chains are the right and left adjoints of the point
 embedding.  ``project_gamma`` maps the doubled interval onto each point
-chain compatibly with the floor maps.
+chain compatibly with the floor maps.  ``verify_duality`` runs all of these
+checks as one report.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DomainError, InternalInvariantError
-from .gamma import GammaValue
+from .gamma import GammaGrid, GammaValue, format_gamma
 from .lattice import FiniteLattice
 
 
@@ -210,6 +212,21 @@ def ceiling_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     return ChainPoint(n, -(-x.a // m))
 
 
+def check_floor_ceiling(n: int, m: int) -> tuple[ChainPoint, ChainPoint] | None:
+    """First pair (x, y), x on the chain nm and y on the chain n, where the
+    adjoint triple ceiling -| embed_point -| floor fails:
+    ceiling(x) <= y iff x <= embed(y), and embed(y) <= x iff y <= floor(x)."""
+    for xa in range(n * m + 1):
+        x = ChainPoint(n * m, xa)
+        up, down = ceiling_map(n, m, x).a, floor_map(n, m, x).a
+        for ya in range(n + 1):
+            y = ChainPoint(n, ya)
+            e = embed_point(y, m).a
+            if (up <= ya) != (xa <= e) or (e <= xa) != (ya <= down):
+                return (x, y)
+    return None
+
+
 # -- deriving the partial operations on the point chain ----------------------------
 
 
@@ -296,3 +313,76 @@ def project_gamma(x: GammaValue, n: int) -> ChainPoint:
     else:
         a = math.ceil(scaled) - 1
     return ChainPoint(n, a)
+
+
+# -- the whole sweep ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualityLine:
+    """One line of the duality report; ``failed`` marks a FAIL line."""
+
+    text: str
+    failed: bool = False
+
+
+def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
+    """Every chain duality check over 1 <= n <= max_n and 2 <= m <= max_m.
+
+    Yields one line per check family (PASS with its case count) and one per
+    ominus witness.  A failing check yields its FAIL line and ends the sweep.
+    """
+    ns = range(1, max_n + 1)
+    nms = [(n, m) for n in ns for m in range(2, max_m + 1)]
+
+    for n in ns:
+        bad = check_adjunction(n)
+        if bad is not None:
+            yield DualityLine(f"adjunction n<={max_n}: FAIL at n={n} {bad}", True)
+            return
+    triples = sum((n + 2) ** 3 for n in ns)
+    yield DualityLine(f"adjunction n<={max_n}: {triples} triples: PASS")
+
+    label = f"oplus-preservation n<={max_n} m<={max_m}"
+    for n, m in nms:
+        bad_pair = check_oplus_preserved(n, m)
+        if bad_pair is not None:
+            yield DualityLine(f"{label}: FAIL at n={n} m={m} {bad_pair}", True)
+            return
+    pairs = sum((n + 2) ** 2 for n, _ in nms)
+    yield DualityLine(f"{label}: {pairs} pairs: PASS")
+
+    for n, m in nms:
+        w = find_ominus_counterexample(n, m)
+        yield DualityLine(
+            f"ominus-counterexample n={n} m={m}: u={w.u} v={w.v}: "
+            f"embed(u ominus v)={w.embedded_of_result}, "
+            f"embed(u) ominus embed(v)={w.result_of_embedded}"
+        )
+
+    for n in ns:
+        derive_partial_minus(n)
+        derive_partial_plus(n)
+    yield DualityLine(f"derived-minus n<={max_n}: {max_n} tables: PASS")
+    yield DualityLine(f"derived-plus n<={max_n}: {max_n} tables: PASS")
+
+    label = f"floor-ceiling n<={max_n} m<={max_m}"
+    for n, m in nms:
+        bad_points = check_floor_ceiling(n, m)
+        if bad_points is not None:
+            x, y = bad_points
+            yield DualityLine(f"{label}: FAIL at n={n} m={m} x={x} y={y}", True)
+            return
+    checked = sum((n * m + 1) * (n + 1) for n, m in nms)
+    yield DualityLine(f"{label}: {checked} pairs: PASS")
+
+    label = f"projection-cone grid=10 n<={max_n} m<={max_m}"
+    points = GammaGrid(10).points
+    for x in points:
+        for n, m in nms:
+            if floor_map(n, m, project_gamma(x, n * m)) != project_gamma(x, n):
+                yield DualityLine(
+                    f"{label}: FAIL at x={format_gamma(x)} n={n} m={m}", True
+                )
+                return
+    yield DualityLine(f"{label}: {len(points) * len(nms)} cases: PASS")

@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 from . import chains, fo, measure as measure_mod, pairing, pl
 from .errors import Error, InternalInvariantError
-from .gamma import GammaGrid, format_gamma
+from .gamma import format_gamma
 from .lattice import FiniteLattice, parse_lattice
 from .pairing import DirectoryFamily, FenceFamily, StructureFamily
 
@@ -240,83 +240,12 @@ def _cmd_soundness(args, out: TextIO) -> int:
 
 
 def _cmd_duality_verify(args, out: TextIO) -> int:
-    max_n, max_m = args.max_n, args.max_m
-    if max_n < 1 or max_m < 2:
+    if args.max_n < 1 or args.max_m < 2:
         raise UsageError("need --max-n >= 1 and --max-m >= 2")
-    triples = 0
-    for n in range(1, max_n + 1):
-        bad = chains.check_adjunction(n)
-        if bad is not None:
-            print(f"adjunction n<={max_n}: FAIL at n={n} {bad}", file=out)
+    for line in chains.verify_duality(args.max_n, args.max_m):
+        print(line.text, file=out)
+        if line.failed:
             return 1
-        triples += (n + 2) ** 3
-    print(f"adjunction n<={max_n}: {triples} triples: PASS", file=out)
-
-    pairs = 0
-    for n in range(1, max_n + 1):
-        for m in range(2, max_m + 1):
-            bad_pair = chains.check_oplus_preserved(n, m)
-            if bad_pair is not None:
-                print(
-                    f"oplus-preservation n<={max_n} m<={max_m}: FAIL at n={n} m={m} {bad_pair}",
-                    file=out,
-                )
-                return 1
-            pairs += (n + 2) ** 2
-    print(f"oplus-preservation n<={max_n} m<={max_m}: {pairs} pairs: PASS", file=out)
-
-    for n in range(1, max_n + 1):
-        for m in range(2, max_m + 1):
-            w = chains.find_ominus_counterexample(n, m)
-            print(
-                f"ominus-counterexample n={n} m={m}: u={w.u} v={w.v}: "
-                f"embed(u ominus v)={w.embedded_of_result}, "
-                f"embed(u) ominus embed(v)={w.result_of_embedded}",
-                file=out,
-            )
-
-    for n in range(1, max_n + 1):
-        chains.derive_partial_minus(n)
-        chains.derive_partial_plus(n)
-    print(f"derived-minus n<={max_n}: {max_n} tables: PASS", file=out)
-    print(f"derived-plus n<={max_n}: {max_n} tables: PASS", file=out)
-
-    checked = 0
-    for n in range(1, max_n + 1):
-        for m in range(2, max_m + 1):
-            for xa in range(n * m + 1):
-                x = chains.ChainPoint(n * m, xa)
-                for ya in range(n + 1):
-                    y = chains.ChainPoint(n, ya)
-                    lhs = chains.ceiling_map(n, m, x).a <= ya
-                    rhs = x.a <= chains.embed_point(y, m).a
-                    ok1 = lhs == rhs
-                    lhs2 = chains.embed_point(y, m).a <= xa
-                    rhs2 = ya <= chains.floor_map(n, m, x).a
-                    ok2 = lhs2 == rhs2
-                    if not (ok1 and ok2):
-                        print(
-                            f"floor-ceiling n<={max_n} m<={max_m}: FAIL at n={n} m={m} x={x} y={y}",
-                            file=out,
-                        )
-                        return 1
-                    checked += 1
-    print(f"floor-ceiling n<={max_n} m<={max_m}: {checked} pairs: PASS", file=out)
-
-    cone = 0
-    for x in GammaGrid(10).points:
-        for n in range(1, max_n + 1):
-            for m in range(2, max_m + 1):
-                projected = chains.project_gamma(x, n * m)
-                if chains.floor_map(n, m, projected) != chains.project_gamma(x, n):
-                    print(
-                        f"projection-cone grid=10 n<={max_n} m<={max_m}: "
-                        f"FAIL at x={format_gamma(x)} n={n} m={m}",
-                        file=out,
-                    )
-                    return 1
-                cone += 1
-    print(f"projection-cone grid=10 n<={max_n} m<={max_m}: {cone} cases: PASS", file=out)
     return 0
 
 

@@ -25,22 +25,11 @@ rational branch; all computation uses ``fractions.Fraction`` and is exact.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, ParseError
-
-Rational = Fraction
-
-
-class Ordering(enum.Enum):
-    """Outcome of a three-way comparison."""
-
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -80,13 +69,6 @@ class GammaValue:
 ZERO = GammaValue(Fraction(0), True)
 ONE = GammaValue(Fraction(1), True)
 ONE_APPROX = GammaValue(Fraction(1), False)
-
-
-def compare(x: GammaValue, y: GammaValue) -> Ordering:
-    """Three-way comparison in the total order of the doubled interval."""
-    if x == y:
-        return Ordering.EQ
-    return Ordering.LT if x < y else Ordering.GT
 
 
 def mip(x: GammaValue, y: GammaValue) -> GammaValue:

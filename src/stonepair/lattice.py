@@ -363,10 +363,6 @@ def check_hom(h: LatticeHom) -> list[str]:
     return out
 
 
-def validate_lattice(L: FiniteLattice) -> list[str]:
-    return L.validate()
-
-
 # -- factories ----------------------------------------------------------------
 
 

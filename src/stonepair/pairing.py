@@ -304,6 +304,8 @@ def pairing_sequence(
     for index in range(1, horizon + 1):
         try:
             A = family.structure(index)
+        except InternalInvariantError:
+            raise
         except Exception as exc:
             raise DomainError(
                 f"family {family.name} failed at index {index}: {exc}"

@@ -20,18 +20,7 @@ from conftest import (
     small_lattice_corpus,
 )
 from stonepair import fo
-from stonepair.chains import (
-    ChainPoint,
-    check_adjunction,
-    check_oplus_preserved,
-    derive_partial_minus,
-    derive_partial_plus,
-    embed_point,
-    find_ominus_counterexample,
-    floor_map,
-    ceiling_map,
-    project_gamma,
-)
+from stonepair.chains import verify_duality
 from stonepair.fo import Not, gen_example_structure, maximal_not_maximum
 from stonepair.gamma import (
     ONE,
@@ -340,38 +329,18 @@ def test_criterion_08_threshold_logic_soundness():
 
 def test_criterion_09_duality_suite():
     started = time.perf_counter()
-    for n in range(1, 25):
-        assert check_adjunction(n) is None
-
-    for n in range(1, 9):
-        for m in range(1, 9):
-            assert check_oplus_preserved(n, m) is None
-
-    for n in range(1, 9):
-        for m in (2, 3, 4):
-            w = find_ominus_counterexample(n, m)
-            assert w.embedded_of_result != w.result_of_embedded
-    w22 = find_ominus_counterexample(2, 2)
-    assert (str(w22.embedded_of_result), str(w22.result_of_embedded)) == ("4/4", "3/4")
-
-    for n in range(1, 13):
-        derive_partial_minus(n)
-        derive_partial_plus(n)
-
-    for n in range(1, 9):
-        for m in range(1, 9):
-            for xa in range(n * m + 1):
-                x = ChainPoint(n * m, xa)
-                for ya in range(n + 1):
-                    y = ChainPoint(n, ya)
-                    assert (ceiling_map(n, m, x).a <= ya) == (xa <= embed_point(y, m).a)
-                    assert (embed_point(y, m).a <= xa) == (ya <= floor_map(n, m, x).a)
-
-    for x in GammaGrid(10).points:
-        for n in range(1, 11):
-            for m in range(1, 11):
-                assert floor_map(n, m, project_gamma(x, n * m)) == project_gamma(x, n)
+    records = list(verify_duality(24, 10))
     elapsed = time.perf_counter() - started
+    assert not any(r.failed for r in records)
+    lines = [r.text for r in records]
+    assert "adjunction n<=24: 123192 triples: PASS" in lines
+    assert "oplus-preservation n<=24 m<=10: 55764 pairs: PASS" in lines
+    assert "floor-ceiling n<=24 m<=10: 283716 pairs: PASS" in lines
+    assert "projection-cone grid=10 n<=24 m<=10: 4536 cases: PASS" in lines
+    assert (
+        "ominus-counterexample n=2 m=2: u=T v=1/2: "
+        "embed(u ominus v)=4/4, embed(u) ominus embed(v)=3/4" in lines
+    )
     assert elapsed < 30.0
     _report(9, elapsed, "chain adjunctions, embeddings, derived tables, cone")
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from stonepair import chains
 from stonepair.chains import (
     AdjunctionViolation,
     ChainPoint,
@@ -12,12 +13,12 @@ from stonepair.chains import (
     chain_lattice,
     chain_leq,
     check_adjunction,
+    check_floor_ceiling,
     check_oplus_preserved,
     ceiling_map,
     derive_partial_minus,
     derive_partial_plus,
     embed,
-    embed_point,
     find_ominus_counterexample,
     floor_map,
     frac,
@@ -82,7 +83,9 @@ class TestEmbeddings:
         for u, v in itertools.product(chain_elements(3), repeat=2):
             assert chain_leq(u, v) == chain_leq(embed(u, 4), embed(v, 4))
 
-    @pytest.mark.parametrize("n,m", [(3, 4), (1, 5), (2, 2)])
+    @pytest.mark.parametrize(
+        "n,m", [(3, 4), (1, 5), (2, 2)] + [(n, 1) for n in range(1, 9)]
+    )
     def test_oplus_preserved(self, n, m):
         assert check_oplus_preserved(n, m) is None
 
@@ -112,18 +115,14 @@ class TestFloorCeiling:
         assert ceiling_map(2, 3, ChainPoint(6, 1)) == ChainPoint(2, 1)
 
     def test_adjunction_triple(self):
-        for n in range(1, 7):
-            for m in range(2, 7):
-                for xa in range(n * m + 1):
-                    x = ChainPoint(n * m, xa)
-                    for ya in range(n + 1):
-                        y = ChainPoint(n, ya)
-                        assert (ceiling_map(n, m, x).a <= ya) == (
-                            xa <= embed_point(y, m).a
-                        )
-                        assert (embed_point(y, m).a <= xa) == (
-                            ya <= floor_map(n, m, x).a
-                        )
+        for n, m in itertools.product(range(1, 9), repeat=2):
+            assert check_floor_ceiling(n, m) is None
+
+    def test_reports_first_failing_pair(self, monkeypatch):
+        # with floor replaced by ceiling, embed -| floor first breaks at
+        # x = 1/6, y = 1/2: embed(y) = 3/6 is not below x, yet y <= ceiling(x)
+        monkeypatch.setattr(chains, "floor_map", ceiling_map)
+        assert check_floor_ceiling(2, 3) == (ChainPoint(6, 1), ChainPoint(2, 1))
 
     def test_floor_composes(self):
         for a in range(25):

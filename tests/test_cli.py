@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from stonepair import chains
 from stonepair.cli import run
 
 PSI_TEXT = "(forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))"
@@ -230,20 +231,42 @@ class TestSoundness:
         )
 
 
+DUALITY_4_2 = [
+    "adjunction n<=4: 432 triples: PASS",
+    "oplus-preservation n<=4 m<=2: 86 pairs: PASS",
+    "ominus-counterexample n=1 m=2: u=T v=1/1: "
+    "embed(u ominus v)=2/2, embed(u) ominus embed(v)=1/2",
+    "ominus-counterexample n=2 m=2: u=T v=1/2: "
+    "embed(u ominus v)=4/4, embed(u) ominus embed(v)=3/4",
+    "ominus-counterexample n=3 m=2: u=T v=1/3: "
+    "embed(u ominus v)=6/6, embed(u) ominus embed(v)=5/6",
+    "ominus-counterexample n=4 m=2: u=T v=1/4: "
+    "embed(u ominus v)=8/8, embed(u) ominus embed(v)=7/8",
+    "derived-minus n<=4: 4 tables: PASS",
+    "derived-plus n<=4: 4 tables: PASS",
+    "floor-ceiling n<=4 m<=2: 94 pairs: PASS",
+    "projection-cone grid=10 n<=4 m<=2: 84 cases: PASS",
+]
+
+
 class TestDualityVerify:
     def test_small_sweep(self):
         code, out, _ = invoke("duality-verify", "--max-n", "4", "--max-m", "2")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "adjunction n<=4: 432 triples: PASS"
-        assert lines[1] == "oplus-preservation n<=4 m<=2: 86 pairs: PASS"
-        assert (
-            "ominus-counterexample n=2 m=2: u=T v=1/2: "
-            "embed(u ominus v)=4/4, embed(u) ominus embed(v)=3/4" in lines
-        )
-        assert "derived-minus n<=4: 4 tables: PASS" in lines
-        assert "derived-plus n<=4: 4 tables: PASS" in lines
-        assert lines[-1].endswith("PASS")
+        assert out == "".join(line + "\n" for line in DUALITY_4_2)
+
+    def test_failure_stops_the_sweep(self, monkeypatch):
+        def broken(n, m):
+            if n == 2:
+                return (chains.ChainPoint(n * m, 1), chains.ChainPoint(n, 0))
+            return None
+
+        monkeypatch.setattr(chains, "check_floor_ceiling", broken)
+        code, out, _ = invoke("duality-verify", "--max-n", "4", "--max-m", "2")
+        assert code == 1
+        assert out.splitlines() == DUALITY_4_2[:8] + [
+            "floor-ceiling n<=4 m<=2: FAIL at n=2 m=2 x=1/4 y=0/2"
+        ]
 
 
 class TestIntegrate:
@@ -263,6 +286,7 @@ class TestErrors:
         assert invoke("pair", "--formula", "true")[0] == 2
         assert invoke("eval", "--formula", "true")[0] == 2
         assert invoke("pair", "--family", "fence", "--formula", "true")[0] == 2
+        assert invoke("duality-verify", "--max-n", "4", "--max-m", "1")[0] == 2
 
     def test_missing_file_is_one(self):
         code, _, err = invoke("pair", "--structure", "/nonexistent", "--formula", "true")

@@ -15,8 +15,6 @@ from stonepair.gamma import (
     ZERO,
     GammaGrid,
     GammaValue,
-    Ordering,
-    compare,
     format_gamma,
     gamma_collapse,
     gamma_sum,
@@ -35,13 +33,14 @@ def gv(text: str) -> GammaValue:
 
 class TestCompare:
     def test_approx_below_exact_same_value(self):
-        assert compare(gv("1/2^-"), gv("1/2^o")) is Ordering.LT
+        assert gv("1/2^-") < gv("1/2^o")
 
     def test_reflexive(self):
-        assert compare(ZERO, ZERO) is Ordering.EQ
+        assert ZERO == ZERO and not ZERO < ZERO and not ZERO > ZERO
 
     def test_value_dominates_tag(self):
-        assert compare(gv("1/3^o"), gv("1/2^-")) is Ordering.LT
+        assert gv("1/3^o") < gv("1/2^-")
+        assert gv("1/2^-") > gv("1/3^o")
 
     def test_total_order_exhaustive(self):
         # exactly one of LT/EQ/GT, and transitivity, over a whole grid

@@ -19,21 +19,20 @@ from stonepair.lattice import (
     identity_hom,
     parse_lattice,
     product_lattice,
-    validate_lattice,
 )
 
 
 class TestValidation:
     def test_boolean_four_ok(self):
-        assert validate_lattice(boolean_algebra(2)) == []
+        assert boolean_algebra(2).validate() == []
 
     def test_diamond_fails_distributivity(self):
-        problems = validate_lattice(diamond_m3())
+        problems = diamond_m3().validate()
         assert problems
         assert all("distributivity" in p for p in problems)
 
     def test_three_chain_ok(self):
-        assert validate_lattice(chain(3)) == []
+        assert chain(3).validate() == []
 
     def test_missing_top(self):
         # two maximal elements, no join

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import formulas, structures
 from stonepair import fo, gamma
-from stonepair.errors import DomainError
+from stonepair.errors import DomainError, InternalInvariantError
 from stonepair.fo import Not, TRUE, FALSE, gen_example_structure, maximal_not_maximum
 from stonepair.gamma import ONE, ONE_APPROX, ZERO, iota_exact
 from stonepair.measure import integrate
@@ -15,6 +15,7 @@ from stonepair.pairing import (
     ConstantFamily,
     FenceFamily,
     PairingResult,
+    StructureFamily,
     VerdictKind,
     assignment_distribution,
     check_padding_invariance,
@@ -230,6 +231,23 @@ class TestSequences:
     def test_horizon_guard(self):
         with pytest.raises(DomainError):
             pairing_sequence(FENCE, PSI, horizon=3)
+
+    def test_family_failure_names_index(self):
+        class Broken(StructureFamily):
+            def structure(self, index):
+                raise ValueError("no such member")
+
+        with pytest.raises(DomainError, match="failed at index 1: no such member"):
+            pairing_sequence(Broken(), PSI, horizon=4)
+
+    def test_family_invariant_error_not_wrapped(self):
+        class Inconsistent(StructureFamily):
+            def structure(self, index):
+                raise InternalInvariantError("member disagrees with itself")
+
+        with pytest.raises(InternalInvariantError) as info:
+            pairing_sequence(Inconsistent(), PSI, horizon=4)
+        assert type(info.value) is InternalInvariantError
 
 
 class TestPairingResult:
