@@ -338,7 +338,9 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
     for n in ns:
         bad = check_adjunction(n)
         if bad is not None:
-            yield DualityLine(f"adjunction n<={max_n}: FAIL at n={n} {bad}", True)
+            yield DualityLine(
+                f"adjunction n<={max_n}: FAIL at n={n} u={bad.u} v={bad.v} w={bad.w}", True
+            )
             return
     triples = sum((n + 2) ** 3 for n in ns)
     yield DualityLine(f"adjunction n<={max_n}: {triples} triples: PASS")
@@ -347,7 +349,8 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
     for n, m in nms:
         bad_pair = check_oplus_preserved(n, m)
         if bad_pair is not None:
-            yield DualityLine(f"{label}: FAIL at n={n} m={m} {bad_pair}", True)
+            u, v = bad_pair
+            yield DualityLine(f"{label}: FAIL at n={n} m={m} u={u} v={v}", True)
             return
     pairs = sum((n + 2) ** 2 for n, _ in nms)
     yield DualityLine(f"{label}: {pairs} pairs: PASS")

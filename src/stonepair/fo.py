@@ -3,9 +3,18 @@
 Signatures are finite lists of relation symbols with arities; structures
 interpret each relation as a set of tuples over a finite universe.  Formulas
 are immutable ASTs with equality as a built-in logical symbol.  Evaluation is
-Tarskian (``satisfies``); counting of satisfying assignments is exact and
-enumerates the full assignment space as a dense boolean tensor, one cell per
-assignment, with no symmetry reduction.
+Tarskian (``satisfies``, the slow reference).  Counting satisfying assignments
+(``count_satisfying``, ``satisfying_set``) is exact: each (formula, context)
+is compiled once into a plan, kept in a cache of ``PLAN_CACHE_SIZE`` entries,
+whose every subformula evaluates to a boolean tensor with one axis of size
+|A| per free variable.  Tensor size thus follows the formula's width (the
+most free variables of any subformula), not its quantifier depth, and a
+context variable not free in the formula multiplies the count without being
+enumerated.  Work whose largest tensor would exceed ``MAX_TENSOR_CELLS``
+cells raises ``SizeError`` before anything is allocated.
+
+The parser bounds nesting at ``MAX_NESTING`` levels, so no input can exhaust
+Python's recursion limit in parsing, counting or any later walk of the tree.
 
 Grammar (precedence low to high: ``->``, ``|``, ``&``, ``!``; quantifiers
 scope maximally to the right):
@@ -19,14 +28,16 @@ scope maximally to the right):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, SizeError
 
 
 @dataclass(frozen=True)
@@ -78,18 +89,42 @@ class FiniteStructure:
             raise DomainError(f"relations not in signature: {sorted(extra)}")
         object.__setattr__(self, "relations", interp)
 
+    @functools.cached_property
+    def _tables(self) -> Mapping[str, np.ndarray]:
+        """One read-only boolean table per relation, built on the counter's
+        first use; raises ``SizeError`` for a table beyond the tensor guard."""
+        tables = {}
+        for name, arity in self.signature.relations:
+            if self.size**arity > MAX_TENSOR_CELLS:
+                raise SizeError(
+                    f"relation {name}/{arity} on |A| = {self.size} needs "
+                    f"{self.size**arity} table cells; the guard is {MAX_TENSOR_CELLS}"
+                )
+            table = np.zeros((self.size,) * arity, dtype=bool)
+            if self.relations[name]:
+                table[tuple(np.array(list(self.relations[name])).T)] = True
+            tables[name] = _read_only(table)
+        return MappingProxyType(tables)
+
+    @functools.cached_property
+    def _identity(self) -> np.ndarray:
+        return _read_only(np.eye(self.size, dtype=bool))
+
 
 # -- formulas -------------------------------------------------------------------
 
 
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes.  Nodes have slots: the plan cache
+    keeps up to ``PLAN_CACHE_SIZE`` formulas alive."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Formula):
     value: bool
 
@@ -98,48 +133,48 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     rel: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Formula):
     var: str
     body: Formula
@@ -324,8 +359,28 @@ def _tokenize(text: str) -> list[_Token]:
             kind = value
         tokens.append(_Token(kind, value, line, column))
         pos = m.end()
-    tokens.append(_Token("end", "", text.count("\n") + 1, len(text) + 1))
+    tokens.append(_Token("end", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
     return tokens
+
+
+# Nesting guard shared by the FO and threshold-logic parsers: no construct may
+# open more than MAX_NESTING levels deep and no parsed tree may be higher.  A
+# threshold formula this deep around an FO subject this deep still evaluates
+# within Python's default recursion limit of 1000: evaluating the threshold
+# formula takes one unit per level, and comparing two equal FO formulas (a
+# plan-cache lookup) three.
+MAX_NESTING = 200
+
+# Binding powers of the binary connectives (low to high) and of '!'.
+_BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
+_PREFIX_POWER = 4
+
+
+def _nested(tok: _Token, levels: int) -> int:
+    """``levels``, or a ``ParseError`` at ``tok`` when past ``MAX_NESTING``."""
+    if levels > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
+    return levels
 
 
 class _FormulaParser:
@@ -353,60 +408,54 @@ class _FormulaParser:
         return self.advance()
 
     def parse(self) -> Formula:
-        phi = self.implies()
+        phi, _ = self.formula(0, 0)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return phi
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "arrow":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().kind == "punct" and self.peek().text == "|":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "punct" and self.peek().text == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
+    def formula(self, power: int, depth: int) -> tuple[Formula, int]:
+        """The longest formula whose operators bind at least ``power``, with
+        its height.  ``depth`` counts the constructs open around it; both stay
+        within ``MAX_NESTING``, so the recursion here and in every later walk
+        of the tree is bounded."""
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "!":
             self.advance()
-            return Not(self.unary())
-        if tok.kind in ("forall", "exists"):
+            body, height = self.formula(_PREFIX_POWER, _nested(tok, depth + 1))
+            left, height = Not(body), _nested(tok, height + 1)
+        elif tok.kind in ("forall", "exists"):
             self.advance()
             var = self.expect("ident", "a variable name")
             dot = self.peek()
             if dot.kind != "punct" or dot.text != ".":
                 raise ParseError("expected '.' after quantified variable", dot.line, dot.column)
             self.advance()
-            body = self.implies()  # maximal right scope
+            body, height = self.formula(0, _nested(tok, depth + 1))  # maximal right scope
             ctor = Forall if tok.kind == "forall" else Exists
-            return ctor(var.text, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "(":
+            left, height = ctor(var.text, body), _nested(tok, height + 1)
+        elif tok.kind == "punct" and tok.text == "(":
             self.advance()
-            phi = self.implies()
+            left, height = self.formula(0, _nested(tok, depth + 1))
             closing = self.peek()
             if closing.kind != "punct" or closing.text != ")":
                 raise ParseError("expected ')'", closing.line, closing.column)
             self.advance()
-            return phi
+        else:
+            left, height = self.atom(), 0
+        while True:
+            op = self.peek()
+            if op.text not in _BINARY or _BINARY[op.text][0] < power:
+                return left, height
+            op_power, ctor = _BINARY[op.text]
+            self.advance()
+            # '->' is right-associative, '|' and '&' left-associative
+            right_power = op_power if ctor is Implies else op_power + 1
+            right, right_height = self.formula(right_power, _nested(op, depth + 1))
+            left, height = ctor(left, right), _nested(op, max(height, right_height) + 1)
+
+    def atom(self) -> Formula:
+        tok = self.peek()
         if tok.kind == "true":
             self.advance()
             return TRUE
@@ -486,83 +535,212 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
     raise DomainError(f"not an evaluable node: {phi!r}")
 
 
-def _fresh_name(taken: Iterable[str]) -> str:
-    taken = set(taken)
-    for i in itertools.count():
-        name = f"_q{i}"
-        if name not in taken:
-            return name
+# -- counting -------------------------------------------------------------------
+#
+# ``count_satisfying`` and ``satisfying_set`` run a plan compiled once per
+# (formula, context).  Compilation turns every variable into an axis number:
+# the context takes axes 0..k-1 and a quantifier nested j deep binds axis k+j.
+# Each subformula then evaluates to a boolean tensor with one axis of size |A|
+# per free variable, in axis order, so tensor size follows the formula's
+# width, not its quantifier depth.  Atoms are views of the structure's
+# relation tables (transposed, with a diagonal per repeated argument),
+# equalities are views of one identity matrix, ``&``/``|`` broadcast over the
+# union of their operands' axes, and a quantifier reduces its variable's axis,
+# always the last one since its number is the highest in scope.
+
+# The largest tensor counting may build, in one-byte cells: |A| ** width must
+# not exceed it.  2**29 admits width 3 up to |A| = 812 and width 4 up to
+# |A| = 152; larger work raises ``SizeError`` before anything is allocated.
+MAX_TENSOR_CELLS = 2**29
+
+PLAN_CACHE_SIZE = 4096
+
+# Plan nodes are tuples headed by an opcode: every cached plan stays in
+# memory, and tuples are a fraction of the size of closures.
+_AND, _OR, _TABLE, _VIEW, _NOT, _ANY, _ALL, _EYE, _TRUE, _FALSE = range(10)
+_TRUE_NODE, _FALSE_NODE, _EYE_NODE = (_TRUE,), (_FALSE,), (_EYE,)
+_WHOLE = slice(None)
 
 
-def _sat_tensor(A: FiniteStructure, phi: Formula, ctx: tuple[str, ...]) -> np.ndarray:
-    """Boolean tensor over the full assignment space of ``ctx``.
-
-    Cell (c_0, ..., c_{n-1}) is True iff the assignment ctx_i -> c_i
-    satisfies ``phi``.  Shape is (size,) * len(ctx); a sentence yields a
-    0-dimensional tensor.
-    """
-    N = A.size
-    shape = (N,) * len(ctx)
-    match phi:
-        case Const(value):
-            return np.full(shape, value, dtype=bool)
-        case Atom(rel, args):
-            arity = len(args)
-            base = np.zeros((N,) * arity, dtype=bool)
-            for t in A.relations[rel]:
-                base[t] = True
-            grids = np.indices(shape)
-            return base[tuple(grids[ctx.index(v)] for v in args)]
-        case Eq(left, right):
-            grids = np.indices(shape)
-            return grids[ctx.index(left)] == grids[ctx.index(right)]
-        case Not(body):
-            return ~_sat_tensor(A, body, ctx)
-        case And(l, r):
-            return _sat_tensor(A, l, ctx) & _sat_tensor(A, r, ctx)
-        case Or(l, r):
-            return _sat_tensor(A, l, ctx) | _sat_tensor(A, r, ctx)
-        case Exists(var, body) | Forall(var, body):
-            if var in ctx:
-                fresh = _fresh_name(set(ctx) | all_vars(body))
-                body = _rename_free(body, var, fresh)
-                var = fresh
-            inner = _sat_tensor(A, body, ctx + (var,))
-            if isinstance(phi, Exists):
-                return inner.any(axis=-1)
-            return inner.all(axis=-1)
-    raise DomainError(f"not an evaluable node: {phi!r}")
+def _read_only(t: np.ndarray) -> np.ndarray:
+    t.flags.writeable = False
+    return t
 
 
-def _check_context(phi: Formula, context: Sequence[str]) -> tuple[str, ...]:
-    ctx = tuple(context)
+_CELLS = {_TRUE: _read_only(np.array(True)), _FALSE: _read_only(np.array(False))}
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int]:
+    """The root node, the axes of its tensor (context positions) and the
+    plan's width: the most axes of size |A| on any tensor or table it uses."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
     missing = [v for v in free_vars(phi) if v not in ctx]
     if missing:
         raise DomainError(f"context misses free variables {missing}")
-    return ctx
+    widths = [0]
+    node, axes = _compile(phi, {v: i for i, v in enumerate(ctx)}, len(ctx), widths)
+    return node, axes, max(widths)
+
+
+def _compile(
+    phi: Formula, env: dict[str, int], next_axis: int, widths: list[int]
+) -> tuple[tuple, tuple[int, ...]]:
+    """The node computing ``phi``'s tensor and that tensor's axes.  Constant
+    subformulas fold to ``_TRUE_NODE``/``_FALSE_NODE`` with no axes."""
+    match phi:
+        case Const(value):
+            return (_TRUE_NODE if value else _FALSE_NODE), ()
+        case Atom(rel, args):
+            widths.append(len(args))
+            return _atom(rel, tuple(env[v] for v in args))
+        case Eq(left, right):
+            a, b = sorted((env[left], env[right]))
+            if a == b:
+                return _TRUE_NODE, ()
+            widths.append(2)
+            return _EYE_NODE, (a, b)
+        case Not(body):
+            node, axes = _compile(body, env, next_axis, widths)
+            if node is _TRUE_NODE or node is _FALSE_NODE:
+                return (_FALSE_NODE if node is _TRUE_NODE else _TRUE_NODE), ()
+            return (_NOT, node), axes
+        case Implies(l, r):
+            return _compile(Or(Not(l), r), env, next_axis, widths)
+        case And(l, r) | Or(l, r):
+            left, left_axes = _compile(l, env, next_axis, widths)
+            right, right_axes = _compile(r, env, next_axis, widths)
+            conj = isinstance(phi, And)
+            absorbing, neutral = (_FALSE_NODE, _TRUE_NODE) if conj else (_TRUE_NODE, _FALSE_NODE)
+            if left is absorbing or right is absorbing:
+                return absorbing, ()
+            if left is neutral:
+                return right, right_axes
+            if right is neutral:
+                return left, left_axes
+            axes = tuple(sorted(set(left_axes) | set(right_axes)))
+            widths.append(len(axes))
+            # an operand already over all of ``axes`` can hold the result
+            reuse = 1 if left_axes == axes else 2 if right_axes == axes else 0
+            return (
+                _AND if conj else _OR,
+                left,
+                _expander(left_axes, axes),
+                right,
+                _expander(right_axes, axes),
+                reuse,
+            ), axes
+        case Exists(var, body) | Forall(var, body):
+            node, axes = _compile(body, {**env, var: next_axis}, next_axis + 1, widths)
+            if not axes or axes[-1] != next_axis:
+                return node, axes  # the variable is not free in the body
+            return (_ANY if isinstance(phi, Exists) else _ALL, node), axes[:-1]
+    raise DomainError(f"not an evaluable node: {phi!r}")
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _atom(rel: str, args: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """A view of the relation table with one axis per distinct argument axis,
+    in axis order: ``diagonal`` merges a repeated argument's two table axes
+    into a new last axis, then ``transpose`` sorts the axes."""
+    labels = list(args)
+    diagonals = []
+    while len(set(labels)) < len(labels):
+        j = next(k for k, a in enumerate(labels) if labels.index(a) < k)
+        i = labels.index(labels[j])
+        diagonals.append((i, j))
+        labels = [a for k, a in enumerate(labels) if k not in (i, j)] + [labels[j]]
+    perm = tuple(sorted(range(len(labels)), key=labels.__getitem__))
+    if not diagonals and perm == tuple(range(len(args))):
+        return (_TABLE, rel, len(args)), args
+    return (_VIEW, rel, len(args), tuple(diagonals), perm), tuple(sorted(labels))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _expander(axes: tuple[int, ...], target: tuple[int, ...]) -> tuple | None:
+    """Index inserting size-1 axes so a tensor over ``axes`` lines up with one
+    over ``target``; None where numpy's own broadcasting, which prepends
+    axes, already does it."""
+    index = [_WHOLE if a in axes else None for a in target]
+    while index and index[0] is None:
+        index.pop(0)
+    return tuple(index) if None in index else None
+
+
+def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
+    """The node's tensor.  Results this evaluation allocated are writeable and
+    used once, so connectives overwrite them; tables and their views are
+    read-only."""
+    op = node[0]
+    if op <= _OR:
+        _, left, left_index, right, right_index, reuse = node
+        lt, rt = _evaluate(left, A), _evaluate(right, A)
+        if left_index is not None:
+            lt = lt[left_index]
+        if right_index is not None:
+            rt = rt[right_index]
+        ufunc = np.logical_and if op == _AND else np.logical_or
+        if reuse == 1 and lt.flags.writeable:
+            return ufunc(lt, rt, out=lt)
+        if reuse == 2 and rt.flags.writeable:
+            return ufunc(lt, rt, out=rt)
+        return ufunc(lt, rt)
+    if op <= _VIEW:
+        table = A._tables.get(node[1])
+        if table is None or table.ndim != node[2]:
+            raise DomainError(f"structure has no relation {node[1]}/{node[2]}")
+        if op == _TABLE:
+            return table
+        for i, j in node[3]:
+            table = table.diagonal(0, i, j)
+        return table.transpose(node[4])
+    if op == _NOT:
+        t = _evaluate(node[1], A)
+        return np.logical_not(t, out=t) if t.flags.writeable else ~t
+    if op == _ANY:
+        return _evaluate(node[1], A).any(axis=-1)
+    if op == _ALL:
+        return _evaluate(node[1], A).all(axis=-1)
+    if op == _EYE:
+        return A._identity
+    return _CELLS[op]
+
+
+def _run(A: FiniteStructure, node: tuple, width: int) -> np.ndarray:
+    if A.size**width > MAX_TENSOR_CELLS:
+        raise SizeError(
+            f"|A| = {A.size} at width {width} needs {A.size**width} tensor cells; "
+            f"the guard is {MAX_TENSOR_CELLS}"
+        )
+    return _evaluate(node, A)
 
 
 def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -> int:
     """Number of assignments of ``context`` into A satisfying ``phi``.
 
     The total assignment space has size ``A.size ** len(context)``; the count
-    is independent of the ordering of the context.
+    is independent of the ordering of the context.  Context variables not
+    free in ``phi`` multiply the count without being enumerated.
     """
-    ctx = _check_context(phi, context)
-    return int(_sat_tensor(A, desugar(phi), ctx).sum())
+    ctx = tuple(context)
+    node, axes, width = _plan(phi, ctx)
+    tensor = _run(A, node, width)
+    return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
 
 
 def satisfying_set(
     A: FiniteStructure, phi: Formula, context: Sequence[str]
 ) -> frozenset[tuple[int, ...]]:
     """The set of satisfying assignments, as tuples aligned with ``context``."""
-    ctx = _check_context(phi, context)
-    tensor = _sat_tensor(A, desugar(phi), ctx)
-    if tensor.ndim == 0:
+    ctx = tuple(context)
+    node, axes, width = _plan(phi, ctx)
+    tensor = _run(A, node, max(width, len(ctx)))
+    if not ctx:
         return frozenset([()] if bool(tensor) else [])
-    return frozenset(tuple(int(v) for v in row) for row in np.argwhere(tensor))
+    index = tuple(_WHOLE if a in axes else None for a in range(len(ctx)))
+    full = np.broadcast_to(np.asarray(tensor)[index], (A.size,) * len(ctx))
+    return frozenset(tuple(int(v) for v in row) for row in np.argwhere(full))
 
 
 # -- the running family of example posets -----------------------------------------

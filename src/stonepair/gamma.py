@@ -32,7 +32,7 @@ from typing import Iterable
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GammaValue:
     """A point of the doubled unit interval: a rational tagged exact or approx.
 
@@ -138,7 +138,8 @@ def gamma_collapse(x: GammaValue) -> Fraction:
 
 def iota_exact(r: Fraction) -> GammaValue:
     """Tag a rational in [0, 1] as an exact point (right adjoint to collapse)."""
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     if not 0 <= r <= 1:
         raise DomainError(f"{r} lies outside [0, 1]")
     return GammaValue(r, True)

@@ -32,7 +32,7 @@ from .gamma import GammaValue
 from .measure import FinSuppFn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairingResult:
     """One pairing: satisfying-assignment count over the assignment total."""
 

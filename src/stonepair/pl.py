@@ -32,7 +32,7 @@ from typing import Iterator
 
 from . import gamma
 from .errors import DomainError, ParseError, PresentationError, SizeError
-from .fo import FiniteStructure, Formula, Signature, parse_formula
+from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
 from .gamma import GammaGrid, GammaValue, grid_rationals
 from .lattice import FiniteLattice
 from .measure import Measure, validate_measure
@@ -402,7 +402,9 @@ class _PLParser:
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, line=1, column=self.pos + 1)
+        line = self.text.count("\n", 0, self.pos) + 1
+        column = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
+        return ParseError(message, line=line, column=column)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -419,40 +421,52 @@ class _PLParser:
             return True
         return False
 
+    def nested(self, at: int, levels: int) -> int:
+        """``levels``, or a ``ParseError`` at offset ``at`` when past ``MAX_NESTING``."""
+        if levels > MAX_NESTING:
+            self.pos = at
+            raise self.error(f"formula nests deeper than {MAX_NESTING} levels")
+        return levels
+
     def parse(self) -> PLFormula:
-        phi = self.disjunction()
+        phi, _ = self.formula(0, 0)
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
         return phi
 
-    def disjunction(self) -> PLFormula:
-        left = self.conjunction()
-        while self.take("|"):
-            left = PLOr(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> PLFormula:
-        left = self.unary()
-        while self.take("&"):
-            left = PLAnd(left, self.unary())
-        return left
-
-    def unary(self) -> PLFormula:
+    def formula(self, power: int, depth: int) -> tuple[PLFormula, int]:
+        """The longest formula whose operators bind at least ``power`` (``|``
+        1, ``&`` 2, ``!`` 3), with its height; nesting is bounded as in the
+        first-order parser."""
+        self.skip_ws()
+        start = self.pos
         if self.take("!"):
-            return PLNot(self.unary())
-        if self.take("("):
-            phi = self.disjunction()
+            body, height = self.formula(3, self.nested(start, depth + 1))
+            left, height = PLNot(body), self.nested(start, height + 1)
+        elif self.take("("):
+            left, height = self.formula(0, self.nested(start, depth + 1))
             if not self.take(")"):
                 raise self.error("expected ')'")
-            return phi
-        if self.take("true"):
-            return PL_TRUE
-        if self.take("false"):
-            return PL_FALSE
-        if self.take("["):
-            return self.atom_tail()
-        raise self.error("expected a formula")
+        elif self.take("true"):
+            left, height = PL_TRUE, 0
+        elif self.take("false"):
+            left, height = PL_FALSE, 0
+        elif self.take("["):
+            left, height = self.atom_tail(), 0
+        else:
+            raise self.error("expected a formula")
+        while True:
+            self.skip_ws()
+            at = self.pos
+            if power <= 1 and self.take("|"):
+                ctor, op_power = PLOr, 1
+            elif power <= 2 and self.take("&"):
+                ctor, op_power = PLAnd, 2
+            else:
+                return left, height
+            right, right_height = self.formula(op_power + 1, self.nested(at, depth + 1))
+            left, height = ctor(left, right), self.nested(at, max(height, right_height) + 1)
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -492,10 +506,18 @@ class _PLParser:
         close = self.text.find("}", self.pos)
         if close < 0:
             raise self.error("expected '}'")
-        body = self.text[self.pos:close]
+        start, body = self.pos, self.text[self.pos:close]
         self.pos = close + 1
         if self.signature is not None:
-            subject: object = parse_formula(body, self.signature)
+            try:
+                subject: object = parse_formula(body, self.signature)
+            except ParseError as exc:
+                # report the position in the whole text, not in the subject
+                line_start = 0
+                for _ in range(exc.line - 1):
+                    line_start = body.index("\n", line_start) + 1
+                self.pos = start + line_start + exc.column - 1
+                raise self.error(exc.message) from None
         else:
             label = body.strip()
             subject = self.lattice.index_of(label)

@@ -12,6 +12,7 @@ from stonepair.lattice import FiniteLattice
 from stonepair.measure import ClassicalMeasure
 
 BINARY_SIG = fo.Signature((("r", 2),))
+TERNARY_SIG = fo.Signature((("r", 2), ("t", 3)))
 
 rationals01 = st.fractions(min_value=Fraction(0), max_value=Fraction(1))
 
@@ -27,39 +28,61 @@ def gamma_values(draw):
 
 
 @st.composite
-def structures(draw, max_size: int = 4):
+def structures(draw, max_size: int = 4, ternary: bool = False):
+    """Structures over ``r/2``, plus ``t/3`` when ``ternary``."""
     n = draw(st.integers(1, max_size))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    tuples = draw(st.frozensets(pairs, max_size=n * n))
-    return fo.FiniteStructure(BINARY_SIG, n, {"r": tuples})
+    relations = {"r": draw(st.frozensets(pairs, max_size=n * n))}
+    if not ternary:
+        return fo.FiniteStructure(BINARY_SIG, n, relations)
+    triples = st.tuples(*[st.integers(0, n - 1)] * 3)
+    relations["t"] = draw(st.frozensets(triples, max_size=n**3))
+    return fo.FiniteStructure(TERNARY_SIG, n, relations)
 
 
-def _formula(draw, scope: tuple[str, ...], depth: int) -> fo.Formula:
+def _formula(
+    draw, scope: tuple[str, ...], depth: int, ternary: bool = False, rebind: bool = False
+) -> fo.Formula:
+    """Atoms draw their arguments from ``scope`` (so repeats like r(x, x)
+    occur); ``ternary`` adds t(u, v, w) atoms in any argument order;
+    ``rebind`` lets a quantifier re-bind a variable already in scope."""
+    def var() -> str:
+        return scope[draw(st.integers(0, len(scope) - 1))]
+
     if depth == 0 or draw(st.integers(0, 2)) == 0:
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 4 if ternary else 3))
         if kind == 0:
             return fo.TRUE
         if kind == 1:
             return fo.FALSE
-        v = scope[draw(st.integers(0, len(scope) - 1))]
-        w = scope[draw(st.integers(0, len(scope) - 1))]
+        if kind == 4:
+            return fo.Atom("t", (var(), var(), var()))
+        v, w = var(), var()
         return fo.Eq(v, w) if kind == 2 else fo.Atom("r", (v, w))
     kind = draw(st.integers(0, 5))
     if kind == 0:
-        return fo.Not(_formula(draw, scope, depth - 1))
-    if kind <= 2:
-        ctor = fo.And if kind == 1 else fo.Or
-        return ctor(_formula(draw, scope, depth - 1), _formula(draw, scope, depth - 1))
-    if kind == 3:
-        return fo.Implies(_formula(draw, scope, depth - 1), _formula(draw, scope, depth - 1))
-    var = f"z{len(scope)}"
-    body = _formula(draw, scope + (var,), depth - 1)
-    return fo.Exists(var, body) if kind == 4 else fo.Forall(var, body)
+        return fo.Not(_formula(draw, scope, depth - 1, ternary, rebind))
+    if kind <= 3:
+        ctor = (fo.And, fo.Or, fo.Implies)[kind - 1]
+        return ctor(
+            _formula(draw, scope, depth - 1, ternary, rebind),
+            _formula(draw, scope, depth - 1, ternary, rebind),
+        )
+    var_name = var() if rebind and draw(st.booleans()) else f"z{len(scope)}"
+    inner = scope if var_name in scope else scope + (var_name,)
+    body = _formula(draw, inner, depth - 1, ternary, rebind)
+    return fo.Exists(var_name, body) if kind == 4 else fo.Forall(var_name, body)
 
 
 @st.composite
-def formulas(draw, scope: tuple[str, ...] = ("x", "y"), depth: int = 3):
-    return _formula(draw, scope, depth)
+def formulas(
+    draw,
+    scope: tuple[str, ...] = ("x", "y"),
+    depth: int = 3,
+    ternary: bool = False,
+    rebind: bool = False,
+):
+    return _formula(draw, scope, depth, ternary, rebind)
 
 
 # -- seeded corpus generators (plain random module, used by acceptance too) -------

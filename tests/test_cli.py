@@ -256,17 +256,28 @@ class TestDualityVerify:
         assert out == "".join(line + "\n" for line in DUALITY_4_2)
 
     def test_failure_stops_the_sweep(self, monkeypatch):
-        def broken(n, m):
-            if n == 2:
-                return (chains.ChainPoint(n * m, 1), chains.ChainPoint(n, 0))
-            return None
-
-        monkeypatch.setattr(chains, "check_floor_ceiling", broken)
-        code, out, _ = invoke("duality-verify", "--max-n", "4", "--max-m", "2")
-        assert code == 1
-        assert out.splitlines() == DUALITY_4_2[:8] + [
-            "floor-ceiling n<=4 m<=2: FAIL at n=2 m=2 x=1/4 y=0/2"
-        ]
+        # each check family in turn reports a failure at n = 2, in chain text form
+        half, top = chains.frac(2, 1), chains.top(2)
+        broken = {
+            "check_adjunction": (
+                lambda n: chains.AdjunctionViolation(half, top, chains.frac(2, 0)) if n == 2 else None,
+                ["adjunction n<=4: FAIL at n=2 u=1/2 v=T w=0/2"],
+            ),
+            "check_oplus_preserved": (
+                lambda n, m: (half, top) if n == 2 else None,
+                DUALITY_4_2[:1] + ["oplus-preservation n<=4 m<=2: FAIL at n=2 m=2 u=1/2 v=T"],
+            ),
+            "check_floor_ceiling": (
+                lambda n, m: (chains.ChainPoint(n * m, 1), chains.ChainPoint(n, 0)) if n == 2 else None,
+                DUALITY_4_2[:8] + ["floor-ceiling n<=4 m<=2: FAIL at n=2 m=2 x=1/4 y=0/2"],
+            ),
+        }
+        for name, (check, expected) in broken.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(chains, name, check)
+                code, out, _ = invoke("duality-verify", "--max-n", "4", "--max-m", "2")
+            assert code == 1, name
+            assert out.splitlines() == expected, name
 
 
 class TestIntegrate:
@@ -291,6 +302,28 @@ class TestErrors:
     def test_missing_file_is_one(self):
         code, _, err = invoke("pair", "--structure", "/nonexistent", "--formula", "true")
         assert code == 1 and "error:" in err
+
+    def test_deep_nesting_is_a_positioned_parse_error(self, workdir):
+        for formula in ("!" * 3000 + "x = x", "(" * 3000 + "x = x" + ")" * 3000):
+            code, out, err = invoke(
+                "pair", "--structure", workdir / "a2.struct", "--formula", formula
+            )
+            assert code == 1 and out == ""
+            assert err == "error: 1:201: formula nests deeper than 200 levels\n"
+        code, _, err = invoke(
+            "eval", "--structure", workdir / "a2.struct", "--formula", "!" * 3000 + "true"
+        )
+        assert code == 1
+        assert err == "error: 1:201: formula nests deeper than 200 levels\n"
+
+    def test_oversized_count_is_a_size_error(self, tmp_path):
+        # width 4 on 200 elements exceeds the tensor guard; nothing is allocated
+        big = tmp_path / "big.struct"
+        big.write_text("signature: r/2\nuniverse: 200\nr = {(0,1),(1,2)}\n")
+        formula = "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)"
+        code, out, err = invoke("pair", "--structure", big, "--formula", formula)
+        assert code == 1 and out == ""
+        assert err.startswith("error: |A| = 200 at width 4 needs") and "Traceback" not in err
 
     def test_console_entry_point(self, workdir):
         proc = subprocess.run(

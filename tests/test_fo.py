@@ -1,13 +1,17 @@
 """Parsing, satisfaction, and counting for first-order logic."""
 
 import itertools
+import random
+import tracemalloc
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas, structures
+from conftest import BINARY_SIG, formulas, structures
 from stonepair import fo
-from stonepair.errors import DomainError, ParseError
+from stonepair.errors import DomainError, ParseError, SizeError
 from stonepair.fo import (
     And,
     Atom,
@@ -72,6 +76,38 @@ class TestParser:
     def test_round_trip_via_format(self):
         psi = maximal_not_maximum()
         assert parse_formula(str(psi), POSET) == psi
+
+    def test_nesting_limit_positions_the_offending_token(self):
+        limit = fo.MAX_NESTING
+        cases = {
+            "!" * 3000 + "x = x": limit + 1,
+            "(" * 3000 + "x = x" + ")" * 3000: limit + 1,
+            "forall y. " * 3000 + "x = y": 10 * limit + 1,
+            "x = x & " * 3000 + "x = x": 8 * limit + 7,
+            "x = x -> " * 3000 + "x = x": 9 * limit + 7,
+        }
+        for text, column in cases.items():
+            with pytest.raises(ParseError) as exc:
+                parse_formula(text, POSET)
+            assert (exc.value.line, exc.value.column) == (1, column), text[:20]
+            assert "nests deeper" in exc.value.message
+
+    def test_nesting_limit_spans_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_formula("true &\n" + "!" * 3000 + "true", POSET)
+        # the right side of '&' is one level deep already
+        assert (exc.value.line, exc.value.column) == (2, fo.MAX_NESTING)
+
+    def test_formulas_at_the_nesting_limit_count(self):
+        limit = fo.MAX_NESTING
+        A = gen_example_structure(4)  # 3-chain plus an isolated point
+        for text, expected in (
+            ("!" * limit + "x = x", 4),
+            ("(" * limit + "x = x" + ")" * limit, 4),
+            ("x = x & " * limit + "x = x", 4),
+            ("exists y. " * limit + "lt(x, y)", 2),
+        ):
+            assert count_satisfying(A, parse_formula(text, POSET), ["x"]) == expected
 
 
 class TestFreeVars:
@@ -181,6 +217,91 @@ class TestCounting:
         for t in itertools.product(range(A.size), repeat=1):
             alpha = {"x": 0, "y": t[0]}
             assert satisfies(A, alpha, lhs) == satisfies(A, alpha, rhs)
+
+
+class TestShapedCounting:
+    """The compiled counter against the Tarskian oracle, and its guards."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        structures(ternary=True),
+        formulas(ternary=True, rebind=True),
+        st.sampled_from([("x", "y"), ("y", "x"), ("x", "y", "w"), ("w", "y", "x")]),
+    )
+    def test_count_and_set_match_satisfies(self, A, phi, ctx):
+        # ctx may re-bind under a quantifier, and "w" is never free in phi
+        expected = {
+            t
+            for t in itertools.product(range(A.size), repeat=len(ctx))
+            if satisfies(A, dict(zip(ctx, t)), phi)
+        }
+        assert satisfying_set(A, phi, ctx) == expected
+        assert count_satisfying(A, phi, ctx) == len(expected)
+
+    def test_rebound_context_variable(self):
+        # the quantified x is a new axis; the context's x is not free in phi
+        A = FiniteStructure(BINARY_SIG, 3, {"r": frozenset({(0, 1), (2, 2)})})
+        phi = Exists("x", Atom("r", ("x", "y")))
+        assert satisfying_set(A, phi, ["x", "y"]) == {(x, y) for x in range(3) for y in (1, 2)}
+
+    def test_repeated_and_permuted_arguments(self):
+        sig = Signature((("t", 3),))
+        A = FiniteStructure(sig, 3, {"t": frozenset({(0, 0, 1), (1, 2, 1), (2, 0, 2)})})
+        phi = Atom("t", ("y", "x", "y"))  # t(y, x, y)
+        assert satisfying_set(A, phi, ["x", "y"]) == {(2, 1), (0, 2)}
+        assert count_satisfying(A, Atom("t", ("x", "x", "x")), ["x"]) == 0
+
+    def test_singleton_universe_and_unused_context(self):
+        A = FiniteStructure(BINARY_SIG, 1, {"r": frozenset({(0, 0)})})
+        assert count_satisfying(A, Atom("r", ("x", "x")), ["x", "y", "z"]) == 1
+        B = FiniteStructure(BINARY_SIG, 5, {"r": frozenset()})
+        assert count_satisfying(B, TRUE, [f"v{i}" for i in range(40)]) == 5**40
+        assert satisfying_set(B, Eq("x", "x"), ["x", "y"]) == {
+            (x, y) for x in range(5) for y in range(5)
+        }
+
+    def test_relation_missing_from_structure(self):
+        A = gen_example_structure(2)
+        with pytest.raises(DomainError):
+            count_satisfying(A, Atom("edge", ("x", "y")), ["x", "y"])
+
+    def test_width_three_peak_memory(self):
+        # the counter holds boolean tensors of |A|**3 cells, not the 3 int64
+        # index grids (24 bytes a cell) of a dense counter
+        n = 96
+        rng = random.Random(7)
+        edges = frozenset((i, j) for i in range(n) for j in range(n) if rng.random() < 0.05)
+        A = FiniteStructure(BINARY_SIG, n, {"r": edges})
+        phi = parse_formula("exists y. exists z. r(x,y) & r(y,z) & r(z,x)", BINARY_SIG)
+        tracemalloc.start()
+        try:
+            count = count_satisfying(A, phi, ["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n**3
+        R = np.zeros((n, n), dtype=np.int64)
+        R[tuple(np.array(sorted(edges)).T)] = 1
+        assert count == int(np.count_nonzero(np.diag(R @ R @ R)))
+
+    def test_size_guard_raises_before_allocating(self):
+        n = 200  # width 4 needs 200**4 > MAX_TENSOR_CELLS cells
+        A = FiniteStructure(BINARY_SIG, n, {"r": frozenset({(0, 1)})})
+        phi = parse_formula(
+            "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)", BINARY_SIG
+        )
+        assert n**4 > fo.MAX_TENSOR_CELLS >= n**3
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                count_satisfying(A, phi, ["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # satisfying_set also guards the context it enumerates
+        with pytest.raises(SizeError):
+            satisfying_set(A, TRUE, ["a", "b", "c", "d"])
 
 
 class TestExampleFamily:

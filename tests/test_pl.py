@@ -292,3 +292,37 @@ class TestPLSyntax:
             parse_pl_formula("[>= 3/2]{a}", lattice=B4)
         with pytest.raises(DomainError):
             parse_pl_formula("[>= 1/2]{zz}", lattice=B4)
+
+    def test_nesting_limit_positions_the_offending_token(self):
+        limit = fo.MAX_NESTING
+        for text, (line, column) in {
+            "!" * 3000 + "true": (1, limit + 1),
+            "(" * 3000 + "true" + ")" * 3000: (1, limit + 1),
+            "true & " * 3000 + "true": (1, 7 * limit + 6),
+            "true |\n" + "!" * 3000 + "true": (2, limit),
+        }.items():
+            with pytest.raises(ParseError) as exc:
+                parse_pl_formula(text, lattice=B4)
+            assert (exc.value.line, exc.value.column) == (line, column), text[:20]
+            assert "nests deeper" in exc.value.message
+
+    def test_subject_errors_are_positioned_in_the_whole_text(self):
+        for text, (line, column) in {
+            "true & [>= 1/2]{x = }": (1, 21),
+            "true &\n [>= 1/2]{ x = x &\n  lt(x) }": (3, 3),
+            "[>= 1/2]{\nx = x} & [< 1]{\n\n  x = }": (4, 7),
+            "true & [>= 1/2]{" + "!" * 3000 + "x = x}": (1, 16 + fo.MAX_NESTING + 1),
+        }.items():
+            with pytest.raises(ParseError) as exc:
+                parse_pl_formula(text, signature=fo.POSET_SIGNATURE)
+            assert (exc.value.line, exc.value.column) == (line, column), text[:30]
+
+    def test_deepest_formulas_evaluate(self):
+        # a threshold formula at the limit around FO subjects at the limit,
+        # the subject parsed twice so the plan cache compares equal formulas
+        limit = fo.MAX_NESTING
+        subject = "{" + "!" * limit + "x = x}"
+        text = f"[>= 1/2]{subject} & " + "!" * (limit - 1) + f"[< 1/2]{subject}"
+        A = gen_example_structure(3)
+        phi = parse_pl_formula(text, signature=fo.POSET_SIGNATURE)
+        assert eval_pl_structure(A, phi) is True
