@@ -21,12 +21,22 @@ The collapse map ``gamma_collapse`` forgets tags, its right-adjoint section
 ``iota_approx`` tags positive rationals as approximations.  Only rational
 points are representable, so every case split in the arithmetic lands in the
 rational branch; all computation uses ``fractions.Fraction`` and is exact.
+
+Inside one computation the same arithmetic runs on integers.  Put every
+value on a common denominator D and encode ``q^o`` as the *rank* 2qD and
+``r^-`` as 2rD - 1: the Gamma order becomes integer order, even ranks are
+exact points and odd ranks approximations, and the three operations become
+integer expressions (``rank_mip``, ``rank_miss``, ``rank_plus``).  On D = k
+the ranks 0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue``
+and ``mip``/``miss``/``plus`` stay the public types and the reference the
+rank kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DomainError, ParseError
@@ -129,6 +139,46 @@ def gamma_sum(xs: Iterable[GammaValue]) -> GammaValue:
     for x in xs:
         acc = plus(acc, x)
     return acc
+
+
+# -- the rank kernel --------------------------------------------------------------
+
+
+def common_denominator(xs: Iterable[GammaValue]) -> int:
+    """The least D on which every value of ``xs`` has a rank."""
+    return lcm(1, *(x.value.denominator for x in xs))
+
+
+def rank(x: GammaValue, denom: int) -> int:
+    """The rank of ``x`` on the denominator ``denom``: 2qD for q^o, 2rD - 1 for r^-."""
+    scale, rest = divmod(denom, x.value.denominator)
+    if rest:
+        raise DomainError(f"{x} has no rank on the denominator {denom}")
+    return 2 * x.value.numerator * scale - (not x.exact)
+
+
+def rank_mip(x: int, y: int) -> int:
+    """``mip`` on ranks, defined for y <= x."""
+    if y > x:
+        raise DomainError(f"mip undefined on ranks: {y} > {x}")
+    return x - y - (y & ~x & 1)
+
+
+def rank_miss(x: int, y: int) -> int:
+    """``miss`` on ranks, defined for y <= x."""
+    if y > x:
+        raise DomainError(f"miss undefined on ranks: {y} > {x}")
+    if x == y:
+        return 0
+    return x - y - 1 + (x & ~y & 1)
+
+
+def rank_plus(x: int, y: int, denom: int) -> int:
+    """``plus`` on ranks, defined when the result is at most 2D."""
+    s = x + y + (x & y & 1)
+    if s > 2 * denom:
+        raise DomainError(f"plus undefined on ranks: {x} + {y} exceeds {2 * denom}")
+    return s
 
 
 def gamma_collapse(x: GammaValue) -> Fraction:

@@ -84,27 +84,31 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
     index order, then the two additivity inequalities over all ordered pairs.
     Additivity on a pair is only evaluated when monotonicity supplies the
     domains of the partial operations; a pair skipped for that reason is
-    already covered by a reported monotonicity violation.
+    already covered by a reported monotonicity violation.  The values are
+    compared and combined as ranks on their common denominator.
     """
     L = mu.lattice
+    denom = gamma.common_denominator(mu.values)
+    r = [gamma.rank(v, denom) for v in mu.values]
     out: list[MeasureViolation] = []
-    if mu(L.bottom) != gamma.ZERO:
+    if r[L.bottom] != 0:
         out.append(MeasureViolation("bottom"))
-    if mu(L.top) != gamma.ONE:
+    if r[L.top] != 2 * denom:
         out.append(MeasureViolation("top"))
     for a in range(L.n):
-        for b in range(L.n):
-            if a != b and L.leq(a, b) and not mu(a) <= mu(b):
+        for b in sorted(L.upset(a)):
+            if r[a] > r[b]:
                 out.append(MeasureViolation("monotone", a, b))
+    mip, miss = gamma.rank_mip, gamma.rank_miss
     for a in range(L.n):
+        x, meets, joins = r[a], L._meet_table[a], L._join_table[a]
         for b in range(L.n):
-            lo = mu(L.meet(a, b))
-            hi = mu(L.join(a, b))
-            if not (lo <= mu(a) and mu(b) <= hi):
+            y, lo, hi = r[b], r[meets[b]], r[joins[b]]
+            if not (lo <= x and y <= hi):
                 continue  # reported as a monotonicity failure
-            if not gamma.miss(mu(a), lo) <= gamma.mip(hi, mu(b)):
+            if miss(x, lo) > mip(hi, y):
                 out.append(MeasureViolation("additivity-left", a, b))
-            if not gamma.mip(mu(a), lo) >= gamma.miss(hi, mu(b)):
+            if mip(x, lo) < miss(hi, y):
                 out.append(MeasureViolation("additivity-right", a, b))
     return out
 
@@ -281,6 +285,9 @@ def parse_measure(text: str, lattice: FiniteLattice) -> Measure:
         if m is None:
             raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
         label, body = m.group(1), m.group(2)
+        if label not in lattice.labels:
+            column = len(raw) - len(raw.lstrip()) + m.start(1) + 1
+            raise ParseError(f"unknown element label {label!r}", line=lineno, column=column)
         idx = lattice.index_of(label)
         if idx in values:
             raise ParseError(f"duplicate value for {label}", line=lineno, column=1)

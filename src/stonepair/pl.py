@@ -26,6 +26,7 @@ computed on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -33,7 +34,7 @@ from typing import Iterator
 from . import gamma
 from .errors import DomainError, ParseError, PresentationError, SizeError
 from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
-from .gamma import GammaGrid, GammaValue, grid_rationals
+from .gamma import GammaGrid, grid_rationals
 from .lattice import FiniteLattice
 from .measure import Measure, validate_measure
 from .pairing import stone_pairing
@@ -115,13 +116,18 @@ def _eval(phi: PLFormula, atom_value) -> bool:
     raise DomainError(f"not a threshold-logic node: {phi!r}")
 
 
+def _check_subject(atom, D: FiniteLattice) -> int:
+    a = atom.subject
+    if not isinstance(a, int) or not 0 <= a < D.n:
+        raise DomainError(f"atom subject {a!r} is not an element of the lattice")
+    return a
+
+
 def eval_pl_measure(mu: Measure, phi: PLFormula) -> bool:
     """Evaluate against a measure; atoms compare mu(a) with the threshold."""
 
     def atom_value(atom) -> bool:
-        a = atom.subject
-        if not isinstance(a, int) or not 0 <= a < mu.lattice.n:
-            raise DomainError(f"atom subject {a!r} is not an element of the lattice")
+        a = _check_subject(atom, mu.lattice)
         bound = gamma.iota_exact(atom.threshold)
         if isinstance(atom, GE):
             return mu(a) >= bound
@@ -162,38 +168,98 @@ def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
     """All measures on D with values on the resolution-k grid.
 
     Enumerated in lexicographic order of the value tuple (elements in index
-    order, grid points ascending).  Candidates are grown element by element
-    with monotonicity pruning; survivors are filtered by the full validator.
+    order, grid points ascending), as ranks 0..2k on the denominator k.  Each
+    element's rank ranges over the interval left by its already-placed lower
+    and upper neighbours, and the additivity inequalities of every pair are
+    tested in ranks as soon as the pair, its meet and its join are placed.
+    Monotone maps pass every comparable pair, so only incomparable pairs are
+    tested.  The survivors become ``Measure``s on the ``GammaGrid(k)`` points.
     """
     _guard(D, k)
-    points = GammaGrid(k).points
-    forced: dict[int, GammaValue] = {D.bottom: gamma.ZERO, D.top: gamma.ONE}
-    out: list[Measure] = []
+    n, top = D.n, 2 * k
+    below = [[d for d in range(e) if D.leq(d, e)] for e in range(n)]
+    above = [[d for d in range(e) if D.leq(e, d)] for e in range(n)]
+    # pairs (a, b, meet, join) to test once their highest index e is placed
+    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if not (D.leq(a, b) or D.leq(b, a)):
+                quad = (a, b, D.meet(a, b), D.join(a, b))
+                pairs[max(quad)].append(quad)
+    mip, miss = gamma.rank_mip, gamma.rank_miss
+    r = [0] * n
+    found: list[tuple[int, ...]] = []
 
-    def extend(prefix: list[GammaValue]) -> None:
-        e = len(prefix)
-        if e == D.n:
-            mu = Measure(D, tuple(prefix))
-            if not validate_measure(mu):
-                out.append(mu)
+    def extend(e: int) -> None:
+        if e == n:
+            found.append(tuple(r))
             return
-        candidates = (forced[e],) if e in forced else points
-        for v in candidates:
-            ok = True
-            for d in range(e):
-                if D.leq(d, e) and not prefix[d] <= v:
-                    ok = False
-                    break
-                if D.leq(e, d) and not v <= prefix[d]:
-                    ok = False
-                    break
-            if ok:
-                prefix.append(v)
-                extend(prefix)
-                prefix.pop()
+        lo = max((r[d] for d in below[e]), default=0)
+        hi = min((r[d] for d in above[e]), default=top)
+        if e == D.bottom:
+            hi = min(hi, 0)
+        if e == D.top:
+            lo = max(lo, top)
+        for v in range(lo, hi + 1):
+            r[e] = v
+            if all(
+                miss(r[a], r[m]) <= mip(r[j], r[b]) and mip(r[a], r[m]) >= miss(r[j], r[b])
+                for a, b, m, j in pairs[e]
+            ):
+                extend(e + 1)
 
-    extend([])
-    return out
+    extend(0)
+    points = GammaGrid(k).points
+    return [Measure(D, tuple(points[v] for v in ranks)) for ranks in found]
+
+
+class _AtomBits:
+    """Threshold formulas as bitsets over a list of grid measures.
+
+    Bit i of a formula's bitset says whether the i-th measure satisfies it.
+    Each distinct atom is evaluated once, from per-element tables of the
+    measures whose value at the element is at least each grid point.
+    """
+
+    def __init__(self, D: FiniteLattice, k: int, measures: list[Measure]):
+        self.lattice = D
+        self.points = GammaGrid(k).points
+        self.full = (1 << len(measures)) - 1
+        # at_least[a][v]: the measures whose value at a has rank >= v
+        self.at_least = [[0] * (2 * k + 1) for _ in range(D.n)]
+        for i, mu in enumerate(measures):
+            for a, x in enumerate(mu.values):
+                self.at_least[a][gamma.rank(x, k)] |= 1 << i
+        for row in self.at_least:
+            for v in range(2 * k - 1, -1, -1):
+                row[v] |= row[v + 1]
+        self.atoms: dict[tuple, int] = {}
+
+    def __call__(self, phi: PLFormula) -> int:
+        match phi:
+            case PLConst(value):
+                return self.full if value else 0
+            case GE(_, _) | LT(_, _):
+                return self.atom(phi)
+            case PLNot(body):
+                return self.full ^ self(body)
+            case PLAnd(l, r):
+                return self(l) & self(r)
+            case PLOr(l, r):
+                return self(l) | self(r)
+        raise DomainError(f"not a threshold-logic node: {phi!r}")
+
+    def atom(self, atom: GE | LT) -> int:
+        a, q = _check_subject(atom, self.lattice), atom.threshold
+        key = (type(atom), a, q.numerator, q.denominator)  # hashing a Fraction is slow
+        if key not in self.atoms:
+            bits = self.at_least[a][bisect_left(self.points, gamma.iota_exact(q))]
+            self.atoms[key] = bits if isinstance(atom, GE) else self.full ^ bits
+        return self.atoms[key]
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -212,11 +278,13 @@ def entails_grid(
 
     Returns the first countermodel in enumeration order, if any.  The result
     is relative to the grid: countermodels are conclusive, "holds" is not.
+    Every atom of both sides is checked against D, whatever the connectives.
     """
     measures = grid_measures(D, k)
-    for mu in measures:
-        if eval_pl_measure(mu, lhs) and not eval_pl_measure(mu, rhs):
-            return EntailmentResult(False, mu, D, k, len(measures))
+    bits = _AtomBits(D, k, measures)
+    bad = bits(lhs) & ~bits(rhs)
+    if bad:
+        return EntailmentResult(False, measures[_lowest(bad)], D, k, len(measures))
     return EntailmentResult(True, None, D, k, len(measures))
 
 
@@ -303,16 +371,14 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     """Check premise-entails-conclusion for every rule instance over every
     grid measure.  The expected failure list is empty."""
     measures = grid_measures(D, k)
+    bits = _AtomBits(D, k, measures)
     counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
     failures: list[tuple[RuleInstance, Measure]] = []
     for inst in rule_instances(D, k):
         counts[inst.rule] += 1
-        for mu in measures:
-            if eval_pl_measure(mu, inst.premise) and not eval_pl_measure(
-                mu, inst.conclusion
-            ):
-                failures.append((inst, mu))
-                break
+        bad = bits(inst.premise) & ~bits(inst.conclusion)
+        if bad:
+            failures.append((inst, measures[_lowest(bad)]))
     return SoundnessReport(D, k, counts, tuple(failures), len(measures))
 
 
@@ -520,6 +586,9 @@ class _PLParser:
                 raise self.error(exc.message) from None
         else:
             label = body.strip()
+            if label not in self.lattice.labels:
+                self.pos = start + len(body) - len(body.lstrip())
+                raise self.error(f"unknown element label {label!r}")
             subject = self.lattice.index_of(label)
         return ctor(q, subject)
 

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from stonepair import fo, lattice
+from stonepair import fo, gamma, lattice
 from stonepair.lattice import FiniteLattice
-from stonepair.measure import ClassicalMeasure
+from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
 
 BINARY_SIG = fo.Signature((("r", 2),))
 TERNARY_SIG = fo.Signature((("r", 2), ("t", 3)))
@@ -151,3 +152,46 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
         sum((weight[j] for j in J if L.leq(j, a)), Fraction(0)) for a in range(L.n)
     )
     return ClassicalMeasure(L, values)
+
+
+# -- reference oracles for the rank kernel ------------------------------------------
+
+
+def reference_validate_measure(mu: Measure) -> list[MeasureViolation]:
+    """The measure axioms checked with ``GammaValue`` comparisons and the
+    ``Fraction``-based ``gamma.mip``/``gamma.miss``; same violations in the
+    same order as ``validate_measure``."""
+    L = mu.lattice
+    out: list[MeasureViolation] = []
+    if mu(L.bottom) != gamma.ZERO:
+        out.append(MeasureViolation("bottom"))
+    if mu(L.top) != gamma.ONE:
+        out.append(MeasureViolation("top"))
+    for a in range(L.n):
+        for b in range(L.n):
+            if a != b and L.leq(a, b) and not mu(a) <= mu(b):
+                out.append(MeasureViolation("monotone", a, b))
+    for a in range(L.n):
+        for b in range(L.n):
+            lo = mu(L.meet(a, b))
+            hi = mu(L.join(a, b))
+            if not (lo <= mu(a) and mu(b) <= hi):
+                continue
+            if not gamma.miss(mu(a), lo) <= gamma.mip(hi, mu(b)):
+                out.append(MeasureViolation("additivity-left", a, b))
+            if not gamma.mip(mu(a), lo) >= gamma.miss(hi, mu(b)):
+                out.append(MeasureViolation("additivity-right", a, b))
+    return out
+
+
+def reference_grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
+    """Every map into ``GammaGrid(k)`` in lexicographic order, kept when the
+    reference validator passes it."""
+    points = gamma.GammaGrid(k).points
+    out = []
+    for combo in itertools.product(points, repeat=D.n):
+        if combo[D.bottom] == gamma.ZERO and combo[D.top] == gamma.ONE:
+            mu = Measure(D, combo)
+            if not reference_validate_measure(mu):
+                out.append(mu)
+    return out

@@ -303,6 +303,7 @@ def test_criterion_07_integration(corpus):
         _, mu = integration_measure(f, _powerset(range(size)))
         assert validate_measure(mu) == []
     elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
     _report(7, elapsed, "integrals match pairings; powerset integrals validate")
 
 

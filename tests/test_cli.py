@@ -316,6 +316,16 @@ class TestErrors:
         assert code == 1
         assert err == "error: 1:201: formula nests deeper than 200 levels\n"
 
+    def test_unknown_labels_are_positioned(self, workdir):
+        (workdir / "zz.measure").write_text(GOOD_MEASURE.replace("value(na)", "value(zz)"))
+        code, out, err = invoke("check-measure", "--measure", workdir / "zz.measure")
+        assert (code, out, err) == (1, "", "error: 4:7: unknown element label 'zz'\n")
+        code, out, err = invoke(
+            "entail", "--lattice", workdir / "b4.lat", "--grid", "2",
+            "--lhs", "[>= 1/2]{a}", "--rhs", "[>= 1/2]{a} | [< 1]{ qq}",
+        )
+        assert (code, out, err) == (1, "", "error: 1:22: unknown element label 'qq'\n")
+
     def test_oversized_count_is_a_size_error(self, tmp_path):
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated
         big = tmp_path / "big.struct"

@@ -15,6 +15,7 @@ from stonepair.gamma import (
     ZERO,
     GammaGrid,
     GammaValue,
+    common_denominator,
     format_gamma,
     gamma_collapse,
     gamma_sum,
@@ -24,6 +25,10 @@ from stonepair.gamma import (
     miss,
     parse_gamma,
     plus,
+    rank,
+    rank_mip,
+    rank_miss,
+    rank_plus,
 )
 
 
@@ -295,3 +300,49 @@ class TestAlgebraicLaws:
             assert best <= target
             assert previous <= best
             previous = best
+
+
+class TestRankKernel:
+    """The integer kernel against the Fraction-based operations."""
+
+    @given(gamma_values(), gamma_values(), st.integers(1, 6))
+    def test_operations_match(self, x, y, multiple):
+        # mixed denominators: ranks on a common multiple of both
+        denom = common_denominator((x, y)) * multiple
+        rx, ry = rank(x, denom), rank(y, denom)
+        assert (rx <= ry) == (x <= y)
+        if y <= x:
+            assert rank_mip(rx, ry) == rank(mip(x, y), denom)
+            assert rank_miss(rx, ry) == rank(miss(x, y), denom)
+        else:
+            with pytest.raises(DomainError):
+                rank_mip(rx, ry)
+            with pytest.raises(DomainError):
+                rank_miss(rx, ry)
+        if x.value + y.value <= 1:
+            assert rank_plus(rx, ry, denom) == rank(plus(x, y), denom)
+        else:
+            with pytest.raises(DomainError):
+                plus(x, y)
+            with pytest.raises(DomainError):
+                rank_plus(rx, ry, denom)
+
+    def test_exhaustive_on_the_grid(self):
+        pts = GammaGrid(12).points
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                if j <= i:
+                    assert pts[rank_mip(i, j)] == mip(x, y)
+                    assert pts[rank_miss(i, j)] == miss(x, y)
+                if x.value + y.value <= 1:
+                    assert pts[rank_plus(i, j, 12)] == plus(x, y)
+
+    def test_grid_points_are_their_ranks(self):
+        for k in (1, 2, 5):
+            assert [rank(p, k) for p in GammaGrid(k).points] == list(range(2 * k + 1))
+
+    def test_codec_domain(self):
+        assert common_denominator(()) == 1
+        assert common_denominator((gv("1/4^o"), gv("5/6^-"))) == 12
+        with pytest.raises(DomainError):
+            rank(gv("1/3^o"), 4)

@@ -5,11 +5,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_classical_measure, small_lattice_corpus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    random_classical_measure,
+    reference_validate_measure,
+    small_lattice_corpus,
+)
 from stonepair import gamma
 from stonepair.errors import DomainError, ParseError
 from stonepair.gamma import ZERO, ONE, iota_approx, iota_exact, parse_gamma
-from stonepair.lattice import LatticeHom, boolean_algebra, chain, identity_hom
+from stonepair.lattice import (
+    LatticeHom,
+    boolean_algebra,
+    chain,
+    identity_hom,
+    product_lattice,
+)
 from stonepair.measure import (
     ClassicalMeasure,
     FinSuppFn,
@@ -91,6 +104,41 @@ class TestValidate:
                     x.value + y.value == 1 and (x.exact or y.exact)
                 )
                 assert (validate_measure(mu) == []) == expected_ok, (x, y)
+
+
+DIFF_LATTICES = (C3, B4, product_lattice(chain(2), chain(3)), boolean_algebra(3))
+
+
+@st.composite
+def tagged_maps(draw):
+    """Maps into the doubled interval: lifted classical measures with some
+    values re-tagged or moved by a small step, or arbitrary values."""
+    L = draw(st.sampled_from(DIFF_LATTICES))
+    if draw(st.booleans()):
+        m = random_classical_measure(L, random.Random(draw(st.integers(0, 2**16))))
+        values = [iota_exact(v) for v in m.values]
+        for a in draw(st.lists(st.integers(0, L.n - 1), max_size=3)):
+            v = values[a].value
+            if draw(st.booleans()) and v > 0:
+                values[a] = gamma.GammaValue(v, not values[a].exact)
+            else:
+                moved = v + F(draw(st.integers(-2, 2)), draw(st.integers(1, 12)))
+                values[a] = iota_exact(min(max(moved, F(0)), F(1)))
+    else:
+        den = draw(st.integers(1, 8))
+        values = []
+        for _ in range(L.n):
+            q = F(draw(st.integers(0, den)), den)
+            exact = q == 0 or draw(st.booleans())
+            values.append(gamma.GammaValue(q, exact))
+    return Measure(L, tuple(values))
+
+
+class TestValidateAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tagged_maps())
+    def test_same_violations_in_the_same_order(self, mu):
+        assert validate_measure(mu) == reference_validate_measure(mu)
 
 
 class TestClassical:
@@ -247,5 +295,7 @@ class TestMeasureFiles:
             parse_measure("value(0) = 0^o\n", B4)
 
     def test_unknown_label(self):
-        with pytest.raises(DomainError):
-            parse_measure("value(zz) = 0^o\n", B4)
+        with pytest.raises(ParseError) as exc:
+            parse_measure("value(0) = 0^o\n  value(zz) = 0^o # comment\n", B4)
+        assert (exc.value.line, exc.value.column) == (2, 9)
+        assert exc.value.message == "unknown element label 'zz'"

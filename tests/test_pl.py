@@ -1,16 +1,18 @@
 """Threshold-logic semantics, grid entailment, rule soundness, filters."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonepair import fo, gamma
+from conftest import reference_grid_measures, reference_validate_measure
+from stonepair import fo, gamma, pl
 from stonepair.errors import DomainError, ParseError, PresentationError, SizeError
 from stonepair.fo import gen_example_structure, maximal_not_maximum
 from stonepair.gamma import ZERO, ONE, iota_exact, parse_gamma
-from stonepair.lattice import boolean_algebra, chain
+from stonepair.lattice import boolean_algebra, chain, product_lattice
 from stonepair.measure import Measure
 from stonepair.pl import (
     GE,
@@ -21,6 +23,7 @@ from stonepair.pl import (
     PLOr,
     PL_FALSE,
     PL_TRUE,
+    RuleInstance,
     check_soundness_grid,
     entails_grid,
     eval_pl_measure,
@@ -34,6 +37,8 @@ from stonepair.pl import (
 
 B4 = boolean_algebra(2)
 C3 = chain(3, ["0", "d", "1"])
+C4 = chain(4)
+P23 = product_lattice(chain(2), chain(3))
 A_IDX, B_IDX = B4.index_of("a"), B4.index_of("b")
 
 
@@ -109,9 +114,7 @@ class TestGridMeasures:
 
     def test_all_validate(self):
         for mu in grid_measures(B4, 3):
-            from stonepair.measure import validate_measure
-
-            assert validate_measure(mu) == []
+            assert reference_validate_measure(mu) == []
 
     def test_enumeration_is_sorted(self):
         ms = grid_measures(B4, 2)
@@ -119,22 +122,11 @@ class TestGridMeasures:
         assert keys == sorted(keys)
 
     def test_against_product_enumeration(self):
-        # independent route: filter the raw product of grid assignments
-        import itertools
-
-        from stonepair.gamma import GammaGrid, ONE as ONE_
-        from stonepair.measure import validate_measure
-
-        for D, k in ((C3, 2), (B4, 2), (B4, 3)):
-            points = GammaGrid(k).points
-            candidates = []
-            for combo in itertools.product(points, repeat=D.n):
-                if combo[D.bottom] != ZERO or combo[D.top] != ONE_:
-                    continue
-                mu = Measure(D, combo)
-                if validate_measure(mu) == []:
-                    candidates.append(combo)
-            assert [tuple(mu.values) for mu in grid_measures(D, k)] == candidates
+        # independent route: filter the raw product of grid assignments with
+        # the Fraction-based reference validator
+        for D, k in ((C3, 2), (B4, 2), (B4, 3), (C4, 3), (P23, 2), (chain(1), 2)):
+            expected = [tuple(mu.values) for mu in reference_grid_measures(D, k)]
+            assert [tuple(mu.values) for mu in grid_measures(D, k)] == expected
 
     def test_guards(self):
         with pytest.raises(SizeError):
@@ -162,6 +154,21 @@ class TestEntailment:
         assert not eval_pl_measure(mu, GE(F(1, 2), B_IDX))
         # first countermodel in enumeration order, frozen
         assert [str(v) for v in mu.values] == ["0^o", "1/2^o", "1/2^-", "1^o"]
+
+    def test_every_atom_subject_is_checked(self):
+        # a bad subject behind a constant that decides the connective
+        for lhs, rhs in (
+            (PL_FALSE, GE(F(1, 2), 17)),
+            (PLAnd(PL_FALSE, GE(F(1, 2), 17)), PL_TRUE),
+            (PLOr(PL_TRUE, LT(F(1, 2), -1)), PL_TRUE),
+            (PL_TRUE, PLOr(PL_TRUE, GE(F(1, 2), fo.TRUE))),
+        ):
+            with pytest.raises(DomainError, match="not an element"):
+                entails_grid(lhs, rhs, B4, 2)
+
+    def test_not_a_formula(self):
+        with pytest.raises(DomainError, match="not a threshold-logic node"):
+            entails_grid(PL_TRUE, "true", B4, 2)
 
     def test_deterministic(self):
         r1 = entails_grid(GE(F(1, 2), A_IDX), GE(F(1, 2), B_IDX), B4, 4)
@@ -196,6 +203,77 @@ class TestSoundness:
         report = check_soundness_grid(B4, 2)
         assert not report.failures
         assert report.measures_checked == 7
+
+
+@st.composite
+def pl_formulas(draw, D, k, depth=3):
+    """Threshold formulas over D with thresholds on the k-grid and off it."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return PL_TRUE if draw(st.booleans()) else PL_FALSE
+        den = k if draw(st.booleans()) else draw(st.integers(1, 7))
+        q = F(draw(st.integers(0, den)), den)
+        return (GE if kind <= 2 else LT)(q, draw(st.integers(0, D.n - 1)))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return PLNot(draw(pl_formulas(D, k, depth - 1)))
+    ctor = PLAnd if kind == 1 else PLOr
+    return ctor(draw(pl_formulas(D, k, depth - 1)), draw(pl_formulas(D, k, depth - 1)))
+
+
+DIFF_CASES = [(D, k) for D in (C3, B4, C4) for k in (1, 2, 3)]
+reference_measures = functools.cache(reference_grid_measures)
+
+
+def first_countermodel(lhs, rhs, measures):
+    """The per-measure loop the bitsets replace."""
+    return next(
+        (mu for mu in measures if eval_pl_measure(mu, lhs) and not eval_pl_measure(mu, rhs)),
+        None,
+    )
+
+
+class TestAgainstPerMeasureLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_entailment(self, data):
+        D, k = data.draw(st.sampled_from(DIFF_CASES))
+        lhs = data.draw(pl_formulas(D, k))
+        rhs = data.draw(pl_formulas(D, k))
+        measures = reference_measures(D, k)
+        counter = first_countermodel(lhs, rhs, measures)
+        r = entails_grid(lhs, rhs, D, k)
+        assert (r.holds, r.countermodel, r.measures_checked) == (
+            counter is None, counter, len(measures)
+        )
+
+    @pytest.mark.parametrize("D, k", DIFF_CASES)
+    def test_soundness_with_unsound_instances(self, D, k, monkeypatch):
+        # the rules plus unsound variants, so the failure path is compared too
+        def instances(D, k):
+            for inst in rule_instances(D, k):
+                yield inst
+                if inst.rule == "L1" and inst.params[0] < inst.params[1]:
+                    p, q = inst.params
+                    yield RuleInstance("L1", (q, p), inst.elements, inst.conclusion, inst.premise)
+                if inst.rule == "L6":
+                    yield RuleInstance("L6", inst.params, inst.elements, inst.conclusion, inst.premise)
+
+        monkeypatch.setattr(pl, "rule_instances", instances)
+        measures = reference_measures(D, k)
+        counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
+        failures = []
+        for inst in instances(D, k):
+            counts[inst.rule] += 1
+            counter = first_countermodel(inst.premise, inst.conclusion, measures)
+            if counter is not None:
+                failures.append((inst, counter))
+        report = check_soundness_grid(D, k)
+        assert failures
+        assert report.instance_counts == counts
+        assert report.failures == tuple(failures)
+        assert report.measures_checked == len(measures)
 
 
 class TestMonotoneSemantics:
@@ -290,8 +368,16 @@ class TestPLSyntax:
             parse_pl_formula("[~ 1/2]{a}", lattice=B4)
         with pytest.raises(ParseError):
             parse_pl_formula("[>= 3/2]{a}", lattice=B4)
-        with pytest.raises(DomainError):
-            parse_pl_formula("[>= 1/2]{zz}", lattice=B4)
+
+    def test_unknown_label_is_positioned(self):
+        for text, (line, column, label) in {
+            "[>= 1/2]{zz}": (1, 10, "zz"),
+            "true &\n [< 1]{  qq }": (2, 10, "qq"),
+        }.items():
+            with pytest.raises(ParseError) as exc:
+                parse_pl_formula(text, lattice=B4)
+            assert (exc.value.line, exc.value.column) == (line, column), text
+            assert exc.value.message == f"unknown element label {label!r}"
 
     def test_nesting_limit_positions_the_offending_token(self):
         limit = fo.MAX_NESTING
