@@ -133,14 +133,57 @@ class AdjunctionViolation:
     w: ChainElement
 
 
-def check_adjunction(n: int) -> AdjunctionViolation | None:
-    """Exhaustively check ``u ominus v <= w iff u <= v oplus w`` on L_n."""
+class _OffChain:
+    """A rank-table entry off L_n; comparing it raises its ``DomainError``."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __le__(self, other):
+        raise DomainError(self.message)
+
+    __ge__ = __le__
+
+
+def _rank_table(op, n: int, result_first: bool) -> list[list]:
+    """The ranks of ``op(u, v)`` over L_n x L_n, row u, column v.
+
+    A result off L_n becomes an entry whose comparison with a rank raises the
+    ``DomainError`` that ``chain_leq`` raises for it, naming the result's
+    chain first when ``result_first``; so a loop over the table stops where
+    the same loop over ``chain_leq`` would.
+    """
     elems = chain_elements(n)
+    table = []
     for u in elems:
+        row = []
         for v in elems:
-            for w in elems:
-                if chain_leq(ominus(u, v), w) != chain_leq(u, oplus(v, w)):
-                    return AdjunctionViolation(u, v, w)
+            x = op(u, v)
+            if x.n == n:
+                row.append(x.rank())
+            else:
+                left, right = (x.n, n) if result_first else (n, x.n)
+                row.append(_OffChain(f"mismatched chains: {left} vs {right}"))
+        table.append(row)
+    return table
+
+
+def check_adjunction(n: int) -> AdjunctionViolation | None:
+    """Exhaustively check ``u ominus v <= w iff u <= v oplus w`` on L_n.
+
+    ``ominus`` and ``oplus`` are tabulated once as ranks; the first failing
+    triple in (u, v, w) order is returned as elements.
+    """
+    minus = _rank_table(ominus, n, result_first=True)
+    plus = _rank_table(oplus, n, result_first=False)
+    size = n + 2
+    for u in range(size):
+        for v in range(size):
+            d, row = minus[u][v], plus[v]
+            for w in range(size):
+                if (d <= w) != (u <= row[w]):
+                    elems = chain_elements(n)
+                    return AdjunctionViolation(elems[u], elems[v], elems[w])
     return None
 
 
@@ -272,20 +315,16 @@ def derive_partial_plus(n: int) -> dict[tuple[int, int], Fraction]:
     restricted to the point chain (defined when it is not T, i.e. when the
     values sum to at most 1).  Checked cell by cell against direct addition.
     """
-    elems = chain_elements(n)
+    minus = _rank_table(ominus, n, result_first=True)
     table: dict[tuple[int, int], Fraction] = {}
     for xa in range(n + 1):
         for za in range(n + 1 - xa):
-            x, z = frac(n, xa), frac(n, za)
-            best = max(
-                (u for u in elems if chain_leq(ominus(u, x), z)),
-                key=ChainElement.rank,
-            )
-            if best.is_top:
+            best = max(u for u in range(n + 2) if minus[u][xa] <= za)
+            if best == n + 1:
                 raise InternalInvariantError(
                     f"derived plus {xa}/{n} + {za}/{n} escaped the point chain"
                 )
-            derived = Fraction(best.a, n)
+            derived = Fraction(best, n)
             direct = Fraction(xa + za, n)
             if derived != direct:
                 raise InternalInvariantError(

@@ -754,13 +754,19 @@ def gen_example_structure(n: int) -> FiniteStructure:
     Odd n = 2k-1 gives a (k+1)-element chain; even n = 2k gives a
     (k+1)-element chain plus one isolated point.  The relation ``lt`` is the
     strict order: transitive and irreflexive, holding for every comparable
-    pair, not just covers.
+    pair, not just covers.  A member whose ``lt`` table would exceed
+    ``MAX_TENSOR_CELLS`` raises ``SizeError`` before anything is built.
     """
     if n < 1:
         raise DomainError("family index starts at 1")
     k = (n + 1) // 2
     chain_len = k + 1
     size = chain_len + (1 if n % 2 == 0 else 0)
+    if size**2 > MAX_TENSOR_CELLS:
+        raise SizeError(
+            f"family index {n} gives |A| = {size}, whose lt table needs {size**2} "
+            f"cells; the guard is {MAX_TENSOR_CELLS}"
+        )
     tuples = frozenset(
         (i, j) for i in range(chain_len) for j in range(i + 1, chain_len)
     )

@@ -216,9 +216,10 @@ def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
 class _AtomBits:
     """Threshold formulas as bitsets over a list of grid measures.
 
-    Bit i of a formula's bitset says whether the i-th measure satisfies it.
-    Each distinct atom is evaluated once, from per-element tables of the
-    measures whose value at the element is at least each grid point.
+    Bit i of a formula's bitset says whether the i-th measure satisfies it,
+    read off per-element tables of the measures whose value at the element
+    is at least each grid point.  Each atom object is resolved once: one met
+    again (``rule_instances`` shares them) is found by identity.
     """
 
     def __init__(self, D: FiniteLattice, k: int, measures: list[Measure]):
@@ -233,29 +234,33 @@ class _AtomBits:
         for row in self.at_least:
             for v in range(2 * k - 1, -1, -1):
                 row[v] |= row[v + 1]
-        self.atoms: dict[tuple, int] = {}
+        # id(atom) -> (atom, bits); holding the atom keeps its id unique
+        self.atoms: dict[int, tuple[PLFormula, int]] = {}
 
     def __call__(self, phi: PLFormula) -> int:
-        match phi:
-            case PLConst(value):
-                return self.full if value else 0
-            case GE(_, _) | LT(_, _):
+        match phi:  # atoms first: most nodes met are atoms
+            case GE() | LT():
                 return self.atom(phi)
-            case PLNot(body):
-                return self.full ^ self(body)
             case PLAnd(l, r):
                 return self(l) & self(r)
             case PLOr(l, r):
                 return self(l) | self(r)
+            case PLConst(value):
+                return self.full if value else 0
+            case PLNot(body):
+                return self.full ^ self(body)
         raise DomainError(f"not a threshold-logic node: {phi!r}")
 
     def atom(self, atom: GE | LT) -> int:
-        a, q = _check_subject(atom, self.lattice), atom.threshold
-        key = (type(atom), a, q.numerator, q.denominator)  # hashing a Fraction is slow
-        if key not in self.atoms:
-            bits = self.at_least[a][bisect_left(self.points, gamma.iota_exact(q))]
-            self.atoms[key] = bits if isinstance(atom, GE) else self.full ^ bits
-        return self.atoms[key]
+        hit = self.atoms.get(id(atom))
+        if hit is not None and hit[0] is atom:
+            return hit[1]
+        a = _check_subject(atom, self.lattice)
+        bits = self.at_least[a][bisect_left(self.points, gamma.iota_exact(atom.threshold))]
+        if isinstance(atom, LT):
+            bits ^= self.full
+        self.atoms[id(atom)] = (atom, bits)
+        return bits
 
 
 def _lowest(bits: int) -> int:
@@ -302,56 +307,58 @@ class RuleInstance:
 
 def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
     """All instances of L1..L6 with thresholds on the resolution-k chain and
-    subjects in D, side conditions enforced before generation."""
+    subjects in D, side conditions enforced before generation.
+
+    Thresholds are grid indices i, j, l standing for i/k, j/k, l/k, so the
+    L4/L5 side condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.  The
+    atoms GE(i/k, a) and LT(i/k, a) are built once per call and shared by
+    every instance that mentions them.
+    """
     Q = grid_rationals(k)
+    grid = range(k + 1)
+    ge = [[GE(q, a) for q in Q] for a in range(D.n)]
+    lt = [[LT(q, a) for q in Q] for a in range(D.n)]
     for a in range(D.n):
-        for q in Q:
-            for p in Q:
-                if p <= q:
-                    yield RuleInstance("L1", (p, q), (a,), GE(q, a), GE(p, a))
+        for j in grid:
+            for i in range(j + 1):
+                yield RuleInstance("L1", (Q[i], Q[j]), (a,), ge[a][j], ge[a][i])
     bot, top = D.bottom, D.top
-    yield RuleInstance("L2", (Fraction(0),), (bot,), PL_TRUE, GE(Fraction(0), bot))
-    for q in Q:
-        yield RuleInstance("L2", (q,), (top,), PL_TRUE, GE(q, top))
-    for p in Q:
-        if p > 0:
-            yield RuleInstance("L2", (p,), (bot,), GE(p, bot), PL_FALSE)
+    yield RuleInstance("L2", (Q[0],), (bot,), PL_TRUE, ge[bot][0])
+    for j in grid:
+        yield RuleInstance("L2", (Q[j],), (top,), PL_TRUE, ge[top][j])
+    for i in range(1, k + 1):
+        yield RuleInstance("L2", (Q[i],), (bot,), ge[bot][i], PL_FALSE)
     for a in range(D.n):
         for b in range(D.n):
             if D.leq(a, b):
-                for q in Q:
-                    yield RuleInstance("L3", (q,), (a, b), GE(q, a), GE(q, b))
+                for j in grid:
+                    yield RuleInstance("L3", (Q[j],), (a, b), ge[a][j], ge[b][j])
     for a in range(D.n):
         for b in range(D.n):
-            lo, hi = D.meet(a, b), D.join(a, b)
-            for p in Q:
-                for q in Q:
-                    for r in Q:
-                        if not 0 <= p + q - r <= 1:
-                            continue
-                        s = p + q - r
+            lo, hi = ge[D.meet(a, b)], ge[D.join(a, b)]
+            for i in grid:
+                for j in grid:
+                    # s = i + j - l must lie in 0..k
+                    for l in range(max(i + j - k, 0), min(i + j, k) + 1):
+                        s, params = i + j - l, (Q[i], Q[j], Q[l])
                         yield RuleInstance(
                             "L4",
-                            (p, q, r),
+                            params,
                             (a, b),
-                            PLAnd(GE(p, a), GE(q, b)),
-                            PLOr(GE(s, hi), GE(r, lo)),
+                            PLAnd(ge[a][i], ge[b][j]),
+                            PLOr(hi[s], lo[l]),
                         )
                         yield RuleInstance(
                             "L5",
-                            (p, q, r),
+                            params,
                             (a, b),
-                            PLAnd(GE(s, hi), GE(r, lo)),
-                            PLOr(GE(p, a), GE(q, b)),
+                            PLAnd(hi[s], lo[l]),
+                            PLOr(ge[a][i], ge[b][j]),
                         )
     for a in range(D.n):
-        for q in Q:
-            yield RuleInstance(
-                "L6", (q,), (a,), PLAnd(LT(q, a), GE(q, a)), PL_FALSE
-            )
-            yield RuleInstance(
-                "L6", (q,), (a,), PL_TRUE, PLOr(LT(q, a), GE(q, a))
-            )
+        for j in grid:
+            yield RuleInstance("L6", (Q[j],), (a,), PLAnd(lt[a][j], ge[a][j]), PL_FALSE)
+            yield RuleInstance("L6", (Q[j],), (a,), PL_TRUE, PLOr(lt[a][j], ge[a][j]))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from stonepair import fo, gamma, lattice
 from stonepair.lattice import FiniteLattice
 from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
+from stonepair.pl import GE, LT, PL_FALSE, PL_TRUE, PLAnd, PLOr, RuleInstance
 
 BINARY_SIG = fo.Signature((("r", 2),))
 TERNARY_SIG = fo.Signature((("r", 2), ("t", 3)))
@@ -154,7 +155,7 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
     return ClassicalMeasure(L, values)
 
 
-# -- reference oracles for the rank kernel ------------------------------------------
+# -- reference oracles for the rank kernel and the rule instances -------------------
 
 
 def reference_validate_measure(mu: Measure) -> list[MeasureViolation]:
@@ -195,3 +196,54 @@ def reference_grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
             if not reference_validate_measure(mu):
                 out.append(mu)
     return out
+
+
+def reference_rule_instances(D: FiniteLattice, k: int):
+    """Every instance of L1..L6 built atom by atom, with the L4/L5 side
+    condition in ``Fraction`` arithmetic; same instances in the same order as
+    ``pl.rule_instances``."""
+    Q = gamma.grid_rationals(k)
+    for a in range(D.n):
+        for q in Q:
+            for p in Q:
+                if p <= q:
+                    yield RuleInstance("L1", (p, q), (a,), GE(q, a), GE(p, a))
+    bot, top = D.bottom, D.top
+    yield RuleInstance("L2", (Fraction(0),), (bot,), PL_TRUE, GE(Fraction(0), bot))
+    for q in Q:
+        yield RuleInstance("L2", (q,), (top,), PL_TRUE, GE(q, top))
+    for p in Q:
+        if p > 0:
+            yield RuleInstance("L2", (p,), (bot,), GE(p, bot), PL_FALSE)
+    for a in range(D.n):
+        for b in range(D.n):
+            if D.leq(a, b):
+                for q in Q:
+                    yield RuleInstance("L3", (q,), (a, b), GE(q, a), GE(q, b))
+    for a in range(D.n):
+        for b in range(D.n):
+            lo, hi = D.meet(a, b), D.join(a, b)
+            for p in Q:
+                for q in Q:
+                    for r in Q:
+                        if not 0 <= p + q - r <= 1:
+                            continue
+                        s = p + q - r
+                        yield RuleInstance(
+                            "L4",
+                            (p, q, r),
+                            (a, b),
+                            PLAnd(GE(p, a), GE(q, b)),
+                            PLOr(GE(s, hi), GE(r, lo)),
+                        )
+                        yield RuleInstance(
+                            "L5",
+                            (p, q, r),
+                            (a, b),
+                            PLAnd(GE(s, hi), GE(r, lo)),
+                            PLOr(GE(p, a), GE(q, b)),
+                        )
+    for a in range(D.n):
+        for q in Q:
+            yield RuleInstance("L6", (q,), (a,), PLAnd(LT(q, a), GE(q, a)), PL_FALSE)
+            yield RuleInstance("L6", (q,), (a,), PL_TRUE, PLOr(LT(q, a), GE(q, a)))

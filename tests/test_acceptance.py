@@ -324,7 +324,7 @@ def test_criterion_08_threshold_logic_soundness():
         if eval_pl_measure(mu, GE(F(1, 2), a)):
             assert not eval_pl_measure(mu, GE(F(3, 4), na))
     elapsed = time.perf_counter() - started
-    assert elapsed < 60.0
+    assert elapsed < 30.0
     _report(8, elapsed, "rules L1-L6 sound over all grid measures; spot checks hold")
 
 

@@ -27,7 +27,7 @@ from stonepair.chains import (
     project_gamma,
     top,
 )
-from stonepair.errors import DomainError
+from stonepair.errors import DomainError, InternalInvariantError
 from stonepair.gamma import GammaGrid, iota_exact, parse_gamma
 
 
@@ -70,6 +70,117 @@ class TestAdjunction:
     def test_violation_report_shape(self):
         v = AdjunctionViolation(frac(2, 1), frac(2, 1), frac(2, 1))
         assert "1/2" in str(v.u)
+
+
+def reference_check_adjunction(n):
+    """The triple loop over elements that the rank tables replace."""
+    elems = chain_elements(n)
+    for u in elems:
+        for v in elems:
+            for w in elems:
+                if chain_leq(chains.ominus(u, v), w) != chain_leq(u, chains.oplus(v, w)):
+                    return AdjunctionViolation(u, v, w)
+    return None
+
+
+def reference_derive_partial_plus(n):
+    """The element-wise search that the rank tables replace."""
+    elems = chain_elements(n)
+    table = {}
+    for xa in range(n + 1):
+        for za in range(n + 1 - xa):
+            x, z = frac(n, xa), frac(n, za)
+            best = max(
+                (u for u in elems if chain_leq(chains.ominus(u, x), z)),
+                key=chains.ChainElement.rank,
+            )
+            if best.is_top:
+                raise InternalInvariantError(
+                    f"derived plus {xa}/{n} + {za}/{n} escaped the point chain"
+                )
+            derived, direct = F(best.a, n), F(xa + za, n)
+            if derived != direct:
+                raise InternalInvariantError(
+                    f"derived plus {xa}/{n} + {za}/{n} = {derived}, expected {direct}"
+                )
+            table[(xa, za)] = derived
+    return table
+
+
+def outcome(f, n):
+    try:
+        return f(n)
+    except (DomainError, InternalInvariantError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_up(u, v):
+    w = ominus(u, v)
+    return top(w.n) if w.is_top or w.a == w.n else frac(w.n, w.a + 1)
+
+
+def _one_down(u, v):
+    w = ominus(u, v)
+    return w if w.a == 0 else frac(w.n, w.n if w.is_top else w.a - 1)
+
+
+def _saturating_plus(u, v):
+    w = oplus(u, v)
+    return frac(w.n, w.n) if w.is_top else w
+
+
+def _off_chain_plus(u, v):
+    w = oplus(u, v)
+    return top(w.n + 1) if w.is_top else w
+
+
+def _off_chain_minus(u, v):
+    return frac(u.n + 1, 0) if v.is_top else ominus(u, v)
+
+
+def _off_chain_after_a_violation(u, v):
+    return frac(u.n + 1, 0) if u.is_top else _one_up(u, v)
+
+
+def _off_chain_plus_from_top(u, v):
+    return top(u.n + 1) if u.is_top else oplus(u, v)
+
+
+BROKEN = [
+    {"ominus": lambda u, v: frac(u.n, 0)},
+    {"ominus": _one_up},
+    {"ominus": _one_down},
+    {"ominus": _off_chain_minus},
+    {"ominus": _off_chain_after_a_violation},
+    {"oplus": _saturating_plus},
+    {"oplus": _off_chain_plus},
+    # both tables first leave the chain at the same triple (0, T, 0)
+    {"ominus": _off_chain_minus, "oplus": _off_chain_plus_from_top},
+]
+
+
+class TestRankTables:
+    @pytest.mark.parametrize("broken", BROKEN)
+    def test_broken_operators_fail_as_the_reference(self, broken, monkeypatch):
+        for name, op in broken.items():
+            monkeypatch.setattr(chains, name, op)
+        for n in range(1, 7):
+            expected = outcome(reference_check_adjunction, n)
+            assert expected is not None
+            assert outcome(check_adjunction, n) == expected
+            expected = outcome(reference_derive_partial_plus, n)
+            assert outcome(derive_partial_plus, n) == expected
+
+    def test_reference_outcomes_cover_every_path(self, monkeypatch):
+        kinds = set()
+        for broken in BROKEN:
+            with monkeypatch.context() as m:
+                for name, op in broken.items():
+                    m.setattr(chains, name, op)
+                for f in (reference_check_adjunction, reference_derive_partial_plus):
+                    got = outcome(f, 3)
+                    kinds.add(got[0] if isinstance(got, tuple) else type(got))
+        assert kinds == {AdjunctionViolation, DomainError, InternalInvariantError, ValueError, dict}
 
 
 class TestEmbeddings:

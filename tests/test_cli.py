@@ -335,6 +335,14 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: |A| = 200 at width 4 needs") and "Traceback" not in err
 
+    def test_oversized_fence_index_is_a_size_error(self):
+        code, out, err = invoke(
+            "pair", "--family", "fence", "--index", "100000000", "--formula", "lt(x,x)"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: family index 100000000 gives |A| = 50000002")
+        assert "Traceback" not in err
+
     def test_console_entry_point(self, workdir):
         proc = subprocess.run(
             [

@@ -337,6 +337,20 @@ class TestExampleFamily:
             expected = 0 if n % 2 == 1 else 2
             assert count_satisfying(A, psi, ["x"]) == expected
 
+    def test_oversized_index_is_a_size_error(self):
+        # 46338 is the first index whose lt table exceeds the tensor guard:
+        # |A| = 23171 and 23171**2 > MAX_TENSOR_CELLS >= 23170**2
+        assert 23171**2 > fo.MAX_TENSOR_CELLS >= 23170**2
+        tracemalloc.start()
+        try:
+            for n in (46338, 46339, 100_000_000):
+                with pytest.raises(SizeError, match=f"family index {n} gives"):
+                    gen_example_structure(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bad_index(self):
         with pytest.raises(DomainError):
             gen_example_structure(0)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_grid_measures, reference_validate_measure
+from conftest import (
+    reference_grid_measures,
+    reference_rule_instances,
+    reference_validate_measure,
+)
 from stonepair import fo, gamma, pl
 from stonepair.errors import DomainError, ParseError, PresentationError, SizeError
 from stonepair.fo import gen_example_structure, maximal_not_maximum
@@ -203,6 +207,20 @@ class TestSoundness:
         report = check_soundness_grid(B4, 2)
         assert not report.failures
         assert report.measures_checked == 7
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("D", [C3, B4, C4, P23], ids=["C3", "B4", "C4", "2x3"])
+    def test_against_reference_instances(self, D, k):
+        # same order, params, elements, premises and conclusions
+        assert list(rule_instances(D, k)) == list(reference_rule_instances(D, k))
+
+    def test_atoms_are_shared(self):
+        atoms = {}  # holding each atom keeps the ids distinct
+        for inst in rule_instances(B4, 4):
+            for phi in (inst.premise, inst.conclusion):
+                parts = (phi.left, phi.right) if isinstance(phi, (PLAnd, PLOr)) else (phi,)
+                atoms.update((id(x), x) for x in parts if isinstance(x, (GE, LT)))
+        assert len(atoms) == 2 * 5 * B4.n  # GE and LT at each of 5 thresholds
 
 
 @st.composite
