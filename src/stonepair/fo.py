@@ -1,7 +1,10 @@
 """First-order logic over finite relational structures.
 
-Signatures are finite lists of relation symbols with arities; structures
-interpret each relation as a set of tuples over a finite universe.  Formulas
+Signatures are finite lists of relation symbols with arities.  A structure
+over a finite universe stores each relation as a read-only boolean table
+with one axis of size |A| per argument; its tuple sets (``relations``) are
+derived from the tables on first use, and a table beyond
+``MAX_TENSOR_CELLS`` cells is a ``SizeError`` at construction.  Formulas
 are immutable ASTs with equality as a built-in logical symbol.  Evaluation is
 Tarskian (``satisfies``, the slow reference).  Counting satisfying assignments
 (``count_satisfying``, ``satisfying_set``) is exact: each (formula, context)
@@ -33,7 +36,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,51 +67,150 @@ class Signature:
         return any(rel == name for rel, _ in self.relations)
 
 
-@dataclass(frozen=True)
 class FiniteStructure:
-    """A finite relational structure: universe {0..size-1} plus relations."""
+    """A finite relational structure: universe {0..size-1} plus relations.
 
-    signature: Signature
-    size: int
-    relations: dict[str, frozenset[tuple[int, ...]]]
+    The stored form is ``tables``: one read-only boolean array of shape
+    ``(size,) * arity`` per relation of the signature.  ``relations``, the
+    same relations as sets of tuples, is derived from the tables on first
+    use.  ``FiniteStructure(signature, size, relations)`` validates tuple
+    sets (relations omitted are empty); ``from_tables`` takes tables as they
+    are.  A table beyond ``MAX_TENSOR_CELLS`` cells raises ``SizeError``
+    before anything is allocated.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(
+        self,
+        signature: Signature,
+        size: int,
+        relations: Mapping[str, Iterable[tuple[int, ...]]],
+    ) -> None:
+        if size < 1:
             raise DomainError("universe must be nonempty")
-        interp = dict(self.relations)
-        for name, arity in self.signature.relations:
-            tuples = frozenset(tuple(t) for t in interp.get(name, frozenset()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise DomainError(f"tuple {t} has wrong arity for {name}/{arity}")
-                if not all(0 <= v < self.size for v in t):
-                    raise DomainError(f"tuple {t} out of range for universe {self.size}")
-            interp[name] = tuples
-        extra = set(interp) - {name for name, _ in self.signature.relations}
-        if extra:
-            raise DomainError(f"relations not in signature: {sorted(extra)}")
-        object.__setattr__(self, "relations", interp)
+        _check_names(signature, relations)
+        for name, arity in signature.relations:
+            _guard_table(name, arity, size)
+        self._init(signature, size, {
+            name: _table_of(name, arity, size, relations.get(name, ()))
+            for name, arity in signature.relations
+        })
+
+    @classmethod
+    def from_tables(
+        cls, signature: Signature, tables: Mapping[str, np.ndarray]
+    ) -> "FiniteStructure":
+        """The structure whose relation ``name`` is ``tables[name]``, a
+        boolean array with one axis of size |A| per argument; the structure
+        takes the arrays over and makes them read-only."""
+        _check_names(signature, tables)
+        if not signature.relations:
+            raise DomainError("an empty signature has no table to give the universe size")
+        size = None
+        for name, arity in signature.relations:
+            table = tables.get(name)
+            if table is None:
+                raise DomainError(f"no table for relation {name}/{arity}")
+            if not isinstance(table, np.ndarray) or table.dtype != bool:
+                kind = f"dtype {table.dtype}" if isinstance(table, np.ndarray) else type(table).__name__
+                raise DomainError(f"table for {name}/{arity} is {kind}, not a boolean array")
+            if table.ndim != arity or len(set(table.shape)) != 1:
+                raise DomainError(
+                    f"table for {name}/{arity} has shape {table.shape}, not {arity} equal axes"
+                )
+            size = table.shape[0] if size is None else size
+            if table.shape[0] != size:
+                raise DomainError(
+                    f"table for {name}/{arity} has axes of {table.shape[0]}, "
+                    f"not the |A| = {size} of the tables before it"
+                )
+        if size < 1:
+            raise DomainError("universe must be nonempty")
+        structure = cls.__new__(cls)
+        structure._init(signature, size, {name: tables[name] for name, _ in signature.relations})
+        return structure
+
+    def _init(self, signature: Signature, size: int, tables: dict[str, np.ndarray]) -> None:
+        self.signature = signature
+        self.size = size
+        self.tables = MappingProxyType({name: _read_only(t) for name, t in tables.items()})
 
     @functools.cached_property
-    def _tables(self) -> Mapping[str, np.ndarray]:
-        """One read-only boolean table per relation, built on the counter's
-        first use; raises ``SizeError`` for a table beyond the tensor guard."""
-        tables = {}
-        for name, arity in self.signature.relations:
-            if self.size**arity > MAX_TENSOR_CELLS:
-                raise SizeError(
-                    f"relation {name}/{arity} on |A| = {self.size} needs "
-                    f"{self.size**arity} table cells; the guard is {MAX_TENSOR_CELLS}"
-                )
-            table = np.zeros((self.size,) * arity, dtype=bool)
-            if self.relations[name]:
-                table[tuple(np.array(list(self.relations[name])).T)] = True
-            tables[name] = _read_only(table)
-        return MappingProxyType(tables)
+    def relations(self) -> Mapping[str, frozenset[tuple[int, ...]]]:
+        """Each relation as its set of tuples, derived from the tables."""
+        return MappingProxyType({
+            name: frozenset(map(tuple, np.argwhere(table).tolist()))
+            for name, table in self.tables.items()
+        })
 
     @functools.cached_property
     def _identity(self) -> np.ndarray:
         return _read_only(np.eye(self.size, dtype=bool))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.signature == other.signature
+            and self.size == other.size
+            and all(np.array_equal(t, other.tables[name]) for name, t in self.tables.items())
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteStructure(signature={self.signature!r}, size={self.size!r}, "
+            f"relations={dict(self.relations)!r})"
+        )
+
+
+def _check_names(signature: Signature, names: Iterable[str]) -> None:
+    extra = set(names) - {name for name, _ in signature.relations}
+    if extra:
+        raise DomainError(f"relations not in signature: {sorted(extra)}")
+
+
+def _guard_table(name: str, arity: int, size: int) -> None:
+    if size**arity > MAX_TENSOR_CELLS:
+        raise SizeError(
+            f"relation {name}/{arity} on |A| = {size} needs "
+            f"{size**arity} table cells; the guard is {MAX_TENSOR_CELLS}"
+        )
+
+
+def _tuple_fault(name: str, arity: int, size: int, t: Iterable[int]) -> str | None:
+    """Why ``t`` cannot be a tuple of relation ``name``, or None."""
+    t = tuple(t)
+    if len(t) != arity:
+        return f"tuple {t} has wrong arity for {name}/{arity}"
+    if not all(0 <= v < size for v in t):
+        return f"tuple {t} out of range for universe {size}"
+    return None
+
+
+def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """The boolean table of a tuple set, checked in one numpy pass: arity
+    from the array's shape, range from its minimum and maximum.  Only when a
+    check fails are the tuples scanned, for the first one to name."""
+    items = list(tuples)
+    table = np.zeros((size,) * arity, dtype=bool)
+    if not items:
+        return table
+    try:
+        index = np.array(items, dtype=np.intp)
+    except (ValueError, TypeError, OverflowError):
+        index = None
+    if (
+        index is None
+        or index.shape != (len(items), arity)
+        or index.min() < 0
+        or index.max() >= size
+    ):
+        for t in items:
+            fault = _tuple_fault(name, arity, size, t)
+            if fault is not None:
+                raise DomainError(fault)
+        raise DomainError(f"relation {name}/{arity} holds a tuple that is not integers")
+    table[tuple(index.T)] = True
+    return table
 
 
 # -- formulas -------------------------------------------------------------------
@@ -687,7 +789,7 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
             return ufunc(lt, rt, out=rt)
         return ufunc(lt, rt)
     if op <= _VIEW:
-        table = A._tables.get(node[1])
+        table = A.tables.get(node[1])
         if table is None or table.ndim != node[2]:
             raise DomainError(f"structure has no relation {node[1]}/{node[2]}")
         if op == _TABLE:
@@ -767,10 +869,10 @@ def gen_example_structure(n: int) -> FiniteStructure:
             f"family index {n} gives |A| = {size}, whose lt table needs {size**2} "
             f"cells; the guard is {MAX_TENSOR_CELLS}"
         )
-    tuples = frozenset(
-        (i, j) for i in range(chain_len) for j in range(i + 1, chain_len)
-    )
-    return FiniteStructure(POSET_SIGNATURE, size, {"lt": tuples})
+    ranks = np.arange(size)
+    lt = np.less.outer(ranks, ranks)
+    lt[chain_len:] = lt[:, chain_len:] = False  # the isolated point, if any
+    return FiniteStructure.from_tables(POSET_SIGNATURE, {"lt": lt})
 
 
 def maximal_not_maximum() -> Formula:
@@ -795,14 +897,19 @@ def parse_structure(text: str) -> FiniteStructure:
         lt = {(0,1),(0,2),(1,2)}
 
     Comments start with '#'.  Relations omitted from the body are empty.
+    A tuple of the wrong arity or out of range is reported at its own
+    line:column, an empty universe at its line.
     """
     signature: Signature | None = None
     size: int | None = None
-    bodies: dict[str, frozenset[tuple[int, ...]]] = {}
+    universe_line = 1
+    # name -> (line of the body, its tuples in order, the column of each)
+    bodies: dict[str, tuple[int, list[tuple[int, ...]], list[int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         if line.startswith("signature:"):
             if signature is not None:
                 raise ParseError("duplicate signature line", line=lineno, column=1)
@@ -830,6 +937,7 @@ def parse_structure(text: str) -> FiniteStructure:
             if not body.isdigit():
                 raise ParseError("universe must be a nonnegative integer", line=lineno, column=1)
             size = int(body)
+            universe_line = lineno
         elif "=" in line:
             name, body = (part.strip() for part in line.split("=", 1))
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
@@ -838,17 +946,17 @@ def parse_structure(text: str) -> FiniteStructure:
                 raise ParseError(f"duplicate relation body for {name}", line=lineno, column=1)
             if not (body.startswith("{") and body.endswith("}")):
                 raise ParseError("relation body must be {...}", line=lineno, column=1)
-            inner = body[1:-1].strip()
-            tuples = set()
-            if inner:
-                consumed = 0
-                for m in _STRUCT_TUPLE_RE.finditer(inner):
-                    tuples.add(tuple(int(v) for v in m.group(1).split(",")))
-                    consumed = m.end()
-                leftover = inner[consumed:].strip().strip(",").strip()
-                if not tuples or leftover:
-                    raise ParseError("malformed tuple set", line=lineno, column=1)
-            bodies[name] = frozenset(tuples)
+            start, end = line.index("{") + 1, len(line) - 1
+            tuples, columns = [], []
+            consumed = start
+            for m in _STRUCT_TUPLE_RE.finditer(line, start, end):
+                tuples.append(tuple(int(v) for v in m.group(1).split(",")))
+                columns.append(indent + m.start() + 1)
+                consumed = m.end()
+            leftover = line[consumed:end].strip().strip(",").strip()
+            if line[start:end].strip() and (not tuples or leftover):
+                raise ParseError("malformed tuple set", line=lineno, column=1)
+            bodies[name] = (lineno, tuples, columns)
         else:
             raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
     if signature is None:
@@ -856,8 +964,20 @@ def parse_structure(text: str) -> FiniteStructure:
     if size is None:
         raise ParseError("missing universe line", line=1, column=1)
     try:
-        return FiniteStructure(signature, size, bodies)
+        return FiniteStructure(
+            signature, size, {name: tuples for name, (_, tuples, _) in bodies.items()}
+        )
     except DomainError as exc:
+        if size < 1:
+            raise ParseError(str(exc), line=universe_line, column=1) from exc
+        for name, (lineno, tuples, columns) in bodies.items():
+            if not signature.has(name):
+                raise ParseError(str(exc), line=lineno, column=1) from exc
+            arity = signature.arity(name)
+            for t, column in zip(tuples, columns):
+                fault = _tuple_fault(name, arity, size, t)
+                if fault is not None:
+                    raise ParseError(fault, line=lineno, column=column) from exc
         raise ParseError(str(exc), line=1, column=1) from exc
 
 

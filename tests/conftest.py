@@ -98,6 +98,16 @@ def random_structure(rng: random.Random, max_size: int = 5) -> fo.FiniteStructur
     return fo.FiniteStructure(BINARY_SIG, n, {"r": tuples})
 
 
+def reference_fence(n: int) -> fo.FiniteStructure:
+    """The n-th member of the alternating chain family built from its tuples:
+    the strict order on a (k+1)-chain, plus an isolated point for even n."""
+    k = (n + 1) // 2
+    chain_len = k + 1
+    size = chain_len + (1 if n % 2 == 0 else 0)
+    tuples = frozenset((i, j) for i in range(chain_len) for j in range(i + 1, chain_len))
+    return fo.FiniteStructure(fo.POSET_SIGNATURE, size, {"lt": tuples})
+
+
 def random_formula(
     rng: random.Random, depth: int, scope: tuple[str, ...] = ("x", "y")
 ) -> fo.Formula:

@@ -326,6 +326,24 @@ class TestErrors:
         )
         assert (code, out, err) == (1, "", "error: 1:22: unknown element label 'qq'\n")
 
+    def test_structure_faults_are_positioned(self, tmp_path):
+        cases = {
+            "signature: lt/2\nuniverse: 3\nlt = {(0,1),(5,0)}\n":
+                "error: 3:13: tuple (5, 0) out of range for universe 3\n",
+            "signature: lt/2\nuniverse: 3\nlt = {(0,1,2)}\n":
+                "error: 3:7: tuple (0, 1, 2) has wrong arity for lt/2\n",
+            "signature: lt/2\nuniverse: 0\n": "error: 2:1: universe must be nonempty\n",
+        }
+        path = tmp_path / "bad.struct"
+        for text, message in cases.items():
+            path.write_text(text)
+            for argv in (
+                ("pair", "--structure", path, "--formula", "true"),
+                ("integrate", "--structure", path, "--formula", "true"),
+                ("eval", "--structure", path, "--formula", "[>= 1]{true}"),
+            ):
+                assert invoke(*argv) == (1, "", message)
+
     def test_oversized_count_is_a_size_error(self, tmp_path):
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated
         big = tmp_path / "big.struct"

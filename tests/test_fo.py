@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import BINARY_SIG, formulas, structures
+from conftest import BINARY_SIG, formulas, reference_fence, structures
 from stonepair import fo
 from stonepair.errors import DomainError, ParseError, SizeError
 from stonepair.fo import (
@@ -355,6 +355,148 @@ class TestExampleFamily:
         with pytest.raises(DomainError):
             gen_example_structure(0)
 
+    def test_matches_the_tuple_reference(self):
+        for n in range(1, 41):
+            A, expected = gen_example_structure(n), reference_fence(n)
+            assert A == expected and A.relations == expected.relations
+            text = format_structure(A)
+            assert text == format_structure(expected)
+            assert format_structure(parse_structure(text)) == text
+
+    def test_peak_memory_is_one_table(self):
+        # one byte per cell of the lt table, not |A|**2 / 2 Python tuples
+        tracemalloc.start()
+        try:
+            A = gen_example_structure(4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.size == 2002
+        assert peak < 2 * A.size**2
+
+
+UNARY_TERNARY_SIG = Signature((("u", 1), ("r", 2), ("t", 3)))
+
+
+@st.composite
+def tuple_sets(draw):
+    """A universe size and a tuple set for each of u/1, r/2 and t/3."""
+    n = draw(st.integers(1, 6))
+    point = st.integers(0, n - 1)
+    return n, {
+        name: draw(st.frozensets(st.tuples(*[point] * arity), max_size=n**arity))
+        for name, arity in UNARY_TERNARY_SIG.relations
+    }
+
+
+class TestStructureConstructor:
+    """Validation messages, the size guard, and the tables against the tuple
+    sets they are built from."""
+
+    def test_wrong_arity(self):
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 3, {"lt": frozenset({(0, 1, 2)})})
+        assert str(exc.value) == "tuple (0, 1, 2) has wrong arity for lt/2"
+
+    def test_mixed_arities_name_the_wrong_one(self):
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 3, {"lt": [(0, 1), (2,), (1, 2)]})
+        assert str(exc.value) == "tuple (2,) has wrong arity for lt/2"
+
+    def test_out_of_range(self):
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 2, {"lt": frozenset({(0, 5)})})
+        assert str(exc.value) == "tuple (0, 5) out of range for universe 2"
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 2, {"lt": [(0, 1), (-1, 0)]})
+        assert str(exc.value) == "tuple (-1, 0) out of range for universe 2"
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 2, {"lt": [(0, 10**30)]})
+        assert str(exc.value) == f"tuple (0, {10**30}) out of range for universe 2"
+
+    def test_relation_not_in_signature(self):
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 2, {"lt": frozenset(), "edge": frozenset({(0, 1)})})
+        assert str(exc.value) == "relations not in signature: ['edge']"
+
+    def test_empty_universe(self):
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 0, {"lt": frozenset()})
+        assert str(exc.value) == "universe must be nonempty"
+
+    def test_oversized_table_is_a_size_error_before_allocating(self):
+        n = 23171  # n**2 > MAX_TENSOR_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError) as exc:
+                FiniteStructure(POSET, n, {"lt": frozenset({(0, 1)})})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value).startswith(f"relation lt/2 on |A| = {n} needs {n**2} table cells")
+        assert peak < 2**20
+
+    def test_from_tables_errors(self):
+        square = np.zeros((3, 3), dtype=bool)
+        cases = [
+            ({"lt": square, "edge": square}, "relations not in signature: ['edge']"),
+            ({}, "no table for relation lt/2"),
+            ({"lt": square.astype(np.int8)}, "table for lt/2 is dtype int8, not a boolean array"),
+            ({"lt": [[False]]}, "table for lt/2 is list, not a boolean array"),
+            ({"lt": np.zeros(3, dtype=bool)}, "table for lt/2 has shape (3,), not 2 equal axes"),
+            ({"lt": np.zeros((3, 2), dtype=bool)}, "table for lt/2 has shape (3, 2), not 2 equal axes"),
+            ({"lt": np.zeros((0, 0), dtype=bool)}, "universe must be nonempty"),
+        ]
+        for tables, message in cases:
+            with pytest.raises(DomainError) as exc:
+                FiniteStructure.from_tables(POSET, tables)
+            assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure.from_tables(Signature(()), {})
+        assert str(exc.value) == "an empty signature has no table to give the universe size"
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure.from_tables(
+                UNARY_TERNARY_SIG,
+                {
+                    "u": np.zeros(3, dtype=bool),
+                    "r": np.zeros((3, 3), dtype=bool),
+                    "t": np.zeros((2, 2, 2), dtype=bool),
+                },
+            )
+        assert str(exc.value) == "table for t/3 has axes of 2, not the |A| = 3 of the tables before it"
+
+    def test_tables_are_read_only(self):
+        lt = np.zeros((2, 2), dtype=bool)
+        A = FiniteStructure.from_tables(POSET, {"lt": lt})
+        B = FiniteStructure(POSET, 2, {"lt": {(0, 1)}})
+        for table in (A.tables["lt"], B.tables["lt"], lt):
+            with pytest.raises(ValueError):
+                table[0, 0] = True
+
+    @settings(max_examples=150, deadline=None)
+    @given(tuple_sets(), formulas(ternary=True))
+    def test_tuples_and_tables_agree(self, drawn, phi):
+        n, tuples = drawn
+        A = FiniteStructure(UNARY_TERNARY_SIG, n, tuples)
+        assert A.relations == tuples
+        tables = {}
+        for name, arity in UNARY_TERNARY_SIG.relations:
+            tables[name] = np.zeros((n,) * arity, dtype=bool)
+            for t in tuples[name]:
+                tables[name][t] = True
+        B = FiniteStructure.from_tables(UNARY_TERNARY_SIG, tables)
+        assert A == B and B.relations == tuples
+        text = format_structure(A)
+        assert parse_structure(text) == A and format_structure(parse_structure(text)) == text
+        ctx = ("x", "y")
+        for psi in (phi, Or(Atom("u", ("x",)), phi)):
+            expected = sum(
+                1
+                for t in itertools.product(range(n), repeat=2)
+                if satisfies(A, dict(zip(ctx, t)), psi)
+            )
+            assert count_satisfying(A, psi, ctx) == count_satisfying(B, psi, ctx) == expected
+
 
 class TestStructureFormat:
     def test_documented_example(self):
@@ -373,8 +515,29 @@ class TestStructureFormat:
         assert A.relations["lt"] == frozenset()
 
     def test_out_of_range_tuple(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_structure("signature: lt/2\nuniverse: 2\nlt = {(0,5)}\n")
+        assert str(exc.value) == "3:7: tuple (0, 5) out of range for universe 2"
+
+    def test_faults_are_positioned(self):
+        cases = {
+            "signature: lt/2\nuniverse: 3\n\n  lt = {(0,1), (1, 2,0)}  # two\n": (
+                4, 16, "tuple (1, 2, 0) has wrong arity for lt/2"
+            ),
+            "lt = {(0,1),(1,3)}\nmark = {(2)}\nuniverse: 3\nsignature: lt/2, mark/1\n": (
+                1, 13, "tuple (1, 3) out of range for universe 3"
+            ),
+            "signature: lt/2\n# empty\nuniverse: 0\nlt = {}\n": (
+                3, 1, "universe must be nonempty"
+            ),
+            "signature: lt/2\nuniverse: 2\nlt = {(0,1)}\nedge = {(0,1)}\n": (
+                4, 1, "relations not in signature: ['edge']"
+            ),
+        }
+        for text, (line, column, message) in cases.items():
+            with pytest.raises(ParseError) as exc:
+                parse_structure(text)
+            assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
 
     def test_unary_relation(self):
         A = parse_structure("signature: mark/1\nuniverse: 3\nmark = {(0),(2)}\n")
