@@ -201,8 +201,9 @@ def embed(u: ChainElement, m: int) -> ChainElement:
 
 def check_oplus_preserved(n: int, m: int) -> tuple[ChainElement, ChainElement] | None:
     """First pair (if any) where the embedding fails to commute with oplus."""
-    for u in chain_elements(n):
-        for v in chain_elements(n):
+    elems = chain_elements(n)
+    for u in elems:
+        for v in elems:
             if embed(oplus(u, v), m) != oplus(embed(u, m), embed(v, m)):
                 return (u, v)
     return None
@@ -222,8 +223,9 @@ def find_ominus_counterexample(n: int, m: int) -> OminusWitness:
     contradict the adjunction analysis."""
     if m < 2:
         raise DomainError("the embedding is the identity for m = 1; need m >= 2")
-    for u in chain_elements(n):
-        for v in chain_elements(n):
+    elems = chain_elements(n)
+    for u in elems:
+        for v in elems:
             lhs = embed(ominus(u, v), m)
             rhs = ominus(embed(u, m), embed(v, m))
             if lhs != rhs:
@@ -292,19 +294,21 @@ def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
     a mismatch would contradict the derivation and raises an internal error.
     """
     L = chain_lattice(n)
-    kappa_inv = {L.kappa(j): j for j in L.join_irreducibles()}
+    kappa = {j: L.kappa(j) for j in L.join_irreducibles()}
+    kappa_inv = {m: j for j, m in kappa.items()}
     table: dict[tuple[int, int], Fraction] = {}
     for za in range(n + 1):
+        j = _element_of_index(n, kappa_inv[za])
         for xa in range(za + 1):
-            j = _element_of_index(n, kappa_inv[za])
-            raw = ominus(j, frac(n, xa))
-            derived = Fraction(L.kappa(raw.rank()), n)
-            direct = Fraction(za - xa, n)
-            if derived != direct:
+            x = ominus(j, frac(n, xa)).rank()
+            # off the join-irreducibles, L.kappa raises its DomainError here
+            derived = kappa[x] if x in kappa else L.kappa(x)
+            if derived != za - xa:
                 raise InternalInvariantError(
-                    f"derived minus {za}/{n} - {xa}/{n} = {derived}, expected {direct}"
+                    f"derived minus {za}/{n} - {xa}/{n} = {Fraction(derived, n)}, "
+                    f"expected {Fraction(za - xa, n)}"
                 )
-            table[(za, xa)] = derived
+            table[(za, xa)] = Fraction(derived, n)
     return table
 
 

@@ -886,7 +886,9 @@ def maximal_not_maximum() -> Formula:
 
 # -- structure text format ---------------------------------------------------------
 
-_STRUCT_TUPLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+# a tuple with the separators (whitespace and commas) before it
+_STRUCT_TUPLE_RE = re.compile(r"[\s,]*(\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))")
+_STRUCT_SEPARATORS_RE = re.compile(r"[\s,]*")
 
 
 def parse_structure(text: str) -> FiniteStructure:
@@ -948,14 +950,18 @@ def parse_structure(text: str) -> FiniteStructure:
                 raise ParseError("relation body must be {...}", line=lineno, column=1)
             start, end = line.index("{") + 1, len(line) - 1
             tuples, columns = [], []
-            consumed = start
+            at = start  # each tuple must follow the last one, separators between
             for m in _STRUCT_TUPLE_RE.finditer(line, start, end):
-                tuples.append(tuple(int(v) for v in m.group(1).split(",")))
-                columns.append(indent + m.start() + 1)
-                consumed = m.end()
-            leftover = line[consumed:end].strip().strip(",").strip()
-            if line[start:end].strip() and (not tuples or leftover):
-                raise ParseError("malformed tuple set", line=lineno, column=1)
+                if m.start() != at:
+                    break
+                tuples.append(tuple(int(v) for v in m.group(2).split(",")))
+                columns.append(indent + m.start(1) + 1)
+                at = m.end()
+            at = _STRUCT_SEPARATORS_RE.match(line, at, end).end()
+            if not tuples:  # a body without tuples must be blank
+                at = end - len(line[start:end].lstrip())
+            if at != end:
+                raise ParseError("malformed tuple set", line=lineno, column=indent + at + 1)
             bodies[name] = (lineno, tuples, columns)
         else:
             raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)

@@ -26,10 +26,14 @@ Inside one computation the same arithmetic runs on integers.  Put every
 value on a common denominator D and encode ``q^o`` as the *rank* 2qD and
 ``r^-`` as 2rD - 1: the Gamma order becomes integer order, even ranks are
 exact points and odd ranks approximations, and the three operations become
-integer expressions (``rank_mip``, ``rank_miss``, ``rank_plus``).  On D = k
-the ranks 0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue``
-and ``mip``/``miss``/``plus`` stay the public types and the reference the
-rank kernel is tested against.
+integer expressions (``rank_mip``, ``rank_miss``, ``rank_plus``).  The
+first two check their domain and are the scalar entry points for callers;
+the formulas behind them (``mip_of_ranks``, ``miss_of_ranks``) are
+unchecked, branch-free and apply elementwise to numpy arrays, for kernels
+whose ranks already lie in the domain.  On D = k the ranks
+0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue`` and
+``mip``/``miss``/``plus`` stay the public types and the reference the rank
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -157,20 +161,33 @@ def rank(x: GammaValue, denom: int) -> int:
     return 2 * x.value.numerator * scale - (not x.exact)
 
 
+def mip_of_ranks(x, y):
+    """``mip`` on ranks y <= x, without the domain check.
+
+    Branch-free, so ``x`` and ``y`` may be ints or numpy integer or object
+    arrays (elementwise); outside the domain the result is meaningless.
+    """
+    return x - y - (y & ~x & 1)
+
+
+def miss_of_ranks(x, y):
+    """``miss`` on ranks y <= x, without the domain check; branch-free like
+    ``mip_of_ranks``, the diagonal case as the factor ``(x != y)``."""
+    return (x != y) * (x - y - 1 + (x & ~y & 1))
+
+
 def rank_mip(x: int, y: int) -> int:
     """``mip`` on ranks, defined for y <= x."""
     if y > x:
         raise DomainError(f"mip undefined on ranks: {y} > {x}")
-    return x - y - (y & ~x & 1)
+    return mip_of_ranks(x, y)
 
 
 def rank_miss(x: int, y: int) -> int:
     """``miss`` on ranks, defined for y <= x."""
     if y > x:
         raise DomainError(f"miss undefined on ranks: {y} > {x}")
-    if x == y:
-        return 0
-    return x - y - 1 + (x & ~y & 1)
+    return miss_of_ranks(x, y)
 
 
 def rank_plus(x: int, y: int, denom: int) -> int:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, InternalInvariantError, LatticeError, ParseError
 
 
@@ -151,6 +153,18 @@ class FiniteLattice:
                 row.append(l)
             table.append(tuple(row))
         return tuple(table)
+
+    @cached_property
+    def _order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only numpy copies of the order, meet and join tables, indexed
+        [a, b]: ``leq`` as booleans, meets and joins as element indices."""
+        n = self.n
+        leq = np.array([[row >> b & 1 for b in range(n)] for row in self._up], dtype=bool)
+        meet = np.array(self._meet_table, dtype=np.intp).reshape(n, n)
+        join = np.array(self._join_table, dtype=np.intp).reshape(n, n)
+        for table in (leq, meet, join):
+            table.flags.writeable = False
+        return leq, meet, join
 
     def meet(self, a: int, b: int) -> int:
         return self._meet_table[a][b]

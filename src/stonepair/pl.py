@@ -26,9 +26,9 @@ computed on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator
 
 from . import gamma
@@ -164,7 +164,14 @@ def _guard(D: FiniteLattice, k: int) -> None:
         raise DomainError("grid resolution must be positive")
 
 
-def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
+class _GridMeasures(list):
+    """The list ``grid_measures`` returns; ``ranks`` holds each measure's
+    values as ranks 0..2k on the denominator k, for the bitset kernels."""
+
+    ranks: list[tuple[int, ...]]
+
+
+def grid_measures(D: FiniteLattice, k: int) -> _GridMeasures:
     """All measures on D with values on the resolution-k grid.
 
     Enumerated in lexicographic order of the value tuple (elements in index
@@ -173,7 +180,10 @@ def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
     and upper neighbours, and the additivity inequalities of every pair are
     tested in ranks as soon as the pair, its meet and its join are placed.
     Monotone maps pass every comparable pair, so only incomparable pairs are
-    tested.  The survivors become ``Measure``s on the ``GammaGrid(k)`` points.
+    tested, and the placed ranks always lie in the domains of ``mip`` and
+    ``miss``.  The survivors become ``Measure``s on the ``GammaGrid(k)``
+    points; the list keeps their rank tuples too, on which entailment and
+    soundness tabulate atoms.
     """
     _guard(D, k)
     n, top = D.n, 2 * k
@@ -186,7 +196,7 @@ def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
             if not (D.leq(a, b) or D.leq(b, a)):
                 quad = (a, b, D.meet(a, b), D.join(a, b))
                 pairs[max(quad)].append(quad)
-    mip, miss = gamma.rank_mip, gamma.rank_miss
+    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
     r = [0] * n
     found: list[tuple[int, ...]] = []
 
@@ -194,53 +204,63 @@ def grid_measures(D: FiniteLattice, k: int) -> list[Measure]:
         if e == n:
             found.append(tuple(r))
             return
-        lo = max((r[d] for d in below[e]), default=0)
-        hi = min((r[d] for d in above[e]), default=top)
+        lo = max([r[d] for d in below[e]], default=0)
+        hi = min([r[d] for d in above[e]], default=top)
         if e == D.bottom:
             hi = min(hi, 0)
         if e == D.top:
             lo = max(lo, top)
         for v in range(lo, hi + 1):
             r[e] = v
-            if all(
-                miss(r[a], r[m]) <= mip(r[j], r[b]) and mip(r[a], r[m]) >= miss(r[j], r[b])
-                for a, b, m, j in pairs[e]
-            ):
+            for a, b, m, j in pairs[e]:
+                x, y, meet, join = r[a], r[b], r[m], r[j]
+                if miss(x, meet) > mip(join, y) or mip(x, meet) < miss(join, y):
+                    break
+            else:
                 extend(e + 1)
 
     extend(0)
-    points = GammaGrid(k).points
-    return [Measure(D, tuple(points[v] for v in ranks)) for ranks in found]
+    point = GammaGrid(k).points.__getitem__
+    measures = _GridMeasures(Measure(D, tuple(map(point, ranks))) for ranks in found)
+    measures.ranks = found
+    return measures
+
+
+def _grid_atoms(D: FiniteLattice, k: int) -> list[tuple[type, int, int]]:
+    """The atoms GE(i/k, a) and LT(i/k, a) as ``(kind, a, i)``; a position in
+    this list is the atom's number in ``_rule_rows``."""
+    return [(kind, a, i) for a in range(D.n) for i in range(k + 1) for kind in (GE, LT)]
 
 
 class _AtomBits:
-    """Threshold formulas as bitsets over a list of grid measures.
+    """Threshold formulas as bitsets over the grid measures.
 
     Bit i of a formula's bitset says whether the i-th measure satisfies it,
-    read off per-element tables of the measures whose value at the element
-    is at least each grid point.  Each atom object is resolved once: one met
-    again (``rule_instances`` shares them) is found by identity.
+    read off per-element tables of the measures whose rank at the element is
+    at least each grid rank.
     """
 
-    def __init__(self, D: FiniteLattice, k: int, measures: list[Measure]):
+    def __init__(self, D: FiniteLattice, k: int, ranks: list[tuple[int, ...]]):
         self.lattice = D
-        self.points = GammaGrid(k).points
-        self.full = (1 << len(measures)) - 1
-        # at_least[a][v]: the measures whose value at a has rank >= v
+        self.k = k
+        self.full = (1 << len(ranks)) - 1
+        # at_least[a][v]: the measures whose rank at a is >= v
         self.at_least = [[0] * (2 * k + 1) for _ in range(D.n)]
-        for i, mu in enumerate(measures):
-            for a, x in enumerate(mu.values):
-                self.at_least[a][gamma.rank(x, k)] |= 1 << i
+        for i, measure_ranks in enumerate(ranks):
+            bit = 1 << i
+            for row, v in zip(self.at_least, measure_ranks):
+                row[v] |= bit
         for row in self.at_least:
             for v in range(2 * k - 1, -1, -1):
                 row[v] |= row[v + 1]
-        # id(atom) -> (atom, bits); holding the atom keeps its id unique
-        self.atoms: dict[int, tuple[PLFormula, int]] = {}
 
     def __call__(self, phi: PLFormula) -> int:
         match phi:  # atoms first: most nodes met are atoms
             case GE() | LT():
-                return self.atom(phi)
+                a = _check_subject(phi, self.lattice)
+                # the least grid rank at or above the threshold tagged exact
+                c, rest = divmod(phi.threshold.numerator * self.k, phi.threshold.denominator)
+                return self._atom(type(phi), a, 2 * c + (rest != 0))
             case PLAnd(l, r):
                 return self(l) & self(r)
             case PLOr(l, r):
@@ -251,16 +271,14 @@ class _AtomBits:
                 return self.full ^ self(body)
         raise DomainError(f"not a threshold-logic node: {phi!r}")
 
-    def atom(self, atom: GE | LT) -> int:
-        hit = self.atoms.get(id(atom))
-        if hit is not None and hit[0] is atom:
-            return hit[1]
-        a = _check_subject(atom, self.lattice)
-        bits = self.at_least[a][bisect_left(self.points, gamma.iota_exact(atom.threshold))]
-        if isinstance(atom, LT):
-            bits ^= self.full
-        self.atoms[id(atom)] = (atom, bits)
-        return bits
+    def _atom(self, kind: type, a: int, v: int) -> int:
+        """GE or LT at element a, the threshold at grid rank v."""
+        bits = self.at_least[a][v]
+        return bits ^ self.full if kind is LT else bits
+
+    def grid_atoms(self) -> list[int]:
+        """The bitsets of the atoms of ``_grid_atoms``, in its order."""
+        return [self._atom(kind, a, 2 * i) for kind, a, i in _grid_atoms(self.lattice, self.k)]
 
 
 def _lowest(bits: int) -> int:
@@ -286,7 +304,7 @@ def entails_grid(
     Every atom of both sides is checked against D, whatever the connectives.
     """
     measures = grid_measures(D, k)
-    bits = _AtomBits(D, k, measures)
+    bits = _AtomBits(D, k, measures.ranks)
     bad = bits(lhs) & ~bits(rhs)
     if bad:
         return EntailmentResult(False, measures[_lowest(bad)], D, k, len(measures))
@@ -305,60 +323,90 @@ class RuleInstance:
     conclusion: PLFormula
 
 
-def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
-    """All instances of L1..L6 with thresholds on the resolution-k chain and
-    subjects in D, side conditions enforced before generation.
+# the empty conjunction and disjunction
+_TRUE_SIDE = (PLAnd, ())
+_FALSE_SIDE = (PLOr, ())
 
-    Thresholds are grid indices i, j, l standing for i/k, j/k, l/k, so the
-    L4/L5 side condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.  The
-    atoms GE(i/k, a) and LT(i/k, a) are built once per call and shared by
-    every instance that mentions them.
+
+def _rule_rows(D: FiniteLattice, k: int) -> Iterator[tuple]:
+    """All instances of L1..L6 as index rows, in ``rule_instances`` order.
+
+    A row is ``(rule, grid indices, elements, premise, conclusion)``: grid
+    index i stands for the threshold i/k, and each side is ``(PLAnd, ids)``
+    or ``(PLOr, ids)``, the connective folded over the atoms numbered by
+    ``_grid_atoms`` (empty: true and false).  Side conditions are enforced
+    before generation: the L4/L5 condition 0 <= p + q - r <= 1 is
+    0 <= i + j - l <= k.
     """
-    Q = grid_rationals(k)
     grid = range(k + 1)
-    ge = [[GE(q, a) for q in Q] for a in range(D.n)]
-    lt = [[LT(q, a) for q in Q] for a in range(D.n)]
+    number = {atom: x for x, atom in enumerate(_grid_atoms(D, k))}
+    ge = [[number[GE, a, i] for i in grid] for a in range(D.n)]
+    lt = [[number[LT, a, i] for i in grid] for a in range(D.n)]
     for a in range(D.n):
         for j in grid:
+            premise = (PLAnd, (ge[a][j],))
             for i in range(j + 1):
-                yield RuleInstance("L1", (Q[i], Q[j]), (a,), ge[a][j], ge[a][i])
+                yield "L1", (i, j), (a,), premise, (PLOr, (ge[a][i],))
     bot, top = D.bottom, D.top
-    yield RuleInstance("L2", (Q[0],), (bot,), PL_TRUE, ge[bot][0])
+    yield "L2", (0,), (bot,), _TRUE_SIDE, (PLOr, (ge[bot][0],))
     for j in grid:
-        yield RuleInstance("L2", (Q[j],), (top,), PL_TRUE, ge[top][j])
+        yield "L2", (j,), (top,), _TRUE_SIDE, (PLOr, (ge[top][j],))
     for i in range(1, k + 1):
-        yield RuleInstance("L2", (Q[i],), (bot,), ge[bot][i], PL_FALSE)
+        yield "L2", (i,), (bot,), (PLAnd, (ge[bot][i],)), _FALSE_SIDE
     for a in range(D.n):
         for b in range(D.n):
             if D.leq(a, b):
                 for j in grid:
-                    yield RuleInstance("L3", (Q[j],), (a, b), ge[a][j], ge[b][j])
+                    yield "L3", (j,), (a, b), (PLAnd, (ge[a][j],)), (PLOr, (ge[b][j],))
     for a in range(D.n):
         for b in range(D.n):
-            lo, hi = ge[D.meet(a, b)], ge[D.join(a, b)]
+            pair, lo, hi = (a, b), ge[D.meet(a, b)], ge[D.join(a, b)]
             for i in grid:
                 for j in grid:
+                    both = (ge[a][i], ge[b][j])
                     # s = i + j - l must lie in 0..k
                     for l in range(max(i + j - k, 0), min(i + j, k) + 1):
-                        s, params = i + j - l, (Q[i], Q[j], Q[l])
-                        yield RuleInstance(
-                            "L4",
-                            params,
-                            (a, b),
-                            PLAnd(ge[a][i], ge[b][j]),
-                            PLOr(hi[s], lo[l]),
-                        )
-                        yield RuleInstance(
-                            "L5",
-                            params,
-                            (a, b),
-                            PLAnd(hi[s], lo[l]),
-                            PLOr(ge[a][i], ge[b][j]),
-                        )
+                        bounds = (hi[i + j - l], lo[l])
+                        yield "L4", (i, j, l), pair, (PLAnd, both), (PLOr, bounds)
+                        yield "L5", (i, j, l), pair, (PLAnd, bounds), (PLOr, both)
     for a in range(D.n):
         for j in grid:
-            yield RuleInstance("L6", (Q[j],), (a,), PLAnd(lt[a][j], ge[a][j]), PL_FALSE)
-            yield RuleInstance("L6", (Q[j],), (a,), PL_TRUE, PLOr(lt[a][j], ge[a][j]))
+            both = (lt[a][j], ge[a][j])
+            yield "L6", (j,), (a,), (PLAnd, both), _FALSE_SIDE
+            yield "L6", (j,), (a,), _TRUE_SIDE, (PLOr, both)
+
+
+def _instance_renderer(D: FiniteLattice, k: int):
+    """Turns ``_rule_rows`` rows into ``RuleInstance``s whose atoms are built
+    once per renderer and shared."""
+    Q = grid_rationals(k)
+    atoms = [kind(Q[i], a) for kind, a, i in _grid_atoms(D, k)]
+
+    def side(connective, ids) -> PLFormula:
+        if not ids:
+            return PL_TRUE if connective is PLAnd else PL_FALSE
+        return reduce(connective, (atoms[x] for x in ids))
+
+    def render(row) -> RuleInstance:
+        rule, indices, elements, premise, conclusion = row
+        return RuleInstance(
+            rule, tuple(Q[i] for i in indices), elements, side(*premise), side(*conclusion)
+        )
+
+    return render
+
+
+def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
+    """All instances of L1..L6 with thresholds on the resolution-k chain and
+    subjects in D, side conditions enforced before generation.
+
+    The rows of ``_rule_rows`` rendered as objects: the atoms GE(i/k, a) and
+    LT(i/k, a) are built once per call and shared by every instance that
+    mentions them.
+    """
+    render = _instance_renderer(D, k)
+    for row in _rule_rows(D, k):
+        yield render(row)
 
 
 @dataclass(frozen=True)
@@ -374,18 +422,40 @@ class SoundnessReport:
         return sum(self.instance_counts.values())
 
 
+def _side_bits(side: tuple, bits: list[int], full: int) -> int:
+    connective, ids = side
+    if connective is PLAnd:
+        acc = full
+        for x in ids:
+            acc &= bits[x]
+    else:
+        acc = 0
+        for x in ids:
+            acc |= bits[x]
+    return acc
+
+
 def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     """Check premise-entails-conclusion for every rule instance over every
-    grid measure.  The expected failure list is empty."""
+    grid measure.  The expected failure list is empty.
+
+    Each row of ``_rule_rows`` is decided on the bitsets of its grid atoms
+    over the grid measures' rank tuples; a ``RuleInstance`` is built only for
+    a failing row.
+    """
     measures = grid_measures(D, k)
-    bits = _AtomBits(D, k, measures)
+    atoms = _AtomBits(D, k, measures.ranks)
+    bits, full = atoms.grid_atoms(), atoms.full
     counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
     failures: list[tuple[RuleInstance, Measure]] = []
-    for inst in rule_instances(D, k):
-        counts[inst.rule] += 1
-        bad = bits(inst.premise) & ~bits(inst.conclusion)
+    render = None
+    for row in _rule_rows(D, k):
+        rule, _, _, premise, conclusion = row
+        counts[rule] += 1
+        bad = _side_bits(premise, bits, full) & ~_side_bits(conclusion, bits, full)
         if bad:
-            failures.append((inst, measures[_lowest(bad)]))
+            render = render or _instance_renderer(D, k)
+            failures.append((render(row), measures[_lowest(bad)]))
     return SoundnessReport(D, k, counts, tuple(failures), len(measures))
 
 

@@ -333,6 +333,10 @@ class TestErrors:
             "signature: lt/2\nuniverse: 3\nlt = {(0,1,2)}\n":
                 "error: 3:7: tuple (0, 1, 2) has wrong arity for lt/2\n",
             "signature: lt/2\nuniverse: 0\n": "error: 2:1: universe must be nonempty\n",
+            "signature: lt/2\nuniverse: 3\nlt = {x(0,1) junk (1,2)}\n":
+                "error: 3:7: malformed tuple set\n",
+            "signature: lt/2\nuniverse: 3\nlt = {(0,1) junk (1,2)}\n":
+                "error: 3:13: malformed tuple set\n",
         }
         path = tmp_path / "bad.struct"
         for text, message in cases.items():

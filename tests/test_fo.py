@@ -539,6 +539,29 @@ class TestStructureFormat:
                 parse_structure(text)
             assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
 
+    def test_text_between_tuples_is_positioned(self):
+        head = "signature: lt/2\nuniverse: 3\n"
+        cases = {
+            "lt = {x(0,1) junk (1,2)}": 7,
+            "lt = {(0,1) junk (1,2)}": 13,
+            "  lt = {(0,1), (1,2) ;}": 22,
+            "lt = {(0,1)} (1,2)}": 12,
+            "lt = {(0,1), (1,x)}": 14,
+            "lt = { , }": 8,
+        }
+        for body, column in cases.items():
+            with pytest.raises(ParseError) as exc:
+                parse_structure(head + body + "\n")
+            assert (exc.value.line, exc.value.column, exc.value.message) == (
+                3, column, "malformed tuple set"
+            ), body
+
+    def test_separators_between_tuples(self):
+        for body in ("{(0,1),(1,2)}", "{ (0,1) , (1,2), }", "{(0,1) (1,2)}", "{}", "{ }"):
+            A = parse_structure(f"signature: lt/2\nuniverse: 3\nlt = {body}\n")
+            expected = frozenset() if "(" not in body else frozenset({(0, 1), (1, 2)})
+            assert A.relations["lt"] == expected, body
+
     def test_unary_relation(self):
         A = parse_structure("signature: mark/1\nuniverse: 3\nmark = {(0),(2)}\n")
         assert A.relations["mark"] == frozenset({(0,), (2,)})

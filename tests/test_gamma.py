@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,9 @@ from stonepair.gamma import (
     iota_approx,
     iota_exact,
     mip,
+    mip_of_ranks,
     miss,
+    miss_of_ranks,
     parse_gamma,
     plus,
     rank,
@@ -326,6 +329,27 @@ class TestRankKernel:
                 plus(x, y)
             with pytest.raises(DomainError):
                 rank_plus(rx, ry, denom)
+
+    @given(
+        st.lists(st.tuples(gamma_values(), gamma_values()), min_size=1, max_size=8),
+        st.sampled_from([1, 2, 5, 2**64]),
+    )
+    def test_branch_free_formulas(self, pairs, multiple):
+        # the formulas behind rank_mip/rank_miss, on scalars and elementwise
+        # on int64 (when the ranks fit) and object arrays
+        pairs = [(max(x, y), min(x, y)) for x, y in pairs]
+        denom = common_denominator(v for pair in pairs for v in pair) * multiple
+        xs = [rank(x, denom) for x, _ in pairs]
+        ys = [rank(y, denom) for _, y in pairs]
+        mips = [rank(mip(x, y), denom) for x, y in pairs]
+        misses = [rank(miss(x, y), denom) for x, y in pairs]
+        assert [mip_of_ranks(x, y) for x, y in zip(xs, ys)] == mips
+        assert [miss_of_ranks(x, y) for x, y in zip(xs, ys)] == misses
+        dtypes = (np.int64, object) if 2 * denom < 2**62 else (object,)
+        for dtype in dtypes:
+            x, y = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+            assert mip_of_ranks(x, y).tolist() == mips
+            assert miss_of_ranks(x, y).tolist() == misses
 
     def test_exhaustive_on_the_grid(self):
         pts = GammaGrid(12).points

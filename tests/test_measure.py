@@ -141,6 +141,89 @@ class TestValidateAgainstReference:
         assert validate_measure(mu) == reference_validate_measure(mu)
 
 
+WIDE_LATTICES = (
+    boolean_algebra(6),
+    product_lattice(chain(3), chain(3)),
+    product_lattice(chain(2), chain(4)),
+    chain(6),
+)
+
+
+def _valuation(L, rng: random.Random, denom: int) -> list:
+    """A lifted classical valuation with weights on the denominator ``denom``."""
+    J = L.join_irreducibles()
+    cuts = sorted(rng.randrange(denom + 1) for _ in range(len(J) - 1))
+    weight = {j: F(b - a, denom) for j, a, b in zip(J, [0] + cuts, cuts + [denom])}
+    return [iota_exact(sum((weight[j] for j in J if L.leq(j, a)), F(0))) for a in range(L.n)]
+
+
+@st.composite
+def wide_tagged_maps(draw):
+    """Lifted, perturbed, non-monotone and endpoint-broken maps on the wider
+    lattices; the denominator is sometimes past the int64 ranks."""
+    L = draw(st.sampled_from(WIDE_LATTICES))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    denom = draw(st.sampled_from([6, 24, 2**62 + 3]))
+    values = _valuation(L, rng, denom)
+    kind = draw(st.sampled_from(["lifted", "perturbed", "non-monotone", "endpoints"]))
+    if kind == "perturbed":
+        for a in draw(st.lists(st.integers(0, L.n - 1), min_size=1, max_size=3)):
+            v = values[a].value
+            if draw(st.booleans()) and v > 0:
+                values[a] = gamma.GammaValue(v, not values[a].exact)
+            else:
+                step = F(draw(st.integers(-2, 2)), draw(st.sampled_from([denom, 2 * denom, 7])))
+                values[a] = iota_exact(min(max(v + step, F(0)), F(1)))
+    elif kind == "non-monotone":
+        a, b = draw(st.sampled_from([(a, b) for a in range(L.n) for b in range(L.n) if a != b and L.leq(a, b)]))
+        values[a], values[b] = values[b], values[a]
+    elif kind == "endpoints":
+        values[L.bottom] = gamma.GammaValue(F(1, draw(st.integers(1, 5))), draw(st.booleans()))
+        values[L.top] = draw(st.sampled_from([gamma.ONE_APPROX, iota_exact(F(1, 2)), ZERO]))
+    return Measure(L, tuple(values))
+
+
+class TestWholeTableValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_tagged_maps())
+    def test_same_violations_in_the_same_order(self, mu):
+        assert validate_measure(mu) == reference_validate_measure(mu)
+
+    def test_object_ranks_past_int64(self):
+        # common denominators above 2**62 take the object-dtype path
+        rng = random.Random(7)
+        denom = 2**62 + 3
+        for L in WIDE_LATTICES:
+            values = _valuation(L, rng, denom)
+            mu = Measure(L, tuple(values))
+            assert gamma.common_denominator(mu.values) > 2**62
+            assert validate_measure(mu) == reference_validate_measure(mu) == []
+            # one inner value half a step off breaks additivity off chains
+            e = next(a for a in range(L.n) if a not in (L.bottom, L.top))
+            step = F(1, 2 * denom)
+            moved = list(values)
+            v = values[e].value
+            moved[e] = iota_exact(v + step if v < 1 else v - step)
+            # swapped values on a comparable pair break monotonicity
+            a, b = e, L.top
+            swapped = list(values)
+            swapped[a], swapped[b] = values[b], values[a]
+            for broken in (moved, swapped):
+                nu = Measure(L, tuple(broken))
+                assert validate_measure(nu) == reference_validate_measure(nu)
+            assert validate_measure(Measure(L, tuple(swapped)))
+            if L.n != len(L.join_irreducibles()) + 1:  # not a chain
+                assert validate_measure(Measure(L, tuple(moved)))
+
+    def test_order_arrays_are_read_only(self):
+        leq, meets, joins = B4._order_arrays
+        assert leq.tolist() == [[B4.leq(a, b) for b in range(4)] for a in range(4)]
+        assert meets.tolist() == [[B4.meet(a, b) for b in range(4)] for a in range(4)]
+        assert joins.tolist() == [[B4.join(a, b) for b in range(4)] for a in range(4)]
+        assert not (leq.flags.writeable or meets.flags.writeable or joins.flags.writeable)
+        assert B4._order_arrays is B4._order_arrays
+
+
 class TestClassical:
     def test_modular_law_checked(self):
         m = ClassicalMeasure(B4, (F(0), F(1, 2), F(3, 4), F(1)))

@@ -1,6 +1,7 @@
 """Threshold-logic semantics, grid entailment, rule soundness, filters."""
 
 import functools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -132,6 +133,26 @@ class TestGridMeasures:
             expected = [tuple(mu.values) for mu in reference_grid_measures(D, k)]
             assert [tuple(mu.values) for mu in grid_measures(D, k)] == expected
 
+    def test_ranks_are_the_values_on_the_grid(self):
+        for D, k in ((C3, 2), (B4, 3), (P23, 2), (chain(1), 2)):
+            ms = grid_measures(D, k)
+            assert ms.ranks == [tuple(gamma.rank(x, k) for x in mu.values) for mu in ms]
+
+    def test_checks_enumerate_through_grid_measures(self, monkeypatch):
+        # a wrapper around the public enumeration sees every measure that
+        # entailment and soundness check
+        sizes = []
+
+        def counted(D, k):
+            out = grid_measures(D, k)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(pl, "grid_measures", counted)
+        entailment = entails_grid(PL_TRUE, GE(F(1, 2), A_IDX), B4, 2)
+        soundness = check_soundness_grid(C3, 2)
+        assert sizes == [entailment.measures_checked, soundness.measures_checked] == [7, 5]
+
     def test_guards(self):
         with pytest.raises(SizeError):
             grid_measures(boolean_algebra(3), 2)
@@ -208,6 +229,13 @@ class TestSoundness:
         assert not report.failures
         assert report.measures_checked == 7
 
+    def test_instance_counts_at_the_guards(self):
+        assert check_soundness_grid(chain(6), 6).total_instances == 17045
+        report = check_soundness_grid(B4, 6)
+        assert report.instance_counts == dict(Counter(i.rule for i in rule_instances(B4, 6)))
+        assert report.total_instances == len(list(rule_instances(B4, 6)))
+        assert not report.failures
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("D", [C3, B4, C4, P23], ids=["C3", "B4", "C4", "2x3"])
     def test_against_reference_instances(self, D, k):
@@ -268,21 +296,34 @@ class TestAgainstPerMeasureLoop:
 
     @pytest.mark.parametrize("D, k", DIFF_CASES)
     def test_soundness_with_unsound_instances(self, D, k, monkeypatch):
-        # the rules plus unsound variants, so the failure path is compared too
-        def instances(D, k):
-            for inst in rule_instances(D, k):
-                yield inst
-                if inst.rule == "L1" and inst.params[0] < inst.params[1]:
-                    p, q = inst.params
-                    yield RuleInstance("L1", (q, p), inst.elements, inst.conclusion, inst.premise)
-                if inst.rule == "L6":
-                    yield RuleInstance("L6", inst.params, inst.elements, inst.conclusion, inst.premise)
+        # the rules plus unsound variants, so the failure path is compared too;
+        # soundness decides the index rows that rule_instances renders, so the
+        # variants are injected as rows and must render as the swapped instances
+        expected = []
+        for inst in rule_instances(D, k):
+            expected.append(inst)
+            if inst.rule == "L1" and inst.params[0] < inst.params[1]:
+                p, q = inst.params
+                expected.append(RuleInstance("L1", (q, p), inst.elements, inst.conclusion, inst.premise))
+            if inst.rule == "L6":
+                expected.append(RuleInstance("L6", inst.params, inst.elements, inst.conclusion, inst.premise))
+        rows = pl._rule_rows
 
-        monkeypatch.setattr(pl, "rule_instances", instances)
+        def with_variants(D, k):
+            for row in rows(D, k):
+                yield row
+                rule, indices, elements, premise, conclusion = row
+                if rule == "L1" and indices[0] < indices[1]:
+                    yield rule, indices[::-1], elements, conclusion, premise
+                if rule == "L6":
+                    yield rule, indices, elements, conclusion, premise
+
+        monkeypatch.setattr(pl, "_rule_rows", with_variants)
+        assert list(rule_instances(D, k)) == expected
         measures = reference_measures(D, k)
         counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
         failures = []
-        for inst in instances(D, k):
+        for inst in expected:
             counts[inst.rule] += 1
             counter = first_countermodel(inst.premise, inst.conclusion, measures)
             if counter is not None:
