@@ -7,6 +7,19 @@ partial subtraction ``ominus``; these satisfy
 
     u ominus v <= w  iff  u <= v oplus w.
 
+Every operator is one integer expression on ranks.  The element a/n of L_n
+has rank a and T has rank n + 1, so the order of L_n is integer order, and
+for the multiplication factor m:
+
+* ``oplus`` is min(x + y, n + 1) and ``ominus`` is max(x - y, 0);
+* ``embed`` is x * m on points and sends T to the top nm + 1 of L_{nm};
+* ``floor_map`` is x // m and ``ceiling_map`` is -(-x // m).
+
+The expressions (``oplus_of_ranks`` and its siblings) are branch-free, so
+they take ints of any size or numpy arrays.  The public operators wrap them
+for ``ChainElement``/``ChainPoint`` objects; the checks decide every case on
+rank tables and build objects only for the witnesses they return.
+
 The meet-irreducibles of L_n are exactly the points of the subdivision chain
 {0, 1/n, ..., 1}, and the derived operations on those points are recovered
 from the operators through the irreducibles isomorphism ``kappa``: partial
@@ -30,9 +43,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, InternalInvariantError
+import numpy as np
+
+from .errors import DomainError, InternalInvariantError, SizeError
 from .gamma import GammaGrid, GammaValue, format_gamma
 from .lattice import FiniteLattice
+
+
+def _require_chain(n: int) -> None:
+    if n < 1:
+        raise DomainError("chain parameter must be positive")
+
+
+def _require_factor(m: int) -> None:
+    if m < 1:
+        raise DomainError("embedding factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -43,10 +68,15 @@ class ChainElement:
     a: int | None  # None encodes T
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("chain parameter must be positive")
+        _require_chain(self.n)
         if self.a is not None and not 0 <= self.a <= self.n:
             raise DomainError(f"{self.a}/{self.n} is not on the chain")
+
+    @classmethod
+    def of_rank(cls, n: int, r: int) -> ChainElement:
+        """The element of L_n with rank ``r``: r/n for r <= n, T for n + 1."""
+        r = int(r)
+        return cls(n, None if r == n + 1 else r)
 
     @property
     def is_top(self) -> bool:
@@ -90,8 +120,7 @@ class ChainPoint:
     a: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("chain parameter must be positive")
+        _require_chain(self.n)
         if not 0 <= self.a <= self.n:
             raise DomainError(f"{self.a}/{self.n} is not on the chain")
 
@@ -103,27 +132,59 @@ class ChainPoint:
         return f"{self.a}/{self.n}"
 
 
+# -- the rank expressions --------------------------------------------------------
+
+
+def oplus_of_ranks(x, y, n):
+    """``oplus`` on the ranks of L_n: min(x + y, n + 1)."""
+    s = x + y
+    return s - (s > n + 1) * (s - n - 1)
+
+
+def ominus_of_ranks(x, y, n):
+    """``ominus`` on the ranks of L_n: max(x - y, 0), whatever n is."""
+    return (x > y) * (x - y)
+
+
+def embed_of_ranks(x, n, m):
+    """The embedding of L_n into L_{nm} on ranks: x * m, and T to nm + 1.
+
+    ``x // (n + 1)`` is 1 at T and 0 on the points; unlike a comparison it
+    keeps an object array's Python integers when multiplied by a large m.
+    """
+    return x * m - x // (n + 1) * (m - 1)
+
+
+def floor_of_ranks(x, m):
+    """A point rank on the chain nm rounded down to the chain n."""
+    return x // m
+
+
+def ceiling_of_ranks(x, m):
+    """A point rank on the chain nm rounded up to the chain n."""
+    return -(-x // m)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first true cell of ``bad`` in row-major order."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
 # -- the operators on L_n --------------------------------------------------------
 
 
 def oplus(u: ChainElement, v: ChainElement) -> ChainElement:
     """Truncated addition: T absorbing, sums beyond 1 overflow to T."""
     _same_chain(u, v)
-    if u.is_top or v.is_top:
-        return top(u.n)
-    s = u.a + v.a
-    return top(u.n) if s > u.n else frac(u.n, s)
+    return ChainElement.of_rank(u.n, oplus_of_ranks(u.rank(), v.rank(), u.n))
 
 
 def ominus(u: ChainElement, v: ChainElement) -> ChainElement:
     """The adjoint subtraction: largest w with u <= v oplus w."""
     _same_chain(u, v)
-    n = u.n
-    if v.is_top:
-        return frac(n, 0)
-    if u.is_top:
-        return top(n) if v.a == 0 else frac(n, n - v.a + 1)
-    return frac(n, max(u.a - v.a, 0))
+    return ChainElement.of_rank(u.n, ominus_of_ranks(u.rank(), v.rank(), u.n))
 
 
 @dataclass(frozen=True)
@@ -133,57 +194,20 @@ class AdjunctionViolation:
     w: ChainElement
 
 
-class _OffChain:
-    """A rank-table entry off L_n; comparing it raises its ``DomainError``."""
-
-    def __init__(self, message: str):
-        self.message = message
-
-    def __le__(self, other):
-        raise DomainError(self.message)
-
-    __ge__ = __le__
-
-
-def _rank_table(op, n: int, result_first: bool) -> list[list]:
-    """The ranks of ``op(u, v)`` over L_n x L_n, row u, column v.
-
-    A result off L_n becomes an entry whose comparison with a rank raises the
-    ``DomainError`` that ``chain_leq`` raises for it, naming the result's
-    chain first when ``result_first``; so a loop over the table stops where
-    the same loop over ``chain_leq`` would.
-    """
-    elems = chain_elements(n)
-    table = []
-    for u in elems:
-        row = []
-        for v in elems:
-            x = op(u, v)
-            if x.n == n:
-                row.append(x.rank())
-            else:
-                left, right = (x.n, n) if result_first else (n, x.n)
-                row.append(_OffChain(f"mismatched chains: {left} vs {right}"))
-        table.append(row)
-    return table
-
-
 def check_adjunction(n: int) -> AdjunctionViolation | None:
     """Exhaustively check ``u ominus v <= w iff u <= v oplus w`` on L_n.
 
-    ``ominus`` and ``oplus`` are tabulated once as ranks; the first failing
-    triple in (u, v, w) order is returned as elements.
+    One (v, w) table per u decides the triples; the first failing triple in
+    (u, v, w) order is returned as elements.
     """
-    minus = _rank_table(ominus, n, result_first=True)
-    plus = _rank_table(oplus, n, result_first=False)
-    size = n + 2
-    for u in range(size):
-        for v in range(size):
-            d, row = minus[u][v], plus[v]
-            for w in range(size):
-                if (d <= w) != (u <= row[w]):
-                    elems = chain_elements(n)
-                    return AdjunctionViolation(elems[u], elems[v], elems[w])
+    _require_chain(n)
+    r = np.arange(n + 2)
+    v, w = r[:, None], r
+    plus = oplus_of_ranks(v, w, n)
+    for u in range(n + 2):
+        hit = _first((ominus_of_ranks(u, v, n) <= w) != (u <= plus))
+        if hit is not None:
+            return AdjunctionViolation(*(ChainElement.of_rank(n, x) for x in (u, *hit)))
     return None
 
 
@@ -192,21 +216,28 @@ def check_adjunction(n: int) -> AdjunctionViolation | None:
 
 def embed(u: ChainElement, m: int) -> ChainElement:
     """The lattice embedding of L_n into L_{nm}: a/n to am/(nm), T to T."""
-    if m < 1:
-        raise DomainError("embedding factor must be positive")
-    if u.is_top:
-        return top(u.n * m)
-    return frac(u.n * m, u.a * m)
+    _require_factor(m)
+    return ChainElement.of_rank(u.n * m, embed_of_ranks(u.rank(), u.n, m))
+
+
+def _embedded_tables(op, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """embed(u op v) and embed(u) op embed(v) on ranks, row u, column v.
+
+    The embedded ranks reach (n + 1) * m + 1, and their sums twice that, so
+    past 2**61 the table holds Python integers instead of wrapping int64.
+    """
+    r = np.arange(n + 2, dtype=np.int64 if (n + 2) * m < 2**61 else object)
+    e = embed_of_ranks(r, n, m)
+    return embed_of_ranks(op(r[:, None], r, n), n, m), op(e[:, None], e, n * m)
 
 
 def check_oplus_preserved(n: int, m: int) -> tuple[ChainElement, ChainElement] | None:
     """First pair (if any) where the embedding fails to commute with oplus."""
-    elems = chain_elements(n)
-    for u in elems:
-        for v in elems:
-            if embed(oplus(u, v), m) != oplus(embed(u, m), embed(v, m)):
-                return (u, v)
-    return None
+    _require_chain(n)
+    _require_factor(m)
+    lhs, rhs = _embedded_tables(oplus_of_ranks, n, m)
+    hit = _first(lhs != rhs)
+    return None if hit is None else tuple(ChainElement.of_rank(n, x) for x in hit)
 
 
 @dataclass(frozen=True)
@@ -223,14 +254,17 @@ def find_ominus_counterexample(n: int, m: int) -> OminusWitness:
     contradict the adjunction analysis."""
     if m < 2:
         raise DomainError("the embedding is the identity for m = 1; need m >= 2")
-    elems = chain_elements(n)
-    for u in elems:
-        for v in elems:
-            lhs = embed(ominus(u, v), m)
-            rhs = ominus(embed(u, m), embed(v, m))
-            if lhs != rhs:
-                return OminusWitness(u, v, lhs, rhs)
-    raise InternalInvariantError(f"no ominus counterexample for n={n}, m={m}")
+    _require_chain(n)
+    lhs, rhs = _embedded_tables(ominus_of_ranks, n, m)
+    hit = _first(lhs != rhs)
+    if hit is None:
+        raise InternalInvariantError(f"no ominus counterexample for n={n}, m={m}")
+    return OminusWitness(
+        ChainElement.of_rank(n, hit[0]),
+        ChainElement.of_rank(n, hit[1]),
+        ChainElement.of_rank(n * m, lhs[hit]),
+        ChainElement.of_rank(n * m, rhs[hit]),
+    )
 
 
 # -- floor, ceiling, and the point embedding --------------------------------------
@@ -238,38 +272,34 @@ def find_ominus_counterexample(n: int, m: int) -> OminusWitness:
 
 def embed_point(p: ChainPoint, m: int) -> ChainPoint:
     """The inclusion of subdivision chains: a/n to am/(nm)."""
-    if m < 1:
-        raise DomainError("embedding factor must be positive")
-    return ChainPoint(p.n * m, p.a * m)
+    _require_factor(m)
+    return ChainPoint(p.n * m, embed_of_ranks(p.a, p.n, m))
 
 
 def floor_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     """Round a/(nm) down to the coarser chain: right adjoint to inclusion."""
     if x.n != n * m:
         raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
-    return ChainPoint(n, x.a // m)
+    return ChainPoint(n, floor_of_ranks(x.a, m))
 
 
 def ceiling_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     """Round a/(nm) up to the coarser chain: left adjoint to inclusion."""
     if x.n != n * m:
         raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
-    return ChainPoint(n, -(-x.a // m))
+    return ChainPoint(n, ceiling_of_ranks(x.a, m))
 
 
 def check_floor_ceiling(n: int, m: int) -> tuple[ChainPoint, ChainPoint] | None:
     """First pair (x, y), x on the chain nm and y on the chain n, where the
     adjoint triple ceiling -| embed_point -| floor fails:
     ceiling(x) <= y iff x <= embed(y), and embed(y) <= x iff y <= floor(x)."""
-    for xa in range(n * m + 1):
-        x = ChainPoint(n * m, xa)
-        up, down = ceiling_map(n, m, x).a, floor_map(n, m, x).a
-        for ya in range(n + 1):
-            y = ChainPoint(n, ya)
-            e = embed_point(y, m).a
-            if (up <= ya) != (xa <= e) or (e <= xa) != (ya <= down):
-                return (x, y)
-    return None
+    _require_chain(n)
+    _require_factor(m)
+    x, y = np.arange(n * m + 1)[:, None], np.arange(n + 1)
+    up, down, e = ceiling_of_ranks(x, m), floor_of_ranks(x, m), embed_of_ranks(y, n, m)
+    hit = _first(((up <= y) != (x <= e)) | ((e <= x) != (y <= down)))
+    return None if hit is None else (ChainPoint(n * m, hit[0]), ChainPoint(n, hit[1]))
 
 
 # -- deriving the partial operations on the point chain ----------------------------
@@ -281,10 +311,6 @@ def chain_lattice(n: int) -> FiniteLattice:
     return FiniteLattice(labels, [(i, i + 1) for i in range(n + 1)])
 
 
-def _element_of_index(n: int, i: int) -> ChainElement:
-    return top(n) if i == n + 1 else frac(n, i)
-
-
 def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
     """Partial subtraction on the point chain, derived from the operators.
 
@@ -293,14 +319,14 @@ def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
     object.  The table is checked cell by cell against direct subtraction;
     a mismatch would contradict the derivation and raises an internal error.
     """
+    _require_chain(n)
     L = chain_lattice(n)
     kappa = {j: L.kappa(j) for j in L.join_irreducibles()}
     kappa_inv = {m: j for j, m in kappa.items()}
     table: dict[tuple[int, int], Fraction] = {}
     for za in range(n + 1):
-        j = _element_of_index(n, kappa_inv[za])
-        for xa in range(za + 1):
-            x = ominus(j, frac(n, xa)).rank()
+        row = ominus_of_ranks(kappa_inv[za], np.arange(za + 1), n)
+        for xa, x in enumerate(row.tolist()):
             # off the join-irreducibles, L.kappa raises its DomainError here
             derived = kappa[x] if x in kappa else L.kappa(x)
             if derived != za - xa:
@@ -319,22 +345,23 @@ def derive_partial_plus(n: int) -> dict[tuple[int, int], Fraction]:
     restricted to the point chain (defined when it is not T, i.e. when the
     values sum to at most 1).  Checked cell by cell against direct addition.
     """
-    minus = _rank_table(ominus, n, result_first=True)
+    _require_chain(n)
+    u = np.arange(n + 2)
+    fracs = [Fraction(a, n) for a in range(n + 1)]
     table: dict[tuple[int, int], Fraction] = {}
     for xa in range(n + 1):
-        for za in range(n + 1 - xa):
-            best = max(u for u in range(n + 2) if minus[u][xa] <= za)
-            if best == n + 1:
-                raise InternalInvariantError(
-                    f"derived plus {xa}/{n} + {za}/{n} escaped the point chain"
-                )
-            derived = Fraction(best, n)
-            direct = Fraction(xa + za, n)
-            if derived != direct:
-                raise InternalInvariantError(
-                    f"derived plus {xa}/{n} + {za}/{n} = {derived}, expected {direct}"
-                )
-            table[(xa, za)] = derived
+        z = np.arange(n + 1 - xa)
+        below = ominus_of_ranks(u, xa, n)[:, None] <= z  # row u, column z
+        # the largest u below each z, -1 where there is none
+        best = np.where(below.any(axis=0), n + 1 - np.argmax(below[::-1], axis=0), -1)
+        hit = _first(best != xa + z)
+        if hit is not None:
+            za, b = hit[0], int(best[hit])
+            got = "undefined" if b < 0 else "T" if b == n + 1 else Fraction(b, n)
+            raise InternalInvariantError(
+                f"derived plus {xa}/{n} + {za}/{n} = {got}, expected {fracs[xa + za]}"
+            )
+        table.update(((xa, za), fracs[xa + za]) for za in range(n + 1 - xa))
     return table
 
 
@@ -348,8 +375,7 @@ def project_gamma(x: GammaValue, n: int) -> ChainPoint:
     largest point strictly below r.  These projections commute with the
     floor maps, forming a cone over the inverse system of point chains.
     """
-    if n < 1:
-        raise DomainError("chain parameter must be positive")
+    _require_chain(n)
     scaled = x.value * n
     if x.exact:
         a = math.floor(scaled)
@@ -359,6 +385,11 @@ def project_gamma(x: GammaValue, n: int) -> ChainPoint:
 
 
 # -- the whole sweep ----------------------------------------------------------------
+
+# The most cases (the four PASS-line counts together) one sweep may check;
+# n <= 24, m <= 10 has 467 208.  Sweeps just under it (n <= 70, m <= 2;
+# n <= 1, m <= 3000) took at most 1.3 s at 32 MiB peak RSS on a 2-vCPU host.
+MAX_DUALITY_CASES = 10**7
 
 
 @dataclass(frozen=True)
@@ -374,9 +405,31 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
 
     Yields one line per check family (PASS with its case count) and one per
     ominus witness.  A failing check yields its FAIL line and ends the sweep.
+    The case counts are closed forms, so a sweep past ``MAX_DUALITY_CASES``
+    raises ``SizeError`` before any check runs.
     """
-    ns = range(1, max_n + 1)
-    nms = [(n, m) for n in ns for m in range(2, max_m + 1)]
+    n_count, m_count = max(max_n, 0), max(max_m - 1, 0)
+    k = n_count + 2
+    triples = (k * (k + 1) // 2) ** 2 - 9  # (n + 2)^3 for each n
+    pairs = m_count * (k * (k + 1) * (2 * k + 1) // 6 - 5)  # (n + 2)^2 for each n, m
+    # (nm + 1)(n + 1) for each n, m, from the sums of m, of n(n + 1) and of n + 1
+    checked = (
+        m_count * (m_count + 3) // 2 * n_count * (n_count + 1) * (n_count + 2) // 3
+        + m_count * n_count * (n_count + 3) // 2
+    )
+    points = GammaGrid(10).points
+    cases = len(points) * n_count * m_count
+    total = triples + pairs + checked + cases
+    if total > MAX_DUALITY_CASES:
+        raise SizeError(
+            f"duality sweep n<={max_n} m<={max_m} has {total} cases; "
+            f"the guard is {MAX_DUALITY_CASES}"
+        )
+
+    ns, ms = range(1, max_n + 1), range(2, max_m + 1)
+
+    def nms() -> Iterator[tuple[int, int]]:
+        return ((n, m) for n in ns for m in ms)
 
     for n in ns:
         bad = check_adjunction(n)
@@ -385,20 +438,18 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
                 f"adjunction n<={max_n}: FAIL at n={n} u={bad.u} v={bad.v} w={bad.w}", True
             )
             return
-    triples = sum((n + 2) ** 3 for n in ns)
     yield DualityLine(f"adjunction n<={max_n}: {triples} triples: PASS")
 
     label = f"oplus-preservation n<={max_n} m<={max_m}"
-    for n, m in nms:
+    for n, m in nms():
         bad_pair = check_oplus_preserved(n, m)
         if bad_pair is not None:
             u, v = bad_pair
             yield DualityLine(f"{label}: FAIL at n={n} m={m} u={u} v={v}", True)
             return
-    pairs = sum((n + 2) ** 2 for n, _ in nms)
     yield DualityLine(f"{label}: {pairs} pairs: PASS")
 
-    for n, m in nms:
+    for n, m in nms():
         w = find_ominus_counterexample(n, m)
         yield DualityLine(
             f"ominus-counterexample n={n} m={m}: u={w.u} v={w.v}: "
@@ -413,22 +464,20 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
     yield DualityLine(f"derived-plus n<={max_n}: {max_n} tables: PASS")
 
     label = f"floor-ceiling n<={max_n} m<={max_m}"
-    for n, m in nms:
+    for n, m in nms():
         bad_points = check_floor_ceiling(n, m)
         if bad_points is not None:
             x, y = bad_points
             yield DualityLine(f"{label}: FAIL at n={n} m={m} x={x} y={y}", True)
             return
-    checked = sum((n * m + 1) * (n + 1) for n, m in nms)
     yield DualityLine(f"{label}: {checked} pairs: PASS")
 
     label = f"projection-cone grid=10 n<={max_n} m<={max_m}"
-    points = GammaGrid(10).points
     for x in points:
-        for n, m in nms:
+        for n, m in nms():
             if floor_map(n, m, project_gamma(x, n * m)) != project_gamma(x, n):
                 yield DualityLine(
                     f"{label}: FAIL at x={format_gamma(x)} n={n} m={m}", True
                 )
                 return
-    yield DualityLine(f"{label}: {len(points) * len(nms)} cases: PASS")
+    yield DualityLine(f"{label}: {cases} cases: PASS")

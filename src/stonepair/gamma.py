@@ -25,15 +25,13 @@ rational branch; all computation uses ``fractions.Fraction`` and is exact.
 Inside one computation the same arithmetic runs on integers.  Put every
 value on a common denominator D and encode ``q^o`` as the *rank* 2qD and
 ``r^-`` as 2rD - 1: the Gamma order becomes integer order, even ranks are
-exact points and odd ranks approximations, and the three operations become
-integer expressions (``rank_mip``, ``rank_miss``, ``rank_plus``).  The
-first two check their domain and are the scalar entry points for callers;
-the formulas behind them (``mip_of_ranks``, ``miss_of_ranks``) are
-unchecked, branch-free and apply elementwise to numpy arrays, for kernels
-whose ranks already lie in the domain.  On D = k the ranks
-0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue`` and
-``mip``/``miss``/``plus`` stay the public types and the reference the rank
-kernel is tested against.
+exact points and odd ranks approximations, and the subtractions become
+integer expressions (``mip_of_ranks``, ``miss_of_ranks``).  They do not
+check their domain y <= x; they are branch-free and apply elementwise to
+numpy arrays, for kernels whose ranks already lie in the domain.  On D = k
+the ranks 0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue``
+and ``mip``/``miss``/``plus`` stay the public types and the reference the
+rank kernel is tested against.
 """
 
 from __future__ import annotations
@@ -174,28 +172,6 @@ def miss_of_ranks(x, y):
     """``miss`` on ranks y <= x, without the domain check; branch-free like
     ``mip_of_ranks``, the diagonal case as the factor ``(x != y)``."""
     return (x != y) * (x - y - 1 + (x & ~y & 1))
-
-
-def rank_mip(x: int, y: int) -> int:
-    """``mip`` on ranks, defined for y <= x."""
-    if y > x:
-        raise DomainError(f"mip undefined on ranks: {y} > {x}")
-    return mip_of_ranks(x, y)
-
-
-def rank_miss(x: int, y: int) -> int:
-    """``miss`` on ranks, defined for y <= x."""
-    if y > x:
-        raise DomainError(f"miss undefined on ranks: {y} > {x}")
-    return miss_of_ranks(x, y)
-
-
-def rank_plus(x: int, y: int, denom: int) -> int:
-    """``plus`` on ranks, defined when the result is at most 2D."""
-    s = x + y + (x & y & 1)
-    if s > 2 * denom:
-        raise DomainError(f"plus undefined on ranks: {x} + {y} exceeds {2 * denom}")
-    return s
 
 
 def gamma_collapse(x: GammaValue) -> Fraction:

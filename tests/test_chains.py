@@ -1,14 +1,18 @@
 """Chain operators, embeddings, floor/ceiling, derived tables, projections."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from stonepair import chains
 from stonepair.chains import (
     AdjunctionViolation,
     ChainPoint,
+    OminusWitness,
+    ceiling_of_ranks,
     chain_elements,
     chain_lattice,
     chain_leq,
@@ -19,15 +23,20 @@ from stonepair.chains import (
     derive_partial_minus,
     derive_partial_plus,
     embed,
+    embed_of_ranks,
+    embed_point,
     find_ominus_counterexample,
     floor_map,
+    floor_of_ranks,
     frac,
     ominus,
+    ominus_of_ranks,
     oplus,
+    oplus_of_ranks,
     project_gamma,
     top,
 )
-from stonepair.errors import DomainError, InternalInvariantError
+from stonepair.errors import DomainError, InternalInvariantError, SizeError
 from stonepair.gamma import GammaGrid, iota_exact, parse_gamma
 
 
@@ -72,6 +81,96 @@ class TestAdjunction:
         assert "1/2" in str(v.u)
 
 
+def reference_oplus(u, v):
+    """The case split that ``oplus_of_ranks`` replaces."""
+    if u.n != v.n:
+        raise DomainError(f"mismatched chains: {u.n} vs {v.n}")
+    if u.is_top or v.is_top:
+        return top(u.n)
+    s = u.a + v.a
+    return top(u.n) if s > u.n else frac(u.n, s)
+
+
+def reference_ominus(u, v):
+    """The case split that ``ominus_of_ranks`` replaces."""
+    if u.n != v.n:
+        raise DomainError(f"mismatched chains: {u.n} vs {v.n}")
+    n = u.n
+    if v.is_top:
+        return frac(n, 0)
+    if u.is_top:
+        return top(n) if v.a == 0 else frac(n, n - v.a + 1)
+    return frac(n, max(u.a - v.a, 0))
+
+
+def reference_embed(u, m):
+    """The case split that ``embed_of_ranks`` replaces."""
+    if m < 1:
+        raise DomainError("embedding factor must be positive")
+    if u.is_top:
+        return top(u.n * m)
+    return frac(u.n * m, u.a * m)
+
+
+class TestRankExpressions:
+    def test_operators_match_the_case_splits(self):
+        for n in range(1, 17):
+            elems = chain_elements(n)
+            for u, v in itertools.product(elems, repeat=2):
+                assert oplus(u, v) == reference_oplus(u, v)
+                assert ominus(u, v) == reference_ominus(u, v)
+            for u, m in itertools.product(elems, range(1, 7)):
+                assert embed(u, m) == reference_embed(u, m)
+
+    def test_point_maps_match_the_point_arithmetic(self):
+        for n, m in itertools.product(range(1, 17), range(1, 7)):
+            for a in range(n + 1):
+                assert embed_point(ChainPoint(n, a), m) == ChainPoint(n * m, a * m)
+            for a in range(n * m + 1):
+                x = ChainPoint(n * m, a)
+                assert floor_map(n, m, x).value == F(math.floor(F(a, m)), n)
+                assert ceiling_map(n, m, x).value == F(math.ceil(F(a, m)), n)
+
+    def test_elementwise_on_arrays(self):
+        n, m = 7, 3
+        r = np.arange(n + 2)
+        x, y = r[:, None], r
+        assert (oplus_of_ranks(x, y, n) == np.minimum(x + y, n + 1)).all()
+        assert (ominus_of_ranks(x, y, n) == np.maximum(x - y, 0)).all()
+        assert embed_of_ranks(r, n, m).tolist() == [a * m for a in range(n + 1)] + [n * m + 1]
+        points = np.arange(n * m + 1)
+        assert floor_of_ranks(points, m).tolist() == [a // m for a in range(n * m + 1)]
+        assert ceiling_of_ranks(points, m).tolist() == [-(-a // m) for a in range(n * m + 1)]
+
+    def test_exact_past_int64(self):
+        n = 2**70
+        assert oplus(frac(n, 1), frac(n, n)) == top(n)
+        assert ominus(top(n), frac(n, 1)) == frac(n, n)
+        assert embed(top(n), 3) == top(3 * n)
+        for m in (2**61, 2**62, 2**70):
+            for n in (1, 2):
+                assert check_oplus_preserved(n, m) is None
+                witness = find_ominus_counterexample(n, m)
+                assert witness == reference_find_ominus_counterexample(n, m)
+
+    def test_errors(self):
+        with pytest.raises(DomainError, match="mismatched chains: 2 vs 3"):
+            ominus(frac(2, 1), frac(3, 1))
+        with pytest.raises(DomainError, match="embedding factor"):
+            embed(frac(2, 1), 0)
+        with pytest.raises(DomainError, match="embedding factor"):
+            embed_point(ChainPoint(2, 1), 0)
+        for check in (check_adjunction, derive_partial_minus, derive_partial_plus):
+            with pytest.raises(DomainError, match="chain parameter"):
+                check(0)
+        for check in (check_oplus_preserved, check_floor_ceiling):
+            with pytest.raises(DomainError, match="chain parameter"):
+                check(0, 2)
+            for m in (0, -1):  # refused, not passed vacuously over an empty chain
+                with pytest.raises(DomainError, match="embedding factor"):
+                    check(2, m)
+
+
 def reference_check_adjunction(n):
     """The triple loop over elements that the rank tables replace."""
     elems = chain_elements(n)
@@ -81,6 +180,62 @@ def reference_check_adjunction(n):
                 if chain_leq(chains.ominus(u, v), w) != chain_leq(u, chains.oplus(v, w)):
                     return AdjunctionViolation(u, v, w)
     return None
+
+
+def reference_check_oplus_preserved(n, m):
+    """The pair loop over elements that the rank tables replace."""
+    elems = chain_elements(n)
+    for u in elems:
+        for v in elems:
+            if chains.embed(chains.oplus(u, v), m) != chains.oplus(
+                chains.embed(u, m), chains.embed(v, m)
+            ):
+                return (u, v)
+    return None
+
+
+def reference_find_ominus_counterexample(n, m):
+    """The pair loop over elements that the rank tables replace."""
+    if m < 2:
+        raise DomainError("the embedding is the identity for m = 1; need m >= 2")
+    elems = chain_elements(n)
+    for u in elems:
+        for v in elems:
+            lhs = chains.embed(chains.ominus(u, v), m)
+            rhs = chains.ominus(chains.embed(u, m), chains.embed(v, m))
+            if lhs != rhs:
+                return OminusWitness(u, v, lhs, rhs)
+    raise InternalInvariantError(f"no ominus counterexample for n={n}, m={m}")
+
+
+def reference_check_floor_ceiling(n, m):
+    """The pair loop over points that the rank tables replace."""
+    for xa in range(n * m + 1):
+        x = ChainPoint(n * m, xa)
+        up, down = chains.ceiling_map(n, m, x).a, chains.floor_map(n, m, x).a
+        for ya in range(n + 1):
+            e = chains.embed_point(ChainPoint(n, ya), m).a
+            if (up <= ya) != (xa <= e) or (e <= xa) != (ya <= down):
+                return (x, ChainPoint(n, ya))
+    return None
+
+
+def reference_derive_partial_minus(n):
+    """The element-wise recipe that the rank rows replace."""
+    L = chain_lattice(n)
+    kappa_inv = {L.kappa(j): j for j in L.join_irreducibles()}
+    table = {}
+    for za in range(n + 1):
+        j = chains.ChainElement.of_rank(n, kappa_inv[za])
+        for xa in range(za + 1):
+            derived = L.kappa(chains.ominus(j, frac(n, xa)).rank())
+            if derived != za - xa:
+                raise InternalInvariantError(
+                    f"derived minus {za}/{n} - {xa}/{n} = {F(derived, n)}, "
+                    f"expected {F(za - xa, n)}"
+                )
+            table[(za, xa)] = F(derived, n)
+    return table
 
 
 def reference_derive_partial_plus(n):
@@ -93,94 +248,111 @@ def reference_derive_partial_plus(n):
             best = max(
                 (u for u in elems if chain_leq(chains.ominus(u, x), z)),
                 key=chains.ChainElement.rank,
+                default=None,
             )
-            if best.is_top:
+            derived = "undefined" if best is None else "T" if best.is_top else F(best.a, n)
+            if derived != F(xa + za, n):
                 raise InternalInvariantError(
-                    f"derived plus {xa}/{n} + {za}/{n} escaped the point chain"
-                )
-            derived, direct = F(best.a, n), F(xa + za, n)
-            if derived != direct:
-                raise InternalInvariantError(
-                    f"derived plus {xa}/{n} + {za}/{n} = {derived}, expected {direct}"
+                    f"derived plus {xa}/{n} + {za}/{n} = {derived}, expected {F(xa + za, n)}"
                 )
             table[(xa, za)] = derived
     return table
 
 
-def outcome(f, n):
+def outcome(f, *args):
     try:
-        return f(n)
-    except (DomainError, InternalInvariantError, ValueError) as exc:
+        return f(*args)
+    except (DomainError, InternalInvariantError) as exc:
         return type(exc), str(exc)
 
 
-def _one_up(u, v):
-    w = ominus(u, v)
-    return top(w.n) if w.is_top or w.a == w.n else frac(w.n, w.a + 1)
+CHAINS = [(n,) for n in range(1, 7)]
+FACTORS = [(n, m) for n in range(1, 7) for m in (1, 2, 3)]
+CHECKS = [
+    (check_adjunction, reference_check_adjunction, CHAINS),
+    (derive_partial_minus, reference_derive_partial_minus, CHAINS),
+    (derive_partial_plus, reference_derive_partial_plus, CHAINS),
+    (check_oplus_preserved, reference_check_oplus_preserved, FACTORS),
+    (find_ominus_counterexample, reference_find_ominus_counterexample, FACTORS),
+    (check_floor_ceiling, reference_check_floor_ceiling, FACTORS),
+]
 
 
-def _one_down(u, v):
-    w = ominus(u, v)
-    return w if w.a == 0 else frac(w.n, w.n if w.is_top else w.a - 1)
+# Broken rank expressions stay on their chain: a rank operator on L_n has no
+# way to name an element of another chain.
 
 
-def _saturating_plus(u, v):
-    w = oplus(u, v)
-    return frac(w.n, w.n) if w.is_top else w
+def _zero_minus(x, y, n):
+    return 0 * (x + y)
 
 
-def _off_chain_plus(u, v):
-    w = oplus(u, v)
-    return top(w.n + 1) if w.is_top else w
+def _one_up(x, y, n):
+    return np.minimum(ominus_of_ranks(x, y, n) + 1, n + 1)
 
 
-def _off_chain_minus(u, v):
-    return frac(u.n + 1, 0) if v.is_top else ominus(u, v)
+def _one_down(x, y, n):
+    return np.maximum(ominus_of_ranks(x, y, n) - 1, 0)
 
 
-def _off_chain_after_a_violation(u, v):
-    return frac(u.n + 1, 0) if u.is_top else _one_up(u, v)
+def _saturating_plus(x, y, n):
+    return np.minimum(oplus_of_ranks(x, y, n), n)
 
 
-def _off_chain_plus_from_top(u, v):
-    return top(u.n + 1) if u.is_top else oplus(u, v)
+def _join_plus(x, y, n):
+    return np.maximum(x, y)
+
+
+def _top_to_one(x, n, m):
+    return np.minimum(x * m, n * m)
 
 
 BROKEN = [
-    {"ominus": lambda u, v: frac(u.n, 0)},
-    {"ominus": _one_up},
-    {"ominus": _one_down},
-    {"ominus": _off_chain_minus},
-    {"ominus": _off_chain_after_a_violation},
-    {"oplus": _saturating_plus},
-    {"oplus": _off_chain_plus},
-    # both tables first leave the chain at the same triple (0, T, 0)
-    {"ominus": _off_chain_minus, "oplus": _off_chain_plus_from_top},
+    {"ominus_of_ranks": _zero_minus},
+    {"ominus_of_ranks": _one_up},
+    {"ominus_of_ranks": _one_down},
+    {"oplus_of_ranks": _saturating_plus},
+    {"oplus_of_ranks": _join_plus},
+    {"embed_of_ranks": _top_to_one},
+    {"floor_of_ranks": ceiling_of_ranks},
+    {"ceiling_of_ranks": floor_of_ranks},
 ]
 
 
 class TestRankTables:
+    def test_real_operators_agree_with_the_references(self):
+        for check, reference, cases in CHECKS:
+            for args in cases:
+                assert outcome(check, *args) == outcome(reference, *args)
+
     @pytest.mark.parametrize("broken", BROKEN)
     def test_broken_operators_fail_as_the_reference(self, broken, monkeypatch):
+        honest = [outcome(ref, *args) for _, ref, cases in CHECKS for args in cases]
         for name, op in broken.items():
             monkeypatch.setattr(chains, name, op)
-        for n in range(1, 7):
-            expected = outcome(reference_check_adjunction, n)
-            assert expected is not None
-            assert outcome(check_adjunction, n) == expected
-            expected = outcome(reference_derive_partial_plus, n)
-            assert outcome(derive_partial_plus, n) == expected
+        got = []
+        for check, reference, cases in CHECKS:
+            for args in cases:
+                expected = outcome(reference, *args)
+                assert outcome(check, *args) == expected, (check.__name__, args)
+                got.append(expected)
+        assert got != honest  # the breakage shows in some check
 
     def test_reference_outcomes_cover_every_path(self, monkeypatch):
         kinds = set()
-        for broken in BROKEN:
-            with monkeypatch.context() as m:
+        for broken in [{}] + BROKEN:
+            with monkeypatch.context() as patch:
                 for name, op in broken.items():
-                    m.setattr(chains, name, op)
-                for f in (reference_check_adjunction, reference_derive_partial_plus):
-                    got = outcome(f, 3)
-                    kinds.add(got[0] if isinstance(got, tuple) else type(got))
-        assert kinds == {AdjunctionViolation, DomainError, InternalInvariantError, ValueError, dict}
+                    patch.setattr(chains, name, op)
+                for _, reference, cases in CHECKS:
+                    for args in cases:
+                        if args[0] == 3:
+                            got = outcome(reference, *args)
+                            error = isinstance(got, tuple) and isinstance(got[0], type)
+                            kinds.add(got[0] if error else type(got))
+        assert kinds == {
+            AdjunctionViolation, OminusWitness, tuple, type(None), dict,
+            DomainError, InternalInvariantError,
+        }
 
 
 class TestEmbeddings:
@@ -232,7 +404,7 @@ class TestFloorCeiling:
     def test_reports_first_failing_pair(self, monkeypatch):
         # with floor replaced by ceiling, embed -| floor first breaks at
         # x = 1/6, y = 1/2: embed(y) = 3/6 is not below x, yet y <= ceiling(x)
-        monkeypatch.setattr(chains, "floor_map", ceiling_map)
+        monkeypatch.setattr(chains, "floor_of_ranks", ceiling_of_ranks)
         assert check_floor_ceiling(2, 3) == (ChainPoint(6, 1), ChainPoint(2, 1))
 
     def test_floor_composes(self):
@@ -318,3 +490,29 @@ class TestProjection:
         for n in (2, 4, 6):
             for a in range(n + 1):
                 assert project_gamma(iota_exact(F(a, n)), n) == ChainPoint(n, a)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("max_n,max_m", [(1, 2), (2, 5), (5, 2), (6, 4)])
+    def test_case_counts_are_the_sums(self, max_n, max_m):
+        ns = range(1, max_n + 1)
+        nms = [(n, m) for n in ns for m in range(2, max_m + 1)]
+        lines = [r.text for r in chains.verify_duality(max_n, max_m)]
+        grid = f"n<={max_n} m<={max_m}"
+        assert lines[0] == f"adjunction n<={max_n}: {sum((n + 2) ** 3 for n in ns)} triples: PASS"
+        assert lines[1] == (
+            f"oplus-preservation {grid}: {sum((n + 2) ** 2 for n, _ in nms)} pairs: PASS"
+        )
+        assert lines[-2] == (
+            f"floor-ceiling {grid}: {sum((n * m + 1) * (n + 1) for n, m in nms)} pairs: PASS"
+        )
+        assert lines[-1] == f"projection-cone grid=10 {grid}: {21 * len(nms)} cases: PASS"
+
+    def test_guard_admits_exactly_its_budget(self, monkeypatch):
+        # the sweep of criterion 9 has 123192 + 55764 + 283716 + 4536 cases
+        assert chains.MAX_DUALITY_CASES >= 467208
+        monkeypatch.setattr(chains, "MAX_DUALITY_CASES", 467208)
+        assert next(chains.verify_duality(24, 10)).text.endswith("PASS")
+        monkeypatch.setattr(chains, "MAX_DUALITY_CASES", 467207)
+        with pytest.raises(SizeError, match="has 467208 cases; the guard is 467207"):
+            next(chains.verify_duality(24, 10))

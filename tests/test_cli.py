@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -278,6 +279,20 @@ class TestDualityVerify:
                 code, out, _ = invoke("duality-verify", "--max-n", "4", "--max-m", "2")
             assert code == 1, name
             assert out.splitlines() == expected, name
+
+    @pytest.mark.parametrize("size", ["100000", str(10**30)])
+    def test_oversized_sweep_fails_before_any_work(self, size):
+        # 10**10 and more (n, m) pairs: refused from the closed-form case counts
+        tracemalloc.start()
+        try:
+            code, out, err = invoke("duality-verify", "--max-n", size, "--max-m", size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: duality sweep n<={size} m<={size} has ")
+        assert "Traceback" not in err
+        assert peak < 2**20
 
 
 class TestIntegrate:

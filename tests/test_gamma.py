@@ -29,9 +29,6 @@ from stonepair.gamma import (
     parse_gamma,
     plus,
     rank,
-    rank_mip,
-    rank_miss,
-    rank_plus,
 )
 
 
@@ -314,28 +311,16 @@ class TestRankKernel:
         denom = common_denominator((x, y)) * multiple
         rx, ry = rank(x, denom), rank(y, denom)
         assert (rx <= ry) == (x <= y)
-        if y <= x:
-            assert rank_mip(rx, ry) == rank(mip(x, y), denom)
-            assert rank_miss(rx, ry) == rank(miss(x, y), denom)
-        else:
-            with pytest.raises(DomainError):
-                rank_mip(rx, ry)
-            with pytest.raises(DomainError):
-                rank_miss(rx, ry)
-        if x.value + y.value <= 1:
-            assert rank_plus(rx, ry, denom) == rank(plus(x, y), denom)
-        else:
-            with pytest.raises(DomainError):
-                plus(x, y)
-            with pytest.raises(DomainError):
-                rank_plus(rx, ry, denom)
+        x, y, rx, ry = (x, y, rx, ry) if y <= x else (y, x, ry, rx)
+        assert mip_of_ranks(rx, ry) == rank(mip(x, y), denom)
+        assert miss_of_ranks(rx, ry) == rank(miss(x, y), denom)
 
     @given(
         st.lists(st.tuples(gamma_values(), gamma_values()), min_size=1, max_size=8),
         st.sampled_from([1, 2, 5, 2**64]),
     )
     def test_branch_free_formulas(self, pairs, multiple):
-        # the formulas behind rank_mip/rank_miss, on scalars and elementwise
+        # on scalars and elementwise
         # on int64 (when the ranks fit) and object arrays
         pairs = [(max(x, y), min(x, y)) for x, y in pairs]
         denom = common_denominator(v for pair in pairs for v in pair) * multiple
@@ -356,10 +341,8 @@ class TestRankKernel:
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
                 if j <= i:
-                    assert pts[rank_mip(i, j)] == mip(x, y)
-                    assert pts[rank_miss(i, j)] == miss(x, y)
-                if x.value + y.value <= 1:
-                    assert pts[rank_plus(i, j, 12)] == plus(x, y)
+                    assert pts[mip_of_ranks(i, j)] == mip(x, y)
+                    assert pts[miss_of_ranks(i, j)] == miss(x, y)
 
     def test_grid_points_are_their_ranks(self):
         for k in (1, 2, 5):
