@@ -229,45 +229,41 @@ class FiniteLattice:
 
     @cached_property
     def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Row j: the i covered by j, ascending; i is covered by j when the
+        elements at or above i and strictly below j are i alone."""
         covers = []
         for j in range(self.n):
-            strictly_below = [i for i in _bits(self._below[j]) if i != j]
-            cov = [
-                i
-                for i in strictly_below
-                if not any(i != m != j and self.leq(i, m) for m in strictly_below)
-            ]
-            covers.append(tuple(sorted(cov)))
+            under = self._below[j] & ~(1 << j)
+            covers.append(tuple(i for i in _bits(under) if self._up[i] & under == 1 << i))
         return tuple(covers)
 
     @cached_property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Row j: the i covering j, ascending (dual of ``_lower_covers``)."""
         covers = []
         for j in range(self.n):
-            strictly_above = [i for i in _bits(self._up[j]) if i != j]
-            cov = [
-                i
-                for i in strictly_above
-                if not any(i != m != j and self.leq(m, i) for m in strictly_above)
-            ]
-            covers.append(tuple(sorted(cov)))
+            over = self._up[j] & ~(1 << j)
+            covers.append(tuple(i for i in _bits(over) if self._below[i] & over == 1 << i))
         return tuple(covers)
+
+    @cached_property
+    def _irreducibles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The join- and the meet-irreducibles, ascending."""
+        joins = tuple(
+            j for j in range(self.n) if j != self.bottom and len(self._lower_covers[j]) == 1
+        )
+        meets = tuple(
+            m for m in range(self.n) if m != self.top and len(self._upper_covers[m]) == 1
+        )
+        return joins, meets
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover (bottom excluded)."""
-        return tuple(
-            j
-            for j in range(self.n)
-            if j != self.bottom and len(self._lower_covers[j]) == 1
-        )
+        return self._irreducibles[0]
 
     def meet_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one upper cover (top excluded)."""
-        return tuple(
-            m
-            for m in range(self.n)
-            if m != self.top and len(self._upper_covers[m]) == 1
-        )
+        return self._irreducibles[1]
 
     def kappa(self, j: int) -> int:
         """The meet-irreducible ``join of {u : j not<= u}`` paired with j.
@@ -275,17 +271,18 @@ class FiniteLattice:
         Restricted to join-irreducibles this is an order isomorphism onto the
         meet-irreducibles, characterised by ``u <= kappa(j) iff j not<= u``.
         """
-        if j not in self.join_irreducibles():
+        joins, meets = self._irreducibles
+        if j not in joins:
             raise DomainError(f"{self.labels[j]} is not join-irreducible")
         m = self.join_all(u for u in range(self.n) if not self.leq(j, u))
-        if m not in self.meet_irreducibles():
+        if m not in meets:
             raise InternalInvariantError(
                 f"kappa({self.labels[j]}) = {self.labels[m]} is not meet-irreducible"
             )
         return m
 
     def kappa_inverse(self, m: int) -> int:
-        inv = {self.kappa(j): j for j in self.join_irreducibles()}
+        inv = {self.kappa(j): j for j in self._irreducibles[0]}
         if m not in inv:
             raise DomainError(f"{self.labels[m]} is not in the image of kappa")
         return inv[m]

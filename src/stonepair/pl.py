@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterator
 
+import numpy as np
+
 from . import gamma
 from .errors import DomainError, ParseError, PresentationError, SizeError
 from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
@@ -165,94 +167,101 @@ def _guard(D: FiniteLattice, k: int) -> None:
 
 
 class _GridMeasures(list):
-    """The list ``grid_measures`` returns; ``ranks`` holds each measure's
-    values as ranks 0..2k on the denominator k, for the bitset kernels."""
+    """The list ``grid_measures`` returns; ``ranks`` is the int64 table of
+    the measures' values as ranks 0..2k on the denominator k, one row per
+    measure in list order, for the bitset kernels."""
 
-    ranks: list[tuple[int, ...]]
+    ranks: np.ndarray
+
+
+def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
+    """The rank table of ``grid_measures`` (D has at least two elements).
+
+    Bottom and top are fixed at ranks 0 and 2k; the other elements are
+    placed one level at a time in index order.  Every row of the table is
+    expanded over the interval its placed lower and upper neighbours leave
+    (each row's children contiguous and ascending, so the rows stay in
+    lexicographic order), then the rows failing an incomparable pair whose
+    last free member this is are dropped, all pairs of the level at once.
+    """
+    n, top = D.n, 2 * k
+    ends = (D.bottom, D.top)
+    free = [e for e in range(n) if e not in ends]
+    # pairs (a, b, meet, join), tested when the last of their free members is
+    # placed (incomparable a and b are never bottom or top)
+    tests: dict[int, list[tuple[int, int, int, int]]] = {e: [] for e in free}
+    for a in free:
+        for b in free:
+            if not (D.leq(a, b) or D.leq(b, a)):
+                quad = (a, b, D.meet(a, b), D.join(a, b))
+                tests[max(x for x in quad if x not in ends)].append(quad)
+    R = np.zeros((1, n), dtype=np.int64)
+    R[0, D.top] = top
+    placed = list(ends)
+    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
+    for e in free:
+        lo = R[:, [d for d in placed if D.leq(d, e)]].max(axis=1)
+        hi = R[:, [d for d in placed if D.leq(e, d)]].min(axis=1)
+        counts = hi - lo + 1  # positive: placed comparable pairs are monotone
+        R = R.repeat(counts, axis=0)
+        R[:, e] = np.arange(len(R)) - np.repeat(counts.cumsum() - counts - lo, counts)
+        placed.append(e)
+        if tests[e] and len(R):
+            x, y, meet, join = (R[:, list(col)] for col in zip(*tests[e]))
+            bad = (miss(x, meet) > mip(join, y)) | (mip(x, meet) < miss(join, y))
+            R = R[~bad.any(axis=1)]
+    return R
 
 
 def grid_measures(D: FiniteLattice, k: int) -> _GridMeasures:
     """All measures on D with values on the resolution-k grid.
 
     Enumerated in lexicographic order of the value tuple (elements in index
-    order, grid points ascending), as ranks 0..2k on the denominator k.  Each
-    element's rank ranges over the interval left by its already-placed lower
-    and upper neighbours, and the additivity inequalities of every pair are
-    tested in ranks as soon as the pair, its meet and its join are placed.
-    Monotone maps pass every comparable pair, so only incomparable pairs are
-    tested, and the placed ranks always lie in the domains of ``mip`` and
+    order, grid points ascending), as ranks 0..2k on the denominator k.
+    Bottom and top are fixed at ranks 0 and 2k before the search, so a
+    one-element lattice, whose bottom is its top, has no grid measure.  The
+    search is level-wise on an int64 table of partial assignments: each
+    other element, in index order, takes every rank in the interval left
+    by its placed lower and upper neighbours, so every comparable pair is
+    monotone by construction; the additivity inequalities of an
+    incomparable pair are tested, in ranks on whole columns, as soon as its
+    last free member is placed (the fixed endpoints count as placed), where
+    the pair, its meet and its join all lie in the domains of ``mip`` and
     ``miss``.  The survivors become ``Measure``s on the ``GammaGrid(k)``
-    points; the list keeps their rank tuples too, on which entailment and
+    points; the list keeps their rank table too, on which entailment and
     soundness tabulate atoms.
     """
     _guard(D, k)
-    n, top = D.n, 2 * k
-    below = [[d for d in range(e) if D.leq(d, e)] for e in range(n)]
-    above = [[d for d in range(e) if D.leq(e, d)] for e in range(n)]
-    # pairs (a, b, meet, join) to test once their highest index e is placed
-    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if not (D.leq(a, b) or D.leq(b, a)):
-                quad = (a, b, D.meet(a, b), D.join(a, b))
-                pairs[max(quad)].append(quad)
-    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
-    r = [0] * n
-    found: list[tuple[int, ...]] = []
-
-    def extend(e: int) -> None:
-        if e == n:
-            found.append(tuple(r))
-            return
-        lo = max([r[d] for d in below[e]], default=0)
-        hi = min([r[d] for d in above[e]], default=top)
-        if e == D.bottom:
-            hi = min(hi, 0)
-        if e == D.top:
-            lo = max(lo, top)
-        for v in range(lo, hi + 1):
-            r[e] = v
-            for a, b, m, j in pairs[e]:
-                x, y, meet, join = r[a], r[b], r[m], r[j]
-                if miss(x, meet) > mip(join, y) or mip(x, meet) < miss(join, y):
-                    break
-            else:
-                extend(e + 1)
-
-    extend(0)
+    if D.bottom == D.top:
+        ranks = np.empty((0, D.n), dtype=np.int64)
+    else:
+        ranks = _grid_ranks(D, k)
     point = GammaGrid(k).points.__getitem__
-    measures = _GridMeasures(Measure(D, tuple(map(point, ranks))) for ranks in found)
-    measures.ranks = found
+    measures = _GridMeasures(Measure(D, tuple(map(point, row))) for row in ranks.tolist())
+    measures.ranks = ranks
     return measures
-
-
-def _grid_atoms(D: FiniteLattice, k: int) -> list[tuple[type, int, int]]:
-    """The atoms GE(i/k, a) and LT(i/k, a) as ``(kind, a, i)``; a position in
-    this list is the atom's number in ``_rule_rows``."""
-    return [(kind, a, i) for a in range(D.n) for i in range(k + 1) for kind in (GE, LT)]
 
 
 class _AtomBits:
     """Threshold formulas as bitsets over the grid measures.
 
-    Bit i of a formula's bitset says whether the i-th measure satisfies it,
-    read off per-element tables of the measures whose rank at the element is
-    at least each grid rank.
+    Bit i of a formula's bitset says whether the i-th measure satisfies it.
+    The per-element tables of the measures whose rank at the element is at
+    least each grid rank come from one comparison on the rank table, packed
+    little-endian: ``at_least[a][v]`` is an int for entailment, and
+    ``grid_rows`` the packed rows the soundness kernel gathers.
     """
 
-    def __init__(self, D: FiniteLattice, k: int, ranks: list[tuple[int, ...]]):
+    def __init__(self, D: FiniteLattice, k: int, ranks: np.ndarray):
         self.lattice = D
         self.k = k
         self.full = (1 << len(ranks)) - 1
-        # at_least[a][v]: the measures whose rank at a is >= v
-        self.at_least = [[0] * (2 * k + 1) for _ in range(D.n)]
-        for i, measure_ranks in enumerate(ranks):
-            bit = 1 << i
-            for row, v in zip(self.at_least, measure_ranks):
-                row[v] |= bit
-        for row in self.at_least:
-            for v in range(2 * k - 1, -1, -1):
-                row[v] |= row[v + 1]
+        # table[a, v, i]: the rank of measure i at a is >= v
+        self.table = ranks.T[:, None, :] >= np.arange(2 * k + 1)[:, None]
+        packed = np.packbits(self.table, axis=-1, bitorder="little")
+        self.at_least = [
+            [int.from_bytes(row.tobytes(), "little") for row in rows] for rows in packed
+        ]
 
     def __call__(self, phi: PLFormula) -> int:
         match phi:  # atoms first: most nodes met are atoms
@@ -276,9 +285,16 @@ class _AtomBits:
         bits = self.at_least[a][v]
         return bits ^ self.full if kind is LT else bits
 
-    def grid_atoms(self) -> list[int]:
-        """The bitsets of the atoms of ``_grid_atoms``, in its order."""
-        return [self._atom(kind, a, 2 * i) for kind, a, i in _grid_atoms(self.lattice, self.k)]
+    def grid_rows(self) -> np.ndarray:
+        """The atoms GE(i/k, a) and LT(i/k, a) in the order of their ids in
+        ``_rule_table``, then an all-true and an all-false row, packed
+        little-endian into ``uint8`` rows of ⌈M/8⌉ bytes for M measures; the
+        padding bits are 0 in every row."""
+        ge = self.table[:, ::2]
+        n, g, m = ge.shape
+        rows = np.stack((ge, ~ge), axis=2).reshape(2 * n * g, m)
+        ends = np.array([[True], [False]]).repeat(rows.shape[1], axis=1)
+        return np.packbits(np.concatenate((rows, ends)), axis=1, bitorder="little")
 
 
 def _lowest(bits: int) -> int:
@@ -323,74 +339,99 @@ class RuleInstance:
     conclusion: PLFormula
 
 
-# the empty conjunction and disjunction
-_TRUE_SIDE = (PLAnd, ())
-_FALSE_SIDE = (PLOr, ())
+_RULES = ("L1", "L2", "L3", "L4", "L5", "L6")
+# Columns of the rule table: the rule's position in _RULES, three grid indices
+# and two elements (-1 pads both), and each side as a connective (_AND or
+# _OR) folded over two atom ids.  GE(i/k, a) has the id 2 (a (k + 1) + i) and
+# LT(i/k, a) the next one; after them come one id for an all-true and one for
+# an all-false row: a conjunction is padded with the first, a disjunction with
+# the second.
+_AND, _OR = 0, 1
+_RULE, _INDICES, _ELEMENTS = 0, slice(1, 4), slice(4, 6)
+_PREMISE, _CONCLUSION = slice(6, 9), slice(9, 12)
 
 
-def _rule_rows(D: FiniteLattice, k: int) -> Iterator[tuple]:
-    """All instances of L1..L6 as index rows, in ``rule_instances`` order.
+def _family(rule, indices, elements, premise, conclusion) -> np.ndarray:
+    """One block of the rule table from its columns: the first grid index is
+    an array, the other columns broadcast against it; missing indices and
+    elements are padded with -1."""
+    pad = (-1,)
+    cols = (rule, *indices, *pad * (3 - len(indices)), *elements, *pad * (2 - len(elements)),
+            *premise, *conclusion)
+    out = np.empty((len(cols), len(indices[0])), dtype=np.int64)
+    for c, col in enumerate(cols):
+        out[c] = col
+    return out.T  # column-major: the kernels read whole columns
 
-    A row is ``(rule, grid indices, elements, premise, conclusion)``: grid
-    index i stands for the threshold i/k, and each side is ``(PLAnd, ids)``
-    or ``(PLOr, ids)``, the connective folded over the atoms numbered by
-    ``_grid_atoms`` (empty: true and false).  Side conditions are enforced
-    before generation: the L4/L5 condition 0 <= p + q - r <= 1 is
-    0 <= i + j - l <= k.
+
+def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
+    """All instances of L1..L6 as the rows of one int64 table, in
+    ``rule_instances`` order (columns described above ``_family``).
+
+    Grid index i stands for the threshold i/k.  Each family but L2 is read
+    off a boolean mask over its loop variables by ``np.nonzero``, whose C
+    order is the loop order; L4 and L5 share one mask with a trailing axis
+    of length 2.  Side conditions are enforced before generation: the L4/L5
+    condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.
     """
-    grid = range(k + 1)
-    number = {atom: x for x, atom in enumerate(_grid_atoms(D, k))}
-    ge = [[number[GE, a, i] for i in grid] for a in range(D.n)]
-    lt = [[number[LT, a, i] for i in grid] for a in range(D.n)]
-    for a in range(D.n):
-        for j in grid:
-            premise = (PLAnd, (ge[a][j],))
-            for i in range(j + 1):
-                yield "L1", (i, j), (a,), premise, (PLOr, (ge[a][i],))
+    n, g = D.n, k + 1
+    true, false = 2 * n * g, 2 * n * g + 1
+    leq, meet, join = D._order_arrays
+
+    def ge(a, i):
+        return 2 * (a * g + i)
+
+    a, j, i = np.nonzero(np.broadcast_to(np.tri(g, dtype=bool), (n, g, g)))
+    L1 = _family(0, (i, j), (a,), (_AND, ge(a, j), true), (_OR, ge(a, i), false))
     bot, top = D.bottom, D.top
-    yield "L2", (0,), (bot,), _TRUE_SIDE, (PLOr, (ge[bot][0],))
-    for j in grid:
-        yield "L2", (j,), (top,), _TRUE_SIDE, (PLOr, (ge[top][j],))
-    for i in range(1, k + 1):
-        yield "L2", (i,), (bot,), (PLAnd, (ge[bot][i],)), _FALSE_SIDE
-    for a in range(D.n):
-        for b in range(D.n):
-            if D.leq(a, b):
-                for j in grid:
-                    yield "L3", (j,), (a, b), (PLAnd, (ge[a][j],)), (PLOr, (ge[b][j],))
-    for a in range(D.n):
-        for b in range(D.n):
-            pair, lo, hi = (a, b), ge[D.meet(a, b)], ge[D.join(a, b)]
-            for i in grid:
-                for j in grid:
-                    both = (ge[a][i], ge[b][j])
-                    # s = i + j - l must lie in 0..k
-                    for l in range(max(i + j - k, 0), min(i + j, k) + 1):
-                        bounds = (hi[i + j - l], lo[l])
-                        yield "L4", (i, j, l), pair, (PLAnd, both), (PLOr, bounds)
-                        yield "L5", (i, j, l), pair, (PLAnd, bounds), (PLOr, both)
-    for a in range(D.n):
-        for j in grid:
-            both = (lt[a][j], ge[a][j])
-            yield "L6", (j,), (a,), (PLAnd, both), _FALSE_SIDE
-            yield "L6", (j,), (a,), _TRUE_SIDE, (PLOr, both)
+    L2 = np.array(
+        [[1, 0, -1, -1, bot, -1, _AND, true, true, _OR, ge(bot, 0), false]]
+        + [[1, j, -1, -1, top, -1, _AND, true, true, _OR, ge(top, j), false] for j in range(g)]
+        + [[1, i, -1, -1, bot, -1, _AND, ge(bot, i), true, _OR, false, false] for i in range(1, g)],
+        dtype=np.int64,
+    )
+    a, b, j = np.nonzero(np.broadcast_to(leq[:, :, None], (n, n, g)))
+    L3 = _family(2, (j,), (a, b), (_AND, ge(a, j), true), (_OR, ge(b, j), false))
+    up = np.arange(g)
+    s = up[:, None, None] + up[:, None] - up  # s[i, j, l] = i + j - l
+    mask = (s >= 0) & (s <= k)
+    a, b, i, j, l, t = np.nonzero(np.broadcast_to(mask[..., None], (n, n, g, g, g, 2)))
+    both = (ge(a, i), ge(b, j))
+    bounds = (ge(join[a, b], i + j - l), ge(meet[a, b], l))
+    is_L4 = t == 0
+    L45 = _family(
+        3 + t, (i, j, l), (a, b),
+        (_AND, *np.where(is_L4, both, bounds)), (_OR, *np.where(is_L4, bounds, both)),
+    )
+    a, j, t = np.nonzero(np.ones((n, g, 2), dtype=bool))
+    both = (ge(a, j) + 1, ge(a, j))
+    first = t == 0
+    L6 = _family(
+        5, (j,), (a,),
+        (_AND, *np.where(first, both, true)), (_OR, *np.where(first, false, both)),
+    )
+    return np.concatenate((L1, L2, L3, L45, L6))
 
 
 def _instance_renderer(D: FiniteLattice, k: int):
-    """Turns ``_rule_rows`` rows into ``RuleInstance``s whose atoms are built
-    once per renderer and shared."""
+    """Turns ``_rule_table`` rows, as lists, into ``RuleInstance``s whose
+    atoms are built once per renderer and shared."""
     Q = grid_rationals(k)
-    atoms = [kind(Q[i], a) for kind, a, i in _grid_atoms(D, k)]
+    atoms = [kind(Q[i], a) for a in range(D.n) for i in range(k + 1) for kind in (GE, LT)]
+    true, false = len(atoms), len(atoms) + 1
 
-    def side(connective, ids) -> PLFormula:
-        if not ids:
-            return PL_TRUE if connective is PLAnd else PL_FALSE
-        return reduce(connective, (atoms[x] for x in ids))
+    def side(connective: int, *ids: int) -> PLFormula:
+        ctor, pad, empty = (PLAnd, true, PL_TRUE) if connective == _AND else (PLOr, false, PL_FALSE)
+        parts = [atoms[x] for x in ids if x != pad]
+        return reduce(ctor, parts) if parts else empty
 
-    def render(row) -> RuleInstance:
-        rule, indices, elements, premise, conclusion = row
+    def render(row: list[int]) -> RuleInstance:
         return RuleInstance(
-            rule, tuple(Q[i] for i in indices), elements, side(*premise), side(*conclusion)
+            _RULES[row[_RULE]],
+            tuple(Q[i] for i in row[_INDICES] if i >= 0),
+            tuple(a for a in row[_ELEMENTS] if a >= 0),
+            side(*row[_PREMISE]),
+            side(*row[_CONCLUSION]),
         )
 
     return render
@@ -400,13 +441,11 @@ def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
     """All instances of L1..L6 with thresholds on the resolution-k chain and
     subjects in D, side conditions enforced before generation.
 
-    The rows of ``_rule_rows`` rendered as objects: the atoms GE(i/k, a) and
+    The rows of ``_rule_table`` rendered as objects: the atoms GE(i/k, a) and
     LT(i/k, a) are built once per call and shared by every instance that
     mentions them.
     """
-    render = _instance_renderer(D, k)
-    for row in _rule_rows(D, k):
-        yield render(row)
+    return map(_instance_renderer(D, k), _rule_table(D, k).tolist())
 
 
 @dataclass(frozen=True)
@@ -422,41 +461,59 @@ class SoundnessReport:
         return sum(self.instance_counts.values())
 
 
-def _side_bits(side: tuple, bits: list[int], full: int) -> int:
-    connective, ids = side
-    if connective is PLAnd:
-        acc = full
-        for x in ids:
-            acc &= bits[x]
-    else:
-        acc = 0
-        for x in ids:
-            acc |= bits[x]
-    return acc
+def _refuted(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``premise & ~conclusion`` of every row of the rule table, packed like
+    ``rows``: bit i of row r says the i-th measure refutes rule row r.
+
+    Each side is a possibly negated conjunction of two literal rows, the
+    atom rows and their complements: a disjunctive premise is ~(~x & ~y),
+    a disjunctive conclusion negates to ~x & ~y and a conjunctive one to
+    ~(x & y).  The padding bits end up 0 in the premise and 1 in the
+    negated conclusion, so 0 in the result.
+    """
+    literals = np.concatenate((rows, ~rows))
+
+    def conjunction(side: np.ndarray, negated: int) -> np.ndarray:
+        shift = len(rows) * (side[:, 0] == _OR)
+        out = literals[side[:, 1] + shift]
+        out &= literals[side[:, 2] + shift]
+        flip = side[:, 0] == negated
+        if flip.any():
+            out[flip] = ~out[flip]
+        return out
+
+    bad = conjunction(table[:, _PREMISE], _OR)
+    bad &= conjunction(table[:, _CONCLUSION], _AND)
+    return bad
 
 
 def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     """Check premise-entails-conclusion for every rule instance over every
     grid measure.  The expected failure list is empty.
 
-    Each row of ``_rule_rows`` is decided on the bitsets of its grid atoms
-    over the grid measures' rank tuples; a ``RuleInstance`` is built only for
-    a failing row.
+    Every row of ``_rule_table`` is decided at once: each side gathers the
+    packed rows of its two atom ids over the M grid measures and folds them
+    with its connective, and ``premise & ~conclusion`` marks the measures
+    refuting the row.  Each gathered table holds rows x ⌈M/8⌉ bytes and
+    three are live at the peak, beside the rule table's 96 bytes a row: on
+    chain(6) at k = 6, 17045 rows of 228 bytes, 3.9 MB a table and a peak
+    of about 13.4 MiB.  A ``RuleInstance`` is built only for a failing row;
+    its countermodel is the measure at the row's lowest set bit, the first
+    refuting measure in enumeration order.
     """
     measures = grid_measures(D, k)
-    atoms = _AtomBits(D, k, measures.ranks)
-    bits, full = atoms.grid_atoms(), atoms.full
-    counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
+    table = _rule_table(D, k)
+    rows = _AtomBits(D, k, measures.ranks).grid_rows()
+    bad = _refuted(rows, table)
+    counts = np.bincount(table[:, _RULE], minlength=len(_RULES)).tolist()
     failures: list[tuple[RuleInstance, Measure]] = []
-    render = None
-    for row in _rule_rows(D, k):
-        rule, _, _, premise, conclusion = row
-        counts[rule] += 1
-        bad = _side_bits(premise, bits, full) & ~_side_bits(conclusion, bits, full)
-        if bad:
-            render = render or _instance_renderer(D, k)
-            failures.append((render(row), measures[_lowest(bad)]))
-    return SoundnessReport(D, k, counts, tuple(failures), len(measures))
+    if bad.any():
+        render = _instance_renderer(D, k)
+        for r in np.flatnonzero(bad.any(axis=1)).tolist():
+            byte = int(np.flatnonzero(bad[r])[0])
+            first = 8 * byte + _lowest(int(bad[r, byte]))
+            failures.append((render(table[r].tolist()), measures[first]))
+    return SoundnessReport(D, k, dict(zip(_RULES, counts)), tuple(failures), len(measures))
 
 
 # -- filter presentations -------------------------------------------------------------

@@ -168,6 +168,64 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
 # -- reference oracles for the rank kernel and the rule instances -------------------
 
 
+def reference_covers(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Lower and upper covers of every element by the cubic scan: i < j is
+    covered by j when no third element lies strictly between them."""
+    lower, upper = [], []
+    for j in range(L.n):
+        below = [i for i in range(L.n) if i != j and L.leq(i, j)]
+        above = [i for i in range(L.n) if i != j and L.leq(j, i)]
+        lower.append(tuple(
+            i for i in below if not any(i != m != j and L.leq(i, m) for m in below)
+        ))
+        upper.append(tuple(
+            i for i in above if not any(i != m != j and L.leq(m, i) for m in above)
+        ))
+    return lower, upper
+
+
+def reference_grid_ranks(D: FiniteLattice, k: int) -> list[tuple[int, ...]]:
+    """The rank tuples of the grid measures by a depth-first search over
+    the elements in index order, each element's rank ranging over what its
+    placed neighbours leave (bottom pinned to 0 and top to 2k when met), an
+    incomparable pair tested once its highest-index member of the pair,
+    meet and join is placed."""
+    n, top = D.n, 2 * k
+    below = [[d for d in range(e) if D.leq(d, e)] for e in range(n)]
+    above = [[d for d in range(e) if D.leq(e, d)] for e in range(n)]
+    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if not (D.leq(a, b) or D.leq(b, a)):
+                quad = (a, b, D.meet(a, b), D.join(a, b))
+                pairs[max(quad)].append(quad)
+    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
+    r = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(e: int) -> None:
+        if e == n:
+            found.append(tuple(r))
+            return
+        lo = max([r[d] for d in below[e]], default=0)
+        hi = min([r[d] for d in above[e]], default=top)
+        if e == D.bottom:
+            hi = min(hi, 0)
+        if e == D.top:
+            lo = max(lo, top)
+        for v in range(lo, hi + 1):
+            r[e] = v
+            for a, b, m, j in pairs[e]:
+                x, y, meet, join = r[a], r[b], r[m], r[j]
+                if miss(x, meet) > mip(join, y) or mip(x, meet) < miss(join, y):
+                    break
+            else:
+                extend(e + 1)
+
+    extend(0)
+    return found
+
+
 def reference_validate_measure(mu: Measure) -> list[MeasureViolation]:
     """The measure axioms checked with ``GammaValue`` comparisons and the
     ``Fraction``-based ``gamma.mip``/``gamma.miss``; same violations in the

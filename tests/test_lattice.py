@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import small_lattice_corpus
+from conftest import reference_covers, small_lattice_corpus
 from stonepair.errors import DomainError, LatticeError, ParseError
 from stonepair.lattice import (
     FiniteLattice,
@@ -94,6 +94,27 @@ class TestIrreducibles:
         L = chain_lattice(4)
         assert L.join_irreducibles() == tuple(range(1, 6))
         assert L.meet_irreducibles() == tuple(range(0, 5))
+
+    def test_covers_against_the_cubic_scan(self):
+        lattices = [chain(n) for n in (1, 2, 3, 7, 24)]
+        lattices += [boolean_algebra(3), boolean_algebra(6), diamond_m3()]
+        lattices += [product_lattice(chain(2), chain(3)), product_lattice(chain(3), chain(4))]
+        lattices += [
+            from_subsets([frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 2}),
+                          frozenset({0, 1, 2})]),
+            from_subsets([frozenset(s) for s in ((), (1,), (2,), (1, 2), (1, 2, 3), (4,), (1, 4))]),
+        ]
+        for L in lattices:
+            lower, upper = reference_covers(L)
+            assert list(L._lower_covers) == lower, L
+            assert list(L._upper_covers) == upper, L
+
+    def test_irreducibles_are_computed_once(self):
+        L = boolean_algebra(3)
+        assert L.join_irreducibles() is L.join_irreducibles()
+        assert L.meet_irreducibles() is L.meet_irreducibles()
+        assert L.join_irreducibles() == (1, 2, 4)
+        assert L.meet_irreducibles() == (3, 5, 6)
 
     def test_every_element_join_of_irreducibles(self):
         for L in small_lattice_corpus():

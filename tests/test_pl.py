@@ -1,15 +1,18 @@
 """Threshold-logic semantics, grid entailment, rule soundness, filters."""
 
 import functools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     reference_grid_measures,
+    reference_grid_ranks,
     reference_rule_instances,
     reference_validate_measure,
 )
@@ -17,7 +20,7 @@ from stonepair import fo, gamma, pl
 from stonepair.errors import DomainError, ParseError, PresentationError, SizeError
 from stonepair.fo import gen_example_structure, maximal_not_maximum
 from stonepair.gamma import ZERO, ONE, iota_exact, parse_gamma
-from stonepair.lattice import boolean_algebra, chain, product_lattice
+from stonepair.lattice import FiniteLattice, boolean_algebra, chain, parse_lattice, product_lattice
 from stonepair.measure import Measure
 from stonepair.pl import (
     GE,
@@ -44,6 +47,13 @@ B4 = boolean_algebra(2)
 C3 = chain(3, ["0", "d", "1"])
 C4 = chain(4)
 P23 = product_lattice(chain(2), chain(3))
+# B4 with the top listed first and the bottom last
+TOP_FIRST = parse_lattice("elements: top, a, b, bot\norder: bot<=a, bot<=b, a<=top, b<=top\n")
+# 2x3 listed from the top down: the meet of an incomparable pair can come
+# after both members, so the pair is tested when the meet is placed
+P23_TOP_DOWN = FiniteLattice(
+    P23.labels[::-1], [(5 - i, 5 - j) for i in range(6) for j in range(6) if P23.leq(i, j)]
+)
 A_IDX, B_IDX = B4.index_of("a"), B4.index_of("b")
 
 
@@ -136,7 +146,26 @@ class TestGridMeasures:
     def test_ranks_are_the_values_on_the_grid(self):
         for D, k in ((C3, 2), (B4, 3), (P23, 2), (chain(1), 2)):
             ms = grid_measures(D, k)
-            assert ms.ranks == [tuple(gamma.rank(x, k) for x in mu.values) for mu in ms]
+            assert ms.ranks.tolist() == [[gamma.rank(x, k) for x in mu.values] for mu in ms]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_ranks_against_the_recursive_search(self, k):
+        lattices = [chain(n) for n in range(1, 7)] + [B4, P23, TOP_FIRST, P23_TOP_DOWN]
+        for D in lattices:
+            ranks = grid_measures(D, k).ranks
+            assert ranks.dtype == np.int64 and ranks.shape == (ranks.shape[0], D.n)
+            assert ranks.tolist() == [list(r) for r in reference_grid_ranks(D, k)], D
+
+    def test_one_element_lattice_has_no_measure(self):
+        # its bottom is its top: no value is both 0 and 1
+        D = chain(1)
+        for k in (1, 6):
+            assert len(grid_measures(D, k)) == 0
+            assert grid_measures(D, k).ranks.shape == (0, 1)
+        r = entails_grid(GE(F(1, 2), 0), PL_FALSE, D, 3)
+        assert (r.holds, r.countermodel, r.measures_checked) == (True, None, 0)
+        report = check_soundness_grid(D, 3)
+        assert (report.failures, report.measures_checked) == ((), 0)
 
     def test_checks_enumerate_through_grid_measures(self, monkeypatch):
         # a wrapper around the public enumeration sees every measure that
@@ -242,6 +271,22 @@ class TestSoundness:
         # same order, params, elements, premises and conclusions
         assert list(rule_instances(D, k)) == list(reference_rule_instances(D, k))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_against_reference_instances_top_first(self, k):
+        assert list(rule_instances(TOP_FIRST, k)) == list(reference_rule_instances(TOP_FIRST, k))
+
+    def test_soundness_memory_ceiling(self):
+        # the packed gathers hold rows x ceil(M/8) bytes each: 17045 rows of
+        # 228 bytes on chain(6) at k = 6
+        tracemalloc.start()
+        try:
+            report = check_soundness_grid(chain(6), 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.failures
+        assert peak < 16 * 2**20
+
     def test_atoms_are_shared(self):
         atoms = {}  # holding each atom keeps the ids distinct
         for inst in rule_instances(B4, 4):
@@ -297,8 +342,10 @@ class TestAgainstPerMeasureLoop:
     @pytest.mark.parametrize("D, k", DIFF_CASES)
     def test_soundness_with_unsound_instances(self, D, k, monkeypatch):
         # the rules plus unsound variants, so the failure path is compared too;
-        # soundness decides the index rows that rule_instances renders, so the
-        # variants are injected as rows and must render as the swapped instances
+        # soundness decides the rows of the rule table that rule_instances
+        # renders, so the variants are injected as table rows, each right after
+        # its original, and must render as the swapped instances; a swapped L6
+        # has an OR premise and an AND conclusion
         expected = []
         for inst in rule_instances(D, k):
             expected.append(inst)
@@ -307,18 +354,23 @@ class TestAgainstPerMeasureLoop:
                 expected.append(RuleInstance("L1", (q, p), inst.elements, inst.conclusion, inst.premise))
             if inst.rule == "L6":
                 expected.append(RuleInstance("L6", inst.params, inst.elements, inst.conclusion, inst.premise))
-        rows = pl._rule_rows
+        table = pl._rule_table
 
         def with_variants(D, k):
-            for row in rows(D, k):
-                yield row
-                rule, indices, elements, premise, conclusion = row
-                if rule == "L1" and indices[0] < indices[1]:
-                    yield rule, indices[::-1], elements, conclusion, premise
+            rows = []
+            for row in table(D, k):
+                rows.append(row)
+                rule, (i, j, _) = pl._RULES[row[pl._RULE]], row[pl._INDICES]
+                swapped = row.copy()
+                swapped[pl._PREMISE], swapped[pl._CONCLUSION] = row[pl._CONCLUSION], row[pl._PREMISE]
+                if rule == "L1" and i < j:
+                    swapped[pl._INDICES] = j, i, -1
+                    rows.append(swapped)
                 if rule == "L6":
-                    yield rule, indices, elements, conclusion, premise
+                    rows.append(swapped)
+            return np.array(rows)
 
-        monkeypatch.setattr(pl, "_rule_rows", with_variants)
+        monkeypatch.setattr(pl, "_rule_table", with_variants)
         assert list(rule_instances(D, k)) == expected
         measures = reference_measures(D, k)
         counts: dict[str, int] = {f"L{i}": 0 for i in range(1, 7)}
