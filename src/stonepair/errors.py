@@ -10,13 +10,22 @@ class DomainError(Error):
 
 
 class ParseError(Error):
-    """Malformed textual input.  Carries a 1-based position when known."""
+    """Malformed textual input.  Carries a 1-based position when known, and
+    the 0-based character offset when built by ``at``."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 offset: int | None = None):
         self.message = message
         self.line = line
         self.column = column
+        self.offset = offset
         super().__init__(message, line, column)
+
+    @classmethod
+    def at(cls, message: str, text: str, offset: int) -> "ParseError":
+        """The error at character ``offset`` of ``text``, by line and column."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - text.rfind("\n", 0, offset), offset)
 
     def __str__(self) -> str:
         if self.line is not None and self.column is not None:

@@ -435,8 +435,7 @@ _KEYWORDS = {"forall", "exists", "true", "false"}
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
+    at: int  # offset of the token's first character
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -449,19 +448,14 @@ def _tokenize(text: str) -> list[_Token]:
             if not stripped:
                 break
             bad_at = len(text) - len(stripped)
-            line = text.count("\n", 0, bad_at) + 1
-            column = bad_at - (text.rfind("\n", 0, bad_at) + 1) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, column)
-        start = m.start(m.lastgroup)
-        line = text.count("\n", 0, start) + 1
-        column = start - (text.rfind("\n", 0, start) + 1) + 1
+            raise ParseError.at(f"unexpected character {stripped[0]!r}", text, bad_at)
         value = m.group(m.lastgroup)
         kind = m.lastgroup
         if kind == "ident" and value in _KEYWORDS:
             kind = value
-        tokens.append(_Token(kind, value, line, column))
+        tokens.append(_Token(kind, value, m.start(m.lastgroup)))
         pos = m.end()
-    tokens.append(_Token("end", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -478,18 +472,21 @@ _BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
 _PREFIX_POWER = 4
 
 
-def _nested(tok: _Token, levels: int) -> int:
-    """``levels``, or a ``ParseError`` at ``tok`` when past ``MAX_NESTING``."""
-    if levels > MAX_NESTING:
-        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
-    return levels
-
-
 class _FormulaParser:
     def __init__(self, text: str, signature: Signature):
+        self.text = text
         self.tokens = _tokenize(text)
         self.signature = signature
         self.pos = 0
+
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError.at(message, self.text, tok.at)
+
+    def nested(self, tok: _Token, levels: int) -> int:
+        """``levels``, or a ``ParseError`` at ``tok`` when past ``MAX_NESTING``."""
+        if levels > MAX_NESTING:
+            raise self.error(f"formula nests deeper than {MAX_NESTING} levels", tok)
+        return levels
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -499,13 +496,17 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
+    def expect_punct(self, text: str, message: str) -> None:
+        tok = self.peek()
+        if tok.kind != "punct" or tok.text != text:
+            raise self.error(message, tok)
+        self.advance()
+
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}",
-                tok.line,
-                tok.column,
+            raise self.error(
+                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}", tok
             )
         return self.advance()
 
@@ -513,7 +514,7 @@ class _FormulaParser:
         phi, _ = self.formula(0, 0)
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"unexpected {tok.text!r}", tok)
         return phi
 
     def formula(self, power: int, depth: int) -> tuple[Formula, int]:
@@ -524,25 +525,19 @@ class _FormulaParser:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "!":
             self.advance()
-            body, height = self.formula(_PREFIX_POWER, _nested(tok, depth + 1))
-            left, height = Not(body), _nested(tok, height + 1)
+            body, height = self.formula(_PREFIX_POWER, self.nested(tok, depth + 1))
+            left, height = Not(body), self.nested(tok, height + 1)
         elif tok.kind in ("forall", "exists"):
             self.advance()
             var = self.expect("ident", "a variable name")
-            dot = self.peek()
-            if dot.kind != "punct" or dot.text != ".":
-                raise ParseError("expected '.' after quantified variable", dot.line, dot.column)
-            self.advance()
-            body, height = self.formula(0, _nested(tok, depth + 1))  # maximal right scope
+            self.expect_punct(".", "expected '.' after quantified variable")
+            body, height = self.formula(0, self.nested(tok, depth + 1))  # maximal right scope
             ctor = Forall if tok.kind == "forall" else Exists
-            left, height = ctor(var.text, body), _nested(tok, height + 1)
+            left, height = ctor(var.text, body), self.nested(tok, height + 1)
         elif tok.kind == "punct" and tok.text == "(":
             self.advance()
-            left, height = self.formula(0, _nested(tok, depth + 1))
-            closing = self.peek()
-            if closing.kind != "punct" or closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
-            self.advance()
+            left, height = self.formula(0, self.nested(tok, depth + 1))
+            self.expect_punct(")", "expected ')'")
         else:
             left, height = self.atom(), 0
         while True:
@@ -553,8 +548,8 @@ class _FormulaParser:
             self.advance()
             # '->' is right-associative, '|' and '&' left-associative
             right_power = op_power if ctor is Implies else op_power + 1
-            right, right_height = self.formula(right_power, _nested(op, depth + 1))
-            left, height = ctor(left, right), _nested(op, max(height, right_height) + 1)
+            right, right_height = self.formula(right_power, self.nested(op, depth + 1))
+            left, height = ctor(left, right), self.nested(op, max(height, right_height) + 1)
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -573,31 +568,22 @@ class _FormulaParser:
                 while self.peek().kind == "punct" and self.peek().text == ",":
                     self.advance()
                     args.append(self.expect("ident", "a variable name").text)
-                closing = self.peek()
-                if closing.kind != "punct" or closing.text != ")":
-                    raise ParseError("expected ')'", closing.line, closing.column)
-                self.advance()
+                self.expect_punct(")", "expected ')'")
                 if not self.signature.has(name.text):
-                    raise ParseError(f"unknown relation {name.text!r}", name.line, name.column)
+                    raise self.error(f"unknown relation {name.text!r}", name)
                 arity = self.signature.arity(name.text)
                 if len(args) != arity:
-                    raise ParseError(
-                        f"relation {name.text} expects {arity} arguments, got {len(args)}",
-                        name.line,
-                        name.column,
+                    raise self.error(
+                        f"relation {name.text} expects {arity} arguments, got {len(args)}", name
                     )
                 return Atom(name.text, tuple(args))
             if nxt.kind == "punct" and nxt.text == "=":
                 self.advance()
                 rhs = self.expect("ident", "a variable name")
                 return Eq(name.text, rhs.text)
-            raise ParseError(
-                f"expected '(' or '=' after {name.text!r}", nxt.line, nxt.column
-            )
-        raise ParseError(
-            f"expected a formula, found {tok.text!r}" if tok.text else "expected a formula",
-            tok.line,
-            tok.column,
+            raise self.error(f"expected '(' or '=' after {name.text!r}", nxt)
+        raise self.error(
+            f"expected a formula, found {tok.text!r}" if tok.text else "expected a formula", tok
         )
 
 
@@ -654,6 +640,14 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
 # not exceed it.  2**29 admits width 3 up to |A| = 812 and width 4 up to
 # |A| = 152; larger work raises ``SizeError`` before anything is allocated.
 MAX_TENSOR_CELLS = 2**29
+
+
+def check_bytes(step: str, nbytes: int) -> None:
+    """Refuse ``step`` with ``SizeError`` before it allocates ``nbytes`` bytes
+    past ``MAX_TENSOR_CELLS`` read as bytes, the one memory budget."""
+    if nbytes > MAX_TENSOR_CELLS:
+        raise SizeError(f"{step} would take {nbytes} bytes; the guard is {MAX_TENSOR_CELLS}")
+
 
 PLAN_CACHE_SIZE = 4096
 
@@ -936,7 +930,7 @@ def parse_structure(text: str) -> FiniteStructure:
             if size is not None:
                 raise ParseError("duplicate universe line", line=lineno, column=1)
             body = line[len("universe:"):].strip()
-            if not body.isdigit():
+            if not body.isdecimal():
                 raise ParseError("universe must be a nonnegative integer", line=lineno, column=1)
             size = int(body)
             universe_line = lineno

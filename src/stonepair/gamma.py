@@ -26,9 +26,10 @@ Inside one computation the same arithmetic runs on integers.  Put every
 value on a common denominator D and encode ``q^o`` as the *rank* 2qD and
 ``r^-`` as 2rD - 1: the Gamma order becomes integer order, even ranks are
 exact points and odd ranks approximations, and the subtractions become
-integer expressions (``mip_of_ranks``, ``miss_of_ranks``).  They do not
-check their domain y <= x; they are branch-free and apply elementwise to
-numpy arrays, for kernels whose ranks already lie in the domain.  On D = k
+integer expressions (``mip_of_ranks``, ``miss_of_ranks``, and on them a
+measure's additivity test, ``additivity_of_ranks``).  They do not check
+their domain y <= x; they are branch-free and apply elementwise to numpy
+arrays, for kernels whose ranks already lie in the domain.  On D = k
 the ranks 0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue``
 and ``mip``/``miss``/``plus`` stay the public types and the reference the
 rank kernel is tested against.
@@ -159,6 +160,12 @@ def rank(x: GammaValue, denom: int) -> int:
     return 2 * x.value.numerator * scale - (not x.exact)
 
 
+def point_of_rank(r: int, denom: int) -> GammaValue:
+    """The value of rank ``r`` on the denominator ``denom``, inverse to
+    ``rank``: (r/2D)^o for even r, ((r + 1)/2D)^- for odd r."""
+    return GammaValue(Fraction((r + 1) // 2, denom), r % 2 == 0)
+
+
 def mip_of_ranks(x, y):
     """``mip`` on ranks y <= x, without the domain check.
 
@@ -172,6 +179,16 @@ def miss_of_ranks(x, y):
     """``miss`` on ranks y <= x, without the domain check; branch-free like
     ``mip_of_ranks``, the diagonal case as the factor ``(x != y)``."""
     return (x != y) * (x - y - 1 + (x & ~y & 1))
+
+
+def additivity_of_ranks(x, y, meet, join):
+    """The (left, right) failure masks of a measure's additivity on the
+    ranks of a, b, a ^ b and a v b; branch-free like ``mip_of_ranks``,
+    meaningful where meet <= x and y <= join."""
+    return (
+        miss_of_ranks(x, meet) > mip_of_ranks(join, y),
+        mip_of_ranks(x, meet) < miss_of_ranks(join, y),
+    )
 
 
 def gamma_collapse(x: GammaValue) -> Fraction:
@@ -218,7 +235,7 @@ def parse_gamma(text: str) -> GammaValue:
 
     def read_digits(j: int, what: str) -> tuple[int, int]:
         start = j
-        while j < n and text[j].isdigit():
+        while j < n and text[j].isdecimal():
             j += 1
         if j == start:
             raise ParseError(f"expected {what}", column=j + 1)
@@ -261,12 +278,8 @@ class GammaGrid:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError("grid resolution must be positive")
-        pts: list[GammaValue] = [ZERO]
-        for a in range(1, self.k + 1):
-            q = Fraction(a, self.k)
-            pts.append(GammaValue(q, False))
-            pts.append(GammaValue(q, True))
-        object.__setattr__(self, "points", tuple(pts))
+        points = tuple(point_of_rank(r, self.k) for r in range(2 * self.k + 1))
+        object.__setattr__(self, "points", points)
 
     def __iter__(self):
         return iter(self.points)

@@ -111,10 +111,8 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
     monotone = np.argwhere(leq & (x > y)).tolist()
     out.extend(MeasureViolation("monotone", a, b) for a, b in monotone)
     lo, hi = r[meets], r[joins]
-    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
     defined = (lo <= x) & (y <= hi)
-    left = defined & (miss(x, lo) > mip(hi, y))
-    right = defined & (mip(x, lo) < miss(hi, y))
+    left, right = (defined & side for side in gamma.additivity_of_ranks(x, y, lo, hi))
     # [a, b, side] in row-major order: pair by pair, left before right
     additivity = np.argwhere(np.stack((left, right), axis=-1)).tolist()
     out.extend(MeasureViolation(_ADDITIVITY[side], a, b) for a, b, side in additivity)
@@ -143,6 +141,15 @@ def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
     return out
 
 
+def _checked(m, validate, what: str):
+    """``m`` once ``validate`` passes it; a failure is a bug in ``what``,
+    raised as ``InternalInvariantError``."""
+    bad = validate(m)
+    if bad:
+        raise InternalInvariantError(f"{what} produced a non-measure: {bad[0].render(m.lattice)}")
+    return m
+
+
 def pushforward(mu: Measure, h: LatticeHom) -> Measure:
     """Precompose a measure on the target lattice with a homomorphism.
 
@@ -152,34 +159,19 @@ def pushforward(mu: Measure, h: LatticeHom) -> Measure:
     if h.target is not mu.lattice:
         raise DomainError("homomorphism target does not match the measure's lattice")
     nu = Measure(h.source, tuple(mu(h(a)) for a in range(h.source.n)))
-    bad = validate_measure(nu)
-    if bad:
-        raise InternalInvariantError(
-            f"pushforward produced a non-measure: {bad[0].render(h.source)}"
-        )
-    return nu
+    return _checked(nu, validate_measure, "pushforward")
 
 
 def collapse_measure(mu: Measure) -> ClassicalMeasure:
     """Forget tags pointwise; the result satisfies the classical axioms."""
     m = ClassicalMeasure(mu.lattice, tuple(gamma.gamma_collapse(v) for v in mu.values))
-    bad = validate_classical_measure(m)
-    if bad:
-        raise InternalInvariantError(
-            f"collapse produced a non-measure: {bad[0].render(mu.lattice)}"
-        )
-    return m
+    return _checked(m, validate_classical_measure, "collapse")
 
 
 def lift_measure(m: ClassicalMeasure) -> Measure:
     """Tag values exact pointwise; the result satisfies the tagged axioms."""
     mu = Measure(m.lattice, tuple(gamma.iota_exact(v) for v in m.values))
-    bad = validate_measure(mu)
-    if bad:
-        raise InternalInvariantError(
-            f"lift produced a non-measure: {bad[0].render(m.lattice)}"
-        )
-    return mu
+    return _checked(mu, validate_measure, "lift")
 
 
 # -- finitely supported functions and integration ---------------------------------
@@ -255,12 +247,7 @@ def integration_measure(
                 raise DomainError("algebra not closed under union")
     L = from_subsets(sets)
     mu = Measure(L, tuple(integrate(f, S) for S in sets))
-    bad = validate_measure(mu)
-    if bad:
-        raise InternalInvariantError(
-            f"integration produced a non-measure: {bad[0].render(L)}"
-        )
-    return L, mu
+    return L, _checked(mu, validate_measure, "integration")
 
 
 # -- measure file format -----------------------------------------------------------

@@ -22,27 +22,31 @@ whose values live on a resolution-k grid of the doubled interval.  A grid
 countermodel refutes an entailment outright; "holds on the grid" is evidence,
 not a validity claim, so reports always carry the lattice and grid they were
 computed on.
+
+The grid measures are one int64 rank table, viewed by ``grid_measures``;
+every threshold atom is read from one packed table of rows "rank at a >=
+v" (``_atom_rows``), which entailment folds and soundness gathers, and
+objects are built only for reported countermodels.  Each array of this
+work is checked against the one memory budget (``fo.check_bytes``) before
+it is allocated, so oversized work is a ``SizeError``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterator
+from functools import cache, reduce
 
 import numpy as np
 
-from . import gamma
-from .errors import DomainError, ParseError, PresentationError, SizeError
+from . import fo, gamma
+from .errors import DomainError, ParseError, PresentationError
 from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
-from .gamma import GammaGrid, grid_rationals
+from .gamma import GammaValue, grid_rationals
 from .lattice import FiniteLattice
 from .measure import Measure, validate_measure
 from .pairing import stone_pairing
-
-MAX_LATTICE = 6
-MAX_GRID = 6
 
 
 class PLFormula:
@@ -59,8 +63,9 @@ PL_FALSE = PLConst(False)
 
 
 @dataclass(frozen=True)
-class GE(PLFormula):
-    """The measure of ``subject`` is at least ``threshold`` tagged exact."""
+class _Threshold(PLFormula):
+    """An atom comparing the measure of ``subject`` with ``threshold``
+    tagged exact; ``GE`` and ``LT`` are its two kinds."""
 
     threshold: Fraction
     subject: object  # lattice element index or first-order Formula
@@ -71,19 +76,20 @@ class GE(PLFormula):
             raise DomainError(f"threshold {t} outside [0, 1]")
         object.__setattr__(self, "threshold", t)
 
+    def holds_at(self, value: GammaValue) -> bool:
+        """Whether a subject measuring ``value`` satisfies the atom."""
+        at_least = value >= gamma.iota_exact(self.threshold)
+        return at_least if isinstance(self, GE) else not at_least
+
 
 @dataclass(frozen=True)
-class LT(PLFormula):
+class GE(_Threshold):
+    """The measure of ``subject`` is at least ``threshold`` tagged exact."""
+
+
+@dataclass(frozen=True)
+class LT(_Threshold):
     """The measure of ``subject`` is strictly below ``threshold`` tagged exact."""
-
-    threshold: Fraction
-    subject: object
-
-    def __post_init__(self) -> None:
-        t = Fraction(self.threshold)
-        if not 0 <= t <= 1:
-            raise DomainError(f"threshold {t} outside [0, 1]")
-        object.__setattr__(self, "threshold", t)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ def _eval(phi: PLFormula, atom_value) -> bool:
     match phi:
         case PLConst(value):
             return value
-        case GE(_, _) | LT(_, _):
+        case _Threshold():
             return atom_value(phi)
         case PLNot(body):
             return not _eval(body, atom_value)
@@ -127,51 +133,22 @@ def _check_subject(atom, D: FiniteLattice) -> int:
 
 def eval_pl_measure(mu: Measure, phi: PLFormula) -> bool:
     """Evaluate against a measure; atoms compare mu(a) with the threshold."""
-
-    def atom_value(atom) -> bool:
-        a = _check_subject(atom, mu.lattice)
-        bound = gamma.iota_exact(atom.threshold)
-        if isinstance(atom, GE):
-            return mu(a) >= bound
-        return mu(a) < bound
-
-    return _eval(phi, atom_value)
+    return _eval(phi, lambda atom: atom.holds_at(mu(_check_subject(atom, mu.lattice))))
 
 
 def eval_pl_structure(A: FiniteStructure, phi: PLFormula) -> bool:
     """Evaluate against a finite structure; atoms pair their formula with A."""
 
-    def atom_value(atom) -> bool:
+    def atom_value(atom: _Threshold) -> bool:
         subject = atom.subject
         if not isinstance(subject, Formula):
             raise DomainError(f"atom subject {subject!r} is not a formula")
-        value = stone_pairing(A, subject).gamma
-        bound = gamma.iota_exact(atom.threshold)
-        if isinstance(atom, GE):
-            return value >= bound
-        return value < bound
+        return atom.holds_at(stone_pairing(A, subject).gamma)
 
     return _eval(phi, atom_value)
 
 
 # -- grid semantics ----------------------------------------------------------------
-
-
-def _guard(D: FiniteLattice, k: int) -> None:
-    if D.n > MAX_LATTICE:
-        raise SizeError(f"lattice has {D.n} elements; the guard is {MAX_LATTICE}")
-    if k > MAX_GRID:
-        raise SizeError(f"grid resolution {k} exceeds the guard {MAX_GRID}")
-    if k < 1:
-        raise DomainError("grid resolution must be positive")
-
-
-class _GridMeasures(list):
-    """The list ``grid_measures`` returns; ``ranks`` is the int64 table of
-    the measures' values as ranks 0..2k on the denominator k, one row per
-    measure in list order, for the bitset kernels."""
-
-    ranks: np.ndarray
 
 
 def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
@@ -183,6 +160,8 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
     (each row's children contiguous and ascending, so the rows stay in
     lexicographic order), then the rows failing an incomparable pair whose
     last free member this is are dropped, all pairs of the level at once.
+    Each level, with the four rank gathers of the pairs it tests, is checked
+    against the memory budget before it is built.
     """
     n, top = D.n, 2 * k
     ends = (D.bottom, D.top)
@@ -198,22 +177,38 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
     R = np.zeros((1, n), dtype=np.int64)
     R[0, D.top] = top
     placed = list(ends)
-    mip, miss = gamma.mip_of_ranks, gamma.miss_of_ranks
     for e in free:
         lo = R[:, [d for d in placed if D.leq(d, e)]].max(axis=1)
         hi = R[:, [d for d in placed if D.leq(e, d)]].min(axis=1)
         counts = hi - lo + 1  # positive: placed comparable pairs are monotone
+        fo.check_bytes("the grid search", int(counts.sum()) * (n + 4 * len(tests[e])) * 8)
         R = R.repeat(counts, axis=0)
         R[:, e] = np.arange(len(R)) - np.repeat(counts.cumsum() - counts - lo, counts)
         placed.append(e)
         if tests[e] and len(R):
-            x, y, meet, join = (R[:, list(col)] for col in zip(*tests[e]))
-            bad = (miss(x, meet) > mip(join, y)) | (mip(x, meet) < miss(join, y))
-            R = R[~bad.any(axis=1)]
+            left, right = gamma.additivity_of_ranks(*(R[:, list(col)] for col in zip(*tests[e])))
+            R = R[~(left | right).any(axis=1)]
     return R
 
 
-def grid_measures(D: FiniteLattice, k: int) -> _GridMeasures:
+class GridMeasures(Sequence):
+    """A read-only sequence over a rank table, one int64 row of ranks 0..2k
+    per grid measure (``ranks``); indexing and iteration build a ``Measure``
+    on demand, each grid point once per view."""
+
+    def __init__(self, D: FiniteLattice, k: int, ranks: np.ndarray):
+        ranks.flags.writeable = False
+        self.lattice, self.ranks = D, ranks
+        self._point = cache(lambda r: gamma.point_of_rank(r, k))
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i: int) -> Measure:
+        return Measure(self.lattice, tuple(map(self._point, self.ranks[i].tolist())))
+
+
+def grid_measures(D: FiniteLattice, k: int) -> GridMeasures:
     """All measures on D with values on the resolution-k grid.
 
     Enumerated in lexicographic order of the value tuple (elements in index
@@ -227,78 +222,71 @@ def grid_measures(D: FiniteLattice, k: int) -> _GridMeasures:
     incomparable pair are tested, in ranks on whole columns, as soon as its
     last free member is placed (the fixed endpoints count as placed), where
     the pair, its meet and its join all lie in the domains of ``mip`` and
-    ``miss``.  The survivors become ``Measure``s on the ``GammaGrid(k)``
-    points; the list keeps their rank table too, on which entailment and
-    soundness tabulate atoms.
+    ``miss``.  The result is a view of the final table that builds a
+    ``Measure`` only when asked.  The 2k + 1 int64 ranks and each level are
+    checked against the memory budget (``fo.check_bytes``) first.
     """
-    _guard(D, k)
+    if k < 1:
+        raise DomainError("grid resolution must be positive")
+    fo.check_bytes("the grid's ranks", 8 * (2 * k + 1))
     if D.bottom == D.top:
         ranks = np.empty((0, D.n), dtype=np.int64)
     else:
         ranks = _grid_ranks(D, k)
-    point = GammaGrid(k).points.__getitem__
-    measures = _GridMeasures(Measure(D, tuple(map(point, row))) for row in ranks.tolist())
-    measures.ranks = ranks
-    return measures
+    return GridMeasures(D, k, ranks)
 
 
-class _AtomBits:
-    """Threshold formulas as bitsets over the grid measures.
-
-    Bit i of a formula's bitset says whether the i-th measure satisfies it.
-    The per-element tables of the measures whose rank at the element is at
-    least each grid rank come from one comparison on the rank table, packed
-    little-endian: ``at_least[a][v]`` is an int for entailment, and
-    ``grid_rows`` the packed rows the soundness kernel gathers.
-    """
-
-    def __init__(self, D: FiniteLattice, k: int, ranks: np.ndarray):
-        self.lattice = D
-        self.k = k
-        self.full = (1 << len(ranks)) - 1
-        # table[a, v, i]: the rank of measure i at a is >= v
-        self.table = ranks.T[:, None, :] >= np.arange(2 * k + 1)[:, None]
-        packed = np.packbits(self.table, axis=-1, bitorder="little")
-        self.at_least = [
-            [int.from_bytes(row.tobytes(), "little") for row in rows] for rows in packed
-        ]
-
-    def __call__(self, phi: PLFormula) -> int:
-        match phi:  # atoms first: most nodes met are atoms
-            case GE() | LT():
-                a = _check_subject(phi, self.lattice)
-                # the least grid rank at or above the threshold tagged exact
-                c, rest = divmod(phi.threshold.numerator * self.k, phi.threshold.denominator)
-                return self._atom(type(phi), a, 2 * c + (rest != 0))
-            case PLAnd(l, r):
-                return self(l) & self(r)
-            case PLOr(l, r):
-                return self(l) | self(r)
-            case PLConst(value):
-                return self.full if value else 0
-            case PLNot(body):
-                return self.full ^ self(body)
-        raise DomainError(f"not a threshold-logic node: {phi!r}")
-
-    def _atom(self, kind: type, a: int, v: int) -> int:
-        """GE or LT at element a, the threshold at grid rank v."""
-        bits = self.at_least[a][v]
-        return bits ^ self.full if kind is LT else bits
-
-    def grid_rows(self) -> np.ndarray:
-        """The atoms GE(i/k, a) and LT(i/k, a) in the order of their ids in
-        ``_rule_table``, then an all-true and an all-false row, packed
-        little-endian into ``uint8`` rows of ⌈M/8⌉ bytes for M measures; the
-        padding bits are 0 in every row."""
-        ge = self.table[:, ::2]
-        n, g, m = ge.shape
-        rows = np.stack((ge, ~ge), axis=2).reshape(2 * n * g, m)
-        ends = np.array([[True], [False]]).repeat(rows.shape[1], axis=1)
-        return np.packbits(np.concatenate((rows, ends)), axis=1, bitorder="little")
+def _atom_rows(ranks: np.ndarray, k: int) -> np.ndarray:
+    """The one table both grid checks read their threshold atoms from: row
+    a (2k + 1) + v says which grid measures have rank at least v at element
+    a, and the last row is all true.  Bit i of a row is measure i, packed
+    little-endian into ⌈M/8⌉ bytes with padding bits 0.  GE atoms are rows,
+    LT atoms and false their complements."""
+    M, n = ranks.shape
+    levels = 2 * k + 1
+    fo.check_bytes("the atom table", (n * levels + 1) * M)
+    table = np.empty((n * levels + 1, M), dtype=bool)
+    at_least = table[:-1].reshape(n, levels, M)
+    np.greater_equal(ranks.T[:, None, :], np.arange(levels)[:, None], out=at_least)
+    table[-1] = True
+    return np.packbits(table, axis=1, bitorder="little")
 
 
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
+def _satisfying(phi: PLFormula, D: FiniteLattice, k: int, rows: np.ndarray) -> np.ndarray:
+    """The packed row of the grid measures satisfying ``phi``, one bit per
+    measure as in ``_atom_rows``; its padding bits are arbitrary.  Every
+    atom is checked against D, whatever the connectives."""
+    match phi:  # atoms first: most nodes met are atoms
+        case _Threshold():
+            a = _check_subject(phi, D)
+            # the least rank at or above the threshold tagged exact: 2c at
+            # the grid point c/k, 2c + 1 (an approximation) strictly after it
+            c, rest = divmod(phi.threshold.numerator * k, phi.threshold.denominator)
+            row = rows[a * (2 * k + 1) + 2 * c + (rest != 0)]
+            return ~row if isinstance(phi, LT) else row
+        case PLAnd(l, r):
+            return _satisfying(l, D, k, rows) & _satisfying(r, D, k, rows)
+        case PLOr(l, r):
+            return _satisfying(l, D, k, rows) | _satisfying(r, D, k, rows)
+        case PLConst(value):
+            return rows[-1] if value else ~rows[-1]
+        case PLNot(body):
+            return ~_satisfying(body, D, k, rows)
+    raise DomainError(f"not a threshold-logic node: {phi!r}")
+
+
+def _first_set(bits: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a packed bit table (bit i of a row is measure i) that have
+    a bit set below m, and the lowest such bit of each.  The padding bits
+    from m on, which a negation sets, are cleared first, in place."""
+    if m % 8:
+        bits[:, -1] &= (1 << m % 8) - 1
+    hit = np.flatnonzero(bits.any(axis=1))
+    if not len(hit):
+        return hit, hit
+    byte = (bits[hit] != 0).argmax(axis=1)
+    low = np.unpackbits(bits[hit, byte][:, None], axis=1, bitorder="little").argmax(axis=1)
+    return hit, 8 * byte + low
 
 
 @dataclass(frozen=True)
@@ -317,14 +305,16 @@ def entails_grid(
 
     Returns the first countermodel in enumeration order, if any.  The result
     is relative to the grid: countermodels are conclusive, "holds" is not.
-    Every atom of both sides is checked against D, whatever the connectives.
+    Both sides are evaluated on the packed rows of ``_atom_rows``, and the
+    countermodel is the lowest bit of ``lhs & ~rhs``, the only ``Measure``
+    built.
     """
     measures = grid_measures(D, k)
-    bits = _AtomBits(D, k, measures.ranks)
-    bad = bits(lhs) & ~bits(rhs)
-    if bad:
-        return EntailmentResult(False, measures[_lowest(bad)], D, k, len(measures))
-    return EntailmentResult(True, None, D, k, len(measures))
+    rows = _atom_rows(measures.ranks, k)
+    bad = _satisfying(lhs, D, k, rows) & ~_satisfying(rhs, D, k, rows)
+    _, first = _first_set(bad[None], len(measures))
+    countermodel = measures[first[0]] if len(first) else None
+    return EntailmentResult(countermodel is None, countermodel, D, k, len(measures))
 
 
 # -- rule instances and soundness ---------------------------------------------------
@@ -342,10 +332,10 @@ class RuleInstance:
 _RULES = ("L1", "L2", "L3", "L4", "L5", "L6")
 # Columns of the rule table: the rule's position in _RULES, three grid indices
 # and two elements (-1 pads both), and each side as a connective (_AND or
-# _OR) folded over two atom ids.  GE(i/k, a) has the id 2 (a (k + 1) + i) and
-# LT(i/k, a) the next one; after them come one id for an all-true and one for
-# an all-false row: a conjunction is padded with the first, a disjunction with
-# the second.
+# _OR) folded over two literal ids.  Literal 2r is row r of ``_atom_rows`` and
+# 2r + 1 its complement: GE(i/k, a) is 2 (a (2k + 1) + 2i) and LT(i/k, a) the
+# next one; the all-true row gives the last two ids, true and false.  A
+# conjunction is padded with true, a disjunction with false.
 _AND, _OR = 0, 1
 _RULE, _INDICES, _ELEMENTS = 0, slice(1, 4), slice(4, 6)
 _PREMISE, _CONCLUSION = slice(6, 9), slice(9, 12)
@@ -372,14 +362,20 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     off a boolean mask over its loop variables by ``np.nonzero``, whose C
     order is the loop order; L4 and L5 share one mask with a trailing axis
     of length 2.  Side conditions are enforced before generation: the L4/L5
-    condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.
+    condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.  The row count
+    has a closed form, checked against the memory budget first.
     """
     n, g = D.n, k + 1
-    true, false = 2 * n * g, 2 * n * g + 1
+    true, false = 2 * n * (2 * k + 1), 2 * n * (2 * k + 1) + 1
     leq, meet, join = D._order_arrays
+    # (i, j, l) with 0 <= i + j - l <= k: for s = i + j there are
+    # min(s, 2k - s) + 1 pairs (i, j), and as many l
+    triples = g * (g + 1) * (2 * g + 1) // 6 + k * g * (2 * k + 1) // 6
+    rows = n * g * (g + 1) // 2 + 2 * g + int(leq.sum()) * g + 2 * n * n * triples + 2 * n * g
+    fo.check_bytes("the rule table", rows * 12 * 8)
 
     def ge(a, i):
-        return 2 * (a * g + i)
+        return 2 * (a * (2 * k + 1) + 2 * i)
 
     a, j, i = np.nonzero(np.broadcast_to(np.tri(g, dtype=bool), (n, g, g)))
     L1 = _family(0, (i, j), (a,), (_AND, ge(a, j), true), (_OR, ge(a, i), false))
@@ -416,9 +412,12 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
 def _instance_renderer(D: FiniteLattice, k: int):
     """Turns ``_rule_table`` rows, as lists, into ``RuleInstance``s whose
     atoms are built once per renderer and shared."""
-    Q = grid_rationals(k)
-    atoms = [kind(Q[i], a) for a in range(D.n) for i in range(k + 1) for kind in (GE, LT)]
-    true, false = len(atoms), len(atoms) + 1
+    Q, levels = grid_rationals(k), 2 * k + 1
+    atoms = {
+        2 * (a * levels + 2 * i) + negated: kind(q, a)
+        for a in range(D.n) for i, q in enumerate(Q) for negated, kind in enumerate((GE, LT))
+    }
+    true, false = 2 * D.n * levels, 2 * D.n * levels + 1
 
     def side(connective: int, *ids: int) -> PLFormula:
         ctor, pad, empty = (PLAnd, true, PL_TRUE) if connective == _AND else (PLOr, false, PL_FALSE)
@@ -445,7 +444,8 @@ def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
     LT(i/k, a) are built once per call and shared by every instance that
     mentions them.
     """
-    return map(_instance_renderer(D, k), _rule_table(D, k).tolist())
+    table = _rule_table(D, k)  # checked against the budget before the atoms
+    return map(_instance_renderer(D, k), table.tolist())
 
 
 @dataclass(frozen=True)
@@ -462,24 +462,24 @@ class SoundnessReport:
 
 
 def _refuted(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``premise & ~conclusion`` of every row of the rule table, packed like
-    ``rows``: bit i of row r says the i-th measure refutes rule row r.
+    """``premise & ~conclusion`` of every row of the rule table over the
+    packed atom rows: bit i of row r says the i-th measure refutes rule row
+    r; the padding bits are arbitrary.
 
-    Each side is a possibly negated conjunction of two literal rows, the
-    atom rows and their complements: a disjunctive premise is ~(~x & ~y),
-    a disjunctive conclusion negates to ~x & ~y and a conjunctive one to
-    ~(x & y).  The padding bits end up 0 in the premise and 1 in the
-    negated conclusion, so 0 in the result.
+    Each side is a possibly negated conjunction of two literals: a
+    disjunctive premise is ~(~x & ~y), a disjunctive conclusion negates to
+    ~x & ~y and a conjunctive one to ~(x & y).  Complementing a literal
+    flips the low bit of its id.
     """
-    literals = np.concatenate((rows, ~rows))
+    literals = np.stack((rows, ~rows), axis=1).reshape(2 * len(rows), rows.shape[1])
 
     def conjunction(side: np.ndarray, negated: int) -> np.ndarray:
-        shift = len(rows) * (side[:, 0] == _OR)
-        out = literals[side[:, 1] + shift]
-        out &= literals[side[:, 2] + shift]
-        flip = side[:, 0] == negated
-        if flip.any():
-            out[flip] = ~out[flip]
+        flip = side[:, 0] == _OR
+        out = literals[side[:, 1] ^ flip]
+        out &= literals[side[:, 2] ^ flip]
+        negate = side[:, 0] == negated
+        if negate.any():
+            out[negate] = ~out[negate]
         return out
 
     bad = conjunction(table[:, _PREMISE], _OR)
@@ -492,27 +492,26 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     grid measure.  The expected failure list is empty.
 
     Every row of ``_rule_table`` is decided at once: each side gathers the
-    packed rows of its two atom ids over the M grid measures and folds them
-    with its connective, and ``premise & ~conclusion`` marks the measures
-    refuting the row.  Each gathered table holds rows x ⌈M/8⌉ bytes and
-    three are live at the peak, beside the rule table's 96 bytes a row: on
-    chain(6) at k = 6, 17045 rows of 228 bytes, 3.9 MB a table and a peak
-    of about 13.4 MiB.  A ``RuleInstance`` is built only for a failing row;
-    its countermodel is the measure at the row's lowest set bit, the first
-    refuting measure in enumeration order.
+    rows of its two literals from ``_atom_rows`` over the M grid measures
+    and folds them with its connective, and ``premise & ~conclusion`` marks
+    the measures refuting the row.  Each gathered table holds rows x ⌈M/8⌉
+    bytes and three are live at the peak; the three are checked together
+    against the memory budget before the atom table is built (on chain(6)
+    at k = 6, 17045 rows of 228 bytes, 3.9 MB a table).  A
+    ``RuleInstance`` is built only for a failing row; its countermodel is
+    the measure at the row's lowest set bit, the first refuting measure in
+    enumeration order.
     """
     measures = grid_measures(D, k)
     table = _rule_table(D, k)
-    rows = _AtomBits(D, k, measures.ranks).grid_rows()
-    bad = _refuted(rows, table)
-    counts = np.bincount(table[:, _RULE], minlength=len(_RULES)).tolist()
+    fo.check_bytes("the soundness gathers", 3 * len(table) * -(-len(measures) // 8))
+    hit, first = _first_set(_refuted(_atom_rows(measures.ranks, k), table), len(measures))
     failures: list[tuple[RuleInstance, Measure]] = []
-    if bad.any():
+    if len(hit):
         render = _instance_renderer(D, k)
-        for r in np.flatnonzero(bad.any(axis=1)).tolist():
-            byte = int(np.flatnonzero(bad[r])[0])
-            first = 8 * byte + _lowest(int(bad[r, byte]))
-            failures.append((render(table[r].tolist()), measures[first]))
+        for r, i in zip(hit.tolist(), first.tolist()):
+            failures.append((render(table[r].tolist()), measures[i]))
+    counts = np.bincount(table[:, _RULE], minlength=len(_RULES)).tolist()
     return SoundnessReport(D, k, dict(zip(_RULES, counts)), tuple(failures), len(measures))
 
 
@@ -602,9 +601,7 @@ class _PLParser:
         self.pos = 0
 
     def error(self, message: str) -> ParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        column = self.pos - (self.text.rfind("\n", 0, self.pos) + 1) + 1
-        return ParseError(message, line=line, column=column)
+        return ParseError.at(message, self.text, self.pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -668,23 +665,22 @@ class _PLParser:
             right, right_height = self.formula(op_power + 1, self.nested(at, depth + 1))
             left, height = ctor(left, right), self.nested(at, max(height, right_height) + 1)
 
-    def rational(self) -> Fraction:
-        self.skip_ws()
+    def digits(self, what: str) -> int:
+        """The decimal digits at the cursor, or a ``ParseError`` expecting
+        ``what``; ``isdecimal``, since ``int`` rejects digits such as '²'."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
-            raise self.error("expected a rational threshold")
-        num = int(self.text[start:self.pos])
-        den = 1
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
+            raise self.error(f"expected {what}")
+        return int(self.text[start:self.pos])
+
+    def rational(self) -> Fraction:
+        self.skip_ws()
+        num, den = self.digits("a rational threshold"), 1
+        if self.text.startswith("/", self.pos):
             self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
-                raise self.error("expected a denominator")
-            den = int(self.text[dstart:self.pos])
+            den = self.digits("a denominator")
             if den == 0:
                 raise self.error("zero denominator")
         return Fraction(num, den)
@@ -713,10 +709,7 @@ class _PLParser:
                 subject: object = parse_formula(body, self.signature)
             except ParseError as exc:
                 # report the position in the whole text, not in the subject
-                line_start = 0
-                for _ in range(exc.line - 1):
-                    line_start = body.index("\n", line_start) + 1
-                self.pos = start + line_start + exc.column - 1
+                self.pos = start + exc.offset
                 raise self.error(exc.message) from None
         else:
             label = body.strip()

@@ -184,6 +184,20 @@ def reference_covers(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tupl
     return lower, upper
 
 
+def reference_distributivity(L: FiniteLattice) -> list[str]:
+    """The distributivity failures of a lattice by the cubic loop over all
+    triples (a, b, c), in the messages and order of ``validate``."""
+    out = []
+    for a in range(L.n):
+        for b in range(L.n):
+            for c in range(L.n):
+                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
+                    out.append(
+                        f"distributivity fails on ({L.labels[a]}, {L.labels[b]}, {L.labels[c]})"
+                    )
+    return out
+
+
 def reference_grid_ranks(D: FiniteLattice, k: int) -> list[tuple[int, ...]]:
     """The rank tuples of the grid measures by a depth-first search over
     the elements in index order, each element's rank ranging over what its

@@ -232,6 +232,24 @@ class TestSoundness:
         )
 
 
+    def test_oversized_grid_is_a_size_error(self, tmp_path):
+        # chain(10) at k = 6: the three soundness gathers would take 2.1 GiB
+        lat = tmp_path / "c10.lat"
+        labels = [f"c{i}" for i in range(10)]
+        lat.write_text(
+            f"elements: {', '.join(labels)}\n"
+            f"order: {', '.join(f'{a}<={b}' for a, b in zip(labels, labels[1:]))}\n"
+        )
+        code, out, err = invoke("soundness", "--lattice", lat, "--grid", "6")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the soundness gathers would take") and "Traceback" not in err
+        # ranks past int64 are refused before any array is built
+        for argv in (("soundness",), ("entail", "--lhs", "true", "--rhs", "false")):
+            code, out, err = invoke(*argv, "--lattice", lat, "--grid", str(2**62))
+            assert code == 1 and out == ""
+            assert err.startswith("error: the grid's ranks would take") and "Traceback" not in err
+
+
 DUALITY_4_2 = [
     "adjunction n<=4: 432 triples: PASS",
     "oplus-preservation n<=4 m<=2: 86 pairs: PASS",

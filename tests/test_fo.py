@@ -70,6 +70,14 @@ class TestParser:
         assert exc.value.line == 1
         assert exc.value.column == 10
 
+    def test_error_at_an_offset(self):
+        # line and column of the character at the offset; the end of the
+        # text is one column past its last character
+        text = "ab\ncd"
+        errors = [ParseError.at("m", text, i) for i in range(6)]
+        assert [(e.line, e.column) for e in errors] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        assert str(errors[4]) == "2:2: m" and errors[4].offset == 4
+
     def test_negated_equality_without_parens(self):
         assert parse_formula("!z = x", POSET) == Not(Eq("z", "x"))
 
@@ -533,6 +541,7 @@ class TestStructureFormat:
             "signature: lt/2\nuniverse: 2\nlt = {(0,1)}\nedge = {(0,1)}\n": (
                 4, 1, "relations not in signature: ['edge']"
             ),
+            "signature: lt/2\nuniverse: ²\n": (2, 1, "universe must be a nonnegative integer"),
         }
         for text, (line, column, message) in cases.items():
             with pytest.raises(ParseError) as exc:

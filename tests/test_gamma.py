@@ -203,6 +203,8 @@ class TestText:
             ("1/0^o", 3),
             ("1/2^o junk", 7),
             ("-1/2^o", 1),
+            ("²/2^o", 1),  # digits int() rejects
+            ("1/²^o", 3),
         ],
     )
     def test_errors_carry_positions(self, bad, column):
@@ -223,6 +225,7 @@ class TestGrid:
         assert len(g) == 25
         assert list(g.points) == sorted(g.points)
         assert g.points[0] == ZERO and g.points[-1] == ONE
+        assert [str(x) for x in GammaGrid(2).points] == ["0^o", "1/2^-", "1/2^o", "1^-", "1^o"]
 
     def test_bad_resolution(self):
         with pytest.raises(DomainError):

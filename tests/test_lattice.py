@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from conftest import reference_covers, small_lattice_corpus
-from stonepair.errors import DomainError, LatticeError, ParseError
+from conftest import reference_covers, reference_distributivity, small_lattice_corpus
+from stonepair import fo
+from stonepair.errors import DomainError, LatticeError, ParseError, SizeError
 from stonepair.lattice import (
     FiniteLattice,
     LatticeHom,
@@ -48,6 +49,25 @@ class TestValidation:
     def test_corpus_valid(self):
         for L in small_lattice_corpus():
             assert L.validate() == []
+
+    def test_distributivity_against_the_cubic_loop(self):
+        pentagon = FiniteLattice(["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+        # M3 with a new top over it, as an inclusion order
+        diamond_below_top = from_subsets(
+            [frozenset(s) for s in ((), (1,), (2,), (3,), (1, 2, 3), (1, 2, 3, 4))]
+        )
+        for L in (diamond_m3(), pentagon, diamond_below_top):
+            expected = reference_distributivity(L)
+            assert expected and L.validate() == expected, L.labels
+        for L in small_lattice_corpus() + [boolean_algebra(6)]:
+            assert reference_distributivity(L) == [] == L.validate()
+
+    def test_distributivity_pass_is_budgeted(self, monkeypatch):
+        # the two n**3 tables of the pass, eight bytes a cell
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 2 * 8 * 4**3 - 1)
+        assert boolean_algebra(1).validate() == []
+        with pytest.raises(SizeError, match="the distributivity check would take 1024 bytes"):
+            boolean_algebra(2).validate()
 
 
 class TestMeetJoin:

@@ -3,6 +3,7 @@
 import functools
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction as F
 
 import numpy as np
@@ -92,6 +93,20 @@ class TestMeasureSemantics:
     def test_threshold_range(self):
         with pytest.raises(DomainError):
             GE(F(3, 2), 1)
+        with pytest.raises(DomainError):
+            LT(-1, 1)
+
+    def test_atom_kinds_share_their_fields(self):
+        ge, lt = GE(F(1, 2), 1), LT(threshold=F(1, 2), subject=1)
+        assert ge != lt and ge == GE(F(2, 4), 1) and lt.threshold == F(1, 2)
+        kinds = []
+        for atom in (ge, lt):
+            match atom:
+                case GE(q, a):
+                    kinds.append(("GE", q, a))
+                case LT(q, a):
+                    kinds.append(("LT", q, a))
+        assert kinds == [("GE", F(1, 2), 1), ("LT", F(1, 2), 1)]
 
 
 class TestStructureSemantics:
@@ -182,14 +197,100 @@ class TestGridMeasures:
         soundness = check_soundness_grid(C3, 2)
         assert sizes == [entailment.measures_checked, soundness.measures_checked] == [7, 5]
 
-    def test_guards(self):
-        with pytest.raises(SizeError):
-            grid_measures(boolean_algebra(3), 2)
-        with pytest.raises(SizeError):
-            grid_measures(C3, 7)
+    def test_view_builds_measures_on_demand(self):
+        ms = grid_measures(B4, 2)
+        assert isinstance(ms, Sequence) and not ms.ranks.flags.writeable
+        listed = list(ms)
+        assert [ms[i] for i in range(len(ms))] == listed and ms[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            ms[len(ms)]
+        with pytest.raises(DomainError, match="grid resolution must be positive"):
+            grid_measures(B4, 0)
+
+
+class TestWorkGuard:
+    """One memory budget, ``fo.MAX_TENSOR_CELLS`` read as bytes, checked
+    before each array of the grid semantics is allocated."""
+
+    @pytest.mark.parametrize("D, k", [(boolean_algebra(3), 2), (boolean_algebra(4), 3)], ids=["B8", "B16"])
+    def test_wider_lattices_against_the_recursive_search(self, D, k):
+        ranks = grid_measures(D, k).ranks
+        assert ranks.tolist() == [list(r) for r in reference_grid_ranks(D, k)]
+
+    @pytest.mark.parametrize(
+        "D, k, measures, instances",
+        [(boolean_algebra(3), 2, 48, 2615), (boolean_algebra(4), 3, 1664, 23148)],
+        ids=["B8", "B16"],
+    )
+    def test_wider_lattices_are_sound(self, D, k, measures, instances):
+        report = check_soundness_grid(D, k)
+        assert (report.measures_checked, report.total_instances) == (measures, instances)
+        assert report.failures == ()
+
+    def test_long_chain_soundness_is_refused_before_the_gathers(self):
+        # chain(10) at k = 6: 125970 measures and 47019 rule rows, three
+        # gathers of 15747-byte rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match=f"soundness gathers would take {3 * 47019 * 15747} bytes"):
+                check_soundness_grid(chain(10), 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("D", [chain(1), chain(2), C3], ids=["C1", "C2", "C3"])
+    def test_huge_resolutions_are_refused_before_any_array(self, D):
+        # 2k + 1 int64 ranks: k = 2**62 would leave int64, k = 10**30 a
+        # numpy dimension; the one-element lattice has no level to check
+        for k in (2**62, 10**30):
+            with pytest.raises(SizeError, match=f"the grid's ranks would take {8 * (2 * k + 1)} bytes"):
+                entails_grid(PL_TRUE, PL_FALSE, D, k)
+            with pytest.raises(SizeError, match="the grid's ranks"):
+                check_soundness_grid(D, k)
+
+    def test_search_refuses_a_level_before_building_it(self, monkeypatch):
+        # the first level of C3 at k = 2 has 5 rows of 3 ranks; the last of
+        # B4 at k = 2 has 25 rows, tested on the 2 pairs (a, b) and (b, a)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 5 * 3 * 8 - 1)
+        with pytest.raises(SizeError, match="the grid search would take 120 bytes"):
+            grid_measures(C3, 2)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 25 * (4 + 4 * 2) * 8 - 1)
+        with pytest.raises(SizeError, match="the grid search would take 2400 bytes"):
+            grid_measures(B4, 2)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 25 * (4 + 4 * 2) * 8)
+        assert len(grid_measures(B4, 2)) == 7
+
+    @pytest.mark.parametrize("D", [C3, B4, P23, TOP_FIRST], ids=["C3", "B4", "2x3", "top-first"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_rule_table_is_counted_before_it_is_built(self, D, k, monkeypatch):
+        # the closed-form row count, 12 int64 columns a row
+        size = 96 * len(pl._rule_table(D, k))
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size)
+        pl._rule_table(D, k)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size - 1)
+        with pytest.raises(SizeError, match=f"the rule table would take {size} bytes"):
+            pl._rule_table(D, k)
+
+    def test_atom_table_is_counted_before_it_is_built(self, monkeypatch):
+        # C3 at k = 4: a search of 9 rows of 3 ranks (216 bytes), then 9
+        # measures, a row for each of 3 elements x 9 ranks and the all-true
+        # row, one byte a cell before packing
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 - 1)
+        with pytest.raises(SizeError, match="the atom table would take 252 bytes"):
+            entails_grid(PL_TRUE, PL_TRUE, C3, 4)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9)
+        assert entails_grid(PL_TRUE, PL_TRUE, C3, 4).measures_checked == 9
 
 
 class TestEntailment:
+    def test_padding_bits_never_count(self):
+        # C3 at k = 1 has 3 measures: a negation sets the 5 padding bits of
+        # its byte, and neither side may read them as measures
+        for rhs in (PL_FALSE, GE(F(0), 1)):
+            r = entails_grid(PLNot(GE(F(0), 1)), rhs, C3, 1)
+            assert (r.holds, r.countermodel, r.measures_checked) == (True, None, 3)
+
     def test_weakening_holds(self):
         r = entails_grid(GE(F(3, 4), A_IDX), GE(F(1, 2), A_IDX), B4, 4)
         assert r.holds
@@ -274,6 +375,23 @@ class TestSoundness:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_against_reference_instances_top_first(self, k):
         assert list(rule_instances(TOP_FIRST, k)) == list(reference_rule_instances(TOP_FIRST, k))
+
+    def test_padding_bits_never_count(self, monkeypatch):
+        # a row whose premise LT(0, a) & LT(0, a) is false on every measure
+        # and whose conclusion negates to ~(GE(0, a) & GE(0, a)): both are 1
+        # on the padding bits of the 3 measures of C3 at k = 1
+        table = pl._rule_table
+        ge0 = 2 * (1 * 3 + 0)  # GE(0, 1): twice atom row 1 (2k + 1) + 0; LT(0, 1) is next
+
+        def with_row(D, k):
+            row = [5, 0, -1, -1, 1, -1, pl._AND, ge0 + 1, ge0 + 1, pl._AND, ge0, ge0]
+            return np.concatenate((table(D, k), [row]))
+
+        monkeypatch.setattr(pl, "_rule_table", with_row)
+        last = list(rule_instances(C3, 1))[-1]
+        assert (last.premise, last.conclusion) == (PLAnd(LT(0, 1), LT(0, 1)), PLAnd(GE(0, 1), GE(0, 1)))
+        report = check_soundness_grid(C3, 1)
+        assert (report.failures, report.measures_checked) == ((), 3)
 
     def test_soundness_memory_ceiling(self):
         # the packed gathers hold rows x ceil(M/8) bytes each: 17045 rows of
@@ -479,6 +597,14 @@ class TestPLSyntax:
             parse_pl_formula("[~ 1/2]{a}", lattice=B4)
         with pytest.raises(ParseError):
             parse_pl_formula("[>= 3/2]{a}", lattice=B4)
+        # digits int() rejects are no digits
+        for text, column, message in (
+            ("[>= ²]{a}", 5, "expected a rational threshold"),
+            ("[>= 1/²]{a}", 7, "expected a denominator"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_pl_formula(text, lattice=B4)
+            assert (exc.value.line, exc.value.column, exc.value.message) == (1, column, message)
 
     def test_unknown_label_is_positioned(self):
         for text, (line, column, label) in {
