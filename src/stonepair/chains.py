@@ -32,13 +32,14 @@ The multiplication embeddings ``i(n, nm)`` preserve ``oplus`` but never
 system defining the doubled interval is built on floor maps; floor and
 ceiling on the point chains are the right and left adjoints of the point
 embedding.  ``project_gamma`` maps the doubled interval onto each point
-chain compatibly with the floor maps.  ``verify_duality`` runs all of these
-checks as one report.
+chain compatibly with the floor maps; it is the rank expression
+``gamma.project_of_ranks``, and the sweep decides the whole projection
+cone on one table of it.  ``verify_duality`` runs all of these checks as
+one report.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -46,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError, SizeError
-from .gamma import GammaGrid, GammaValue, format_gamma
+from .gamma import GammaValue, format_gamma, point_of_rank, project_of_ranks, rank
 from .lattice import FiniteLattice
 
 
@@ -374,14 +375,12 @@ def project_gamma(x: GammaValue, n: int) -> ChainPoint:
     Exact q^o projects to floor(qn)/n; an approximation r^- projects to the
     largest point strictly below r.  These projections commute with the
     floor maps, forming a cone over the inverse system of point chains.
+    Computed by ``gamma.project_of_ranks`` on the rank of x over its own
+    denominator.
     """
     _require_chain(n)
-    scaled = x.value * n
-    if x.exact:
-        a = math.floor(scaled)
-    else:
-        a = math.ceil(scaled) - 1
-    return ChainPoint(n, a)
+    denom = x.value.denominator
+    return ChainPoint(n, project_of_ranks(rank(x, denom), n, denom))
 
 
 # -- the whole sweep ----------------------------------------------------------------
@@ -417,8 +416,8 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
         m_count * (m_count + 3) // 2 * n_count * (n_count + 1) * (n_count + 2) // 3
         + m_count * n_count * (n_count + 3) // 2
     )
-    points = GammaGrid(10).points
-    cases = len(points) * n_count * m_count
+    grid = 10
+    cases = (2 * grid + 1) * n_count * m_count
     total = triples + pairs + checked + cases
     if total > MAX_DUALITY_CASES:
         raise SizeError(
@@ -472,12 +471,17 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
             return
     yield DualityLine(f"{label}: {checked} pairs: PASS")
 
-    label = f"projection-cone grid=10 n<={max_n} m<={max_m}"
-    for x in points:
-        for n, m in nms():
-            if floor_map(n, m, project_gamma(x, n * m)) != project_gamma(x, n):
-                yield DualityLine(
-                    f"{label}: FAIL at x={format_gamma(x)} n={n} m={m}", True
-                )
-                return
+    # one table: row x (its rank over the grid), column (n, m)
+    label = f"projection-cone grid={grid} n<={max_n} m<={max_m}"
+    n, m = np.array(list(nms()), dtype=np.int64).reshape(-1, 2).T
+    x = np.arange(2 * grid + 1)[:, None]
+    coarse = floor_of_ranks(project_of_ranks(x, n * m, grid), m)
+    hit = _first(coarse != project_of_ranks(x, n, grid))
+    if hit is not None:
+        r, pair = hit
+        yield DualityLine(
+            f"{label}: FAIL at x={format_gamma(point_of_rank(r, grid))} "
+            f"n={n[pair]} m={m[pair]}", True
+        )
+        return
     yield DualityLine(f"{label}: {cases} cases: PASS")

@@ -32,7 +32,6 @@ scope maximally to the right):
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -282,25 +281,6 @@ class Forall(Formula):
     body: Formula
 
 
-def desugar(phi: Formula) -> Formula:
-    """Expand implication into negation and disjunction."""
-    match phi:
-        case Implies(left, right):
-            return Or(Not(desugar(left)), desugar(right))
-        case Not(body):
-            return Not(desugar(body))
-        case And(left, right):
-            return And(desugar(left), desugar(right))
-        case Or(left, right):
-            return Or(desugar(left), desugar(right))
-        case Exists(var, body):
-            return Exists(var, desugar(body))
-        case Forall(var, body):
-            return Forall(var, desugar(body))
-        case _:
-            return phi
-
-
 def free_vars(phi: Formula) -> tuple[str, ...]:
     """Free variables in first-occurrence order."""
     out: list[str] = []
@@ -343,60 +323,6 @@ def all_vars(phi: Formula) -> frozenset[str]:
             return all_vars(body) | {var}
         case _:
             return frozenset()
-
-
-def _rename_free(phi: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of ``old`` to ``new`` (capture not checked;
-    callers pass a fresh name)."""
-    match phi:
-        case Atom(rel, args):
-            return Atom(rel, tuple(new if v == old else v for v in args))
-        case Eq(left, right):
-            return Eq(new if left == old else left, new if right == old else right)
-        case Not(body):
-            return Not(_rename_free(body, old, new))
-        case And(l, r):
-            return And(_rename_free(l, old, new), _rename_free(r, old, new))
-        case Or(l, r):
-            return Or(_rename_free(l, old, new), _rename_free(r, old, new))
-        case Implies(l, r):
-            return Implies(_rename_free(l, old, new), _rename_free(r, old, new))
-        case Exists(var, body):
-            if var == old:
-                return phi
-            return Exists(var, _rename_free(body, old, new))
-        case Forall(var, body):
-            if var == old:
-                return phi
-            return Forall(var, _rename_free(body, old, new))
-        case _:
-            return phi
-
-
-def alpha_normal(phi: Formula) -> Formula:
-    """Rename bound variables to a canonical sequence, for syntactic
-    comparison up to alpha-equivalence."""
-    counter = itertools.count()
-
-    def walk(node: Formula) -> Formula:
-        match node:
-            case Exists(var, body) | Forall(var, body):
-                fresh = f"_b{next(counter)}"
-                renamed = walk(_rename_free(body, var, fresh))
-                ctor = Exists if isinstance(node, Exists) else Forall
-                return ctor(fresh, renamed)
-            case Not(body):
-                return Not(walk(body))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Implies(l, r):
-                return Implies(walk(l), walk(r))
-            case _:
-                return node
-
-    return walk(phi)
 
 
 def format_formula(phi: Formula) -> str:
@@ -599,7 +525,7 @@ def satisfies(A: FiniteStructure, alpha: Mapping[str, int], phi: Formula) -> boo
     missing = [v for v in free_vars(phi) if v not in alpha]
     if missing:
         raise DomainError(f"assignment does not cover {missing}")
-    return _sat_at(A, dict(alpha), desugar(phi))
+    return _sat_at(A, dict(alpha), phi)
 
 
 def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
@@ -616,6 +542,8 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
             return _sat_at(A, alpha, l) and _sat_at(A, alpha, r)
         case Or(l, r):
             return _sat_at(A, alpha, l) or _sat_at(A, alpha, r)
+        case Implies(l, r):
+            return not _sat_at(A, alpha, l) or _sat_at(A, alpha, r)
         case Exists(var, body):
             return any(_sat_at(A, {**alpha, var: c}, body) for c in range(A.size))
         case Forall(var, body):

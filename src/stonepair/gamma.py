@@ -19,26 +19,27 @@ Three pieces of partial arithmetic live here:
 The collapse map ``gamma_collapse`` forgets tags, its right-adjoint section
 ``iota_exact`` tags rationals as exact, and its left-adjoint section
 ``iota_approx`` tags positive rationals as approximations.  Only rational
-points are representable, so every case split in the arithmetic lands in the
-rational branch; all computation uses ``fractions.Fraction`` and is exact.
+points are representable, and all computation is exact.
 
-Inside one computation the same arithmetic runs on integers.  Put every
-value on a common denominator D and encode ``q^o`` as the *rank* 2qD and
-``r^-`` as 2rD - 1: the Gamma order becomes integer order, even ranks are
-exact points and odd ranks approximations, and the subtractions become
-integer expressions (``mip_of_ranks``, ``miss_of_ranks``, and on them a
-measure's additivity test, ``additivity_of_ranks``).  They do not check
-their domain y <= x; they are branch-free and apply elementwise to numpy
-arrays, for kernels whose ranks already lie in the domain.  On D = k
-the ranks 0..2k are the indices of ``GammaGrid(k).points``.  ``GammaValue``
-and ``mip``/``miss``/``plus`` stay the public types and the reference the
-rank kernel is tested against.
+All of the arithmetic is one integer kernel.  Put every value on a common
+denominator D and encode ``q^o`` as the *rank* 2qD and ``r^-`` as 2rD - 1:
+the Gamma order becomes integer order, even ranks are exact points and odd
+ranks approximations, and every operation becomes an integer expression on
+ranks (``mip_of_ranks``, ``miss_of_ranks``, ``plus_of_ranks``, a measure's
+additivity test ``additivity_of_ranks``, and the projection onto the
+subdivision chain {0, 1/n, ..., 1}, ``project_of_ranks``).  These do not
+check their domain; they are branch-free and apply elementwise to numpy
+arrays, for kernels whose ranks already lie in the domain.  ``mip``,
+``miss``, ``plus`` and ``gamma_sum`` check their domain on the ranks of
+their arguments, compute on the kernel and return ``point_of_rank``.  On
+D = k the ranks 0..2k are the indices of ``GammaGrid(k).points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable
 
@@ -62,10 +63,10 @@ class GammaValue:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
         v = self.value
-        if self.exact:
-            if not 0 <= v <= 1:
+        # the denominator is positive: the bounds are on the numerator
+        if not (0 if self.exact else 1) <= v.numerator <= v.denominator:
+            if self.exact:
                 raise DomainError(f"exact point {v} lies outside [0, 1]")
-        elif not 0 < v <= 1:
             raise DomainError(f"approximation point {v} lies outside (0, 1]")
 
     @property
@@ -84,6 +85,12 @@ ONE = GammaValue(Fraction(1), True)
 ONE_APPROX = GammaValue(Fraction(1), False)
 
 
+def _pair_ranks(x: GammaValue, y: GammaValue) -> tuple[int, int, int]:
+    """The ranks of ``x`` and ``y`` on their least common denominator, and it."""
+    denom = lcm(x.value.denominator, y.value.denominator)
+    return rank(x, denom), rank(y, denom), denom
+
+
 def mip(x: GammaValue, y: GammaValue) -> GammaValue:
     """Truncated subtraction ``x - y``, defined for y <= x.
 
@@ -91,15 +98,10 @@ def mip(x: GammaValue, y: GammaValue) -> GammaValue:
     approximation unless the subtrahend is one too, in which case the rational
     difference is achieved exactly.
     """
-    if not y <= x:
+    rx, ry, denom = _pair_ranks(x, y)
+    if ry > rx:
         raise DomainError(f"mip undefined: {y} > {x}")
-    d = x.value - y.value
-    if x.exact:
-        return GammaValue(d, True)
-    if y.exact:
-        # y^o <= x^- forces a strictly positive difference.
-        return GammaValue(d, False)
-    return GammaValue(d, True)
+    return point_of_rank(mip_of_ranks(rx, ry), denom)
 
 
 def miss(x: GammaValue, y: GammaValue) -> GammaValue:
@@ -109,39 +111,43 @@ def miss(x: GammaValue, y: GammaValue) -> GammaValue:
     diagonal it is 0^o.  Dual to ``mip``: the result is an approximation
     unless the subtrahend alone carries the approximation tag.
     """
-    if not y <= x:
+    rx, ry, denom = _pair_ranks(x, y)
+    if ry > rx:
         raise DomainError(f"miss undefined: {y} > {x}")
-    if x == y:
-        return ZERO
-    d = x.value - y.value
-    if x.exact and not y.exact:
-        return GammaValue(d, True)
-    # Remaining cases have y < x with equal-or-stronger minuend tag, so d > 0.
-    return GammaValue(d, False)
+    return point_of_rank(miss_of_ranks(rx, ry), denom)
 
 
 def plus(x: GammaValue, y: GammaValue) -> GammaValue:
     """Partial addition, defined when the underlying values sum to at most 1.
 
-    The domain condition is equivalent to ``x <= mip(ONE, y)``.  The sum is
-    exact precisely when both summands are.
+    The domain condition is equivalent to ``x <= mip(ONE, y)``; on ranks over
+    D it reads ceil(x/2) + ceil(y/2) <= D.  The sum is exact precisely when
+    both summands are.
     """
-    s = x.value + y.value
-    if s > 1:
+    rx, ry, denom = _pair_ranks(x, y)
+    if (rx + 1) // 2 + (ry + 1) // 2 > denom:
         raise DomainError(f"plus undefined: {x} + {y} exceeds 1")
-    return GammaValue(s, x.exact and y.exact)
+    return point_of_rank(plus_of_ranks(rx, ry), denom)
 
 
 def gamma_sum(xs: Iterable[GammaValue]) -> GammaValue:
-    """Left fold of ``plus`` over ``xs``; the empty sum is 0^o.
+    """The sum of ``xs`` under ``plus``; the empty sum is 0^o.
 
-    ``plus`` is commutative and associative on its domain, so the result does
-    not depend on the ordering whenever every partial sum is defined.
+    ``plus`` is commutative and associative on its domain, so the sum is one
+    integer sum on the common denominator D: the values' numerators on D
+    (ceil(r/2) for rank r) add up to at most D, and the sum is exact unless
+    some rank is odd.  On overflow the error names the first partial sum
+    that overflows, as a left fold of ``plus`` would.
     """
-    acc = ZERO
-    for x in xs:
-        acc = plus(acc, x)
-    return acc
+    xs = tuple(xs)
+    denom = common_denominator(xs)
+    ranks = [rank(x, denom) for x in xs]
+    halves = [(r + 1) // 2 for r in ranks]
+    if sum(halves) > denom:
+        i = next(i for i, s in enumerate(accumulate(halves)) if s > denom)
+        partial = point_of_rank(2 * sum(halves[:i]) - any(r & 1 for r in ranks[:i]), denom)
+        raise DomainError(f"plus undefined: {partial} + {xs[i]} exceeds 1")
+    return point_of_rank(2 * sum(halves) - any(r & 1 for r in ranks), denom)
 
 
 # -- the rank kernel --------------------------------------------------------------
@@ -181,6 +187,21 @@ def miss_of_ranks(x, y):
     return (x != y) * (x - y - 1 + (x & ~y & 1))
 
 
+def plus_of_ranks(x, y):
+    """``plus`` on ranks whose values sum to at most 1, without the domain
+    check: the values add, and the sum is an approximation (odd) when either
+    summand is; branch-free like ``mip_of_ranks``."""
+    return x + y + (x & y & 1)
+
+
+def project_of_ranks(r, n, denom):
+    """The projection of rank ``r`` over ``denom`` onto the subdivision chain
+    {0, 1/n, ..., 1}: the index of the largest point whose exact copy lies at
+    or below it, floor(qn) for q^o and ceil(qn) - 1 for q^-.  Branch-free
+    like ``mip_of_ranks``."""
+    return (r * n + (r & 1) * (n - 1)) // (2 * denom)
+
+
 def additivity_of_ranks(x, y, meet, join):
     """The (left, right) failure masks of a measure's additivity on the
     ranks of a, b, a ^ b and a v b; branch-free like ``mip_of_ranks``,
@@ -200,9 +221,10 @@ def iota_exact(r: Fraction) -> GammaValue:
     """Tag a rational in [0, 1] as an exact point (right adjoint to collapse)."""
     if not isinstance(r, Fraction):
         r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise DomainError(f"{r} lies outside [0, 1]")
-    return GammaValue(r, True)
+    try:
+        return GammaValue(r, True)
+    except DomainError:
+        raise DomainError(f"{r} lies outside [0, 1]") from None
 
 
 def iota_approx(r: Fraction) -> GammaValue:
@@ -211,11 +233,12 @@ def iota_approx(r: Fraction) -> GammaValue:
     0 has no approximation below it, so it maps to the bottom element 0^o.
     """
     r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise DomainError(f"{r} lies outside [0, 1]")
-    if r == 0:
+    if r.numerator == 0:
         return ZERO
-    return GammaValue(r, False)
+    try:
+        return GammaValue(r, False)
+    except DomainError:
+        raise DomainError(f"{r} lies outside [0, 1]") from None
 
 
 def format_gamma(x: GammaValue) -> str:

@@ -231,13 +231,22 @@ class FenceFamily(StructureFamily):
         return fo.gen_example_structure(index)
 
     def closed_form(self, phi: Formula) -> ClosedForm | None:
-        target = fo.alpha_normal(fo.desugar(phi))
+        # Compiled plans number variables by axis and fold only constants, so
+        # a formula gets a closed form when it compiles to the plan of psi or
+        # of its negation: up to renaming free and bound variables, and
+        # ``& true``-style constants.
+        target = _compiled(phi)
         psi = fo.maximal_not_maximum()
-        if target == fo.alpha_normal(fo.desugar(psi)):
+        if target == _compiled(psi):
             return ClosedForm(_fence_psi_value, gamma.ZERO, gamma.ZERO)
-        if target == fo.alpha_normal(fo.desugar(fo.Not(psi))):
+        if target == _compiled(fo.Not(psi)):
             return ClosedForm(_fence_not_psi_value, gamma.ONE, gamma.ONE_APPROX)
         return None
+
+
+def _compiled(phi: Formula) -> tuple:
+    """The counting plan of ``phi`` over its free variables in order."""
+    return fo._plan(phi, fo.free_vars(phi))
 
 
 def _fence_psi_value(index: int) -> Fraction:

@@ -29,6 +29,10 @@ v" (``_atom_rows``), which entailment folds and soundness gathers, and
 objects are built only for reported countermodels.  Each array of this
 work is checked against the one memory budget (``fo.check_bytes``) before
 it is allocated, so oversized work is a ``SizeError``.
+
+Filter presentations go through the same kernel: ``presentation_of_measure``
+projects each value onto the grid with ``gamma.project_of_ranks``, and
+``filter_to_measure`` tests both closures on one membership table.
 """
 
 from __future__ import annotations
@@ -241,10 +245,11 @@ def _atom_rows(ranks: np.ndarray, k: int) -> np.ndarray:
     a (2k + 1) + v says which grid measures have rank at least v at element
     a, and the last row is all true.  Bit i of a row is measure i, packed
     little-endian into ⌈M/8⌉ bytes with padding bits 0.  GE atoms are rows,
-    LT atoms and false their complements."""
+    LT atoms and false their complements.  The boolean table and the int64
+    ranks 0..2k it compares with are charged to the budget together."""
     M, n = ranks.shape
     levels = 2 * k + 1
-    fo.check_bytes("the atom table", (n * levels + 1) * M)
+    fo.check_bytes("the atom table", (n * levels + 1) * M + 8 * levels)
     table = np.empty((n * levels + 1, M), dtype=bool)
     at_least = table[:-1].reshape(n, levels, M)
     np.greater_equal(ranks.T[:, None, :], np.arange(levels)[:, None], out=at_least)
@@ -543,26 +548,38 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
     closed along the lattice order (the two monotonicity rules); the induced
     map must validate as a measure.  Violations of either are reported as
     ``PresentationError`` with a failing pair.
+
+    Both closures are whole-array tests on the n x (k + 1) membership table
+    (row a, column i: (i/k, a) is a member): threshold closure says every
+    row is a prefix, order closure that the rows are monotone along the
+    lattice order.  The first violation in (element,
+    threshold) order is reported, threshold closure before order closure.
     """
     D, Q = F.lattice, grid_rationals(F.k)
+    table = np.zeros((D.n, F.k + 1), dtype=bool)
     for q, a in F.members:
-        for p in Q:
-            if p <= q and (p, a) not in F.members:
-                raise PresentationError(
-                    f"threshold closure fails: ({q}, {D.labels[a]}) present "
-                    f"but ({p}, {D.labels[a]}) missing"
-                )
-        for b in range(D.n):
-            if D.leq(a, b) and (q, b) not in F.members:
-                raise PresentationError(
-                    f"order closure fails: ({q}, {D.labels[a]}) present "
-                    f"but ({q}, {D.labels[b]}) missing"
-                )
-    values = []
-    for a in range(D.n):
-        qs = [q for q, b in F.members if b == a]
-        values.append(gamma.iota_exact(max(qs)) if qs else gamma.ZERO)
-    mu = Measure(D, tuple(values))
+        table[a, q.numerator * (F.k // q.denominator)] = True
+    rises = table[:, 1:] & ~table[:, :-1]
+    if rises.any():
+        a, i = np.unravel_index(np.argmax(rises), rises.shape)
+        p = np.argmin(table[a])
+        raise PresentationError(
+            f"threshold closure fails: ({Q[i + 1]}, {D.labels[a]}) present "
+            f"but ({Q[p]}, {D.labels[a]}) missing"
+        )
+    leq = D._order_arrays[0]
+    # some b >= a misses the threshold: a boolean matrix product
+    unclosed = table & (leq @ ~table)
+    if unclosed.any():
+        a, i = np.unravel_index(np.argmax(unclosed), unclosed.shape)
+        b = np.argmax(leq[a] & ~table[:, i])
+        raise PresentationError(
+            f"order closure fails: ({Q[i]}, {D.labels[a]}) present "
+            f"but ({Q[i]}, {D.labels[b]}) missing"
+        )
+    # the rows are prefixes: the largest asserted threshold is the row's count less one
+    counts = table.sum(axis=1).tolist()
+    mu = Measure(D, tuple(gamma.point_of_rank(2 * max(c - 1, 0), F.k) for c in counts))
     bad = validate_measure(mu)
     if bad:
         raise PresentationError(
@@ -573,14 +590,16 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
 
 def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
     """The grid fragment of the filter of a measure: all (q, a) with
-    q^o <= mu(a)."""
-    members = frozenset(
-        (q, a)
-        for a in range(mu.lattice.n)
-        for q in grid_rationals(k)
-        if gamma.iota_exact(q) <= mu(a)
-    )
-    return FilterPresentation(mu.lattice, k, members)
+    q^o <= mu(a).  The thresholds of element a are the grid points up to
+    the projection of mu(a) onto the resolution-k chain
+    (``gamma.project_of_ranks``)."""
+    Q = grid_rationals(k)
+    members = []
+    for a, x in enumerate(mu.values):
+        denom = x.value.denominator
+        top = gamma.project_of_ranks(gamma.rank(x, denom), k, denom)
+        members.extend((q, a) for q in Q[: top + 1])
+    return FilterPresentation(mu.lattice, k, frozenset(members))
 
 
 # -- concrete syntax -----------------------------------------------------------------

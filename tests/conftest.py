@@ -3,15 +3,28 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from stonepair import fo, gamma, lattice
+from stonepair.chains import ChainPoint
+from stonepair.errors import DomainError, PresentationError
+from stonepair.gamma import GammaValue
 from stonepair.lattice import FiniteLattice
 from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
-from stonepair.pl import GE, LT, PL_FALSE, PL_TRUE, PLAnd, PLOr, RuleInstance
+from stonepair.pl import (
+    GE,
+    LT,
+    PL_FALSE,
+    PL_TRUE,
+    FilterPresentation,
+    PLAnd,
+    PLOr,
+    RuleInstance,
+)
 
 BINARY_SIG = fo.Signature((("r", 2),))
 TERNARY_SIG = fo.Signature((("r", 2), ("t", 3)))
@@ -168,6 +181,100 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
 # -- reference oracles for the rank kernel and the rule instances -------------------
 
 
+def reference_mip(x: GammaValue, y: GammaValue) -> GammaValue:
+    """Truncated subtraction by its case split on the tags, in ``Fraction``
+    arithmetic; same domain and message as ``gamma.mip``."""
+    if not y <= x:
+        raise DomainError(f"mip undefined: {y} > {x}")
+    d = x.value - y.value
+    if x.exact:
+        return GammaValue(d, True)
+    if y.exact:
+        # y^o <= x^- forces a strictly positive difference.
+        return GammaValue(d, False)
+    return GammaValue(d, True)
+
+
+def reference_miss(x: GammaValue, y: GammaValue) -> GammaValue:
+    """Co-subtraction by its case split, as ``reference_mip``."""
+    if not y <= x:
+        raise DomainError(f"miss undefined: {y} > {x}")
+    if x == y:
+        return gamma.ZERO
+    d = x.value - y.value
+    if x.exact and not y.exact:
+        return GammaValue(d, True)
+    # Remaining cases have y < x with equal-or-stronger minuend tag, so d > 0.
+    return GammaValue(d, False)
+
+
+def reference_plus(x: GammaValue, y: GammaValue) -> GammaValue:
+    """Partial addition in ``Fraction`` arithmetic, as ``reference_mip``."""
+    s = x.value + y.value
+    if s > 1:
+        raise DomainError(f"plus undefined: {x} + {y} exceeds 1")
+    return GammaValue(s, x.exact and y.exact)
+
+
+def reference_gamma_sum(xs) -> GammaValue:
+    """Left fold of ``reference_plus``; the empty sum is 0^o."""
+    acc = gamma.ZERO
+    for x in xs:
+        acc = reference_plus(acc, x)
+    return acc
+
+
+def reference_project_gamma(x: GammaValue, n: int) -> ChainPoint:
+    """The projection onto the n-chain by floor and ceiling of x.value * n:
+    floor(qn) for q^o, ceil(rn) - 1 for r^-."""
+    if n < 1:
+        raise DomainError("chain parameter must be positive")
+    scaled = x.value * n
+    return ChainPoint(n, math.floor(scaled) if x.exact else math.ceil(scaled) - 1)
+
+
+def reference_presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
+    """Every (q, a) on the grid with q^o <= mu(a), one comparison each."""
+    members = frozenset(
+        (q, a)
+        for a in range(mu.lattice.n)
+        for q in gamma.grid_rationals(k)
+        if gamma.iota_exact(q) <= mu(a)
+    )
+    return FilterPresentation(mu.lattice, k, members)
+
+
+def reference_filter_to_measure(F: FilterPresentation) -> Measure:
+    """The two closure loops over the members, in (element, threshold)
+    order, threshold closure first; then the largest threshold of each
+    element, tagged exact, validated by ``reference_validate_measure``."""
+    D, Q = F.lattice, gamma.grid_rationals(F.k)
+    members = sorted(F.members, key=lambda m: (m[1], m[0]))
+    for q, a in members:
+        for p in Q:
+            if p <= q and (p, a) not in F.members:
+                raise PresentationError(
+                    f"threshold closure fails: ({q}, {D.labels[a]}) present "
+                    f"but ({p}, {D.labels[a]}) missing"
+                )
+    for q, a in members:
+        for b in range(D.n):
+            if D.leq(a, b) and (q, b) not in F.members:
+                raise PresentationError(
+                    f"order closure fails: ({q}, {D.labels[a]}) present "
+                    f"but ({q}, {D.labels[b]}) missing"
+                )
+    values = []
+    for a in range(D.n):
+        qs = [q for q, b in F.members if b == a]
+        values.append(gamma.iota_exact(max(qs)) if qs else gamma.ZERO)
+    mu = Measure(D, tuple(values))
+    bad = reference_validate_measure(mu)
+    if bad:
+        raise PresentationError(f"presentation does not induce a measure: {bad[0].render(D)}")
+    return mu
+
+
 def reference_covers(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Lower and upper covers of every element by the cubic scan: i < j is
     covered by j when no third element lies strictly between them."""
@@ -242,8 +349,8 @@ def reference_grid_ranks(D: FiniteLattice, k: int) -> list[tuple[int, ...]]:
 
 def reference_validate_measure(mu: Measure) -> list[MeasureViolation]:
     """The measure axioms checked with ``GammaValue`` comparisons and the
-    ``Fraction``-based ``gamma.mip``/``gamma.miss``; same violations in the
-    same order as ``validate_measure``."""
+    ``Fraction``-based ``reference_mip``/``reference_miss``; same violations
+    in the same order as ``validate_measure``."""
     L = mu.lattice
     out: list[MeasureViolation] = []
     if mu(L.bottom) != gamma.ZERO:
@@ -260,9 +367,9 @@ def reference_validate_measure(mu: Measure) -> list[MeasureViolation]:
             hi = mu(L.join(a, b))
             if not (lo <= mu(a) and mu(b) <= hi):
                 continue
-            if not gamma.miss(mu(a), lo) <= gamma.mip(hi, mu(b)):
+            if not reference_miss(mu(a), lo) <= reference_mip(hi, mu(b)):
                 out.append(MeasureViolation("additivity-left", a, b))
-            if not gamma.mip(mu(a), lo) >= gamma.miss(hi, mu(b)):
+            if not reference_mip(mu(a), lo) >= reference_miss(hi, mu(b)):
                 out.append(MeasureViolation("additivity-right", a, b))
     return out
 

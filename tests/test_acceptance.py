@@ -168,6 +168,7 @@ def test_criterion_02_fence_convergence_verdicts():
         )
         assert validate_measure(mu) == []
     elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
     _report(2, elapsed, "tagged verdicts: 0^o limit, odd 1^o / even 1^- split")
 
 
@@ -258,6 +259,7 @@ def test_criterion_05_retraction_and_triangle(corpus):
             assert via_integral == iota_exact(r.classical)
             assert gamma_collapse(via_integral) == r.classical
     elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
     _report(5, elapsed, "collapse/lift retraction and the pairing triangle")
 
 
@@ -272,6 +274,7 @@ def test_criterion_06_padding_invariance(corpus):
                     assert check_padding_invariance(A, formula, n, m) is None
                     cases += 1
     elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
     _report(6, elapsed, f"padding invariance exact on {cases} context pairs")
 
 
@@ -366,4 +369,5 @@ def test_criterion_10_desk_scale_substitutes():
     assert rep_neg.odd.limit != rep_neg.even.limit
     assert gamma_collapse(rep_neg.odd.limit) == gamma_collapse(rep_neg.even.limit) == 1
     elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
     _report(10, elapsed, "filter round trip and tag-sensitive convergence substitutes")

@@ -508,6 +508,21 @@ class TestSweep:
         )
         assert lines[-1] == f"projection-cone grid=10 {grid}: {21 * len(nms)} cases: PASS"
 
+    def test_projection_cone_failure(self, monkeypatch):
+        # the projection pushed up by one at x = 1/10^o (rank 2) on the chain
+        # 3 and at x = 9/20 (rank 9, 1/2^-) on the chain 2: the cases are
+        # read x first, so the sweep stops at x = 1/10^o, n = 3, though the
+        # pair n = 2 fails at x = 1/2^- too
+        real = chains.project_of_ranks
+
+        def broken(r, n, denom):
+            return real(r, n, denom) + ((n == 3) & (r == 2)) + ((n == 2) & (r == 9))
+
+        monkeypatch.setattr(chains, "project_of_ranks", broken)
+        lines = list(chains.verify_duality(4, 2))
+        assert [line.failed for line in lines] == [False] * (len(lines) - 1) + [True]
+        assert lines[-1].text == "projection-cone grid=10 n<=4 m<=2: FAIL at x=1/10^o n=3 m=2"
+
     def test_guard_admits_exactly_its_budget(self, monkeypatch):
         # the sweep of criterion 9 has 123192 + 55764 + 283716 + 4536 cases
         assert chains.MAX_DUALITY_CASES >= 467208

@@ -250,6 +250,24 @@ class TestSoundness:
             assert err.startswith("error: the grid's ranks would take") and "Traceback" not in err
 
 
+    def test_atom_table_with_its_rank_index_is_a_size_error(self, tmp_path):
+        # a 2-chain at k = 30000000: 120 MB of atom table beside 480 MB of
+        # int64 ranks, refused together before either is built
+        lat = tmp_path / "c2.lat"
+        lat.write_text("elements: 0, 1\norder: 0<=1\n")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(
+                "entail", "--lattice", lat, "--grid", "30000000", "--lhs", "true", "--rhs", "false"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == "error: the atom table would take 600000011 bytes; the guard is 536870912\n"
+        assert peak < 2**24
+
+
 DUALITY_4_2 = [
     "adjunction n<=4: 432 triples: PASS",
     "oplus-preservation n<=4 m<=2: 86 pairs: PASS",

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gamma_values, rationals01
+from conftest import (
+    gamma_values,
+    rationals01,
+    reference_gamma_sum,
+    reference_mip,
+    reference_miss,
+    reference_plus,
+    reference_project_gamma,
+)
+from stonepair.chains import project_gamma
 from stonepair.errors import DomainError, ParseError
 from stonepair.gamma import (
     ONE,
@@ -28,6 +37,8 @@ from stonepair.gamma import (
     miss_of_ranks,
     parse_gamma,
     plus,
+    plus_of_ranks,
+    project_of_ranks,
     rank,
 )
 
@@ -160,6 +171,31 @@ class TestSections:
             iota_exact(F(3, 2))
         with pytest.raises(DomainError):
             iota_approx(F(-1, 2))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: GammaValue(F(3, 2), True), "exact point 3/2 lies outside [0, 1]"),
+            (lambda: GammaValue(F(-1, 2), True), "exact point -1/2 lies outside [0, 1]"),
+            (lambda: GammaValue(F(0), False), "approximation point 0 lies outside (0, 1]"),
+            (lambda: GammaValue(F(-1, 3), False), "approximation point -1/3 lies outside (0, 1]"),
+            (lambda: GammaValue(F(7, 6), False), "approximation point 7/6 lies outside (0, 1]"),
+            (lambda: iota_exact(F(3, 2)), "3/2 lies outside [0, 1]"),
+            (lambda: iota_exact(-1), "-1 lies outside [0, 1]"),
+            (lambda: iota_approx(F(-1, 2)), "-1/2 lies outside [0, 1]"),
+            (lambda: iota_approx(F(5, 4)), "5/4 lies outside [0, 1]"),
+        ],
+    )
+    def test_domain_messages(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_domain_ends(self):
+        # the bounds are inclusive on both sides except the approximation at 0
+        assert GammaValue(F(0), True) == ZERO and GammaValue(1, True) == ONE
+        assert GammaValue(F(1), False) == ONE_APPROX
+        assert GammaValue(F(1, 10**30), False).value == F(1, 10**30)
 
     @given(rationals01)
     def test_retraction(self, q):
@@ -305,18 +341,34 @@ class TestAlgebraicLaws:
             previous = best
 
 
+def _outcome(op, *args):
+    """What ``op`` gives: its value (compared with its tag), or its error's
+    type and text."""
+    try:
+        return op(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestRankKernel:
-    """The integer kernel against the Fraction-based operations."""
+    """The public operations, which compute on the integer kernel, against
+    the ``Fraction`` case splits kept as references in conftest."""
 
     @given(gamma_values(), gamma_values(), st.integers(1, 6))
     def test_operations_match(self, x, y, multiple):
-        # mixed denominators: ranks on a common multiple of both
+        # mixed denominators, both argument orders, in and out of the domains
+        for op, ref in ((mip, reference_mip), (miss, reference_miss), (plus, reference_plus)):
+            assert _outcome(op, x, y) == _outcome(ref, x, y)
+            assert _outcome(op, y, x) == _outcome(ref, y, x)
+        # the kernel itself on a common multiple of both denominators
         denom = common_denominator((x, y)) * multiple
         rx, ry = rank(x, denom), rank(y, denom)
         assert (rx <= ry) == (x <= y)
+        if x.value + y.value <= 1:
+            assert plus_of_ranks(rx, ry) == rank(reference_plus(x, y), denom)
         x, y, rx, ry = (x, y, rx, ry) if y <= x else (y, x, ry, rx)
-        assert mip_of_ranks(rx, ry) == rank(mip(x, y), denom)
-        assert miss_of_ranks(rx, ry) == rank(miss(x, y), denom)
+        assert mip_of_ranks(rx, ry) == rank(reference_mip(x, y), denom)
+        assert miss_of_ranks(rx, ry) == rank(reference_miss(x, y), denom)
 
     @given(
         st.lists(st.tuples(gamma_values(), gamma_values()), min_size=1, max_size=8),
@@ -329,23 +381,115 @@ class TestRankKernel:
         denom = common_denominator(v for pair in pairs for v in pair) * multiple
         xs = [rank(x, denom) for x, _ in pairs]
         ys = [rank(y, denom) for _, y in pairs]
-        mips = [rank(mip(x, y), denom) for x, y in pairs]
-        misses = [rank(miss(x, y), denom) for x, y in pairs]
+        mips = [rank(reference_mip(x, y), denom) for x, y in pairs]
+        misses = [rank(reference_miss(x, y), denom) for x, y in pairs]
+        # plus on the differences: mip(x, y) + y is defined
+        sums = [rank(reference_plus(reference_mip(x, y), y), denom) for x, y in pairs]
         assert [mip_of_ranks(x, y) for x, y in zip(xs, ys)] == mips
         assert [miss_of_ranks(x, y) for x, y in zip(xs, ys)] == misses
+        assert [plus_of_ranks(d, y) for d, y in zip(mips, ys)] == sums
         dtypes = (np.int64, object) if 2 * denom < 2**62 else (object,)
         for dtype in dtypes:
             x, y = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
             assert mip_of_ranks(x, y).tolist() == mips
             assert miss_of_ranks(x, y).tolist() == misses
+            assert plus_of_ranks(np.array(mips, dtype=dtype), y).tolist() == sums
+
+    @given(gamma_values(), st.integers(1, 40), st.integers(1, 6))
+    def test_projection_matches(self, x, n, multiple):
+        assert project_gamma(x, n) == reference_project_gamma(x, n)
+        denom = x.value.denominator * multiple
+        assert project_of_ranks(rank(x, denom), n, denom) == reference_project_gamma(x, n).a
+
+    @given(st.lists(gamma_values(), max_size=6))
+    def test_sum_matches(self, xs):
+        # mostly overflowing lists: the error names the same partial sum
+        assert _outcome(gamma_sum, xs) == _outcome(reference_gamma_sum, xs)
+        small = [GammaValue(x.value / 4, x.exact) if x.value else x for x in xs[:4]]
+        assert _outcome(gamma_sum, small) == _outcome(reference_gamma_sum, small)
+        assert _outcome(gamma_sum, iter(small)) == _outcome(reference_gamma_sum, small)
 
     def test_exhaustive_on_the_grid(self):
         pts = GammaGrid(12).points
         for i, x in enumerate(pts):
             for j, y in enumerate(pts):
+                for op, ref in ((mip, reference_mip), (miss, reference_miss), (plus, reference_plus)):
+                    assert _outcome(op, x, y) == _outcome(ref, x, y)
+                for xs in ((x, y), (x, y, ONE_APPROX)):
+                    assert _outcome(gamma_sum, xs) == _outcome(reference_gamma_sum, xs)
                 if j <= i:
-                    assert pts[mip_of_ranks(i, j)] == mip(x, y)
-                    assert pts[miss_of_ranks(i, j)] == miss(x, y)
+                    assert pts[mip_of_ranks(i, j)] == reference_mip(x, y)
+                    assert pts[miss_of_ranks(i, j)] == reference_miss(x, y)
+                if x.value + y.value <= 1:
+                    assert pts[plus_of_ranks(i, j)] == reference_plus(x, y)
+            for n in range(1, 25):
+                assert project_gamma(x, n) == reference_project_gamma(x, n)
+                assert project_of_ranks(i, n, 12) == reference_project_gamma(x, n).a
+        ranks = np.arange(25)[:, None]
+        table = project_of_ranks(ranks, np.arange(1, 25), 12)
+        assert table.tolist() == [
+            [reference_project_gamma(x, n).a for n in range(1, 25)] for x in pts
+        ]
+
+    @pytest.mark.parametrize(
+        "op, x, y, message",
+        [
+            (mip, "1/4^o", "1/2^o", "mip undefined: 1/2^o > 1/4^o"),
+            (mip, "1/2^-", "1/2^o", "mip undefined: 1/2^o > 1/2^-"),
+            (mip, "1/3^o", "1/2^-", "mip undefined: 1/2^- > 1/3^o"),
+            (miss, "1/4^o", "1/2^-", "miss undefined: 1/2^- > 1/4^o"),
+            (miss, "1/2^-", "1/2^o", "miss undefined: 1/2^o > 1/2^-"),
+            (miss, "2/3^-", "3/4^o", "miss undefined: 3/4^o > 2/3^-"),
+            (plus, "1/2^o", "3/4^o", "plus undefined: 1/2^o + 3/4^o exceeds 1"),
+            (plus, "1/3^-", "5/7^o", "plus undefined: 1/3^- + 5/7^o exceeds 1"),
+            (plus, "1^-", "1/1000^o", "plus undefined: 1^- + 1/1000^o exceeds 1"),
+        ],
+    )
+    def test_domain_errors(self, op, x, y, message):
+        with pytest.raises(DomainError) as exc:
+            op(gv(x), gv(y))
+        assert str(exc.value) == message
+        ref = {mip: reference_mip, miss: reference_miss, plus: reference_plus}[op]
+        assert _outcome(ref, gv(x), gv(y)) == (DomainError, message)
+
+    @pytest.mark.parametrize(
+        "op, x, y, result",
+        [
+            # the diagonal, the covering pair and the ends
+            (mip, "2/3^o", "2/3^o", "0^o"),
+            (mip, "2/3^-", "2/3^-", "0^o"),
+            (mip, "2/3^o", "2/3^-", "0^o"),
+            (mip, "1^o", "1^-", "0^o"),
+            (mip, "1^-", "0^o", "1^-"),
+            (mip, "3/4^-", "1/6^o", "7/12^-"),
+            (miss, "2/3^-", "2/3^-", "0^o"),
+            (miss, "2/3^o", "2/3^-", "0^o"),
+            (miss, "1^o", "0^o", "1^-"),
+            (miss, "3/4^o", "1/6^-", "7/12^o"),
+            # sums of exactly 1, on mixed denominators
+            (plus, "1/3^o", "2/3^o", "1^o"),
+            (plus, "1/3^-", "2/3^o", "1^-"),
+            (plus, "1/4^-", "3/4^-", "1^-"),
+            (plus, "1/6^o", "1/4^-", "5/12^-"),
+            (plus, "0^o", "1^o", "1^o"),
+        ],
+    )
+    def test_domain_edges(self, op, x, y, result):
+        ref = {mip: reference_mip, miss: reference_miss, plus: reference_plus}[op]
+        assert str(op(gv(x), gv(y))) == str(ref(gv(x), gv(y))) == result
+
+    def test_sum_names_the_first_overflowing_partial_sum(self):
+        xs = [gv("1/2^o"), gv("1/4^-"), gv("1/3^o"), gv("1/2^o")]
+        message = "plus undefined: 3/4^- + 1/3^o exceeds 1"
+        assert _outcome(gamma_sum, xs) == _outcome(reference_gamma_sum, xs) == (DomainError, message)
+        assert gamma_sum([gv("1/6^o"), gv("1/3^-"), gv("1/2^o")]) == ONE_APPROX
+        assert gamma_sum([gv("1/6^o"), gv("1/3^o"), gv("1/2^o")]) == ONE
+        assert gamma_sum([ZERO, ZERO]) == ZERO
+
+    def test_projection_domain(self):
+        for n in (0, -2):
+            with pytest.raises(DomainError, match="chain parameter must be positive"):
+                project_gamma(ONE, n)
 
     def test_grid_points_are_their_ranks(self):
         for k in (1, 2, 5):

@@ -212,6 +212,42 @@ class TestSequences:
         rep = pairing_sequence(FENCE, phi, horizon=8)
         assert rep.exact
 
+    @pytest.mark.parametrize(
+        "text, negated",
+        [
+            # free and bound variables renamed
+            ("(forall w. !lt(v,w)) & (exists u. !lt(u,v) & !(u = v))", False),
+            # constants folded away, and an implication
+            ("((forall y. !lt(x,y)) & true) & (exists z. !lt(z,x) & !(z = x))", False),
+            ("((forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))) | false", False),
+            ("!((forall w. !lt(v,w)) & (exists u. !lt(u,v) & !(u = v)))", True),
+            ("((forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))) -> false", True),
+        ],
+    )
+    def test_closed_form_recognised_by_plan(self, text, negated):
+        phi = fo.parse_formula(text, fo.POSET_SIGNATURE)
+        rep = pairing_sequence(FENCE, phi, horizon=8)
+        assert rep.exact
+        if negated:
+            assert (rep.odd.limit, rep.even.limit) == (ONE, ONE_APPROX)
+        else:
+            assert rep.verdict.kind is VerdictKind.CONVERGES_EXACT and rep.verdict.limit == ZERO
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a double negation compiles to two NOT nodes: no closed form
+            "!!((forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x)))",
+            # other relations or shapes
+            "(forall y. !lt(y,x)) & (exists z. !lt(x,z) & !(z = x))",
+            "(forall y. !lt(x,y)) & (exists z. !lt(z,x))",
+        ],
+    )
+    def test_other_plans_fall_back_to_the_heuristic(self, text):
+        phi = fo.parse_formula(text, fo.POSET_SIGNATURE)
+        assert FENCE.closed_form(phi) is None
+        assert not pairing_sequence(FENCE, phi, horizon=8).exact
+
     def test_constant_family(self):
         rep = pairing_sequence(ConstantFamily(gen_example_structure(2)), PSI, horizon=8)
         assert not rep.exact

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    reference_filter_to_measure,
     reference_grid_measures,
     reference_grid_ranks,
+    reference_presentation_of_measure,
     reference_rule_instances,
     reference_validate_measure,
 )
@@ -227,6 +229,18 @@ class TestWorkGuard:
         assert (report.measures_checked, report.total_instances) == (measures, instances)
         assert report.failures == ()
 
+    def test_atom_table_counts_its_rank_index(self):
+        # a 2-chain at k = 30000000 has one measure: 120000003 bytes of
+        # boolean table and 480000008 bytes of int64 ranks 0..2k beside it
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="the atom table would take 600000011 bytes"):
+                entails_grid(PL_TRUE, PL_FALSE, chain(2), 30_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_long_chain_soundness_is_refused_before_the_gathers(self):
         # chain(10) at k = 6: 125970 measures and 47019 rule rows, three
         # gathers of 15747-byte rows
@@ -275,11 +289,12 @@ class TestWorkGuard:
     def test_atom_table_is_counted_before_it_is_built(self, monkeypatch):
         # C3 at k = 4: a search of 9 rows of 3 ranks (216 bytes), then 9
         # measures, a row for each of 3 elements x 9 ranks and the all-true
-        # row, one byte a cell before packing
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 - 1)
-        with pytest.raises(SizeError, match="the atom table would take 252 bytes"):
+        # row, one byte a cell before packing, plus the 9 int64 ranks the
+        # table compares with
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 + 8 * 9 - 1)
+        with pytest.raises(SizeError, match="the atom table would take 324 bytes"):
             entails_grid(PL_TRUE, PL_TRUE, C3, 4)
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 + 8 * 9)
         assert entails_grid(PL_TRUE, PL_TRUE, C3, 4).measures_checked == 9
 
 
@@ -572,6 +587,70 @@ class TestFilters:
         )
         with pytest.raises(PresentationError):
             filter_to_measure(presentation_of_measure(mu, 2))
+
+
+def _filter_outcome(to_measure, pres: FilterPresentation):
+    """The measure ``to_measure`` induces from ``pres``, or its error's text."""
+    try:
+        return to_measure(pres)
+    except PresentationError as exc:
+        return str(exc)
+
+
+def _toggled(pres: FilterPresentation):
+    """``pres`` with one (threshold, element) pair of the grid added or
+    removed, for every such pair."""
+    for a in range(pres.lattice.n):
+        for q in gamma.grid_rationals(pres.k):
+            yield FilterPresentation(pres.lattice, pres.k, pres.members ^ {(q, a)})
+
+
+class TestFilterKernel:
+    """The membership-table closures and the projection against the loops
+    and comparisons kept as references in conftest."""
+
+    @pytest.mark.parametrize("D", [C3, B4, P23], ids=["C3", "B4", "2x3"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_against_the_references(self, D, k):
+        kinds = set()
+        # measures on the grid k and on the grid k + 1 (mixed denominators)
+        for fine in (k, k + 1):
+            for mu in grid_measures(D, fine):
+                pres = presentation_of_measure(mu, k)
+                assert pres == reference_presentation_of_measure(mu, k)
+                for variant in [pres] + (list(_toggled(pres)) if fine == k else []):
+                    got = _filter_outcome(filter_to_measure, variant)
+                    assert got == _filter_outcome(reference_filter_to_measure, variant)
+                    if isinstance(got, str):
+                        kinds.add(got.split(" fails")[0].split(" does")[0])
+        # every kind of PresentationError is met
+        assert kinds == {"threshold closure", "order closure", "presentation"}
+
+    def test_threshold_closure_is_reported_first(self):
+        # (1, d) misses (0, d) below it and (1, 1) above it
+        pres = FilterPresentation(C3, 2, frozenset({(F(1), 1)}))
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(pres)
+        assert str(exc.value) == "threshold closure fails: (1, d) present but (0, d) missing"
+        # element 0 breaks order closure and comes first, but threshold
+        # closure, broken at d, is checked first
+        pres = FilterPresentation(C3, 2, frozenset({(F(0), 0), (F(1), 1), (F(0), 2), (F(1), 2)}))
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(pres)
+        assert str(exc.value) == "threshold closure fails: (1, d) present but (0, d) missing"
+
+    def test_first_violation_in_element_threshold_order(self):
+        # on B4, a misses 1/2 at the top and b misses 1/4 at the top; a
+        # comes first, then among b's failures the lower threshold
+        members = {(F(0), 0), (F(0), 3), (F(0), 1), (F(1, 4), 1), (F(1, 2), 1)}
+        members |= {(F(0), 2), (F(1, 4), 2)}
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(FilterPresentation(B4, 4, frozenset(members)))
+        assert str(exc.value) == "order closure fails: (1/4, a) present but (1/4, 1) missing"
+        members |= {(F(1, 4), 3)}
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(FilterPresentation(B4, 4, frozenset(members)))
+        assert str(exc.value) == "order closure fails: (1/2, a) present but (1/2, 1) missing"
 
 
 class TestPLSyntax:
