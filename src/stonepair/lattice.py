@@ -1,20 +1,23 @@
 """Finite bounded distributive lattices given extensionally by their order.
 
-Elements are indices 0..n-1 with display labels; the order is stored as a
-reflexive-transitive closure in bitmask rows.  Meets and joins are computed
-from the order and cached at first use.  The module also provides
-join/meet-irreducible analysis, the order isomorphism ``kappa`` between them,
-prime-filter enumeration, homomorphism checking, small factory lattices used
-throughout the test corpus, and a one-per-file text format.
-
-Everything here is desk-scale: validation checks the distributive law on all
-triples at once, on the meet and join tables, not forbidden sublattices.
+Elements are indices 0..n-1 with display labels.  The one stored form of a
+lattice is ``_order_arrays``: the order (the closure of the given relation,
+taken at construction) as a read-only boolean table, and the meet and join
+tables (built at first use) as element indices, each indexed [a, b].
+Validation, bounds, covers, irreducibles, the order isomorphism ``kappa``
+between them, prime filters and homomorphism checks are whole-array passes
+over these tables.  Each table is checked against the memory budget
+(``fo.check_bytes``) before it is built, which covers any temporary no
+larger than it.  The module also provides small factory lattices used
+throughout the test corpus and a one-per-file text format.  Validation
+checks the distributive law on all triples at once, on the meet and join
+tables, not forbidden sublattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,34 +26,14 @@ from . import fo
 from .errors import DomainError, InternalInvariantError, LatticeError, ParseError
 
 
-def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Reflexive-transitive closure as bitmask rows: bit j of row i iff i <= j."""
-    rows = [1 << i for i in range(n)]
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise DomainError(f"order pair ({i}, {j}) out of range for {n} elements")
-        rows[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            m = acc
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-    return tuple(rows)
+# the most cells of scratch one block of the meet and join pass may take
+_BLOCK_CELLS = 2**18
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+def _pairs_in_order(first: np.ndarray, second: np.ndarray) -> list[list[int]]:
+    """[a, b, 0 or 1] for each pair a <= b (by index) flagged in ``first`` or
+    ``second``, in row-major order, ``first`` before ``second`` on a pair."""
+    return np.argwhere(np.triu(np.stack((first, second))).transpose(1, 2, 0)).tolist()
 
 
 class FiniteLattice:
@@ -70,25 +53,31 @@ class FiniteLattice:
         if len(set(labels)) != len(labels):
             raise DomainError("element labels must be unique")
         self.labels = labels
-        self.n = len(labels)
-        self._up = _closure(self.n, relation)
-        # below[i]: bitmask of {j : j <= i}
-        below = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self._up[i]):
-                below[j] |= 1 << i
-        self._below = tuple(below)
+        self.n = n = len(labels)
+        pairs = list(relation)
+        # exact Python integers: a negative index must not wrap, a huge one overflow
+        index = np.array(pairs, dtype=object).reshape(-1, 2)
+        outside = ((index < 0) | (index >= n)).any(axis=1)
+        if outside.any():
+            i, j = pairs[int(outside.argmax())]
+            raise DomainError(f"order pair ({i}, {j}) out of range for {n} elements")
+        fo.check_bytes("the order", n * n)
+        leq = np.eye(n, dtype=bool)
+        leq[tuple(index.astype(np.intp).T)] = True
+        for k in range(n):  # Warshall: whatever reaches k reaches what k reaches
+            leq |= leq[:, k, None] & leq[k]
+        self._leq = fo._read_only(leq)
 
     # -- order -------------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._up[a] >> b & 1)
+        return bool(self._leq[a, b])
 
     def upset(self, a: int) -> frozenset[int]:
-        return frozenset(_bits(self._up[a]))
+        return frozenset(np.flatnonzero(self._leq[a]).tolist())
 
     def downset(self, a: int) -> frozenset[int]:
-        return frozenset(_bits(self._below[a]))
+        return frozenset(np.flatnonzero(self._leq[:, a]).tolist())
 
     def index_of(self, label: str) -> int:
         try:
@@ -96,165 +85,142 @@ class FiniteLattice:
         except ValueError:
             raise DomainError(f"unknown element label {label!r}") from None
 
-    def _greatest(self, mask: int) -> int | None:
-        """The greatest element of the masked subset, if it has one."""
-        for g in _bits(mask):
-            if mask & ~self._below[g] == 0:
-                return g
-        return None
-
-    def _least(self, mask: int) -> int | None:
-        for g in _bits(mask):
-            if mask & ~self._up[g] == 0:
-                return g
-        return None
-
     # -- lattice structure ---------------------------------------------------
 
     @cached_property
     def bottom(self) -> int:
-        b = self._least((1 << self.n) - 1)
-        if b is None:
+        """The lowest index whose row of the order is all true."""
+        below_all = self._leq.all(axis=1)
+        if not below_all.any():
             raise LatticeError("no bottom element")
-        return b
+        return int(below_all.argmax())
 
     @cached_property
     def top(self) -> int:
-        t = self._greatest((1 << self.n) - 1)
-        if t is None:
+        """The lowest index whose column of the order is all true."""
+        above_all = self._leq.all(axis=0)
+        if not above_all.any():
             raise LatticeError("no top element")
-        return t
+        return int(above_all.argmax())
 
-    @cached_property
-    def _meet_table(self) -> tuple[tuple[int, ...], ...]:
-        table = []
-        for a in range(self.n):
-            row = []
-            for b in range(self.n):
-                g = self._greatest(self._below[a] & self._below[b])
-                if g is None:
-                    raise LatticeError(
-                        f"no meet for ({self.labels[a]}, {self.labels[b]})"
-                    )
-                row.append(g)
-            table.append(tuple(row))
-        return tuple(table)
+    def _bounds_pass(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The meet and join tables, and the masks of the pairs that have a
+        meet and a join, built a block of rows a at a time.
 
-    @cached_property
-    def _join_table(self) -> tuple[tuple[int, ...], ...]:
-        table = []
-        for a in range(self.n):
-            row = []
-            for b in range(self.n):
-                l = self._least(self._up[a] & self._up[b])
-                if l is None:
-                    raise LatticeError(
-                        f"no join for ({self.labels[a]}, {self.labels[b]})"
-                    )
-                row.append(l)
-            table.append(tuple(row))
-        return tuple(table)
+        For the meet, the elements are sorted by downset size, descending,
+        ties by index.  Row a takes, for every b, the first common lower
+        bound of a and b in that order; it is their meet iff its downset
+        holds every common lower bound, that is iff its downset size is
+        their number.  The join is the dual, on upsets.  A block's scratch
+        [a, b, c] is at most ``_BLOCK_CELLS`` cells, or one row.
+        """
+        n, leq = self.n, self._leq
+        step = max(1, _BLOCK_CELLS // (n * n))
+        tables, masks = [], []
+        for kind, bound in (("meet", leq.T), ("join", leq)):
+            # bound[b, c]: c is a lower (meet) or an upper (join) bound of b
+            fo.check_bytes(f"the {kind} table", np.dtype(np.intp).itemsize * n * n)
+            size = bound.sum(axis=1)
+            by_size = np.argsort(-size, kind="stable")
+            bounds = bound[:, by_size]
+            table = np.empty((n, n), dtype=np.intp)
+            found = np.empty((n, n), dtype=bool)
+            for a in range(0, n, step):
+                rows = slice(a, a + step)
+                common = bounds & bounds[rows, None]
+                table[rows] = by_size[common.argmax(axis=2)]
+                found[rows] = size[table[rows]] == common.sum(axis=2)
+            tables.append(table)
+            masks.append(found)
+        return tables, masks
 
     @cached_property
     def _order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only numpy copies of the order, meet and join tables, indexed
-        [a, b]: ``leq`` as booleans, meets and joins as element indices."""
-        n = self.n
-        leq = np.array([[row >> b & 1 for b in range(n)] for row in self._up], dtype=bool)
-        meet = np.array(self._meet_table, dtype=np.intp).reshape(n, n)
-        join = np.array(self._join_table, dtype=np.intp).reshape(n, n)
-        for table in (leq, meet, join):
-            table.flags.writeable = False
-        return leq, meet, join
+        """The read-only order, meet and join tables, indexed [a, b]: ``leq``
+        as booleans, meets and joins as element indices.  A missing meet is
+        reported before a missing join, each at its first pair in row-major
+        order."""
+        (meet, join), masks = self._bounds_pass()
+        for kind, found in zip(("meet", "join"), masks):
+            if not found.all():
+                a, b = np.argwhere(~found)[0].tolist()
+                raise LatticeError(f"no {kind} for ({self.labels[a]}, {self.labels[b]})")
+        return self._leq, fo._read_only(meet), fo._read_only(join)
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet_table[a][b]
+        return int(self._order_arrays[1][a, b])
 
     def join(self, a: int, b: int) -> int:
-        return self._join_table[a][b]
+        return int(self._order_arrays[2][a, b])
 
     def join_all(self, elems: Iterable[int]) -> int:
-        acc = self.bottom
-        for e in elems:
-            acc = self.join(acc, e)
-        return acc
+        return reduce(self.join, elems, self.bottom)
 
     def meet_all(self, elems: Iterable[int]) -> int:
-        acc = self.top
-        for e in elems:
-            acc = self.meet(acc, e)
-        return acc
+        return reduce(self.meet, elems, self.top)
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """All violations of the bounded-distributive-lattice requirements."""
+        """All violations of the bounded-distributive-lattice requirements:
+        antisymmetry, then the bounds, then the meet and the join of each
+        pair a <= b in index order, then distributivity on every triple."""
+        leq, labels = self._leq, self.labels
+        twins = np.argwhere(np.triu(leq & leq.T, 1)).tolist()
+        if twins:
+            return [
+                f"antisymmetry fails: {labels[a]} <= {labels[b]} <= {labels[a]}"
+                for a, b in twins
+            ]
         out: list[str] = []
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if self.leq(a, b) and self.leq(b, a):
-                    out.append(
-                        f"antisymmetry fails: {self.labels[a]} <= {self.labels[b]} <= {self.labels[a]}"
-                    )
+        if not leq.all(axis=1).any():
+            out.append("no bottom element")
+        if not leq.all(axis=0).any():
+            out.append("no top element")
+        try:
+            _, meet, join = self._order_arrays
+        except LatticeError:
+            _, (has_meet, has_join) = self._bounds_pass()
+            out.extend(
+                f"no {('meet', 'join')[kind]} for ({labels[a]}, {labels[b]})"
+                for a, b, kind in _pairs_in_order(~has_meet, ~has_join)
+            )
         if out:
             return out
-        everything = (1 << self.n) - 1
-        if self._least(everything) is None:
-            out.append("no bottom element")
-        if self._greatest(everything) is None:
-            out.append("no top element")
-        meets_ok = True
-        for a in range(self.n):
-            for b in range(a, self.n):
-                if self._greatest(self._below[a] & self._below[b]) is None:
-                    out.append(f"no meet for ({self.labels[a]}, {self.labels[b]})")
-                    meets_ok = False
-                if self._least(self._up[a] & self._up[b]) is None:
-                    out.append(f"no join for ({self.labels[a]}, {self.labels[b]})")
-                    meets_ok = False
-        if not meets_ok or out:
-            return out
         # [a, b, c]: a ^ (b v c) against (a ^ b) v (a ^ c), all triples at once
-        _, meet, join = self._order_arrays
         fo.check_bytes("the distributivity check", 2 * meet.itemsize * self.n**3)
         fails = meet[:, join] != join[meet[:, :, None], meet[:, None, :]]
         out.extend(
-            f"distributivity fails on ({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
+            f"distributivity fails on ({labels[a]}, {labels[b]}, {labels[c]})"
             for a, b, c in np.argwhere(fails).tolist()
         )
         return out
 
     # -- irreducibles ----------------------------------------------------------
 
+    def _cover_table(self) -> np.ndarray:
+        """[i, j]: j covers i, that is i < j with nothing strictly between."""
+        strict = self._leq & ~np.eye(self.n, dtype=bool)
+        return strict & ~(strict @ strict)
+
     @cached_property
     def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Row j: the i covered by j, ascending; i is covered by j when the
-        elements at or above i and strictly below j are i alone."""
-        covers = []
-        for j in range(self.n):
-            under = self._below[j] & ~(1 << j)
-            covers.append(tuple(i for i in _bits(under) if self._up[i] & under == 1 << i))
-        return tuple(covers)
+        """Row j: the i covered by j, ascending."""
+        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self._cover_table().T)
 
     @cached_property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Row j: the i covering j, ascending (dual of ``_lower_covers``)."""
-        covers = []
-        for j in range(self.n):
-            over = self._up[j] & ~(1 << j)
-            covers.append(tuple(i for i in _bits(over) if self._below[i] & over == 1 << i))
-        return tuple(covers)
+        """Row j: the i covering j, ascending."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self._cover_table())
 
     @cached_property
     def _irreducibles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The join- and the meet-irreducibles, ascending."""
-        joins = tuple(
-            j for j in range(self.n) if j != self.bottom and len(self._lower_covers[j]) == 1
-        )
-        meets = tuple(
-            m for m in range(self.n) if m != self.top and len(self._upper_covers[m]) == 1
-        )
-        return joins, meets
+        """The join- and the meet-irreducibles, ascending: the elements with
+        exactly one lower (upper) cover, bottom (top) excluded."""
+        covers = self._cover_table()
+        joins, meets = covers.sum(axis=0) == 1, covers.sum(axis=1) == 1
+        joins[self.bottom] = meets[self.top] = False
+        return tuple(np.flatnonzero(joins).tolist()), tuple(np.flatnonzero(meets).tolist())
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover (bottom excluded)."""
@@ -263,6 +229,20 @@ class FiniteLattice:
     def meet_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one upper cover (top excluded)."""
         return self._irreducibles[1]
+
+    @cached_property
+    def _kappa_table(self) -> np.ndarray:
+        """Entry j, for each join-irreducible j: the join of {u : j not<= u},
+        the least of its upper bounds (the upper bound with the smallest
+        downset); -1 elsewhere.  Like any join it needs the tables, so a
+        missing meet or join raises ``LatticeError``."""
+        leq, n = self._order_arrays[0], self.n
+        joins = list(self._irreducibles[0])
+        # [j, c]: every u with j not<= u lies below c
+        bounds = ~(~leq[joins] @ ~leq)
+        table = np.full(n, -1, dtype=np.intp)
+        table[joins] = np.where(bounds, leq.sum(axis=0), n + 1).argmin(axis=1)
+        return fo._read_only(table)
 
     def kappa(self, j: int) -> int:
         """The meet-irreducible ``join of {u : j not<= u}`` paired with j.
@@ -273,7 +253,7 @@ class FiniteLattice:
         joins, meets = self._irreducibles
         if j not in joins:
             raise DomainError(f"{self.labels[j]} is not join-irreducible")
-        m = self.join_all(u for u in range(self.n) if not self.leq(j, u))
+        m = int(self._kappa_table[j])
         if m not in meets:
             raise InternalInvariantError(
                 f"kappa({self.labels[j]}) = {self.labels[m]} is not meet-irreducible"
@@ -305,26 +285,34 @@ class PrimeFilter:
     members: frozenset[int]
 
     def violations(self) -> list[str]:
+        """Every failure, kind by kind (empty, not proper, up-set,
+        meet-closure, primeness), each kind in ascending order of its
+        elements."""
         L = self.lattice
+        if any(not 0 <= m < L.n for m in self.members):
+            raise DomainError(f"filter members must be element indices 0..{L.n - 1}")
+        leq, meet, join = L._order_arrays
+        labels = L.labels
+        inside = np.zeros(L.n, dtype=bool)
+        inside[list(self.members)] = True
+        outside = ~inside
         out: list[str] = []
         if not self.members:
             out.append("empty")
         if len(self.members) == L.n:
             out.append("not proper")
-        for f in self.members:
-            for u in range(L.n):
-                if L.leq(f, u) and u not in self.members:
-                    out.append(f"not an up-set: {L.labels[u]} missing above {L.labels[f]}")
-        for a in self.members:
-            for b in self.members:
-                if L.meet(a, b) not in self.members:
-                    out.append(
-                        f"not meet-closed on ({L.labels[a]}, {L.labels[b]})"
-                    )
-        for a in range(L.n):
-            for b in range(L.n):
-                if L.join(a, b) in self.members and a not in self.members and b not in self.members:
-                    out.append(f"not prime on ({L.labels[a]}, {L.labels[b]})")
+        out.extend(
+            f"not an up-set: {labels[u]} missing above {labels[f]}"
+            for f, u in np.argwhere(inside[:, None] & leq & outside).tolist()
+        )
+        out.extend(
+            f"not meet-closed on ({labels[a]}, {labels[b]})"
+            for a, b in np.argwhere(inside[:, None] & inside & outside[meet]).tolist()
+        )
+        out.extend(
+            f"not prime on ({labels[a]}, {labels[b]})"
+            for a, b in np.argwhere(inside[join] & outside[:, None] & outside).tolist()
+        )
         return out
 
 
@@ -353,7 +341,8 @@ def identity_hom(L: FiniteLattice) -> LatticeHom:
 
 
 def check_hom(h: LatticeHom) -> list[str]:
-    """Violations of homomorphism-hood: bounds and binary meets/joins."""
+    """Violations of homomorphism-hood: bounds, then the meet and the join
+    of each pair a <= b in index order."""
     src, tgt, f = h.source, h.target, h.mapping
     out: list[str] = []
     if len(f) != src.n:
@@ -364,12 +353,15 @@ def check_hom(h: LatticeHom) -> list[str]:
         out.append("bottom not preserved")
     if f[src.top] != tgt.top:
         out.append("top not preserved")
-    for a in range(src.n):
-        for b in range(a, src.n):
-            if f[src.meet(a, b)] != tgt.meet(f[a], f[b]):
-                out.append(f"meet not preserved on ({src.labels[a]}, {src.labels[b]})")
-            if f[src.join(a, b)] != tgt.join(f[a], f[b]):
-                out.append(f"join not preserved on ({src.labels[a]}, {src.labels[b]})")
+    _, meet, join = src._order_arrays
+    _, tgt_meet, tgt_join = tgt._order_arrays
+    f = np.array(f, dtype=np.intp)
+    out.extend(
+        f"{('meet', 'join')[kind]} not preserved on ({src.labels[a]}, {src.labels[b]})"
+        for a, b, kind in _pairs_in_order(
+            f[meet] != tgt_meet[f[:, None], f], f[join] != tgt_join[f[:, None], f]
+        )
+    )
     return out
 
 
@@ -404,35 +396,23 @@ def boolean_algebra(num_atoms: int) -> FiniteLattice:
         elif s == size - 1:
             labels.append("1")
         else:
-            labels.append("".join(_ATOM_NAMES[i] for i in _bits(s)))
-    pairs = [
-        (s, s | 1 << i)
-        for s in range(size)
-        for i in range(num_atoms)
-        if not s >> i & 1
-    ]
+            labels.append("".join(a for i, a in enumerate(_ATOM_NAMES) if s >> i & 1))
+    pairs = [(s, s | 1 << i) for s in range(size) for i in range(num_atoms) if not s >> i & 1]
     return FiniteLattice(labels, pairs)
 
 
 def product_lattice(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
-    """Componentwise-ordered product; labels joined with an underscore."""
-    labels = [
-        f"{la}_{lb}" for la in left.labels for lb in right.labels
-    ]
+    """Componentwise-ordered product; labels joined with an underscore.
+
+    Pair (a, b) has index a * right.n + b, and its order is one outer
+    product of the two order tables."""
+    labels = [f"{la}_{lb}" for la in left.labels for lb in right.labels]
     if len(set(labels)) != len(labels):
         labels = [f"p{i}" for i in range(left.n * right.n)]
-
-    def idx(a: int, b: int) -> int:
-        return a * right.n + b
-
-    pairs = []
-    for a1 in range(left.n):
-        for b1 in range(right.n):
-            for a2 in range(left.n):
-                for b2 in range(right.n):
-                    if left.leq(a1, a2) and right.leq(b1, b2):
-                        pairs.append((idx(a1, b1), idx(a2, b2)))
-    return FiniteLattice(labels, pairs)
+    n = left.n * right.n
+    fo.check_bytes("the product order", n * n)
+    leq = left._leq[:, None, :, None] & right._leq[None, :, None, :]
+    return FiniteLattice(labels, np.argwhere(leq.reshape(n, n)).tolist())
 
 
 def diamond_m3() -> FiniteLattice:
@@ -446,19 +426,21 @@ def diamond_m3() -> FiniteLattice:
 def from_subsets(
     sets: Sequence[frozenset[int]], labels: Sequence[str] | None = None
 ) -> FiniteLattice:
-    """The inclusion order on the given distinct subsets."""
+    """The inclusion order on the given distinct subsets: S <= T iff no point
+    of S lies outside T, one product of the membership matrix with its
+    complement."""
     sets = list(sets)
     if len(set(sets)) != len(sets):
         raise DomainError("subsets must be distinct")
     if labels is None:
         labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in sets]
-    pairs = [
-        (i, j)
-        for i, si in enumerate(sets)
-        for j, sj in enumerate(sets)
-        if si <= sj
-    ]
-    return FiniteLattice(labels, pairs)
+    points = {p: i for i, p in enumerate(dict.fromkeys(p for s in sets for p in s))}
+    fo.check_bytes("the membership matrix", len(sets) * len(points))
+    fo.check_bytes("the inclusion order", len(sets) ** 2)
+    member = np.zeros((len(sets), len(points)), dtype=bool)
+    for i, s in enumerate(sets):
+        member[i, [points[p] for p in s]] = True
+    return FiniteLattice(labels, np.argwhere(~(member @ ~member.T)).tolist())
 
 
 # -- text format ----------------------------------------------------------------
@@ -532,9 +514,6 @@ def parse_lattice(text: str) -> FiniteLattice:
 def format_lattice(L: FiniteLattice) -> str:
     """Emit the text format using the covering pairs of the order."""
     lines = ["elements: " + ", ".join(L.labels)]
-    covers = []
-    for j in range(L.n):
-        for i in L._lower_covers[j]:
-            covers.append(f"{L.labels[i]}<={L.labels[j]}")
+    covers = [f"{L.labels[i]}<={L.labels[j]}" for j in range(L.n) for i in L._lower_covers[j]]
     lines.append("order: " + ", ".join(covers))
     return "\n".join(lines) + "\n"

@@ -168,30 +168,29 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
     against the memory budget before it is built.
     """
     n, top = D.n, 2 * k
-    ends = (D.bottom, D.top)
-    free = [e for e in range(n) if e not in ends]
-    # pairs (a, b, meet, join), tested when the last of their free members is
-    # placed (incomparable a and b are never bottom or top)
-    tests: dict[int, list[tuple[int, int, int, int]]] = {e: [] for e in free}
-    for a in free:
-        for b in free:
-            if not (D.leq(a, b) or D.leq(b, a)):
-                quad = (a, b, D.meet(a, b), D.join(a, b))
-                tests[max(x for x in quad if x not in ends)].append(quad)
+    leq, meet, join = D._order_arrays
+    placed = np.zeros(n, dtype=bool)
+    placed[[D.bottom, D.top]] = True
+    # columns (a, b, meet, join) of incomparable pairs (never bottom or top),
+    # each tested when the last of its free members is placed
+    a, b = np.nonzero(~(leq | leq.T))
+    quads = np.array((a, b, meet[a, b], join[a, b]))
+    last = np.where(placed[quads], -1, quads).max(axis=0, initial=-1)
     R = np.zeros((1, n), dtype=np.int64)
     R[0, D.top] = top
-    placed = list(ends)
-    for e in free:
-        lo = R[:, [d for d in placed if D.leq(d, e)]].max(axis=1)
-        hi = R[:, [d for d in placed if D.leq(e, d)]].min(axis=1)
+    for e in np.flatnonzero(~placed).tolist():
+        lo = R[:, placed & leq[:, e]].max(axis=1)
+        hi = R[:, placed & leq[e]].min(axis=1)
+        tests = quads[:, last == e]
         counts = hi - lo + 1  # positive: placed comparable pairs are monotone
-        fo.check_bytes("the grid search", int(counts.sum()) * (n + 4 * len(tests[e])) * 8)
+        fo.check_bytes("the grid search", int(counts.sum()) * (n + tests.size) * 8)
         R = R.repeat(counts, axis=0)
         R[:, e] = np.arange(len(R)) - np.repeat(counts.cumsum() - counts - lo, counts)
-        placed.append(e)
-        if tests[e] and len(R):
-            left, right = gamma.additivity_of_ranks(*(R[:, list(col)] for col in zip(*tests[e])))
-            R = R[~(left | right).any(axis=1)]
+        placed[e] = True
+        if tests.size and len(R):
+            # [x, pair, row]: the ranks of x = a, b, meet, join
+            left, right = gamma.additivity_of_ranks(*R.T[tests])
+            R = R[~(left | right).any(axis=0)]
     return R
 
 
@@ -533,9 +532,11 @@ class FilterPresentation:
     members: frozenset[tuple[Fraction, int]]
 
     def __post_init__(self) -> None:
-        Q = set(grid_rationals(self.k))
+        if self.k < 1:
+            raise DomainError("grid resolution must be positive")
         for q, a in self.members:
-            if q not in Q:
+            # on the grid: 0 <= q <= 1 and q's denominator divides k
+            if not (0 <= q.numerator <= q.denominator and self.k % q.denominator == 0):
                 raise DomainError(f"threshold {q} is not on the resolution-{self.k} grid")
             if not 0 <= a < self.lattice.n:
                 raise DomainError(f"element index {a} out of range")
@@ -552,20 +553,22 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
     Both closures are whole-array tests on the n x (k + 1) membership table
     (row a, column i: (i/k, a) is a member): threshold closure says every
     row is a prefix, order closure that the rows are monotone along the
-    lattice order.  The first violation in (element,
-    threshold) order is reported, threshold closure before order closure.
+    lattice order.  The first violation in (element, threshold) order is
+    reported, threshold closure before order closure.  The table is checked
+    against the memory budget (``fo.check_bytes``) before it is built.
     """
-    D, Q = F.lattice, grid_rationals(F.k)
-    table = np.zeros((D.n, F.k + 1), dtype=bool)
+    D, k = F.lattice, F.k
+    fo.check_bytes("the membership table", D.n * (k + 1))
+    table = np.zeros((D.n, k + 1), dtype=bool)
     for q, a in F.members:
-        table[a, q.numerator * (F.k // q.denominator)] = True
+        table[a, q.numerator * (k // q.denominator)] = True
     rises = table[:, 1:] & ~table[:, :-1]
     if rises.any():
         a, i = np.unravel_index(np.argmax(rises), rises.shape)
         p = np.argmin(table[a])
         raise PresentationError(
-            f"threshold closure fails: ({Q[i + 1]}, {D.labels[a]}) present "
-            f"but ({Q[p]}, {D.labels[a]}) missing"
+            f"threshold closure fails: ({Fraction(i + 1, k)}, {D.labels[a]}) present "
+            f"but ({Fraction(p, k)}, {D.labels[a]}) missing"
         )
     leq = D._order_arrays[0]
     # some b >= a misses the threshold: a boolean matrix product
@@ -574,12 +577,12 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
         a, i = np.unravel_index(np.argmax(unclosed), unclosed.shape)
         b = np.argmax(leq[a] & ~table[:, i])
         raise PresentationError(
-            f"order closure fails: ({Q[i]}, {D.labels[a]}) present "
-            f"but ({Q[i]}, {D.labels[b]}) missing"
+            f"order closure fails: ({Fraction(i, k)}, {D.labels[a]}) present "
+            f"but ({Fraction(i, k)}, {D.labels[b]}) missing"
         )
     # the rows are prefixes: the largest asserted threshold is the row's count less one
     counts = table.sum(axis=1).tolist()
-    mu = Measure(D, tuple(gamma.point_of_rank(2 * max(c - 1, 0), F.k) for c in counts))
+    mu = Measure(D, tuple(gamma.point_of_rank(2 * max(c - 1, 0), k) for c in counts))
     bad = validate_measure(mu)
     if bad:
         raise PresentationError(
@@ -592,14 +595,19 @@ def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
     """The grid fragment of the filter of a measure: all (q, a) with
     q^o <= mu(a).  The thresholds of element a are the grid points up to
     the projection of mu(a) onto the resolution-k chain
-    (``gamma.project_of_ranks``)."""
-    Q = grid_rationals(k)
-    members = []
-    for a, x in enumerate(mu.values):
-        denom = x.value.denominator
-        top = gamma.project_of_ranks(gamma.rank(x, denom), k, denom)
-        members.extend((q, a) for q in Q[: top + 1])
-    return FilterPresentation(mu.lattice, k, frozenset(members))
+    (``gamma.project_of_ranks``).  The members, counted in closed form, are
+    first checked against the memory budget at 192 bytes each (a traced
+    peak of about 170: the tuple, its set slot, its share of thresholds)."""
+    if k < 1:
+        raise DomainError("grid resolution must be positive")
+    tops = [
+        gamma.project_of_ranks(gamma.rank(x, x.value.denominator), k, x.value.denominator)
+        for x in mu.values
+    ]
+    fo.check_bytes("the presentation", 192 * sum(t + 1 for t in tops))
+    Q = [Fraction(i, k) for i in range(max(tops) + 1)]
+    members = frozenset((q, a) for a, t in enumerate(tops) for q in Q[: t + 1])
+    return FilterPresentation(mu.lattice, k, members)
 
 
 # -- concrete syntax -----------------------------------------------------------------

@@ -6,12 +6,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import hypothesis.strategies as st
 
 from stonepair import fo, gamma, lattice
 from stonepair.chains import ChainPoint
-from stonepair.errors import DomainError, PresentationError
+from stonepair.errors import DomainError, InternalInvariantError, LatticeError, PresentationError
 from stonepair.gamma import GammaValue
 from stonepair.lattice import FiniteLattice
 from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
@@ -275,7 +276,248 @@ def reference_filter_to_measure(F: FilterPresentation) -> Measure:
     return mu
 
 
-def reference_covers(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def reference_distributivity(L) -> list[str]:
+    """The distributivity failures of a lattice by the cubic loop over all
+    triples (a, b, c), in the messages and order of ``validate``."""
+    out = []
+    for a in range(L.n):
+        for b in range(L.n):
+            for c in range(L.n):
+                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
+                    out.append(
+                        f"distributivity fails on ({L.labels[a]}, {L.labels[b]}, {L.labels[c]})"
+                    )
+    return out
+
+
+# -- reference oracles for the lattice tables ---------------------------------------
+
+
+def _bits(mask: int):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def reference_closure(n: int, pairs) -> tuple[int, ...]:
+    """Reflexive-transitive closure as bitmask rows: bit j of row i iff i <= j,
+    by unions of rows until nothing changes."""
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise DomainError(f"order pair ({i}, {j}) out of range for {n} elements")
+        rows[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = rows[i]
+            for j in _bits(acc):
+                acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    return tuple(rows)
+
+
+class ReferenceLattice:
+    """A lattice as bitmask rows of its order, every meet and join found by
+    scanning the bitmask of common bounds, every check a loop over pairs:
+    the same answers, in the same order, as ``FiniteLattice``."""
+
+    def __init__(self, labels, relation):
+        self.labels = tuple(labels)
+        self.n = len(self.labels)
+        self.up = reference_closure(self.n, relation)
+        below = [0] * self.n
+        for i in range(self.n):
+            for j in _bits(self.up[i]):
+                below[j] |= 1 << i
+        self.below = tuple(below)
+
+    @classmethod
+    def of(cls, L: FiniteLattice) -> "ReferenceLattice":
+        """The reference form of L's labels and order."""
+        return cls(L.labels, [(a, b) for a in range(L.n) for b in range(L.n) if L.leq(a, b)])
+
+    def leq(self, a: int, b: int) -> bool:
+        return bool(self.up[a] >> b & 1)
+
+    def leq_table(self) -> list[list[bool]]:
+        return [[self.leq(a, b) for b in range(self.n)] for a in range(self.n)]
+
+    def upset(self, a: int) -> frozenset[int]:
+        return frozenset(_bits(self.up[a]))
+
+    def greatest(self, mask: int) -> int | None:
+        """The greatest element of the masked subset, if it has one."""
+        for g in _bits(mask):
+            if mask & ~self.below[g] == 0:
+                return g
+        return None
+
+    def least(self, mask: int) -> int | None:
+        for g in _bits(mask):
+            if mask & ~self.up[g] == 0:
+                return g
+        return None
+
+    @cached_property
+    def bottom(self) -> int:
+        b = self.least((1 << self.n) - 1)
+        if b is None:
+            raise LatticeError("no bottom element")
+        return b
+
+    @cached_property
+    def top(self) -> int:
+        t = self.greatest((1 << self.n) - 1)
+        if t is None:
+            raise LatticeError("no top element")
+        return t
+
+    def _table(self, kind: str, bound, rows) -> tuple[tuple[int, ...], ...]:
+        table = []
+        for a in range(self.n):
+            row = []
+            for b in range(self.n):
+                g = bound(rows[a] & rows[b])
+                if g is None:
+                    raise LatticeError(f"no {kind} for ({self.labels[a]}, {self.labels[b]})")
+                row.append(g)
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table("meet", self.greatest, self.below)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table("join", self.least, self.up)
+
+    def tables(self):
+        """The meet and join tables, meets first, as ``_order_arrays`` builds them."""
+        return self.meet_table, self.join_table
+
+    def meet(self, a: int, b: int) -> int:
+        return self.meet_table[a][b]
+
+    def join(self, a: int, b: int) -> int:
+        return self.join_table[a][b]
+
+    def validate(self) -> list[str]:
+        out: list[str] = []
+        for a in range(self.n):
+            for b in range(a + 1, self.n):
+                if self.leq(a, b) and self.leq(b, a):
+                    out.append(
+                        f"antisymmetry fails: {self.labels[a]} <= {self.labels[b]} <= {self.labels[a]}"
+                    )
+        if out:
+            return out
+        everything = (1 << self.n) - 1
+        if self.least(everything) is None:
+            out.append("no bottom element")
+        if self.greatest(everything) is None:
+            out.append("no top element")
+        for a in range(self.n):
+            for b in range(a, self.n):
+                if self.greatest(self.below[a] & self.below[b]) is None:
+                    out.append(f"no meet for ({self.labels[a]}, {self.labels[b]})")
+                if self.least(self.up[a] & self.up[b]) is None:
+                    out.append(f"no join for ({self.labels[a]}, {self.labels[b]})")
+        return out or reference_distributivity(self)
+
+    def irreducibles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        lower, upper = reference_covers(self)
+        joins = tuple(j for j in range(self.n) if j != self.bottom and len(lower[j]) == 1)
+        meets = tuple(m for m in range(self.n) if m != self.top and len(upper[m]) == 1)
+        return joins, meets
+
+    def kappa(self, j: int) -> int:
+        """The join of {u : j not<= u} by a fold of the join table."""
+        joins, meets = self.irreducibles()
+        if j not in joins:
+            raise DomainError(f"{self.labels[j]} is not join-irreducible")
+        m = self.bottom
+        for u in range(self.n):
+            if not self.leq(j, u):
+                m = self.join(m, u)
+        if m not in meets:
+            raise InternalInvariantError(
+                f"kappa({self.labels[j]}) = {self.labels[m]} is not meet-irreducible"
+            )
+        return m
+
+    def prime_filter_violations(self, members: frozenset[int]) -> list[str]:
+        """The violations of ``PrimeFilter``, members in ascending order."""
+        out: list[str] = []
+        if not members:
+            out.append("empty")
+        if len(members) == self.n:
+            out.append("not proper")
+        for f in sorted(members):
+            for u in range(self.n):
+                if self.leq(f, u) and u not in members:
+                    out.append(f"not an up-set: {self.labels[u]} missing above {self.labels[f]}")
+        for a in sorted(members):
+            for b in sorted(members):
+                if self.meet(a, b) not in members:
+                    out.append(f"not meet-closed on ({self.labels[a]}, {self.labels[b]})")
+        for a in range(self.n):
+            for b in range(self.n):
+                if self.join(a, b) in members and a not in members and b not in members:
+                    out.append(f"not prime on ({self.labels[a]}, {self.labels[b]})")
+        return out
+
+
+def reference_check_hom(src: ReferenceLattice, tgt: ReferenceLattice, f) -> list[str]:
+    """``check_hom`` by its loop over the pairs a <= b."""
+    out: list[str] = []
+    if len(f) != src.n:
+        return [f"mapping has {len(f)} entries for {src.n} elements"]
+    if any(not 0 <= y < tgt.n for y in f):
+        return ["mapping image out of range"]
+    if f[src.bottom] != tgt.bottom:
+        out.append("bottom not preserved")
+    if f[src.top] != tgt.top:
+        out.append("top not preserved")
+    for a in range(src.n):
+        for b in range(a, src.n):
+            if f[src.meet(a, b)] != tgt.meet(f[a], f[b]):
+                out.append(f"meet not preserved on ({src.labels[a]}, {src.labels[b]})")
+            if f[src.join(a, b)] != tgt.join(f[a], f[b]):
+                out.append(f"join not preserved on ({src.labels[a]}, {src.labels[b]})")
+    return out
+
+
+def reference_product_lattice(left: ReferenceLattice, right: ReferenceLattice) -> ReferenceLattice:
+    """The componentwise order by its loop over all pairs of pairs."""
+    labels = [f"{la}_{lb}" for la in left.labels for lb in right.labels]
+    if len(set(labels)) != len(labels):
+        labels = [f"p{i}" for i in range(left.n * right.n)]
+    pairs = [
+        (a1 * right.n + b1, a2 * right.n + b2)
+        for a1 in range(left.n)
+        for b1 in range(right.n)
+        for a2 in range(left.n)
+        for b2 in range(right.n)
+        if left.leq(a1, a2) and right.leq(b1, b2)
+    ]
+    return ReferenceLattice(labels, pairs)
+
+
+def reference_from_subsets(sets, labels=None) -> ReferenceLattice:
+    """The inclusion order by its loop over all pairs of sets."""
+    if labels is None:
+        labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in sets]
+    pairs = [(i, j) for i, si in enumerate(sets) for j, sj in enumerate(sets) if si <= sj]
+    return ReferenceLattice(labels, pairs)
+
+
+def reference_covers(L) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Lower and upper covers of every element by the cubic scan: i < j is
     covered by j when no third element lies strictly between them."""
     lower, upper = [], []
@@ -291,17 +533,26 @@ def reference_covers(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tupl
     return lower, upper
 
 
-def reference_distributivity(L: FiniteLattice) -> list[str]:
-    """The distributivity failures of a lattice by the cubic loop over all
-    triples (a, b, c), in the messages and order of ``validate``."""
-    out = []
+def reference_validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
+    """The classical axioms by loops over elements and pairs in ``Fraction``
+    arithmetic: bottom, top, range, monotone, modular."""
+    L = m.lattice
+    out: list[MeasureViolation] = []
+    if m(L.bottom) != 0:
+        out.append(MeasureViolation("bottom"))
+    if m(L.top) != 1:
+        out.append(MeasureViolation("top"))
+    for a in range(L.n):
+        if not 0 <= m(a) <= 1:
+            out.append(MeasureViolation("range", a, a))
     for a in range(L.n):
         for b in range(L.n):
-            for c in range(L.n):
-                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
-                    out.append(
-                        f"distributivity fails on ({L.labels[a]}, {L.labels[b]}, {L.labels[c]})"
-                    )
+            if a != b and L.leq(a, b) and not m(a) <= m(b):
+                out.append(MeasureViolation("monotone", a, b))
+    for a in range(L.n):
+        for b in range(L.n):
+            if m(a) + m(b) != m(L.join(a, b)) + m(L.meet(a, b)):
+                out.append(MeasureViolation("modular", a, b))
     return out
 
 

@@ -1,12 +1,31 @@
 """Lattice validation, irreducibles, kappa, prime filters, homs, file format."""
 
+import io
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_covers, reference_distributivity, small_lattice_corpus
+from conftest import (
+    ReferenceLattice,
+    reference_check_hom,
+    reference_covers,
+    reference_distributivity,
+    reference_from_subsets,
+    reference_product_lattice,
+    small_lattice_corpus,
+)
 from stonepair import fo
-from stonepair.errors import DomainError, LatticeError, ParseError, SizeError
+from stonepair.cli import run
+from stonepair.errors import (
+    DomainError,
+    InternalInvariantError,
+    LatticeError,
+    ParseError,
+    SizeError,
+)
 from stonepair.lattice import (
     FiniteLattice,
     LatticeHom,
@@ -21,6 +40,86 @@ from stonepair.lattice import (
     parse_lattice,
     product_lattice,
 )
+
+
+# name: (labels, relation, validate(), the error of _order_arrays or None)
+PINNED_POSETS = {
+    "diamond": (
+        ["0", "x", "y", "z", "1"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+        [f"distributivity fails on ({a}, {b}, {c})" for a, b, c in itertools.permutations("xyz")],
+        None,
+    ),
+    "pentagon": (
+        ["0", "a", "b", "c", "1"], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+        ["distributivity fails on (b, a, c)", "distributivity fails on (b, c, a)"],
+        None,
+    ),
+    "missing-top": (
+        ["0", "l", "r"], [(0, 1), (0, 2)],
+        ["no top element", "no join for (l, r)"],
+        "no join for (l, r)",
+    ),
+    "two-cycle": (["a", "b"], [(0, 1), (1, 0)], ["antisymmetry fails: a <= b <= a"], None),
+    "three-cycle-with-tail": (
+        ["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 0), (2, 3)],
+        [
+            "antisymmetry fails: a <= b <= a",
+            "antisymmetry fails: a <= c <= a",
+            "antisymmetry fails: b <= c <= b",
+        ],
+        None,
+    ),
+    "two-bottoms": (
+        ["l", "r", "1"], [(0, 2), (1, 2)],
+        ["no bottom element", "no meet for (l, r)"],
+        "no meet for (l, r)",
+    ),
+    "bowtie": (
+        ["l1", "r1", "l2", "r2"], [(0, 2), (0, 3), (1, 2), (1, 3)],
+        [
+            "no bottom element",
+            "no top element",
+            "no meet for (l1, r1)",
+            "no join for (l1, r1)",
+            "no meet for (l2, r2)",
+            "no join for (l2, r2)",
+        ],
+        "no meet for (l1, r1)",
+    ),
+}
+
+
+class TestPinnedFailures:
+    """Exact messages, in order, for posets that are not distributive lattices."""
+
+    @pytest.mark.parametrize("name", PINNED_POSETS)
+    def test_validate_lists(self, name):
+        labels, relation, expected, _ = PINNED_POSETS[name]
+        assert FiniteLattice(labels, relation).validate() == expected
+
+    @pytest.mark.parametrize("name", PINNED_POSETS)
+    def test_order_arrays_error(self, name):
+        labels, relation, _, error = PINNED_POSETS[name]
+        L = FiniteLattice(labels, relation)
+        if error is None:
+            L._order_arrays
+        else:
+            with pytest.raises(LatticeError) as exc:
+                L._order_arrays
+            assert str(exc.value) == error
+
+    @pytest.mark.parametrize("name", PINNED_POSETS)
+    def test_cli_error_line(self, name, tmp_path):
+        labels, relation, expected, _ = PINNED_POSETS[name]
+        path = tmp_path / "bad.lat"
+        path.write_text(
+            "elements: " + ", ".join(labels) + "\norder: "
+            + ", ".join(f"{labels[a]}<={labels[b]}" for a, b in relation) + "\n"
+        )
+        for argv in (["soundness", "--grid", "1"], ["entail", "--grid", "1", "--lhs", "true", "--rhs", "true"]):
+            out, err = io.StringIO(), io.StringIO()
+            assert run([argv[0], "--lattice", str(path), *argv[1:]], out, err) == 1
+            assert (out.getvalue(), err.getvalue()) == ("", "error: " + "; ".join(expected) + "\n")
 
 
 class TestValidation:
@@ -306,3 +405,189 @@ class TestFactories:
         sets = [frozenset(), frozenset({0}), frozenset({0, 1})]
         L = from_subsets(sets)
         assert L.bottom == 0 and L.top == 2
+
+
+# -- the array form against the bitmask-row references in conftest -------------------
+
+
+@st.composite
+def relations(draw, max_size: int = 7):
+    """Labels and a relation on them: an arbitrary relation (cycles are
+    likely), an acyclic one, or the inclusion order of a family of subsets:
+    of {0, 1, 2}, closed under union and intersection (a distributive
+    lattice), or of {0, 1, 2, 3}, closed under intersection with the full
+    set added (a lattice, M3 and the pentagon among them)."""
+    kind = draw(st.integers(0, 3))
+    if kind >= 2:
+        points = 3 if kind == 2 else 4
+        family = set(draw(st.lists(st.frozensets(st.integers(0, points - 1)), min_size=1, max_size=4)))
+        if kind == 3:
+            family.add(frozenset(range(points)))
+        while True:
+            closed = family | {s & t for s in family for t in family}
+            if kind == 2:
+                closed |= {s | t for s in family for t in family}
+            if closed == family:
+                break
+            family = closed
+        sets = sorted(family, key=sorted)
+        draw(st.randoms()).shuffle(sets)
+        n = len(sets)
+        return [f"e{i}" for i in range(n)], [(i, j) for i in range(n) for j in range(n) if sets[i] <= sets[j]]
+    n = draw(st.integers(1, max_size))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    if kind == 1:
+        pairs = [(i, j) if i < j else (j, i) for i, j in pairs]
+    return [f"e{i}" for i in range(n)], pairs
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or its error's type name and text."""
+    try:
+        return f(*args)
+    except (DomainError, InternalInvariantError, LatticeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def table_outcome(L: FiniteLattice):
+    return outcome(lambda: [t.tolist() for t in L._order_arrays[1:]])
+
+
+def reference_table_outcome(R: ReferenceLattice):
+    return outcome(lambda: [[list(row) for row in t] for t in R.tables()])
+
+
+def compare_with_reference(labels, pairs, member_sets) -> None:
+    """Every answer of the array form against ``ReferenceLattice``: the
+    order, bounds, tables or their error, validation, covers, irreducibles,
+    prime-filter violations of each member set, and kappa."""
+    L, R = FiniteLattice(labels, pairs), ReferenceLattice(labels, pairs)
+    assert L._leq.tolist() == R.leq_table()
+    assert [L.upset(a) for a in range(L.n)] == [R.upset(a) for a in range(R.n)]
+    assert outcome(lambda: L.bottom) == outcome(lambda: R.bottom)
+    assert outcome(lambda: L.top) == outcome(lambda: R.top)
+    tables = table_outcome(L)
+    assert tables == reference_table_outcome(R)
+    problems = L.validate()
+    assert problems == R.validate()
+    assert (list(L._lower_covers), list(L._upper_covers)) == reference_covers(R)
+    irreducibles = outcome(lambda: (L.join_irreducibles(), L.meet_irreducibles()))
+    assert irreducibles == outcome(R.irreducibles)
+    if isinstance(tables, tuple):
+        return
+    for members in member_sets:
+        assert PrimeFilter(L, members).violations() == R.prime_filter_violations(members)
+    if not (problems and problems[0].startswith("antisymmetry")):
+        for j in range(L.n):
+            assert outcome(L.kappa, j) == outcome(R.kappa, j)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=400, deadline=None)
+    @given(relations(), st.data())
+    def test_one_lattice(self, relation, data):
+        labels, pairs = relation
+        members = frozenset(data.draw(st.sets(st.integers(0, len(labels) - 1))))
+        compare_with_reference(labels, pairs, [members])
+
+    @pytest.mark.parametrize("name", PINNED_POSETS)
+    def test_pinned_posets(self, name):
+        labels, pairs = PINNED_POSETS[name][:2]
+        every_subset = [
+            frozenset(i for i in range(len(labels)) if bits >> i & 1)
+            for bits in range(1 << len(labels))
+        ]
+        compare_with_reference(labels, pairs, every_subset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations(), relations(), st.data())
+    def test_homomorphism_checks(self, source, target, data):
+        L1, L2 = FiniteLattice(*source), FiniteLattice(*target)
+        R1, R2 = ReferenceLattice(*source), ReferenceLattice(*target)
+        size = data.draw(st.sampled_from([L1.n, L1.n, L1.n, L1.n + 1]))
+        f = tuple(data.draw(st.lists(st.integers(-1, L2.n), min_size=size, max_size=size)))
+        got = outcome(check_hom, LatticeHom(L1, L2, f))
+        want = outcome(reference_check_hom, R1, R2, f)
+        if isinstance(want, tuple):
+            # the two read the lattices' tables in another order
+            assert isinstance(got, tuple) and got[0] == want[0]
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations(max_size=4), relations(max_size=4))
+    def test_product_lattice(self, left, right):
+        got = product_lattice(FiniteLattice(*left), FiniteLattice(*right))
+        want = reference_product_lattice(ReferenceLattice(*left), ReferenceLattice(*right))
+        assert got.labels == want.labels
+        assert got._leq.tolist() == want.leq_table()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 3)), min_size=1, max_size=7, unique=True))
+    def test_from_subsets(self, sets):
+        got, want = from_subsets(sets), reference_from_subsets(sets)
+        assert got.labels == want.labels
+        assert got._leq.tolist() == want.leq_table()
+        points = [frozenset(f"p{i}" for i in s) for s in sets]
+        named = [f"s{i}" for i in range(len(sets))]
+        assert from_subsets(points, named)._leq.tolist() == want.leq_table()
+
+    @pytest.mark.parametrize(
+        "L",
+        [boolean_algebra(6), product_lattice(chain(6), chain(6)), chain(100)],
+        ids=["B64", "6x6", "C100"],
+    )
+    def test_larger_tables(self, L):
+        R = ReferenceLattice.of(L)
+        assert [t.tolist() for t in L._order_arrays[1:]] == [[list(r) for r in t] for t in R.tables()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_out_of_range_pairs(self, n, data):
+        pair = st.tuples(st.integers(-3, n + 2), st.integers(-3, n + 2))
+        pairs = data.draw(st.lists(pair, max_size=6))
+        labels = [f"e{i}" for i in range(n)]
+        got = outcome(lambda: FiniteLattice(labels, pairs)._leq.tolist())
+        assert got == outcome(lambda: ReferenceLattice(labels, pairs).leq_table())
+
+    @pytest.mark.parametrize(
+        "pairs, bad",
+        [
+            ([(0, -1)], (0, -1)),
+            ([(-1, 0)], (-1, 0)),
+            ([(0, 1), (2, 0), (-1, 5)], (2, 0)),
+            ([(1, 0), (0, 2**70)], (0, 2**70)),
+            ([(-(2**70), 1)], (-(2**70), 1)),
+        ],
+    )
+    def test_bad_pair_is_named(self, pairs, bad):
+        with pytest.raises(DomainError, match=re.escape(f"order pair {bad} out of range for 2 elements")):
+            FiniteLattice(["a", "b"], pairs)
+
+    def test_prime_filter_violations_ascend(self):
+        # members in ascending order within each kind, whatever the set's order
+        B = boolean_algebra(3)
+        pf = PrimeFilter(B, frozenset({6, 5, 3}))
+        assert pf.violations() == [
+            "not an up-set: 1 missing above ab",
+            "not an up-set: 1 missing above ac",
+            "not an up-set: 1 missing above bc",
+            "not meet-closed on (ab, ac)",
+            "not meet-closed on (ab, bc)",
+            "not meet-closed on (ac, ab)",
+            "not meet-closed on (ac, bc)",
+            "not meet-closed on (bc, ab)",
+            "not meet-closed on (bc, ac)",
+        ] + [f"not prime on ({x}, {y})" for x, y in itertools.permutations("abc", 2)]
+
+    @pytest.mark.parametrize("member", [-1, 3, 2**70])
+    def test_prime_filter_members_out_of_range(self, member):
+        # a negative member must not wrap around to the top
+        with pytest.raises(DomainError, match=re.escape("filter members must be element indices 0..2")):
+            PrimeFilter(chain(3), frozenset({member})).violations()
+
+    def test_order_table_is_budgeted(self, monkeypatch):
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 15)
+        with pytest.raises(SizeError, match="the order would take 16 bytes"):
+            chain(4)
+        chain(3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     random_classical_measure,
+    reference_validate_classical_measure,
     reference_validate_measure,
     small_lattice_corpus,
 )
@@ -235,6 +236,47 @@ class TestClassical:
             for _ in range(5):
                 m = random_classical_measure(L, rng)
                 assert validate_classical_measure(m) == []
+
+
+@st.composite
+def classical_maps(draw):
+    """Maps into the rationals on a corpus lattice: valid valuations, ones
+    with a few values moved, and ones with values anywhere in [-1, 3]."""
+    L = draw(st.sampled_from(small_lattice_corpus()))
+    values = list(random_classical_measure(L, random.Random(draw(st.integers(0, 2**16)))).values)
+    kind = draw(st.sampled_from(["valid", "perturbed", "out of range"]))
+    for a in draw(st.lists(st.integers(0, L.n - 1), max_size=3)) if kind != "valid" else ():
+        if kind == "perturbed":
+            values[a] += F(draw(st.integers(-2, 2)), draw(st.integers(1, 12)))
+        else:
+            values[a] = F(draw(st.integers(-6, 18)), draw(st.integers(1, 6)))
+    return ClassicalMeasure(L, tuple(values))
+
+
+class TestClassicalAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(classical_maps())
+    def test_same_violations_in_the_same_order(self, m):
+        assert validate_classical_measure(m) == reference_validate_classical_measure(m)
+
+    def test_every_kind_in_order(self):
+        # bottom 1/2, top 2: bottom, top, range at 1, then monotone and modular pairs
+        m = ClassicalMeasure(B4, (F(1, 2), F(0), F(3, 4), F(2)))
+        got = validate_classical_measure(m)
+        assert got == reference_validate_classical_measure(m)
+        assert [v.kind for v in got][:3] == ["bottom", "top", "range"]
+        assert {v.kind for v in got[3:]} == {"monotone", "modular"}
+
+    def test_huge_denominators(self):
+        # numerators past int64 are compared as Python integers
+        big = 2**70
+        for values in (
+            (F(0), F(1, big), F(1, 3 * big), F(1)),
+            (F(0), F(big + 1, big), F(1, 3), F(1)),
+            (F(0), F(1, 2), F(1, 2), F(1)),
+        ):
+            m = ClassicalMeasure(B4, values)
+            assert validate_classical_measure(m) == reference_validate_classical_measure(m)
 
 
 class TestRetraction:

@@ -589,6 +589,68 @@ class TestFilters:
             filter_to_measure(presentation_of_measure(mu, 2))
 
 
+def _traced_peak(f) -> int:
+    """The tracemalloc peak of calling ``f``."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPresentationBudget:
+    """Presentations test their thresholds arithmetically, and the table
+    and the members they grow with k are counted before they are built."""
+
+    def test_empty_presentation_builds_no_grid(self):
+        assert _traced_peak(lambda: FilterPresentation(C3, 10**6, frozenset())) < 2**20
+        assert _traced_peak(lambda: FilterPresentation(C3, 10**30, frozenset({(F(3, 8), 1)}))) < 2**20
+
+    def test_thresholds_on_the_grid(self):
+        members = {(F(0), 0), (F(1, 3), 1), (F(1, 2), 1), (F(5, 6), 2), (F(1), 2), (0, 0), (1, 2)}
+        assert FilterPresentation(C3, 6, frozenset(members)).members == frozenset(members)
+        for q in (F(1, 4), F(-1, 2), F(7, 6), F(3, 2), F(-6, 1)):
+            with pytest.raises(DomainError, match=f"threshold {q} is not on the resolution-6 grid"):
+                FilterPresentation(C3, 6, frozenset({(q, 1)}))
+        for k in (0, -6):
+            with pytest.raises(DomainError, match="grid resolution must be positive"):
+                FilterPresentation(C3, k, frozenset())
+            with pytest.raises(DomainError, match="grid resolution must be positive"):
+                presentation_of_measure(grid_measures(C3, 1)[0], k)
+
+    def test_membership_table_is_counted_before_it_is_built(self, monkeypatch):
+        def refused():
+            with pytest.raises(SizeError, match="the membership table would take 3000000003 bytes"):
+                filter_to_measure(FilterPresentation(C3, 10**9, frozenset()))
+
+        assert _traced_peak(refused) < 2**20
+        # C3 at k = 4: 3 rows of 5 thresholds, one byte each
+        mu = Measure(C3, (ZERO, iota_exact(F(1, 4)), ONE))
+        pres = presentation_of_measure(mu, 4)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 15)
+        assert filter_to_measure(pres) == mu
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 14)
+        with pytest.raises(SizeError, match="the membership table would take 15 bytes"):
+            filter_to_measure(pres)
+
+    def test_members_are_counted_before_they_are_built(self, monkeypatch):
+        # 0, 1/2 and 1 on C3 hold 1, k/2 + 1 and k + 1 thresholds
+        mu = Measure(C3, (ZERO, iota_exact(F(1, 2)), ONE))
+
+        def refused():
+            count = 1 + (5 * 10**8 + 1) + (10**9 + 1)
+            with pytest.raises(SizeError, match=f"the presentation would take {192 * count} bytes"):
+                presentation_of_measure(mu, 10**9)
+
+        assert _traced_peak(refused) < 2**20
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 192 * 9)
+        assert len(presentation_of_measure(mu, 4).members) == 9
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 192 * 9 - 1)
+        with pytest.raises(SizeError, match=f"the presentation would take {192 * 9} bytes"):
+            presentation_of_measure(mu, 4)
+
+
 def _filter_outcome(to_measure, pres: FilterPresentation):
     """The measure ``to_measure`` induces from ``pres``, or its error's text."""
     try:
