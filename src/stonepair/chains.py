@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantError, SizeError
 from .gamma import GammaValue, format_gamma, point_of_rank, project_of_ranks, rank
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, chain
 
 
 def _require_chain(n: int) -> None:
@@ -308,8 +308,7 @@ def check_floor_ceiling(n: int, m: int) -> tuple[ChainPoint, ChainPoint] | None:
 
 def chain_lattice(n: int) -> FiniteLattice:
     """L_n as a lattice object, elements in ascending order, top labelled T."""
-    labels = [f"{a}/{n}" for a in range(n + 1)] + ["T"]
-    return FiniteLattice(labels, [(i, i + 1) for i in range(n + 1)])
+    return chain(n + 2, [f"{a}/{n}" for a in range(n + 1)] + ["T"])
 
 
 def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import chains, fo, measure as measure_mod, pairing, pl
-from .errors import Error, InternalInvariantError
+from .errors import DomainError, Error, InternalInvariantError
 from .gamma import format_gamma
 from .lattice import FiniteLattice, parse_lattice
 from .pairing import DirectoryFamily, FenceFamily, StructureFamily
@@ -78,14 +79,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of an input file; one that is not UTF-8 is a ``DomainError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+
+
 def _formula_text(spec: str) -> str:
     if spec.startswith("@"):
-        return Path(spec[1:]).read_text()
+        return _read_text(spec[1:])
     return spec
 
 
 def _load_structure(path: str) -> fo.FiniteStructure:
-    return fo.parse_structure(Path(path).read_text())
+    return fo.parse_structure(_read_text(path))
 
 
 def _family(name: str) -> StructureFamily:
@@ -97,7 +106,7 @@ def _family(name: str) -> StructureFamily:
     raise Error(f"unknown family {name!r} (not built in, not a directory)")
 
 
-def _context(args, phi: fo.Formula) -> tuple[str, ...] | None:
+def _context(args) -> tuple[str, ...] | None:
     if args.vars is None:
         return None
     ctx = tuple(v.strip() for v in args.vars.split(",") if v.strip())
@@ -106,46 +115,33 @@ def _context(args, phi: fo.Formula) -> tuple[str, ...] | None:
     return ctx
 
 
-def _pair_line(result: pairing.PairingResult) -> str:
-    return f"{result.count} {result.total} {result.classical} {format_gamma(result.gamma)}"
-
-
-def _csv_row(index: int, r: pairing.PairingResult) -> str:
-    return f'{index},{r.count},{r.total},{r.classical},"{format_gamma(r.gamma)}"'
-
-
 def _render_verdict(report: pairing.SequenceReport) -> str:
     v = report.verdict
     if v.kind in (pairing.VerdictKind.CONVERGES_EXACT, pairing.VerdictKind.CONVERGES_APPROX):
         line = f"CONVERGES {format_gamma(v.limit)}"
     elif v.kind is pairing.VerdictKind.DIVERGENT_AT_HORIZON:
-        line = f"DIVERGENT odd->{_render_sub(report.odd)} even->{_render_sub(report.even)}"
+        odd, even = (
+            format_gamma(s.limit) if s.limit is not None else "?" for s in (report.odd, report.even)
+        )
+        line = f"DIVERGENT odd->{odd} even->{even}"
     else:
         line = "INCONCLUSIVE"
     # closed-form verdicts are exact; everything else is horizon-bounded
     return line if report.exact else line + " (at horizon)"
 
 
-def _render_sub(v: pairing.Verdict) -> str:
-    if v.limit is not None:
-        return format_gamma(v.limit)
-    return "?"
-
-
-def _load_measure(args, *, require_lattice_arg: bool = False) -> tuple[FiniteLattice, measure_mod.Measure, str]:
+def _load_measure(args) -> tuple[FiniteLattice, measure_mod.Measure]:
     measure_path = Path(args.measure)
-    text = measure_path.read_text()
+    text = _read_text(measure_path)
     ref = measure_mod.measure_lattice_reference(text)
-    lattice_path: Path
     if args.lattice is not None:
         lattice_path = Path(args.lattice)
     elif ref is not None:
         lattice_path = measure_path.parent / ref
     else:
         raise UsageError("no lattice given: pass --lattice or add a 'lattice:' line")
-    L = parse_lattice(lattice_path.read_text())
-    mu = measure_mod.parse_measure(text, L)
-    return L, mu, str(lattice_path)
+    L = parse_lattice(_read_text(lattice_path))
+    return L, measure_mod.parse_measure(text, L)
 
 
 def _cmd_pair(args, out: TextIO) -> int:
@@ -158,8 +154,8 @@ def _cmd_pair(args, out: TextIO) -> int:
     else:
         raise UsageError("pass --structure or --family/--index")
     phi = fo.parse_formula(_formula_text(args.formula), A.signature)
-    result = pairing.stone_pairing(A, phi, _context(args, phi))
-    print(_pair_line(result), file=out)
+    r = pairing.stone_pairing(A, phi, _context(args))
+    print(f"{r.count} {r.total} {r.classical} {format_gamma(r.gamma)}", file=out)
     return 0
 
 
@@ -168,9 +164,12 @@ def _cmd_converge(args, out: TextIO) -> int:
     probe = family.structure(1)
     phi = fo.parse_formula(_formula_text(args.formula), probe.signature)
     report = pairing.pairing_sequence(
-        family, phi, _context(args, phi), horizon=args.horizon
+        family, phi, _context(args), horizon=args.horizon
     )
-    rows = [_csv_row(i, r) for i, r in enumerate(report.results, start=1)]
+    rows = [
+        f'{i},{r.count},{r.total},{r.classical},"{format_gamma(r.gamma)}"'
+        for i, r in enumerate(report.results, start=1)
+    ]
     for row in rows:
         print(row, file=out)
     print(_render_verdict(report), file=out)
@@ -182,7 +181,7 @@ def _cmd_converge(args, out: TextIO) -> int:
 
 
 def _cmd_check_measure(args, out: TextIO) -> int:
-    L, mu, _ = _load_measure(args)
+    L, mu = _load_measure(args)
     violations = measure_mod.validate_measure(mu)
     if not violations:
         print("OK", file=out)
@@ -198,7 +197,7 @@ def _cmd_eval(args, out: TextIO) -> int:
         phi = pl.parse_pl_formula(_formula_text(args.formula), signature=A.signature)
         value = pl.eval_pl_structure(A, phi)
     elif args.measure is not None:
-        L, mu, _ = _load_measure(args)
+        L, mu = _load_measure(args)
         phi = pl.parse_pl_formula(_formula_text(args.formula), lattice=L)
         value = pl.eval_pl_measure(mu, phi)
     else:
@@ -208,7 +207,7 @@ def _cmd_eval(args, out: TextIO) -> int:
 
 
 def _cmd_entail(args, out: TextIO) -> int:
-    L = parse_lattice(Path(args.lattice).read_text())
+    L = parse_lattice(_read_text(args.lattice))
     lhs = pl.parse_pl_formula(args.lhs, lattice=L)
     rhs = pl.parse_pl_formula(args.rhs, lattice=L)
     result = pl.entails_grid(lhs, rhs, L, args.grid)
@@ -220,17 +219,11 @@ def _cmd_entail(args, out: TextIO) -> int:
 
 
 def _cmd_soundness(args, out: TextIO) -> int:
-    L = parse_lattice(Path(args.lattice).read_text())
+    L = parse_lattice(_read_text(args.lattice))
     report = pl.check_soundness_grid(L, args.grid)
-    failures_by_rule: dict[str, int] = {}
-    for inst, _ in report.failures:
-        failures_by_rule[inst.rule] = failures_by_rule.get(inst.rule, 0) + 1
-    for rule in sorted(report.instance_counts):
-        bad = failures_by_rule.get(rule, 0)
-        print(
-            f"{rule}: {report.instance_counts[rule]} instances, {bad} countermodels",
-            file=out,
-        )
+    bad = Counter(inst.rule for inst, _ in report.failures)
+    for rule, count in sorted(report.instance_counts.items()):
+        print(f"{rule}: {count} instances, {bad[rule]} countermodels", file=out)
     print(
         f"total: {report.total_instances} instances over {report.measures_checked} "
         f"grid measures, {len(report.failures)} countermodels",
@@ -252,9 +245,13 @@ def _cmd_duality_verify(args, out: TextIO) -> int:
 def _cmd_integrate(args, out: TextIO) -> int:
     A = _load_structure(args.structure)
     phi = fo.parse_formula(_formula_text(args.formula), A.signature)
-    ctx = _context(args, phi)
+    ctx = _context(args)
     if ctx is None:
         ctx = pairing.default_context(phi)
+    # the distribution and the satisfying set (at most every assignment) live together
+    n = len(ctx)
+    per_assignment = pairing.assignment_bytes(n) + fo.satisfying_tuple_bytes(n)
+    fo.check_bytes("the integration", A.size**n * per_assignment)
     f = pairing.assignment_distribution(A, ctx)
     sat = fo.satisfying_set(A, phi, ctx)
     print(format_gamma(measure_mod.integrate(f, sat)), file=out)

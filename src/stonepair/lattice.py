@@ -70,14 +70,20 @@ class FiniteLattice:
 
     # -- order -------------------------------------------------------------
 
+    def _index(self, a: int) -> int:
+        """``a``, or a ``DomainError`` when it is not an element index (none wraps)."""
+        if not 0 <= a < self.n:
+            raise DomainError(f"element index {a} out of range for {self.n} elements")
+        return a
+
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._leq[a, b])
+        return bool(self._leq[self._index(a), self._index(b)])
 
     def upset(self, a: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self._leq[a]).tolist())
+        return frozenset(np.flatnonzero(self._leq[self._index(a)]).tolist())
 
     def downset(self, a: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self._leq[:, a]).tolist())
+        return frozenset(np.flatnonzero(self._leq[:, self._index(a)]).tolist())
 
     def index_of(self, label: str) -> int:
         try:
@@ -148,10 +154,10 @@ class FiniteLattice:
         return self._leq, fo._read_only(meet), fo._read_only(join)
 
     def meet(self, a: int, b: int) -> int:
-        return int(self._order_arrays[1][a, b])
+        return int(self._order_arrays[1][self._index(a), self._index(b)])
 
     def join(self, a: int, b: int) -> int:
-        return int(self._order_arrays[2][a, b])
+        return int(self._order_arrays[2][self._index(a), self._index(b)])
 
     def join_all(self, elems: Iterable[int]) -> int:
         return reduce(self.join, elems, self.bottom)
@@ -251,7 +257,7 @@ class FiniteLattice:
         meet-irreducibles, characterised by ``u <= kappa(j) iff j not<= u``.
         """
         joins, meets = self._irreducibles
-        if j not in joins:
+        if self._index(j) not in joins:
             raise DomainError(f"{self.labels[j]} is not join-irreducible")
         m = int(self._kappa_table[j])
         if m not in meets:
@@ -262,7 +268,7 @@ class FiniteLattice:
 
     def kappa_inverse(self, m: int) -> int:
         inv = {self.kappa(j): j for j in self._irreducibles[0]}
-        if m not in inv:
+        if self._index(m) not in inv:
             raise DomainError(f"{self.labels[m]} is not in the image of kappa")
         return inv[m]
 

@@ -47,37 +47,32 @@ class MeasureViolation:
 
 
 @dataclass(frozen=True)
-class Measure:
-    """A map from lattice elements to the doubled unit interval."""
+class _Valuation:
+    """A map from lattice elements, one value per element in index order."""
 
     lattice: FiniteLattice
-    values: tuple[GammaValue, ...]
+    values: tuple
 
     def __post_init__(self) -> None:
         if len(self.values) != self.lattice.n:
-            raise DomainError(
-                f"{len(self.values)} values for {self.lattice.n} elements"
-            )
+            raise DomainError(f"{len(self.values)} values for {self.lattice.n} elements")
 
-    def __call__(self, a: int) -> GammaValue:
+    def __call__(self, a: int):
         return self.values[a]
 
 
 @dataclass(frozen=True)
-class ClassicalMeasure:
+class Measure(_Valuation):
+    """A map from lattice elements to the doubled unit interval."""
+
+    values: tuple[GammaValue, ...]
+
+
+@dataclass(frozen=True)
+class ClassicalMeasure(_Valuation):
     """A map from lattice elements to rationals in [0, 1]."""
 
-    lattice: FiniteLattice
     values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.lattice.n:
-            raise DomainError(
-                f"{len(self.values)} values for {self.lattice.n} elements"
-            )
-
-    def __call__(self, a: int) -> Fraction:
-        return self.values[a]
 
 
 # int64 ranks below this denominator: ranks reach 2D and the formulas add 1

@@ -26,9 +26,12 @@ computed on.
 The grid measures are one int64 rank table, viewed by ``grid_measures``;
 every threshold atom is read from one packed table of rows "rank at a >=
 v" (``_atom_rows``), which entailment folds and soundness gathers, and
-objects are built only for reported countermodels.  Each array of this
-work is checked against the one memory budget (``fo.check_bytes``) before
-it is allocated, so oversized work is a ``SizeError``.
+objects are built only for reported countermodels.  Every rule instance
+is a clause p1 & p2 |- c1 | c2, a row of four literal ids in the rule
+table, and soundness ANDs the gathered rows of p1, p2, ~c1 and ~c2, with
+two gathered tables live at a time.  Each array of this work is checked
+against the one memory budget (``fo.check_bytes``) before it is
+allocated, so oversized work is a ``SizeError``.
 
 Filter presentations go through the same kernel: ``presentation_of_measure``
 projects each value onto the grid with ``gamma.project_of_ranks``, and
@@ -334,28 +337,22 @@ class RuleInstance:
 
 
 _RULES = ("L1", "L2", "L3", "L4", "L5", "L6")
-# Columns of the rule table: the rule's position in _RULES, three grid indices
-# and two elements (-1 pads both), and each side as a connective (_AND or
-# _OR) folded over two literal ids.  Literal 2r is row r of ``_atom_rows`` and
-# 2r + 1 its complement: GE(i/k, a) is 2 (a (2k + 1) + 2i) and LT(i/k, a) the
-# next one; the all-true row gives the last two ids, true and false.  A
-# conjunction is padded with true, a disjunction with false.
-_AND, _OR = 0, 1
+# Every rule instance is a clause p1 & p2 |- c1 | c2 over four literals.
+# Columns of the rule table: the rule's position in _RULES, three grid
+# indices and two elements (-1 pads both), two premise literal ids padded
+# with true and two conclusion literal ids padded with false.  Literal 2r is
+# row r of ``_atom_rows`` and 2r + 1 its complement: GE(i/k, a) is
+# 2 (a (2k + 1) + 2i) and LT(i/k, a) the next one; the all-true row gives
+# the last two ids, true and false.
 _RULE, _INDICES, _ELEMENTS = 0, slice(1, 4), slice(4, 6)
-_PREMISE, _CONCLUSION = slice(6, 9), slice(9, 12)
+_PREMISE, _CONCLUSION = slice(6, 8), slice(8, 10)
 
 
-def _family(rule, indices, elements, premise, conclusion) -> np.ndarray:
-    """One block of the rule table from its columns: the first grid index is
-    an array, the other columns broadcast against it; missing indices and
-    elements are padded with -1."""
-    pad = (-1,)
-    cols = (rule, *indices, *pad * (3 - len(indices)), *elements, *pad * (2 - len(elements)),
-            *premise, *conclusion)
-    out = np.empty((len(cols), len(indices[0])), dtype=np.int64)
-    for c, col in enumerate(cols):
-        out[c] = col
-    return out.T  # column-major: the kernels read whole columns
+def _family(*columns) -> np.ndarray:
+    """One block of the rule table from its ten columns, broadcast against
+    each other (-1 pads missing grid indices and elements); the block is
+    column-major, since the kernels read whole columns."""
+    return np.stack(np.broadcast_arrays(*columns)).T
 
 
 def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
@@ -376,40 +373,34 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     # min(s, 2k - s) + 1 pairs (i, j), and as many l
     triples = g * (g + 1) * (2 * g + 1) // 6 + k * g * (2 * k + 1) // 6
     rows = n * g * (g + 1) // 2 + 2 * g + int(leq.sum()) * g + 2 * n * n * triples + 2 * n * g
-    fo.check_bytes("the rule table", rows * 12 * 8)
+    fo.check_bytes("the rule table", rows * 10 * 8)
 
     def ge(a, i):
         return 2 * (a * (2 * k + 1) + 2 * i)
 
     a, j, i = np.nonzero(np.broadcast_to(np.tri(g, dtype=bool), (n, g, g)))
-    L1 = _family(0, (i, j), (a,), (_AND, ge(a, j), true), (_OR, ge(a, i), false))
+    L1 = _family(0, i, j, -1, a, -1, ge(a, j), true, ge(a, i), false)
     bot, top = D.bottom, D.top
     L2 = np.array(
-        [[1, 0, -1, -1, bot, -1, _AND, true, true, _OR, ge(bot, 0), false]]
-        + [[1, j, -1, -1, top, -1, _AND, true, true, _OR, ge(top, j), false] for j in range(g)]
-        + [[1, i, -1, -1, bot, -1, _AND, ge(bot, i), true, _OR, false, false] for i in range(1, g)],
+        [[1, 0, -1, -1, bot, -1, true, true, ge(bot, 0), false]]
+        + [[1, j, -1, -1, top, -1, true, true, ge(top, j), false] for j in range(g)]
+        + [[1, i, -1, -1, bot, -1, ge(bot, i), true, false, false] for i in range(1, g)],
         dtype=np.int64,
     )
     a, b, j = np.nonzero(np.broadcast_to(leq[:, :, None], (n, n, g)))
-    L3 = _family(2, (j,), (a, b), (_AND, ge(a, j), true), (_OR, ge(b, j), false))
+    L3 = _family(2, j, -1, -1, a, b, ge(a, j), true, ge(b, j), false)
     up = np.arange(g)
     s = up[:, None, None] + up[:, None] - up  # s[i, j, l] = i + j - l
     mask = (s >= 0) & (s <= k)
     a, b, i, j, l, t = np.nonzero(np.broadcast_to(mask[..., None], (n, n, g, g, g, 2)))
     both = (ge(a, i), ge(b, j))
     bounds = (ge(join[a, b], i + j - l), ge(meet[a, b], l))
-    is_L4 = t == 0
-    L45 = _family(
-        3 + t, (i, j, l), (a, b),
-        (_AND, *np.where(is_L4, both, bounds)), (_OR, *np.where(is_L4, bounds, both)),
-    )
+    premise, conclusion = np.where(t == 0, (both, bounds), (bounds, both))
+    L45 = _family(3 + t, i, j, l, a, b, *premise, *conclusion)
     a, j, t = np.nonzero(np.ones((n, g, 2), dtype=bool))
     both = (ge(a, j) + 1, ge(a, j))
     first = t == 0
-    L6 = _family(
-        5, (j,), (a,),
-        (_AND, *np.where(first, both, true)), (_OR, *np.where(first, false, both)),
-    )
+    L6 = _family(5, j, -1, -1, a, -1, *np.where(first, both, true), *np.where(first, false, both))
     return np.concatenate((L1, L2, L3, L45, L6))
 
 
@@ -423,8 +414,7 @@ def _instance_renderer(D: FiniteLattice, k: int):
     }
     true, false = 2 * D.n * levels, 2 * D.n * levels + 1
 
-    def side(connective: int, *ids: int) -> PLFormula:
-        ctor, pad, empty = (PLAnd, true, PL_TRUE) if connective == _AND else (PLOr, false, PL_FALSE)
+    def side(ids: list[int], ctor, pad: int, empty: PLConst) -> PLFormula:
         parts = [atoms[x] for x in ids if x != pad]
         return reduce(ctor, parts) if parts else empty
 
@@ -433,8 +423,8 @@ def _instance_renderer(D: FiniteLattice, k: int):
             _RULES[row[_RULE]],
             tuple(Q[i] for i in row[_INDICES] if i >= 0),
             tuple(a for a in row[_ELEMENTS] if a >= 0),
-            side(*row[_PREMISE]),
-            side(*row[_CONCLUSION]),
+            side(row[_PREMISE], PLAnd, true, PL_TRUE),
+            side(row[_CONCLUSION], PLOr, false, PL_FALSE),
         )
 
     return render
@@ -466,28 +456,19 @@ class SoundnessReport:
 
 
 def _refuted(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``premise & ~conclusion`` of every row of the rule table over the
+    """``premise & ~conclusion`` of every clause of the rule table over the
     packed atom rows: bit i of row r says the i-th measure refutes rule row
     r; the padding bits are arbitrary.
 
-    Each side is a possibly negated conjunction of two literals: a
-    disjunctive premise is ~(~x & ~y), a disjunctive conclusion negates to
-    ~x & ~y and a conjunctive one to ~(x & y).  Complementing a literal
-    flips the low bit of its id.
+    A clause p1 & p2 |- c1 | c2 is refuted where p1 & p2 & ~c1 & ~c2 holds;
+    complementing a literal flips the low bit of its id.
     """
     literals = np.stack((rows, ~rows), axis=1).reshape(2 * len(rows), rows.shape[1])
-
-    def conjunction(side: np.ndarray, negated: int) -> np.ndarray:
-        flip = side[:, 0] == _OR
-        out = literals[side[:, 1] ^ flip]
-        out &= literals[side[:, 2] ^ flip]
-        negate = side[:, 0] == negated
-        if negate.any():
-            out[negate] = ~out[negate]
-        return out
-
-    bad = conjunction(table[:, _PREMISE], _OR)
-    bad &= conjunction(table[:, _CONCLUSION], _AND)
+    (p1, p2), (c1, c2) = table[:, _PREMISE].T, table[:, _CONCLUSION].T
+    bad = literals[p1]
+    bad &= literals[p2]
+    bad &= literals[c1 ^ 1]
+    bad &= literals[c2 ^ 1]
     return bad
 
 
@@ -495,11 +476,12 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     """Check premise-entails-conclusion for every rule instance over every
     grid measure.  The expected failure list is empty.
 
-    Every row of ``_rule_table`` is decided at once: each side gathers the
-    rows of its two literals from ``_atom_rows`` over the M grid measures
-    and folds them with its connective, and ``premise & ~conclusion`` marks
-    the measures refuting the row.  Each gathered table holds rows x ⌈M/8⌉
-    bytes and three are live at the peak; the three are checked together
+    Every clause of ``_rule_table`` is decided at once: the rows of its two
+    premise literals and of the complements of its two conclusion literals
+    are gathered from ``_atom_rows`` over the M grid measures and ANDed, so
+    ``premise & ~conclusion`` marks the measures refuting the row.  Each
+    gathered table holds rows x ⌈M/8⌉ bytes and two are live at the peak
+    (the running AND and the next gather); the two are checked together
     against the memory budget before the atom table is built (on chain(6)
     at k = 6, 17045 rows of 228 bytes, 3.9 MB a table).  A
     ``RuleInstance`` is built only for a failing row; its countermodel is
@@ -508,7 +490,7 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     """
     measures = grid_measures(D, k)
     table = _rule_table(D, k)
-    fo.check_bytes("the soundness gathers", 3 * len(table) * -(-len(measures) // 8))
+    fo.check_bytes("the soundness gathers", 2 * len(table) * -(-len(measures) // 8))
     hit, first = _first_set(_refuted(_atom_rows(measures.ranks, k), table), len(measures))
     failures: list[tuple[RuleInstance, Measure]] = []
     if len(hit):

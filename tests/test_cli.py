@@ -3,11 +3,15 @@
 import io
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stonepair import chains
+from stonepair import chains, fo
 from stonepair.cli import run
 
 PSI_TEXT = "(forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))"
@@ -339,6 +343,23 @@ class TestIntegrate:
         assert code == 0
         assert out == "2/3^o\n"
 
+    def test_assignment_space_is_refused_before_it_is_built(self, tmp_path):
+        # 1500 ** 2 assignments, each held twice: in the distribution at
+        # 176 + 8 * 2 bytes and in the satisfying set at 144 + 16 * 2
+        path = tmp_path / "big.struct"
+        path.write_text("signature: p/1\nuniverse: 1500\np = {}\n")
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(
+                "integrate", "--structure", path, "--formula", "true", "--vars", "x,y"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == f"error: the integration would take {1500**2 * (192 + 176)} bytes; the guard is {2**29}\n"
+        assert peak < 16 * 2**20
+
 
 class TestErrors:
     def test_usage_error_is_two(self):
@@ -428,7 +449,90 @@ class TestErrors:
         assert proc.returncode == 0
         assert proc.stdout == "2 3 2/3 2/3^o\n"
 
+    def test_undecodable_files_are_named(self, workdir):
+        bad = workdir / "bad.bin"
+        bad.write_bytes(b"\xff")
+        fam = workdir / "fam"
+        fam.mkdir()
+        (fam / "1.struct").write_bytes(b"\xff")
+        for argv, path in (
+            (("soundness", "--lattice", bad, "--grid", "2"), bad),
+            (("check-measure", "--lattice", bad, "--measure", workdir / "good.measure"), bad),
+            (("pair", "--structure", workdir / "a2.struct", "--formula", f"@{bad}"), bad),
+            (("pair", "--family", fam, "--index", "1", "--formula", "true"), fam / "1.struct"),
+            (("converge", "--family", fam, "--formula", "true", "--horizon", "4"), fam / "1.struct"),
+        ):
+            assert invoke(*argv) == (1, "", f"error: {path}: not UTF-8 text\n")
+
     def test_output_stable_across_runs(self, workdir):
         first = invoke("soundness", "--lattice", workdir / "b4.lat", "--grid", "2")
         second = invoke("soundness", "--lattice", workdir / "b4.lat", "--grid", "2")
         assert first == second
+
+
+# the tokens each input format is written in
+TOKENS = {
+    "lattice": ("elements:", "order:", "<=", ",", " ", "\n", "#", "0", "1", "a", "na", "b"),
+    "measure": ("lattice:", " b4.lat", "value(", ")", "=", " ", "\n", "0", "1", "/", "2", "^o", "^-", "a", "na"),
+    "structure": ("signature:", "universe:", " lt/2", "lt", "=", "{", "}", "(", ")", ",", " ", "\n", "0", "1", "3"),
+    "formula": (
+        "forall", "exists", "x", "y", ".", "!", "&", "|", "(", ")", "lt", "=", ",", "true",
+        "[>=", "[<", "1/2", "]", "{", "}", " ", "a",
+    ),
+}
+
+
+SEEDS = {
+    "lattice": (B4_LAT,),
+    "measure": (GOOD_MEASURE,),
+    "structure": (A2_STRUCT,),
+    "formula": (PSI_TEXT, "[>= 1/2]{a} | [< 1]{na}", "[>= 1/3]{exists y. lt(x,y)}"),
+}
+
+
+@st.composite
+def spliced(draw, kind: str) -> bytes:
+    """A well-formed file with a stretch replaced by a few of its tokens."""
+    seed = draw(st.sampled_from(SEEDS[kind]))
+    i = draw(st.integers(0, len(seed)))
+    j = draw(st.integers(i, len(seed)))
+    middle = "".join(draw(st.lists(st.sampled_from(TOKENS[kind]), max_size=6)))
+    return (seed[:i] + middle + seed[j:]).encode()
+
+
+def contents(kind: str):
+    """Arbitrary bytes, text made of the format's tokens, or a spliced
+    well-formed file, which gets past the parsers to the checks."""
+    tokens = st.lists(st.sampled_from(TOKENS[kind]), max_size=40).map(lambda t: "".join(t).encode())
+    return st.binary(max_size=64) | tokens | spliced(kind)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(contents("lattice"), contents("measure"), contents("structure"), contents("formula"))
+    def test_input_files_never_raise(self, lattice, measure, structure, formula):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # a small budget keeps any input the parsers accept cheap to run
+            mp.setattr(fo, "MAX_TENSOR_CELLS", 2**22)
+            d = Path(tmp)
+            lat, mea, struct, phi = d / "b4.lat", d / "m.measure", d / "s.struct", d / "phi.txt"
+            for path, data in ((lat, lattice), (mea, measure), (struct, structure), (phi, formula)):
+                path.write_bytes(data)
+            fam = d / "fam"
+            fam.mkdir()
+            for i in range(1, 5):
+                (fam / f"{i}.struct").write_bytes(structure)
+            for argv in (
+                ("pair", "--structure", struct, "--formula", f"@{phi}"),
+                ("pair", "--family", fam, "--index", "1", "--formula", f"@{phi}"),
+                ("converge", "--family", fam, "--formula", f"@{phi}", "--horizon", "4"),
+                ("check-measure", "--measure", mea),
+                ("check-measure", "--lattice", lat, "--measure", mea),
+                ("eval", "--structure", struct, "--formula", f"@{phi}"),
+                ("eval", "--measure", mea, "--formula", f"@{phi}"),
+                ("entail", "--lattice", lat, "--grid", "2", "--lhs", "true", "--rhs", "false"),
+                ("soundness", "--lattice", lat, "--grid", "2"),
+                ("integrate", "--structure", struct, "--formula", f"@{phi}"),
+            ):
+                code = run([str(a) for a in argv], stdout=io.StringIO(), stderr=io.StringIO())
+                assert code in (0, 1, 2), argv

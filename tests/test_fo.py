@@ -252,6 +252,18 @@ class TestShapedCounting:
         phi = Exists("x", Atom("r", ("x", "y")))
         assert satisfying_set(A, phi, ["x", "y"]) == {(x, y) for x in range(3) for y in (1, 2)}
 
+    def test_satisfying_tuples_are_counted_before_they_are_built(self, monkeypatch):
+        # r(x, y) holds at 2 of the 9 pairs: 2 tuples of 144 + 16 * 2 bytes
+        A = FiniteStructure(BINARY_SIG, 3, {"r": frozenset({(0, 1), (2, 2)})})
+        phi = Atom("r", ("x", "y"))
+        size = 2 * fo.satisfying_tuple_bytes(2)
+        assert size == 2 * 176
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size)
+        assert satisfying_set(A, phi, ["x", "y"]) == {(0, 1), (2, 2)}
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size - 1)
+        with pytest.raises(SizeError, match=f"the satisfying set would take {size} bytes"):
+            satisfying_set(A, phi, ["x", "y"])
+
     def test_repeated_and_permuted_arguments(self):
         sig = Signature((("t", 3),))
         A = FiniteStructure(sig, 3, {"t": frozenset({(0, 0, 1), (1, 2, 1), (2, 0, 2)})})

@@ -299,6 +299,34 @@ class TestKappa:
                 assert L.kappa_inverse(L.kappa(j)) == j
 
 
+ACCESSORS = {
+    "leq": lambda L, x: L.leq(x, 0),
+    "leq-right": lambda L, x: L.leq(0, x),
+    "meet": lambda L, x: L.meet(x, 0),
+    "meet-right": lambda L, x: L.meet(0, x),
+    "join": lambda L, x: L.join(x, 0),
+    "join-right": lambda L, x: L.join(0, x),
+    "upset": lambda L, x: L.upset(x),
+    "downset": lambda L, x: L.downset(x),
+    "kappa": lambda L, x: L.kappa(x),
+    "kappa_inverse": lambda L, x: L.kappa_inverse(x),
+}
+
+
+class TestIndexRange:
+    @pytest.mark.parametrize("name", ACCESSORS)
+    @pytest.mark.parametrize("x", [-1, -3, 3, 2**70, -(2**70)])
+    def test_outside_indices_are_refused(self, name, x):
+        # no wrap-around for negative indices, no bare IndexError past n
+        with pytest.raises(DomainError, match=f"element index {x} out of range for 3 elements"):
+            ACCESSORS[name](chain(3), x)
+
+    @pytest.mark.parametrize("name", ACCESSORS)
+    def test_inside_indices_still_answer(self, name):
+        # c1 is both join- and meet-irreducible on the 3-chain
+        assert ACCESSORS[name](chain(3), 1) is not None
+
+
 def brute_force_prime_filters(L: FiniteLattice) -> set[frozenset[int]]:
     found = set()
     for bits in range(1, 1 << L.n):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import formulas, structures
-from stonepair import fo, gamma
-from stonepair.errors import DomainError, InternalInvariantError
+from stonepair import fo, gamma, pairing
+from stonepair.errors import DomainError, InternalInvariantError, SizeError
 from stonepair.fo import Not, TRUE, FALSE, gen_example_structure, maximal_not_maximum
 from stonepair.gamma import ONE, ONE_APPROX, ZERO, iota_exact
 from stonepair.measure import integrate
@@ -152,6 +152,17 @@ class TestDistribution:
             f = assignment_distribution(A, ["x"])
             sat = fo.satisfying_set(A, PSI, ["x"])
             assert integrate(f, sat) == stone_pairing(A, PSI).gamma
+
+    def test_assignments_are_counted_before_they_are_built(self, monkeypatch):
+        # 3 ** 2 assignments of 176 + 8 * 2 bytes each
+        A = fo.FiniteStructure(fo.POSET_SIGNATURE, 3, {"lt": frozenset()})
+        size = 9 * pairing.assignment_bytes(2)
+        assert size == 9 * 192
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size)
+        assert len(assignment_distribution(A, ["x", "y"]).points) == 9
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size - 1)
+        with pytest.raises(SizeError, match=f"the assignments would take {size} bytes"):
+            assignment_distribution(A, ["x", "y"])
 
 
 class TestPadding:

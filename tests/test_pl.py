@@ -242,11 +242,11 @@ class TestWorkGuard:
         assert peak < 2**20
 
     def test_long_chain_soundness_is_refused_before_the_gathers(self):
-        # chain(10) at k = 6: 125970 measures and 47019 rule rows, three
+        # chain(10) at k = 6: 125970 measures and 47019 rule rows, two
         # gathers of 15747-byte rows
         tracemalloc.start()
         try:
-            with pytest.raises(SizeError, match=f"soundness gathers would take {3 * 47019 * 15747} bytes"):
+            with pytest.raises(SizeError, match=f"soundness gathers would take {2 * 47019 * 15747} bytes"):
                 check_soundness_grid(chain(10), 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -278,8 +278,8 @@ class TestWorkGuard:
     @pytest.mark.parametrize("D", [C3, B4, P23, TOP_FIRST], ids=["C3", "B4", "2x3", "top-first"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_rule_table_is_counted_before_it_is_built(self, D, k, monkeypatch):
-        # the closed-form row count, 12 int64 columns a row
-        size = 96 * len(pl._rule_table(D, k))
+        # the closed-form row count, 10 int64 columns a row
+        size = 80 * len(pl._rule_table(D, k))
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size)
         pl._rule_table(D, k)
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size - 1)
@@ -392,19 +392,19 @@ class TestSoundness:
         assert list(rule_instances(TOP_FIRST, k)) == list(reference_rule_instances(TOP_FIRST, k))
 
     def test_padding_bits_never_count(self, monkeypatch):
-        # a row whose premise LT(0, a) & LT(0, a) is false on every measure
-        # and whose conclusion negates to ~(GE(0, a) & GE(0, a)): both are 1
+        # a clause LT(0, a) & LT(0, a) |- GE(0, a) | GE(0, a): its four
+        # gathered literals, LT(0, a) each, are false on every measure and 1
         # on the padding bits of the 3 measures of C3 at k = 1
         table = pl._rule_table
         ge0 = 2 * (1 * 3 + 0)  # GE(0, 1): twice atom row 1 (2k + 1) + 0; LT(0, 1) is next
 
         def with_row(D, k):
-            row = [5, 0, -1, -1, 1, -1, pl._AND, ge0 + 1, ge0 + 1, pl._AND, ge0, ge0]
+            row = [5, 0, -1, -1, 1, -1, ge0 + 1, ge0 + 1, ge0, ge0]
             return np.concatenate((table(D, k), [row]))
 
         monkeypatch.setattr(pl, "_rule_table", with_row)
         last = list(rule_instances(C3, 1))[-1]
-        assert (last.premise, last.conclusion) == (PLAnd(LT(0, 1), LT(0, 1)), PLAnd(GE(0, 1), GE(0, 1)))
+        assert (last.premise, last.conclusion) == (PLAnd(LT(0, 1), LT(0, 1)), PLOr(GE(0, 1), GE(0, 1)))
         report = check_soundness_grid(C3, 1)
         assert (report.failures, report.measures_checked) == ((), 3)
 
@@ -418,7 +418,7 @@ class TestSoundness:
         finally:
             tracemalloc.stop()
         assert not report.failures
-        assert peak < 16 * 2**20
+        assert peak < 12 * 2**20
 
     def test_atoms_are_shared(self):
         atoms = {}  # holding each atom keeps the ids distinct
@@ -474,11 +474,11 @@ class TestAgainstPerMeasureLoop:
 
     @pytest.mark.parametrize("D, k", DIFF_CASES)
     def test_soundness_with_unsound_instances(self, D, k, monkeypatch):
-        # the rules plus unsound variants, so the failure path is compared too;
+        # the rules plus unsound clauses, so the failure path is compared too;
         # soundness decides the rows of the rule table that rule_instances
         # renders, so the variants are injected as table rows, each right after
-        # its original, and must render as the swapped instances; a swapped L6
-        # has an OR premise and an AND conclusion
+        # its original, and must render as the expected instances: L1 with its
+        # two thresholds swapped, and LT(q, a) |- GE(q, a) after each L6 row
         expected = []
         for inst in rule_instances(D, k):
             expected.append(inst)
@@ -486,21 +486,28 @@ class TestAgainstPerMeasureLoop:
                 p, q = inst.params
                 expected.append(RuleInstance("L1", (q, p), inst.elements, inst.conclusion, inst.premise))
             if inst.rule == "L6":
-                expected.append(RuleInstance("L6", inst.params, inst.elements, inst.conclusion, inst.premise))
+                (q,), (a,) = inst.params, inst.elements
+                expected.append(RuleInstance("L6", inst.params, inst.elements, LT(q, a), GE(q, a)))
         table = pl._rule_table
 
         def with_variants(D, k):
             rows = []
+            true = 2 * D.n * (2 * k + 1)
             for row in table(D, k):
                 rows.append(row)
-                rule, (i, j, _) = pl._RULES[row[pl._RULE]], row[pl._INDICES]
-                swapped = row.copy()
-                swapped[pl._PREMISE], swapped[pl._CONCLUSION] = row[pl._CONCLUSION], row[pl._PREMISE]
+                rule, (i, j, _), (a, _) = pl._RULES[row[pl._RULE]], row[pl._INDICES], row[pl._ELEMENTS]
+                variant = row.copy()
                 if rule == "L1" and i < j:
-                    swapped[pl._INDICES] = j, i, -1
-                    rows.append(swapped)
+                    # GE(i/k, a) |- GE(j/k, a)
+                    variant[pl._INDICES] = j, i, -1
+                    variant[pl._PREMISE] = row[pl._CONCLUSION][0], true
+                    variant[pl._CONCLUSION] = row[pl._PREMISE][0], true + 1
+                    rows.append(variant)
                 if rule == "L6":
-                    rows.append(swapped)
+                    ge = 2 * (a * (2 * k + 1) + 2 * i)
+                    variant[pl._PREMISE] = ge + 1, true
+                    variant[pl._CONCLUSION] = ge, true + 1
+                    rows.append(variant)
             return np.array(rows)
 
         monkeypatch.setattr(pl, "_rule_table", with_variants)
