@@ -243,18 +243,10 @@ def _cmd_duality_verify(args, out: TextIO) -> int:
 
 
 def _cmd_integrate(args, out: TextIO) -> int:
+    # the integral over the uniform assignment weights is the tagged pairing
     A = _load_structure(args.structure)
     phi = fo.parse_formula(_formula_text(args.formula), A.signature)
-    ctx = _context(args)
-    if ctx is None:
-        ctx = pairing.default_context(phi)
-    # the distribution and the satisfying set (at most every assignment) live together
-    n = len(ctx)
-    per_assignment = pairing.assignment_bytes(n) + fo.satisfying_tuple_bytes(n)
-    fo.check_bytes("the integration", A.size**n * per_assignment)
-    f = pairing.assignment_distribution(A, ctx)
-    sat = fo.satisfying_set(A, phi, ctx)
-    print(format_gamma(measure_mod.integrate(f, sat)), file=out)
+    print(format_gamma(pairing.stone_pairing(A, phi, _context(args)).gamma), file=out)
     return 0
 
 

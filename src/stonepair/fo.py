@@ -3,18 +3,19 @@
 Signatures are finite lists of relation symbols with arities.  A structure
 over a finite universe stores each relation as a read-only boolean table
 with one axis of size |A| per argument; its tuple sets (``relations``) are
-derived from the tables on first use, and a table beyond
-``MAX_TENSOR_CELLS`` cells is a ``SizeError`` at construction.  Formulas
-are immutable ASTs with equality as a built-in logical symbol.  Evaluation is
-Tarskian (``satisfies``, the slow reference).  Counting satisfying assignments
+derived from the tables on first use.  Formulas are immutable ASTs with
+equality as a built-in logical symbol.  Evaluation is Tarskian
+(``satisfies``, the slow reference).  Counting satisfying assignments
 (``count_satisfying``, ``satisfying_set``) is exact: each (formula, context)
 is compiled once into a plan, kept in a cache of ``PLAN_CACHE_SIZE`` entries,
 whose every subformula evaluates to a boolean tensor with one axis of size
 |A| per free variable.  Tensor size thus follows the formula's width (the
 most free variables of any subformula), not its quantifier depth, and a
 context variable not free in the formula multiplies the count without being
-enumerated.  Work whose largest tensor would exceed ``MAX_TENSOR_CELLS``
-cells raises ``SizeError`` before anything is allocated.
+enumerated.  Every size refusal is a ``check_bytes`` charge against the one
+memory budget, made before anything is allocated: relation tables, family
+members' ``lt`` tables, the counting tensors (|A| ** width one-byte cells)
+and satisfying sets past ``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
 
 The parser bounds nesting at ``MAX_NESTING`` levels, so no input can exhaust
 Python's recursion limit in parsing, counting or any later walk of the tree.
@@ -74,8 +75,7 @@ class FiniteStructure:
     same relations as sets of tuples, is derived from the tables on first
     use.  ``FiniteStructure(signature, size, relations)`` validates tuple
     sets (relations omitted are empty); ``from_tables`` takes tables as they
-    are.  A table beyond ``MAX_TENSOR_CELLS`` cells raises ``SizeError``
-    before anything is allocated.
+    are.
     """
 
     def __init__(
@@ -88,7 +88,7 @@ class FiniteStructure:
             raise DomainError("universe must be nonempty")
         _check_names(signature, relations)
         for name, arity in signature.relations:
-            _guard_table(name, arity, size)
+            check_bytes(f"relation {name}/{arity} on |A| = {size}", size**arity)
         self._init(signature, size, {
             name: _table_of(name, arity, size, relations.get(name, ()))
             for name, arity in signature.relations
@@ -165,14 +165,6 @@ def _check_names(signature: Signature, names: Iterable[str]) -> None:
     extra = set(names) - {name for name, _ in signature.relations}
     if extra:
         raise DomainError(f"relations not in signature: {sorted(extra)}")
-
-
-def _guard_table(name: str, arity: int, size: int) -> None:
-    if size**arity > MAX_TENSOR_CELLS:
-        raise SizeError(
-            f"relation {name}/{arity} on |A| = {size} needs "
-            f"{size**arity} table cells; the guard is {MAX_TENSOR_CELLS}"
-        )
 
 
 def _tuple_fault(name: str, arity: int, size: int, t: Iterable[int]) -> str | None:
@@ -564,9 +556,8 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
 # union of their operands' axes, and a quantifier reduces its variable's axis,
 # always the last one since its number is the highest in scope.
 
-# The largest tensor counting may build, in one-byte cells: |A| ** width must
-# not exceed it.  2**29 admits width 3 up to |A| = 812 and width 4 up to
-# |A| = 152; larger work raises ``SizeError`` before anything is allocated.
+# The one memory budget, in bytes: counting's |A| ** width one-byte cells
+# fit it at width 3 up to |A| = 812 and at width 4 up to |A| = 152.
 MAX_TENSOR_CELLS = 2**29
 
 
@@ -732,11 +723,7 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
 
 
 def _run(A: FiniteStructure, node: tuple, width: int) -> np.ndarray:
-    if A.size**width > MAX_TENSOR_CELLS:
-        raise SizeError(
-            f"|A| = {A.size} at width {width} needs {A.size**width} tensor cells; "
-            f"the guard is {MAX_TENSOR_CELLS}"
-        )
+    check_bytes("the counting tensors", A.size**width)
     return _evaluate(node, A)
 
 
@@ -789,19 +776,14 @@ def gen_example_structure(n: int) -> FiniteStructure:
     Odd n = 2k-1 gives a (k+1)-element chain; even n = 2k gives a
     (k+1)-element chain plus one isolated point.  The relation ``lt`` is the
     strict order: transitive and irreflexive, holding for every comparable
-    pair, not just covers.  A member whose ``lt`` table would exceed
-    ``MAX_TENSOR_CELLS`` raises ``SizeError`` before anything is built.
+    pair, not just covers.
     """
     if n < 1:
         raise DomainError("family index starts at 1")
     k = (n + 1) // 2
     chain_len = k + 1
     size = chain_len + (1 if n % 2 == 0 else 0)
-    if size**2 > MAX_TENSOR_CELLS:
-        raise SizeError(
-            f"family index {n} gives |A| = {size}, whose lt table needs {size**2} "
-            f"cells; the guard is {MAX_TENSOR_CELLS}"
-        )
+    check_bytes(f"family index {n} gives |A| = {size}, whose lt table", size**2)
     ranks = np.arange(size)
     lt = np.less.outer(ranks, ranks)
     lt[chain_len:] = lt[:, chain_len:] = False  # the isolated point, if any

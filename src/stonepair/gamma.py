@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from numbers import Rational
 from typing import Iterable
 
 from .errors import DomainError, ParseError
@@ -61,7 +62,7 @@ class GammaValue:
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", as_fraction(self.value))
         v = self.value
         # the denominator is positive: the bounds are on the numerator
         if not (0 if self.exact else 1) <= v.numerator <= v.denominator:
@@ -78,6 +79,16 @@ class GammaValue:
 
     def __repr__(self) -> str:
         return f"GammaValue({format_gamma(self)!r})"
+
+
+def as_fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``; a float (0.1 is 3602879701896397/2**55) or
+    anything else inexact is a ``DomainError`` naming it."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, Rational):
+        raise DomainError(f"{x!r} is not an exact rational")
+    return Fraction(x)
 
 
 ZERO = GammaValue(Fraction(0), True)
@@ -219,8 +230,7 @@ def gamma_collapse(x: GammaValue) -> Fraction:
 
 def iota_exact(r: Fraction) -> GammaValue:
     """Tag a rational in [0, 1] as an exact point (right adjoint to collapse)."""
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
+    r = as_fraction(r)
     try:
         return GammaValue(r, True)
     except DomainError:
@@ -232,7 +242,7 @@ def iota_approx(r: Fraction) -> GammaValue:
 
     0 has no approximation below it, so it maps to the bottom element 0^o.
     """
-    r = Fraction(r)
+    r = as_fraction(r)
     if r.numerator == 0:
         return ZERO
     try:

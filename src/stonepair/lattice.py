@@ -210,16 +210,6 @@ class FiniteLattice:
         return strict & ~(strict @ strict)
 
     @cached_property
-    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Row j: the i covered by j, ascending."""
-        return tuple(tuple(np.flatnonzero(col).tolist()) for col in self._cover_table().T)
-
-    @cached_property
-    def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Row j: the i covering j, ascending."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self._cover_table())
-
-    @cached_property
     def _irreducibles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The join- and the meet-irreducibles, ascending: the elements with
         exactly one lower (upper) cover, bottom (top) excluded."""
@@ -520,6 +510,6 @@ def parse_lattice(text: str) -> FiniteLattice:
 def format_lattice(L: FiniteLattice) -> str:
     """Emit the text format using the covering pairs of the order."""
     lines = ["elements: " + ", ".join(L.labels)]
-    covers = [f"{L.labels[i]}<={L.labels[j]}" for j in range(L.n) for i in L._lower_covers[j]]
+    covers = [f"{L.labels[i]}<={L.labels[j]}" for j, i in np.argwhere(L._cover_table().T).tolist()]
     lines.append("order: " + ", ".join(covers))
     return "\n".join(lines) + "\n"

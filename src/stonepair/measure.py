@@ -70,9 +70,14 @@ class Measure(_Valuation):
 
 @dataclass(frozen=True)
 class ClassicalMeasure(_Valuation):
-    """A map from lattice elements to rationals in [0, 1]."""
+    """A map from lattice elements to exact rationals in [0, 1]."""
 
     values: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for v in self.values:
+            gamma.as_fraction(v)  # a float is a DomainError
 
 
 # int64 ranks below this denominator: ranks reach 2D and the formulas add 1

@@ -48,7 +48,7 @@ from functools import cache, reduce
 import numpy as np
 
 from . import fo, gamma
-from .errors import DomainError, ParseError, PresentationError
+from .errors import DomainError, InternalInvariantError, ParseError, PresentationError
 from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
 from .gamma import GammaValue, grid_rationals
 from .lattice import FiniteLattice
@@ -78,7 +78,7 @@ class _Threshold(PLFormula):
     subject: object  # lattice element index or first-order Formula
 
     def __post_init__(self) -> None:
-        t = Fraction(self.threshold)
+        t = gamma.as_fraction(self.threshold)
         if not 0 <= t <= 1:
             raise DomainError(f"threshold {t} outside [0, 1]")
         object.__setattr__(self, "threshold", t)
@@ -348,60 +348,78 @@ _RULE, _INDICES, _ELEMENTS = 0, slice(1, 4), slice(4, 6)
 _PREMISE, _CONCLUSION = slice(6, 8), slice(8, 10)
 
 
-def _family(*columns) -> np.ndarray:
-    """One block of the rule table from its ten columns, broadcast against
-    each other (-1 pads missing grid indices and elements); the block is
-    column-major, since the kernels read whole columns."""
-    return np.stack(np.broadcast_arrays(*columns)).T
+def _put(cols: np.ndarray, start: int, shape: tuple[int, ...], at, *columns) -> int:
+    """Write a family's ten ``columns`` into rows ``start``.. of the
+    column-major table ``cols``, viewed with ``shape`` (its loop axes) and
+    indexed by ``at``, and return the next row.  A column is a scalar, an
+    array broadcast over the view, or a pair of such written as its sum."""
+    stop = start + int(np.prod(shape))
+    for column, value in zip(cols, columns):
+        view = column[start:stop].reshape(shape)[at]
+        if isinstance(value, tuple):
+            np.add(*value, out=view)
+        else:
+            view[...] = value
+    return stop
 
 
 def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     """All instances of L1..L6 as the rows of one int64 table, in
-    ``rule_instances`` order (columns described above ``_family``).
+    ``rule_instances`` order (columns described above ``_put``).
 
-    Grid index i stands for the threshold i/k.  Each family but L2 is read
-    off a boolean mask over its loop variables by ``np.nonzero``, whose C
-    order is the loop order; L4 and L5 share one mask with a trailing axis
-    of length 2.  Side conditions are enforced before generation: the L4/L5
-    condition 0 <= p + q - r <= 1 is 0 <= i + j - l <= k.  The row count
-    has a closed form, checked against the memory budget first.
+    Grid index i stands for the threshold i/k.  Each family's rows run in C
+    order over its loop axes: L1 (a, j, i <= j), L3 (a <= b, j), L4 and L5
+    together (a, b, i, j, l, t), t = 0 for L4, and L6 (a, j, t).  The L4/L5
+    side condition 0 <= p + q - r <= 1 leaves T triples 0 <= i + j - l <= k.
+
+    The row count has a closed form, and each family is broadcast straight
+    into its slice of the table (80 bytes a row).  Live beside the table
+    are the g^3 sums i + j - l and their masks (12 g^3 bytes), the triples'
+    indices, sums and literal terms (64 T), the pairs a <= b and element
+    terms (32 n^2), and numpy's ufunc buffers (three int64 operands of
+    ``np.getbufsize()``); all of it is checked against the memory budget
+    before anything is built.
     """
     n, g = D.n, k + 1
-    true, false = 2 * n * (2 * k + 1), 2 * n * (2 * k + 1) + 1
+    levels = 2 * k + 1
+    true, false = 2 * n * levels, 2 * n * levels + 1
     leq, meet, join = D._order_arrays
     # (i, j, l) with 0 <= i + j - l <= k: for s = i + j there are
     # min(s, 2k - s) + 1 pairs (i, j), and as many l
     triples = g * (g + 1) * (2 * g + 1) // 6 + k * g * (2 * k + 1) // 6
     rows = n * g * (g + 1) // 2 + 2 * g + int(leq.sum()) * g + 2 * n * n * triples + 2 * n * g
-    fo.check_bytes("the rule table", rows * 10 * 8)
+    loops = 12 * g**3 + 64 * triples + 32 * n * n + 24 * np.getbufsize()
+    fo.check_bytes("the rule table", 80 * rows + loops)
 
-    def ge(a, i):
-        return 2 * (a * (2 * k + 1) + 2 * i)
+    def ge(a, i, negated=0):
+        """GE(i/k, a), or LT(i/k, a) if negated, as its two terms."""
+        return 2 * levels * a + negated, 4 * i
 
-    a, j, i = np.nonzero(np.broadcast_to(np.tri(g, dtype=bool), (n, g, g)))
-    L1 = _family(0, i, j, -1, a, -1, ge(a, j), true, ge(a, i), false)
-    bot, top = D.bottom, D.top
-    L2 = np.array(
-        [[1, 0, -1, -1, bot, -1, true, true, ge(bot, 0), false]]
-        + [[1, j, -1, -1, top, -1, true, true, ge(top, j), false] for j in range(g)]
-        + [[1, i, -1, -1, bot, -1, ge(bot, i), true, false, false] for i in range(1, g)],
-        dtype=np.int64,
-    )
-    a, b, j = np.nonzero(np.broadcast_to(leq[:, :, None], (n, n, g)))
-    L3 = _family(2, j, -1, -1, a, b, ge(a, j), true, ge(b, j), false)
+    cols = np.empty((10, rows), dtype=np.int64)
     up = np.arange(g)
+    el = np.arange(n)[:, None]
+    j, i = np.nonzero(np.tri(g, dtype=bool))
+    done = _put(cols, 0, (n, len(i)), ..., 0, i, j, -1, el, -1, ge(el, j), true, ge(el, i), false)
+    bot, top = D.bottom, D.top
+    done = _put(cols, done, (1,), ..., 1, 0, -1, -1, bot, -1, true, true, ge(bot, 0), false)
+    done = _put(cols, done, (g,), ..., 1, up, -1, -1, top, -1, true, true, ge(top, up), false)
+    done = _put(cols, done, (k,), ..., 1, up[1:], -1, -1, bot, -1, ge(bot, up[1:]), true, false, false)
+    a, b = (x[:, None] for x in np.nonzero(leq))
+    done = _put(cols, done, (len(a), g), ..., 2, up, -1, -1, a, b, ge(a, up), true, ge(b, up), false)
     s = up[:, None, None] + up[:, None] - up  # s[i, j, l] = i + j - l
-    mask = (s >= 0) & (s <= k)
-    a, b, i, j, l, t = np.nonzero(np.broadcast_to(mask[..., None], (n, n, g, g, g, 2)))
+    i, j, l = np.nonzero((s >= 0) & (s <= k))
+    s = s[i, j, l]
+    a, b = el[..., None], el
     both = (ge(a, i), ge(b, j))
-    bounds = (ge(join[a, b], i + j - l), ge(meet[a, b], l))
-    premise, conclusion = np.where(t == 0, (both, bounds), (bounds, both))
-    L45 = _family(3 + t, i, j, l, a, b, *premise, *conclusion)
-    a, j, t = np.nonzero(np.ones((n, g, 2), dtype=bool))
-    both = (ge(a, j) + 1, ge(a, j))
-    first = t == 0
-    L6 = _family(5, j, -1, -1, a, -1, *np.where(first, both, true), *np.where(first, false, both))
-    return np.concatenate((L1, L2, L3, L45, L6))
+    bounds = (ge(join[:, :, None], s), ge(meet[:, :, None], l))
+    _put(cols, done, (n, n, len(i), 2), (..., 0), 3, i, j, l, a, b, *both, *bounds)
+    done = _put(cols, done, (n, n, len(i), 2), (..., 1), 4, i, j, l, a, b, *bounds, *both)
+    both = (ge(el, up, negated=1), ge(el, up))
+    _put(cols, done, (n, g, 2), (..., 0), 5, up, -1, -1, el, -1, *both, false, false)
+    done = _put(cols, done, (n, g, 2), (..., 1), 5, up, -1, -1, el, -1, true, true, *both)
+    if done != rows:
+        raise InternalInvariantError(f"the rule table has {done} rows, not the {rows} counted")
+    return cols.T
 
 
 def _instance_renderer(D: FiniteLattice, k: int):
@@ -517,6 +535,7 @@ class FilterPresentation:
         if self.k < 1:
             raise DomainError("grid resolution must be positive")
         for q, a in self.members:
+            q = gamma.as_fraction(q)
             # on the grid: 0 <= q <= 1 and q's denominator divides k
             if not (0 <= q.numerator <= q.denominator and self.k % q.denominator == 0):
                 raise DomainError(f"threshold {q} is not on the resolution-{self.k} grid")

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import hypothesis.strategies as st
+import numpy as np
 
 from stonepair import fo, gamma, lattice
 from stonepair.chains import ChainPoint
@@ -687,3 +688,43 @@ def reference_rule_instances(D: FiniteLattice, k: int):
         for q in Q:
             yield RuleInstance("L6", (q,), (a,), PLAnd(LT(q, a), GE(q, a)), PL_FALSE)
             yield RuleInstance("L6", (q,), (a,), PL_TRUE, PLOr(LT(q, a), GE(q, a)))
+
+
+def reference_rule_table(D: FiniteLattice, k: int) -> np.ndarray:
+    """The rule table built family by family, each read off a boolean mask
+    over its loop variables by ``np.nonzero`` and stacked, then the families
+    concatenated; same rows in the same order as ``pl._rule_table``."""
+    n, g = D.n, k + 1
+    true, false = 2 * n * (2 * k + 1), 2 * n * (2 * k + 1) + 1
+    leq, meet, join = D._order_arrays
+
+    def family(*columns):
+        return np.stack(np.broadcast_arrays(*columns)).T
+
+    def ge(a, i):
+        return 2 * (a * (2 * k + 1) + 2 * i)
+
+    a, j, i = np.nonzero(np.broadcast_to(np.tri(g, dtype=bool), (n, g, g)))
+    L1 = family(0, i, j, -1, a, -1, ge(a, j), true, ge(a, i), false)
+    bot, top = D.bottom, D.top
+    L2 = np.array(
+        [[1, 0, -1, -1, bot, -1, true, true, ge(bot, 0), false]]
+        + [[1, j, -1, -1, top, -1, true, true, ge(top, j), false] for j in range(g)]
+        + [[1, i, -1, -1, bot, -1, ge(bot, i), true, false, false] for i in range(1, g)],
+        dtype=np.int64,
+    )
+    a, b, j = np.nonzero(np.broadcast_to(leq[:, :, None], (n, n, g)))
+    L3 = family(2, j, -1, -1, a, b, ge(a, j), true, ge(b, j), false)
+    up = np.arange(g)
+    s = up[:, None, None] + up[:, None] - up  # s[i, j, l] = i + j - l
+    mask = (s >= 0) & (s <= k)
+    a, b, i, j, l, t = np.nonzero(np.broadcast_to(mask[..., None], (n, n, g, g, g, 2)))
+    both = (ge(a, i), ge(b, j))
+    bounds = (ge(join[a, b], i + j - l), ge(meet[a, b], l))
+    premise, conclusion = np.where(t == 0, (both, bounds), (bounds, both))
+    L45 = family(3 + t, i, j, l, a, b, *premise, *conclusion)
+    a, j, t = np.nonzero(np.ones((n, g, 2), dtype=bool))
+    both = (ge(a, j) + 1, ge(a, j))
+    first = t == 0
+    L6 = family(5, j, -1, -1, a, -1, *np.where(first, both, true), *np.where(first, false, both))
+    return np.concatenate((L1, L2, L3, L45, L6))

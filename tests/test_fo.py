@@ -453,7 +453,7 @@ class TestStructureConstructor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(exc.value).startswith(f"relation lt/2 on |A| = {n} needs {n**2} table cells")
+        assert str(exc.value).startswith(f"relation lt/2 on |A| = {n} would take {n**2} bytes")
         assert peak < 2**20
 
     def test_from_tables_errors(self):

@@ -191,6 +191,23 @@ class TestSections:
             make()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # silently kept, 0.1 would be 3602879701896397/36028797018963968
+            (lambda: GammaValue(0.1, True), "0.1 is not an exact rational"),
+            (lambda: GammaValue(0.5, False), "0.5 is not an exact rational"),
+            (lambda: iota_exact(0.1), "0.1 is not an exact rational"),
+            (lambda: iota_exact(float("inf")), "inf is not an exact rational"),
+            (lambda: iota_approx(0.3), "0.3 is not an exact rational"),
+            (lambda: iota_approx(0.0), "0.0 is not an exact rational"),
+        ],
+    )
+    def test_floats_are_refused(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_domain_ends(self):
         # the bounds are inclusive on both sides except the approximation at 0
         assert GammaValue(F(0), True) == ZERO and GammaValue(1, True) == ONE

@@ -230,6 +230,13 @@ class TestClassical:
         m = ClassicalMeasure(B4, (F(0), F(1, 2), F(3, 4), F(1)))
         assert any(v.kind == "modular" for v in validate_classical_measure(m))
 
+    def test_float_values_are_refused(self):
+        # so neither validate_classical_measure nor lift_measure meets one
+        for values in ((0, 0.1, 0.9, 1), (F(0), F(1, 2), F(1, 2), 1.0)):
+            with pytest.raises(DomainError, match=r"^0\.1 is not|^1\.0 is not"):
+                ClassicalMeasure(B4, values)
+        assert lift_measure(ClassicalMeasure(C3, (0, F(1, 2), 1))).values[2] == ONE
+
     def test_random_valuations_are_valid(self):
         rng = random.Random(7)
         for L in small_lattice_corpus(max_size=8):

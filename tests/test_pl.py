@@ -1,6 +1,7 @@
 """Threshold-logic semantics, grid entailment, rule soundness, filters."""
 
 import functools
+import itertools
 import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
@@ -17,6 +18,7 @@ from conftest import (
     reference_grid_ranks,
     reference_presentation_of_measure,
     reference_rule_instances,
+    reference_rule_table,
     reference_validate_measure,
 )
 from stonepair import fo, gamma, pl
@@ -278,13 +280,34 @@ class TestWorkGuard:
     @pytest.mark.parametrize("D", [C3, B4, P23, TOP_FIRST], ids=["C3", "B4", "2x3", "top-first"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_rule_table_is_counted_before_it_is_built(self, D, k, monkeypatch):
-        # the closed-form row count, 10 int64 columns a row
-        size = 80 * len(pl._rule_table(D, k))
+        # 10 int64 columns a row, plus the loop vectors over the g^3 sums
+        # i + j - l, the T triples and the n^2 pairs, plus the ufunc buffers
+        n, g = D.n, k + 1
+        triples = sum(0 <= i + j - l <= k for i, j, l in itertools.product(range(g), repeat=3))
+        loops = 12 * g**3 + 64 * triples + 32 * n * n + 24 * np.getbufsize()
+        size = 80 * len(pl._rule_table(D, k)) + loops
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size)
         pl._rule_table(D, k)
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", size - 1)
         with pytest.raises(SizeError, match=f"the rule table would take {size} bytes"):
             pl._rule_table(D, k)
+
+    @pytest.mark.parametrize(
+        "D, k",
+        [(chain(6), 6), (boolean_algebra(4), 4), (product_lattice(chain(3), chain(4)), 6)],
+        ids=["C6-k6", "B16-k4", "3x4-k6"],
+    )
+    def test_rule_table_peak_is_within_its_charge(self, D, k, monkeypatch):
+        charged = {}
+        monkeypatch.setattr(fo, "check_bytes", lambda step, nbytes: charged.update({step: nbytes}))
+        D._order_arrays  # the lattice's own tables are not the rule table's
+        tracemalloc.start()
+        try:
+            table = pl._rule_table(D, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes <= peak <= charged["the rule table"]
 
     def test_atom_table_is_counted_before_it_is_built(self, monkeypatch):
         # C3 at k = 4: a search of 9 rows of 3 ranks (216 bytes), then 9
@@ -450,6 +473,13 @@ DIFF_CASES = [(D, k) for D in (C3, B4, C4) for k in (1, 2, 3)]
 reference_measures = functools.cache(reference_grid_measures)
 
 
+@pytest.mark.parametrize("D, k", DIFF_CASES + [(P23, 4), (TOP_FIRST, 2), (chain(1), 1)])
+def test_rule_table_matches_the_stacked_families(D, k):
+    table = pl._rule_table(D, k)
+    assert table.dtype == np.int64 and table.flags.f_contiguous
+    assert np.array_equal(table, reference_rule_table(D, k))
+
+
 def first_countermodel(lhs, rhs, measures):
     """The per-measure loop the bitsets replace."""
     return next(
@@ -570,6 +600,11 @@ class TestFilters:
     def test_off_grid_threshold(self):
         with pytest.raises(DomainError):
             FilterPresentation(C3, 2, frozenset({(F(1, 3), 2)}))
+
+    def test_float_threshold_is_refused(self):
+        with pytest.raises(DomainError, match=r"^0\.5 is not an exact rational$"):
+            FilterPresentation(chain(3), 2, frozenset({(0.5, 1)}))
+        assert FilterPresentation(chain(3), 2, frozenset({(1, 1)})).members == {(1, 1)}
 
     def test_round_trip_exact_grid_measures(self):
         for D in (C3, B4):
@@ -733,6 +768,12 @@ class TestPLSyntax:
     def test_lattice_subjects(self):
         phi = parse_pl_formula("[>= 1/2]{a} | [< 1]{b}", lattice=B4)
         assert phi == PLOr(GE(F(1, 2), A_IDX), LT(F(1), B_IDX))
+
+    def test_float_thresholds_are_refused(self):
+        for kind in (GE, LT):
+            with pytest.raises(DomainError, match=r"^0\.1 is not an exact rational$"):
+                kind(0.1, 0)
+        assert GE(1, 0).threshold == F(1)
 
     def test_literals_and_parens(self):
         phi = parse_pl_formula("!(true & false)", lattice=B4)
