@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from . import chains, fo, measure as measure_mod, pairing, pl
-from .errors import DomainError, Error, InternalInvariantError
+from .errors import Error, InternalInvariantError
 from .gamma import format_gamma
 from .lattice import FiniteLattice, parse_lattice
 from .pairing import DirectoryFamily, FenceFamily, StructureFamily
@@ -79,22 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str | Path) -> str:
-    """The text of an input file; one that is not UTF-8 is a ``DomainError``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise DomainError(f"{path}: not UTF-8 text") from None
-
-
-def _formula_text(spec: str) -> str:
+def _formula(spec: str, parse):
+    """``parse`` of a formula flag's value: its text, or with ``@PATH`` the
+    text of that file."""
     if spec.startswith("@"):
-        return _read_text(spec[1:])
-    return spec
+        return fo.load(spec[1:], parse)
+    return parse(spec)
 
 
 def _load_structure(path: str) -> fo.FiniteStructure:
-    return fo.parse_structure(_read_text(path))
+    return fo.load(path, fo.parse_structure)
 
 
 def _family(name: str) -> StructureFamily:
@@ -132,16 +127,19 @@ def _render_verdict(report: pairing.SequenceReport) -> str:
 
 def _load_measure(args) -> tuple[FiniteLattice, measure_mod.Measure]:
     measure_path = Path(args.measure)
-    text = _read_text(measure_path)
-    ref = measure_mod.measure_lattice_reference(text)
-    if args.lattice is not None:
-        lattice_path = Path(args.lattice)
-    elif ref is not None:
-        lattice_path = measure_path.parent / ref
-    else:
-        raise UsageError("no lattice given: pass --lattice or add a 'lattice:' line")
-    L = parse_lattice(_read_text(lattice_path))
-    return L, measure_mod.parse_measure(text, L)
+
+    def parse(text: str) -> tuple[FiniteLattice, measure_mod.Measure]:
+        ref = measure_mod.measure_lattice_reference(text)
+        if args.lattice is not None:
+            lattice_path = Path(args.lattice)
+        elif ref is not None:
+            lattice_path = measure_path.parent / ref
+        else:
+            raise UsageError("no lattice given: pass --lattice or add a 'lattice:' line")
+        L = fo.load(lattice_path, parse_lattice)
+        return L, measure_mod.parse_measure(text, L)
+
+    return fo.load(measure_path, parse)
 
 
 def _cmd_pair(args, out: TextIO) -> int:
@@ -153,7 +151,7 @@ def _cmd_pair(args, out: TextIO) -> int:
         A = _family(args.family).structure(args.index)
     else:
         raise UsageError("pass --structure or --family/--index")
-    phi = fo.parse_formula(_formula_text(args.formula), A.signature)
+    phi = _formula(args.formula, partial(fo.parse_formula, signature=A.signature))
     r = pairing.stone_pairing(A, phi, _context(args))
     print(f"{r.count} {r.total} {r.classical} {format_gamma(r.gamma)}", file=out)
     return 0
@@ -162,7 +160,7 @@ def _cmd_pair(args, out: TextIO) -> int:
 def _cmd_converge(args, out: TextIO) -> int:
     family = _family(args.family)
     probe = family.structure(1)
-    phi = fo.parse_formula(_formula_text(args.formula), probe.signature)
+    phi = _formula(args.formula, partial(fo.parse_formula, signature=probe.signature))
     report = pairing.pairing_sequence(
         family, phi, _context(args), horizon=args.horizon
     )
@@ -194,11 +192,11 @@ def _cmd_check_measure(args, out: TextIO) -> int:
 def _cmd_eval(args, out: TextIO) -> int:
     if args.structure is not None:
         A = _load_structure(args.structure)
-        phi = pl.parse_pl_formula(_formula_text(args.formula), signature=A.signature)
+        phi = _formula(args.formula, partial(pl.parse_pl_formula, signature=A.signature))
         value = pl.eval_pl_structure(A, phi)
     elif args.measure is not None:
         L, mu = _load_measure(args)
-        phi = pl.parse_pl_formula(_formula_text(args.formula), lattice=L)
+        phi = _formula(args.formula, partial(pl.parse_pl_formula, lattice=L))
         value = pl.eval_pl_measure(mu, phi)
     else:
         raise UsageError("pass --structure, or --lattice/--measure")
@@ -207,7 +205,7 @@ def _cmd_eval(args, out: TextIO) -> int:
 
 
 def _cmd_entail(args, out: TextIO) -> int:
-    L = parse_lattice(_read_text(args.lattice))
+    L = fo.load(args.lattice, parse_lattice)
     lhs = pl.parse_pl_formula(args.lhs, lattice=L)
     rhs = pl.parse_pl_formula(args.rhs, lattice=L)
     result = pl.entails_grid(lhs, rhs, L, args.grid)
@@ -219,7 +217,7 @@ def _cmd_entail(args, out: TextIO) -> int:
 
 
 def _cmd_soundness(args, out: TextIO) -> int:
-    L = parse_lattice(_read_text(args.lattice))
+    L = fo.load(args.lattice, parse_lattice)
     report = pl.check_soundness_grid(L, args.grid)
     bad = Counter(inst.rule for inst, _ in report.failures)
     for rule, count in sorted(report.instance_counts.items()):
@@ -245,7 +243,7 @@ def _cmd_duality_verify(args, out: TextIO) -> int:
 def _cmd_integrate(args, out: TextIO) -> int:
     # the integral over the uniform assignment weights is the tagged pairing
     A = _load_structure(args.structure)
-    phi = fo.parse_formula(_formula_text(args.formula), A.signature)
+    phi = _formula(args.formula, partial(fo.parse_formula, signature=A.signature))
     print(format_gamma(pairing.stone_pairing(A, phi, _context(args)).gamma), file=out)
     return 0
 

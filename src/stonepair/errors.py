@@ -10,29 +10,28 @@ class DomainError(Error):
 
 
 class ParseError(Error):
-    """Malformed textual input.  Carries a 1-based position when known, and
-    the 0-based character offset when built by ``at``."""
+    """Malformed textual input at a 1-based line and column; ``at`` also
+    keeps the 0-based character offset.  A file loader sets ``path``, and
+    the message then names the file: ``path:line:column: message``."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None,
-                 offset: int | None = None):
+    def __init__(self, message: str, line: int, column: int, offset: int | None = None):
         self.message = message
         self.line = line
         self.column = column
         self.offset = offset
+        self.path: str | None = None
         super().__init__(message, line, column)
 
     @classmethod
     def at(cls, message: str, text: str, offset: int) -> "ParseError":
-        """The error at character ``offset`` of ``text``, by line and column."""
-        line = text.count("\n", 0, offset) + 1
-        return cls(message, line, offset - text.rfind("\n", 0, offset), offset)
+        """The error at character ``offset`` of ``text``, by line and column;
+        lines end where ``str.splitlines`` ends them, as in the file parsers."""
+        lines = (text[:offset] + "|").splitlines()
+        return cls(message, len(lines), len(lines[-1]), offset)
 
     def __str__(self) -> str:
-        if self.line is not None and self.column is not None:
-            return f"{self.line}:{self.column}: {self.message}"
-        if self.column is not None:
-            return f"column {self.column}: {self.message}"
-        return self.message
+        where = f"{self.line}:{self.column}: {self.message}"
+        return where if self.path is None else f"{self.path}:{where}"
 
 
 class LatticeError(Error):

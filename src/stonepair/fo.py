@@ -17,17 +17,28 @@ memory budget, made before anything is allocated: relation tables, family
 members' ``lt`` tables, the counting tensors (|A| ** width one-byte cells)
 and satisfying sets past ``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
 
-The parser bounds nesting at ``MAX_NESTING`` levels, so no input can exhaust
-Python's recursion limit in parsing, counting or any later walk of the tree.
+Formula text has one grammar and one parser, which ``pl`` extends for
+threshold formulas.  Precedence, low to high: ``->``, ``|``, ``&``, ``!``;
+quantifiers scope maximally to the right:
 
-Grammar (precedence low to high: ``->``, ``|``, ``&``, ``!``; quantifiers
-scope maximally to the right):
+    formula   := or ('->' formula)?
+    or        := and ('|' and)*
+    and       := unary ('&' unary)*
+    unary     := '!' unary | 'forall' v '.' formula | 'exists' v '.' formula | atom
+    atom      := '(' formula ')' | 'true' | 'false' | name '(' v, ... ')' | v '=' w
 
-    formula  := or ('->' formula)?
-    or       := and ('|' and)*
-    and      := unary ('&' unary)*
-    unary    := '!' unary | 'forall' v '.' formula | 'exists' v '.' formula | atom
-    atom     := '(' formula ')' | 'true' | 'false' | name '(' v, ... ')' | v '=' w
+A threshold formula has no ``->`` and no quantifiers, and its atoms are
+
+    atom      := '(' formula ')' | 'true' | 'false'
+               | '[' ('>=' | '<') q ']' '{' subject '}'
+
+where q is a rational n or n/d in [0, 1] (``gamma.read_rational``) and the
+subject is a first-order formula, parsed in place up to its '}', or a
+lattice element label.  The parser bounds nesting at ``MAX_NESTING``
+levels, so no input can exhaust Python's recursion limit in parsing,
+counting or any later walk of the tree.  Every ``ParseError`` is at its
+line and column in the whole text; ``load`` reads an input file and gives
+its faults the file's path.
 """
 
 from __future__ import annotations
@@ -35,12 +46,15 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import DomainError, ParseError, SizeError
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -343,38 +357,23 @@ def format_formula(phi: Formula) -> str:
 
 # -- parsing --------------------------------------------------------------------
 
+# The one scanner of formula text: whitespace, then a mark of either
+# grammar, a name, the end of the text, or a character it cannot read.
+# Rationals and lattice labels are not tokens: the rules that expect them
+# read them from the raw text.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<leq><=)|(?P<punct>[()!,&|=.])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    r"\s*(?:(?P<mark>->|<=|>=|[()!,&|=.<\[\]{}])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
-_KEYWORDS = {"forall", "exists", "true", "false"}
+_KEYWORDS = frozenset({"forall", "exists", "true", "false"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
+class _Token(NamedTuple):
+    kind: str  # the mark or keyword itself, "ident" or "end"
     text: str
     at: int  # offset of the token's first character
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError.at(f"unexpected character {stripped[0]!r}", text, bad_at)
-        value = m.group(m.lastgroup)
-        kind = m.lastgroup
-        if kind == "ident" and value in _KEYWORDS:
-            kind = value
-        tokens.append(_Token(kind, value, m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+    end: int  # offset just past it
 
 
 # Nesting guard shared by the FO and threshold-logic parsers: no construct may
@@ -385,17 +384,29 @@ def _tokenize(text: str) -> list[_Token]:
 # plan-cache lookup) three.
 MAX_NESTING = 200
 
-# Binding powers of the binary connectives (low to high) and of '!'.
-_BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
-_PREFIX_POWER = 4
-
 
 class _FormulaParser:
-    def __init__(self, text: str, signature: Signature):
+    """Precedence climbing over a lazily scanned token stream, driven by the
+    grammar's connective tables; the threshold-logic parser (``pl``) is a
+    subclass with its own tables and atoms.  A character the scanner cannot
+    read is reported only when a rule asks for the next token, so a rule
+    that reads raw text reports its own fault.  With ``closer``, that mark
+    ends the text: a subject is parsed in place from ``pos`` up to it."""
+
+    # binary connective: (binding power, power of its right operand, node);
+    # '->' is right-associative, '|' and '&' left-associative
+    BINARY = {"->": (1, 1, Implies), "|": (2, 3, Or), "&": (3, 4, And)}
+    PREFIX = {"!": (4, Not)}
+    QUANTIFIERS = {"forall": Forall, "exists": Exists}
+    LITERALS = {"true": TRUE, "false": FALSE}
+
+    def __init__(self, text: str, signature: Signature | None, pos: int = 0,
+                 closer: str | None = None):
         self.text = text
-        self.tokens = _tokenize(text)
         self.signature = signature
-        self.pos = 0
+        self.pos = pos  # offset just past the last token taken
+        self.closer = closer
+        self.token: _Token | None = None  # the next token, once scanned
 
     def error(self, message: str, tok: _Token) -> ParseError:
         return ParseError.at(message, self.text, tok.at)
@@ -407,102 +418,106 @@ class _FormulaParser:
         return levels
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        if self.token is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            kind = m.lastgroup
+            text, at = m.group(kind), m.start(kind)
+            if text == self.closer:
+                kind, text = "end", ""
+            elif kind == "bad":
+                raise ParseError.at(f"unexpected character {text[0]!r}", self.text, at)
+            elif kind == "mark" or text in _KEYWORDS:
+                kind = text
+            self.token = _Token(kind, text, at, m.end())
+        return self.token
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.pos, self.token = tok.end, None
         return tok
 
-    def expect_punct(self, text: str, message: str) -> None:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.error(message, tok)
-        self.advance()
-
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, message: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.error(
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}", tok
-            )
+            raise self.error(message, tok)
         return self.advance()
 
-    def parse(self) -> Formula:
+    def expected(self, what: str, tok: _Token) -> ParseError:
+        found = f", found {tok.text!r}" if tok.text else ""
+        return self.error(f"expected {what}{found}", tok)
+
+    def parse(self):
+        """The formula up to the end of the text, or up to ``closer``."""
         phi, _ = self.formula(0, 0)
         tok = self.peek()
         if tok.kind != "end":
             raise self.error(f"unexpected {tok.text!r}", tok)
         return phi
 
-    def formula(self, power: int, depth: int) -> tuple[Formula, int]:
-        """The longest formula whose operators bind at least ``power``, with
-        its height.  ``depth`` counts the constructs open around it; both stay
-        within ``MAX_NESTING``, so the recursion here and in every later walk
-        of the tree is bounded."""
+    def formula(self, power: int, depth: int) -> tuple[object, int]:
+        """The longest formula whose connectives bind at least ``power``,
+        with its height.  ``depth`` counts the constructs open around it;
+        both stay within ``MAX_NESTING``, so the recursion here and in every
+        later walk of the tree is bounded."""
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == "!":
+        if tok.kind in self.PREFIX:
             self.advance()
-            body, height = self.formula(_PREFIX_POWER, self.nested(tok, depth + 1))
-            left, height = Not(body), self.nested(tok, height + 1)
-        elif tok.kind in ("forall", "exists"):
+            op_power, ctor = self.PREFIX[tok.kind]
+            body, height = self.formula(op_power, self.nested(tok, depth + 1))
+            left, height = ctor(body), self.nested(tok, height + 1)
+        elif tok.kind in self.QUANTIFIERS:
             self.advance()
-            var = self.expect("ident", "a variable name")
-            self.expect_punct(".", "expected '.' after quantified variable")
+            var = self.variable()
+            self.expect(".", "expected '.' after quantified variable")
             body, height = self.formula(0, self.nested(tok, depth + 1))  # maximal right scope
-            ctor = Forall if tok.kind == "forall" else Exists
-            left, height = ctor(var.text, body), self.nested(tok, height + 1)
-        elif tok.kind == "punct" and tok.text == "(":
+            left, height = self.QUANTIFIERS[tok.kind](var, body), self.nested(tok, height + 1)
+        elif tok.kind == "(":
             self.advance()
             left, height = self.formula(0, self.nested(tok, depth + 1))
-            self.expect_punct(")", "expected ')'")
+            self.expect(")", "expected ')'")
+        elif tok.kind in self.LITERALS:
+            self.advance()
+            left, height = self.LITERALS[tok.kind], 0
         else:
             left, height = self.atom(), 0
         while True:
             op = self.peek()
-            if op.text not in _BINARY or _BINARY[op.text][0] < power:
+            if op.kind not in self.BINARY or self.BINARY[op.kind][0] < power:
                 return left, height
-            op_power, ctor = _BINARY[op.text]
+            _, right_power, ctor = self.BINARY[op.kind]
             self.advance()
-            # '->' is right-associative, '|' and '&' left-associative
-            right_power = op_power if ctor is Implies else op_power + 1
             right, right_height = self.formula(right_power, self.nested(op, depth + 1))
             left, height = ctor(left, right), self.nested(op, max(height, right_height) + 1)
 
-    def atom(self) -> Formula:
+    def variable(self) -> str:
         tok = self.peek()
-        if tok.kind == "true":
+        if tok.kind != "ident":
+            raise self.expected("a variable name", tok)
+        return self.advance().text
+
+    def atom(self) -> Formula:
+        name = self.advance()
+        if name.kind != "ident":
+            raise self.expected("a formula", name)
+        if self.peek().kind == "(":
             self.advance()
-            return TRUE
-        if tok.kind == "false":
+            args = [self.variable()]
+            while self.peek().kind == ",":
+                self.advance()
+                args.append(self.variable())
+            self.expect(")", "expected ')'")
+            if not self.signature.has(name.text):
+                raise self.error(f"unknown relation {name.text!r}", name)
+            arity = self.signature.arity(name.text)
+            if len(args) != arity:
+                raise self.error(
+                    f"relation {name.text} expects {arity} arguments, got {len(args)}", name
+                )
+            return Atom(name.text, tuple(args))
+        if self.peek().kind == "=":
             self.advance()
-            return FALSE
-        if tok.kind == "ident":
-            name = self.advance()
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == "(":
-                self.advance()
-                args = [self.expect("ident", "a variable name").text]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.expect("ident", "a variable name").text)
-                self.expect_punct(")", "expected ')'")
-                if not self.signature.has(name.text):
-                    raise self.error(f"unknown relation {name.text!r}", name)
-                arity = self.signature.arity(name.text)
-                if len(args) != arity:
-                    raise self.error(
-                        f"relation {name.text} expects {arity} arguments, got {len(args)}", name
-                    )
-                return Atom(name.text, tuple(args))
-            if nxt.kind == "punct" and nxt.text == "=":
-                self.advance()
-                rhs = self.expect("ident", "a variable name")
-                return Eq(name.text, rhs.text)
-            raise self.error(f"expected '(' or '=' after {name.text!r}", nxt)
-        raise self.error(
-            f"expected a formula, found {tok.text!r}" if tok.text else "expected a formula", tok
-        )
+            return Eq(name.text, self.variable())
+        raise self.error(f"expected '(' or '=' after {name.text!r}", self.peek())
 
 
 def parse_formula(text: str, signature: Signature) -> Formula:
@@ -799,11 +814,40 @@ def maximal_not_maximum() -> Formula:
     )
 
 
+# -- input files -------------------------------------------------------------------
+
+
+def load(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` applied to the UTF-8 text of the file at ``path``.  Both
+    faults name the file: text that is not UTF-8 is a ``DomainError``
+    "path: not UTF-8 text", and a ``ParseError`` of the text is given the
+    path, unless it came from a file that ``parse`` loads in turn."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        if exc.path is None:
+            exc.path = str(path)
+        raise
+
+
 # -- structure text format ---------------------------------------------------------
 
 # a tuple with the separators (whitespace and commas) before it
 _STRUCT_TUPLE_RE = re.compile(r"[\s,]*(\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))")
 _STRUCT_SEPARATORS_RE = re.compile(r"[\s,]*")
+
+
+def _decimal(digits: str, line: int, column: int) -> int:
+    """The integer ``digits`` spell; more digits than ``int`` reads is a
+    ``ParseError`` at ``line``:``column``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("too many digits", line, column) from None
 
 
 def parse_structure(text: str) -> FiniteStructure:
@@ -842,7 +886,7 @@ def parse_structure(text: str) -> FiniteStructure:
                         line=lineno,
                         column=1,
                     )
-                rels.append((m.group(1), int(m.group(2))))
+                rels.append((m.group(1), _decimal(m.group(2), lineno, 1)))
             try:
                 signature = Signature(tuple(rels))
             except DomainError as exc:
@@ -853,7 +897,7 @@ def parse_structure(text: str) -> FiniteStructure:
             body = line[len("universe:"):].strip()
             if not body.isdecimal():
                 raise ParseError("universe must be a nonnegative integer", line=lineno, column=1)
-            size = int(body)
+            size = _decimal(body, lineno, 1)
             universe_line = lineno
         elif "=" in line:
             name, body = (part.strip() for part in line.split("=", 1))
@@ -869,8 +913,9 @@ def parse_structure(text: str) -> FiniteStructure:
             for m in _STRUCT_TUPLE_RE.finditer(line, start, end):
                 if m.start() != at:
                     break
-                tuples.append(tuple(int(v) for v in m.group(2).split(",")))
                 columns.append(indent + m.start(1) + 1)
+                values = m.group(2).split(",")
+                tuples.append(tuple(_decimal(v, lineno, columns[-1]) for v in values))
                 at = m.end()
             at = _STRUCT_SEPARATORS_RE.match(line, at, end).end()
             if not tuples:  # a body without tuples must be blank

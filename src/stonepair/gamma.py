@@ -37,6 +37,7 @@ D = k the ranks 0..2k are the indices of ``GammaGrid(k).points``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -256,46 +257,47 @@ def format_gamma(x: GammaValue) -> str:
     return f"{x.value}^{'o' if x.exact else '-'}"
 
 
-def parse_gamma(text: str) -> GammaValue:
-    """Parse the canonical text form, accepting non-lowest-terms rationals."""
-    i = 0
-    n = len(text)
+# digits and an optional '/' and digits; ``\d`` is ``str.isdecimal``, so
+# digits ``int`` rejects, such as '²', are no digits
+_RATIONAL_RE = re.compile(r"\s*(\d*)(?:/(\d*))?")
 
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
 
-    def read_digits(j: int, what: str) -> tuple[int, int]:
-        start = j
-        while j < n and text[j].isdecimal():
-            j += 1
-        if j == start:
-            raise ParseError(f"expected {what}", column=j + 1)
-        return int(text[start:j]), j
-
-    i = skip_ws(i)
-    num, i = read_digits(i, "a numerator digit")
-    den = 1
-    if i < n and text[i] == "/":
-        den_col = i + 2
-        den, i = read_digits(i + 1, "a denominator digit")
-        if den == 0:
-            raise ParseError("zero denominator", column=den_col)
-    if i >= n or text[i] != "^":
-        raise ParseError("expected '^'", column=i + 1)
-    i += 1
-    if i >= n or text[i] not in "o-":
-        raise ParseError("expected 'o' or '-' after '^'", column=i + 1)
-    exact = text[i] == "o"
-    i = skip_ws(i + 1)
-    if i != n:
-        raise ParseError("unexpected trailing input", column=i + 1)
-    value = Fraction(num, den)
+def read_rational(text: str, pos: int, what: str, end: int | None = None) -> tuple[Fraction, int]:
+    """The rational written at offset ``pos`` of ``text``, after any
+    whitespace and before ``end``, and the offset just past it.  A fault is
+    a ``ParseError.at`` its offset in the whole text: no digits (``what``
+    was expected), no digits after '/', a zero denominator."""
+    m = _RATIONAL_RE.match(text, pos, len(text) if end is None else end)
+    num, den = m.group(1, 2)
+    if not num:
+        raise ParseError.at(f"expected {what}", text, m.start(1))
+    if den == "":
+        raise ParseError.at("expected a denominator", text, m.start(2))
     try:
-        return GammaValue(value, exact)
+        return Fraction(int(num), int(den or 1)), m.end()
+    except ZeroDivisionError:
+        raise ParseError.at("zero denominator", text, m.start(2)) from None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError.at("too many digits", text, m.start(1)) from None
+
+
+def parse_gamma(text: str, start: int = 0, end: int | None = None) -> GammaValue:
+    """Parse the canonical text form written in ``text[start:end]``,
+    accepting non-lowest-terms rationals; a ``ParseError`` is positioned
+    in the whole ``text``."""
+    end = len(text) if end is None else end
+    value, i = read_rational(text, start, "a numerator digit", end)
+    if i >= end or text[i] != "^":
+        raise ParseError.at("expected '^'", text, i)
+    if i + 1 >= end or text[i + 1] not in "o-":
+        raise ParseError.at("expected 'o' or '-' after '^'", text, i + 1)
+    rest = text[i + 2:end]
+    if rest.strip():
+        raise ParseError.at("unexpected trailing input", text, end - len(rest.lstrip()))
+    try:
+        return GammaValue(value, text[i + 1] == "o")
     except DomainError as exc:
-        raise ParseError(str(exc), column=1) from exc
+        raise ParseError.at(str(exc), text, start) from exc
 
 
 @dataclass(frozen=True)

@@ -276,23 +276,29 @@ def measure_lattice_reference(text: str) -> str | None:
 
 
 def parse_measure(text: str, lattice: FiniteLattice) -> Measure:
-    """Parse value lines against the given lattice; every element needs one."""
+    """Parse value lines against the given lattice; every element needs one.
+    A value is read in place, so its faults are positioned in ``text``."""
     values: dict[int, GammaValue] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    end = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        start, end = end, end + len(raw)
         line = raw.split("#", 1)[0].strip()
         if not line or line.startswith("lattice:"):
             continue
         m = _VALUE_LINE.fullmatch(line)
         if m is None:
             raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
-        label, body = m.group(1), m.group(2)
+        indent = len(raw) - len(raw.lstrip())
+        label = m.group(1)
         if label not in lattice.labels:
-            column = len(raw) - len(raw.lstrip()) + m.start(1) + 1
-            raise ParseError(f"unknown element label {label!r}", line=lineno, column=column)
+            raise ParseError(
+                f"unknown element label {label!r}", line=lineno, column=indent + m.start(1) + 1
+            )
         idx = lattice.index_of(label)
         if idx in values:
             raise ParseError(f"duplicate value for {label}", line=lineno, column=1)
-        values[idx] = gamma.parse_gamma(body)
+        at = start + indent
+        values[idx] = gamma.parse_gamma(text, at + m.start(2), at + m.end(2))
     missing = [lattice.labels[i] for i in range(lattice.n) if i not in values]
     if missing:
         raise ParseError(f"missing values for {missing}", line=1, column=1)

@@ -283,11 +283,7 @@ class DirectoryFamily(StructureFamily):
             raise DomainError(
                 f"expected exactly one file for index {index} in {self.path}"
             )
-        try:
-            text = matches[0].read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise DomainError(f"{matches[0]}: not UTF-8 text") from None
-        return fo.parse_structure(text)
+        return fo.load(matches[0], fo.parse_structure)
 
 
 class ConstantFamily(StructureFamily):

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import fo, gamma
 from .errors import DomainError, InternalInvariantError, ParseError, PresentationError
-from .fo import MAX_NESTING, FiniteStructure, Formula, Signature, parse_formula
+from .fo import FiniteStructure, Formula, Signature
 from .gamma import GammaValue, grid_rationals
 from .lattice import FiniteLattice
 from .measure import Measure, validate_measure
@@ -452,12 +452,12 @@ def rule_instances(D: FiniteLattice, k: int) -> Iterator[RuleInstance]:
     """All instances of L1..L6 with thresholds on the resolution-k chain and
     subjects in D, side conditions enforced before generation.
 
-    The rows of ``_rule_table`` rendered as objects: the atoms GE(i/k, a) and
-    LT(i/k, a) are built once per call and shared by every instance that
-    mentions them.
+    The rows of ``_rule_table`` rendered as objects, each as it is yielded:
+    the atoms GE(i/k, a) and LT(i/k, a) are built once per call and shared
+    by every instance that mentions them.
     """
     table = _rule_table(D, k)  # checked against the budget before the atoms
-    return map(_instance_renderer(D, k), table.tolist())
+    return map(_instance_renderer(D, k), map(np.ndarray.tolist, table))
 
 
 @dataclass(frozen=True)
@@ -613,139 +613,60 @@ def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
 
 # -- concrete syntax -----------------------------------------------------------------
 #
-# Threshold atoms are written  [>= 2/3]{ subject }  and  [< 2/3]{ subject },
-# combinable with & | ! and parentheses; true and false are literals.  The
-# subject between braces is a first-order formula when a signature is given,
-# or a lattice element label when a lattice is given.
+# The grammar is the one in ``fo``'s module docstring: threshold atoms
+# [>= 2/3]{ subject } and [< 2/3]{ subject } under & | ! and parentheses,
+# with true and false.  The subject is a first-order formula, parsed in
+# place by ``fo``'s parser, when a signature is given, or a lattice element
+# label, read raw up to '}', when a lattice is.
 
 
-class _PLParser:
+class _PLParser(fo._FormulaParser):
+    BINARY = {"|": (1, 2, PLOr), "&": (2, 3, PLAnd)}
+    PREFIX = {"!": (3, PLNot)}
+    QUANTIFIERS = {}
+    LITERALS = {"true": PL_TRUE, "false": PL_FALSE}
+
     def __init__(self, text: str, signature: Signature | None, lattice: FiniteLattice | None):
         if (signature is None) == (lattice is None):
             raise DomainError("pass exactly one of signature or lattice")
-        self.text = text
-        self.signature = signature
+        super().__init__(text, signature)
         self.lattice = lattice
-        self.pos = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError.at(message, self.text, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def nested(self, at: int, levels: int) -> int:
-        """``levels``, or a ``ParseError`` at offset ``at`` when past ``MAX_NESTING``."""
-        if levels > MAX_NESTING:
-            self.pos = at
-            raise self.error(f"formula nests deeper than {MAX_NESTING} levels")
-        return levels
-
-    def parse(self) -> PLFormula:
-        phi, _ = self.formula(0, 0)
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
-        return phi
-
-    def formula(self, power: int, depth: int) -> tuple[PLFormula, int]:
-        """The longest formula whose operators bind at least ``power`` (``|``
-        1, ``&`` 2, ``!`` 3), with its height; nesting is bounded as in the
-        first-order parser."""
-        self.skip_ws()
-        start = self.pos
-        if self.take("!"):
-            body, height = self.formula(3, self.nested(start, depth + 1))
-            left, height = PLNot(body), self.nested(start, height + 1)
-        elif self.take("("):
-            left, height = self.formula(0, self.nested(start, depth + 1))
-            if not self.take(")"):
-                raise self.error("expected ')'")
-        elif self.take("true"):
-            left, height = PL_TRUE, 0
-        elif self.take("false"):
-            left, height = PL_FALSE, 0
-        elif self.take("["):
-            left, height = self.atom_tail(), 0
-        else:
-            raise self.error("expected a formula")
-        while True:
-            self.skip_ws()
-            at = self.pos
-            if power <= 1 and self.take("|"):
-                ctor, op_power = PLOr, 1
-            elif power <= 2 and self.take("&"):
-                ctor, op_power = PLAnd, 2
-            else:
-                return left, height
-            right, right_height = self.formula(op_power + 1, self.nested(at, depth + 1))
-            left, height = ctor(left, right), self.nested(at, max(height, right_height) + 1)
-
-    def digits(self, what: str) -> int:
-        """The decimal digits at the cursor, or a ``ParseError`` expecting
-        ``what``; ``isdecimal``, since ``int`` rejects digits such as '²'."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        num, den = self.digits("a rational threshold"), 1
-        if self.text.startswith("/", self.pos):
-            self.pos += 1
-            den = self.digits("a denominator")
-            if den == 0:
-                raise self.error("zero denominator")
-        return Fraction(num, den)
-
-    def atom_tail(self) -> PLFormula:
-        if self.take(">="):
-            ctor = GE
-        elif self.take("<"):
-            ctor = LT
-        else:
-            raise self.error("expected '>=' or '<'")
-        q = self.rational()
+    def atom(self) -> PLFormula:
+        tok = self.advance()
+        if tok.kind != "[":
+            raise self.expected("a formula", tok)
+        kind = self.advance()
+        if kind.kind not in (">=", "<"):
+            raise self.error("expected '>=' or '<'", kind)
+        q, self.pos = gamma.read_rational(self.text, self.pos, "a rational threshold")
         if not 0 <= q <= 1:
-            raise self.error(f"threshold {q} outside [0, 1]")
-        if not self.take("]"):
-            raise self.error("expected ']'")
-        if not self.take("{"):
-            raise self.error("expected '{'")
+            raise ParseError.at(f"threshold {q} outside [0, 1]", self.text, self.pos)
+        self.expect("]", "expected ']'")
+        self.expect("{", "expected '{'")
+        return (GE if kind.kind == ">=" else LT)(q, self.subject())
+
+    def subject(self) -> object:
+        """The subject after '{' and its '}': a first-order formula parsed in
+        place, or the index of a lattice label."""
+        if self.lattice is None:
+            inner = fo._FormulaParser(self.text, self.signature, self.pos, closer="}")
+            phi = inner.parse()
+            close = inner.peek()
+            if close.at == len(self.text):
+                raise self.error("expected '}'", close)
+            self.pos = close.end
+            return phi
         close = self.text.find("}", self.pos)
         if close < 0:
-            raise self.error("expected '}'")
-        start, body = self.pos, self.text[self.pos:close]
+            raise ParseError.at("expected '}'", self.text, self.pos)
+        body = self.text[self.pos:close]
+        label = body.strip()
+        if label not in self.lattice.labels:
+            at = close - len(body.lstrip())
+            raise ParseError.at(f"unknown element label {label!r}", self.text, at)
         self.pos = close + 1
-        if self.signature is not None:
-            try:
-                subject: object = parse_formula(body, self.signature)
-            except ParseError as exc:
-                # report the position in the whole text, not in the subject
-                self.pos = start + exc.offset
-                raise self.error(exc.message) from None
-        else:
-            label = body.strip()
-            if label not in self.lattice.labels:
-                self.pos = start + len(body) - len(body.lstrip())
-                raise self.error(f"unknown element label {label!r}")
-            subject = self.lattice.index_of(label)
-        return ctor(q, subject)
+        return self.lattice.index_of(label)
 
 
 def parse_pl_formula(

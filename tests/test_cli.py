@@ -417,7 +417,9 @@ class TestErrors:
     def test_unknown_labels_are_positioned(self, workdir):
         (workdir / "zz.measure").write_text(GOOD_MEASURE.replace("value(na)", "value(zz)"))
         code, out, err = invoke("check-measure", "--measure", workdir / "zz.measure")
-        assert (code, out, err) == (1, "", "error: 4:7: unknown element label 'zz'\n")
+        assert (code, out, err) == (
+            1, "", f"error: {workdir / 'zz.measure'}:4:7: unknown element label 'zz'\n"
+        )
         code, out, err = invoke(
             "entail", "--lattice", workdir / "b4.lat", "--grid", "2",
             "--lhs", "[>= 1/2]{a}", "--rhs", "[>= 1/2]{a} | [< 1]{ qq}",
@@ -427,14 +429,14 @@ class TestErrors:
     def test_structure_faults_are_positioned(self, tmp_path):
         cases = {
             "signature: lt/2\nuniverse: 3\nlt = {(0,1),(5,0)}\n":
-                "error: 3:13: tuple (5, 0) out of range for universe 3\n",
+                "3:13: tuple (5, 0) out of range for universe 3",
             "signature: lt/2\nuniverse: 3\nlt = {(0,1,2)}\n":
-                "error: 3:7: tuple (0, 1, 2) has wrong arity for lt/2\n",
-            "signature: lt/2\nuniverse: 0\n": "error: 2:1: universe must be nonempty\n",
+                "3:7: tuple (0, 1, 2) has wrong arity for lt/2",
+            "signature: lt/2\nuniverse: 0\n": "2:1: universe must be nonempty",
             "signature: lt/2\nuniverse: 3\nlt = {x(0,1) junk (1,2)}\n":
-                "error: 3:7: malformed tuple set\n",
+                "3:7: malformed tuple set",
             "signature: lt/2\nuniverse: 3\nlt = {(0,1) junk (1,2)}\n":
-                "error: 3:13: malformed tuple set\n",
+                "3:13: malformed tuple set",
         }
         path = tmp_path / "bad.struct"
         for text, message in cases.items():
@@ -444,7 +446,50 @@ class TestErrors:
                 ("integrate", "--structure", path, "--formula", "true"),
                 ("eval", "--structure", path, "--formula", "[>= 1]{true}"),
             ):
-                assert invoke(*argv) == (1, "", message)
+                assert invoke(*argv) == (1, "", f"error: {path}:{message}\n")
+
+    def test_measure_values_are_positioned_in_the_file(self, workdir):
+        path = workdir / "v.measure"
+        for line, message in (
+            ("  value(a) = 1/2^x", "3:18: expected 'o' or '-' after '^'"),
+            ("value(a) = 3/2^o", "3:12: exact point 3/2 lies outside [0, 1]"),
+            ("value(a) =\t1/0^o  # zero", "3:14: zero denominator"),
+            ("value(a) = 1/2^o o", "3:18: unexpected trailing input"),
+        ):
+            path.write_text(GOOD_MEASURE.replace("value(a) = 1/2^o", line))
+            assert invoke("check-measure", "--measure", path) == (1, "", f"error: {path}:{message}\n")
+
+    def test_parse_errors_name_the_file(self, workdir):
+        bad_lat = workdir / "bad.lat"
+        bad_lat.write_text("elements: 0, 1\norder: 0<=2\n")
+        lat_fault = f"error: {bad_lat}:2:1: unknown element '2'\n"
+        (workdir / "ref.measure").write_text(GOOD_MEASURE.replace("b4.lat", "bad.lat"))
+        fo_file, pl_file = workdir / "fo.txt", workdir / "pl.txt"
+        fo_file.write_text("true &\n  lt(x)")
+        pl_file.write_text("[>= 1/2]{a} |\n[< 1]{zz}")
+        fam = workdir / "fam"
+        fam.mkdir()
+        (fam / "1.struct").write_text("signature: lt/2\nuniverse: x\n")
+        fam_fault = f"error: {fam / '1.struct'}:2:1: universe must be a nonnegative integer\n"
+        a2 = workdir / "a2.struct"
+        for argv, message in (
+            (("soundness", "--lattice", bad_lat, "--grid", "2"), lat_fault),
+            (("entail", "--lattice", bad_lat, "--grid", "2", "--lhs", "true", "--rhs", "true"), lat_fault),
+            (("check-measure", "--lattice", bad_lat, "--measure", workdir / "good.measure"), lat_fault),
+            (("check-measure", "--measure", workdir / "ref.measure"), lat_fault),
+            (("pair", "--structure", a2, "--formula", f"@{fo_file}"),
+             f"error: {fo_file}:2:3: relation lt expects 2 arguments, got 1\n"),
+            (("integrate", "--structure", a2, "--formula", f"@{fo_file}"),
+             f"error: {fo_file}:2:3: relation lt expects 2 arguments, got 1\n"),
+            (("eval", "--measure", workdir / "good.measure", "--formula", f"@{pl_file}"),
+             f"error: {pl_file}:2:7: unknown element label 'zz'\n"),
+            (("pair", "--family", fam, "--index", "1", "--formula", "true"), fam_fault),
+            (("converge", "--family", fam, "--formula", "true", "--horizon", "4"), fam_fault),
+            # inline formula text has no file to name
+            (("pair", "--structure", a2, "--formula", "true &\n  lt(x)"),
+             "error: 2:3: relation lt expects 2 arguments, got 1\n"),
+        ):
+            assert invoke(*argv) == (1, "", message), argv
 
     def test_oversized_count_is_a_size_error(self, tmp_path):
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated

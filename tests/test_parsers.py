@@ -1,0 +1,126 @@
+"""Every text parser fed arbitrary text, token soup, or a well-formed text
+with one character edited: each call returns or raises a library ``Error``
+other than ``InternalInvariantError``, and every ``ParseError`` carries a
+line and column inside the text."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stonepair import fo
+from stonepair.errors import Error, InternalInvariantError, ParseError
+from stonepair.fo import parse_formula, parse_structure
+from stonepair.gamma import parse_gamma
+from stonepair.lattice import boolean_algebra, parse_lattice
+from stonepair.measure import parse_measure
+from stonepair.pl import parse_pl_formula
+
+B4 = boolean_algebra(2)  # labels 0, a, b, 1
+SIGNATURE = fo.Signature((("lt", 2), ("p", 1)))
+
+# each parser with well-formed texts to edit and the tokens it is written in
+PARSERS = {
+    "formula": (
+        lambda text: parse_formula(text, SIGNATURE),
+        ("forall x. exists y. lt(x, y) & !(x = y) -> p(y)", "true | (false & p(z))"),
+        ("forall", "exists", "x", "y", ".", "!", "&", "|", "->", "(", ")", ",", "lt", "p", "=", "true"),
+    ),
+    "threshold over a signature": (
+        lambda text: parse_pl_formula(text, signature=SIGNATURE),
+        ("[>= 1/2]{exists y. lt(x, y)} & ![< 1]{ p(x) | x = x }", "(true | [>= 0]{false})"),
+        ("[>=", "[<", "1/2", "0", "]", "{", "}", "!", "&", "|", "(", ")", "lt(x,y)", "x = x", "true"),
+    ),
+    "threshold over a lattice": (
+        lambda text: parse_pl_formula(text, lattice=B4),
+        ("[>= 1/2]{a} | ![< 1]{ b } & [>= 0]{0}", "!(true & [<1/3]{1})"),
+        ("[>=", "[<", "1/2", "0", "]", "{", "}", "!", "&", "|", "(", ")", "a", "b", "true"),
+    ),
+    "structure": (
+        parse_structure,
+        ("signature: lt/2, p/1\nuniverse: 3\nlt = {(0,1), (1,2)}\np = {(2)}\n",),
+        ("signature:", "universe:", " lt/2", "p/1", "lt", "=", "{", "}", "(", ")", ",", " ", "\n", "0", "3"),
+    ),
+    "lattice": (
+        parse_lattice,
+        ("elements: 0, a, b, 1  # B4\norder: 0<=a, 0<=b, a<=1, b<=1\n",),
+        ("elements:", "order:", "<=", ",", " ", "\n", "#", "0", "1", "a", "b"),
+    ),
+    "measure": (
+        lambda text: parse_measure(text, B4),
+        ("lattice: b4.lat\nvalue(0) = 0^o\nvalue(a) = 1/2^o\n  value(b) = 1/2^-\nvalue(1) = 2/2^o\n",),
+        ("lattice:", "value(", ")", "=", " ", "\n", "#", "0", "1", "/", "2", "^o", "^-", "a", "b"),
+    ),
+    "gamma": (parse_gamma, ("1/2^o", " 0^o ", "3/4^-"), ("1", "0", "/", "2", "^", "o", "-", " ")),
+}
+
+# characters an edit puts in: each grammar's marks, digits int() rejects,
+# and line breaks other than '\n'
+EDIT_CHARS = st.sampled_from("()[]{}<>=!&|.,/^#:-_ xyab012²٣\n\r\x0c ") | st.characters()
+
+
+@st.composite
+def edited(draw, seeds):
+    """A well-formed text with one character inserted, deleted or replaced."""
+    text = draw(st.sampled_from(seeds))
+    i = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    c = draw(EDIT_CHARS)
+    return text[:i] + c + text[i + (op == "replace"):]
+
+
+def texts(name):
+    _, seeds, tokens = PARSERS[name]
+    soup = st.lists(st.sampled_from(tokens), max_size=30).map("".join)
+    return st.text(max_size=60) | soup | edited(seeds)
+
+
+def assert_positioned(exc: ParseError, text: str) -> None:
+    lines = text.splitlines()
+    assert 1 <= exc.line <= len(lines) + 1, (exc, text)
+    line = lines[exc.line - 1] if exc.line <= len(lines) else ""
+    assert 1 <= exc.column <= len(line) + 1, (exc, text)
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_seeds_parse(name):
+    parse, seeds, _ = PARSERS[name]
+    for text in seeds:
+        parse(text)
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_return_or_raise_a_positioned_error(name, data):
+    parse = PARSERS[name][0]
+    text = data.draw(texts(name))
+    # a small budget keeps any structure the parser accepts cheap to build
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fo, "MAX_TENSOR_CELLS", 2**20)
+        try:
+            parse(text)
+        except InternalInvariantError:
+            raise
+        except ParseError as exc:
+            assert_positioned(exc, text)
+        except Error:
+            pass
+
+
+def test_numbers_past_the_digit_limit_are_positioned():
+    # more digits than ``int`` converts from text
+    many = "9" * 5000
+    for name, text, (line, column) in (
+        ("structure", f"signature: p/{many}\n", (1, 1)),
+        ("structure", f"signature: p/1\nuniverse: {many}\n", (2, 1)),
+        ("structure", f"signature: p/1\nuniverse: 3\n  p = {{(1), ({many})}}\n", (3, 13)),
+        ("threshold over a lattice", f"[>= {many}]{{a}}", (1, 5)),
+        ("threshold over a lattice", f"[< 1/{many}]{{a}}", (1, 4)),
+        ("measure", f"value(0) = 0^o\nvalue(a) = 1/{many}^o\n", (2, 12)),
+        ("gamma", f" {many}^o", (1, 2)),
+    ):
+        with pytest.raises(ParseError) as exc:
+            PARSERS[name][0](text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, "too many digits")

@@ -309,6 +309,20 @@ class TestWorkGuard:
             tracemalloc.stop()
         assert table.nbytes <= peak <= charged["the rule table"]
 
+    def test_instances_are_rendered_row_by_row(self):
+        # the first instance costs the table, not a Python copy of all of it
+        D, k = product_lattice(chain(3), chain(4)), 6
+        D._order_arrays
+        table_bytes = pl._rule_table(D, k).nbytes
+        tracemalloc.start()
+        try:
+            first = next(iter(rule_instances(D, k)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == next(iter(reference_rule_instances(D, k)))
+        assert peak <= 1.25 * table_bytes
+
     def test_atom_table_is_counted_before_it_is_built(self, monkeypatch):
         # C3 at k = 4: a search of 9 rows of 3 ranks (216 bytes), then 9
         # measures, a row for each of 3 elements x 9 ranks and the all-true
