@@ -25,7 +25,7 @@ class ParseError(Error):
     @classmethod
     def at(cls, message: str, text: str, offset: int) -> "ParseError":
         """The error at character ``offset`` of ``text``, by line and column;
-        lines end where ``str.splitlines`` ends them, as in the file parsers."""
+        lines end where ``str.splitlines`` ends them, as in ``fo.read_lines``."""
         lines = (text[:offset] + "|").splitlines()
         return cls(message, len(lines), len(lines[-1]), offset)
 

@@ -38,7 +38,9 @@ lattice element label.  The parser bounds nesting at ``MAX_NESTING``
 levels, so no input can exhaust Python's recursion limit in parsing,
 counting or any later walk of the tree.  Every ``ParseError`` is at its
 line and column in the whole text; ``load`` reads an input file and gives
-its faults the file's path.
+its faults the file's path.  The structure, lattice and measure file
+formats share one line reader, ``read_lines``, and one item splitter,
+``split_items``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -834,117 +836,134 @@ def load(path: str | Path, parse: Callable[[str], _T]) -> _T:
         raise
 
 
+def read_lines(text: str, keys: Sequence[str] = ()) -> Iterator[tuple[str | None, int, str]]:
+    """Each line of an input file's ``text`` that holds more than a '#'
+    comment, as ``(key, offset, content)``: ``content`` is the line stripped
+    of its comment and whitespace, ``offset`` its start in ``text``.  A line
+    that starts with one of the keywords ``keys`` has that key and the rest
+    of the line as content, and a key's second line is a ``ParseError``
+    "duplicate <key> line"; other lines have key None."""
+    seen = set()
+    start = 0
+    for raw in text.splitlines(keepends=True):
+        line = raw.split("#", 1)[0]
+        content, offset = line.strip(), start + len(line) - len(line.lstrip())
+        start += len(raw)
+        if not content:
+            continue
+        key = next((k for k in keys if content.startswith(k)), None)
+        if key is not None:
+            if key in seen:
+                raise ParseError.at(f"duplicate {key.rstrip(':')} line", text, offset)
+            seen.add(key)
+            rest = content[len(key):].lstrip()
+            content, offset = rest, offset + len(content) - len(rest)
+        yield key, offset, content
+
+
+def split_items(offset: int, content: str) -> Iterator[tuple[int, str]]:
+    """The nonblank comma-separated items of ``content``, which starts at
+    ``offset`` of its text, as ``(offset, item)`` with the item stripped."""
+    for piece in content.split(","):
+        item = piece.strip()
+        if item:
+            yield offset + len(piece) - len(piece.lstrip()), item
+        offset += len(piece) + 1
+
+
 # -- structure text format ---------------------------------------------------------
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # a tuple with the separators (whitespace and commas) before it
 _STRUCT_TUPLE_RE = re.compile(r"[\s,]*(\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))")
 _STRUCT_SEPARATORS_RE = re.compile(r"[\s,]*")
 
 
-def _decimal(digits: str, line: int, column: int) -> int:
+def _decimal(digits: str, text: str, offset: int) -> int:
     """The integer ``digits`` spell; more digits than ``int`` reads is a
-    ``ParseError`` at ``line``:``column``."""
+    ``ParseError`` at ``offset`` of ``text``."""
     try:
         return int(digits)
     except ValueError:
-        raise ParseError("too many digits", line, column) from None
+        raise ParseError.at("too many digits", text, offset) from None
 
 
 def parse_structure(text: str) -> FiniteStructure:
-    """Parse the structure file format:
+    """Parse the structure file format, read with ``read_lines``:
 
         signature: lt/2
         universe: 4
         lt = {(0,1),(0,2),(1,2)}
 
-    Comments start with '#'.  Relations omitted from the body are empty.
-    A tuple of the wrong arity or out of range is reported at its own
-    line:column, an empty universe at its line.
+    Relations omitted from the body are empty.  Once the signature and the
+    universe are read, relation names and tuples are checked in reading
+    order; every fault is at the line and column of its token.
     """
     signature: Signature | None = None
     size: int | None = None
-    universe_line = 1
-    # name -> (line of the body, its tuples in order, the column of each)
-    bodies: dict[str, tuple[int, list[tuple[int, ...]], list[int]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        indent = len(raw) - len(raw.lstrip())
-        if line.startswith("signature:"):
-            if signature is not None:
-                raise ParseError("duplicate signature line", line=lineno, column=1)
-            rels = []
-            for tok in line[len("signature:"):].split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)", tok)
+    # name -> (offset of the name, its tuples in order with their offsets)
+    bodies: dict[str, tuple[int, list[tuple[int, tuple[int, ...]]]]] = {}
+    for key, offset, content in read_lines(text, ("signature:", "universe:")):
+        if key == "signature:":
+            arities: dict[str, int] = {}
+            for at, item in split_items(offset, content):
+                m = re.fullmatch(rf"({_NAME})\s*/\s*(\d+)", item)
                 if m is None:
-                    raise ParseError(
-                        f"expected 'name/arity' in signature, got {tok!r}",
-                        line=lineno,
-                        column=1,
-                    )
-                rels.append((m.group(1), _decimal(m.group(2), lineno, 1)))
-            try:
-                signature = Signature(tuple(rels))
-            except DomainError as exc:
-                raise ParseError(str(exc), line=lineno, column=1) from exc
-        elif line.startswith("universe:"):
-            if size is not None:
-                raise ParseError("duplicate universe line", line=lineno, column=1)
-            body = line[len("universe:"):].strip()
-            if not body.isdecimal():
-                raise ParseError("universe must be a nonnegative integer", line=lineno, column=1)
-            size = _decimal(body, lineno, 1)
-            universe_line = lineno
-        elif "=" in line:
-            name, body = (part.strip() for part in line.split("=", 1))
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                raise ParseError(f"bad relation name {name!r}", line=lineno, column=1)
+                    raise ParseError.at(f"expected 'name/arity' in signature, got {item!r}", text, at)
+                name, arity = m.group(1), _decimal(m.group(2), text, at + m.start(2))
+                if name in arities:
+                    raise ParseError.at("relation names must be unique", text, at)
+                if arity < 1:
+                    raise ParseError.at(f"relation {name} must have arity >= 1", text, at)
+                arities[name] = arity
+            signature = Signature(tuple(arities.items()))
+        elif key == "universe:":
+            if not content.isdecimal():
+                raise ParseError.at("universe must be a nonnegative integer", text, offset)
+            size = _decimal(content, text, offset)
+            if size < 1:
+                raise ParseError.at("universe must be nonempty", text, offset)
+        elif "=" in content:
+            name, body = content.split("=", 1)
+            name, body = name.rstrip(), body.lstrip()
+            if not re.fullmatch(_NAME, name):
+                raise ParseError.at(f"bad relation name {name!r}", text, offset)
             if name in bodies:
-                raise ParseError(f"duplicate relation body for {name}", line=lineno, column=1)
+                raise ParseError.at(f"duplicate relation body for {name}", text, offset)
             if not (body.startswith("{") and body.endswith("}")):
-                raise ParseError("relation body must be {...}", line=lineno, column=1)
-            start, end = line.index("{") + 1, len(line) - 1
-            tuples, columns = [], []
+                raise ParseError.at("relation body must be {...}", text, offset + len(content) - len(body))
+            start, end = content.index("{") + 1, len(content) - 1
+            tuples = []
             at = start  # each tuple must follow the last one, separators between
-            for m in _STRUCT_TUPLE_RE.finditer(line, start, end):
+            for m in _STRUCT_TUPLE_RE.finditer(content, start, end):
                 if m.start() != at:
                     break
-                columns.append(indent + m.start(1) + 1)
-                values = m.group(2).split(",")
-                tuples.append(tuple(_decimal(v, lineno, columns[-1]) for v in values))
+                where = offset + m.start(1)
+                tuples.append((where, tuple(_decimal(v, text, where) for v in m.group(2).split(","))))
                 at = m.end()
-            at = _STRUCT_SEPARATORS_RE.match(line, at, end).end()
+            at = _STRUCT_SEPARATORS_RE.match(content, at, end).end()
             if not tuples:  # a body without tuples must be blank
-                at = end - len(line[start:end].lstrip())
+                at = end - len(content[start:end].lstrip())
             if at != end:
-                raise ParseError("malformed tuple set", line=lineno, column=indent + at + 1)
-            bodies[name] = (lineno, tuples, columns)
+                raise ParseError.at("malformed tuple set", text, offset + at)
+            bodies[name] = (offset, tuples)
         else:
-            raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
+            raise ParseError.at(f"unrecognised line {content!r}", text, offset)
     if signature is None:
         raise ParseError("missing signature line", line=1, column=1)
     if size is None:
         raise ParseError("missing universe line", line=1, column=1)
-    try:
-        return FiniteStructure(
-            signature, size, {name: tuples for name, (_, tuples, _) in bodies.items()}
-        )
-    except DomainError as exc:
-        if size < 1:
-            raise ParseError(str(exc), line=universe_line, column=1) from exc
-        for name, (lineno, tuples, columns) in bodies.items():
-            if not signature.has(name):
-                raise ParseError(str(exc), line=lineno, column=1) from exc
-            arity = signature.arity(name)
-            for t, column in zip(tuples, columns):
-                fault = _tuple_fault(name, arity, size, t)
-                if fault is not None:
-                    raise ParseError(fault, line=lineno, column=column) from exc
-        raise ParseError(str(exc), line=1, column=1) from exc
+    for name, (at, tuples) in bodies.items():
+        if not signature.has(name):
+            raise ParseError.at(f"relations not in signature: {[name]}", text, at)
+        arity = signature.arity(name)
+        for at, t in tuples:
+            fault = _tuple_fault(name, arity, size, t)
+            if fault is not None:
+                raise ParseError.at(fault, text, at)
+    return FiniteStructure(
+        signature, size, {name: [t for _, t in tuples] for name, (_, tuples) in bodies.items()}
+    )
 
 
 def format_structure(A: FiniteStructure) -> str:

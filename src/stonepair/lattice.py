@@ -444,63 +444,45 @@ def from_subsets(
 _LABEL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
-def _check_label(label: str, lineno: int) -> str:
-    if not label or not set(label) <= _LABEL_CHARS:
-        raise ParseError(f"bad element label {label!r}", line=lineno, column=1)
-    return label
-
-
 def parse_lattice(text: str) -> FiniteLattice:
-    """Parse the lattice text format:
+    """Parse the lattice text format, read with ``fo.read_lines``:
 
         elements: a, b, c
         order: a<=b, b<=c
 
-    The reflexive-transitive closure is taken automatically; the result must
+    Every fault is at the line and column of its token.  The
+    reflexive-transitive closure is taken automatically; the result must
     validate as a bounded distributive lattice.
     """
-    labels: list[str] | None = None
-    order_specs: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("elements:"):
-            if labels is not None:
-                raise ParseError("duplicate elements line", line=lineno, column=1)
-            body = line[len("elements:"):]
-            labels = [
-                _check_label(tok.strip(), lineno)
-                for tok in body.split(",")
-                if tok.strip()
-            ]
-            if not labels:
-                raise ParseError("empty elements line", line=lineno, column=1)
-        elif line.startswith("order:"):
-            body = line[len("order:"):]
-            for tok in body.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                if "<=" not in tok:
-                    raise ParseError(
-                        f"expected 'a<=b' in order item {tok!r}", line=lineno, column=1
-                    )
-                lo, hi = (part.strip() for part in tok.split("<=", 1))
-                order_specs.append((lo, hi, lineno))
+    index: dict[str, int] | None = None
+    ends: list[tuple[str, int]] = []  # both labels of every order item, with their offsets
+    for key, offset, content in fo.read_lines(text, ("elements:",)):
+        if key is not None:
+            index = {}
+            for at, label in fo.split_items(offset, content):
+                if not set(label) <= _LABEL_CHARS:
+                    raise ParseError.at(f"bad element label {label!r}", text, at)
+                if label in index:
+                    raise ParseError.at(f"duplicate element label {label!r}", text, at)
+                index[label] = len(index)
+            if not index:
+                raise ParseError.at("empty elements line", text, offset)
+        elif content.startswith("order:"):
+            for at, item in fo.split_items(offset + len("order:"), content[len("order:"):]):
+                lo, sep, hi = item.partition("<=")
+                if not sep:
+                    raise ParseError.at(f"expected 'a<=b' in order item {item!r}", text, at)
+                ends += [(lo.rstrip(), at), (hi.strip(), at + len(item) - len(hi.lstrip()))]
         else:
-            raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
-    if labels is None:
+            raise ParseError.at(f"unrecognised line {content!r}", text, offset)
+    if index is None:
         raise ParseError("missing elements line", line=1, column=1)
-    index = {label: i for i, label in enumerate(labels)}
-    pairs = []
-    for lo, hi, lineno in order_specs:
-        if lo not in index:
-            raise ParseError(f"unknown element {lo!r}", line=lineno, column=1)
-        if hi not in index:
-            raise ParseError(f"unknown element {hi!r}", line=lineno, column=1)
-        pairs.append((index[lo], index[hi]))
-    lattice = FiniteLattice(labels, pairs)
+    ids = []
+    for label, at in ends:
+        if label not in index:
+            raise ParseError.at(f"unknown element {label!r}", text, at)
+        ids.append(index[label])
+    lattice = FiniteLattice(list(index), list(zip(ids[::2], ids[1::2])))
     problems = lattice.validate()
     if problems:
         raise LatticeError("; ".join(problems))

@@ -26,7 +26,7 @@ from typing import Collection, Hashable, Sequence
 
 import numpy as np
 
-from . import gamma
+from . import fo, gamma
 from .errors import DomainError, InternalInvariantError, ParseError
 from .gamma import GammaValue
 from .lattice import FiniteLattice, LatticeHom, from_subsets
@@ -267,38 +267,36 @@ _VALUE_LINE = re.compile(r"value\(([A-Za-z0-9_]+)\)\s*=\s*(.+)")
 
 
 def measure_lattice_reference(text: str) -> str | None:
-    """The path named on the ``lattice:`` line, if the file has one."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("lattice:"):
-            return line[len("lattice:"):].strip()
-    return None
+    """The path named on the ``lattice:`` line, if the file has one; the
+    file is read with ``fo.read_lines``, and an empty path is a
+    ``ParseError``."""
+    ref = None
+    for key, offset, content in fo.read_lines(text, ("lattice:",)):
+        if key is not None:
+            if not content:
+                raise ParseError.at("expected a lattice path", text, offset)
+            ref = content
+    return ref
 
 
 def parse_measure(text: str, lattice: FiniteLattice) -> Measure:
-    """Parse value lines against the given lattice; every element needs one.
-    A value is read in place, so its faults are positioned in ``text``."""
+    """Parse value lines against the given lattice, read with
+    ``fo.read_lines``; every element needs one.  A value is read in place,
+    and every fault but a missing value is at its line and column."""
     values: dict[int, GammaValue] = {}
-    end = 0
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
-        start, end = end, end + len(raw)
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("lattice:"):
+    for key, offset, content in fo.read_lines(text, ("lattice:",)):
+        if key is not None:
             continue
-        m = _VALUE_LINE.fullmatch(line)
+        m = _VALUE_LINE.fullmatch(content)
         if m is None:
-            raise ParseError(f"unrecognised line {line!r}", line=lineno, column=1)
-        indent = len(raw) - len(raw.lstrip())
-        label = m.group(1)
+            raise ParseError.at(f"unrecognised line {content!r}", text, offset)
+        label, at = m.group(1), offset + m.start(1)
         if label not in lattice.labels:
-            raise ParseError(
-                f"unknown element label {label!r}", line=lineno, column=indent + m.start(1) + 1
-            )
+            raise ParseError.at(f"unknown element label {label!r}", text, at)
         idx = lattice.index_of(label)
         if idx in values:
-            raise ParseError(f"duplicate value for {label}", line=lineno, column=1)
-        at = start + indent
-        values[idx] = gamma.parse_gamma(text, at + m.start(2), at + m.end(2))
+            raise ParseError.at(f"duplicate value for {label}", text, at)
+        values[idx] = gamma.parse_gamma(text, offset + m.start(2), offset + m.end(2))
     missing = [lattice.labels[i] for i in range(lattice.n) if i not in values]
     if missing:
         raise ParseError(f"missing values for {missing}", line=1, column=1)

@@ -47,11 +47,6 @@ class PairingResult:
         return PairingResult(count, total, classical, gamma.iota_exact(classical))
 
 
-def default_context(phi: Formula) -> tuple[str, ...]:
-    """Free variables of phi in first-occurrence order."""
-    return fo.free_vars(phi)
-
-
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:
     """The free variables of phi padded with fresh names up to length n."""
     ctx = list(fo.free_vars(phi))
@@ -75,7 +70,7 @@ def stone_pairing(
 
     Sentences pair over the empty context, so their value is 0 or 1.
     """
-    ctx = default_context(phi) if context is None else tuple(context)
+    ctx = fo.free_vars(phi) if context is None else tuple(context)
     count = fo.count_satisfying(A, phi, ctx)
     return PairingResult.from_counts(count, A.size ** len(ctx))
 
@@ -312,7 +307,7 @@ def pairing_sequence(
     """
     if horizon < 4:
         raise DomainError("horizon must be at least 4")
-    ctx = default_context(phi) if context is None else tuple(context)
+    ctx = fo.free_vars(phi) if context is None else tuple(context)
     results = []
     for index in range(1, horizon + 1):
         try:

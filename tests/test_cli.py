@@ -17,7 +17,7 @@ from stonepair import chains, fo, measure
 from stonepair.cli import run
 from stonepair.errors import DomainError
 from stonepair.gamma import format_gamma
-from stonepair.pairing import assignment_distribution, default_context
+from stonepair.pairing import assignment_distribution
 
 PSI_TEXT = "(forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))"
 
@@ -353,7 +353,7 @@ class TestIntegrate:
     def test_matches_the_library_integral_and_pair(self, seed, csv):
         rng = random.Random(seed)
         A, phi = random_structure(rng), random_formula(rng, 3)
-        ctx = default_context(phi) if csv is None else tuple(csv.split(","))
+        ctx = fo.free_vars(phi) if csv is None else tuple(csv.split(","))
         try:
             f = assignment_distribution(A, ctx)
             integral = measure.integrate(f, fo.satisfying_set(A, phi, ctx))
@@ -432,7 +432,7 @@ class TestErrors:
                 "3:13: tuple (5, 0) out of range for universe 3",
             "signature: lt/2\nuniverse: 3\nlt = {(0,1,2)}\n":
                 "3:7: tuple (0, 1, 2) has wrong arity for lt/2",
-            "signature: lt/2\nuniverse: 0\n": "2:1: universe must be nonempty",
+            "signature: lt/2\nuniverse: 0\n": "2:11: universe must be nonempty",
             "signature: lt/2\nuniverse: 3\nlt = {x(0,1) junk (1,2)}\n":
                 "3:7: malformed tuple set",
             "signature: lt/2\nuniverse: 3\nlt = {(0,1) junk (1,2)}\n":
@@ -462,7 +462,7 @@ class TestErrors:
     def test_parse_errors_name_the_file(self, workdir):
         bad_lat = workdir / "bad.lat"
         bad_lat.write_text("elements: 0, 1\norder: 0<=2\n")
-        lat_fault = f"error: {bad_lat}:2:1: unknown element '2'\n"
+        lat_fault = f"error: {bad_lat}:2:11: unknown element '2'\n"
         (workdir / "ref.measure").write_text(GOOD_MEASURE.replace("b4.lat", "bad.lat"))
         fo_file, pl_file = workdir / "fo.txt", workdir / "pl.txt"
         fo_file.write_text("true &\n  lt(x)")
@@ -470,7 +470,7 @@ class TestErrors:
         fam = workdir / "fam"
         fam.mkdir()
         (fam / "1.struct").write_text("signature: lt/2\nuniverse: x\n")
-        fam_fault = f"error: {fam / '1.struct'}:2:1: universe must be a nonnegative integer\n"
+        fam_fault = f"error: {fam / '1.struct'}:2:11: universe must be a nonnegative integer\n"
         a2 = workdir / "a2.struct"
         for argv, message in (
             (("soundness", "--lattice", bad_lat, "--grid", "2"), lat_fault),
@@ -490,6 +490,26 @@ class TestErrors:
              "error: 2:3: relation lt expects 2 arguments, got 1\n"),
         ):
             assert invoke(*argv) == (1, "", message), argv
+
+    def test_duplicate_lattice_labels_are_positioned(self, workdir):
+        dup = workdir / "dup.lat"
+        dup.write_text("elements: 0, 1, 1\norder: 0<=1\n")
+        assert invoke("soundness", "--lattice", dup, "--grid", "2") == (
+            1, "", f"error: {dup}:1:17: duplicate element label '1'\n"
+        )
+
+    def test_measure_lattice_line_faults_are_positioned(self, workdir):
+        path = workdir / "m.measure"
+        for text, message in (
+            (GOOD_MEASURE.replace("lattice: b4.lat", "lattice:"), "1:9: expected a lattice path"),
+            (GOOD_MEASURE.replace("value(0)", "lattice: b4.lat\nvalue(0)"), "2:1: duplicate lattice line"),
+        ):
+            path.write_text(text)
+            assert invoke("check-measure", "--measure", path) == (1, "", f"error: {path}:{message}\n")
+        # with --lattice the line names no file, but it may still be given once only
+        assert invoke("check-measure", "--lattice", workdir / "b4.lat", "--measure", path) == (
+            1, "", f"error: {path}:2:1: duplicate lattice line\n"
+        )
 
     def test_oversized_count_is_a_size_error(self, tmp_path):
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated

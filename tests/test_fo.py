@@ -548,12 +548,12 @@ class TestStructureFormat:
                 1, 13, "tuple (1, 3) out of range for universe 3"
             ),
             "signature: lt/2\n# empty\nuniverse: 0\nlt = {}\n": (
-                3, 1, "universe must be nonempty"
+                3, 11, "universe must be nonempty"
             ),
             "signature: lt/2\nuniverse: 2\nlt = {(0,1)}\nedge = {(0,1)}\n": (
                 4, 1, "relations not in signature: ['edge']"
             ),
-            "signature: lt/2\nuniverse: ²\n": (2, 1, "universe must be a nonnegative integer"),
+            "signature: lt/2\nuniverse: ²\n": (2, 11, "universe must be a nonnegative integer"),
         }
         for text, (line, column, message) in cases.items():
             with pytest.raises(ParseError) as exc:

@@ -19,7 +19,6 @@ from stonepair.pairing import (
     VerdictKind,
     assignment_distribution,
     check_padding_invariance,
-    default_context,
     padded_context,
     pairing_sequence,
     stone_pairing,
@@ -122,7 +121,9 @@ class TestStonePairing:
 
 class TestContexts:
     def test_default_is_free_vars(self):
-        assert default_context(PSI) == ("x",)
+        assert fo.free_vars(PSI) == ("x",)
+        A = gen_example_structure(4)
+        assert stone_pairing(A, PSI) == stone_pairing(A, PSI, ("x",))
 
     def test_padding_avoids_collisions(self):
         ctx = padded_context(PSI, 3)

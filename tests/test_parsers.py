@@ -12,7 +12,7 @@ from stonepair.errors import Error, InternalInvariantError, ParseError
 from stonepair.fo import parse_formula, parse_structure
 from stonepair.gamma import parse_gamma
 from stonepair.lattice import boolean_algebra, parse_lattice
-from stonepair.measure import parse_measure
+from stonepair.measure import measure_lattice_reference, parse_measure
 from stonepair.pl import parse_pl_formula
 
 B4 = boolean_algebra(2)  # labels 0, a, b, 1
@@ -37,17 +37,26 @@ PARSERS = {
     ),
     "structure": (
         parse_structure,
-        ("signature: lt/2, p/1\nuniverse: 3\nlt = {(0,1), (1,2)}\np = {(2)}\n",),
+        (
+            "signature: lt/2, p/1\nuniverse: 3\nlt = {(0,1), (1,2)}\np = {(2)}\n",
+            "# a path\n  signature: lt/2 ,p/1  # two\n\n\tuniverse:  3\n  lt = { (0,1),(1,2) }  # covers\np={(2)}\n",
+        ),
         ("signature:", "universe:", " lt/2", "p/1", "lt", "=", "{", "}", "(", ")", ",", " ", "\n", "0", "3"),
     ),
     "lattice": (
         parse_lattice,
-        ("elements: 0, a, b, 1  # B4\norder: 0<=a, 0<=b, a<=1, b<=1\n",),
+        (
+            "elements: 0, a, b, 1  # B4\norder: 0<=a, 0<=b, a<=1, b<=1\n",
+            "# B4\n  elements:  0 ,a, b,1  # four\n\torder: 0<=a , 0 <= b,  # bottom\n  order: a<=1, b<=1,\n",
+        ),
         ("elements:", "order:", "<=", ",", " ", "\n", "#", "0", "1", "a", "b"),
     ),
     "measure": (
         lambda text: parse_measure(text, B4),
-        ("lattice: b4.lat\nvalue(0) = 0^o\nvalue(a) = 1/2^o\n  value(b) = 1/2^-\nvalue(1) = 2/2^o\n",),
+        (
+            "lattice: b4.lat\nvalue(0) = 0^o\nvalue(a) = 1/2^o\n  value(b) = 1/2^-\nvalue(1) = 2/2^o\n",
+            "# B4\n  lattice:  b4.lat  # beside\n\n\tvalue(0)=0^o  # bottom\n  value(a) =  1/2^o\nvalue(b) = 1/2^-\n value(1) = 1^o #\n",
+        ),
         ("lattice:", "value(", ")", "=", " ", "\n", "#", "0", "1", "/", "2", "^o", "^-", "a", "b"),
     ),
     "gamma": (parse_gamma, ("1/2^o", " 0^o ", "3/4^-"), ("1", "0", "/", "2", "^", "o", "-", " ")),
@@ -113,8 +122,8 @@ def test_numbers_past_the_digit_limit_are_positioned():
     # more digits than ``int`` converts from text
     many = "9" * 5000
     for name, text, (line, column) in (
-        ("structure", f"signature: p/{many}\n", (1, 1)),
-        ("structure", f"signature: p/1\nuniverse: {many}\n", (2, 1)),
+        ("structure", f"signature: p/{many}\n", (1, 14)),
+        ("structure", f"signature: p/1\nuniverse: {many}\n", (2, 11)),
         ("structure", f"signature: p/1\nuniverse: 3\n  p = {{(1), ({many})}}\n", (3, 13)),
         ("threshold over a lattice", f"[>= {many}]{{a}}", (1, 5)),
         ("threshold over a lattice", f"[< 1/{many}]{{a}}", (1, 4)),
@@ -124,3 +133,59 @@ def test_numbers_past_the_digit_limit_are_positioned():
         with pytest.raises(ParseError) as exc:
             PARSERS[name][0](text)
         assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, "too many digits")
+
+
+HEAD = "  signature: lt/2  # order\n  universe: 3  # size\n"
+LONG = "9" * 5000
+
+# every fault of the three file formats on indented, commented lines; only
+# a missing line or value is a whole-file fault, at 1:1
+FILE_FAULTS = (
+    ("structure", "  signature: lt/2  # one\n  signature: lt/2  # two\n", "2:3: duplicate signature line"),
+    ("structure", "  signature: lt/2, r  # no arity\n", "1:20: expected 'name/arity' in signature, got 'r'"),
+    ("structure", f"  signature: lt/2, p/{LONG}  # long\n", "1:22: too many digits"),
+    ("structure", "  signature: r/1, r/2  # twice\n", "1:19: relation names must be unique"),
+    ("structure", "  signature: lt/2, r/0  # nullary\n", "1:20: relation r must have arity >= 1"),
+    ("structure", HEAD + "  universe: 3  # again\n", "3:3: duplicate universe line"),
+    ("structure", "  signature: lt/2  # order\n  universe: x  # size\n", "2:13: universe must be a nonnegative integer"),
+    ("structure", f"  signature: lt/2  # order\n  universe: {LONG}  # size\n", "2:13: too many digits"),
+    ("structure", "  signature: lt/2  # order\n  universe: 0  # size\n", "2:13: universe must be nonempty"),
+    ("structure", HEAD + "  l t = {(0,1)}  # spaced\n", "3:3: bad relation name 'l t'"),
+    ("structure", HEAD + "  lt = {(0,1)}  # one\n  lt = {(1,2)}  # two\n", "4:3: duplicate relation body for lt"),
+    ("structure", HEAD + "  lt = (0,1)  # no braces\n", "3:8: relation body must be {...}"),
+    ("structure", HEAD + "  lt = {(0,1) x}  # junk\n", "3:15: malformed tuple set"),
+    ("structure", HEAD + f"  lt = {{(0,1), (1,{LONG})}}  # long\n", "3:16: too many digits"),
+    ("structure", HEAD + "  lt: {(0,1)}  # colon\n", "3:3: unrecognised line 'lt: {(0,1)}'"),
+    ("structure", "  universe: 3  # size\n", "1:1: missing signature line"),
+    ("structure", "  signature: lt/2  # order\n", "1:1: missing universe line"),
+    ("structure", HEAD + "  edge = {(0,1)}  # unknown\n", "3:3: relations not in signature: ['edge']"),
+    ("structure", HEAD + "  lt = {(0,1), (1,2,0)}  # long\n", "3:16: tuple (1, 2, 0) has wrong arity for lt/2"),
+    ("structure", HEAD + "  lt = {(0,1), (1,3)}  # past\n", "3:16: tuple (1, 3) out of range for universe 3"),
+    ("lattice", "  elements: 0, 1  # one\n  elements: 0, 1  # two\n", "2:3: duplicate elements line"),
+    ("lattice", "  elements: 0, b$d, 1  # bad\n", "1:16: bad element label 'b$d'"),
+    ("lattice", "  elements: 0, 1, 1  # twice\n", "1:19: duplicate element label '1'"),
+    ("lattice", "  elements: ,  # none\n", "1:13: empty elements line"),
+    ("lattice", "  elements: 0, 1  # two\n  order: 0<=1, 1=>0  # turned\n", "2:16: expected 'a<=b' in order item '1=>0'"),
+    ("lattice", "  elements: 0, 1  # two\n  order: 0<=1, 2 <= 1  # low\n", "2:16: unknown element '2'"),
+    ("lattice", "  elements: 0, 1  # two\n  order: 0 <=   2  # high\n", "2:17: unknown element '2'"),
+    ("lattice", "  elements: 0, 1  # two\n  orders: 0<=1  # typo\n", "2:3: unrecognised line 'orders: 0<=1'"),
+    ("lattice", "  order: 0<=1  # no elements\n", "1:1: missing elements line"),
+    ("measure", "  lattice: b4.lat  # one\n  lattice: b4.lat  # two\n", "2:3: duplicate lattice line"),
+    ("measure", "  value(0) = 0^o  # bottom\n  value[a] = 1^o  # square\n", "2:3: unrecognised line 'value[a] = 1^o'"),
+    ("measure", "  value(0) = 0^o  # bottom\n  value(zz) = 1^o  # unknown\n", "2:9: unknown element label 'zz'"),
+    ("measure", "  value(a) = 1/2^o  # one\n  value(0) = 0^o\n  value(a) = 1/2^o  # two\n", "3:9: duplicate value for a"),
+    ("measure", "  value(0) = 0^o  # bottom\n  value(a) = 1/0^o  # zero\n", "2:16: zero denominator"),
+    ("measure", "  value(0) = 0^o  # bottom\n  value(a) = 1/2^o  # a\n  value(b) = 1/2^o\n", "1:1: missing values for ['1']"),
+    ("lattice reference", "  lattice:  # none\n", "1:11: expected a lattice path"),
+    ("lattice reference", "  lattice: b4.lat  # one\n  lattice: c3.lat  # two\n", "2:3: duplicate lattice line"),
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, fault", FILE_FAULTS, ids=[f"{name} {fault}" for name, _, fault in FILE_FAULTS]
+)
+def test_every_file_fault_is_at_its_token(name, text, fault):
+    parse = measure_lattice_reference if name == "lattice reference" else PARSERS[name][0]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == fault
