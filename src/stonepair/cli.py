@@ -129,12 +129,13 @@ def _load_measure(args) -> tuple[FiniteLattice, measure_mod.Measure]:
     measure_path = Path(args.measure)
 
     def parse(text: str) -> tuple[FiniteLattice, measure_mod.Measure]:
+        # the reference is read, and so checked, even when --lattice overrides it
+        ref = measure_mod.measure_lattice_reference(text)
         if args.lattice is not None:
             lattice_path = Path(args.lattice)
+        elif ref is None:
+            raise UsageError("no lattice given: pass --lattice or add a 'lattice:' line")
         else:
-            ref = measure_mod.measure_lattice_reference(text)
-            if ref is None:
-                raise UsageError("no lattice given: pass --lattice or add a 'lattice:' line")
             lattice_path = measure_path.parent / ref
         L = fo.load(lattice_path, parse_lattice)
         return L, measure_mod.parse_measure(text, L)

@@ -4,7 +4,9 @@ Signatures are finite lists of relation symbols with arities.  A structure
 over a finite universe stores each relation as a read-only boolean table
 with one axis of size |A| per argument; its tuple sets (``relations``) are
 derived from the tables on first use.  Formulas are immutable ASTs with
-equality as a built-in logical symbol.  Evaluation is Tarskian
+equality as a built-in logical symbol; each node computes its hash once, at
+construction, and caches it, so keying the plan cache by a formula costs no
+walk of the tree.  Evaluation is Tarskian
 (``satisfies``, the slow reference).  Counting satisfying assignments
 (``count_satisfying``, ``satisfying_set``) is exact: each (formula, context)
 is compiled once into a plan, kept in a cache of ``PLAN_CACHE_SIZE`` entries,
@@ -225,15 +227,37 @@ def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]
 
 class Formula:
     """Base class for formula AST nodes.  Nodes have slots: the plan cache
-    keeps up to ``PLAN_CACHE_SIZE`` formulas alive."""
+    keeps up to ``PLAN_CACHE_SIZE`` formulas alive.  A node computes its
+    hash once, at construction, from its class and its fields' hashes (a
+    child's is already kept), and keeps it in the slot ``_hash``: a
+    plan-cache lookup reads one attribute instead of walking the tree."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        fields = map(self.__getattribute__, self.__slots__)
+        object.__setattr__(self, "_hash", hash((self.__class__, *fields)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt by the constructor, which computes the hash again
+        return self.__class__, tuple(map(self.__getattribute__, self.__slots__))
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls: type[_T]) -> type[_T]:
+    """A formula node class: a frozen dataclass with slots that keeps the
+    hash ``Formula`` computes, not the tree walk dataclass would add."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Const(Formula):
     value: bool
 
@@ -242,48 +266,48 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Atom(Formula):
     rel: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula

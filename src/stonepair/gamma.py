@@ -33,6 +33,13 @@ arrays, for kernels whose ranks already lie in the domain.  ``mip``,
 ``miss``, ``plus`` and ``gamma_sum`` check their domain on the ranks of
 their arguments, compute on the kernel and return ``point_of_rank``.  On
 D = k the ranks 0..2k are the indices of ``GammaGrid(k).points``.
+
+The order of ``GammaValue`` is decided on ranks too, over the product of the
+two denominators.  The constructor checks its value; the private ``_point``
+builds a point without the check, and its two callers, ``point_of_rank`` and
+``pairing.PairingResult.from_counts``, check on integers first (0 <= r <= 2D,
+0 <= count <= total) and otherwise fall back to the constructor and its
+``DomainError``.
 """
 
 from __future__ import annotations
@@ -48,14 +55,15 @@ from typing import Iterable
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class GammaValue:
     """A point of the doubled unit interval: a rational tagged exact or approx.
 
-    Field order matters: dataclass ordering compares ``(value, exact)``
-    lexicographically, which is exactly the intended total order because
-    ``False < True`` puts the approximation immediately below the exact point
-    of the same value.
+    The order is decided on integer ranks over the product of the two
+    denominators: n/d tagged ``e`` lies below n'/d' tagged ``e'`` iff
+    2·n·d' − [not e] < 2·n'·d − [not e'], which puts the approximation
+    immediately below the exact point of the same value.  Comparing with
+    anything but a ``GammaValue`` is ``NotImplemented``.
     """
 
     value: Fraction
@@ -71,6 +79,38 @@ class GammaValue:
                 raise DomainError(f"exact point {v} lies outside [0, 1]")
             raise DomainError(f"approximation point {v} lies outside (0, 1]")
 
+    def _ranks(self, other: GammaValue) -> tuple[int, int]:
+        """The ranks of ``self`` and ``other`` over the product of their denominators."""
+        a, b = self.value, other.value
+        return (
+            2 * a.numerator * b.denominator - (not self.exact),
+            2 * b.numerator * a.denominator - (not other.exact),
+        )
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not GammaValue:
+            return NotImplemented
+        x, y = self._ranks(other)
+        return x < y
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not GammaValue:
+            return NotImplemented
+        x, y = self._ranks(other)
+        return x <= y
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not GammaValue:
+            return NotImplemented
+        x, y = self._ranks(other)
+        return x > y
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not GammaValue:
+            return NotImplemented
+        x, y = self._ranks(other)
+        return x >= y
+
     @property
     def kind(self) -> str:
         return "exact" if self.exact else "approx"
@@ -80,6 +120,17 @@ class GammaValue:
 
     def __repr__(self) -> str:
         return f"GammaValue({format_gamma(self)!r})"
+
+
+def _point(value: Fraction, exact: bool) -> GammaValue:
+    """The point ``value`` tagged ``exact``, built without the constructor's
+    checks: ``value`` must be a ``Fraction`` in [0, 1], and positive when
+    not exact.  Its two callers check that on integers first, ``point_of_rank``
+    on the rank and ``pairing.PairingResult.from_counts`` on the counts."""
+    point = object.__new__(GammaValue)
+    object.__setattr__(point, "value", value)
+    object.__setattr__(point, "exact", exact)
+    return point
 
 
 def as_fraction(x) -> Fraction:
@@ -99,8 +150,16 @@ ONE_APPROX = GammaValue(Fraction(1), False)
 
 def _pair_ranks(x: GammaValue, y: GammaValue) -> tuple[int, int, int]:
     """The ranks of ``x`` and ``y`` on their least common denominator, and it."""
-    denom = lcm(x.value.denominator, y.value.denominator)
-    return rank(x, denom), rank(y, denom), denom
+    a, b = x.value, y.value
+    da, db = a.denominator, b.denominator
+    if da == db:
+        return 2 * a.numerator - (not x.exact), 2 * b.numerator - (not y.exact), da
+    denom = lcm(da, db)
+    return (
+        2 * a.numerator * (denom // da) - (not x.exact),
+        2 * b.numerator * (denom // db) - (not y.exact),
+        denom,
+    )
 
 
 def mip(x: GammaValue, y: GammaValue) -> GammaValue:
@@ -180,8 +239,12 @@ def rank(x: GammaValue, denom: int) -> int:
 
 def point_of_rank(r: int, denom: int) -> GammaValue:
     """The value of rank ``r`` on the denominator ``denom``, inverse to
-    ``rank``: (r/2D)^o for even r, ((r + 1)/2D)^- for odd r."""
-    return GammaValue(Fraction((r + 1) // 2, denom), r % 2 == 0)
+    ``rank``: (r/2D)^o for even r, ((r + 1)/2D)^- for odd r.  A rank
+    outside 0..2D is a ``DomainError`` from the ``GammaValue`` constructor."""
+    value, exact = Fraction((r + 1) // 2, denom), not r & 1
+    if 0 <= r <= 2 * denom:
+        return _point(value, exact)
+    return GammaValue(value, exact)
 
 
 def mip_of_ranks(x, y):

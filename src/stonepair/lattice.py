@@ -2,11 +2,12 @@
 
 Elements are indices 0..n-1 with display labels.  The one stored form of a
 lattice is ``_order_arrays``: the order (the closure of the given relation,
-taken at construction) as a read-only boolean table, and the meet and join
-tables (built at first use) as element indices, each indexed [a, b].
-Validation, bounds, covers, irreducibles, the order isomorphism ``kappa``
-between them, prime filters and homomorphism checks are whole-array passes
-over these tables.  Each table is checked against the memory budget
+taken at construction; ``product_lattice`` and ``from_subsets`` build theirs
+closed and hand it over as it is) as a read-only boolean table, and the
+meet and join tables (built at first use) as element indices, each indexed
+[a, b].  Validation, bounds, covers, irreducibles, the order isomorphism
+``kappa`` between them, prime filters and homomorphism checks are
+whole-array passes over these tables.  Each table is checked against the memory budget
 (``fo.check_bytes``) before it is built, which covers any temporary no
 larger than it.  The module also provides small factory lattices used
 throughout the test corpus and a one-per-file text format.  Validation
@@ -47,13 +48,7 @@ class FiniteLattice:
     """
 
     def __init__(self, labels: Sequence[str], relation: Iterable[tuple[int, int]]):
-        labels = tuple(labels)
-        if not labels:
-            raise DomainError("a lattice needs at least one element")
-        if len(set(labels)) != len(labels):
-            raise DomainError("element labels must be unique")
-        self.labels = labels
-        self.n = n = len(labels)
+        n = self._set_labels(labels)
         pairs = list(relation)
         # exact Python integers: a negative index must not wrap, a huge one overflow
         index = np.array(pairs, dtype=object).reshape(-1, 2)
@@ -67,6 +62,28 @@ class FiniteLattice:
         for k in range(n):  # Warshall: whatever reaches k reaches what k reaches
             leq |= leq[:, k, None] & leq[k]
         self._leq = fo._read_only(leq)
+
+    @classmethod
+    def _from_closed_order(cls, labels: Sequence[str], leq: np.ndarray) -> FiniteLattice:
+        """The lattice whose order is ``leq``, an n × n boolean table that is
+        already reflexive and transitive; the lattice takes it over as it is,
+        with the constructor's label checks and memory charge."""
+        lattice = cls.__new__(cls)
+        n = lattice._set_labels(labels)
+        fo.check_bytes("the order", n * n)
+        lattice._leq = fo._read_only(leq)
+        return lattice
+
+    def _set_labels(self, labels: Sequence[str]) -> int:
+        """Store the checked ``labels`` and their number n, and return n."""
+        labels = tuple(labels)
+        if not labels:
+            raise DomainError("a lattice needs at least one element")
+        if len(set(labels)) != len(labels):
+            raise DomainError("element labels must be unique")
+        self.labels = labels
+        self.n = len(labels)
+        return self.n
 
     # -- order -------------------------------------------------------------
 
@@ -408,7 +425,7 @@ def product_lattice(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
     n = left.n * right.n
     fo.check_bytes("the product order", n * n)
     leq = left._leq[:, None, :, None] & right._leq[None, :, None, :]
-    return FiniteLattice(labels, np.argwhere(leq.reshape(n, n)).tolist())
+    return FiniteLattice._from_closed_order(labels, leq.reshape(n, n))
 
 
 def diamond_m3() -> FiniteLattice:
@@ -436,7 +453,7 @@ def from_subsets(
     member = np.zeros((len(sets), len(points)), dtype=bool)
     for i, s in enumerate(sets):
         member[i, [points[p] for p in s]] = True
-    return FiniteLattice(labels, np.argwhere(~(member @ ~member.T)).tolist())
+    return FiniteLattice._from_closed_order(labels, ~(member @ ~member.T))
 
 
 # -- text format ----------------------------------------------------------------

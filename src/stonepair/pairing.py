@@ -43,8 +43,14 @@ class PairingResult:
 
     @staticmethod
     def from_counts(count: int, total: int) -> "PairingResult":
+        """The pairing of ``count`` satisfying assignments out of ``total``;
+        a count past the total is ``iota_exact``'s ``DomainError``."""
         classical = Fraction(count, total)
-        return PairingResult(count, total, classical, gamma.iota_exact(classical))
+        if 0 <= count <= total:
+            point = gamma._point(classical, True)
+        else:
+            point = gamma.iota_exact(classical)
+        return PairingResult(count, total, classical, point)
 
 
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:

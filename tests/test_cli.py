@@ -511,6 +511,19 @@ class TestErrors:
             1, "", f"error: {path}:2:1: duplicate lattice line\n"
         )
 
+    def test_empty_lattice_line_fails_with_lattice_option_too(self, workdir):
+        path = workdir / "m.measure"
+        path.write_text(GOOD_MEASURE.replace("lattice: b4.lat", "lattice:"))
+        expected = (1, "", f"error: {path}:1:9: expected a lattice path\n")
+        for command in (("check-measure",), ("eval", "--formula", "true")):
+            assert invoke(*command, "--measure", path) == expected
+            assert invoke(*command, "--lattice", workdir / "b4.lat", "--measure", path) == expected
+        # --lattice overrides a reference that names no file
+        path.write_text(GOOD_MEASURE.replace("lattice: b4.lat", "lattice: missing.lat"))
+        assert invoke("check-measure", "--lattice", workdir / "b4.lat", "--measure", path) == (
+            0, "OK\n", ""
+        )
+
     def test_oversized_count_is_a_size_error(self, tmp_path):
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated
         big = tmp_path / "big.struct"

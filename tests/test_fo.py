@@ -1,7 +1,10 @@
 """Parsing, satisfaction, and counting for first-order logic."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import BINARY_SIG, formulas, reference_fence, structures
-from stonepair import fo
+from stonepair import fo, pairing
 from stonepair.errors import DomainError, ParseError, SizeError
 from stonepair.fo import (
     And,
@@ -600,3 +603,61 @@ class TestSignature:
     def test_zero_arity_rejected(self):
         with pytest.raises(DomainError):
             Signature((("p", 0),))
+
+
+class TestFormulaHash:
+    """Each node keeps the hash it computed at construction: equal formulas
+    hash alike without a walk of the tree and share one plan."""
+
+    TEXT = "exists z. lt(x, z) & !(z = y) | forall w. lt(w, y) -> x = w"
+
+    def test_equal_formulas_parsed_apart_hash_alike(self):
+        a, b = parse_formula(self.TEXT, POSET), parse_formula(self.TEXT, POSET)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == a._hash
+        assert hash(Atom("lt", ("x", "y"))) != hash(Atom("lt", ("y", "x")))
+        # a node's class is part of its hash
+        assert hash(And(TRUE, FALSE)) != hash(Or(TRUE, FALSE))
+        assert And(TRUE, FALSE) != Or(TRUE, FALSE)
+        assert len({And(TRUE, FALSE), Or(TRUE, FALSE), And(TRUE, FALSE)}) == 2
+
+    @given(formulas(depth=4))
+    def test_hash_of_a_rebuilt_tree(self, phi):
+        rebuilt = parse_formula(str(phi), BINARY_SIG)
+        assert rebuilt == phi and hash(rebuilt) == hash(phi)
+
+    def test_copies_keep_the_hash(self):
+        phi = parse_formula(self.TEXT, POSET)
+        for twin in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
+            assert twin == phi and hash(twin) == hash(phi)
+
+    def test_equal_formulas_share_one_plan(self):
+        A = gen_example_structure(5)
+        ctx = ("x", "y")
+        a, b = parse_formula(self.TEXT, POSET), parse_formula(self.TEXT, POSET)
+        expected = count_satisfying(A, a, ctx)
+        before = fo._plan.cache_info()
+        assert count_satisfying(A, b, ctx) == expected
+        after = fo._plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_formulas_at_the_nesting_limit_hash_count_and_pair(self):
+        limit = fo.MAX_NESTING
+        A = gen_example_structure(4)  # 3-chain plus an isolated point
+        default = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # Python's default
+        try:
+            for text, expected in (
+                ("!" * limit + "lt(x, y)", 3),
+                ("x = x & " * limit + "lt(x, y)", 3),
+                ("exists z. " * limit + "lt(x, y)", 3),
+                ("lt(x, y) -> " * limit + "x = y", 13),
+            ):
+                a, b = parse_formula(text, POSET), parse_formula(text, POSET)
+                assert hash(a) == hash(b)
+                assert count_satisfying(A, a, ("x", "y")) == expected, text[:20]
+                # the second lookup compares the two trees, node by node
+                r = pairing.stone_pairing(A, b, ("x", "y"))
+                assert (r.count, r.total) == (expected, 16)
+        finally:
+            sys.setrecursionlimit(default)

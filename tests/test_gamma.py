@@ -1,11 +1,12 @@
 """Order, partial arithmetic, sections and text form of the doubled interval."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -38,6 +39,7 @@ from stonepair.gamma import (
     parse_gamma,
     plus,
     plus_of_ranks,
+    point_of_rank,
     project_of_ranks,
     rank,
 )
@@ -517,3 +519,85 @@ class TestRankKernel:
         assert common_denominator((gv("1/4^o"), gv("5/6^-"))) == 12
         with pytest.raises(DomainError):
             rank(gv("1/3^o"), 4)
+
+
+def _pair_order(x: GammaValue, y: GammaValue) -> tuple[bool, bool, bool, bool]:
+    """(<, <=, >, >=) on the pairs ``(value, exact)``: the order the
+    comparisons on ranks must reproduce."""
+    a, b = (x.value, x.exact), (y.value, y.exact)
+    return a < b, a <= b, a > b, a >= b
+
+
+class TestIntegerPaths:
+    """The comparisons, the operations and the points built without the
+    constructor's checks, against the order of ``(value, exact)`` pairs and
+    the ``Fraction`` references."""
+
+    @given(gamma_values(), gamma_values())
+    def test_comparisons_match_pair_order(self, x, y):
+        assert (x < y, x <= y, x > y, x >= y) == _pair_order(x, y)
+        assert (y < x, y <= x, y > x, y >= x) == _pair_order(y, x)
+
+    def test_comparisons_exhaustive_on_the_grids(self):
+        points = sorted(
+            {p for k in range(1, 13) for p in GammaGrid(k).points},
+            key=lambda p: (p.value, p.exact),
+        )
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                assert (x < y, x <= y, x > y, x >= y) == (i < j, i <= j, i > j, i >= j)
+                assert (x < y, x <= y, x > y, x >= y) == _pair_order(x, y)
+
+    def test_comparing_other_types_is_not_implemented(self):
+        x = gv("1/2^o")
+        for other in (F(1, 2), 0.5, (F(1, 2), True), None):
+            assert x.__lt__(other) is NotImplemented
+            assert x.__le__(other) is NotImplemented
+            assert x.__gt__(other) is NotImplemented
+            assert x.__ge__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                x < other  # noqa: B015
+
+    @given(st.integers(1, 40), st.data())
+    def test_operations_on_equal_denominators(self, d, data):
+        # numerators prime to d keep d the denominator of both values
+        numerators = [a for a in range(d + 1) if math.gcd(a, d) == 1]
+        tagged = st.tuples(st.sampled_from(numerators), st.booleans())
+        (a, e), (b, f) = data.draw(tagged), data.draw(tagged)
+        x = GammaValue(F(a, d), e or a == 0)
+        y = GammaValue(F(b, d), f or b == 0)
+        assert x.value.denominator == y.value.denominator == d
+        for op, ref in ((mip, reference_mip), (miss, reference_miss), (plus, reference_plus)):
+            assert _outcome(op, x, y) == _outcome(ref, x, y)
+            assert _outcome(op, y, x) == _outcome(ref, y, x)
+
+    @given(gamma_values(), gamma_values())
+    def test_operations_on_unequal_denominators(self, x, y):
+        assume(x.value.denominator != y.value.denominator)
+        for op, ref in ((mip, reference_mip), (miss, reference_miss), (plus, reference_plus)):
+            assert _outcome(op, x, y) == _outcome(ref, x, y)
+            assert _outcome(op, y, x) == _outcome(ref, y, x)
+
+    def test_points_equal_the_validating_construction(self):
+        for denom in range(1, 25):
+            for r in range(2 * denom + 1):
+                p = point_of_rank(r, denom)
+                q = GammaValue(F((r + 1) // 2, denom), r % 2 == 0)
+                assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+                assert type(p.value) is F and type(p.exact) is bool
+
+    @pytest.mark.parametrize(
+        "r, denom, message",
+        [
+            (-1, 4, "approximation point 0 lies outside (0, 1]"),
+            (-2, 4, "exact point -1/4 lies outside [0, 1]"),
+            (-3, 4, "approximation point -1/4 lies outside (0, 1]"),
+            (9, 4, "approximation point 5/4 lies outside (0, 1]"),
+            (10, 4, "exact point 5/4 lies outside [0, 1]"),
+            (3, 1, "approximation point 2 lies outside (0, 1]"),
+        ],
+    )
+    def test_point_of_rank_outside_the_ranks(self, r, denom, message):
+        with pytest.raises(DomainError) as exc:
+            point_of_rank(r, denom)
+        assert str(exc.value) == message

@@ -440,6 +440,40 @@ class TestFactories:
         L = from_subsets(sets)
         assert L.bottom == 0 and L.top == 2
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: product_lattice(chain(2), chain(3)),
+            lambda: product_lattice(chain(3), chain(4)),
+            lambda: product_lattice(boolean_algebra(2), chain(3)),
+        ]
+        + [
+            lambda k=k: from_subsets([
+                frozenset(i for i in range(k) if bits >> i & 1) for bits in range(1 << k)
+            ])
+            for k in range(7)
+        ],
+        ids=["2x3", "3x4", "B4x3"] + [f"B{1 << k}" for k in range(7)],
+    )
+    def test_closed_order_matches_the_pair_list(self, make):
+        # the factories hand their closed order over as it is; the
+        # constructor closes the same order given as pairs
+        L = make()
+        M = FiniteLattice(L.labels, np.argwhere(L._leq).tolist())
+        assert not L._leq.flags.writeable
+        for got, want in zip(L._order_arrays, M._order_arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert L.validate() == M.validate() == []
+
+    def test_closed_order_keeps_the_checks(self, monkeypatch):
+        with pytest.raises(DomainError, match="element labels must be unique"):
+            FiniteLattice._from_closed_order(["a", "a"], np.eye(2, dtype=bool))
+        with pytest.raises(DomainError, match="at least one element"):
+            from_subsets([])
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 63)
+        with pytest.raises(SizeError, match="the order would take 64 bytes"):
+            FiniteLattice._from_closed_order([str(i) for i in range(8)], np.eye(8, dtype=bool))
+
 
 # -- the array form against the bitmask-row references in conftest -------------------
 

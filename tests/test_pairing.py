@@ -304,3 +304,20 @@ class TestPairingResult:
         assert r.classical == F(1, 2)
         assert r.gamma == iota_exact(F(1, 2))
         assert r.gamma.exact
+
+    def test_from_counts_equals_the_validating_construction(self):
+        for total in range(1, 37):
+            for count in range(total + 1):
+                r = PairingResult.from_counts(count, total)
+                classical = F(count, total)
+                assert r == PairingResult(count, total, classical, iota_exact(classical))
+                assert type(r.gamma.value) is F and r.gamma.exact is True
+
+    @pytest.mark.parametrize(
+        "count, total, message",
+        [(5, 4, "5/4 lies outside [0, 1]"), (-1, 4, "-1/4 lies outside [0, 1]")],
+    )
+    def test_from_counts_outside_the_total(self, count, total, message):
+        with pytest.raises(DomainError) as exc:
+            PairingResult.from_counts(count, total)
+        assert str(exc.value) == message
