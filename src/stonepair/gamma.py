@@ -44,6 +44,7 @@ builds a point without the check, and its two callers, ``point_of_rank`` and
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,37 +80,28 @@ class GammaValue:
                 raise DomainError(f"exact point {v} lies outside [0, 1]")
             raise DomainError(f"approximation point {v} lies outside (0, 1]")
 
-    def _ranks(self, other: GammaValue) -> tuple[int, int]:
-        """The ranks of ``self`` and ``other`` over the product of their denominators."""
+    def _compare(self, other: object, op) -> bool:
+        """``op`` on the ranks of ``self`` and ``other`` over the product of
+        their denominators."""
+        if other.__class__ is not GammaValue:
+            return NotImplemented
         a, b = self.value, other.value
-        return (
+        return op(
             2 * a.numerator * b.denominator - (not self.exact),
             2 * b.numerator * a.denominator - (not other.exact),
         )
 
     def __lt__(self, other: object) -> bool:
-        if other.__class__ is not GammaValue:
-            return NotImplemented
-        x, y = self._ranks(other)
-        return x < y
+        return self._compare(other, operator.lt)
 
     def __le__(self, other: object) -> bool:
-        if other.__class__ is not GammaValue:
-            return NotImplemented
-        x, y = self._ranks(other)
-        return x <= y
+        return self._compare(other, operator.le)
 
     def __gt__(self, other: object) -> bool:
-        if other.__class__ is not GammaValue:
-            return NotImplemented
-        x, y = self._ranks(other)
-        return x > y
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other: object) -> bool:
-        if other.__class__ is not GammaValue:
-            return NotImplemented
-        x, y = self._ranks(other)
-        return x >= y
+        return self._compare(other, operator.ge)
 
     @property
     def kind(self) -> str:
@@ -152,8 +144,6 @@ def _pair_ranks(x: GammaValue, y: GammaValue) -> tuple[int, int, int]:
     """The ranks of ``x`` and ``y`` on their least common denominator, and it."""
     a, b = x.value, y.value
     da, db = a.denominator, b.denominator
-    if da == db:
-        return 2 * a.numerator - (not x.exact), 2 * b.numerator - (not y.exact), da
     denom = lcm(da, db)
     return (
         2 * a.numerator * (denom // da) - (not x.exact),

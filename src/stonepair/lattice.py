@@ -66,11 +66,13 @@ class FiniteLattice:
     @classmethod
     def _from_closed_order(cls, labels: Sequence[str], leq: np.ndarray) -> FiniteLattice:
         """The lattice whose order is ``leq``, an n × n boolean table that is
-        already reflexive and transitive; the lattice takes it over as it is,
-        with the constructor's label checks and memory charge."""
+        already reflexive and transitive, for n labels; the lattice takes it
+        over as it is, with the constructor's label checks.  The caller
+        charges the table to the memory budget before it builds it."""
         lattice = cls.__new__(cls)
         n = lattice._set_labels(labels)
-        fo.check_bytes("the order", n * n)
+        if leq.shape != (n, n):
+            raise DomainError(f"{n} labels for an order table of shape {leq.shape}")
         lattice._leq = fo._read_only(leq)
         return lattice
 

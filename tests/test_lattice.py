@@ -470,9 +470,19 @@ class TestFactories:
             FiniteLattice._from_closed_order(["a", "a"], np.eye(2, dtype=bool))
         with pytest.raises(DomainError, match="at least one element"):
             from_subsets([])
+        # the two factories charge the table before they build it
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 63)
-        with pytest.raises(SizeError, match="the order would take 64 bytes"):
-            FiniteLattice._from_closed_order([str(i) for i in range(8)], np.eye(8, dtype=bool))
+        with pytest.raises(SizeError, match="the product order would take 64 bytes"):
+            product_lattice(chain(2), chain(4))
+        with pytest.raises(SizeError, match="the inclusion order would take 64 bytes"):
+            from_subsets([frozenset(range(i)) for i in range(8)])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_closed_order_needs_one_label_per_element(self, labels):
+        with pytest.raises(DomainError, match=rf"{len(labels)} labels for an order table of shape \(2, 2\)"):
+            from_subsets([frozenset(), frozenset({0})], labels)
+        with pytest.raises(DomainError, match=rf"{len(labels)} labels for an order table of shape \(2, 2\)"):
+            FiniteLattice._from_closed_order(labels, np.eye(2, dtype=bool))
 
 
 # -- the array form against the bitmask-row references in conftest -------------------
