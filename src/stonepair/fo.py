@@ -16,8 +16,9 @@ most free variables of any subformula), not its quantifier depth, and a
 context variable not free in the formula multiplies the count without being
 enumerated.  Every size refusal is a ``check_bytes`` charge against the one
 memory budget, made before anything is allocated: relation tables, family
-members' ``lt`` tables, the counting tensors (|A| ** width one-byte cells)
-and satisfying sets past ``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
+members' ``lt`` tables, the counting tensors (|A| ** width one-byte cells
+times the most of them alive at once) and satisfying sets past
+``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
 
 Formula text has one grammar and one parser, which ``pl`` extends for
 threshold formulas.  Precedence, low to high: ``->``, ``|``, ``&``, ``!``;
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -230,7 +232,10 @@ class Formula:
     keeps up to ``PLAN_CACHE_SIZE`` formulas alive.  A node computes its
     hash once, at construction, from its class and its fields' hashes (a
     child's is already kept), and keeps it in the slot ``_hash``: a
-    plan-cache lookup reads one attribute instead of walking the tree."""
+    plan-cache lookup reads one attribute instead of walking the tree.
+    Threshold formulas (``pl``) are trees of ``Const``, ``Not``, ``And`` and
+    ``Or`` whose leaves are ``pl.GE`` and ``pl.LT`` atoms; ``count_satisfying``
+    refuses them, and ``format_formula`` renders such a leaf by its repr."""
 
     __slots__ = ("_hash",)
 
@@ -341,22 +346,6 @@ def free_vars(phi: Formula) -> tuple[str, ...]:
     return tuple(out)
 
 
-def all_vars(phi: Formula) -> frozenset[str]:
-    match phi:
-        case Atom(_, args):
-            return frozenset(args)
-        case Eq(left, right):
-            return frozenset((left, right))
-        case Not(body):
-            return all_vars(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return all_vars(l) | all_vars(r)
-        case Exists(var, body) | Forall(var, body):
-            return all_vars(body) | {var}
-        case _:
-            return frozenset()
-
-
 def format_formula(phi: Formula) -> str:
     match phi:
         case Const(value):
@@ -378,7 +367,7 @@ def format_formula(phi: Formula) -> str:
             return f"(exists {var}. {format_formula(body)})"
         case Forall(var, body):
             return f"(forall {var}. {format_formula(body)})"
-    raise DomainError(f"not a formula node: {phi!r}")
+    return repr(phi)  # a leaf of another logic, as ``pl``'s threshold atoms
 
 
 # -- parsing --------------------------------------------------------------------
@@ -597,8 +586,9 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
 # union of their operands' axes, and a quantifier reduces its variable's axis,
 # always the last one since its number is the highest in scope.
 
-# The one memory budget, in bytes: counting's |A| ** width one-byte cells
-# fit it at width 3 up to |A| = 812 and at width 4 up to |A| = 152.
+# The one memory budget, in bytes: one counting tensor of |A| ** width
+# one-byte cells fits it at width 3 up to |A| = 812 and at width 4 up to
+# |A| = 152.
 MAX_TENSOR_CELLS = 2**29
 
 
@@ -627,58 +617,70 @@ _CELLS = {_TRUE: _read_only(np.array(True)), _FALSE: _read_only(np.array(False))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int]:
-    """The root node, the axes of its tensor (context positions) and the
-    plan's width: the most axes of size |A| on any tensor or table it uses."""
+def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int, int]:
+    """The root node, the axes of its tensor (context positions), the plan's
+    width (the most axes of size |A| on any tensor or table it uses) and the
+    most tensors of that width its evaluation keeps alive at once (at least
+    one), which ``_run`` charges."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
     missing = [v for v in free_vars(phi) if v not in ctx]
     if missing:
         raise DomainError(f"context misses free variables {missing}")
     widths = [0]
-    node, axes = _compile(phi, {v: i for i, v in enumerate(ctx)}, len(ctx), widths)
-    return node, axes, max(widths)
+    node, axes, alive = _compile(phi, {v: i for i, v in enumerate(ctx)}, len(ctx), widths)
+    width = max(widths)
+    return node, axes, width, max(alive[width], 1)
 
 
 def _compile(
     phi: Formula, env: dict[str, int], next_axis: int, widths: list[int]
-) -> tuple[tuple, tuple[int, ...]]:
-    """The node computing ``phi``'s tensor and that tensor's axes.  Constant
-    subformulas fold to ``_TRUE_NODE``/``_FALSE_NODE`` with no axes."""
+) -> tuple[tuple, tuple[int, ...], Counter]:
+    """The node computing ``phi``'s tensor, that tensor's axes, and for each
+    number of axes the most tensors with that many that ``_evaluate``
+    allocates and keeps alive at once while it computes the node, its result
+    included.  Constant subformulas fold to ``_TRUE_NODE``/``_FALSE_NODE``
+    with no axes; tables, their views and constants allocate nothing."""
     match phi:
         case Const(value):
-            return (_TRUE_NODE if value else _FALSE_NODE), ()
+            return (_TRUE_NODE if value else _FALSE_NODE), (), Counter()
         case Atom(rel, args):
             widths.append(len(args))
-            return _atom(rel, tuple(env[v] for v in args))
+            return *_atom(rel, tuple(env[v] for v in args)), Counter()
         case Eq(left, right):
             a, b = sorted((env[left], env[right]))
             if a == b:
-                return _TRUE_NODE, ()
+                return _TRUE_NODE, (), Counter()
             widths.append(2)
-            return _EYE_NODE, (a, b)
+            return _EYE_NODE, (a, b), Counter()
         case Not(body):
-            node, axes = _compile(body, env, next_axis, widths)
+            node, axes, alive = _compile(body, env, next_axis, widths)
             if node is _TRUE_NODE or node is _FALSE_NODE:
-                return (_FALSE_NODE if node is _TRUE_NODE else _TRUE_NODE), ()
-            return (_NOT, node), axes
+                return (_FALSE_NODE if node is _TRUE_NODE else _TRUE_NODE), (), Counter()
+            # in place on an allocated body, else one new tensor beside a table
+            return (_NOT, node), axes, alive | Counter([len(axes)])
         case Implies(l, r):
             return _compile(Or(Not(l), r), env, next_axis, widths)
         case And(l, r) | Or(l, r):
-            left, left_axes = _compile(l, env, next_axis, widths)
-            right, right_axes = _compile(r, env, next_axis, widths)
+            left, left_axes, left_alive = _compile(l, env, next_axis, widths)
+            right, right_axes, right_alive = _compile(r, env, next_axis, widths)
             conj = isinstance(phi, And)
             absorbing, neutral = (_FALSE_NODE, _TRUE_NODE) if conj else (_TRUE_NODE, _FALSE_NODE)
             if left is absorbing or right is absorbing:
-                return absorbing, ()
+                return absorbing, (), Counter()
             if left is neutral:
-                return right, right_axes
+                return right, right_axes, right_alive
             if right is neutral:
-                return left, left_axes
+                return left, left_axes, left_alive
             axes = tuple(sorted(set(left_axes) | set(right_axes)))
             widths.append(len(axes))
             # an operand already over all of ``axes`` can hold the result
             reuse = 1 if left_axes == axes else 2 if right_axes == axes else 0
+            # the left result stays alive while the right operand is computed
+            held = Counter([len(left_axes)] if _allocates(left) else [])
+            operands = held + Counter([len(right_axes)] if _allocates(right) else [])
+            if not (reuse == 1 and _allocates(left) or reuse == 2 and _allocates(right)):
+                operands[len(axes)] += 1
             return (
                 _AND if conj else _OR,
                 left,
@@ -686,13 +688,21 @@ def _compile(
                 right,
                 _expander(right_axes, axes),
                 reuse,
-            ), axes
+            ), axes, left_alive | (right_alive + held) | operands
         case Exists(var, body) | Forall(var, body):
-            node, axes = _compile(body, {**env, var: next_axis}, next_axis + 1, widths)
+            node, axes, alive = _compile(body, {**env, var: next_axis}, next_axis + 1, widths)
             if not axes or axes[-1] != next_axis:
-                return node, axes  # the variable is not free in the body
-            return (_ANY if isinstance(phi, Exists) else _ALL, node), axes[:-1]
+                return node, axes, alive  # the variable is not free in the body
+            # the reduction is allocated while the body's tensor is alive
+            reduced = Counter([len(axes) - 1] + ([len(axes)] if _allocates(node) else []))
+            return (_ANY if isinstance(phi, Exists) else _ALL, node), axes[:-1], alive | reduced
     raise DomainError(f"not an evaluable node: {phi!r}")
+
+
+def _allocates(node: tuple) -> bool:
+    """Whether ``_evaluate`` allocates the node's tensor, which is then
+    writeable, rather than returning a read-only table, view or constant."""
+    return node[0] <= _OR or _NOT <= node[0] <= _ALL
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -763,8 +773,8 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
     return _CELLS[op]
 
 
-def _run(A: FiniteStructure, node: tuple, width: int) -> np.ndarray:
-    check_bytes("the counting tensors", A.size**width)
+def _run(A: FiniteStructure, node: tuple, nbytes: int) -> np.ndarray:
+    check_bytes("the counting tensors", nbytes)
     return _evaluate(node, A)
 
 
@@ -776,8 +786,8 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
     free in ``phi`` multiply the count without being enumerated.
     """
     ctx = tuple(context)
-    node, axes, width = _plan(phi, ctx)
-    tensor = _run(A, node, width)
+    node, axes, width, tensors = _plan(phi, ctx)
+    tensor = _run(A, node, tensors * A.size**width)
     return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
 
 
@@ -796,8 +806,8 @@ def satisfying_set(
     The tuples, counted on the satisfaction tensor, are checked against the
     memory budget at ``satisfying_tuple_bytes`` each before they are built."""
     ctx = tuple(context)
-    node, axes, width = _plan(phi, ctx)
-    tensor = _run(A, node, max(width, len(ctx)))
+    node, axes, width, tensors = _plan(phi, ctx)
+    tensor = _run(A, node, max(tensors * A.size**width, A.size ** len(ctx)))
     if not ctx:
         return frozenset([()] if bool(tensor) else [])
     index = tuple(_WHOLE if a in axes else None for a in range(len(ctx)))

@@ -55,18 +55,12 @@ class PairingResult:
 
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:
     """The free variables of phi padded with fresh names up to length n."""
-    ctx = list(fo.free_vars(phi))
+    ctx = fo.free_vars(phi)
     if len(ctx) > n:
         raise DomainError(f"{len(ctx)} free variables do not fit in a context of {n}")
-    taken = set(ctx) | fo.all_vars(phi)
-    for i in itertools.count(1):
-        if len(ctx) == n:
-            break
-        name = f"v{i}"
-        if name not in taken:
-            ctx.append(name)
-            taken.add(name)
-    return tuple(ctx)
+    free = set(ctx)
+    fresh = (name for name in map("v{}".format, itertools.count(1)) if name not in free)
+    return (*ctx, *itertools.islice(fresh, n - len(ctx)))
 
 
 def stone_pairing(

@@ -4,7 +4,9 @@ Atoms assert that the measure of a subject is at least (``GE``) or strictly
 below (``LT``) an exact rational threshold; subjects are either elements of a
 finite lattice (measure semantics) or first-order formulas (structure
 semantics, where the measure is the tagged Stone pairing).  Formulas close
-the atoms under conjunction, disjunction and negation.
+the atoms under conjunction, disjunction and negation, with ``fo``'s own
+nodes: a threshold formula is a tree of ``fo.Const``, ``Not``, ``And`` and
+``Or`` whose leaves are ``GE`` and ``LT``.
 
 The inference rules checked here, over thresholds p, q, r and subjects a, b:
 
@@ -49,28 +51,15 @@ import numpy as np
 
 from . import fo, gamma
 from .errors import DomainError, InternalInvariantError, ParseError, PresentationError
-from .fo import FiniteStructure, Formula, Signature
+from .fo import And, Const, FiniteStructure, Formula, Not, Or, Signature
 from .gamma import GammaValue, grid_rationals
 from .lattice import FiniteLattice
 from .measure import Measure, validate_measure
 from .pairing import stone_pairing
 
 
-class PLFormula:
-    """Base class for threshold-logic AST nodes."""
-
-
 @dataclass(frozen=True)
-class PLConst(PLFormula):
-    value: bool
-
-
-PL_TRUE = PLConst(True)
-PL_FALSE = PLConst(False)
-
-
-@dataclass(frozen=True)
-class _Threshold(PLFormula):
+class _Threshold:
     """An atom comparing the measure of ``subject`` with ``threshold``
     tagged exact; ``GE`` and ``LT`` are its two kinds."""
 
@@ -99,34 +88,17 @@ class LT(_Threshold):
     """The measure of ``subject`` is strictly below ``threshold`` tagged exact."""
 
 
-@dataclass(frozen=True)
-class PLNot(PLFormula):
-    body: PLFormula
-
-
-@dataclass(frozen=True)
-class PLAnd(PLFormula):
-    left: PLFormula
-    right: PLFormula
-
-
-@dataclass(frozen=True)
-class PLOr(PLFormula):
-    left: PLFormula
-    right: PLFormula
-
-
-def _eval(phi: PLFormula, atom_value) -> bool:
+def _eval(phi: Formula, atom_value) -> bool:
     match phi:
-        case PLConst(value):
+        case Const(value):
             return value
         case _Threshold():
             return atom_value(phi)
-        case PLNot(body):
+        case Not(body):
             return not _eval(body, atom_value)
-        case PLAnd(l, r):
+        case And(l, r):
             return _eval(l, atom_value) and _eval(r, atom_value)
-        case PLOr(l, r):
+        case Or(l, r):
             return _eval(l, atom_value) or _eval(r, atom_value)
     raise DomainError(f"not a threshold-logic node: {phi!r}")
 
@@ -138,12 +110,12 @@ def _check_subject(atom, D: FiniteLattice) -> int:
     return a
 
 
-def eval_pl_measure(mu: Measure, phi: PLFormula) -> bool:
+def eval_pl_measure(mu: Measure, phi: Formula) -> bool:
     """Evaluate against a measure; atoms compare mu(a) with the threshold."""
     return _eval(phi, lambda atom: atom.holds_at(mu(_check_subject(atom, mu.lattice))))
 
 
-def eval_pl_structure(A: FiniteStructure, phi: PLFormula) -> bool:
+def eval_pl_structure(A: FiniteStructure, phi: Formula) -> bool:
     """Evaluate against a finite structure; atoms pair their formula with A."""
 
     def atom_value(atom: _Threshold) -> bool:
@@ -259,7 +231,7 @@ def _atom_rows(ranks: np.ndarray, k: int) -> np.ndarray:
     return np.packbits(table, axis=1, bitorder="little")
 
 
-def _satisfying(phi: PLFormula, D: FiniteLattice, k: int, rows: np.ndarray) -> np.ndarray:
+def _satisfying(phi: Formula, D: FiniteLattice, k: int, rows: np.ndarray) -> np.ndarray:
     """The packed row of the grid measures satisfying ``phi``, one bit per
     measure as in ``_atom_rows``; its padding bits are arbitrary.  Every
     atom is checked against D, whatever the connectives."""
@@ -271,13 +243,13 @@ def _satisfying(phi: PLFormula, D: FiniteLattice, k: int, rows: np.ndarray) -> n
             c, rest = divmod(phi.threshold.numerator * k, phi.threshold.denominator)
             row = rows[a * (2 * k + 1) + 2 * c + (rest != 0)]
             return ~row if isinstance(phi, LT) else row
-        case PLAnd(l, r):
+        case And(l, r):
             return _satisfying(l, D, k, rows) & _satisfying(r, D, k, rows)
-        case PLOr(l, r):
+        case Or(l, r):
             return _satisfying(l, D, k, rows) | _satisfying(r, D, k, rows)
-        case PLConst(value):
+        case Const(value):
             return rows[-1] if value else ~rows[-1]
-        case PLNot(body):
+        case Not(body):
             return ~_satisfying(body, D, k, rows)
     raise DomainError(f"not a threshold-logic node: {phi!r}")
 
@@ -306,7 +278,7 @@ class EntailmentResult:
 
 
 def entails_grid(
-    lhs: PLFormula, rhs: PLFormula, D: FiniteLattice, k: int
+    lhs: Formula, rhs: Formula, D: FiniteLattice, k: int
 ) -> EntailmentResult:
     """Whether every grid measure satisfying lhs satisfies rhs.
 
@@ -332,8 +304,8 @@ class RuleInstance:
     rule: str
     params: tuple[Fraction, ...]
     elements: tuple[int, ...]
-    premise: PLFormula
-    conclusion: PLFormula
+    premise: Formula
+    conclusion: Formula
 
 
 _RULES = ("L1", "L2", "L3", "L4", "L5", "L6")
@@ -432,7 +404,7 @@ def _instance_renderer(D: FiniteLattice, k: int):
     }
     true, false = 2 * D.n * levels, 2 * D.n * levels + 1
 
-    def side(ids: list[int], ctor, pad: int, empty: PLConst) -> PLFormula:
+    def side(ids: list[int], ctor, pad: int, empty: Const) -> Formula:
         parts = [atoms[x] for x in ids if x != pad]
         return reduce(ctor, parts) if parts else empty
 
@@ -441,8 +413,8 @@ def _instance_renderer(D: FiniteLattice, k: int):
             _RULES[row[_RULE]],
             tuple(Q[i] for i in row[_INDICES] if i >= 0),
             tuple(a for a in row[_ELEMENTS] if a >= 0),
-            side(row[_PREMISE], PLAnd, true, PL_TRUE),
-            side(row[_CONCLUSION], PLOr, false, PL_FALSE),
+            side(row[_PREMISE], And, true, fo.TRUE),
+            side(row[_CONCLUSION], Or, false, fo.FALSE),
         )
 
     return render
@@ -612,19 +584,14 @@ def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
 
 
 # -- concrete syntax -----------------------------------------------------------------
-#
-# The grammar is the one in ``fo``'s module docstring: threshold atoms
-# [>= 2/3]{ subject } and [< 2/3]{ subject } under & | ! and parentheses,
-# with true and false.  The subject is a first-order formula, parsed in
-# place by ``fo``'s parser, when a signature is given, or a lattice element
-# label, read raw up to '}', when a lattice is.
 
 
 class _PLParser(fo._FormulaParser):
-    BINARY = {"|": (1, 2, PLOr), "&": (2, 3, PLAnd)}
-    PREFIX = {"!": (3, PLNot)}
+    """``fo``'s parser without '->' and quantifiers, whose atoms are
+    threshold atoms."""
+
+    BINARY = {"|": (2, 3, Or), "&": (3, 4, And)}
     QUANTIFIERS = {}
-    LITERALS = {"true": PL_TRUE, "false": PL_FALSE}
 
     def __init__(self, text: str, signature: Signature | None, lattice: FiniteLattice | None):
         if (signature is None) == (lattice is None):
@@ -632,7 +599,7 @@ class _PLParser(fo._FormulaParser):
         super().__init__(text, signature)
         self.lattice = lattice
 
-    def atom(self) -> PLFormula:
+    def atom(self) -> Formula:
         tok = self.advance()
         if tok.kind != "[":
             raise self.expected("a formula", tok)
@@ -674,8 +641,9 @@ def parse_pl_formula(
     *,
     signature: Signature | None = None,
     lattice: FiniteLattice | None = None,
-) -> PLFormula:
-    """Parse the threshold-logic syntax.
+) -> Formula:
+    """Parse the threshold-logic syntax, whose grammar is in ``fo``'s module
+    docstring, into ``fo`` connectives over ``GE``/``LT`` leaves.
 
     Exactly one of ``signature`` (subjects are first-order formulas) and
     ``lattice`` (subjects are element labels) must be given.

@@ -20,11 +20,7 @@ from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
 from stonepair.pl import (
     GE,
     LT,
-    PL_FALSE,
-    PL_TRUE,
     FilterPresentation,
-    PLAnd,
-    PLOr,
     RuleInstance,
 )
 
@@ -650,12 +646,12 @@ def reference_rule_instances(D: FiniteLattice, k: int):
                 if p <= q:
                     yield RuleInstance("L1", (p, q), (a,), GE(q, a), GE(p, a))
     bot, top = D.bottom, D.top
-    yield RuleInstance("L2", (Fraction(0),), (bot,), PL_TRUE, GE(Fraction(0), bot))
+    yield RuleInstance("L2", (Fraction(0),), (bot,), fo.TRUE, GE(Fraction(0), bot))
     for q in Q:
-        yield RuleInstance("L2", (q,), (top,), PL_TRUE, GE(q, top))
+        yield RuleInstance("L2", (q,), (top,), fo.TRUE, GE(q, top))
     for p in Q:
         if p > 0:
-            yield RuleInstance("L2", (p,), (bot,), GE(p, bot), PL_FALSE)
+            yield RuleInstance("L2", (p,), (bot,), GE(p, bot), fo.FALSE)
     for a in range(D.n):
         for b in range(D.n):
             if D.leq(a, b):
@@ -674,20 +670,20 @@ def reference_rule_instances(D: FiniteLattice, k: int):
                             "L4",
                             (p, q, r),
                             (a, b),
-                            PLAnd(GE(p, a), GE(q, b)),
-                            PLOr(GE(s, hi), GE(r, lo)),
+                            fo.And(GE(p, a), GE(q, b)),
+                            fo.Or(GE(s, hi), GE(r, lo)),
                         )
                         yield RuleInstance(
                             "L5",
                             (p, q, r),
                             (a, b),
-                            PLAnd(GE(s, hi), GE(r, lo)),
-                            PLOr(GE(p, a), GE(q, b)),
+                            fo.And(GE(s, hi), GE(r, lo)),
+                            fo.Or(GE(p, a), GE(q, b)),
                         )
     for a in range(D.n):
         for q in Q:
-            yield RuleInstance("L6", (q,), (a,), PLAnd(LT(q, a), GE(q, a)), PL_FALSE)
-            yield RuleInstance("L6", (q,), (a,), PL_TRUE, PLOr(LT(q, a), GE(q, a)))
+            yield RuleInstance("L6", (q,), (a,), fo.And(LT(q, a), GE(q, a)), fo.FALSE)
+            yield RuleInstance("L6", (q,), (a,), fo.TRUE, fo.Or(LT(q, a), GE(q, a)))
 
 
 def reference_rule_table(D: FiniteLattice, k: int) -> np.ndarray:

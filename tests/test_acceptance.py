@@ -54,7 +54,6 @@ from stonepair.pairing import (
 )
 from stonepair.pl import (
     GE,
-    PLNot,
     check_soundness_grid,
     entails_grid,
     eval_pl_measure,
@@ -320,7 +319,7 @@ def test_criterion_08_threshold_logic_soundness():
 
     a, na = B4.index_of("a"), B4.index_of("b")
     assert entails_grid(GE(F(3, 4), a), GE(F(1, 2), a), B4, 4).holds
-    spot = entails_grid(GE(F(1, 2), a), PLNot(GE(F(3, 4), na)), B4, 4)
+    spot = entails_grid(GE(F(1, 2), a), Not(GE(F(3, 4), na)), B4, 4)
     assert spot.holds
     # brute-force confirmation of the spot check on the same grid universe
     for mu in grid_measures(B4, 4):

@@ -307,6 +307,49 @@ class TestShapedCounting:
         R[tuple(np.array(sorted(edges)).T)] = 1
         assert count == int(np.count_nonzero(np.diag(R @ R @ R)))
 
+    # each right-nested group keeps one more |A|**3 tensor alive while the
+    # groups to its right are computed; a chain of atoms keeps one
+    LIVE_TENSORS = (
+        ("exists y. exists z. (r(x,y) | r(y,z)) & (r(z,x) | y = z) & !(x = z)", 2),
+        (
+            "exists y. exists z. (r(x,y) | r(y,z)) & ((r(z,x) | y = z)"
+            " & ((r(x,z) | r(z,y)) & !(x = z)))",
+            3,
+        ),
+        (
+            "exists y. exists z. (r(x,y) | r(y,z)) & ((r(z,x) | y = z)"
+            " & ((r(x,z) | r(z,y)) & ((r(x,z) | r(z,y)) & !(x = z))))",
+            4,
+        ),
+        ("exists y. exists z. r(x,y) & r(y,z) & r(z,x)", 1),
+    )
+
+    @pytest.mark.parametrize("text, tensors", LIVE_TENSORS)
+    def test_charge_counts_the_tensors_alive_at_once(self, text, tensors):
+        n = 150
+        rng = np.random.default_rng(11)
+        A = FiniteStructure.from_tables(BINARY_SIG, {"r": rng.random((n, n)) < 0.3})
+        phi = parse_formula(text, BINARY_SIG)
+        assert fo._plan(phi, ("x",))[2:] == (3, tensors)
+        count_satisfying(A, phi, ["x"])  # the identity table is built once, untraced
+        tracemalloc.start()
+        try:
+            count_satisfying(A, phi, ["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all but a narrower tensor or two (n**2 bytes each) is charged
+        assert tensors * n**3 <= peak <= tensors * n**3 + 2 * n**2
+
+    def test_charge_refuses_what_one_tensor_would_fit(self):
+        n = 700
+        A = FiniteStructure(BINARY_SIG, n, {"r": frozenset({(0, 1)})})
+        phi = parse_formula(self.LIVE_TENSORS[0][0], BINARY_SIG)
+        assert n**3 <= fo.MAX_TENSOR_CELLS < 2 * n**3
+        for count in (count_satisfying, satisfying_set):
+            with pytest.raises(SizeError, match=f"the counting tensors would take {2 * n**3} bytes"):
+                count(A, phi, ["x"])
+
     def test_size_guard_raises_before_allocating(self):
         n = 200  # width 4 needs 200**4 > MAX_TENSOR_CELLS cells
         A = FiniteStructure(BINARY_SIG, n, {"r": frozenset({(0, 1)})})

@@ -25,6 +25,7 @@ from stonepair.pairing import (
 )
 
 PSI = maximal_not_maximum()
+BOUND_V1 = fo.parse_formula("exists v1. lt(x, v1)", fo.POSET_SIGNATURE)
 FENCE = FenceFamily()
 
 
@@ -130,6 +131,10 @@ class TestContexts:
         assert ctx[0] == "x" and len(ctx) == 3 and len(set(ctx)) == 3
         assert "y" not in ctx and "z" not in ctx  # bound names stay free for reuse
 
+    def test_padding_may_reuse_a_bound_name(self):
+        # every binder is its own axis, so v1 pads beside exists v1
+        assert padded_context(BOUND_V1, 3) == ("x", "v1", "v2")
+
     def test_too_small(self):
         with pytest.raises(DomainError):
             padded_context(fo.Eq("x", "y"), 1)
@@ -169,6 +174,10 @@ class TestDistribution:
 class TestPadding:
     def test_example_structure(self):
         assert check_padding_invariance(gen_example_structure(2), PSI, 1, 3) is None
+
+    def test_padding_by_a_bound_name(self):
+        for n in range(1, 9):
+            assert check_padding_invariance(gen_example_structure(n), BOUND_V1, 1, 3) is None
 
     def test_sentences(self):
         phi = fo.parse_formula("exists x. exists y. lt(x,y)", fo.POSET_SIGNATURE)

@@ -13,7 +13,7 @@ from stonepair.fo import parse_formula, parse_structure
 from stonepair.gamma import parse_gamma
 from stonepair.lattice import boolean_algebra, parse_lattice
 from stonepair.measure import measure_lattice_reference, parse_measure
-from stonepair.pl import parse_pl_formula
+from stonepair.pl import GE, LT, parse_pl_formula
 
 B4 = boolean_algebra(2)  # labels 0, a, b, 1
 SIGNATURE = fo.Signature((("lt", 2), ("p", 1)))
@@ -92,11 +92,30 @@ def assert_positioned(exc: ParseError, text: str) -> None:
     assert 1 <= exc.column <= len(line) + 1, (exc, text)
 
 
+def is_threshold_tree(phi) -> bool:
+    """Whether ``phi`` is a tree of ``fo`` constants and connectives over
+    threshold atoms."""
+    match phi:
+        case fo.Not(body):
+            return is_threshold_tree(body)
+        case fo.And(left, right) | fo.Or(left, right):
+            return is_threshold_tree(left) and is_threshold_tree(right)
+    return isinstance(phi, (fo.Const, GE, LT))
+
+
+def assert_parsed(name: str, result, text: str) -> None:
+    """Every parsed value renders, and a threshold formula is an ``fo``
+    connective tree over threshold atoms."""
+    str(result)
+    if name.startswith("threshold"):
+        assert is_threshold_tree(result), text
+
+
 @pytest.mark.parametrize("name", PARSERS)
 def test_seeds_parse(name):
     parse, seeds, _ = PARSERS[name]
     for text in seeds:
-        parse(text)
+        assert_parsed(name, parse(text), text)
 
 
 @pytest.mark.parametrize("name", PARSERS)
@@ -109,13 +128,15 @@ def test_parsers_return_or_raise_a_positioned_error(name, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fo, "MAX_TENSOR_CELLS", 2**20)
         try:
-            parse(text)
+            result = parse(text)
         except InternalInvariantError:
             raise
         except ParseError as exc:
             assert_positioned(exc, text)
         except Error:
             pass
+        else:
+            assert_parsed(name, result, text)
 
 
 def test_numbers_past_the_digit_limit_are_positioned():

@@ -31,11 +31,6 @@ from stonepair.pl import (
     GE,
     LT,
     FilterPresentation,
-    PLAnd,
-    PLNot,
-    PLOr,
-    PL_FALSE,
-    PL_TRUE,
     RuleInstance,
     check_soundness_grid,
     entails_grid,
@@ -79,14 +74,14 @@ class TestMeasureSemantics:
                 for a in range(D.n):
                     for q in (F(0), F(1, 3), F(2, 3), F(1)):
                         assert eval_pl_measure(mu, LT(q, a)) == eval_pl_measure(
-                            mu, PLNot(GE(q, a))
+                            mu, fo.Not(GE(q, a))
                         )
 
     def test_connectives(self):
         mu = c3_measure("1/2^o")
-        phi = PLAnd(GE(F(1, 4), 1), PLOr(LT(F(1, 2), 1), PL_TRUE))
+        phi = fo.And(GE(F(1, 4), 1), fo.Or(LT(F(1, 2), 1), fo.TRUE))
         assert eval_pl_measure(mu, phi)
-        assert not eval_pl_measure(mu, PL_FALSE)
+        assert not eval_pl_measure(mu, fo.FALSE)
 
     def test_foreign_atom(self):
         with pytest.raises(DomainError):
@@ -181,7 +176,7 @@ class TestGridMeasures:
         for k in (1, 6):
             assert len(grid_measures(D, k)) == 0
             assert grid_measures(D, k).ranks.shape == (0, 1)
-        r = entails_grid(GE(F(1, 2), 0), PL_FALSE, D, 3)
+        r = entails_grid(GE(F(1, 2), 0), fo.FALSE, D, 3)
         assert (r.holds, r.countermodel, r.measures_checked) == (True, None, 0)
         report = check_soundness_grid(D, 3)
         assert (report.failures, report.measures_checked) == ((), 0)
@@ -197,7 +192,7 @@ class TestGridMeasures:
             return out
 
         monkeypatch.setattr(pl, "grid_measures", counted)
-        entailment = entails_grid(PL_TRUE, GE(F(1, 2), A_IDX), B4, 2)
+        entailment = entails_grid(fo.TRUE, GE(F(1, 2), A_IDX), B4, 2)
         soundness = check_soundness_grid(C3, 2)
         assert sizes == [entailment.measures_checked, soundness.measures_checked] == [7, 5]
 
@@ -237,7 +232,7 @@ class TestWorkGuard:
         tracemalloc.start()
         try:
             with pytest.raises(SizeError, match="the atom table would take 600000011 bytes"):
-                entails_grid(PL_TRUE, PL_FALSE, chain(2), 30_000_000)
+                entails_grid(fo.TRUE, fo.FALSE, chain(2), 30_000_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -261,7 +256,7 @@ class TestWorkGuard:
         # numpy dimension; the one-element lattice has no level to check
         for k in (2**62, 10**30):
             with pytest.raises(SizeError, match=f"the grid's ranks would take {8 * (2 * k + 1)} bytes"):
-                entails_grid(PL_TRUE, PL_FALSE, D, k)
+                entails_grid(fo.TRUE, fo.FALSE, D, k)
             with pytest.raises(SizeError, match="the grid's ranks"):
                 check_soundness_grid(D, k)
 
@@ -330,17 +325,17 @@ class TestWorkGuard:
         # table compares with
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 + 8 * 9 - 1)
         with pytest.raises(SizeError, match="the atom table would take 324 bytes"):
-            entails_grid(PL_TRUE, PL_TRUE, C3, 4)
+            entails_grid(fo.TRUE, fo.TRUE, C3, 4)
         monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 28 * 9 + 8 * 9)
-        assert entails_grid(PL_TRUE, PL_TRUE, C3, 4).measures_checked == 9
+        assert entails_grid(fo.TRUE, fo.TRUE, C3, 4).measures_checked == 9
 
 
 class TestEntailment:
     def test_padding_bits_never_count(self):
         # C3 at k = 1 has 3 measures: a negation sets the 5 padding bits of
         # its byte, and neither side may read them as measures
-        for rhs in (PL_FALSE, GE(F(0), 1)):
-            r = entails_grid(PLNot(GE(F(0), 1)), rhs, C3, 1)
+        for rhs in (fo.FALSE, GE(F(0), 1)):
+            r = entails_grid(fo.Not(GE(F(0), 1)), rhs, C3, 1)
             assert (r.holds, r.countermodel, r.measures_checked) == (True, None, 3)
 
     def test_weakening_holds(self):
@@ -349,7 +344,7 @@ class TestEntailment:
 
     def test_complement_bound(self):
         r = entails_grid(
-            GE(F(1, 2), A_IDX), PLNot(GE(F(3, 4), B_IDX)), B4, 4
+            GE(F(1, 2), A_IDX), fo.Not(GE(F(3, 4), B_IDX)), B4, 4
         )
         assert r.holds
 
@@ -365,17 +360,17 @@ class TestEntailment:
     def test_every_atom_subject_is_checked(self):
         # a bad subject behind a constant that decides the connective
         for lhs, rhs in (
-            (PL_FALSE, GE(F(1, 2), 17)),
-            (PLAnd(PL_FALSE, GE(F(1, 2), 17)), PL_TRUE),
-            (PLOr(PL_TRUE, LT(F(1, 2), -1)), PL_TRUE),
-            (PL_TRUE, PLOr(PL_TRUE, GE(F(1, 2), fo.TRUE))),
+            (fo.FALSE, GE(F(1, 2), 17)),
+            (fo.And(fo.FALSE, GE(F(1, 2), 17)), fo.TRUE),
+            (fo.Or(fo.TRUE, LT(F(1, 2), -1)), fo.TRUE),
+            (fo.TRUE, fo.Or(fo.TRUE, GE(F(1, 2), fo.TRUE))),
         ):
             with pytest.raises(DomainError, match="not an element"):
                 entails_grid(lhs, rhs, B4, 2)
 
     def test_not_a_formula(self):
         with pytest.raises(DomainError, match="not a threshold-logic node"):
-            entails_grid(PL_TRUE, "true", B4, 2)
+            entails_grid(fo.TRUE, "true", B4, 2)
 
     def test_deterministic(self):
         r1 = entails_grid(GE(F(1, 2), A_IDX), GE(F(1, 2), B_IDX), B4, 4)
@@ -441,7 +436,7 @@ class TestSoundness:
 
         monkeypatch.setattr(pl, "_rule_table", with_row)
         last = list(rule_instances(C3, 1))[-1]
-        assert (last.premise, last.conclusion) == (PLAnd(LT(0, 1), LT(0, 1)), PLOr(GE(0, 1), GE(0, 1)))
+        assert (last.premise, last.conclusion) == (fo.And(LT(0, 1), LT(0, 1)), fo.Or(GE(0, 1), GE(0, 1)))
         report = check_soundness_grid(C3, 1)
         assert (report.failures, report.measures_checked) == ((), 3)
 
@@ -461,7 +456,7 @@ class TestSoundness:
         atoms = {}  # holding each atom keeps the ids distinct
         for inst in rule_instances(B4, 4):
             for phi in (inst.premise, inst.conclusion):
-                parts = (phi.left, phi.right) if isinstance(phi, (PLAnd, PLOr)) else (phi,)
+                parts = (phi.left, phi.right) if isinstance(phi, (fo.And, fo.Or)) else (phi,)
                 atoms.update((id(x), x) for x in parts if isinstance(x, (GE, LT)))
         assert len(atoms) == 2 * 5 * B4.n  # GE and LT at each of 5 thresholds
 
@@ -472,14 +467,14 @@ def pl_formulas(draw, D, k, depth=3):
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         kind = draw(st.integers(0, 4))
         if kind == 0:
-            return PL_TRUE if draw(st.booleans()) else PL_FALSE
+            return fo.TRUE if draw(st.booleans()) else fo.FALSE
         den = k if draw(st.booleans()) else draw(st.integers(1, 7))
         q = F(draw(st.integers(0, den)), den)
         return (GE if kind <= 2 else LT)(q, draw(st.integers(0, D.n - 1)))
     kind = draw(st.integers(0, 2))
     if kind == 0:
-        return PLNot(draw(pl_formulas(D, k, depth - 1)))
-    ctor = PLAnd if kind == 1 else PLOr
+        return fo.Not(draw(pl_formulas(D, k, depth - 1)))
+    ctor = fo.And if kind == 1 else fo.Or
     return ctor(draw(pl_formulas(D, k, depth - 1)), draw(pl_formulas(D, k, depth - 1)))
 
 
@@ -579,7 +574,7 @@ class TestMonotoneSemantics:
         mu, nu = ms[min(i, len(ms) - 1)], ms[min(j, len(ms) - 1)]
         if not all(x <= y for x, y in zip(mu.values, nu.values)):
             return
-        phi = PLAnd(GE(F(1, 3), 1), PLOr(GE(F(2, 3), 1), GE(F(0), 2)))
+        phi = fo.And(GE(F(1, 3), 1), fo.Or(GE(F(2, 3), 1), GE(F(0), 2)))
         if eval_pl_measure(mu, phi):
             assert eval_pl_measure(nu, phi)
 
@@ -771,17 +766,54 @@ class TestFilterKernel:
         assert str(exc.value) == "order closure fails: (1/2, a) present but (1/2, 1) missing"
 
 
+class TestOneAST:
+    """Threshold formulas are ``fo`` connective trees over GE/LT leaves."""
+
+    def test_parsed_connectives_are_fo_nodes(self):
+        phi = parse_pl_formula("[>= 1/2]{a} & !true", lattice=B4)
+        assert phi == fo.And(GE(F(1, 2), A_IDX), fo.Not(fo.TRUE))
+        assert str(phi) == f"(GE(threshold=Fraction(1, 2), subject={A_IDX}) & !(true))"
+
+    def test_precedence_is_fo_s_without_implication(self):
+        # ! over & over |, both binary connectives left-associative
+        phi = parse_pl_formula("[>= 1/2]{a} | ![< 1]{b} & true | false", lattice=B4)
+        left = fo.Or(GE(F(1, 2), A_IDX), fo.And(fo.Not(LT(F(1), B_IDX)), fo.TRUE))
+        assert phi == fo.Or(left, fo.FALSE)
+        with pytest.raises(ParseError, match="unexpected '->'"):
+            parse_pl_formula("true -> false", lattice=B4)
+
+    def test_fo_only_nodes_are_not_threshold_formulas(self):
+        mu = grid_measures(B4, 2)[0]
+        for phi in (
+            fo.Atom("lt", ("x", "y")),
+            fo.Exists("x", fo.TRUE),
+            fo.Or(fo.FALSE, fo.Not(fo.Eq("x", "y"))),
+        ):
+            with pytest.raises(DomainError, match="not a threshold-logic node"):
+                eval_pl_measure(mu, phi)
+            for lhs, rhs in ((phi, fo.TRUE), (fo.TRUE, phi)):
+                with pytest.raises(DomainError, match="not a threshold-logic node"):
+                    entails_grid(lhs, rhs, B4, 2)
+
+    def test_threshold_formulas_are_not_counted(self):
+        A = gen_example_structure(2)
+        phi = parse_pl_formula("[>= 1/2]{lt(x, y)} | !true", signature=fo.POSET_SIGNATURE)
+        for psi in (phi, phi.left, fo.Exists("x", phi)):
+            with pytest.raises(DomainError, match="not an evaluable node"):
+                fo.count_satisfying(A, psi, ("x", "y"))
+
+
 class TestPLSyntax:
     def test_structure_subjects(self):
         sig = fo.POSET_SIGNATURE
         phi = parse_pl_formula("[>= 2/3]{ lt(x,y) } & ![< 1/3]{ true }", signature=sig)
-        assert isinstance(phi, PLAnd)
+        assert isinstance(phi, fo.And)
         assert isinstance(phi.left, GE)
         assert phi.left.threshold == F(2, 3)
 
     def test_lattice_subjects(self):
         phi = parse_pl_formula("[>= 1/2]{a} | [< 1]{b}", lattice=B4)
-        assert phi == PLOr(GE(F(1, 2), A_IDX), LT(F(1), B_IDX))
+        assert phi == fo.Or(GE(F(1, 2), A_IDX), LT(F(1), B_IDX))
 
     def test_float_thresholds_are_refused(self):
         for kind in (GE, LT):
@@ -791,7 +823,7 @@ class TestPLSyntax:
 
     def test_literals_and_parens(self):
         phi = parse_pl_formula("!(true & false)", lattice=B4)
-        assert phi == PLNot(PLAnd(PL_TRUE, PL_FALSE))
+        assert phi == fo.Not(fo.And(fo.TRUE, fo.FALSE))
 
     def test_errors(self):
         with pytest.raises(ParseError):
