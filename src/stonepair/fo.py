@@ -1,9 +1,9 @@
 """First-order logic over finite relational structures.
 
 Signatures are finite lists of relation symbols with arities.  A structure
-over a finite universe stores each relation as a read-only boolean table
-with one axis of size |A| per argument; its tuple sets (``relations``) are
-derived from the tables on first use.  Formulas are immutable ASTs with
+over a finite universe stores each relation only as a read-only boolean
+table with one axis of size |A| per argument; the evaluator, the counter
+and the text format all read the tables.  Formulas are immutable ASTs with
 equality as a built-in logical symbol; each node computes its hash once, at
 construction, and caches it, so keying the plan cache by a formula costs no
 walk of the tree.  Evaluation is Tarskian
@@ -61,6 +61,7 @@ import numpy as np
 from .errors import DomainError, ParseError, SizeError
 
 _T = TypeVar("_T")
+_INTEGERS = (int, np.integer, np.bool_)  # what a tuple entry or assignment value may be
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,11 @@ class Signature:
 class FiniteStructure:
     """A finite relational structure: universe {0..size-1} plus relations.
 
-    The stored form is ``tables``: one read-only boolean array of shape
-    ``(size,) * arity`` per relation of the signature.  ``relations``, the
-    same relations as sets of tuples, is derived from the tables on first
-    use.  ``FiniteStructure(signature, size, relations)`` validates tuple
-    sets (relations omitted are empty); ``from_tables`` takes tables as they
-    are.
+    The only stored form is ``tables``: one read-only boolean array of shape
+    ``(size,) * arity`` per relation of the signature; a relation's tuples,
+    in row-major order, are ``np.argwhere(A.tables[name])``.
+    ``FiniteStructure(signature, size, relations)`` validates tuple sets
+    (relations omitted are empty); ``from_tables`` takes tables as they are.
     """
 
     def __init__(
@@ -154,14 +154,6 @@ class FiniteStructure:
         self.tables = MappingProxyType({name: _read_only(t) for name, t in tables.items()})
 
     @functools.cached_property
-    def relations(self) -> Mapping[str, frozenset[tuple[int, ...]]]:
-        """Each relation as its set of tuples, derived from the tables."""
-        return MappingProxyType({
-            name: frozenset(map(tuple, np.argwhere(table).tolist()))
-            for name, table in self.tables.items()
-        })
-
-    @functools.cached_property
     def _identity(self) -> np.ndarray:
         return _read_only(np.eye(self.size, dtype=bool))
 
@@ -177,7 +169,7 @@ class FiniteStructure:
     def __repr__(self) -> str:
         return (
             f"FiniteStructure(signature={self.signature!r}, size={self.size!r}, "
-            f"relations={dict(self.relations)!r})"
+            f"tables={dict(self.tables)!r})"
         )
 
 
@@ -192,25 +184,29 @@ def _tuple_fault(name: str, arity: int, size: int, t: Iterable[int]) -> str | No
     t = tuple(t)
     if len(t) != arity:
         return f"tuple {t} has wrong arity for {name}/{arity}"
+    for v in t:
+        if not isinstance(v, _INTEGERS):
+            return f"tuple {t} of {name}/{arity} holds {v!r}, not an integer"
     if not all(0 <= v < size for v in t):
         return f"tuple {t} out of range for universe {size}"
     return None
 
 
 def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """The boolean table of a tuple set, checked in one numpy pass: arity
-    from the array's shape, range from its minimum and maximum.  Only when a
-    check fails are the tuples scanned, for the first one to name."""
+    """The boolean table of a tuple set, checked in one numpy pass: an integer
+    dtype, arity from the shape, range from the minimum and maximum.  Only
+    when a check fails are the tuples scanned, for the first one to name."""
     items = list(tuples)
     table = np.zeros((size,) * arity, dtype=bool)
     if not items:
         return table
     try:
-        index = np.array(items, dtype=np.intp)
+        index = np.array(items)
     except (ValueError, TypeError, OverflowError):
         index = None
     if (
         index is None
+        or index.dtype.kind not in "iub"
         or index.shape != (len(items), arity)
         or index.min() < 0
         or index.max() >= size
@@ -219,8 +215,8 @@ def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]
             fault = _tuple_fault(name, arity, size, t)
             if fault is not None:
                 raise DomainError(fault)
-        raise DomainError(f"relation {name}/{arity} holds a tuple that is not integers")
-    table[tuple(index.T)] = True
+        index = np.array(items, dtype=np.intp)  # in range, though typed as uint64 with int64
+    table[tuple(index.astype(np.intp, copy=False).T)] = True
     return table
 
 
@@ -543,11 +539,15 @@ def parse_formula(text: str, signature: Signature) -> Formula:
 
 
 def satisfies(A: FiniteStructure, alpha: Mapping[str, int], phi: Formula) -> bool:
-    """Tarskian satisfaction; quantifiers range over the universe."""
+    """Tarskian satisfaction; quantifiers range over the universe, and every
+    assignment value must be one of its elements, an integer in 0..|A|-1."""
     missing = [v for v in free_vars(phi) if v not in alpha]
     if missing:
         raise DomainError(f"assignment does not cover {missing}")
-    return _sat_at(A, dict(alpha), phi)
+    for v, c in alpha.items():
+        if not isinstance(c, _INTEGERS) or not 0 <= c < A.size:
+            raise DomainError(f"assignment gives {v} = {c!r}, not an element of 0..{A.size - 1}")
+    return _sat_at(A, {v: int(c) for v, c in alpha.items()}, phi)  # a bool index is a mask
 
 
 def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
@@ -555,7 +555,7 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
         case Const(value):
             return value
         case Atom(rel, args):
-            return tuple(alpha[v] for v in args) in A.relations[rel]
+            return bool(_table(A, rel, len(args))[tuple(alpha[v] for v in args)])
         case Eq(left, right):
             return alpha[left] == alpha[right]
         case Not(body):
@@ -753,9 +753,7 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
             return ufunc(lt, rt, out=rt)
         return ufunc(lt, rt)
     if op <= _VIEW:
-        table = A.tables.get(node[1])
-        if table is None or table.ndim != node[2]:
-            raise DomainError(f"structure has no relation {node[1]}/{node[2]}")
+        table = _table(A, node[1], node[2])
         if op == _TABLE:
             return table
         for i, j in node[3]:
@@ -771,6 +769,13 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
     if op == _EYE:
         return A._identity
     return _CELLS[op]
+
+
+def _table(A: FiniteStructure, rel: str, arity: int) -> np.ndarray:
+    table = A.tables.get(rel)
+    if table is None or table.ndim != arity:
+        raise DomainError(f"structure has no relation {rel}/{arity}")
+    return table
 
 
 def _run(A: FiniteStructure, node: tuple, nbytes: int) -> np.ndarray:
@@ -1005,9 +1010,9 @@ def format_structure(A: FiniteStructure) -> str:
         "signature: " + ", ".join(f"{name}/{arity}" for name, arity in A.signature.relations),
         f"universe: {A.size}",
     ]
-    for name, _ in A.signature.relations:
+    for name, table in A.tables.items():
         body = ",".join(
-            "(" + ",".join(map(str, t)) + ")" for t in sorted(A.relations[name])
+            "(" + ",".join(map(str, t)) + ")" for t in np.argwhere(table).tolist()
         )
         lines.append(f"{name} = {{{body}}}")
     return "\n".join(lines) + "\n"

@@ -103,10 +103,6 @@ class GammaValue:
     def __ge__(self, other: object) -> bool:
         return self._compare(other, operator.ge)
 
-    @property
-    def kind(self) -> str:
-        return "exact" if self.exact else "approx"
-
     def __str__(self) -> str:
         return format_gamma(self)
 

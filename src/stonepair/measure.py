@@ -140,7 +140,7 @@ def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
         MeasureViolation("range", a, a) for a in np.flatnonzero((r < 0) | (r > denom)).tolist()
     )
     x, y = r[:, None], r[None, :]
-    monotone = leq & ~np.eye(L.n, dtype=bool) & (x > y)
+    monotone = leq & (x > y)  # x > y is false on the diagonal
     out.extend(MeasureViolation("monotone", a, b) for a, b in np.argwhere(monotone).tolist())
     modular = x + y != r[joins] + r[meets]
     out.extend(MeasureViolation("modular", a, b) for a, b in np.argwhere(modular).tolist())
@@ -207,9 +207,6 @@ class FinSuppFn:
     @property
     def support(self) -> tuple[Hashable, ...]:
         return tuple(p for p, w in zip(self.points, self.weights) if w != gamma.ZERO)
-
-    def weight(self, point: Hashable) -> GammaValue:
-        return self.weights[self.points.index(point)]
 
 
 def integrate(f: FinSuppFn, M: Collection[Hashable]) -> GammaValue:

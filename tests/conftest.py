@@ -119,6 +119,15 @@ def reference_fence(n: int) -> fo.FiniteStructure:
     return fo.FiniteStructure(fo.POSET_SIGNATURE, size, {"lt": tuples})
 
 
+def relation_tuples(A: fo.FiniteStructure) -> dict[str, frozenset[tuple[int, ...]]]:
+    """Each relation of ``A`` as its set of tuples, read cell by cell from
+    its table."""
+    return {
+        name: frozenset(t for t in np.ndindex(table.shape) if table[t])
+        for name, table in A.tables.items()
+    }
+
+
 def random_formula(
     rng: random.Random, depth: int, scope: tuple[str, ...] = ("x", "y")
 ) -> fo.Formula:

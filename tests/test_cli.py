@@ -1,6 +1,7 @@
 """Golden-output tests for every subcommand's happy path, plus exit codes."""
 
 import io
+import os
 import random
 import subprocess
 import sys
@@ -543,6 +544,10 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_console_entry_point(self, workdir):
+        # the child does not see pytest's own path: put the source first on its PYTHONPATH
+        env = dict(os.environ)
+        src = str(Path(fo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "stonepair",
@@ -550,6 +555,7 @@ class TestErrors:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "2 3 2/3 2/3^o\n"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import BINARY_SIG, formulas, reference_fence, structures
+from conftest import BINARY_SIG, formulas, reference_fence, relation_tuples, structures
 from stonepair import fo, pairing
 from stonepair.errors import DomainError, ParseError, SizeError
 from stonepair.fo import (
@@ -160,6 +160,54 @@ class TestSatisfies:
         A = FiniteStructure(POSET, 2, {"lt": frozenset({(0, 1)})})
         phi = parse_formula("exists x. lt(x,x)", POSET)
         assert satisfies(A, {"x": 0}, phi) is False
+
+    def test_atom_reads_the_table_without_tuples(self):
+        # one atom indexes the |A| x |A| table; it builds no set of its tuples
+        A = gen_example_structure(2001)
+        assert A.size == 1002
+        phi = parse_formula("lt(x,x) | lt(x,y)", POSET)
+        tracemalloc.start()
+        try:
+            assert satisfies(A, {"x": 0, "y": 1001}, phi) is True
+            assert satisfies(A, {"x": 1001, "y": 0}, phi) is False
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_assignment_values_are_universe_elements(self):
+        A = FiniteStructure(POSET, 2, {"lt": frozenset({(0, 1)})})
+        phi = parse_formula("lt(x,y)", POSET)
+        for value in (2, -1, 10**30, 0.0, 1.5, "0", None, np.float64(1)):
+            with pytest.raises(DomainError) as exc:
+                satisfies(A, {"x": 0, "y": value}, phi)
+            assert str(exc.value) == f"assignment gives y = {value!r}, not an element of 0..1"
+        # a value the formula does not read is checked too
+        with pytest.raises(DomainError, match="assignment gives z = 2,"):
+            satisfies(A, {"x": 0, "y": 1, "z": 2}, phi)
+        for x, y in ((np.int64(0), np.uint8(1)), (False, True), (0, np.int32(1))):
+            assert satisfies(A, {"x": x, "y": y}, phi) is True
+        assert satisfies(A, {"x": True, "y": False}, phi) is False
+
+    def test_unknown_relation_is_the_counters_error(self):
+        A = FiniteStructure(POSET, 2, {"lt": frozenset({(0, 1)})})
+        for phi, message in (
+            (Atom("edge", ("x", "x")), "structure has no relation edge/2"),
+            (Atom("lt", ("x",)), "structure has no relation lt/1"),
+            (Exists("y", Atom("lt", ("x", "y", "y"))), "structure has no relation lt/3"),
+        ):
+            with pytest.raises(DomainError) as by_satisfies:
+                satisfies(A, {"x": 0}, phi)
+            with pytest.raises(DomainError) as by_counter:
+                count_satisfying(A, phi, ["x"])
+            assert str(by_satisfies.value) == str(by_counter.value) == message
+
+    def test_repr_shows_the_tables(self):
+        A = FiniteStructure(POSET, 2, {"lt": frozenset({(0, 1)})})
+        assert repr(A) == (
+            f"FiniteStructure(signature={POSET!r}, size=2, "
+            f"tables={{'lt': {A.tables['lt']!r}}})"
+        )
 
 
 class TestCounting:
@@ -379,18 +427,18 @@ class TestExampleFamily:
     def test_odd_is_chain(self):
         A5 = gen_example_structure(5)
         assert A5.size == 4
-        assert A5.relations["lt"] == frozenset(
+        assert relation_tuples(A5)["lt"] == frozenset(
             (i, j) for i in range(4) for j in range(i + 1, 4)
         )
 
     def test_even_has_isolated_point(self):
         A2 = gen_example_structure(2)
-        assert A2.relations["lt"] == frozenset({(0, 1)})
+        assert relation_tuples(A2)["lt"] == frozenset({(0, 1)})
 
     def test_strict_order_is_transitive_irreflexive(self):
         for n in range(1, 9):
             A = gen_example_structure(n)
-            lt = A.relations["lt"]
+            lt = relation_tuples(A)["lt"]
             assert all((i, i) not in lt for i in range(A.size))
             for (i, j), (k, l) in itertools.product(lt, repeat=2):
                 if j == k:
@@ -424,7 +472,7 @@ class TestExampleFamily:
     def test_matches_the_tuple_reference(self):
         for n in range(1, 41):
             A, expected = gen_example_structure(n), reference_fence(n)
-            assert A == expected and A.relations == expected.relations
+            assert A == expected and relation_tuples(A) == relation_tuples(expected)
             text = format_structure(A)
             assert text == format_structure(expected)
             assert format_structure(parse_structure(text)) == text
@@ -479,6 +527,32 @@ class TestStructureConstructor:
         with pytest.raises(DomainError) as exc:
             FiniteStructure(POSET, 2, {"lt": [(0, 10**30)]})
         assert str(exc.value) == f"tuple (0, {10**30}) out of range for universe 2"
+
+    def test_non_integer_entries(self):
+        cases = [
+            ([(0.5, 1)], "tuple (0.5, 1) of lt/2 holds 0.5, not an integer"),
+            ([(1.0, 1)], "tuple (1.0, 1) of lt/2 holds 1.0, not an integer"),
+            ([(0, 1), ("a", 1)], "tuple ('a', 1) of lt/2 holds 'a', not an integer"),
+            ([(None, 1), (0, 1)], "tuple (None, 1) of lt/2 holds None, not an integer"),
+            ([(0, 1), (np.float64(1), 0)], "tuple (np.float64(1.0), 0) of lt/2 holds np.float64(1.0), not an integer"),
+            ([(0, 1, 0), (0.5, 1)], "tuple (0, 1, 0) has wrong arity for lt/2"),
+        ]
+        for items, message in cases:
+            with pytest.raises(DomainError) as exc:
+                FiniteStructure(POSET, 2, {"lt": items})
+            assert str(exc.value) == message
+
+    def test_integer_kinds_build_the_same_table(self):
+        expected = FiniteStructure(POSET, 2, {"lt": [(0, 1)]})
+        for items in (
+            [(False, True)],
+            [(np.int64(0), np.int32(1))],
+            [(np.uint64(0), np.int64(1))],  # numpy types this pair as float64
+            [(np.False_, 1), (0, 1)],
+            [np.array([0, 1])],
+        ):
+            A = FiniteStructure(POSET, 2, {"lt": items})
+            assert A == expected and relation_tuples(A) == {"lt": frozenset({(0, 1)})}, items
 
     def test_relation_not_in_signature(self):
         with pytest.raises(DomainError) as exc:
@@ -544,14 +618,14 @@ class TestStructureConstructor:
     def test_tuples_and_tables_agree(self, drawn, phi):
         n, tuples = drawn
         A = FiniteStructure(UNARY_TERNARY_SIG, n, tuples)
-        assert A.relations == tuples
+        assert relation_tuples(A) == tuples
         tables = {}
         for name, arity in UNARY_TERNARY_SIG.relations:
             tables[name] = np.zeros((n,) * arity, dtype=bool)
             for t in tuples[name]:
                 tables[name][t] = True
         B = FiniteStructure.from_tables(UNARY_TERNARY_SIG, tables)
-        assert A == B and B.relations == tuples
+        assert A == B and relation_tuples(B) == tuples
         text = format_structure(A)
         assert parse_structure(text) == A and format_structure(parse_structure(text)) == text
         ctx = ("x", "y")
@@ -570,7 +644,7 @@ class TestStructureFormat:
             "signature: lt/2\nuniverse: 4\nlt = {(0,1),(0,2),(1,2)}\n"
         )
         assert A.size == 4
-        assert A.relations["lt"] == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert relation_tuples(A)["lt"] == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_round_trip(self):
         A = gen_example_structure(4)
@@ -578,7 +652,7 @@ class TestStructureFormat:
 
     def test_omitted_relation_is_empty(self):
         A = parse_structure("signature: lt/2\nuniverse: 2\n")
-        assert A.relations["lt"] == frozenset()
+        assert relation_tuples(A)["lt"] == frozenset()
 
     def test_out_of_range_tuple(self):
         with pytest.raises(ParseError) as exc:
@@ -627,11 +701,11 @@ class TestStructureFormat:
         for body in ("{(0,1),(1,2)}", "{ (0,1) , (1,2), }", "{(0,1) (1,2)}", "{}", "{ }"):
             A = parse_structure(f"signature: lt/2\nuniverse: 3\nlt = {body}\n")
             expected = frozenset() if "(" not in body else frozenset({(0, 1), (1, 2)})
-            assert A.relations["lt"] == expected, body
+            assert relation_tuples(A)["lt"] == expected, body
 
     def test_unary_relation(self):
         A = parse_structure("signature: mark/1\nuniverse: 3\nmark = {(0),(2)}\n")
-        assert A.relations["mark"] == frozenset({(0,), (2,)})
+        assert relation_tuples(A)["mark"] == frozenset({(0,), (2,)})
 
     def test_comments(self):
         A = parse_structure("# poset\nsignature: lt/2\nuniverse: 2\nlt = {(0,1)}\n")
