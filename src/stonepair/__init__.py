@@ -1,106 +1,6 @@
 """Exact arithmetic for the doubled unit interval, lattice-valued measures,
 Stone pairings of finite structures, and the finite chain duality toolkit."""
 
-from .errors import (
-    DomainError,
-    Error,
-    InternalInvariantError,
-    LatticeError,
-    ParseError,
-    PresentationError,
-    SizeError,
-)
-from .gamma import (
-    ONE,
-    ONE_APPROX,
-    ZERO,
-    GammaGrid,
-    GammaValue,
-    format_gamma,
-    gamma_collapse,
-    gamma_sum,
-    iota_approx,
-    iota_exact,
-    mip,
-    miss,
-    parse_gamma,
-    plus,
-)
-from .lattice import (
-    FiniteLattice,
-    LatticeHom,
-    PrimeFilter,
-    boolean_algebra,
-    chain,
-    check_hom,
-    diamond_m3,
-    from_subsets,
-    identity_hom,
-    parse_lattice,
-    product_lattice,
-)
-from .fo import (
-    FiniteStructure,
-    Formula,
-    Signature,
-    count_satisfying,
-    free_vars,
-    gen_example_structure,
-    maximal_not_maximum,
-    parse_formula,
-    parse_structure,
-    satisfies,
-    satisfying_set,
-)
-from .measure import (
-    ClassicalMeasure,
-    FinSuppFn,
-    Measure,
-    collapse_measure,
-    integrate,
-    integration_measure,
-    lift_measure,
-    pushforward,
-    validate_classical_measure,
-    validate_measure,
-)
-from .pairing import (
-    ConstantFamily,
-    FenceFamily,
-    PairingResult,
-    SequenceReport,
-    Verdict,
-    VerdictKind,
-    assignment_distribution,
-    check_padding_invariance,
-    pairing_sequence,
-    stone_pairing,
-)
-from .pl import (
-    GE,
-    LT,
-    FilterPresentation,
-    check_soundness_grid,
-    entails_grid,
-    eval_pl_measure,
-    eval_pl_structure,
-    filter_to_measure,
-    grid_measures,
-    parse_pl_formula,
-)
-from .chains import (
-    ChainElement,
-    ChainPoint,
-    check_adjunction,
-    derive_partial_minus,
-    derive_partial_plus,
-    embed,
-    find_ominus_counterexample,
-    floor_map,
-    ceiling_map,
-    ominus,
-    oplus,
-    project_gamma,
-)
+from . import chains, errors, fo, gamma, lattice, measure, pairing, pl
 
 __version__ = "0.1.0"

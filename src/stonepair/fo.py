@@ -181,6 +181,8 @@ def _check_names(signature: Signature, names: Iterable[str]) -> None:
 
 def _tuple_fault(name: str, arity: int, size: int, t: Iterable[int]) -> str | None:
     """Why ``t`` cannot be a tuple of relation ``name``, or None."""
+    if isinstance(t, (str, bytes)) or not isinstance(t, Iterable):
+        return f"item {t!r} of {name}/{arity} is not a tuple"
     t = tuple(t)
     if len(t) != arity:
         return f"tuple {t} has wrong arity for {name}/{arity}"

@@ -173,10 +173,9 @@ def _heuristic_verdict(values: Sequence[Fraction]) -> tuple[Fraction | None, Ver
     stay at or above it, and to r^- when they approach r strictly from
     below.  At a finite horizon only a constant tail is conclusive evidence
     of the first situation; a shrinking-step tail is Cauchy-like but its
-    limit cannot be named exactly, so it stays inconclusive.
+    limit cannot be named exactly, so it stays inconclusive.  ``values`` is
+    never empty: ``pairing_sequence`` refuses a horizon below 4.
     """
-    if not values:
-        return None, Verdict(VerdictKind.INCONCLUSIVE)
     tail = list(values[-math.ceil(len(values) / 2):])
     if all(v == tail[0] for v in tail):
         return tail[0], _verdict_for_limit(gamma.iota_exact(tail[0]))

@@ -35,9 +35,10 @@ two gathered tables live at a time.  Each array of this work is checked
 against the one memory budget (``fo.check_bytes``) before it is
 allocated, so oversized work is a ``SizeError``.
 
-Filter presentations go through the same kernel: ``presentation_of_measure``
+A filter presentation is a level vector, one level per element: how many
+of the thresholds 0, 1/k, ..., 1 it holds.  ``presentation_of_measure``
 projects each value onto the grid with ``gamma.project_of_ranks``, and
-``filter_to_measure`` tests both closures on one membership table.
+``filter_to_measure`` tests order closure on the vector.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -496,66 +498,51 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
 
 @dataclass(frozen=True)
 class FilterPresentation:
-    """A finite fragment of a prime filter of threshold atoms: the pairs
-    (q, a) asserted to belong to it, with thresholds on the grid."""
+    """A finite fragment of a prime filter of threshold atoms, as one level
+    per element: (i/k, a) belongs to it iff i < ``levels[a]``, so a level
+    lies in 0..k + 1 and each element's thresholds are a prefix of the grid
+    (rule L1).  Levels are kept as Python ints, as k may exceed int64."""
 
     lattice: FiniteLattice
     k: int
-    members: frozenset[tuple[Fraction, int]]
+    levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError("grid resolution must be positive")
-        for q, a in self.members:
-            q = gamma.as_fraction(q)
-            # on the grid: 0 <= q <= 1 and q's denominator divides k
-            if not (0 <= q.numerator <= q.denominator and self.k % q.denominator == 0):
-                raise DomainError(f"threshold {q} is not on the resolution-{self.k} grid")
-            if not 0 <= a < self.lattice.n:
-                raise DomainError(f"element index {a} out of range")
+        D, levels = self.lattice, tuple(self.levels)
+        if len(levels) != D.n:
+            raise DomainError(f"{len(levels)} levels for the {D.n} elements of the lattice")
+        for label, level in zip(D.labels, levels):
+            if not isinstance(level, Integral) or not 0 <= level <= self.k + 1:
+                raise DomainError(f"level {level!r} of {label} is not an integer in 0..{self.k + 1}")
+        object.__setattr__(self, "levels", tuple(map(int, levels)))
 
 
 def filter_to_measure(F: FilterPresentation) -> Measure:
-    """The measure sending a to the largest asserted threshold, tagged exact.
+    """The measure sending a to the largest asserted threshold, tagged exact
+    (0 when a has none).
 
-    The presentation must be downward closed in the threshold and upward
-    closed along the lattice order (the two monotonicity rules); the induced
-    map must validate as a measure.  Violations of either are reported as
-    ``PresentationError`` with a failing pair.
-
-    Both closures are whole-array tests on the n x (k + 1) membership table
-    (row a, column i: (i/k, a) is a member): threshold closure says every
-    row is a prefix, order closure that the rows are monotone along the
-    lattice order.  The first violation in (element, threshold) order is
-    reported, threshold closure before order closure.  The table is checked
-    against the memory budget (``fo.check_bytes``) before it is built.
+    The presentation must be upward closed along the lattice order (rule
+    L3): a <= b needs ``levels[a] <= levels[b]``, one test on the level
+    vector against the lowest level on or above each element.  The first
+    violation in (element, threshold) order is a ``PresentationError`` with
+    its failing pair, and so is an induced map that does not validate as a
+    measure.
     """
     D, k = F.lattice, F.k
-    fo.check_bytes("the membership table", D.n * (k + 1))
-    table = np.zeros((D.n, k + 1), dtype=bool)
-    for q, a in F.members:
-        table[a, q.numerator * (k // q.denominator)] = True
-    rises = table[:, 1:] & ~table[:, :-1]
-    if rises.any():
-        a, i = np.unravel_index(np.argmax(rises), rises.shape)
-        p = np.argmin(table[a])
-        raise PresentationError(
-            f"threshold closure fails: ({Fraction(i + 1, k)}, {D.labels[a]}) present "
-            f"but ({Fraction(p, k)}, {D.labels[a]}) missing"
-        )
+    levels = np.array(F.levels)  # an object array past int64
     leq = D._order_arrays[0]
-    # some b >= a misses the threshold: a boolean matrix product
-    unclosed = table & (leq @ ~table)
-    if unclosed.any():
-        a, i = np.unravel_index(np.argmax(unclosed), unclosed.shape)
-        b = np.argmax(leq[a] & ~table[:, i])
+    lowest = np.where(leq, levels, levels.max()).min(axis=1)
+    unclosed = np.flatnonzero(lowest < levels)
+    if len(unclosed):
+        a = unclosed[0]
+        b = np.argmax(leq[a] & (levels <= lowest[a]))
+        q = Fraction(int(lowest[a]), k)
         raise PresentationError(
-            f"order closure fails: ({Fraction(i, k)}, {D.labels[a]}) present "
-            f"but ({Fraction(i, k)}, {D.labels[b]}) missing"
+            f"order closure fails: ({q}, {D.labels[a]}) present but ({q}, {D.labels[b]}) missing"
         )
-    # the rows are prefixes: the largest asserted threshold is the row's count less one
-    counts = table.sum(axis=1).tolist()
-    mu = Measure(D, tuple(gamma.point_of_rank(2 * max(c - 1, 0), k) for c in counts))
+    mu = Measure(D, tuple(gamma.point_of_rank(2 * max(level - 1, 0), k) for level in F.levels))
     bad = validate_measure(mu)
     if bad:
         raise PresentationError(
@@ -566,21 +553,13 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
 
 def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
     """The grid fragment of the filter of a measure: all (q, a) with
-    q^o <= mu(a).  The thresholds of element a are the grid points up to
-    the projection of mu(a) onto the resolution-k chain
-    (``gamma.project_of_ranks``).  The members, counted in closed form, are
-    first checked against the memory budget at 192 bytes each (a traced
-    peak of about 170: the tuple, its set slot, its share of thresholds)."""
-    if k < 1:
-        raise DomainError("grid resolution must be positive")
-    tops = [
-        gamma.project_of_ranks(gamma.rank(x, x.value.denominator), k, x.value.denominator)
+    q^o <= mu(a).  Element a's level is one more than the projection of
+    mu(a) onto the resolution-k chain (``gamma.project_of_ranks``)."""
+    levels = tuple(
+        gamma.project_of_ranks(gamma.rank(x, x.value.denominator), k, x.value.denominator) + 1
         for x in mu.values
-    ]
-    fo.check_bytes("the presentation", 192 * sum(t + 1 for t in tops))
-    Q = [Fraction(i, k) for i in range(max(tops) + 1)]
-    members = frozenset((q, a) for a, t in enumerate(tops) for q in Q[: t + 1])
-    return FilterPresentation(mu.lattice, k, members)
+    )
+    return FilterPresentation(mu.lattice, k, levels)
 
 
 # -- concrete syntax -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import hypothesis.strategies as st
 import numpy as np
@@ -240,41 +240,48 @@ def reference_project_gamma(x: GammaValue, n: int) -> ChainPoint:
     return ChainPoint(n, math.floor(scaled) if x.exact else math.ceil(scaled) - 1)
 
 
+_grid_rationals = cache(gamma.grid_rationals)  # the filter loops below run per level vector
+
+
 def reference_presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
-    """Every (q, a) on the grid with q^o <= mu(a), one comparison each."""
-    members = frozenset(
-        (q, a)
+    """Each element's level counts the q on the grid with q^o <= mu(a), one
+    comparison each."""
+    levels = tuple(
+        sum(gamma.iota_exact(q) <= mu(a) for q in _grid_rationals(k))
         for a in range(mu.lattice.n)
-        for q in gamma.grid_rationals(k)
-        if gamma.iota_exact(q) <= mu(a)
     )
-    return FilterPresentation(mu.lattice, k, members)
+    return FilterPresentation(mu.lattice, k, levels)
 
 
-def reference_filter_to_measure(F: FilterPresentation) -> Measure:
-    """The two closure loops over the members, in (element, threshold)
-    order, threshold closure first; then the largest threshold of each
-    element, tagged exact, validated by ``reference_validate_measure``."""
-    D, Q = F.lattice, gamma.grid_rationals(F.k)
-    members = sorted(F.members, key=lambda m: (m[1], m[0]))
-    for q, a in members:
-        for p in Q:
-            if p <= q and (p, a) not in F.members:
-                raise PresentationError(
-                    f"threshold closure fails: ({q}, {D.labels[a]}) present "
-                    f"but ({p}, {D.labels[a]}) missing"
-                )
-    for q, a in members:
-        for b in range(D.n):
-            if D.leq(a, b) and (q, b) not in F.members:
-                raise PresentationError(
-                    f"order closure fails: ({q}, {D.labels[a]}) present "
-                    f"but ({q}, {D.labels[b]}) missing"
-                )
+def prefix_members(F: FilterPresentation) -> frozenset[tuple[Fraction, int]]:
+    """The (threshold, element) pairs of a presentation: (i/k, a) for every
+    i below a's level."""
+    Q = _grid_rationals(F.k)
+    return frozenset((Q[i], a) for a, level in enumerate(F.levels) for i in range(level))
+
+
+def reference_filter_to_measure(
+    D: FiniteLattice, k: int, members: frozenset[tuple[Fraction, int]]
+) -> Measure:
+    """The order-closure loop over a member set of (threshold, element)
+    pairs, in (element, threshold) order, keeping the largest threshold of
+    each element; the values, tagged exact, are validated by
+    ``reference_validate_measure``.  Threshold closure is not tested: a
+    level vector's member set is a prefix of the grid at every element."""
     values = []
     for a in range(D.n):
-        qs = [q for q, b in F.members if b == a]
-        values.append(gamma.iota_exact(max(qs)) if qs else gamma.ZERO)
+        largest = None
+        for q in _grid_rationals(k):
+            if (q, a) not in members:
+                continue
+            largest = q
+            for b in range(D.n):
+                if D.leq(a, b) and (q, b) not in members:
+                    raise PresentationError(
+                        f"order closure fails: ({q}, {D.labels[a]}) present "
+                        f"but ({q}, {D.labels[b]}) missing"
+                    )
+        values.append(gamma.ZERO if largest is None else gamma.iota_exact(largest))
     mu = Measure(D, tuple(values))
     bad = reference_validate_measure(mu)
     if bad:

@@ -141,6 +141,28 @@ class TestConverge:
         assert code == 0
         assert out.splitlines()[-1] == "CONVERGES 2/3^o (at horizon)"
 
+    def test_inconclusive_verdict(self):
+        # y <= x: the odd members tend to 1/2^o, the even ones to 1/2^-
+        code, out, _ = invoke(
+            "converge", "--family", "fence", "--formula", "y = x | lt(y,x)",
+            "--vars", "x,y", "--horizon", "40",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
+
+    def test_unknown_family_and_empty_vars(self):
+        code, out, err = invoke(
+            "converge", "--family", "nosuch", "--formula", "true", "--horizon", "4"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: unknown family 'nosuch' (not built in, not a directory)\n"
+        code, out, err = invoke(
+            "converge", "--family", "fence", "--formula", "true", "--vars", " , ",
+            "--horizon", "4",
+        )
+        assert (code, out) == (2, "")
+        assert err == "usage error: bad --vars value ' , '\n"
+
 
 class TestCheckMeasure:
     def test_ok(self, workdir):

@@ -542,6 +542,22 @@ class TestStructureConstructor:
                 FiniteStructure(POSET, 2, {"lt": items})
             assert str(exc.value) == message
 
+    def test_bare_items_are_refused(self):
+        unary = Signature((("u", 1),))
+        cases = [
+            ([5], "item 5 of u/1 is not a tuple"),
+            ([1], "item 1 of u/1 is not a tuple"),  # in range, but not a tuple
+            ([(0,), "a"], "item 'a' of u/1 is not a tuple"),
+            ([(0,), None], "item None of u/1 is not a tuple"),
+        ]
+        for items, message in cases:
+            with pytest.raises(DomainError) as exc:
+                FiniteStructure(unary, 3, {"u": items})
+            assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
+            FiniteStructure(POSET, 3, {"lt": [(0, 1), "12"]})
+        assert str(exc.value) == "item '12' of lt/2 is not a tuple"
+
     def test_integer_kinds_build_the_same_table(self):
         expected = FiniteStructure(POSET, 2, {"lt": [(0, 1)]})
         for items in (

@@ -435,6 +435,12 @@ class TestFactories:
         assert P.n == 6
         assert P.validate() == []
 
+    def test_product_with_clashing_labels_is_numbered(self):
+        # a_b_c is both a x b_c and a_b x c
+        P = product_lattice(chain(2, ["a", "a_b"]), chain(2, ["b_c", "c"]))
+        assert P.labels == ("p0", "p1", "p2", "p3")
+        assert P.validate() == []
+
     def test_from_subsets(self):
         sets = [frozenset(), frozenset({0}), frozenset({0, 1})]
         L = from_subsets(sets)

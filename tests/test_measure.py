@@ -368,6 +368,12 @@ class TestFinSupp:
         assert integrate(f, set()) == ZERO
         assert integrate(f, set("abcd")) == ONE
 
+    def test_carrier_faults(self):
+        with pytest.raises(DomainError, match="^one weight per carrier point required$"):
+            FinSuppFn(("p", "q"), (ONE,))
+        with pytest.raises(DomainError, match="^carrier points must be distinct$"):
+            FinSuppFn(("p", "p"), (ONE, ZERO))
+
     def test_support_excludes_zero_weights(self):
         f = FinSuppFn(("p", "q"), (ONE, ZERO))
         assert f.support == ("p",)
@@ -408,6 +414,16 @@ class TestIntegrationMeasure:
         f = FinSuppFn((0, 1), (iota_exact(F(1, 2)),) * 2)
         with pytest.raises(DomainError):
             integration_measure(f, [frozenset(), frozenset({0}), frozenset({1})])
+
+    def test_requires_distinct_members_closed_under_meets(self):
+        f = FinSuppFn((0, 1, 2), (iota_exact(F(1, 3)),) * 3)
+        empty, full = frozenset(), frozenset({0, 1, 2})
+        with pytest.raises(DomainError, match="^algebra members must be distinct$"):
+            integration_measure(f, [empty, full, frozenset(full)])
+        # {0, 1} & {1, 2} = {1} is missing; every union is present
+        sets = [empty, frozenset({0, 1}), frozenset({1, 2}), full]
+        with pytest.raises(DomainError, match="^algebra not closed under intersection$"):
+            integration_measure(f, sets)
 
     def test_requires_bounds(self):
         f = FinSuppFn((0, 1), (iota_exact(F(1, 2)),) * 2)

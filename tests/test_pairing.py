@@ -194,6 +194,15 @@ class TestPadding:
 
 
 class TestSequences:
+    def test_directory_family_needs_one_file_per_index(self, tmp_path):
+        for i in (1, 2):
+            (tmp_path / f"{i}.struct").write_text("signature: lt/2\nuniverse: 2\nlt = {(0,1)}\n")
+        family = pairing.DirectoryFamily(tmp_path)
+        assert family.structure(2).size == 2
+        with pytest.raises(DomainError) as exc:
+            family.structure(3)
+        assert str(exc.value) == f"expected exactly one file for index 3 in {tmp_path}"
+
     def test_psi_values(self):
         rep = pairing_sequence(FENCE, PSI, horizon=12)
         expected = [

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from collections.abc import Sequence
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    prefix_members,
     reference_filter_to_measure,
     reference_grid_measures,
     reference_grid_ranks,
@@ -115,6 +117,10 @@ class TestStructureSemantics:
         loop = fo.Atom("r", ("x", "x"))
         assert eval_pl_structure(A, GE(F(1, 2), loop))
         assert not eval_pl_structure(A, GE(F(3, 4), loop))
+
+    def test_lattice_subject_is_refused(self):
+        with pytest.raises(DomainError, match="^atom subject 1 is not a formula$"):
+            eval_pl_structure(gen_example_structure(2), GE(F(0), 1))
 
     def test_zero_threshold_is_trivial(self):
         A = gen_example_structure(3)
@@ -581,39 +587,37 @@ class TestMonotoneSemantics:
 
 class TestFilters:
     def test_documented_presentation(self):
-        members = {(q, 2) for q in (F(0), F(1, 2), F(1))}
-        members |= {(F(0), 1), (F(1, 2), 1)}
-        members |= {(F(0), 0)}
-        pres = FilterPresentation(C3, 2, frozenset(members))
+        # (0, 0), (0, d), (1/2, d) and every threshold of the top
+        pres = FilterPresentation(C3, 2, (1, 2, 3))
         mu = filter_to_measure(pres)
         assert [str(v) for v in mu.values] == ["0^o", "1/2^o", "1^o"]
 
     def test_empty_rows_default_to_bottom(self):
-        members = {(q, 2) for q in (F(0), F(1, 2), F(1))}
-        pres = FilterPresentation(C3, 2, frozenset(members))
+        pres = FilterPresentation(C3, 2, (0, 0, 3))
         mu = filter_to_measure(pres)
         assert mu.values[0] == ZERO and mu.values[1] == ZERO
 
     def test_order_closure_violation(self):
         # (1/2, d) present but (1/2, top) missing
-        members = {(F(0), 0), (F(0), 1), (F(0), 2), (F(1, 2), 1)}
         with pytest.raises(PresentationError):
-            filter_to_measure(FilterPresentation(C3, 2, frozenset(members)))
-
-    def test_threshold_closure_violation(self):
-        members = {(q, 2) for q in (F(0), F(1, 2), F(1))}
-        members |= {(F(1, 2), 1)}  # missing (0, d)
-        with pytest.raises(PresentationError):
-            filter_to_measure(FilterPresentation(C3, 2, frozenset(members)))
+            filter_to_measure(FilterPresentation(C3, 2, (1, 2, 1)))
 
     def test_off_grid_threshold(self):
-        with pytest.raises(DomainError):
-            FilterPresentation(C3, 2, frozenset({(F(1, 3), 2)}))
+        # level k + 2 would hold the threshold (k + 1)/k, past the grid
+        with pytest.raises(DomainError, match=r"^level 4 of 1 is not an integer in 0\.\.3$"):
+            FilterPresentation(C3, 2, (1, 1, 4))
+        with pytest.raises(DomainError, match=r"^level -1 of d is not an integer in 0\.\.3$"):
+            FilterPresentation(C3, 2, (1, -1, 3))
+        for levels in ((1, 3), (1, 1, 1, 3), ()):
+            with pytest.raises(DomainError, match=f"^{len(levels)} levels for the 3 elements"):
+                FilterPresentation(C3, 2, levels)
 
     def test_float_threshold_is_refused(self):
-        with pytest.raises(DomainError, match=r"^0\.5 is not an exact rational$"):
-            FilterPresentation(chain(3), 2, frozenset({(0.5, 1)}))
-        assert FilterPresentation(chain(3), 2, frozenset({(1, 1)})).members == {(1, 1)}
+        for level in (0.5, 1.0, F(1), "1", None):
+            with pytest.raises(DomainError, match=f"^level {re.escape(repr(level))} of d is not"):
+                FilterPresentation(C3, 2, (1, level, 3))
+        pres = FilterPresentation(C3, 2, [np.int64(1), np.int8(1), 3])
+        assert pres.levels == (1, 1, 3) and all(type(v) is int for v in pres.levels)
 
     def test_round_trip_exact_grid_measures(self):
         for D in (C3, B4):
@@ -651,119 +655,88 @@ def _traced_peak(f) -> int:
 
 
 class TestPresentationBudget:
-    """Presentations test their thresholds arithmetically, and the table
-    and the members they grow with k are counted before they are built."""
+    """A presentation is one level per element, so nothing it builds grows
+    with k."""
 
     def test_empty_presentation_builds_no_grid(self):
-        assert _traced_peak(lambda: FilterPresentation(C3, 10**6, frozenset())) < 2**20
-        assert _traced_peak(lambda: FilterPresentation(C3, 10**30, frozenset({(F(3, 8), 1)}))) < 2**20
+        assert _traced_peak(lambda: FilterPresentation(C3, 10**6, (0, 0, 0))) < 2**20
+        assert _traced_peak(lambda: FilterPresentation(C3, 10**30, (0, 3 * 10**29, 10**30 + 1))) < 2**20
 
     def test_thresholds_on_the_grid(self):
-        members = {(F(0), 0), (F(1, 3), 1), (F(1, 2), 1), (F(5, 6), 2), (F(1), 2), (0, 0), (1, 2)}
-        assert FilterPresentation(C3, 6, frozenset(members)).members == frozenset(members)
-        for q in (F(1, 4), F(-1, 2), F(7, 6), F(3, 2), F(-6, 1)):
-            with pytest.raises(DomainError, match=f"threshold {q} is not on the resolution-6 grid"):
-                FilterPresentation(C3, 6, frozenset({(q, 1)}))
+        for k in (1, 6, 10**30):
+            assert FilterPresentation(C3, k, (0, 1, k + 1)).levels == (0, 1, k + 1)
+            with pytest.raises(DomainError, match=f"level {k + 2} of 1 is not an integer in 0..{k + 1}"):
+                FilterPresentation(C3, k, (0, 1, k + 2))
         for k in (0, -6):
             with pytest.raises(DomainError, match="grid resolution must be positive"):
-                FilterPresentation(C3, k, frozenset())
+                FilterPresentation(C3, k, (0, 0, 0))
             with pytest.raises(DomainError, match="grid resolution must be positive"):
                 presentation_of_measure(grid_measures(C3, 1)[0], k)
 
-    def test_membership_table_is_counted_before_it_is_built(self, monkeypatch):
-        def refused():
-            with pytest.raises(SizeError, match="the membership table would take 3000000003 bytes"):
-                filter_to_measure(FilterPresentation(C3, 10**9, frozenset()))
-
-        assert _traced_peak(refused) < 2**20
-        # C3 at k = 4: 3 rows of 5 thresholds, one byte each
-        mu = Measure(C3, (ZERO, iota_exact(F(1, 4)), ONE))
-        pres = presentation_of_measure(mu, 4)
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 15)
-        assert filter_to_measure(pres) == mu
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 14)
-        with pytest.raises(SizeError, match="the membership table would take 15 bytes"):
-            filter_to_measure(pres)
-
-    def test_members_are_counted_before_they_are_built(self, monkeypatch):
-        # 0, 1/2 and 1 on C3 hold 1, k/2 + 1 and k + 1 thresholds
+    def test_filter_to_measure_at_huge_k(self):
         mu = Measure(C3, (ZERO, iota_exact(F(1, 2)), ONE))
+        for k in (10**9, 10**30):
+            # 0, 1/2 and 1 on C3 hold 1, k/2 + 1 and k + 1 thresholds
+            pres = FilterPresentation(C3, k, (1, k // 2 + 1, k + 1))
+            assert _traced_peak(lambda: filter_to_measure(pres)) < 2**20
+            assert filter_to_measure(pres) == mu
+            with pytest.raises(PresentationError) as exc:
+                filter_to_measure(FilterPresentation(C3, k, (1, k + 1, k)))
+            assert str(exc.value) == "order closure fails: (1, d) present but (1, 1) missing"
 
-        def refused():
-            count = 1 + (5 * 10**8 + 1) + (10**9 + 1)
-            with pytest.raises(SizeError, match=f"the presentation would take {192 * count} bytes"):
-                presentation_of_measure(mu, 10**9)
-
-        assert _traced_peak(refused) < 2**20
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 192 * 9)
-        assert len(presentation_of_measure(mu, 4).members) == 9
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 192 * 9 - 1)
-        with pytest.raises(SizeError, match=f"the presentation would take {192 * 9} bytes"):
-            presentation_of_measure(mu, 4)
+    def test_presentation_of_measure_at_huge_k(self):
+        mu = Measure(C3, (ZERO, parse_gamma("1/3^-"), ONE))
+        for k in (10**9, 10**30):
+            assert _traced_peak(lambda: presentation_of_measure(mu, k)) < 2**20
+            # the largest i with (i/k)^o <= 1/3^- is ceil(k/3) - 1
+            assert presentation_of_measure(mu, k).levels == (1, -(-k // 3), k + 1)
 
 
-def _filter_outcome(to_measure, pres: FilterPresentation):
-    """The measure ``to_measure`` induces from ``pres``, or its error's text."""
+def _filter_outcome(to_measure, *args):
+    """The measure ``to_measure`` induces from ``args``, or its error's text."""
     try:
-        return to_measure(pres)
+        return to_measure(*args)
     except PresentationError as exc:
         return str(exc)
 
 
-def _toggled(pres: FilterPresentation):
-    """``pres`` with one (threshold, element) pair of the grid added or
-    removed, for every such pair."""
-    for a in range(pres.lattice.n):
-        for q in gamma.grid_rationals(pres.k):
-            yield FilterPresentation(pres.lattice, pres.k, pres.members ^ {(q, a)})
-
-
 class TestFilterKernel:
-    """The membership-table closures and the projection against the loops
-    and comparisons kept as references in conftest."""
+    """The level-vector closure and the projection against the member-set
+    loops and comparisons kept as references in conftest."""
 
     @pytest.mark.parametrize("D", [C3, B4, P23], ids=["C3", "B4", "2x3"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_against_the_references(self, D, k):
         kinds = set()
-        # measures on the grid k and on the grid k + 1 (mixed denominators)
-        for fine in (k, k + 1):
-            for mu in grid_measures(D, fine):
-                pres = presentation_of_measure(mu, k)
-                assert pres == reference_presentation_of_measure(mu, k)
-                for variant in [pres] + (list(_toggled(pres)) if fine == k else []):
-                    got = _filter_outcome(filter_to_measure, variant)
-                    assert got == _filter_outcome(reference_filter_to_measure, variant)
-                    if isinstance(got, str):
-                        kinds.add(got.split(" fails")[0].split(" does")[0])
+        for levels in itertools.product(range(k + 2), repeat=D.n):
+            pres = FilterPresentation(D, k, levels)
+            got = _filter_outcome(filter_to_measure, pres)
+            assert got == _filter_outcome(reference_filter_to_measure, D, k, prefix_members(pres))
+            if isinstance(got, str):
+                kinds.add(got.split(" fails")[0].split(" does")[0])
         # every kind of PresentationError is met
-        assert kinds == {"threshold closure", "order closure", "presentation"}
-
-    def test_threshold_closure_is_reported_first(self):
-        # (1, d) misses (0, d) below it and (1, 1) above it
-        pres = FilterPresentation(C3, 2, frozenset({(F(1), 1)}))
-        with pytest.raises(PresentationError) as exc:
-            filter_to_measure(pres)
-        assert str(exc.value) == "threshold closure fails: (1, d) present but (0, d) missing"
-        # element 0 breaks order closure and comes first, but threshold
-        # closure, broken at d, is checked first
-        pres = FilterPresentation(C3, 2, frozenset({(F(0), 0), (F(1), 1), (F(0), 2), (F(1), 2)}))
-        with pytest.raises(PresentationError) as exc:
-            filter_to_measure(pres)
-        assert str(exc.value) == "threshold closure fails: (1, d) present but (0, d) missing"
+        assert kinds == {"order closure", "presentation"}
+        # the image of the grid measures is their ranks halved, plus one
+        measures = grid_measures(D, k)
+        for mu, ranks in zip(measures, measures.ranks):
+            assert presentation_of_measure(mu, k).levels == tuple(ranks // 2 + 1)
+        # measures on the grid k + 1 (mixed denominators)
+        for mu in grid_measures(D, k + 1):
+            assert presentation_of_measure(mu, k) == reference_presentation_of_measure(mu, k)
 
     def test_first_violation_in_element_threshold_order(self):
         # on B4, a misses 1/2 at the top and b misses 1/4 at the top; a
         # comes first, then among b's failures the lower threshold
-        members = {(F(0), 0), (F(0), 3), (F(0), 1), (F(1, 4), 1), (F(1, 2), 1)}
-        members |= {(F(0), 2), (F(1, 4), 2)}
         with pytest.raises(PresentationError) as exc:
-            filter_to_measure(FilterPresentation(B4, 4, frozenset(members)))
+            filter_to_measure(FilterPresentation(B4, 4, (1, 3, 2, 1)))
         assert str(exc.value) == "order closure fails: (1/4, a) present but (1/4, 1) missing"
-        members |= {(F(1, 4), 3)}
         with pytest.raises(PresentationError) as exc:
-            filter_to_measure(FilterPresentation(B4, 4, frozenset(members)))
+            filter_to_measure(FilterPresentation(B4, 4, (1, 3, 2, 2)))
         assert str(exc.value) == "order closure fails: (1/2, a) present but (1/2, 1) missing"
+        # the first b above a that misses the threshold is named
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(FilterPresentation(C3, 2, (2, 1, 1)))
+        assert str(exc.value) == "order closure fails: (1/2, 0) present but (1/2, d) missing"
 
 
 class TestOneAST:
@@ -828,6 +801,8 @@ class TestPLSyntax:
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_pl_formula("[>= 2/3]{a", lattice=B4)
+        with pytest.raises(ParseError, match="^1:17: expected '}'$"):
+            parse_pl_formula("[>= 1/2]{lt(x,y)", signature=fo.POSET_SIGNATURE)
         with pytest.raises(ParseError):
             parse_pl_formula("[~ 1/2]{a}", lattice=B4)
         with pytest.raises(ParseError):

@@ -1,8 +1,12 @@
-"""The benchmark's tracer names program functions by string; they must resolve."""
+"""The benchmark's tracer names program functions by string; they must resolve.
+A fresh ``import stonepair`` loads exactly its eight library modules."""
 
 import ast
 import functools
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,16 @@ def test_traced_name_resolves(layer, name):
     # a "Class.method" entry resolves attribute by attribute
     module = importlib.import_module(f"stonepair.{layer}")
     assert callable(functools.reduce(getattr, name.split("."), module))
+
+
+def test_package_import_loads_the_submodules():
+    # ``import stonepair`` loads its eight library modules and not the CLI
+    code = (
+        "import sys, stonepair; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('stonepair'))))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    expected = ["chains", "errors", "fo", "gamma", "lattice", "measure", "pairing", "pl"]
+    assert out.stdout.split() == ["stonepair"] + [f"stonepair.{m}" for m in expected]
