@@ -14,11 +14,16 @@ whose every subformula evaluates to a boolean tensor with one axis of size
 |A| per free variable.  Tensor size thus follows the formula's width (the
 most free variables of any subformula), not its quantifier depth, and a
 context variable not free in the formula multiplies the count without being
-enumerated.  Every size refusal is a ``check_bytes`` charge against the one
-memory budget, made before anything is allocated: relation tables, family
-members' ``lt`` tables, the counting tensors (|A| ** width one-byte cells
-times the most of them alive at once) and satisfying sets past
-``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
+enumerated.  Before compiling, miniscoping pushes each quantifier inward, so
+fewer variables meet under it, and an ∃ whose factors each pair its
+variable with one of two others is a matrix product (∀ by duality): the
+Boolean sum over the variable, computed exactly as a float32 product of 0/1
+matrices, so that such a body never takes a tensor of three axes.  Every
+size refusal is a ``check_bytes`` charge against the one memory budget,
+made before anything is allocated: relation tables, family members' ``lt``
+tables, the counting tensors (|A| ** width one-byte cells times the most of
+them alive at once) and satisfying sets past ``MAX_TENSOR_CELLS`` bytes
+raise ``SizeError``.
 
 Formula text has one grammar and one parser, which ``pl`` extends for
 threshold formulas.  Precedence, low to high: ``->``, ``|``, ``&``, ``!``;
@@ -587,10 +592,19 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
 # equalities are views of one identity matrix, ``&``/``|`` broadcast over the
 # union of their operands' axes, and a quantifier reduces its variable's axis,
 # always the last one since its number is the highest in scope.
+#
+# Width is what costs, so ``_plan`` first rewrites the formula by
+# miniscoping (``_miniscope``): a quantifier distributes over the connective
+# it commutes with, factors without its variable move out of its scope, and
+# a body whose factors each mention the variable and one of two others is
+# grouped into ∃v.(L(a, v) ∧ R(b, v)).  That is the matrix product L · Rᵀ
+# over the Boolean semiring, evaluated by one float32 BLAS product
+# (``_CONTRACT``): the result is over (a, b) and no |A|³ tensor is built.
+# A body that does not factor keeps the reduction above.
 
 # The one memory budget, in bytes: one counting tensor of |A| ** width
 # one-byte cells fits it at width 3 up to |A| = 812 and at width 4 up to
-# |A| = 152.
+# |A| = 152; a contraction's 13 units of |A|² cells fit up to |A| = 6426.
 MAX_TENSOR_CELLS = 2**29
 
 
@@ -605,7 +619,7 @@ PLAN_CACHE_SIZE = 4096
 
 # Plan nodes are tuples headed by an opcode: every cached plan stays in
 # memory, and tuples are a fraction of the size of closures.
-_AND, _OR, _TABLE, _VIEW, _NOT, _ANY, _ALL, _EYE, _TRUE, _FALSE = range(10)
+_AND, _OR, _TABLE, _VIEW, _NOT, _ANY, _ALL, _CONTRACT, _EYE, _TRUE, _FALSE = range(11)
 _TRUE_NODE, _FALSE_NODE, _EYE_NODE = (_TRUE,), (_FALSE,), (_EYE,)
 _WHOLE = slice(None)
 
@@ -622,17 +636,169 @@ _CELLS = {_TRUE: _read_only(np.array(True)), _FALSE: _read_only(np.array(False))
 def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int, int]:
     """The root node, the axes of its tensor (context positions), the plan's
     width (the most axes of size |A| on any tensor or table it uses) and the
-    most tensors of that width its evaluation keeps alive at once (at least
-    one), which ``_run`` charges."""
+    most one-byte tensors of that width its evaluation keeps alive at once
+    (at least one; a float32 matrix counts as four), which ``_run``
+    charges.  The plan is compiled from ``_miniscope(phi)``."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
     missing = [v for v in free_vars(phi) if v not in ctx]
     if missing:
         raise DomainError(f"context misses free variables {missing}")
     widths = [0]
-    node, axes, alive = _compile(phi, {v: i for i, v in enumerate(ctx)}, len(ctx), widths)
+    node, axes, alive = _compile(
+        _miniscope(phi), {v: i for i, v in enumerate(ctx)}, len(ctx), widths
+    )
     width = max(widths)
     return node, axes, width, max(alive[width], 1)
+
+
+def _neg(phi: Formula) -> Formula:
+    return phi.body if isinstance(phi, Not) else Not(phi)
+
+
+def _split(phi: Formula, conj: bool) -> tuple[Formula, Formula] | None:
+    """The two sides of ``phi`` read as a ∧ (``conj``) or a ∨, reading
+    ``l -> r`` as ``!l | r`` and moving ``!`` inward by De Morgan; None when
+    ``phi`` is no such junction."""
+    match phi:
+        case And(l, r) if conj:
+            return l, r
+        case Or(l, r) if not conj:
+            return l, r
+        case Implies(l, r) if not conj:
+            return _neg(l), r
+        case Not(Or(l, r)) if conj:
+            return _neg(l), _neg(r)
+        case Not(And(l, r)) if not conj:
+            return _neg(l), _neg(r)
+        case Not(Implies(l, r)) if conj:
+            return l, _neg(r)
+        case Not(Not(body)):
+            return _split(body, conj)
+    return None
+
+
+def _leaves(phi: Formula, conj: bool, out: list[Formula] | None = None) -> list[Formula]:
+    """The factors of ``phi`` read as a ∧ (``conj``) or a ∨ by ``_split``,
+    left to right."""
+    out = [] if out is None else out
+    sides = _split(phi, conj)
+    if sides is None:
+        out.append(phi)
+    else:
+        _leaves(sides[0], conj, out)
+        _leaves(sides[1], conj, out)
+    return out
+
+
+def _junction(phi: Formula, conj: bool, leaves: Iterator[Formula | None]) -> Formula | None:
+    """``phi`` rebuilt in its own shape as a ∧ (``conj``) or a ∨ on
+    ``leaves``, which replace ``_leaves(phi, conj)`` in order; a None leaf
+    drops out, and so does a junction of none.  The tree is no higher than
+    ``phi``'s."""
+    sides = _split(phi, conj)
+    if sides is None:
+        return next(leaves)
+    left, right = _junction(sides[0], conj, leaves), _junction(sides[1], conj, leaves)
+    if left is None or right is None:
+        return right if left is None else left
+    return (And if conj else Or)(left, right)
+
+
+def _miniscope(phi: Formula) -> Formula:
+    """``phi`` with its quantifiers pushed inward, bottom-up, into an
+    equivalent formula (``phi`` itself when no rule applies).  For a
+    quantifier Q v over its rewritten body, reading ∃ with ∧ and ∀ with ∨
+    as its *factors* (``_leaves``):
+
+    * ∃v distributes over ∨ and ∀v over ∧;
+    * factors that do not mention v move out: ∃v.(A ∧ B) = A ∧ ∃v.B;
+    * when the body mentions exactly two variables besides v and each factor
+      at most one, the factors are grouped by that variable into one
+      junction per side, which ``_compile`` contracts as a matrix product;
+    * when one factor mentions both and the body is quantifier-free, that
+      factor is split if each of its dual factors mentions at most one:
+      ∃v.((a ∨ b) ∧ c) = ∃v.(a ∧ c) ∨ ∃v.(b ∧ c), and dually for ∀.
+
+    Only a split copies: the rest of the body once per dual factor, so the
+    tree grows at most quadratically in its literals, and since only a
+    quantifier-free body splits, its height at most doubles, plus three."""
+    seen: dict[int, tuple[Formula, frozenset[str], bool]] = {}
+
+    def scan(node: Formula) -> tuple[frozenset[str], bool]:
+        """``node``'s free variables, and whether it is quantifier-free."""
+        hit = seen.get(id(node))  # the node is kept in the entry: its id stays its own
+        if hit is None:
+            match node:
+                case Atom(_, args):
+                    found = frozenset(args), True
+                case Eq(left, right):
+                    found = frozenset((left, right)), True
+                case Not(body):
+                    found = scan(body)
+                case And(l, r) | Or(l, r) | Implies(l, r):
+                    (lv, lq), (rv, rq) = scan(l), scan(r)
+                    found = lv | rv, lq and rq
+                case Exists(var, body) | Forall(var, body):
+                    found = scan(body)[0] - {var}, False
+                case _:
+                    found = frozenset(), True
+            hit = seen[id(node)] = (node, *found)
+        return hit[1:]
+
+    def quantify(kind: type, var: str, body: Formula, original: Formula | None = None) -> Formula:
+        variables, quantifier_free = scan(body)
+        if var not in variables:
+            return body
+        exists = kind is Exists
+        outer_op = And if exists else Or
+        sides = _split(body, not exists)
+        if sides is not None:  # ∃ distributes over ∨, ∀ over ∧
+            return (Or if exists else And)(*(quantify(kind, var, side) for side in sides))
+        leaves = _leaves(body, exists)
+        inside = [var in scan(f)[0] for f in leaves]
+        if not all(inside):  # the factors without var move out
+            rest = _junction(body, exists, (None if i else f for f, i in zip(leaves, inside)))
+            core = _junction(body, exists, (f if i else None for f, i in zip(leaves, inside)))
+            return outer_op(rest, quantify(kind, var, core))
+        outer = variables - {var}
+        if len(outer) == 2:
+            groups = [scan(f)[0] & outer for f in leaves]
+            both = [k for k, g in enumerate(groups) if len(g) == 2]
+            if not both:  # one junction of factors per outer variable
+                b = max(outer)
+                on_b = [b in g for g in groups]
+                body = outer_op(
+                    _junction(body, exists, (None if s else f for f, s in zip(leaves, on_b))),
+                    _junction(body, exists, (f if s else None for f, s in zip(leaves, on_b))),
+                )
+            elif len(both) == 1 and quantifier_free:  # split the one factor with both
+                k = both[0]
+                pieces = _leaves(leaves[k], not exists)
+                if all(len(scan(p)[0] & outer) < 2 for p in pieces):
+                    before, after = leaves[:k], leaves[k + 1:]
+                    copies = (
+                        quantify(kind, var, _junction(body, exists, iter([*before, p, *after])))
+                        for p in pieces
+                    )
+                    return _junction(leaves[k], not exists, copies)
+        if original is not None and body is original.body:
+            return original
+        return kind(var, body)
+
+    def rewrite(node: Formula) -> Formula:
+        match node:
+            case Not(body):
+                new = rewrite(body)
+                return node if new is body else Not(new)
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                left, right = rewrite(l), rewrite(r)
+                return node if left is l and right is r else type(node)(left, right)
+            case Exists(var, body) | Forall(var, body):
+                return quantify(type(node), var, rewrite(body), node)
+        return node
+
+    return rewrite(phi)
 
 
 def _compile(
@@ -656,55 +822,95 @@ def _compile(
             widths.append(2)
             return _EYE_NODE, (a, b), Counter()
         case Not(body):
-            node, axes, alive = _compile(body, env, next_axis, widths)
-            if node is _TRUE_NODE or node is _FALSE_NODE:
-                return (_FALSE_NODE if node is _TRUE_NODE else _TRUE_NODE), (), Counter()
-            # in place on an allocated body, else one new tensor beside a table
-            return (_NOT, node), axes, alive | Counter([len(axes)])
+            return _negate(_compile(body, env, next_axis, widths))
         case Implies(l, r):
             return _compile(Or(Not(l), r), env, next_axis, widths)
         case And(l, r) | Or(l, r):
-            left, left_axes, left_alive = _compile(l, env, next_axis, widths)
-            right, right_axes, right_alive = _compile(r, env, next_axis, widths)
-            conj = isinstance(phi, And)
-            absorbing, neutral = (_FALSE_NODE, _TRUE_NODE) if conj else (_TRUE_NODE, _FALSE_NODE)
-            if left is absorbing or right is absorbing:
-                return absorbing, (), Counter()
-            if left is neutral:
-                return right, right_axes, right_alive
-            if right is neutral:
-                return left, left_axes, left_alive
-            axes = tuple(sorted(set(left_axes) | set(right_axes)))
-            widths.append(len(axes))
-            # an operand already over all of ``axes`` can hold the result
-            reuse = 1 if left_axes == axes else 2 if right_axes == axes else 0
-            # the left result stays alive while the right operand is computed
-            held = Counter([len(left_axes)] if _allocates(left) else [])
-            operands = held + Counter([len(right_axes)] if _allocates(right) else [])
-            if not (reuse == 1 and _allocates(left) or reuse == 2 and _allocates(right)):
-                operands[len(axes)] += 1
-            return (
-                _AND if conj else _OR,
-                left,
-                _expander(left_axes, axes),
-                right,
-                _expander(right_axes, axes),
-                reuse,
-            ), axes, left_alive | (right_alive + held) | operands
+            left, right = (_compile(side, env, next_axis, widths) for side in (l, r))
+            return _connect(isinstance(phi, And), left, right, widths)
         case Exists(var, body) | Forall(var, body):
-            node, axes, alive = _compile(body, {**env, var: next_axis}, next_axis + 1, widths)
+            exists = isinstance(phi, Exists)
+            inner = {**env, var: next_axis}
+            if isinstance(body, And if exists else Or):
+                left, right = (
+                    _compile(side, inner, next_axis + 1, widths) for side in (body.left, body.right)
+                )
+                # one side over (a, v) and the other over (b, v): a matrix product
+                if left[1][1:] == right[1][1:] == (next_axis,) and left[1] != right[1]:
+                    return _contract(not exists, left, right, widths)
+                node, axes, alive = _connect(exists, left, right, widths)
+            else:
+                node, axes, alive = _compile(body, inner, next_axis + 1, widths)
             if not axes or axes[-1] != next_axis:
                 return node, axes, alive  # the variable is not free in the body
             # the reduction is allocated while the body's tensor is alive
             reduced = Counter([len(axes) - 1] + ([len(axes)] if _allocates(node) else []))
-            return (_ANY if isinstance(phi, Exists) else _ALL, node), axes[:-1], alive | reduced
+            return (_ANY if exists else _ALL, node), axes[:-1], alive | reduced
     raise DomainError(f"not an evaluable node: {phi!r}")
+
+
+_Compiled = tuple[tuple, tuple[int, ...], Counter]
+
+
+def _negate(compiled: _Compiled) -> _Compiled:
+    node, axes, alive = compiled
+    if node is _TRUE_NODE or node is _FALSE_NODE:
+        return (_FALSE_NODE if node is _TRUE_NODE else _TRUE_NODE), (), Counter()
+    # in place on an allocated body, else one new tensor beside a table
+    return (_NOT, node), axes, alive | Counter([len(axes)])
+
+
+def _connect(conj: bool, left: _Compiled, right: _Compiled, widths: list[int]) -> _Compiled:
+    """The ``&`` (``conj``) or ``|`` of two compiled operands."""
+    (left, left_axes, left_alive), (right, right_axes, right_alive) = left, right
+    absorbing, neutral = (_FALSE_NODE, _TRUE_NODE) if conj else (_TRUE_NODE, _FALSE_NODE)
+    if left is absorbing or right is absorbing:
+        return absorbing, (), Counter()
+    if left is neutral:
+        return right, right_axes, right_alive
+    if right is neutral:
+        return left, left_axes, left_alive
+    axes = tuple(sorted(set(left_axes) | set(right_axes)))
+    widths.append(len(axes))
+    # an operand already over all of ``axes`` can hold the result
+    reuse = 1 if left_axes == axes else 2 if right_axes == axes else 0
+    # the left result stays alive while the right operand is computed
+    held = Counter([len(left_axes)] if _allocates(left) else [])
+    operands = held + Counter([len(right_axes)] if _allocates(right) else [])
+    if not (reuse == 1 and _allocates(left) or reuse == 2 and _allocates(right)):
+        operands[len(axes)] += 1
+    return (
+        _AND if conj else _OR,
+        left,
+        _expander(left_axes, axes),
+        right,
+        _expander(right_axes, axes),
+        reuse,
+    ), axes, left_alive | (right_alive + held) | operands
+
+
+def _contract(universal: bool, left: _Compiled, right: _Compiled, widths: list[int]) -> _Compiled:
+    """∃v.(L ∧ R) for L over axes (a, v) and R over (b, v), v the last axis,
+    as the (a, b) matrix product L · Rᵀ > 0 in float32: the terms are 0 or 1,
+    so a sum of them is 0 exactly when no term is 1.  ∀v.(L ∨ R) is
+    ¬∃v.(¬L ∧ ¬R), the product's zero cells.  A float32 matrix is charged as
+    four one-byte tensors of two axes: the left one is alive while the right
+    side is computed, and the product beside both; the boolean result is
+    charged beside those three too, a bound that leaves room for the
+    arrays' Python objects, as ``_evaluate`` frees the factors before it."""
+    if universal:
+        left, right = _negate(left), _negate(right)
+    if left[1] > right[1]:
+        left, right = right, left
+    widths.append(2)
+    alive = left[2] | (right[2] + Counter({2: 4})) | Counter({2: 13})
+    return (_CONTRACT, left[0], right[0], universal), (left[1][0], right[1][0]), alive
 
 
 def _allocates(node: tuple) -> bool:
     """Whether ``_evaluate`` allocates the node's tensor, which is then
     writeable, rather than returning a read-only table, view or constant."""
-    return node[0] <= _OR or _NOT <= node[0] <= _ALL
+    return node[0] <= _OR or _NOT <= node[0] <= _CONTRACT
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -768,6 +974,12 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
         return _evaluate(node[1], A).any(axis=-1)
     if op == _ALL:
         return _evaluate(node[1], A).all(axis=-1)
+    if op == _CONTRACT:
+        _, left, right, universal = node
+        factor = _evaluate(left, A).astype(np.float32)
+        product = factor @ _evaluate(right, A).astype(np.float32).T
+        del factor
+        return product == 0 if universal else product > 0
     if op == _EYE:
         return A._identity
     return _CELLS[op]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable
 
 from .errors import DomainError, ParseError
@@ -349,6 +349,12 @@ def parse_gamma(text: str, start: int = 0, end: int | None = None) -> GammaValue
         raise ParseError.at(str(exc), text, start) from exc
 
 
+def check_resolution(k: object) -> None:
+    """The one check of a grid resolution: k is an integer, at least 1."""
+    if not isinstance(k, Integral) or k < 1:
+        raise DomainError(f"grid resolution must be positive: k = {k!r} is not an integer >= 1")
+
+
 @dataclass(frozen=True)
 class GammaGrid:
     """The finite subdomain {0^o} and {(a/k)^-, (a/k)^o : 1 <= a <= k}.
@@ -360,8 +366,7 @@ class GammaGrid:
     points: tuple[GammaValue, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError("grid resolution must be positive")
+        check_resolution(self.k)
         points = tuple(point_of_rank(r, self.k) for r in range(2 * self.k + 1))
         object.__setattr__(self, "points", points)
 
@@ -374,6 +379,5 @@ class GammaGrid:
 
 def grid_rationals(k: int) -> tuple[Fraction, ...]:
     """The chain of rationals {0, 1/k, ..., 1} underlying ``GammaGrid(k)``."""
-    if k < 1:
-        raise DomainError("grid resolution must be positive")
+    check_resolution(k)
     return tuple(Fraction(a, k) for a in range(k + 1))

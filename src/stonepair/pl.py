@@ -206,8 +206,7 @@ def grid_measures(D: FiniteLattice, k: int) -> GridMeasures:
     ``Measure`` only when asked.  The 2k + 1 int64 ranks and each level are
     checked against the memory budget (``fo.check_bytes``) first.
     """
-    if k < 1:
-        raise DomainError("grid resolution must be positive")
+    gamma.check_resolution(k)
     fo.check_bytes("the grid's ranks", 8 * (2 * k + 1))
     if D.bottom == D.top:
         ranks = np.empty((0, D.n), dtype=np.int64)
@@ -508,8 +507,7 @@ class FilterPresentation:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError("grid resolution must be positive")
+        gamma.check_resolution(self.k)
         D, levels = self.lattice, tuple(self.levels)
         if len(levels) != D.n:
             raise DomainError(f"{len(levels)} levels for the {D.n} elements of the lattice")
@@ -555,6 +553,7 @@ def presentation_of_measure(mu: Measure, k: int) -> FilterPresentation:
     """The grid fragment of the filter of a measure: all (q, a) with
     q^o <= mu(a).  Element a's level is one more than the projection of
     mu(a) onto the resolution-k chain (``gamma.project_of_ranks``)."""
+    gamma.check_resolution(k)
     levels = tuple(
         gamma.project_of_ranks(gamma.rank(x, x.value.denominator), k, x.value.denominator) + 1
         for x in mu.values

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -551,11 +552,29 @@ class TestErrors:
         # width 4 on 200 elements exceeds the tensor guard; nothing is allocated
         big = tmp_path / "big.struct"
         big.write_text("signature: r/2\nuniverse: 200\nr = {(0,1),(1,2)}\n")
-        formula = "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)"
+        formula = "exists y. exists z. exists w. (r(x,y) | r(z,w)) & (r(y,z) | r(w,x))"
         for command in ("pair", "integrate"):
             assert invoke(command, "--structure", big, "--formula", formula) == (
-                1, "", f"error: the counting tensors would take {200**4} bytes; the guard is {2**29}\n"
+                1, "", f"error: the counting tensors would take {2 * 200**4} bytes; the guard is {2**29}\n"
             )
+
+    def test_four_cycle_counts_by_contraction(self, tmp_path):
+        # width 4 when every quantifier keeps its whole body; each contracts
+        # into one matrix product, so 200 elements fit
+        n = 200
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 2), (2, 0), (5, 5)]
+        big = tmp_path / "cycle.struct"
+        big.write_text(f"signature: r/2\nuniverse: {n}\nr = {{{','.join(map(str, edges))}}}\n")
+        R = np.zeros((n, n), dtype=np.int64)
+        R[tuple(np.array(edges).T)] = 1
+        count = int(np.count_nonzero(np.diag(np.linalg.matrix_power(R, 4))))
+        assert 0 < count < n
+        formula = "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)"
+        code, out, err = invoke("pair", "--structure", big, "--formula", formula)
+        assert (code, out.split()[:2], err) == (0, [str(count), str(n)], "")
+        assert invoke("integrate", "--structure", big, "--formula", formula) == (
+            0, out.rpartition(" ")[2], ""
+        )
 
     def test_oversized_fence_index_is_a_size_error(self):
         code, out, err = invoke(

@@ -369,7 +369,6 @@ class TestShapedCounting:
             " & ((r(x,z) | r(z,y)) & ((r(x,z) | r(z,y)) & !(x = z))))",
             4,
         ),
-        ("exists y. exists z. r(x,y) & r(y,z) & r(z,x)", 1),
     )
 
     @pytest.mark.parametrize("text, tensors", LIVE_TENSORS)
@@ -401,9 +400,11 @@ class TestShapedCounting:
     def test_size_guard_raises_before_allocating(self):
         n = 200  # width 4 needs 200**4 > MAX_TENSOR_CELLS cells
         A = FiniteStructure(BINARY_SIG, n, {"r": frozenset({(0, 1)})})
+        # every factor of each body mentions three variables: nothing contracts
         phi = parse_formula(
-            "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)", BINARY_SIG
+            "exists y. exists z. exists w. (r(x,y) | r(z,w)) & (r(y,z) | r(w,x))", BINARY_SIG
         )
+        assert fo._plan(phi, ("x",))[2:] == (4, 2)
         assert n**4 > fo.MAX_TENSOR_CELLS >= n**3
         tracemalloc.start()
         try:
@@ -416,6 +417,207 @@ class TestShapedCounting:
         # satisfying_set also guards the context it enumerates
         with pytest.raises(SizeError):
             satisfying_set(A, TRUE, ["a", "b", "c", "d"])
+
+
+def _height(phi) -> int:
+    match phi:
+        case Not(body) | Exists(_, body) | Forall(_, body):
+            return 1 + _height(body)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return 1 + max(_height(l), _height(r))
+    return 0
+
+
+def _size(phi) -> int:
+    match phi:
+        case Not(body) | Exists(_, body) | Forall(_, body):
+            return 1 + _size(body)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return 1 + _size(l) + _size(r)
+    return 1
+
+
+def _literals(phi) -> int:
+    match phi:
+        case Not(body) | Exists(_, body) | Forall(_, body):
+            return _literals(body)
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return _literals(l) + _literals(r)
+    return 1
+
+
+def _contracts(node: tuple) -> bool:
+    """Whether a plan node contracts, or one below it does."""
+    op = node[0]
+    if op in (fo._AND, fo._OR):
+        return _contracts(node[1]) or _contracts(node[3])
+    if op in (fo._NOT, fo._ANY, fo._ALL):
+        return _contracts(node[1])
+    return op == fo._CONTRACT
+
+
+# the literals under the innermost quantifier of a width-3 formula: each
+# mentions z and at most one of x, y, or, with ``z = x``, is an equality
+SHAPED_ATOMS = ("r(z,x)", "r(x,z)", "r(z,y)", "r(y,z)", "r(z,z)", "z = x", "y = z", "r(x,y)")
+
+
+@st.composite
+def shaped_formulas(draw):
+    """A quantifier over a junction of two to four literals in (x, y, z),
+    any of them negated, joined by ``&``, ``|`` and ``->`` and grouped at
+    random, maybe under a quantifier over y; the inner quantifier may re-bind
+    y in place of z."""
+    def literal() -> str:
+        atom = draw(st.sampled_from(SHAPED_ATOMS))
+        return f"!({atom})" if draw(st.booleans()) else atom
+
+    def junction(k: int) -> str:
+        if k == 1:
+            return literal()
+        split = draw(st.integers(1, k - 1))
+        op = draw(st.sampled_from(("&", "|", "->")))
+        return f"({junction(split)} {op} {junction(k - split)})"
+
+    def quantifier() -> str:
+        return draw(st.sampled_from(("exists", "forall")))
+
+    var = draw(st.sampled_from(("z", "z", "y")))
+    text = f"({quantifier()} {var}. {junction(draw(st.integers(2, 4))).replace('z', var)})"
+    if draw(st.booleans()):
+        op = draw(st.sampled_from(("&", "|", "->")))
+        text = f"({quantifier()} y. {literal().replace('z', 'y')} {op} {text})"
+    return parse_formula(text, BINARY_SIG)
+
+
+class TestContraction:
+    """∃z over factors in (x, z) and (y, z) is a float32 matrix product, and
+    miniscoping (``fo._miniscope``) brings bodies into that shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(structures(ternary=True), formulas(ternary=True, rebind=True))
+    def test_rewrite_preserves_satisfaction(self, A, phi):
+        rewritten = fo._miniscope(phi)
+        assert _height(rewritten) <= 2 * _height(phi) + 3
+        assert _size(rewritten) <= 2 * _size(phi) * _literals(phi)
+        for t in itertools.product(range(A.size), repeat=2):
+            alpha = {"x": t[0], "y": t[1]}
+            assert satisfies(A, alpha, rewritten) == satisfies(A, alpha, phi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(structures(max_size=5), shaped_formulas())
+    def test_shaped_counts_match_satisfies(self, A, phi):
+        rewritten = fo._miniscope(phi)
+        assert _height(rewritten) <= 2 * _height(phi) + 3
+        assert _size(rewritten) <= 2 * _size(phi) * _literals(phi)
+        for ctx in (("x", "y"), ("x",)):
+            if "y" in free_vars(phi) and ctx == ("x",):
+                continue
+            expected = {
+                t
+                for t in itertools.product(range(A.size), repeat=len(ctx))
+                if satisfies(A, dict(zip(ctx, t)), phi)
+            }
+            assert satisfying_set(A, phi, ctx) == expected
+            assert count_satisfying(A, phi, ctx) == len(expected)
+
+    def test_shaped_formulas_contract(self):
+        # one example per quantifier and connective pair, with r(z,z) and z = x
+        for text in (
+            "exists z. r(x,z) & r(z,y) & r(z,z)",
+            "exists z. r(x,z) | r(z,y) & z = x",
+            "forall z. r(x,z) | !r(y,z) | r(z,z)",
+            "forall z. (r(x,z) & !(z = y)) | r(z,x)",
+            "exists z. !(r(x,z) -> r(y,z))",
+            "forall z. r(x,z) -> r(z,y)",
+        ):
+            phi = parse_formula(text, BINARY_SIG)
+            node, _, width, tensors = fo._plan(phi, ("x", "y"))
+            assert (width, tensors) == (2, 13) and _contracts(node), text
+
+    def test_every_fo_large_shape_has_width_two(self):
+        # the benchmark's width-3 generator: three literals each with z and
+        # one of x, y, z, maybe negated, two connectives, either quantifier
+        literals = [
+            neg + atom for atom in ("r(z,x)", "r(x,z)", "r(z,y)", "r(y,z)", "r(z,z)") for neg in ("", "!")
+        ]
+        shapes = 0
+        for q, c1, c2 in itertools.product(("exists", "forall"), "&|", "&|"):
+            for l1, l2, l3 in itertools.product(literals, repeat=3):
+                text = f"r(x,x) & (forall y. r(y,x) | ({q} z. {l1} {c1} {l2} {c2} {l3}))"
+                assert fo._plan(parse_formula(text, BINARY_SIG), ("x",))[2] == 2, text
+                shapes += 1
+        assert shapes == 8000
+
+    CHARGED = (
+        "exists z. r(x,z) & r(z,y)",
+        "exists y. exists z. r(x,y) & r(y,z) & r(z,x)",
+        "forall z. r(x,z) | !r(y,z) | r(z,z)",
+    )
+
+    @pytest.mark.parametrize("text", CHARGED)
+    def test_charge_bounds_the_traced_peak(self, text):
+        n = 150
+        rng = np.random.default_rng(11)
+        A = FiniteStructure.from_tables(BINARY_SIG, {"r": rng.random((n, n)) < 0.3})
+        phi = parse_formula(text, BINARY_SIG)
+        ctx = ("x", "y") if "y" in free_vars(phi) else ("x",)
+        assert fo._plan(phi, ctx)[2:] == (2, 13)
+        count_satisfying(A, phi, ctx)
+        tracemalloc.start()
+        try:
+            count_satisfying(A, phi, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three float32 matrices are alive at the product
+        assert 12 * n**2 <= peak <= 13 * n**2
+
+    def test_four_cycle_at_two_hundred(self):
+        # width 4 without contraction, and 200**4 cells are past the guard
+        n = 200
+        R = np.random.default_rng(3).random((n, n)) < 4 / n
+        A = FiniteStructure.from_tables(BINARY_SIG, {"r": R})
+        phi = parse_formula(
+            "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)", BINARY_SIG
+        )
+        assert fo._plan(phi, ("x",))[2:] == (2, 13)
+        expected = np.diag(np.linalg.matrix_power(R.astype(np.int64), 4)) > 0
+        assert 0 < expected.sum() < n
+        assert satisfying_set(A, phi, ["x"]) == {(int(x),) for x in np.flatnonzero(expected)}
+        assert count_satisfying(A, phi, ["x"]) == int(expected.sum())
+        r = pairing.stone_pairing(A, phi, ("x",))
+        assert (r.count, r.total) == (int(expected.sum()), n)
+
+    def test_rewrite_growth_at_the_nesting_limit(self):
+        limit = fo.MAX_NESTING
+        R = np.random.default_rng(5).random((4, 4)) < 0.5
+        A = FiniteStructure.from_tables(BINARY_SIG, {"r": R})
+        m = limit // 2 - 2
+        # one factor splits m ways
+        pieces = " & ".join(("r(x,z)", "r(y,z)")[i % 2] for i in range(m))
+        rest = " | ".join(("r(z,x)", "!r(z,y)", "r(z,z)")[i % 3] for i in range(m))
+        split = parse_formula(f"forall z. ({pieces}) | {rest}", BINARY_SIG)
+        # every quantifier but the innermost moves a factor out
+        path = " & ".join(f"r(v{i},v{i + 1})" for i in range(m)).replace("v0", "x")
+        walk = parse_formula("".join(f"exists v{i + 1}. " for i in range(m)) + path, BINARY_SIG)
+        reach = np.ones(4, dtype=bool)
+        for _ in range(m):
+            reach = (R.astype(np.int64) @ reach) > 0
+        default = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # Python's default
+        try:
+            for phi, ctx in ((split, ("x", "y")), (walk, ("x",))):
+                assert _height(phi) <= limit
+                rewritten = fo._miniscope(phi)
+                assert _height(rewritten) <= 2 * _height(phi) + 3
+                assert _size(rewritten) <= _literals(phi) ** 2
+                assert fo._plan(phi, ctx)[2] == 2
+            assert count_satisfying(A, split, ("x", "y")) == sum(
+                satisfies(A, {"x": x, "y": y}, split) for x in range(4) for y in range(4)
+            )
+            assert count_satisfying(A, walk, ("x",)) == int(reach.sum())
+        finally:
+            sys.setrecursionlimit(default)
 
 
 class TestExampleFamily:

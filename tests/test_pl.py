@@ -673,6 +673,26 @@ class TestPresentationBudget:
             with pytest.raises(DomainError, match="grid resolution must be positive"):
                 presentation_of_measure(grid_measures(C3, 1)[0], k)
 
+    def test_resolution_is_an_integer_at_least_one(self):
+        # one check, naming k, before a Fraction, a range or a comparison
+        # could trip over a float or a string
+        C = chain(3)
+        mu = grid_measures(C, 1)[0]
+        for k in (2.5, "3", 0, -1, F(3), None):
+            message = re.escape(f"k = {k!r} is not an integer >= 1")
+            for call in (
+                lambda: grid_measures(C, k),
+                lambda: check_soundness_grid(C, k),
+                lambda: entails_grid(fo.TRUE, fo.TRUE, C, k),
+                lambda: FilterPresentation(C, k, (1, 2, 3)),
+                lambda: presentation_of_measure(mu, k),
+                lambda: gamma.GammaGrid(k),
+                lambda: gamma.grid_rationals(k),
+            ):
+                with pytest.raises(DomainError, match=message):
+                    call()
+        assert len(grid_measures(C, np.int64(2))) == len(grid_measures(C, 2))
+
     def test_filter_to_measure_at_huge_k(self):
         mu = Measure(C3, (ZERO, iota_exact(F(1, 2)), ONE))
         for k in (10**9, 10**30):
