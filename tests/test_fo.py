@@ -369,6 +369,8 @@ class TestShapedCounting:
             " & ((r(x,z) | r(z,y)) & ((r(x,z) | r(z,y)) & !(x = z))))",
             4,
         ),
+        # the equalities keep each group three-variable, so nothing contracts
+        ("exists y. exists z. r(x,y) & (r(y,z) | y = z) & (r(z,x) | x = y)", 1),
     )
 
     @pytest.mark.parametrize("text, tensors", LIVE_TENSORS)
