@@ -6,7 +6,9 @@ table with one axis of size |A| per argument; the evaluator, the counter
 and the text format all read the tables.  Formulas are immutable ASTs with
 equality as a built-in logical symbol; each node computes its hash once, at
 construction, and caches it, so keying the plan cache by a formula costs no
-walk of the tree.  Evaluation is Tarskian
+walk of the tree.  One memoised walk gives a formula's free variables and
+its quantifier rank (``free_vars``, ``quantifier_rank``), and the plan
+compiler reads both for every subformula from one memo.  Evaluation is Tarskian
 (``satisfies``, the slow reference).  Counting satisfying assignments
 (``count_satisfying``, ``satisfying_set``) is exact: each (formula, context)
 is compiled once into a plan, kept in a cache of ``PLAN_CACHE_SIZE`` entries,
@@ -67,6 +69,7 @@ from .errors import DomainError, ParseError, SizeError
 
 _T = TypeVar("_T")
 _INTEGERS = (int, np.integer, np.bool_)  # what a tuple entry or assignment value may be
+PLAN_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -232,10 +235,10 @@ def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]
 
 class Formula:
     """Base class for formula AST nodes.  Nodes have slots: the plan cache
-    keeps up to ``PLAN_CACHE_SIZE`` formulas alive.  A node computes its
-    hash once, at construction, from its class and its fields' hashes (a
-    child's is already kept), and keeps it in the slot ``_hash``: a
-    plan-cache lookup reads one attribute instead of walking the tree.
+    and ``free_vars`` keep up to ``PLAN_CACHE_SIZE`` formulas alive each.  A
+    node computes its hash once, at construction, from its class and its
+    fields' hashes (a child's is already kept), and keeps it in the slot
+    ``_hash``: a cache lookup reads one attribute instead of walking the tree.
     Threshold formulas (``pl``) are trees of ``Const``, ``Not``, ``And`` and
     ``Or`` whose leaves are ``pl.GE`` and ``pl.LT`` atoms; ``count_satisfying``
     refuses them, and ``format_formula`` renders such a leaf by its repr."""
@@ -321,32 +324,41 @@ class Forall(Formula):
     body: Formula
 
 
-def free_vars(phi: Formula) -> tuple[str, ...]:
-    """Free variables in first-occurrence order."""
-    out: list[str] = []
-
-    def walk(node: Formula, bound: frozenset[str]) -> None:
+def _facts(node: Formula, memo: dict[int, tuple]) -> tuple[tuple[str, ...], int]:
+    """The one analysis of a formula: ``node``'s free variables in
+    first-occurrence order and its quantifier rank, memoised by node id in
+    ``memo`` (each entry keeps its node, so no id is reused while the memo
+    lives); a leaf of another logic, as ``pl``'s atoms, has neither."""
+    hit = memo.get(id(node))
+    if hit is None:
         match node:
             case Atom(_, args):
-                for v in args:
-                    if v not in bound and v not in out:
-                        out.append(v)
+                found = tuple(dict.fromkeys(args)), 0
             case Eq(left, right):
-                for v in (left, right):
-                    if v not in bound and v not in out:
-                        out.append(v)
+                found = tuple(dict.fromkeys((left, right))), 0
             case Not(body):
-                walk(body, bound)
+                found = _facts(body, memo)
             case And(l, r) | Or(l, r) | Implies(l, r):
-                walk(l, bound)
-                walk(r, bound)
+                (lv, lq), (rv, rq) = _facts(l, memo), _facts(r, memo)
+                found = tuple(dict.fromkeys(lv + rv)), max(lq, rq)
             case Exists(var, body) | Forall(var, body):
-                walk(body, bound | {var})
-            case Const(_):
-                pass
+                variables, rank = _facts(body, memo)
+                found = tuple(v for v in variables if v != var), rank + 1
+            case _:
+                found = (), 0
+        hit = memo[id(node)] = node, found
+    return hit[1]
 
-    walk(phi, frozenset())
-    return tuple(out)
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def free_vars(phi: Formula) -> tuple[str, ...]:
+    """Free variables in first-occurrence order, cached as plans are."""
+    return _facts(phi, {})[0]
+
+
+def quantifier_rank(phi: Formula) -> int:
+    """The most quantifiers nested on a branch of ``phi``, 0 if there are none."""
+    return _facts(phi, {})[1]
 
 
 def format_formula(phi: Formula) -> str:
@@ -615,8 +627,6 @@ def check_bytes(step: str, nbytes: int) -> None:
         raise SizeError(f"{step} would take {nbytes} bytes; the guard is {MAX_TENSOR_CELLS}")
 
 
-PLAN_CACHE_SIZE = 4096
-
 # Plan nodes are tuples headed by an opcode: every cached plan stays in
 # memory, and tuples are a fraction of the size of closures.
 _AND, _OR, _TABLE, _VIEW, _NOT, _ANY, _ALL, _CONTRACT, _EYE, _TRUE, _FALSE = range(11)
@@ -641,12 +651,13 @@ def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], i
     charges.  The plan is compiled from ``_miniscope(phi)``."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
-    missing = [v for v in free_vars(phi) if v not in ctx]
+    memo: dict[int, tuple] = {}
+    missing = [v for v in _facts(phi, memo)[0] if v not in ctx]
     if missing:
         raise DomainError(f"context misses free variables {missing}")
     widths = [0]
     node, axes, alive = _compile(
-        _miniscope(phi), {v: i for i, v in enumerate(ctx)}, len(ctx), widths
+        _miniscope(phi, memo), {v: i for i, v in enumerate(ctx)}, len(ctx), widths
     )
     width = max(widths)
     return node, axes, width, max(alive[width], 1)
@@ -705,7 +716,7 @@ def _junction(phi: Formula, conj: bool, leaves: Iterator[Formula | None]) -> For
     return (And if conj else Or)(left, right)
 
 
-def _miniscope(phi: Formula) -> Formula:
+def _miniscope(phi: Formula, memo: dict[int, tuple] | None = None) -> Formula:
     """``phi`` with its quantifiers pushed inward, bottom-up, into an
     equivalent formula (``phi`` itself when no rule applies).  For a
     quantifier Q v over its rewritten body, reading ∃ with ∧ and ∀ with ∨
@@ -722,32 +733,12 @@ def _miniscope(phi: Formula) -> Formula:
 
     Only a split copies: the rest of the body once per dual factor, so the
     tree grows at most quadratically in its literals, and since only a
-    quantifier-free body splits, its height at most doubles, plus three."""
-    seen: dict[int, tuple[Formula, frozenset[str], bool]] = {}
-
-    def scan(node: Formula) -> tuple[frozenset[str], bool]:
-        """``node``'s free variables, and whether it is quantifier-free."""
-        hit = seen.get(id(node))  # the node is kept in the entry: its id stays its own
-        if hit is None:
-            match node:
-                case Atom(_, args):
-                    found = frozenset(args), True
-                case Eq(left, right):
-                    found = frozenset((left, right)), True
-                case Not(body):
-                    found = scan(body)
-                case And(l, r) | Or(l, r) | Implies(l, r):
-                    (lv, lq), (rv, rq) = scan(l), scan(r)
-                    found = lv | rv, lq and rq
-                case Exists(var, body) | Forall(var, body):
-                    found = scan(body)[0] - {var}, False
-                case _:
-                    found = frozenset(), True
-            hit = seen[id(node)] = (node, *found)
-        return hit[1:]
+    quantifier-free body splits, its height at most doubles, plus three.
+    ``memo`` is the memo of ``_facts`` that ``_plan`` has filled."""
+    memo = {} if memo is None else memo
 
     def quantify(kind: type, var: str, body: Formula, original: Formula | None = None) -> Formula:
-        variables, quantifier_free = scan(body)
+        variables, rank = _facts(body, memo)
         if var not in variables:
             return body
         exists = kind is Exists
@@ -756,14 +747,14 @@ def _miniscope(phi: Formula) -> Formula:
         if sides is not None:  # ∃ distributes over ∨, ∀ over ∧
             return (Or if exists else And)(*(quantify(kind, var, side) for side in sides))
         leaves = _leaves(body, exists)
-        inside = [var in scan(f)[0] for f in leaves]
+        inside = [var in _facts(f, memo)[0] for f in leaves]
         if not all(inside):  # the factors without var move out
             rest = _junction(body, exists, (None if i else f for f, i in zip(leaves, inside)))
             core = _junction(body, exists, (f if i else None for f, i in zip(leaves, inside)))
             return outer_op(rest, quantify(kind, var, core))
-        outer = variables - {var}
+        outer = frozenset(variables) - {var}
         if len(outer) == 2:
-            groups = [scan(f)[0] & outer for f in leaves]
+            groups = [outer.intersection(_facts(f, memo)[0]) for f in leaves]
             both = [k for k, g in enumerate(groups) if len(g) == 2]
             if not both:  # one junction of factors per outer variable
                 b = max(outer)
@@ -772,10 +763,10 @@ def _miniscope(phi: Formula) -> Formula:
                     _junction(body, exists, (None if s else f for f, s in zip(leaves, on_b))),
                     _junction(body, exists, (f if s else None for f, s in zip(leaves, on_b))),
                 )
-            elif len(both) == 1 and quantifier_free:  # split the one factor with both
+            elif len(both) == 1 and rank == 0:  # split the one factor with both
                 k = both[0]
                 pieces = _leaves(leaves[k], not exists)
-                if all(len(scan(p)[0] & outer) < 2 for p in pieces):
+                if all(len(outer.intersection(_facts(p, memo)[0])) < 2 for p in pieces):
                     before, after = leaves[:k], leaves[k + 1:]
                     copies = (
                         quantify(kind, var, _junction(body, exists, iter([*before, p, *after])))

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -298,17 +299,18 @@ def pairing_sequence(
     context: Sequence[str] | None = None,
     horizon: int = 12,
 ) -> SequenceReport:
-    """Pair phi against family members 1..horizon and classify convergence.
+    """Pair phi against family members 1..horizon (an integer, at least 4)
+    and classify convergence; member ``horizon`` is built second, after 1.
 
     With a closed form the computed values are cross-checked against it and
     the verdicts are taken from its tagged limits; otherwise the heuristic
     tail analysis runs and the verdicts are only as good as the horizon.
     """
-    if horizon < 4:
-        raise DomainError("horizon must be at least 4")
+    if not isinstance(horizon, Integral) or horizon < 4:
+        raise DomainError(f"horizon must be at least 4: {horizon!r} is not an integer >= 4")
     ctx = fo.free_vars(phi) if context is None else tuple(context)
     results = []
-    for index in range(1, horizon + 1):
+    for index in itertools.chain((1, horizon), range(2, horizon)):
         try:
             A = family.structure(index)
         except InternalInvariantError:
@@ -318,6 +320,7 @@ def pairing_sequence(
                 f"family {family.name} failed at index {index}: {exc}"
             ) from exc
         results.append(stone_pairing(A, phi, ctx))
+    results.append(results.pop(1))  # member horizon's pairing to its place
     classical = [r.classical for r in results]
     closed = family.closed_form(phi)
     if closed is not None:

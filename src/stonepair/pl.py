@@ -43,6 +43,7 @@ projects each value onto the grid with ``gamma.project_of_ranks``, and
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,18 +174,20 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
 
 class GridMeasures(Sequence):
     """A read-only sequence over a rank table, one int64 row of ranks 0..2k
-    per grid measure (``ranks``); indexing and iteration build a ``Measure``
-    on demand, each grid point once per view."""
+    per grid measure (``ranks``); an index builds a ``Measure`` on demand,
+    each grid point once per view, and a slice is the view of its rows."""
 
     def __init__(self, D: FiniteLattice, k: int, ranks: np.ndarray):
         ranks.flags.writeable = False
-        self.lattice, self.ranks = D, ranks
+        self.lattice, self.k, self.ranks = D, k, ranks
         self._point = cache(lambda r: gamma.point_of_rank(r, k))
 
     def __len__(self) -> int:
         return len(self.ranks)
 
-    def __getitem__(self, i: int) -> Measure:
+    def __getitem__(self, i: int | slice) -> Measure | GridMeasures:
+        if isinstance(i, slice):
+            return GridMeasures(self.lattice, self.k, self.ranks[i])
         return Measure(self.lattice, tuple(map(self._point, self.ranks[i].tolist())))
 
 
@@ -206,13 +209,18 @@ def grid_measures(D: FiniteLattice, k: int) -> GridMeasures:
     ``Measure`` only when asked.  The 2k + 1 int64 ranks and each level are
     checked against the memory budget (``fo.check_bytes``) first.
     """
-    gamma.check_resolution(k)
-    fo.check_bytes("the grid's ranks", 8 * (2 * k + 1))
+    _check_grid(k)
     if D.bottom == D.top:
         ranks = np.empty((0, D.n), dtype=np.int64)
     else:
         ranks = _grid_ranks(D, k)
     return GridMeasures(D, k, ranks)
+
+
+def _check_grid(k: int) -> None:
+    """k is a grid resolution whose 2k + 1 int64 ranks fit the budget."""
+    gamma.check_resolution(k)
+    fo.check_bytes("the grid's ranks", 8 * (2 * k + 1))
 
 
 def _atom_rows(ranks: np.ndarray, k: int) -> np.ndarray:
@@ -336,6 +344,14 @@ def _put(cols: np.ndarray, start: int, shape: tuple[int, ...], at, *columns) -> 
     return stop
 
 
+def _rule_rows(D: FiniteLattice, k: int) -> tuple[int, int]:
+    """The rows of ``_rule_table`` and its T triples 0 <= i + j - l <= k: for
+    s = i + j there are min(s, 2k - s) + 1 pairs (i, j), and as many l."""
+    n, g, leq = D.n, k + 1, int(D._order_arrays[0].sum())
+    triples = g * (g + 1) * (2 * g + 1) // 6 + k * g * (2 * k + 1) // 6
+    return n * g * (g + 1) // 2 + 2 * g + leq * g + 2 * n * n * triples + 2 * n * g, triples
+
+
 def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     """All instances of L1..L6 as the rows of one int64 table, in
     ``rule_instances`` order (columns described above ``_put``).
@@ -357,10 +373,7 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     levels = 2 * k + 1
     true, false = 2 * n * levels, 2 * n * levels + 1
     leq, meet, join = D._order_arrays
-    # (i, j, l) with 0 <= i + j - l <= k: for s = i + j there are
-    # min(s, 2k - s) + 1 pairs (i, j), and as many l
-    triples = g * (g + 1) * (2 * g + 1) // 6 + k * g * (2 * k + 1) // 6
-    rows = n * g * (g + 1) // 2 + 2 * g + int(leq.sum()) * g + 2 * n * n * triples + 2 * n * g
+    rows, triples = _rule_rows(D, k)
     loops = 12 * g**3 + 64 * triples + 32 * n * n + 24 * np.getbufsize()
     fo.check_bytes("the rule table", 80 * rows + loops)
 
@@ -474,11 +487,17 @@ def check_soundness_grid(D: FiniteLattice, k: int) -> SoundnessReport:
     gathered table holds rows x ⌈M/8⌉ bytes and two are live at the peak
     (the running AND and the next gather); the two are checked together
     against the memory budget before the atom table is built (on chain(6)
-    at k = 6, 17045 rows of 228 bytes, 3.9 MB a table).  A
+    at k = 6, 17045 rows of 228 bytes, 3.9 MB a table), and before the
+    search at the least M, C(k + j - 1, k): the weightings of the j
+    join-irreducibles on the 1/k grid, each its own grid measure.  A
     ``RuleInstance`` is built only for a failing row; its countermodel is
     the measure at the row's lowest set bit, the first refuting measure in
     enumeration order.
     """
+    _check_grid(k)
+    least = math.comb(k + len(D.join_irreducibles()) - 1, k)  # 0 when D has one element
+    gathers = f"the soundness gathers over at least {least} grid measures"
+    fo.check_bytes(gathers, 2 * _rule_rows(D, k)[0] * -(-least // 8))
     measures = grid_measures(D, k)
     table = _rule_table(D, k)
     fo.check_bytes("the soundness gathers", 2 * len(table) * -(-len(measures) // 8))

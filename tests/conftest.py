@@ -185,6 +185,50 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
     return ClassicalMeasure(L, values)
 
 
+# -- reference oracles for the formula analysis ---------------------------------
+
+
+def reference_free_vars(phi: fo.Formula) -> tuple[str, ...]:
+    """Free variables in first-occurrence order, by a walk that carries the
+    bound variables down the tree."""
+    out: list[str] = []
+
+    def walk(node: fo.Formula, bound: frozenset[str]) -> None:
+        match node:
+            case fo.Atom(_, args):
+                for v in args:
+                    if v not in bound and v not in out:
+                        out.append(v)
+            case fo.Eq(left, right):
+                for v in (left, right):
+                    if v not in bound and v not in out:
+                        out.append(v)
+            case fo.Not(body):
+                walk(body, bound)
+            case fo.And(l, r) | fo.Or(l, r) | fo.Implies(l, r):
+                walk(l, bound)
+                walk(r, bound)
+            case fo.Exists(var, body) | fo.Forall(var, body):
+                walk(body, bound | {var})
+
+    walk(phi, frozenset())
+    return tuple(out)
+
+
+def reference_quantifier_rank(phi: fo.Formula) -> int:
+    """The quantifier rank by its recursive definition: 0 at a leaf, the
+    larger side's at a binary connective, one more than the body's at a
+    quantifier."""
+    match phi:
+        case fo.Not(body):
+            return reference_quantifier_rank(body)
+        case fo.And(l, r) | fo.Or(l, r) | fo.Implies(l, r):
+            return max(reference_quantifier_rank(l), reference_quantifier_rank(r))
+        case fo.Exists(_, body) | fo.Forall(_, body):
+            return 1 + reference_quantifier_rank(body)
+    return 0
+
+
 # -- reference oracles for the rank kernel and the rule instances -------------------
 
 

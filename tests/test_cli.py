@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -150,6 +151,17 @@ class TestConverge:
         )
         assert code == 0
         assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
+
+    def test_horizon_past_the_budget_exits_at_once(self):
+        # the last member is built second: fence members are refused from
+        # index 46338 on, so no earlier member is paired before the error
+        start = time.perf_counter()
+        code, out, err = invoke(
+            "converge", "--family", "fence", "--formula", "true", "--horizon", "99999999999999"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: family fence failed at index 99999999999999:")
+        assert time.perf_counter() - start < 1
 
     def test_unknown_family_and_empty_vars(self):
         code, out, err = invoke(

@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import BINARY_SIG, formulas, reference_fence, relation_tuples, structures
-from stonepair import fo, pairing
+from conftest import (
+    BINARY_SIG,
+    formulas,
+    reference_fence,
+    reference_free_vars,
+    reference_quantifier_rank,
+    relation_tuples,
+    structures,
+)
+from stonepair import fo, pairing, pl
 from stonepair.errors import DomainError, ParseError, SizeError
 from stonepair.fo import (
     And,
@@ -35,6 +43,7 @@ from stonepair.fo import (
     parse_formula,
     parse_structure,
     format_structure,
+    quantifier_rank,
     satisfies,
     satisfying_set,
 )
@@ -134,6 +143,37 @@ class TestFreeVars:
     def test_first_occurrence_order(self):
         phi = parse_formula("lt(y,x) & lt(x,y)", POSET)
         assert free_vars(phi) == ("y", "x")
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(depth=5, ternary=True, rebind=True))
+    def test_analysis_against_the_references(self, phi):
+        assert free_vars(phi) == reference_free_vars(phi)
+        assert quantifier_rank(phi) == reference_quantifier_rank(phi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.recursive(
+            st.one_of(
+                st.builds(kind, st.fractions(0, 1), st.integers(0, 3) | formulas())
+                for kind in (pl.GE, pl.LT)
+            ),
+            lambda tree: st.builds(Not, tree) | st.builds(And, tree, tree) | st.builds(Or, tree, tree),
+            max_leaves=6,
+        )
+    )
+    def test_threshold_leaves_have_no_variable_and_no_rank(self, phi):
+        assert free_vars(phi) == reference_free_vars(phi) == ()
+        assert quantifier_rank(phi) == reference_quantifier_rank(phi) == 0
+
+    def test_pinned_ranks(self):
+        assert quantifier_rank(maximal_not_maximum()) == 1
+        # the shape of the benchmark's width-3 generator
+        shape = "r(x,x) & (forall y. r(y,x) | (exists z. r(z,x) & !r(y,z) | r(z,z)))"
+        assert quantifier_rank(parse_formula(shape, BINARY_SIG)) == 2
+        assert quantifier_rank(parse_formula("r(x,y) -> x = y", BINARY_SIG)) == 0
+        # vacuous and re-binding quantifiers count, siblings do not add up
+        assert quantifier_rank(parse_formula("exists x. forall x. r(x,x)", BINARY_SIG)) == 2
+        assert quantifier_rank(parse_formula("(exists y. r(x,y)) & forall y. r(y,x)", BINARY_SIG)) == 1
 
 
 class TestSatisfies:

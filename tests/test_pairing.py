@@ -295,8 +295,21 @@ class TestSequences:
         )
 
     def test_horizon_guard(self):
-        with pytest.raises(DomainError):
-            pairing_sequence(FENCE, PSI, horizon=3)
+        for horizon in (3, 4.5, 12.0, "12", None):
+            with pytest.raises(DomainError, match="horizon must be at least 4"):
+                pairing_sequence(FENCE, PSI, horizon=horizon)
+
+    def test_first_and_last_members_are_built_first(self):
+        built = []
+
+        class Recorded(StructureFamily):
+            def structure(self, index):
+                built.append(index)
+                return gen_example_structure(index)
+
+        rep = pairing_sequence(Recorded(), PSI, horizon=8)
+        assert built == [1, 8, 2, 3, 4, 5, 6, 7]
+        assert rep.results == pairing_sequence(FENCE, PSI, horizon=8).results
 
     def test_family_failure_names_index(self):
         class Broken(StructureFamily):

@@ -202,6 +202,15 @@ class TestGridMeasures:
         soundness = check_soundness_grid(C3, 2)
         assert sizes == [entailment.measures_checked, soundness.measures_checked] == [7, 5]
 
+    def test_slices_are_views(self):
+        ms = grid_measures(B4, 3)
+        listed = list(ms)
+        for i in (slice(0, 2), slice(None, None, 2), slice(-3, None), slice(None, -2, -3), slice(5, 1)):
+            part = ms[i]
+            assert isinstance(part, pl.GridMeasures) and list(part) == listed[i]
+            assert np.shares_memory(part.ranks, ms.ranks) or not len(part)
+        assert list(grid_measures(C3, 2)[0:2]) == list(grid_measures(C3, 2))[0:2]
+
     def test_view_builds_measures_on_demand(self):
         ms = grid_measures(B4, 2)
         assert isinstance(ms, Sequence) and not ms.ranks.flags.writeable
@@ -224,8 +233,14 @@ class TestWorkGuard:
 
     @pytest.mark.parametrize(
         "D, k, measures, instances",
-        [(boolean_algebra(3), 2, 48, 2615), (boolean_algebra(4), 3, 1664, 23148)],
-        ids=["B8", "B16"],
+        [
+            (boolean_algebra(3), 2, 48, 2615),
+            (boolean_algebra(4), 3, 1664, 23148),
+            # two runs that the lower bound on the soundness gathers must admit
+            (chain(6), 6, 1820, 17045),
+            (boolean_algebra(4), 4, 3875, 44335),
+        ],
+        ids=["B8", "B16", "C6-k6", "B16-k4"],
     )
     def test_wider_lattices_are_sound(self, D, k, measures, instances):
         report = check_soundness_grid(D, k)
@@ -255,6 +270,21 @@ class TestWorkGuard:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_long_chain_soundness_is_refused_before_the_search(self):
+        # chain(10) at k = 10: 179707 rule rows, and the 9 join-irreducibles
+        # weighted on the tenths give C(18, 8) = 43758 grid measures at least
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                SizeError,
+                match=f"gathers over at least 43758 grid measures would take {2 * 179707 * 5470} bytes",
+            ):
+                check_soundness_grid(chain(10), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("D", [chain(1), chain(2), C3], ids=["C1", "C2", "C3"])
     def test_huge_resolutions_are_refused_before_any_array(self, D):

@@ -1,5 +1,6 @@
 """The benchmark's tracer names program functions by string; they must resolve.
-A fresh ``import stonepair`` loads exactly its eight library modules."""
+A fresh ``import stonepair`` loads exactly its eight library modules.  A
+warning in a test is an error."""
 
 import ast
 import functools
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +45,10 @@ def test_package_import_loads_the_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     expected = ["chains", "errors", "fo", "gamma", "lattice", "measure", "pairing", "pl"]
     assert out.stdout.split() == ["stonepair"] + [f"stonepair.{m}" for m in expected]
+
+
+def test_a_numpy_warning_fails_the_test():
+    # an int64 overflow in an exact kernel warns and wraps; the suite must
+    # not pass on the wrapped number
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.int64(2**62) * np.int64(4)
