@@ -10,9 +10,10 @@ appropriate), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -160,8 +161,10 @@ def _cmd_pair(args, out: TextIO) -> int:
 
 def _cmd_converge(args, out: TextIO) -> int:
     family = _family(args.family)
-    probe = family.structure(1)
-    phi = _formula(args.formula, partial(fo.parse_formula, signature=probe.signature))
+    # member 1 is read here for its signature, and pairing_sequence asks for
+    # it first: keeping the last member built builds it once
+    family.structure = lru_cache(maxsize=1)(family.structure)
+    phi = _formula(args.formula, partial(fo.parse_formula, signature=family.structure(1).signature))
     report = pairing.pairing_sequence(
         family, phi, _context(args), horizon=args.horizon
     )
@@ -276,13 +279,21 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         return 2
     except InternalInvariantError:
         raise
+    except BrokenPipeError:  # the reader of the output went away: the end of output
+        return 1
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what is left goes to devnull: the flush at exit is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,18 @@ one approached strictly from below (``r^-``).
 
 ``pairing_sequence`` evaluates a family of structures along an index range
 and classifies the whole sequence and its odd and even subsequences.  For a
-family that publishes closed forms for the formula at hand the verdict is
-exact; otherwise it is a horizon-bounded heuristic over the tail of the
-computed values.
+family that publishes closed forms for the formula at hand the verdicts are
+exact; otherwise they are a horizon-bounded heuristic over the tail of the
+computed values.  One rule combines them: the whole sequence diverges when
+both parity limits exist and differ.  A directory family is listed once per
+run, so files added to it later are not seen; its member n is the one
+regular file whose stem is n, with any number of leading zeros
+(``7.struct``, ``007.struct``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -156,7 +161,6 @@ class ClosedForm:
 @dataclass(frozen=True)
 class SequenceReport:
     results: tuple[PairingResult, ...]  # index i holds the pairing at i + 1
-    classical_estimate: Fraction | None
     verdict: Verdict
     odd: Verdict
     even: Verdict
@@ -167,7 +171,7 @@ class SequenceReport:
         return tuple(r.gamma for r in self.results)
 
 
-def _heuristic_verdict(values: Sequence[Fraction]) -> tuple[Fraction | None, Verdict]:
+def _heuristic_verdict(values: Sequence[Fraction]) -> Verdict:
     """Tail-based classification of a sequence of exact pairing values.
 
     A sequence of exact points converges to q^o when the values reach q and
@@ -179,28 +183,10 @@ def _heuristic_verdict(values: Sequence[Fraction]) -> tuple[Fraction | None, Ver
     """
     tail = list(values[-math.ceil(len(values) / 2):])
     if all(v == tail[0] for v in tail):
-        return tail[0], _verdict_for_limit(gamma.iota_exact(tail[0]))
+        return _verdict_for_limit(gamma.iota_exact(tail[0]))
     diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]
     shrinking = all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:])) and diffs[-1] < diffs[0]
-    if shrinking:
-        return tail[-1], Verdict(VerdictKind.INCONCLUSIVE)
-    return None, Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
-
-
-def _split_verdicts(
-    values: Sequence[Fraction],
-) -> tuple[Fraction | None, Verdict, Verdict, Verdict]:
-    odd_vals = values[0::2]  # indices 1, 3, 5, ... of the 1-based sequence
-    even_vals = values[1::2]
-    _, odd_v = _heuristic_verdict(odd_vals)
-    _, even_v = _heuristic_verdict(even_vals)
-    estimate, whole = _heuristic_verdict(values)
-    if whole.kind is VerdictKind.DIVERGENT_AT_HORIZON or (
-        odd_v.limit is not None and even_v.limit is not None and odd_v.limit != even_v.limit
-    ):
-        whole = Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
-        estimate = None
-    return estimate, whole, odd_v, even_v
+    return Verdict(VerdictKind.INCONCLUSIVE if shrinking else VerdictKind.DIVERGENT_AT_HORIZON)
 
 
 class StructureFamily:
@@ -213,7 +199,7 @@ class StructureFamily:
     name = "family"
 
     def structure(self, index: int) -> FiniteStructure:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} defines no members")
 
     def closed_form(self, phi: Formula) -> ClosedForm | None:
         return None
@@ -262,22 +248,27 @@ def _fence_not_psi_value(index: int) -> Fraction:
 
 
 class DirectoryFamily(StructureFamily):
-    """Structures loaded from a directory of files whose stems are indices."""
+    """Structures loaded from a directory of files whose stems are indices,
+    leading zeros allowed; the directory is listed once, on first use."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.name = self.path.name
 
+    @functools.cached_property
+    def _files(self) -> dict[int, list[Path]]:
+        """The regular files of the directory by the index their stem spells."""
+        files: dict[int, list[Path]] = {}
+        for p in self.path.iterdir():
+            digits = re.fullmatch(r"0*(0|-?[1-9][0-9]*)", p.stem)
+            if digits and p.is_file():
+                files.setdefault(int(digits[1]), []).append(p)
+        return files
+
     def structure(self, index: int) -> FiniteStructure:
-        matches = [
-            p
-            for p in self.path.iterdir()
-            if p.is_file() and re.fullmatch(r"0*" + str(index), p.stem)
-        ]
+        matches = self._files.get(index, [])
         if len(matches) != 1:
-            raise DomainError(
-                f"expected exactly one file for index {index} in {self.path}"
-            )
+            raise DomainError(f"expected exactly one file for index {index} in {self.path}")
         return fo.load(matches[0], fo.parse_structure)
 
 
@@ -302,9 +293,10 @@ def pairing_sequence(
     """Pair phi against family members 1..horizon (an integer, at least 4)
     and classify convergence; member ``horizon`` is built second, after 1.
 
-    With a closed form the computed values are cross-checked against it and
-    the verdicts are taken from its tagged limits; otherwise the heuristic
-    tail analysis runs and the verdicts are only as good as the horizon.
+    With a closed form the values are cross-checked against it and the odd,
+    even and whole verdicts are its odd, even and odd limits; otherwise the
+    tail heuristic classifies the odd, even and whole value lists, and is only
+    as good as the horizon.  Parity limits that differ make the whole divergent.
     """
     if not isinstance(horizon, Integral) or horizon < 4:
         raise DomainError(f"horizon must be at least 4: {horizon!r} is not an integer >= 4")
@@ -330,14 +322,10 @@ def pairing_sequence(
                     f"closed form disagrees with computed value at index {index}: "
                     f"{closed.value_at(index)} vs {value}"
                 )
-        odd_v = _verdict_for_limit(closed.odd_limit)
-        even_v = _verdict_for_limit(closed.even_limit)
-        if closed.odd_limit == closed.even_limit:
-            whole = _verdict_for_limit(closed.odd_limit)
-            estimate = gamma.gamma_collapse(closed.odd_limit)
-        else:
-            whole = Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
-            estimate = None
-        return SequenceReport(tuple(results), estimate, whole, odd_v, even_v, True)
-    estimate, whole, odd_v, even_v = _split_verdicts(classical)
-    return SequenceReport(tuple(results), estimate, whole, odd_v, even_v, False)
+        odd_v, even_v = map(_verdict_for_limit, (closed.odd_limit, closed.even_limit))
+        whole = odd_v
+    else:  # odd indices 1, 3, 5, ... sit at 0, 2, 4, ... of the list
+        odd_v, even_v, whole = map(_heuristic_verdict, (classical[::2], classical[1::2], classical))
+    if odd_v.limit is not None and even_v.limit is not None and odd_v.limit != even_v.limit:
+        whole = Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
+    return SequenceReport(tuple(results), whole, odd_v, even_v, closed is not None)

@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from stonepair import chains, fo, measure
 from stonepair.cli import run
 from stonepair.errors import DomainError
 from stonepair.gamma import format_gamma
-from stonepair.pairing import assignment_distribution
+from stonepair.pairing import FenceFamily, assignment_distribution
 
 PSI_TEXT = "(forall y. !lt(x,y)) & (exists z. !lt(z,x) & !(z = x))"
 
@@ -47,6 +48,15 @@ def workdir(tmp_path):
     (tmp_path / "good.measure").write_text(GOOD_MEASURE)
     (tmp_path / "bad.measure").write_text(BAD_MEASURE)
     return tmp_path
+
+
+def _child_env() -> dict[str, str]:
+    """The environment with the source first on PYTHONPATH: a child process
+    does not see pytest's own path."""
+    env = dict(os.environ)
+    src = str(Path(fo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def invoke(*argv) -> tuple[int, str, str]:
@@ -143,6 +153,20 @@ class TestConverge:
         assert code == 0
         assert out.splitlines()[-1] == "CONVERGES 2/3^o (at horizon)"
 
+    def test_each_member_is_built_once(self, tmp_path, monkeypatch):
+        for i in range(1, 5):
+            (tmp_path / f"{i}.struct").write_text(A2_STRUCT)
+        listed, loaded, built = [], [], []
+        iterdir, load, fence = Path.iterdir, fo.load, FenceFamily.structure
+        monkeypatch.setattr(Path, "iterdir", lambda p: listed.append(p) or iterdir(p))
+        monkeypatch.setattr(fo, "load", lambda path, parse: loaded.append(path) or load(path, parse))
+        monkeypatch.setattr(FenceFamily, "structure", lambda self, i: built.append(i) or fence(self, i))
+        assert invoke("converge", "--family", tmp_path, "--formula", "true", "--horizon", "4")[0] == 0
+        assert listed == [tmp_path]
+        assert sorted(loaded) == [tmp_path / f"{i}.struct" for i in range(1, 5)]
+        assert invoke("converge", "--family", "fence", "--formula", "true", "--horizon", "6")[0] == 0
+        assert built == [1, 6, 2, 3, 4, 5]
+
     def test_inconclusive_verdict(self):
         # y <= x: the odd members tend to 1/2^o, the even ones to 1/2^-
         code, out, _ = invoke(
@@ -175,6 +199,40 @@ class TestConverge:
         )
         assert (code, out) == (2, "")
         assert err == "usage error: bad --vars value ' , '\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """Each ``stonepair`` command of README's examples that is followed by
+    ``# output`` lines, with ``$PSI`` filled in, and those lines."""
+    block = README.read_text().split("Examples (")[1].split("```sh\n")[1].split("```")[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("PSI="):
+            psi = shlex.split(line)[0].removeprefix("PSI=")
+        elif line.startswith("stonepair "):
+            examples.append((shlex.split(line.replace("$PSI", psi))[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line.removeprefix("# "))
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+def test_readme_examples(tmp_path, monkeypatch):
+    # b4.lat as README's File formats section writes it
+    lattice = next(b for b in README.read_text().split("```") if "# b4.lat" in b)
+    (tmp_path / "b4.lat").write_text(lattice.strip("\n") + "\n")
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["pair", "converge", "entail"]
+    for argv, shown in examples:
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        if shown[0].startswith("..."):  # "...per-index rows..." stands for any lines
+            assert out.splitlines()[-len(shown[1:]):] == shown[1:]
+        else:
+            assert out.splitlines() == shown
 
 
 class TestCheckMeasure:
@@ -433,6 +491,44 @@ class TestErrors:
         assert invoke("pair", "--family", "fence", "--formula", "true")[0] == 2
         assert invoke("duality-verify", "--max-n", "4", "--max-m", "1")[0] == 2
 
+    def test_a_closed_output_ends_the_output_silently(self, tmp_path):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        argv = ["converge", "--family", "fence", "--formula", "true", "--horizon", "4"]
+        assert run(argv, stdout=Closed(), stderr=err) == 1
+        assert err.getvalue() == ""
+        # a file fault keeps its error line
+        code, _, err = invoke(*argv, "--csv", tmp_path / "missing" / "seq.csv")
+        assert code == 1 and err.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("duality-verify", "--max-n", "24", "--max-m", "10"),  # 21 908 bytes
+            ("pair", "--family", "fence", "--index", "2", "--formula", PSI_TEXT),  # one line
+        ],
+    )
+    def test_a_reader_that_closes_early(self, argv, unbuffered):
+        # the reader closes before the first line, so every write meets a broken pipe:
+        # buffered, in the flush at exit; unbuffered, in the first print
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stonepair", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_missing_file_is_one(self):
         code, _, err = invoke("pair", "--structure", "/nonexistent", "--formula", "true")
         assert code == 1 and "error:" in err
@@ -597,10 +693,6 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_console_entry_point(self, workdir):
-        # the child does not see pytest's own path: put the source first on its PYTHONPATH
-        env = dict(os.environ)
-        src = str(Path(fo.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "stonepair",
@@ -608,7 +700,7 @@ class TestErrors:
             ],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "2 3 2/3 2/3^o\n"

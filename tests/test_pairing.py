@@ -1,6 +1,7 @@
 """Pairing values, padding, distributions, and convergence verdicts."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,41 @@ class TestSequences:
             family.structure(3)
         assert str(exc.value) == f"expected exactly one file for index 3 in {tmp_path}"
 
+    def test_directory_member_names(self, tmp_path):
+        text = "signature: lt/2\nuniverse: {}\n"
+        for name, size in (("1.struct", 1), ("002.struct", 2), ("0003", 3), ("4.a", 4), ("04.b", 4)):
+            (tmp_path / name).write_text(text.format(size))
+        (tmp_path / "5").mkdir()  # a directory is not a member
+        (tmp_path / "6x.struct").write_text(text.format(6))  # nor is a stem with more than digits
+        family = pairing.DirectoryFamily(tmp_path)
+        assert [family.structure(i).size for i in (1, 2, 3)] == [1, 2, 3]
+        for index in (4, 5, 6):
+            with pytest.raises(DomainError, match=f"expected exactly one file for index {index} in "):
+                family.structure(index)
+
+    def test_directory_is_listed_once(self, tmp_path, monkeypatch):
+        text = "signature: lt/2\nuniverse: 2\n"
+        for i in range(1, 9):
+            (tmp_path / f"{i}.struct").write_text(text)
+        listed, loaded = [], []
+        iterdir, load = Path.iterdir, fo.load
+        monkeypatch.setattr(Path, "iterdir", lambda p: listed.append(p) or iterdir(p))
+        monkeypatch.setattr(fo, "load", lambda path, parse: loaded.append(path) or load(path, parse))
+        family = pairing.DirectoryFamily(tmp_path)
+        rep = pairing_sequence(family, TRUE, ("x",), horizon=8)
+        assert listed == [tmp_path]
+        assert len(loaded) == 8
+        assert rep.verdict.limit == ONE
+        # files added after the first listing are not seen
+        (tmp_path / "9.struct").write_text(text)
+        with pytest.raises(DomainError, match="expected exactly one file for index 9"):
+            family.structure(9)
+
+    def test_base_family_names_its_class(self):
+        with pytest.raises(DomainError) as exc:
+            pairing_sequence(StructureFamily(), TRUE, (), 4)
+        assert str(exc.value) == "family family failed at index 1: StructureFamily defines no members"
+
     def test_psi_values(self):
         rep = pairing_sequence(FENCE, PSI, horizon=12)
         expected = [
@@ -217,7 +253,6 @@ class TestSequences:
         assert rep.exact
         assert rep.verdict.kind is VerdictKind.CONVERGES_EXACT
         assert rep.verdict.limit == ZERO
-        assert rep.classical_estimate == 0
 
     def test_not_psi_values(self):
         rep = pairing_sequence(FENCE, Not(PSI), horizon=12)
@@ -283,6 +318,15 @@ class TestSequences:
         assert not rep.exact
         assert rep.verdict.kind is VerdictKind.CONVERGES_EXACT
         assert rep.verdict.limit == iota_exact(F(2, 3))
+
+    def test_parity_limits_that_differ_make_the_whole_divergent(self):
+        class Alternating(StructureFamily):
+            def structure(self, index):
+                return gen_example_structure(2 if index % 2 else 4)
+
+        rep = pairing_sequence(Alternating(), PSI, horizon=8)
+        assert (rep.odd.limit, rep.even.limit) == (iota_exact(F(2, 3)), iota_exact(F(1, 2)))
+        assert rep.verdict == pairing.Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
 
     def test_heuristic_without_closed_form(self):
         # a formula the fence family has no closed form for

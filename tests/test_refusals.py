@@ -1,0 +1,93 @@
+"""User-reachable refusals that the other tests do not reach, each with its
+message pinned."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from stonepair import chains, fo, measure, pl
+from stonepair.errors import DomainError
+from stonepair.fo import POSET_SIGNATURE, gen_example_structure
+from stonepair.gamma import ONE, ZERO, iota_exact
+from stonepair.lattice import LatticeHom, boolean_algebra, chain, from_subsets, identity_hom
+
+B4 = boolean_algebra(2)
+C3 = chain(3)
+HALF = iota_exact(F(1, 2))
+COIN = measure.FinSuppFn((0, 1), (HALF, HALF))
+GE_HALF = pl.GE(F(1, 2), 1)
+
+REFUSALS = {
+    "chain element past n": (lambda: chains.ChainElement(3, 4), "4/3 is not on the chain"),
+    "chain element below 0": (lambda: chains.ChainElement(3, -1), "-1/3 is not on the chain"),
+    "chain point past n": (lambda: chains.ChainPoint(2, 3), "3/2 is not on the chain"),
+    "ceiling on the wrong chain": (
+        lambda: chains.ceiling_map(2, 3, chains.ChainPoint(4, 1)),
+        "point lives on chain 4, expected 6",
+    ),
+    "arity of an unknown relation": (
+        lambda: POSET_SIGNATURE.arity("r"),
+        "unknown relation 'r'",
+    ),
+    "satisfies on a threshold leaf": (
+        lambda: fo.satisfies(gen_example_structure(2), {}, GE_HALF),
+        f"not an evaluable node: {GE_HALF!r}",
+    ),
+    "index of an unknown label": (lambda: B4.index_of("z"), "unknown element label 'z'"),
+    "kappa inverse outside kappa's image": (
+        lambda: C3.kappa_inverse(2),
+        "c2 is not in the image of kappa",
+    ),
+    "composing mismatched homomorphisms": (
+        lambda: identity_hom(B4).compose(identity_hom(C3)),
+        "homomorphisms do not compose: target/source mismatch",
+    ),
+    "chain(0)": (lambda: chain(0), "a chain needs at least one element"),
+    "boolean_algebra(9)": (lambda: boolean_algebra(9), "supported atom counts are 0..8"),
+    "from_subsets with a repeated set": (
+        lambda: from_subsets([frozenset(), frozenset({0}), frozenset()]),
+        "subsets must be distinct",
+    ),
+    "a measure with too few values": (
+        lambda: measure.Measure(B4, (ZERO, HALF, ONE)),
+        "3 values for 4 elements",
+    ),
+    "pushforward onto another lattice": (
+        lambda: measure.pushforward(
+            measure.Measure(C3, (ZERO, HALF, ONE)), LatticeHom(B4, B4, (0, 1, 2, 3))
+        ),
+        "homomorphism target does not match the measure's lattice",
+    ),
+    "integration over a non-subset": (
+        lambda: measure.integration_measure(COIN, [frozenset(), frozenset({5}), frozenset({0, 1})]),
+        "[5] is not a subset of the carrier",
+    ),
+    "integration over a family not closed under union": (
+        lambda: measure.integration_measure(
+            measure.FinSuppFn((0, 1, 2), (iota_exact(F(1, 3)),) * 3),
+            [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})],
+        ),
+        "algebra not closed under union",
+    ),
+    "threshold formula with both signature and lattice": (
+        lambda: pl.parse_pl_formula("true", signature=POSET_SIGNATURE, lattice=B4),
+        "pass exactly one of signature or lattice",
+    ),
+    "threshold formula with neither signature nor lattice": (
+        lambda: pl.parse_pl_formula("true"),
+        "pass exactly one of signature or lattice",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_message(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_structure_is_not_equal_to_a_number():
+    A = gen_example_structure(2)
+    assert A.__eq__(1) is NotImplemented
+    assert (A == 1) is False
