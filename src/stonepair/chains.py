@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -51,14 +52,29 @@ from .gamma import GammaValue, format_gamma, point_of_rank, project_of_ranks, ra
 from .lattice import FiniteLattice, chain
 
 
+def _require_integer(what: str, x: object) -> None:
+    if not isinstance(x, Integral):
+        raise DomainError(f"{what} must be an integer: {x!r}")
+
+
 def _require_chain(n: int) -> None:
+    _require_integer("chain parameter", n)
     if n < 1:
         raise DomainError("chain parameter must be positive")
 
 
 def _require_factor(m: int) -> None:
+    _require_integer("embedding factor", m)
     if m < 1:
         raise DomainError("embedding factor must be positive")
+
+
+def _require_point(n: int, a: int) -> None:
+    """The one check of a point a/n: n is a chain parameter, a an integer in 0..n."""
+    _require_chain(n)
+    _require_integer("point numerator", a)
+    if not 0 <= a <= n:
+        raise DomainError(f"{a}/{n} is not on the chain")
 
 
 @dataclass(frozen=True)
@@ -69,9 +85,10 @@ class ChainElement:
     a: int | None  # None encodes T
 
     def __post_init__(self) -> None:
-        _require_chain(self.n)
-        if self.a is not None and not 0 <= self.a <= self.n:
-            raise DomainError(f"{self.a}/{self.n} is not on the chain")
+        if self.a is None:
+            _require_chain(self.n)
+        else:
+            _require_point(self.n, self.a)
 
     @classmethod
     def of_rank(cls, n: int, r: int) -> ChainElement:
@@ -90,17 +107,9 @@ class ChainElement:
         return self.n + 1 if self.a is None else self.a
 
 
-def top(n: int) -> ChainElement:
-    return ChainElement(n, None)
-
-
-def frac(n: int, a: int) -> ChainElement:
-    return ChainElement(n, a)
-
-
 def chain_elements(n: int) -> tuple[ChainElement, ...]:
     """All of L_n in ascending order: 0, 1/n, ..., 1, T."""
-    return tuple(ChainElement(n, a) for a in range(n + 1)) + (top(n),)
+    return tuple(ChainElement(n, a) for a in range(n + 1)) + (ChainElement(n, None),)
 
 
 def chain_leq(u: ChainElement, v: ChainElement) -> bool:
@@ -121,9 +130,7 @@ class ChainPoint:
     a: int
 
     def __post_init__(self) -> None:
-        _require_chain(self.n)
-        if not 0 <= self.a <= self.n:
-            raise DomainError(f"{self.a}/{self.n} is not on the chain")
+        _require_point(self.n, self.a)
 
     @property
     def value(self) -> Fraction:
@@ -253,6 +260,7 @@ def find_ominus_counterexample(n: int, m: int) -> OminusWitness:
     """First pair, in ascending order, where the embedding fails to commute
     with ominus.  One always exists for m >= 2; failure to find one would
     contradict the adjunction analysis."""
+    _require_integer("embedding factor", m)
     if m < 2:
         raise DomainError("the embedding is the identity for m = 1; need m >= 2")
     _require_chain(n)
@@ -281,6 +289,8 @@ def floor_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     """Round a/(nm) down to the coarser chain: right adjoint to inclusion."""
     if x.n != n * m:
         raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
+    _require_chain(n)
+    _require_factor(m)
     return ChainPoint(n, floor_of_ranks(x.a, m))
 
 
@@ -288,6 +298,8 @@ def ceiling_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     """Round a/(nm) up to the coarser chain: left adjoint to inclusion."""
     if x.n != n * m:
         raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
+    _require_chain(n)
+    _require_factor(m)
     return ChainPoint(n, ceiling_of_ranks(x.a, m))
 
 
@@ -406,6 +418,8 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
     The case counts are closed forms, so a sweep past ``MAX_DUALITY_CASES``
     raises ``SizeError`` before any check runs.
     """
+    _require_integer("chain bound", max_n)
+    _require_integer("factor bound", max_m)
     n_count, m_count = max(max_n, 0), max(max_m - 1, 0)
     k = n_count + 2
     triples = (k * (k + 1) // 2) ** 2 - 9  # (n + 2)^3 for each n

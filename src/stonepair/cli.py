@@ -89,10 +89,6 @@ def _formula(spec: str, parse):
     return parse(spec)
 
 
-def _load_structure(path: str) -> fo.FiniteStructure:
-    return fo.load(path, fo.parse_structure)
-
-
 def _family(name: str) -> StructureFamily:
     if name == "fence":
         return FenceFamily()
@@ -146,7 +142,7 @@ def _load_measure(args) -> tuple[FiniteLattice, measure_mod.Measure]:
 
 def _cmd_pair(args, out: TextIO) -> int:
     if args.structure is not None:
-        A = _load_structure(args.structure)
+        A = fo.load(args.structure, fo.parse_structure)
     elif args.family is not None:
         if args.index is None:
             raise UsageError("--family needs --index")
@@ -172,13 +168,14 @@ def _cmd_converge(args, out: TextIO) -> int:
         f'{i},{r.count},{r.total},{r.classical},"{format_gamma(r.gamma)}"'
         for i, r in enumerate(report.results, start=1)
     ]
-    for row in rows:
-        print(row, file=out)
-    print(_render_verdict(report), file=out)
+    # the file first: a reader of stdout that goes away cannot cut it short
     if args.csv is not None:
         Path(args.csv).write_text(
             "index,count,total,classical,gamma\n" + "\n".join(rows) + "\n"
         )
+    for row in rows:
+        print(row, file=out)
+    print(_render_verdict(report), file=out)
     return 0
 
 
@@ -195,7 +192,7 @@ def _cmd_check_measure(args, out: TextIO) -> int:
 
 def _cmd_eval(args, out: TextIO) -> int:
     if args.structure is not None:
-        A = _load_structure(args.structure)
+        A = fo.load(args.structure, fo.parse_structure)
         phi = _formula(args.formula, partial(pl.parse_pl_formula, signature=A.signature))
         value = pl.eval_pl_structure(A, phi)
     elif args.measure is not None:
@@ -246,7 +243,7 @@ def _cmd_duality_verify(args, out: TextIO) -> int:
 
 def _cmd_integrate(args, out: TextIO) -> int:
     # the integral over the uniform assignment weights is the tagged pairing
-    A = _load_structure(args.structure)
+    A = fo.load(args.structure, fo.parse_structure)
     phi = _formula(args.formula, partial(fo.parse_formula, signature=A.signature))
     print(format_gamma(pairing.stone_pairing(A, phi, _context(args)).gamma), file=out)
     return 0

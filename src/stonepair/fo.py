@@ -59,6 +59,7 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -112,6 +113,8 @@ class FiniteStructure:
         size: int,
         relations: Mapping[str, Iterable[tuple[int, ...]]],
     ) -> None:
+        if not isinstance(size, Integral):
+            raise DomainError(f"universe size must be an integer: {size!r}")
         if size < 1:
             raise DomainError("universe must be nonempty")
         _check_names(signature, relations)
@@ -1039,6 +1042,8 @@ def gen_example_structure(n: int) -> FiniteStructure:
     strict order: transitive and irreflexive, holding for every comparable
     pair, not just covers.
     """
+    if not isinstance(n, Integral):
+        raise DomainError(f"family index must be an integer: {n!r}")
     if n < 1:
         raise DomainError("family index starts at 1")
     k = (n + 1) // 2

@@ -30,9 +30,11 @@ additivity test ``additivity_of_ranks``, and the projection onto the
 subdivision chain {0, 1/n, ..., 1}, ``project_of_ranks``).  These do not
 check their domain; they are branch-free and apply elementwise to numpy
 arrays, for kernels whose ranks already lie in the domain.  ``mip``,
-``miss``, ``plus`` and ``gamma_sum`` check their domain on the ranks of
-their arguments, compute on the kernel and return ``point_of_rank``.  On
-D = k the ranks 0..2k are the indices of ``GammaGrid(k).points``.
+``miss`` and ``gamma_sum`` check their domain on the ranks of their
+arguments, compute on the kernel and return ``point_of_rank``.  Addition
+is ``plus_of_ranks`` alone: ``gamma_sum`` folds it over any number of
+terms, and ``plus`` is its two-term case.  On D = k the ranks 0..2k are the
+indices of ``GammaGrid(k).points``.
 
 The order of ``GammaValue`` is decided on ranks too, over the product of the
 two denominators.  The constructor checks its value; the private ``_point``
@@ -48,6 +50,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import lcm
 from numbers import Integral, Rational
@@ -175,36 +178,29 @@ def miss(x: GammaValue, y: GammaValue) -> GammaValue:
 
 
 def plus(x: GammaValue, y: GammaValue) -> GammaValue:
-    """Partial addition, defined when the underlying values sum to at most 1.
-
-    The domain condition is equivalent to ``x <= mip(ONE, y)``; on ranks over
-    D it reads ceil(x/2) + ceil(y/2) <= D.  The sum is exact precisely when
-    both summands are.
-    """
-    rx, ry, denom = _pair_ranks(x, y)
-    if (rx + 1) // 2 + (ry + 1) // 2 > denom:
-        raise DomainError(f"plus undefined: {x} + {y} exceeds 1")
-    return point_of_rank(plus_of_ranks(rx, ry), denom)
+    """Partial addition, defined when the underlying values sum to at most
+    1: the two-term ``gamma_sum``.  The sum is exact precisely when both
+    summands are."""
+    return gamma_sum((x, y))
 
 
 def gamma_sum(xs: Iterable[GammaValue]) -> GammaValue:
-    """The sum of ``xs`` under ``plus``; the empty sum is 0^o.
+    """The sum of ``xs`` under partial addition, a left fold of
+    ``plus_of_ranks`` on the common denominator D; the empty sum is 0^o.
 
-    ``plus`` is commutative and associative on its domain, so the sum is one
-    integer sum on the common denominator D: the values' numerators on D
-    (ceil(r/2) for rank r) add up to at most D, and the sum is exact unless
-    some rank is odd.  On overflow the error names the first partial sum
-    that overflows, as a left fold of ``plus`` would.
+    The sum is defined when the values' numerators on D (ceil(r/2) for rank
+    r) add up to at most D; that is equivalent to ``x <= mip(ONE, y)`` for
+    two terms.  Addition is commutative and associative on its domain, so
+    on overflow the error names the first partial sum that overflows.
     """
     xs = tuple(xs)
     denom = common_denominator(xs)
     ranks = [rank(x, denom) for x in xs]
-    halves = [(r + 1) // 2 for r in ranks]
-    if sum(halves) > denom:
-        i = next(i for i, s in enumerate(accumulate(halves)) if s > denom)
-        partial = point_of_rank(2 * sum(halves[:i]) - any(r & 1 for r in ranks[:i]), denom)
-        raise DomainError(f"plus undefined: {partial} + {xs[i]} exceeds 1")
-    return point_of_rank(2 * sum(halves) - any(r & 1 for r in ranks), denom)
+    for i, total in enumerate(accumulate((r + 1) // 2 for r in ranks)):
+        if total > denom:
+            partial = point_of_rank(reduce(plus_of_ranks, ranks[:i], 0), denom)
+            raise DomainError(f"plus undefined: {partial} + {xs[i]} exceeds 1")
+    return point_of_rank(reduce(plus_of_ranks, ranks, 0), denom)
 
 
 # -- the rank kernel --------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +51,9 @@ class FiniteLattice:
     def __init__(self, labels: Sequence[str], relation: Iterable[tuple[int, int]]):
         n = self._set_labels(labels)
         pairs = list(relation)
+        bad = next((p for p in pairs if not all(isinstance(x, Integral) for x in p)), None)
+        if bad is not None:
+            raise DomainError(f"order pair must be a pair of integers: {tuple(bad)!r}")
         # exact Python integers: a negative index must not wrap, a huge one overflow
         index = np.array(pairs, dtype=object).reshape(-1, 2)
         outside = ((index < 0) | (index >= n)).any(axis=1)
@@ -91,6 +95,8 @@ class FiniteLattice:
 
     def _index(self, a: int) -> int:
         """``a``, or a ``DomainError`` when it is not an element index (none wraps)."""
+        if not isinstance(a, Integral):
+            raise DomainError(f"element index must be an integer: {a!r}")
         if not 0 <= a < self.n:
             raise DomainError(f"element index {a} out of range for {self.n} elements")
         return a
@@ -385,6 +391,8 @@ def check_hom(h: LatticeHom) -> list[str]:
 
 def chain(n: int, labels: Sequence[str] | None = None) -> FiniteLattice:
     """The n-element chain c0 < c1 < ... with optional custom labels."""
+    if not isinstance(n, Integral):
+        raise DomainError(f"chain length must be an integer: {n!r}")
     if n < 1:
         raise DomainError("a chain needs at least one element")
     if labels is None:
@@ -401,6 +409,8 @@ def boolean_algebra(num_atoms: int) -> FiniteLattice:
     Labels: "0" for the empty set, "1" for the full set, otherwise the
     concatenated atom letters (e.g. "ac").
     """
+    if not isinstance(num_atoms, Integral):
+        raise DomainError(f"atom count must be an integer: {num_atoms!r}")
     if not 0 <= num_atoms <= len(_ATOM_NAMES):
         raise DomainError(f"supported atom counts are 0..{len(_ATOM_NAMES)}")
     size = 1 << num_atoms

@@ -61,6 +61,8 @@ class PairingResult:
 
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:
     """The free variables of phi padded with fresh names up to length n."""
+    if not isinstance(n, Integral):
+        raise DomainError(f"context length must be an integer: {n!r}")
     ctx = fo.free_vars(phi)
     if len(ctx) > n:
         raise DomainError(f"{len(ctx)} free variables do not fit in a context of {n}")
@@ -165,10 +167,6 @@ class SequenceReport:
     odd: Verdict
     even: Verdict
     exact: bool  # closed form used; otherwise a horizon heuristic
-
-    @property
-    def values(self) -> tuple[GammaValue, ...]:
-        return tuple(r.gamma for r in self.results)
 
 
 def _heuristic_verdict(values: Sequence[Fraction]) -> Verdict:

@@ -10,6 +10,7 @@ import pytest
 from stonepair import chains
 from stonepair.chains import (
     AdjunctionViolation,
+    ChainElement,
     ChainPoint,
     OminusWitness,
     ceiling_of_ranks,
@@ -28,13 +29,11 @@ from stonepair.chains import (
     find_ominus_counterexample,
     floor_map,
     floor_of_ranks,
-    frac,
     ominus,
     ominus_of_ranks,
     oplus,
     oplus_of_ranks,
     project_gamma,
-    top,
 )
 from stonepair.errors import DomainError, InternalInvariantError, SizeError
 from stonepair.gamma import GammaGrid, iota_exact, parse_gamma
@@ -42,33 +41,33 @@ from stonepair.gamma import GammaGrid, iota_exact, parse_gamma
 
 class TestOperators:
     def test_oplus_in_range(self):
-        assert oplus(frac(4, 1), frac(4, 2)) == frac(4, 3)
+        assert oplus(ChainElement(4, 1), ChainElement(4, 2)) == ChainElement(4, 3)
 
     def test_oplus_overflow(self):
-        assert oplus(frac(4, 3), frac(4, 2)) == top(4)
+        assert oplus(ChainElement(4, 3), ChainElement(4, 2)) == ChainElement(4, None)
 
     def test_oplus_zero_neutral(self):
         for u in chain_elements(4):
-            assert oplus(u, frac(4, 0)) == u
+            assert oplus(u, ChainElement(4, 0)) == u
 
     def test_oplus_top_absorbs(self):
         for u in chain_elements(4):
-            assert oplus(u, top(4)) == top(4)
+            assert oplus(u, ChainElement(4, None)) == ChainElement(4, None)
 
     def test_ominus_from_top(self):
-        assert ominus(top(4), frac(4, 1)) == frac(4, 4)
-        assert ominus(top(4), frac(4, 0)) == top(4)
+        assert ominus(ChainElement(4, None), ChainElement(4, 1)) == ChainElement(4, 4)
+        assert ominus(ChainElement(4, None), ChainElement(4, 0)) == ChainElement(4, None)
 
     def test_ominus_truncates(self):
-        assert ominus(frac(4, 2), frac(4, 3)) == frac(4, 0)
+        assert ominus(ChainElement(4, 2), ChainElement(4, 3)) == ChainElement(4, 0)
 
     def test_ominus_by_top(self):
         for u in chain_elements(4):
-            assert ominus(u, top(4)) == frac(4, 0)
+            assert ominus(u, ChainElement(4, None)) == ChainElement(4, 0)
 
     def test_mismatched_chains(self):
         with pytest.raises(DomainError):
-            oplus(frac(2, 1), frac(3, 1))
+            oplus(ChainElement(2, 1), ChainElement(3, 1))
 
 
 class TestAdjunction:
@@ -77,7 +76,7 @@ class TestAdjunction:
         assert check_adjunction(n) is None
 
     def test_violation_report_shape(self):
-        v = AdjunctionViolation(frac(2, 1), frac(2, 1), frac(2, 1))
+        v = AdjunctionViolation(ChainElement(2, 1), ChainElement(2, 1), ChainElement(2, 1))
         assert "1/2" in str(v.u)
 
 
@@ -86,9 +85,9 @@ def reference_oplus(u, v):
     if u.n != v.n:
         raise DomainError(f"mismatched chains: {u.n} vs {v.n}")
     if u.is_top or v.is_top:
-        return top(u.n)
+        return ChainElement(u.n, None)
     s = u.a + v.a
-    return top(u.n) if s > u.n else frac(u.n, s)
+    return ChainElement(u.n, None) if s > u.n else ChainElement(u.n, s)
 
 
 def reference_ominus(u, v):
@@ -97,10 +96,10 @@ def reference_ominus(u, v):
         raise DomainError(f"mismatched chains: {u.n} vs {v.n}")
     n = u.n
     if v.is_top:
-        return frac(n, 0)
+        return ChainElement(n, 0)
     if u.is_top:
-        return top(n) if v.a == 0 else frac(n, n - v.a + 1)
-    return frac(n, max(u.a - v.a, 0))
+        return ChainElement(n, None) if v.a == 0 else ChainElement(n, n - v.a + 1)
+    return ChainElement(n, max(u.a - v.a, 0))
 
 
 def reference_embed(u, m):
@@ -108,8 +107,8 @@ def reference_embed(u, m):
     if m < 1:
         raise DomainError("embedding factor must be positive")
     if u.is_top:
-        return top(u.n * m)
-    return frac(u.n * m, u.a * m)
+        return ChainElement(u.n * m, None)
+    return ChainElement(u.n * m, u.a * m)
 
 
 class TestRankExpressions:
@@ -144,9 +143,9 @@ class TestRankExpressions:
 
     def test_exact_past_int64(self):
         n = 2**70
-        assert oplus(frac(n, 1), frac(n, n)) == top(n)
-        assert ominus(top(n), frac(n, 1)) == frac(n, n)
-        assert embed(top(n), 3) == top(3 * n)
+        assert oplus(ChainElement(n, 1), ChainElement(n, n)) == ChainElement(n, None)
+        assert ominus(ChainElement(n, None), ChainElement(n, 1)) == ChainElement(n, n)
+        assert embed(ChainElement(n, None), 3) == ChainElement(3 * n, None)
         for m in (2**61, 2**62, 2**70):
             for n in (1, 2):
                 assert check_oplus_preserved(n, m) is None
@@ -155,9 +154,9 @@ class TestRankExpressions:
 
     def test_errors(self):
         with pytest.raises(DomainError, match="mismatched chains: 2 vs 3"):
-            ominus(frac(2, 1), frac(3, 1))
+            ominus(ChainElement(2, 1), ChainElement(3, 1))
         with pytest.raises(DomainError, match="embedding factor"):
-            embed(frac(2, 1), 0)
+            embed(ChainElement(2, 1), 0)
         with pytest.raises(DomainError, match="embedding factor"):
             embed_point(ChainPoint(2, 1), 0)
         for check in (check_adjunction, derive_partial_minus, derive_partial_plus):
@@ -228,7 +227,7 @@ def reference_derive_partial_minus(n):
     for za in range(n + 1):
         j = chains.ChainElement.of_rank(n, kappa_inv[za])
         for xa in range(za + 1):
-            derived = L.kappa(chains.ominus(j, frac(n, xa)).rank())
+            derived = L.kappa(chains.ominus(j, ChainElement(n, xa)).rank())
             if derived != za - xa:
                 raise InternalInvariantError(
                     f"derived minus {za}/{n} - {xa}/{n} = {F(derived, n)}, "
@@ -244,7 +243,7 @@ def reference_derive_partial_plus(n):
     table = {}
     for xa in range(n + 1):
         for za in range(n + 1 - xa):
-            x, z = frac(n, xa), frac(n, za)
+            x, z = ChainElement(n, xa), ChainElement(n, za)
             best = max(
                 (u for u in elems if chain_leq(chains.ominus(u, x), z)),
                 key=chains.ChainElement.rank,
@@ -357,10 +356,10 @@ class TestRankTables:
 
 class TestEmbeddings:
     def test_point_scaling(self):
-        assert embed(frac(2, 1), 3) == frac(6, 3)
+        assert embed(ChainElement(2, 1), 3) == ChainElement(6, 3)
 
     def test_top_to_top(self):
-        assert embed(top(2), 3) == top(6)
+        assert embed(ChainElement(2, None), 3) == ChainElement(6, None)
 
     def test_preserves_order(self):
         for u, v in itertools.product(chain_elements(3), repeat=2):
@@ -522,6 +521,27 @@ class TestSweep:
         lines = list(chains.verify_duality(4, 2))
         assert [line.failed for line in lines] == [False] * (len(lines) - 1) + [True]
         assert lines[-1].text == "projection-cone grid=10 n<=4 m<=2: FAIL at x=1/10^o n=3 m=2"
+
+    @pytest.mark.parametrize(
+        "name, op, checked, fail",
+        [
+            ("ominus_of_ranks", _zero_minus, 0, "adjunction n<=4: FAIL at n=1 u=1/1 v=0/1 w=0/1"),
+            (
+                "embed_of_ranks", _top_to_one, 1,
+                "oplus-preservation n<=4 m<=2: FAIL at n=1 m=2 u=1/1 v=1/1",
+            ),
+            (
+                "floor_of_ranks", ceiling_of_ranks, 8,
+                "floor-ceiling n<=4 m<=2: FAIL at n=1 m=2 x=1/2 y=1/1",
+            ),
+        ],
+    )
+    def test_a_failing_check_ends_the_sweep(self, name, op, checked, fail, monkeypatch):
+        # the lines before the FAIL line are the honest sweep's, and none follows it
+        honest = list(chains.verify_duality(4, 2))
+        monkeypatch.setattr(chains, name, op)
+        lines = list(chains.verify_duality(4, 2))
+        assert lines == honest[:checked] + [chains.DualityLine(fail, True)]
 
     def test_guard_admits_exactly_its_budget(self, monkeypatch):
         # the sweep of criterion 9 has 123192 + 55764 + 283716 + 4536 cases

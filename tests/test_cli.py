@@ -397,10 +397,10 @@ class TestDualityVerify:
 
     def test_failure_stops_the_sweep(self, monkeypatch):
         # each check family in turn reports a failure at n = 2, in chain text form
-        half, top = chains.frac(2, 1), chains.top(2)
+        half, top = chains.ChainElement(2, 1), chains.ChainElement(2, None)
         broken = {
             "check_adjunction": (
-                lambda n: chains.AdjunctionViolation(half, top, chains.frac(2, 0)) if n == 2 else None,
+                lambda n: chains.AdjunctionViolation(half, top, chains.ChainElement(2, 0)) if n == 2 else None,
                 ["adjunction n<=4: FAIL at n=2 u=1/2 v=T w=0/2"],
             ),
             "check_oplus_preserved": (
@@ -503,6 +503,24 @@ class TestErrors:
         # a file fault keeps its error line
         code, _, err = invoke(*argv, "--csv", tmp_path / "missing" / "seq.csv")
         assert code == 1 and err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_the_csv_is_written_before_stdout(self, tmp_path):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        argv = ["converge", "--family", "fence", "--formula", "true", "--horizon", "40"]
+        cut, whole = tmp_path / "cut.csv", tmp_path / "whole.csv"
+        err = io.StringIO()
+        assert run([*argv, "--csv", str(cut)], stdout=Closed(), stderr=err) == 1
+        assert err.getvalue() == ""
+        assert invoke(*argv, "--csv", whole)[0] == 0
+        assert len(whole.read_text().splitlines()) == 41
+        assert cut.read_text() == whole.read_text()
+        # a file that cannot be written fails before any row is printed
+        code, out, err = invoke(*argv, "--csv", tmp_path / "missing" / "seq.csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize(

@@ -246,7 +246,7 @@ class TestSequences:
             F(0), F(2, 6), F(0), F(2, 7), F(0), F(2, 8),
         ]
         assert [r.classical for r in rep.results] == expected
-        assert all(v.exact for v in rep.values)
+        assert all(r.gamma.exact for r in rep.results)
 
     def test_psi_verdict(self):
         rep = pairing_sequence(FENCE, PSI, horizon=12)

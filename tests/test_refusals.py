@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from stonepair import chains, fo, measure, pl
+from stonepair import chains, fo, measure, pairing, pl
 from stonepair.errors import DomainError
 from stonepair.fo import POSET_SIGNATURE, gen_example_structure
 from stonepair.gamma import ONE, ZERO, iota_exact
-from stonepair.lattice import LatticeHom, boolean_algebra, chain, from_subsets, identity_hom
+from stonepair.lattice import FiniteLattice, LatticeHom, boolean_algebra, chain, from_subsets, identity_hom
 
 B4 = boolean_algebra(2)
 C3 = chain(3)
@@ -77,6 +77,101 @@ REFUSALS = {
         lambda: pl.parse_pl_formula("true"),
         "pass exactly one of signature or lattice",
     ),
+    # a size or index that is not an integer, once truncated, wrapped or
+    # passed on to range(), islice() or numpy
+    "order pair of a non-integer": (
+        lambda: FiniteLattice(["a", "b", "c"], [(0, 1.5)]),
+        "order pair must be a pair of integers: (0, 1.5)",
+    ),
+    "chain element numerator 1.0": (
+        lambda: chains.ChainElement(2, 1.0),
+        "point numerator must be an integer: 1.0",
+    ),
+    "chain element on chain 2.5": (
+        lambda: chains.ChainElement(2.5, 1),
+        "chain parameter must be an integer: 2.5",
+    ),
+    "top of chain 2.5": (
+        lambda: chains.ChainElement(2.5, None),
+        "chain parameter must be an integer: 2.5",
+    ),
+    "chain point numerator 1.0": (
+        lambda: chains.ChainPoint(2, 1.0),
+        "point numerator must be an integer: 1.0",
+    ),
+    "embedding by 1.5": (
+        lambda: chains.embed(chains.ChainElement(2, 1), 1.5),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "point embedding by 1.5": (
+        lambda: chains.embed_point(chains.ChainPoint(2, 1), 1.5),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "floor by 1.5": (
+        lambda: chains.floor_map(2, 1.5, chains.ChainPoint(3, 1)),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "ceiling by 1.5": (
+        lambda: chains.ceiling_map(2, 1.5, chains.ChainPoint(3, 1)),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "floor onto chain 2.5": (
+        lambda: chains.floor_map(2.5, 2, chains.ChainPoint(5, 1)),
+        "chain parameter must be an integer: 2.5",
+    ),
+    "floor onto chain -1": (
+        lambda: chains.floor_map(-1, -3, chains.ChainPoint(3, 1)),
+        "chain parameter must be positive",
+    ),
+    "ominus witness for m = 2.5": (
+        lambda: chains.find_ominus_counterexample(2, 2.5),
+        "embedding factor must be an integer: 2.5",
+    ),
+    "oplus preservation for m = 1.5": (
+        lambda: chains.check_oplus_preserved(2, 1.5),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "floor-ceiling check for m = 1.5": (
+        lambda: chains.check_floor_ceiling(2, 1.5),
+        "embedding factor must be an integer: 1.5",
+    ),
+    "adjunction check on chain 2.5": (
+        lambda: chains.check_adjunction(2.5),
+        "chain parameter must be an integer: 2.5",
+    ),
+    "derived minus on chain 2.0": (
+        lambda: chains.derive_partial_minus(2.0),
+        "chain parameter must be an integer: 2.0",
+    ),
+    "duality sweep to n = 2.5": (
+        lambda: list(chains.verify_duality(2.5, 2)),
+        "chain bound must be an integer: 2.5",
+    ),
+    "duality sweep to m = 2.5": (
+        lambda: list(chains.verify_duality(2, 2.5)),
+        "factor bound must be an integer: 2.5",
+    ),
+    "chain(2.5)": (lambda: chain(2.5), "chain length must be an integer: 2.5"),
+    "boolean_algebra(2.5)": (
+        lambda: boolean_algebra(2.5),
+        "atom count must be an integer: 2.5",
+    ),
+    "gen_example_structure(2.5)": (
+        lambda: gen_example_structure(2.5),
+        "family index must be an integer: 2.5",
+    ),
+    "structure of size 2.5": (
+        lambda: fo.FiniteStructure(POSET_SIGNATURE, 2.5, {}),
+        "universe size must be an integer: 2.5",
+    ),
+    "context of length 2.5": (
+        lambda: pairing.padded_context(fo.TRUE, 2.5),
+        "context length must be an integer: 2.5",
+    ),
+    "leq at index 1.5": (lambda: B4.leq(1.5, 0), "element index must be an integer: 1.5"),
+    "meet at index 1.5": (lambda: B4.meet(0, 1.5), "element index must be an integer: 1.5"),
+    "join at index 1.5": (lambda: B4.join(1.5, 1), "element index must be an integer: 1.5"),
+    "kappa at index 1.5": (lambda: B4.kappa(1.5), "element index must be an integer: 1.5"),
 }
 
 

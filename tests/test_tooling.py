@@ -1,6 +1,6 @@
 """The benchmark's tracer names program functions by string; they must resolve.
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
-warning in a test is an error."""
+warning in a test is an error.  README's command table is the CLI's."""
 
 import ast
 import functools
@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from stonepair.cli import _COMMANDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +54,11 @@ def test_a_numpy_warning_fails_the_test():
     # not pass on the wrapped number
     with pytest.raises(RuntimeWarning, match="overflow"):
         np.int64(2**62) * np.int64(4)
+
+
+def test_readme_lists_the_cli_commands():
+    # the block under README's "Command line" names each subcommand first on
+    # its line, in the order of the CLI's dispatch table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n")[1].split("```\n")[1]
+    assert [line.split()[0] for line in block.splitlines()] == list(_COMMANDS)
