@@ -107,16 +107,6 @@ class ChainElement:
         return self.n + 1 if self.a is None else self.a
 
 
-def chain_elements(n: int) -> tuple[ChainElement, ...]:
-    """All of L_n in ascending order: 0, 1/n, ..., 1, T."""
-    return tuple(ChainElement(n, a) for a in range(n + 1)) + (ChainElement(n, None),)
-
-
-def chain_leq(u: ChainElement, v: ChainElement) -> bool:
-    _same_chain(u, v)
-    return u.rank() <= v.rank()
-
-
 def _same_chain(u: ChainElement, v: ChainElement) -> None:
     if u.n != v.n:
         raise DomainError(f"mismatched chains: {u.n} vs {v.n}")

@@ -16,7 +16,10 @@ whose every subformula evaluates to a boolean tensor with one axis of size
 |A| per free variable.  Tensor size thus follows the formula's width (the
 most free variables of any subformula), not its quantifier depth, and a
 context variable not free in the formula multiplies the count without being
-enumerated.  Before compiling, miniscoping pushes each quantifier inward, so
+enumerated.  ``count_satisfying_stack`` runs one plan on a stack of
+structures padded to one size, with a last batch axis on every tensor and
+a universe mask that keeps each member's quantifiers and count to its own
+elements.  Before compiling, miniscoping pushes each quantifier inward, so
 fewer variables meet under it, and an ∃ whose factors each pair its
 variable with one of two others is a matrix product (∀ by duality): the
 Boolean sum over the variable, computed exactly as a float32 product of 0/1
@@ -936,14 +939,16 @@ def _expander(axes: tuple[int, ...], target: tuple[int, ...]) -> tuple | None:
     return tuple(index) if None in index else None
 
 
-def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
+def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> np.ndarray:
     """The node's tensor.  Results this evaluation allocated are writeable and
     used once, so connectives overwrite them; tables and their views are
-    read-only."""
+    read-only.  With a universe mask ``U``, A is a ``_Stack`` and every
+    tensor has a last batch axis: ∃ and ∀ reduce the axis before it over
+    each member's own elements, and a contraction leaves out the other ones."""
     op = node[0]
     if op <= _OR:
         _, left, left_index, right, right_index, reuse = node
-        lt, rt = _evaluate(left, A), _evaluate(right, A)
+        lt, rt = _evaluate(left, A, U), _evaluate(right, A, U)
         if left_index is not None:
             lt = lt[left_index]
         if right_index is not None:
@@ -955,23 +960,43 @@ def _evaluate(node: tuple, A: FiniteStructure) -> np.ndarray:
             return ufunc(lt, rt, out=rt)
         return ufunc(lt, rt)
     if op <= _VIEW:
-        table = _table(A, node[1], node[2])
+        table = _table(A, node[1], node[2]) if U is None else A.tables[node[1]]
         if op == _TABLE:
             return table
         for i, j in node[3]:
             table = table.diagonal(0, i, j)
-        return table.transpose(node[4])
+            if U is not None:  # the diagonal back in front of the batch axis
+                table = table.swapaxes(-1, -2)
+        return table.transpose(node[4] if U is None else (*node[4], len(node[4])))
     if op == _NOT:
-        t = _evaluate(node[1], A)
+        t = _evaluate(node[1], A, U)
         return np.logical_not(t, out=t) if t.flags.writeable else ~t
     if op == _ANY:
-        return _evaluate(node[1], A).any(axis=-1)
+        t = _evaluate(node[1], A, U)
+        if U is None:
+            return t.any(axis=-1)
+        # a read-only tensor, a table, a view of one or the identity, is
+        # already false where only the reduced index lies off its member
+        if t.flags.writeable:
+            np.logical_and(t, U, out=t)
+        return t.any(axis=-2)
     if op == _ALL:
-        return _evaluate(node[1], A).all(axis=-1)
+        t = _evaluate(node[1], A, U)
+        if U is None:
+            return t.all(axis=-1)
+        return np.logical_or(t, ~U, out=t if t.flags.writeable else None).all(axis=-2)
     if op == _CONTRACT:
         _, left, right, universal = node
-        factor = _evaluate(left, A).astype(np.float32)
-        product = factor @ _evaluate(right, A).astype(np.float32).T
+        if U is None:
+            factor = _evaluate(left, A).astype(np.float32)
+            product = factor @ _evaluate(right, A).astype(np.float32).T
+        else:  # (B, a, v) @ (B, v, b), the left factor zero off each member on v
+            factor = np.ascontiguousarray(_evaluate(left, A, U).transpose(2, 0, 1), np.float32)
+            factor *= U.T[:, None, :]
+            product = factor @ np.ascontiguousarray(
+                _evaluate(right, A, U).transpose(2, 1, 0), np.float32
+            )
+            product = product.transpose(1, 2, 0)
         del factor
         return product == 0 if universal else product > 0
     if op == _EYE:
@@ -1002,6 +1027,153 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
     node, axes, width, tensors = _plan(phi, ctx)
     tensor = _run(A, node, tensors * A.size**width)
     return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
+
+
+# -- counting a stack of structures ------------------------------------------------
+#
+# ``count_satisfying_stack`` runs one plan on many structures at once.  The
+# members are padded to the largest size n and stacked on a last batch axis:
+# a relation's table has shape (n,) * arity + (B,), false off each member's
+# own universe, and every tensor carries the batch axis last, so the plan's
+# expander indexes and numpy's broadcasting apply unchanged.  The universe
+# mask U, of shape (n, B), keeps each member's quantifiers and its count to
+# its own elements, so every count is exact.
+
+# A stack saves the Python of one evaluation per member, about 15 µs, but
+# its cells cost about twice a lone count's: numpy reduces the axis before a
+# short batch axis slowly.  Timed on a fence plan (width 2, 2 tensors), 64
+# members of 34 elements cost 6.5 µs each in a stack against 21 µs alone,
+# and of 70 elements 22 against 34 µs; 4 members in a stack lost at every
+# size, 16 from 90 elements on.  So a stack takes at most STACK_BYTES, its
+# members' own tables included, and only members of a size that leaves room
+# for STACK_ROOM of them join one: up to 57 elements for that plan.  Larger
+# members are counted alone, as ``count_satisfying`` counts them.
+STACK_BYTES = 2**20
+STACK_ROOM = 64
+
+
+class _Stack:
+    """Structures padded to n elements and stacked on a last axis of B, as
+    ``_evaluate`` reads them: ``tables`` maps each relation the plan reads to
+    its stacked table, and ``_identity`` is the largest member's own,
+    broadcast over the stack."""
+
+    def __init__(self, tables: dict[str, np.ndarray], largest: FiniteStructure, batch: int):
+        self.tables = tables
+        self._largest = largest
+        self._batch = batch
+
+    @property
+    def _identity(self) -> np.ndarray:
+        n = self._largest.size
+        return np.broadcast_to(self._largest._identity[:, :, None], (n, n, self._batch))
+
+
+def _reads(node: tuple, out: dict[tuple[str, int], None]) -> dict[tuple[str, int], None]:
+    """The (relation, arity) pairs the plan ``node`` reads, in the order
+    ``_evaluate`` reads them."""
+    op = node[0]
+    if op <= _OR:
+        _reads(node[1], out)
+        _reads(node[3], out)
+    elif op <= _VIEW:
+        out[node[1], node[2]] = None
+    elif op <= _CONTRACT:
+        for child in node[1:3] if op == _CONTRACT else node[1:2]:
+            _reads(child, out)
+    return out
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _stack_plan(phi: Formula, ctx: tuple[str, ...]) -> tuple:
+    """``_plan(phi, ctx)`` and the relations its root reads, in order."""
+    node, axes, width, tensors = _plan(phi, ctx)
+    return node, axes, width, tensors, tuple(_reads(node, {}))
+
+
+def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
+    """The bytes a stack of ``batch`` members of one signature, padded to n
+    elements, takes: the plan's counting tensors and one more, for the copy
+    a masked reduction makes of a table; the stacked tables of the relations
+    the plan reads; the members' own tables; and the universe mask and its
+    complement."""
+    _, _, width, tensors, reads = plan
+    tables = sum(n**arity for _, arity in reads) + sum(n**arity for _, arity in signature.relations)
+    return batch * ((tensors + 1) * n**width + tables + 2 * n)
+
+
+def count_satisfying_stack(
+    members: Iterable[FiniteStructure], phi: Formula, context: Sequence[str]
+) -> list[int]:
+    """``count_satisfying(A, phi, context)`` for each member A, in order.
+
+    The members are counted in padded stacks, one evaluation of the plan per
+    stack.  Each member is drawn from ``members`` only after the one before
+    it has been checked as ``count_satisfying`` checks it: its charge against
+    the memory budget, then each relation the plan reads.  So a refusal, or
+    a fault of the iterable, is met at the member where it is met counting
+    one member at a time, with the same text.  A member joins the current
+    stack when it has the stack's signature and ``max(B, STACK_ROOM)``
+    members of the stack's padded size, B the stack's size with it, take at
+    most ``STACK_BYTES`` (``_stack_bytes``), or the budget if that is less;
+    otherwise the stack is counted and freed first.  A stack that no member
+    could join is counted at once.  A stack of one member is counted by
+    ``count_satisfying``, so a member too large to share a stack is counted
+    as soon as it is drawn, at what it costs alone."""
+    ctx = tuple(context)
+    counts: list[int] = []
+    stack: list[FiniteStructure] = []
+    cap = min(STACK_BYTES, MAX_TENSOR_CELLS)
+    plan = None
+    n = unit = 0  # the stack's padded size and its bytes per member
+    for A in members:
+        plan = plan or _stack_plan(phi, ctx)  # made at the first member, as one count makes it
+        _, _, width, tensors, reads = plan
+        check_bytes("the counting tensors", tensors * A.size**width)
+        for rel, arity in reads:
+            _table(A, rel, arity)
+        size = max(n, A.size)
+        if size != n:
+            unit = _stack_bytes(1, size, A.signature, plan)
+        room = max(len(stack) + 1, STACK_ROOM)
+        if stack and (A.signature != stack[0].signature or room * unit > cap):
+            counts += _count_stack(stack, phi, ctx)
+            stack, size = [], A.size
+            unit = _stack_bytes(1, size, A.signature, plan)
+        stack.append(A)
+        n = size
+        if max(len(stack) + 1, STACK_ROOM) * unit > cap:  # no member can join it
+            counts += _count_stack(stack, phi, ctx)
+            stack, n = [], 0
+    if stack:
+        counts += _count_stack(stack, phi, ctx)
+    return counts
+
+
+def _count_stack(members: list[FiniteStructure], phi: Formula, ctx: tuple[str, ...]) -> list[int]:
+    """The counts of ``members``, checked and of one signature, from one
+    evaluation of the plan."""
+    if len(members) == 1:
+        return [count_satisfying(members[0], phi, ctx)]
+    plan = _stack_plan(phi, ctx)
+    node, axes, _, _, reads = plan
+    sizes = [A.size for A in members]
+    n, batch = max(sizes), len(members)
+    check_bytes("the stacked counting tensors", _stack_bytes(batch, n, members[0].signature, plan))
+    universe = np.arange(n)[:, None] < np.array(sizes)
+    tables = {}
+    for rel, arity in reads:
+        table = np.zeros((n,) * arity + (batch,), dtype=bool)
+        for b, A in enumerate(members):
+            table[(slice(A.size),) * arity + (b,)] = A.tables[rel]
+        tables[rel] = _read_only(table)
+    tensor = _evaluate(node, _Stack(tables, members[sizes.index(n)], batch), universe)
+    m = len(axes)
+    for k in range(m):  # each member's cells only, on every axis
+        mask = universe[(_WHOLE,) + (None,) * (m - 1 - k)]
+        tensor = np.logical_and(tensor, mask, out=tensor if tensor.flags.writeable else None)
+    cells = np.count_nonzero(np.broadcast_to(tensor, (n,) * m + (batch,)), axis=tuple(range(m)))
+    return [count * size ** (len(ctx) - m) for count, size in zip(cells.tolist(), sizes)]
 
 
 def satisfying_tuple_bytes(n: int) -> int:

@@ -38,6 +38,10 @@ def _pairs_in_order(first: np.ndarray, second: np.ndarray) -> list[list[int]]:
     return np.argwhere(np.triu(np.stack((first, second))).transpose(1, 2, 0)).tolist()
 
 
+def _is_pair(p: object) -> bool:
+    return isinstance(p, tuple) and len(p) == 2 and all(isinstance(x, Integral) for x in p)
+
+
 class FiniteLattice:
     """A finite poset intended to be a bounded distributive lattice.
 
@@ -50,10 +54,10 @@ class FiniteLattice:
 
     def __init__(self, labels: Sequence[str], relation: Iterable[tuple[int, int]]):
         n = self._set_labels(labels)
-        pairs = list(relation)
-        bad = next((p for p in pairs if not all(isinstance(x, Integral) for x in p)), None)
+        pairs = [tuple(p) if isinstance(p, Iterable) else p for p in relation]
+        bad = next((p for p in pairs if not _is_pair(p)), None)
         if bad is not None:
-            raise DomainError(f"order pair must be a pair of integers: {tuple(bad)!r}")
+            raise DomainError(f"order pair must be a pair of integers: {bad!r}")
         # exact Python integers: a negative index must not wrap, a huge one overflow
         index = np.array(pairs, dtype=object).reshape(-1, 2)
         outside = ((index < 0) | (index >= n)).any(axis=1)
@@ -305,6 +309,11 @@ class PrimeFilter:
     lattice: FiniteLattice
     members: frozenset[int]
 
+    def __post_init__(self) -> None:
+        bad = next((m for m in self.members if not isinstance(m, Integral)), None)
+        if bad is not None:
+            raise DomainError(f"filter member must be an integer: {bad!r}")
+
     def violations(self) -> list[str]:
         """Every failure, kind by kind (empty, not proper, up-set,
         meet-closure, primeness), each kind in ascending order of its
@@ -345,8 +354,13 @@ class LatticeHom:
     target: FiniteLattice
     mapping: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        bad = next((y for y in self.mapping if not isinstance(y, Integral)), None)
+        if bad is not None:
+            raise DomainError(f"mapping entry must be an integer: {bad!r}")
+
     def __call__(self, a: int) -> int:
-        return self.mapping[a]
+        return self.mapping[self.source._index(a)]
 
     def compose(self, other: "LatticeHom") -> "LatticeHom":
         """The composite ``self . other`` (apply ``other`` first)."""
@@ -355,10 +369,6 @@ class LatticeHom:
         return LatticeHom(
             other.source, self.target, tuple(self.mapping[x] for x in other.mapping)
         )
-
-
-def identity_hom(L: FiniteLattice) -> LatticeHom:
-    return LatticeHom(L, L, tuple(range(L.n)))
 
 
 def check_hom(h: LatticeHom) -> list[str]:
@@ -438,14 +448,6 @@ def product_lattice(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
     fo.check_bytes("the product order", n * n)
     leq = left._leq[:, None, :, None] & right._leq[None, :, None, :]
     return FiniteLattice._from_closed_order(labels, leq.reshape(n, n))
-
-
-def diamond_m3() -> FiniteLattice:
-    """Five elements, three incomparable atoms: the standard non-distributive
-    modular lattice, used to exercise validation."""
-    labels = ["0", "x", "y", "z", "1"]
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
-    return FiniteLattice(labels, pairs)
 
 
 def from_subsets(

@@ -58,7 +58,7 @@ class _Valuation:
             raise DomainError(f"{len(self.values)} values for {self.lattice.n} elements")
 
     def __call__(self, a: int):
-        return self.values[a]
+        return self.values[self.lattice._index(a)]
 
 
 @dataclass(frozen=True)

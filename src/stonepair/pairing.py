@@ -8,14 +8,17 @@ sequence of pairings can distinguish a limit that is achieved (``q^o``) from
 one approached strictly from below (``r^-``).
 
 ``pairing_sequence`` evaluates a family of structures along an index range
-and classifies the whole sequence and its odd and even subsequences.  For a
-family that publishes closed forms for the formula at hand the verdicts are
-exact; otherwise they are a horizon-bounded heuristic over the tail of the
-computed values.  One rule combines them: the whole sequence diverges when
-both parity limits exist and differ.  A directory family is listed once per
-run, so files added to it later are not seen; its member n is the one
-regular file whose stem is n, with any number of leading zeros
-(``7.struct``, ``007.struct``).
+and classifies the whole sequence and its odd and even subsequences.  It
+counts the members in padded stacks (``fo.count_satisfying_stack``), one
+evaluation of the formula per stack, and checks each member as it is built,
+so a refusal comes at the member, and with the text, that counting one
+member at a time would give.  For a family that publishes closed forms for
+the formula at hand the verdicts are exact; otherwise they are a
+horizon-bounded heuristic over the tail of the computed values.  One rule
+combines them: the whole sequence diverges when both parity limits exist
+and differ.  A directory family is listed once per run, so files added to
+it later are not seen; its member n is the one regular file whose stem is
+n, with any number of leading zeros (``7.struct``, ``007.struct``).
 """
 
 from __future__ import annotations
@@ -270,18 +273,6 @@ class DirectoryFamily(StructureFamily):
         return fo.load(matches[0], fo.parse_structure)
 
 
-class ConstantFamily(StructureFamily):
-    """Every index yields the same structure."""
-
-    name = "constant"
-
-    def __init__(self, A: FiniteStructure):
-        self._A = A
-
-    def structure(self, index: int) -> FiniteStructure:
-        return self._A
-
-
 def pairing_sequence(
     family: StructureFamily,
     phi: Formula,
@@ -299,17 +290,23 @@ def pairing_sequence(
     if not isinstance(horizon, Integral) or horizon < 4:
         raise DomainError(f"horizon must be at least 4: {horizon!r} is not an integer >= 4")
     ctx = fo.free_vars(phi) if context is None else tuple(context)
-    results = []
-    for index in itertools.chain((1, horizon), range(2, horizon)):
-        try:
-            A = family.structure(index)
-        except InternalInvariantError:
-            raise
-        except Exception as exc:
-            raise DomainError(
-                f"family {family.name} failed at index {index}: {exc}"
-            ) from exc
-        results.append(stone_pairing(A, phi, ctx))
+    sizes = []
+
+    def members():
+        for index in itertools.chain((1, horizon), range(2, horizon)):
+            try:
+                A = family.structure(index)
+            except InternalInvariantError:
+                raise
+            except Exception as exc:
+                raise DomainError(
+                    f"family {family.name} failed at index {index}: {exc}"
+                ) from exc
+            sizes.append(A.size)
+            yield A
+
+    counts = fo.count_satisfying_stack(members(), phi, ctx)
+    results = [PairingResult.from_counts(c, s ** len(ctx)) for c, s in zip(counts, sizes)]
     results.append(results.pop(1))  # member horizon's pairing to its place
     classical = [r.classical for r in results]
     closed = family.closed_form(phi)

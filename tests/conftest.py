@@ -11,11 +11,11 @@ from functools import cache, cached_property
 import hypothesis.strategies as st
 import numpy as np
 
-from stonepair import fo, gamma, lattice
-from stonepair.chains import ChainPoint
+from stonepair import fo, gamma, lattice, pairing
+from stonepair.chains import ChainElement, ChainPoint
 from stonepair.errors import DomainError, InternalInvariantError, LatticeError, PresentationError
 from stonepair.gamma import GammaValue
-from stonepair.lattice import FiniteLattice
+from stonepair.lattice import FiniteLattice, LatticeHom
 from stonepair.measure import ClassicalMeasure, Measure, MeasureViolation
 from stonepair.pl import (
     GE,
@@ -183,6 +183,44 @@ def random_classical_measure(L: FiniteLattice, rng: random.Random) -> ClassicalM
         sum((weight[j] for j in J if L.leq(j, a)), Fraction(0)) for a in range(L.n)
     )
     return ClassicalMeasure(L, values)
+
+
+# -- small objects only the tests build ----------------------------------------------
+
+
+def chain_elements(n: int) -> tuple[ChainElement, ...]:
+    """All of L_n in ascending order: 0, 1/n, ..., 1, T."""
+    return tuple(ChainElement(n, a) for a in range(n + 1)) + (ChainElement(n, None),)
+
+
+def chain_leq(u: ChainElement, v: ChainElement) -> bool:
+    if u.n != v.n:
+        raise DomainError(f"mismatched chains: {u.n} vs {v.n}")
+    return u.rank() <= v.rank()
+
+
+def identity_hom(L: FiniteLattice) -> LatticeHom:
+    return LatticeHom(L, L, tuple(range(L.n)))
+
+
+def diamond_m3() -> FiniteLattice:
+    """Five elements, three incomparable atoms: the standard non-distributive
+    modular lattice, used to exercise validation."""
+    labels = ["0", "x", "y", "z", "1"]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    return FiniteLattice(labels, pairs)
+
+
+class ConstantFamily(pairing.StructureFamily):
+    """Every index yields the same structure."""
+
+    name = "constant"
+
+    def __init__(self, A: fo.FiniteStructure):
+        self._A = A
+
+    def structure(self, index: int) -> fo.FiniteStructure:
+        return self._A
 
 
 # -- reference oracles for the formula analysis ---------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import chain_elements, chain_leq
 from stonepair import chains
 from stonepair.chains import (
     AdjunctionViolation,
@@ -14,9 +15,7 @@ from stonepair.chains import (
     ChainPoint,
     OminusWitness,
     ceiling_of_ranks,
-    chain_elements,
     chain_lattice,
-    chain_leq,
     check_adjunction,
     check_floor_ceiling,
     check_oplus_preserved,

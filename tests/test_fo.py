@@ -6,6 +6,8 @@ import pickle
 import random
 import sys
 import tracemalloc
+from collections import Counter
+from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
 import numpy as np
@@ -1038,3 +1040,199 @@ class TestFormulaHash:
                 assert (r.count, r.total) == (expected, 16)
         finally:
             sys.setrecursionlimit(default)
+
+
+# -- counting a stack of structures ---------------------------------------------------
+
+STACK_SIG = Signature((("r", 2), ("lt", 2), ("t", 3)))
+STACK_CONTEXTS = (("x", "y"), ("x",), (), ("y", "x", "w"))
+
+
+def _stack_formula(rng: random.Random, depth: int, scope: tuple[str, ...]) -> fo.Formula:
+    """A random formula over ``STACK_SIG`` and equality whose atoms draw
+    their arguments from ``scope``, so that r(x, x) and t(y, x, y) occur."""
+    def var() -> str:
+        return scope[rng.randrange(len(scope))]
+
+    if depth == 0 or rng.randrange(3) == 0:
+        kind = rng.randrange(6)
+        if kind < 2:
+            return (TRUE, FALSE)[kind]
+        if kind == 2:
+            return Eq(var(), var())
+        if kind == 3:
+            return Atom("t", (var(), var(), var()))
+        return Atom(("r", "lt")[kind - 4], (var(), var()))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_stack_formula(rng, depth - 1, scope))
+    if kind <= 3:
+        ctor = (And, Or, Implies)[kind - 1]
+        return ctor(_stack_formula(rng, depth - 1, scope), _stack_formula(rng, depth - 1, scope))
+    bound = f"z{len(scope)}"
+    body = _stack_formula(rng, depth - 1, scope + (bound,))
+    return (Exists, Forall)[kind - 4](bound, body)
+
+
+# literals each mentioning z and at most one of x, y: a quantifier over z
+# of a junction of them contracts
+STACK_LITERALS = ("r(x,z)", "lt(z,x)", "r(z,y)", "lt(y,z)", "t(z,x,z)", "r(z,z)", "z = y")
+
+
+def _shaped_stack_formula(rng: random.Random) -> fo.Formula:
+    literals = [
+        ("!" if rng.randrange(2) else "") + rng.choice(STACK_LITERALS) for _ in range(rng.randrange(2, 5))
+    ]
+    body = literals[0]
+    for literal in literals[1:]:
+        body = f"({body} {rng.choice('&|')} {literal})"
+    return parse_formula(f"{rng.choice(('exists', 'forall'))} z. {body}", STACK_SIG)
+
+
+def _stack_members(rng: random.Random, sizes: Sequence[int]) -> list[FiniteStructure]:
+    """Structures over ``STACK_SIG`` of the given sizes, each relation
+    holding each tuple with a probability drawn per table."""
+    tables = np.random.default_rng(rng.randrange(2**32))
+    return [
+        FiniteStructure.from_tables(STACK_SIG, {
+            name: tables.random((n,) * arity) < tables.random()
+            for name, arity in STACK_SIG.relations
+        })
+        for n in sizes
+    ]
+
+
+def _nodes(node: tuple) -> Iterator[tuple]:
+    """The plan node and every node below it."""
+    yield node
+    op = node[0]
+    children = (node[1], node[3]) if op <= fo._OR else node[1:3] if op == fo._CONTRACT else (
+        node[1:2] if op in (fo._NOT, fo._ANY, fo._ALL) else ()
+    )
+    for child in children:
+        yield from _nodes(child)
+
+
+def _plan_features(phi: fo.Formula, ctx: tuple[str, ...]) -> set[str]:
+    """Which of the cases a stacked count must get right the plan meets."""
+    node, axes = fo._plan(phi, ctx)[:2]
+    ops = {n[0] for n in _nodes(node)}
+    features = set()
+    if fo._CONTRACT in ops:
+        features.add("contraction")
+    if fo._EYE in ops:
+        features.add("equality")
+    if node in (fo._TRUE_NODE, fo._FALSE_NODE):
+        features.add("constant")
+    elif not ctx:
+        features.add("sentence")
+    if len(axes) < len(ctx):
+        features.add("unused context variable")
+    if any(n[0] == fo._VIEW and n[3] for n in _nodes(node)):
+        features.add("repeated argument")
+    return features
+
+
+class TestStackedCounting:
+    """``count_satisfying_stack`` and one stacked evaluation (``_count_stack``)
+    against ``count_satisfying`` on each member."""
+
+    def test_seeded_corpus_matches_per_member_counts(self):
+        rng = random.Random(26)
+        met: Counter = Counter()
+        for case in range(800):
+            ctx = STACK_CONTEXTS[case % len(STACK_CONTEXTS)]
+            if case % 3 == 2 and "y" in ctx:
+                phi = _shaped_stack_formula(rng)
+            else:
+                phi = _stack_formula(rng, rng.randrange(1, 6), ctx or ("x",))
+            if not ctx:
+                phi = Exists("x", phi)
+            members = _stack_members(rng, [rng.randrange(1, 10) for _ in range(rng.randrange(2, 7))])
+            expected = [count_satisfying(A, phi, ctx) for A in members]
+            assert fo._count_stack(members, phi, ctx) == expected, (phi, ctx)
+            assert fo.count_satisfying_stack(iter(members), phi, ctx) == expected, (phi, ctx)
+            met.update(_plan_features(phi, ctx))
+        # every case the stack must get right occurs, each many times
+        assert set(met) == {
+            "contraction", "equality", "constant", "sentence", "unused context variable",
+            "repeated argument",
+        }
+        assert min(met.values()) >= 20, met
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(structures(max_size=9), min_size=2, max_size=6), shaped_formulas())
+    def test_contractions_match_per_member_counts(self, members, phi):
+        for ctx in (("x", "y"), ("y", "x", "w")):
+            expected = [count_satisfying(A, phi, ctx) for A in members]
+            assert fo._count_stack(members, phi, ctx) == expected
+            assert fo.count_satisfying_stack(members, phi, ctx) == expected
+
+    def test_no_member_no_count(self):
+        assert fo.count_satisfying_stack([], TRUE, ("x",)) == []
+
+    @pytest.mark.parametrize("text", [
+        "exists z. r(x,z) & r(z,y)",  # a contraction
+        "forall z. r(x,z) | lt(z,y)",  # the dual contraction
+        "forall y. r(x,y)",  # a masked reduction of a table
+        "exists y. !(x = y) & !r(y,x)",  # the identity
+        "t(x,y,x) | exists z. t(x,z,y) & !r(z,z)",  # a diagonal, width 3
+    ])
+    def test_charge_bounds_the_traced_peak(self, text):
+        rng = random.Random(7)
+        members = _stack_members(rng, [40, 33, 27, 40, 12, 39, 40, 1])
+        phi = parse_formula(text, STACK_SIG)
+        ctx = ("x", "y")
+        expected = [count_satisfying(A, phi, ctx) for A in members]
+        for A in members:
+            A._identity  # built once per structure, as a lone count builds it
+        tracemalloc.start()
+        try:
+            assert fo._count_stack(members, phi, ctx) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charge = fo._stack_bytes(len(members), 40, STACK_SIG, fo._stack_plan(phi, ctx))
+        # the charge counts the members' own tables, which exist before the call
+        held = len(members) * sum(40**arity for _, arity in STACK_SIG.relations)
+        assert peak <= charge - held
+
+    def test_a_member_is_checked_before_the_next_is_drawn(self):
+        # the second member lacks lt, and drawing a third would fail
+        A = gen_example_structure(3)
+        no_lt = FiniteStructure(BINARY_SIG, 2, {})
+        drawn = []
+
+        def members():
+            for B in (A, no_lt):
+                drawn.append(B)
+                yield B
+            raise AssertionError("a third member was drawn")
+
+        with pytest.raises(DomainError) as exc:
+            fo.count_satisfying_stack(members(), maximal_not_maximum(), ("x",))
+        assert str(exc.value) == "structure has no relation lt/2"
+        assert drawn == [A, no_lt]
+
+    def test_a_member_past_the_budget_is_refused_with_its_own_charge(self, monkeypatch):
+        psi = maximal_not_maximum()
+        members = [gen_example_structure(n) for n in (1, 30, 2)]
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 2 * 17**2 - 1)  # member 30 has 17 elements
+        with pytest.raises(SizeError) as exc:
+            fo.count_satisfying_stack(members, psi, ("x",))
+        assert str(exc.value) == "the counting tensors would take 578 bytes; the guard is 577"
+        with pytest.raises(SizeError) as exc:
+            count_satisfying(members[1], psi, ("x",))
+        assert str(exc.value) == "the counting tensors would take 578 bytes; the guard is 577"
+
+    def test_members_of_another_signature_start_a_stack(self, monkeypatch):
+        stacks = []
+        count_stack = fo._count_stack
+        monkeypatch.setattr(fo, "_count_stack", lambda m, *a: stacks.append(len(m)) or count_stack(m, *a))
+        poset = [gen_example_structure(n) for n in (1, 2, 3)]
+        other = FiniteStructure(Signature((("lt", 2), ("r", 2))), 3, {"lt": {(0, 1)}})
+        phi = parse_formula("exists y. lt(x,y)", POSET)
+        members = [*poset, other, *poset]
+        expected = [count_satisfying(A, phi, ("x",)) for A in members]
+        assert fo.count_satisfying_stack(members, phi, ("x",)) == expected
+        assert stacks == [3, 1, 3]

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     ReferenceLattice,
+    diamond_m3,
+    identity_hom,
     reference_check_hom,
     reference_covers,
     reference_distributivity,
@@ -34,10 +36,8 @@ from stonepair.lattice import (
     boolean_algebra,
     chain,
     check_hom,
-    diamond_m3,
     format_lattice,
     from_subsets,
-    identity_hom,
     parse_lattice,
     product_lattice,
 )

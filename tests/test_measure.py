@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    identity_hom,
     random_classical_measure,
     reference_validate_classical_measure,
     reference_validate_measure,
@@ -21,7 +22,6 @@ from stonepair.lattice import (
     LatticeHom,
     boolean_algebra,
     chain,
-    identity_hom,
     product_lattice,
 )
 from stonepair.measure import (

@@ -6,14 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import formulas, structures
+from conftest import ConstantFamily, formulas, structures
 from stonepair import fo, gamma, pairing
 from stonepair.errors import DomainError, InternalInvariantError, SizeError
 from stonepair.fo import Not, TRUE, FALSE, gen_example_structure, maximal_not_maximum
 from stonepair.gamma import ONE, ONE_APPROX, ZERO, iota_exact
 from stonepair.measure import integrate
 from stonepair.pairing import (
-    ConstantFamily,
     FenceFamily,
     PairingResult,
     StructureFamily,
@@ -371,6 +370,84 @@ class TestSequences:
         with pytest.raises(InternalInvariantError) as info:
             pairing_sequence(Inconsistent(), PSI, horizon=4)
         assert type(info.value) is InternalInvariantError
+
+
+class TestStackedSequences:
+    """``pairing_sequence`` counts its members in padded stacks
+    (``fo.count_satisfying_stack``); the pairings, refusals and build order
+    are those of counting one member at a time."""
+
+    SEQUENCES = (
+        (PSI, ("x",)),
+        (Not(PSI), ("x",)),
+        (fo.parse_formula("y = x | lt(y,x)", fo.POSET_SIGNATURE), ("x", "y")),
+    )
+
+    @staticmethod
+    def per_member(phi, ctx, horizon):
+        return tuple(stone_pairing(FENCE.structure(i), phi, ctx) for i in range(1, horizon + 1))
+
+    @pytest.mark.parametrize("horizon", [4, 5, 12, 31, 64])
+    def test_pairings_are_the_per_member_pairings(self, horizon):
+        for phi, ctx in self.SEQUENCES:
+            rep = pairing_sequence(FENCE, phi, ctx, horizon)
+            assert rep.results == self.per_member(phi, ctx, horizon), (phi, horizon)
+
+    def test_stack_sizes_do_not_change_the_pairings(self, monkeypatch):
+        stacks = []  # the member sizes of each stack counted
+        count_stack = fo._count_stack
+
+        def recorded(members, *args):
+            stacks.append([A.size for A in members])
+            return count_stack(members, *args)
+
+        for phi, ctx in self.SEQUENCES:
+            expected = self.per_member(phi, ctx, 40)
+            with monkeypatch.context() as mp:
+                mp.setattr(fo, "_count_stack", recorded)
+                stacks.clear()
+                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
+                assert len(stacks) == 1  # 21 elements at most: one stack
+                mp.setattr(fo, "STACK_BYTES", 0)
+                stacks.clear()
+                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
+                assert [len(s) for s in stacks] == [1] * 40
+                # room for three members of 21 elements, more of fewer
+                plan = fo._stack_plan(phi, ctx)
+                cap = fo._stack_bytes(3, 21, fo.POSET_SIGNATURE, plan)
+                mp.setattr(fo, "STACK_ROOM", 1)
+                mp.setattr(fo, "STACK_BYTES", cap)
+                stacks.clear()
+                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
+                assert sum(map(len, stacks)) == 40 and len(stacks) > 3
+                for sizes in stacks:
+                    assert fo._stack_bytes(len(sizes), max(sizes), fo.POSET_SIGNATURE, plan) <= cap
+                    assert len(sizes) <= 3 or max(sizes) < 21
+
+    def test_a_member_that_cannot_be_counted_fails_before_the_next_is_built(self, tmp_path):
+        # member 2 has no lt, and member 3, built after it, is missing
+        (tmp_path / "1.struct").write_text("signature: lt/2\nuniverse: 2\nlt = {(0,1)}\n")
+        (tmp_path / "2.struct").write_text("signature: r/2\nuniverse: 2\nr = {(0,1)}\n")
+        (tmp_path / "4.struct").write_text("signature: lt/2\nuniverse: 3\nlt = {(0,1)}\n")
+        with pytest.raises(DomainError) as exc:
+            pairing_sequence(pairing.DirectoryFamily(tmp_path), PSI, horizon=4)
+        assert str(exc.value) == "structure has no relation lt/2"
+
+    def test_a_member_past_the_budget_fails_with_its_own_charge(self, monkeypatch):
+        built = []
+
+        class Recorded(StructureFamily):
+            def structure(self, index):
+                built.append(index)
+                return gen_example_structure(index)
+
+        # member 64 has 34 elements: its lt table fits the budget, its two
+        # counting tensors do not
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 2000)
+        with pytest.raises(SizeError) as exc:
+            pairing_sequence(Recorded(), PSI, horizon=64)
+        assert str(exc.value) == "the counting tensors would take 2312 bytes; the guard is 2000"
+        assert built == [1, 64]
 
 
 class TestPairingResult:

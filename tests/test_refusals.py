@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import identity_hom
 from stonepair import chains, fo, measure, pairing, pl
 from stonepair.errors import DomainError
 from stonepair.fo import POSET_SIGNATURE, gen_example_structure
 from stonepair.gamma import ONE, ZERO, iota_exact
-from stonepair.lattice import FiniteLattice, LatticeHom, boolean_algebra, chain, from_subsets, identity_hom
+from stonepair.lattice import FiniteLattice, LatticeHom, PrimeFilter, boolean_algebra, chain, from_subsets
 
 B4 = boolean_algebra(2)
 C3 = chain(3)
@@ -172,6 +173,34 @@ REFUSALS = {
     "meet at index 1.5": (lambda: B4.meet(0, 1.5), "element index must be an integer: 1.5"),
     "join at index 1.5": (lambda: B4.join(1.5, 1), "element index must be an integer: 1.5"),
     "kappa at index 1.5": (lambda: B4.kappa(1.5), "element index must be an integer: 1.5"),
+    "order pair of three": (
+        lambda: FiniteLattice(["a", "b", "c"], [(0, 1, 2)]),
+        "order pair must be a pair of integers: (0, 1, 2)",
+    ),
+    "order pair that is a number": (
+        lambda: FiniteLattice(["a", "b"], [5]),
+        "order pair must be a pair of integers: 5",
+    ),
+    "measure at index 1.5": (
+        lambda: measure.Measure(B4, (ZERO, HALF, HALF, ONE))(1.5),
+        "element index must be an integer: 1.5",
+    ),
+    "measure at index -1": (
+        lambda: measure.Measure(B4, (ZERO, HALF, HALF, ONE))(-1),
+        "element index -1 out of range for 4 elements",
+    ),
+    "homomorphism onto 3.0": (
+        lambda: LatticeHom(B4, B4, (0, 1, 2, 3.0)),
+        "mapping entry must be an integer: 3.0",
+    ),
+    "homomorphism at index 1.5": (
+        lambda: LatticeHom(B4, B4, (0, 1, 2, 3))(1.5),
+        "element index must be an integer: 1.5",
+    ),
+    "prime filter holding 1.5": (
+        lambda: PrimeFilter(B4, frozenset({1.5})),
+        "filter member must be an integer: 1.5",
+    ),
 }
 
 
