@@ -28,7 +28,8 @@ size refusal is a ``check_bytes`` charge against the one memory budget,
 made before anything is allocated: relation tables, family members' ``lt``
 tables, the counting tensors (|A| ** width one-byte cells times the most of
 them alive at once) and satisfying sets past ``MAX_TENSOR_CELLS`` bytes
-raise ``SizeError``.
+raise ``SizeError``.  Past its charge a count allocates O(|A|) bytes: an
+equality reads ``_eye(|A|)``, the identity as a view of 2|A| − 1 bytes.
 
 Formula text has one grammar and one parser, which ``pl`` extends for
 threshold formulas.  Precedence, low to high: ``->``, ``|``, ``&``, ``!``;
@@ -166,10 +167,6 @@ class FiniteStructure:
         self.signature = signature
         self.size = size
         self.tables = MappingProxyType({name: _read_only(t) for name, t in tables.items()})
-
-    @functools.cached_property
-    def _identity(self) -> np.ndarray:
-        return _read_only(np.eye(self.size, dtype=bool))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -607,9 +604,9 @@ def _sat_at(A: FiniteStructure, alpha: dict[str, int], phi: Formula) -> bool:
 # per free variable, in axis order, so tensor size follows the formula's
 # width, not its quantifier depth.  Atoms are views of the structure's
 # relation tables (transposed, with a diagonal per repeated argument),
-# equalities are views of one identity matrix, ``&``/``|`` broadcast over the
-# union of their operands' axes, and a quantifier reduces its variable's axis,
-# always the last one since its number is the highest in scope.
+# equalities are ``_eye(|A|)``, one identity view per size, ``&``/``|``
+# broadcast over the union of their operands' axes, and a quantifier reduces
+# its variable's axis, always the last one, its number the highest in scope.
 #
 # Width is what costs, so ``_plan`` first rewrites the formula by
 # miniscoping (``_miniscope``): a quantifier distributes over the connective
@@ -649,12 +646,13 @@ _CELLS = {_TRUE: _read_only(np.array(True)), _FALSE: _read_only(np.array(False))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int, int]:
+def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], int, int, tuple]:
     """The root node, the axes of its tensor (context positions), the plan's
-    width (the most axes of size |A| on any tensor or table it uses) and the
+    width (the most axes of size |A| on any tensor or table it uses), the
     most one-byte tensors of that width its evaluation keeps alive at once
-    (at least one; a float32 matrix counts as four), which ``_run``
-    charges.  The plan is compiled from ``_miniscope(phi)``."""
+    (at least one; a float32 matrix counts as four), which ``_admit``
+    charges, and the (relation, arity) pairs it reads, in the order
+    ``_evaluate`` reads them.  The plan is compiled from ``_miniscope(phi)``."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
     memo: dict[int, tuple] = {}
@@ -666,7 +664,7 @@ def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], i
         _miniscope(phi, memo), {v: i for i, v in enumerate(ctx)}, len(ctx), widths
     )
     width = max(widths)
-    return node, axes, width, max(alive[width], 1)
+    return node, axes, width, max(alive[width], 1), tuple(_reads(node, {}))
 
 
 def _neg(phi: Formula) -> Formula:
@@ -910,7 +908,6 @@ def _allocates(node: tuple) -> bool:
     return node[0] <= _OR or _NOT <= node[0] <= _CONTRACT
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _atom(rel: str, args: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     """A view of the relation table with one axis per distinct argument axis,
     in axis order: ``diagonal`` merges a repeated argument's two table axes
@@ -928,7 +925,6 @@ def _atom(rel: str, args: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     return (_VIEW, rel, len(args), tuple(diagonals), perm), tuple(sorted(labels))
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _expander(axes: tuple[int, ...], target: tuple[int, ...]) -> tuple | None:
     """Index inserting size-1 axes so a tensor over ``axes`` lines up with one
     over ``target``; None where numpy's own broadcasting, which prepends
@@ -939,12 +935,37 @@ def _expander(axes: tuple[int, ...], target: tuple[int, ...]) -> tuple | None:
     return tuple(index) if None in index else None
 
 
+def _reads(node: tuple, out: dict[tuple[str, int], None]) -> dict[tuple[str, int], None]:
+    """The (relation, arity) pairs the plan ``node`` reads, in the order
+    ``_evaluate`` reads them."""
+    op = node[0]
+    if op <= _OR:
+        _reads(node[1], out)
+        _reads(node[3], out)
+    elif op <= _VIEW:
+        out[node[1], node[2]] = None
+    elif op <= _CONTRACT:
+        for child in node[1:3] if op == _CONTRACT else node[1:2]:
+            _reads(child, out)
+    return out
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _eye(n: int) -> np.ndarray:
+    """The n × n identity as a read-only view of 2n − 1 bytes, all false
+    but the middle one: cell (i, j) is byte n − 1 − i + j."""
+    line = np.zeros(2 * n - 1, dtype=bool)
+    line[n - 1] = True
+    return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
+
+
 def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> np.ndarray:
-    """The node's tensor.  Results this evaluation allocated are writeable and
-    used once, so connectives overwrite them; tables and their views are
-    read-only.  With a universe mask ``U``, A is a ``_Stack`` and every
-    tensor has a last batch axis: ∃ and ∀ reduce the axis before it over
-    each member's own elements, and a contraction leaves out the other ones."""
+    """The node's tensor, A's tables checked by ``_admit``.  Results this
+    evaluation allocated are writeable and used once, so connectives
+    overwrite them; tables, their views and the identity are read-only.
+    With a universe mask ``U``, A is a ``_Stack`` and every tensor has a
+    last batch axis: ∃ and ∀ reduce the axis before it over each member's
+    own elements, and a contraction leaves out the other ones."""
     op = node[0]
     if op <= _OR:
         _, left, left_index, right, right_index, reuse = node
@@ -960,7 +981,7 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
             return ufunc(lt, rt, out=rt)
         return ufunc(lt, rt)
     if op <= _VIEW:
-        table = _table(A, node[1], node[2]) if U is None else A.tables[node[1]]
+        table = A.tables[node[1]]
         if op == _TABLE:
             return table
         for i, j in node[3]:
@@ -975,7 +996,7 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
         t = _evaluate(node[1], A, U)
         if U is None:
             return t.any(axis=-1)
-        # a read-only tensor, a table, a view of one or the identity, is
+        # a read-only tensor, a table, a view of one or ``_eye(n)``, is
         # already false where only the reduced index lies off its member
         if t.flags.writeable:
             np.logical_and(t, U, out=t)
@@ -1000,7 +1021,8 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
         del factor
         return product == 0 if universal else product > 0
     if op == _EYE:
-        return A._identity
+        eye = _eye(A.size)
+        return eye if U is None else np.broadcast_to(eye[:, :, None], (*eye.shape, U.shape[1]))
     return _CELLS[op]
 
 
@@ -1011,9 +1033,11 @@ def _table(A: FiniteStructure, rel: str, arity: int) -> np.ndarray:
     return table
 
 
-def _run(A: FiniteStructure, node: tuple, nbytes: int) -> np.ndarray:
+def _admit(A: FiniteStructure, reads: tuple, nbytes: int) -> None:
+    """Check a plan's charge of ``nbytes`` on A, then each relation it reads."""
     check_bytes("the counting tensors", nbytes)
-    return _evaluate(node, A)
+    for rel, arity in reads:
+        _table(A, rel, arity)
 
 
 def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -> int:
@@ -1024,8 +1048,9 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
     free in ``phi`` multiply the count without being enumerated.
     """
     ctx = tuple(context)
-    node, axes, width, tensors = _plan(phi, ctx)
-    tensor = _run(A, node, tensors * A.size**width)
+    node, axes, width, tensors, reads = _plan(phi, ctx)
+    _admit(A, reads, tensors * A.size**width)
+    tensor = _evaluate(node, A)
     return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
 
 
@@ -1052,43 +1077,13 @@ STACK_BYTES = 2**20
 STACK_ROOM = 64
 
 
-class _Stack:
-    """Structures padded to n elements and stacked on a last axis of B, as
-    ``_evaluate`` reads them: ``tables`` maps each relation the plan reads to
-    its stacked table, and ``_identity`` is the largest member's own,
-    broadcast over the stack."""
+class _Stack(NamedTuple):
+    """Structures padded to ``size`` elements and stacked on a last batch
+    axis, as ``_evaluate`` reads them: ``tables`` maps each relation the plan
+    reads to its stacked table."""
 
-    def __init__(self, tables: dict[str, np.ndarray], largest: FiniteStructure, batch: int):
-        self.tables = tables
-        self._largest = largest
-        self._batch = batch
-
-    @property
-    def _identity(self) -> np.ndarray:
-        n = self._largest.size
-        return np.broadcast_to(self._largest._identity[:, :, None], (n, n, self._batch))
-
-
-def _reads(node: tuple, out: dict[tuple[str, int], None]) -> dict[tuple[str, int], None]:
-    """The (relation, arity) pairs the plan ``node`` reads, in the order
-    ``_evaluate`` reads them."""
-    op = node[0]
-    if op <= _OR:
-        _reads(node[1], out)
-        _reads(node[3], out)
-    elif op <= _VIEW:
-        out[node[1], node[2]] = None
-    elif op <= _CONTRACT:
-        for child in node[1:3] if op == _CONTRACT else node[1:2]:
-            _reads(child, out)
-    return out
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _stack_plan(phi: Formula, ctx: tuple[str, ...]) -> tuple:
-    """``_plan(phi, ctx)`` and the relations its root reads, in order."""
-    node, axes, width, tensors = _plan(phi, ctx)
-    return node, axes, width, tensors, tuple(_reads(node, {}))
+    tables: dict[str, np.ndarray]
+    size: int
 
 
 def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
@@ -1127,11 +1122,9 @@ def count_satisfying_stack(
     plan = None
     n = unit = 0  # the stack's padded size and its bytes per member
     for A in members:
-        plan = plan or _stack_plan(phi, ctx)  # made at the first member, as one count makes it
+        plan = plan or _plan(phi, ctx)  # made at the first member, as one count makes it
         _, _, width, tensors, reads = plan
-        check_bytes("the counting tensors", tensors * A.size**width)
-        for rel, arity in reads:
-            _table(A, rel, arity)
+        _admit(A, reads, tensors * A.size**width)
         size = max(n, A.size)
         if size != n:
             unit = _stack_bytes(1, size, A.signature, plan)
@@ -1155,7 +1148,7 @@ def _count_stack(members: list[FiniteStructure], phi: Formula, ctx: tuple[str, .
     evaluation of the plan."""
     if len(members) == 1:
         return [count_satisfying(members[0], phi, ctx)]
-    plan = _stack_plan(phi, ctx)
+    plan = _plan(phi, ctx)
     node, axes, _, _, reads = plan
     sizes = [A.size for A in members]
     n, batch = max(sizes), len(members)
@@ -1167,7 +1160,7 @@ def _count_stack(members: list[FiniteStructure], phi: Formula, ctx: tuple[str, .
         for b, A in enumerate(members):
             table[(slice(A.size),) * arity + (b,)] = A.tables[rel]
         tables[rel] = _read_only(table)
-    tensor = _evaluate(node, _Stack(tables, members[sizes.index(n)], batch), universe)
+    tensor = _evaluate(node, _Stack(tables, n), universe)
     m = len(axes)
     for k in range(m):  # each member's cells only, on every axis
         mask = universe[(_WHOLE,) + (None,) * (m - 1 - k)]
@@ -1191,8 +1184,9 @@ def satisfying_set(
     The tuples, counted on the satisfaction tensor, are checked against the
     memory budget at ``satisfying_tuple_bytes`` each before they are built."""
     ctx = tuple(context)
-    node, axes, width, tensors = _plan(phi, ctx)
-    tensor = _run(A, node, max(tensors * A.size**width, A.size ** len(ctx)))
+    node, axes, width, tensors, reads = _plan(phi, ctx)
+    _admit(A, reads, max(tensors * A.size**width, A.size ** len(ctx)))
+    tensor = _evaluate(node, A)
     if not ctx:
         return frozenset([()] if bool(tensor) else [])
     index = tuple(_WHOLE if a in axes else None for a in range(len(ctx)))

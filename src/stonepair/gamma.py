@@ -356,6 +356,8 @@ class GammaGrid:
     """The finite subdomain {0^o} and {(a/k)^-, (a/k)^o : 1 <= a <= k}.
 
     Serves as an exhaustive test universe: 2k + 1 points, totally ordered.
+    Public on purpose: its points are what ranks 0..2k index on D = k, and
+    acceptance criterion 3 and six test files enumerate it.
     """
 
     k: int

@@ -421,8 +421,8 @@ class TestShapedCounting:
         rng = np.random.default_rng(11)
         A = FiniteStructure.from_tables(BINARY_SIG, {"r": rng.random((n, n)) < 0.3})
         phi = parse_formula(text, BINARY_SIG)
-        assert fo._plan(phi, ("x",))[2:] == (3, tensors)
-        count_satisfying(A, phi, ["x"])  # the identity table is built once, untraced
+        assert fo._plan(phi, ("x",))[2:4] == (3, tensors)
+        count_satisfying(A, phi, ["x"])  # the plan and _eye(n) are built once, untraced
         tracemalloc.start()
         try:
             count_satisfying(A, phi, ["x"])
@@ -431,6 +431,35 @@ class TestShapedCounting:
             tracemalloc.stop()
         # all but a narrower tensor or two (n**2 bytes each) is charged
         assert tensors * n**3 <= peak <= tensors * n**3 + 2 * n**2
+
+    # an equality reads the identity as a view of 2|A| - 1 bytes, so on a
+    # size never counted before only O(|A|) bytes lie outside what is charged
+    @pytest.mark.parametrize("text, ctx, squares", [
+        ("exists y. !(x = y) & p(y)", ("x",), 1),  # the negation's tensor, charged
+        ("x = y", ("x", "y"), 0),  # the identity alone allocates nothing
+    ])
+    def test_equality_stays_within_its_charge(self, text, ctx, squares):
+        n = 2000
+        sig = Signature((("p", 1),))
+        A = FiniteStructure(sig, n, {"p": [(3,), (7,)]})
+        phi = parse_formula(text, sig)
+        assert fo._plan(phi, ctx)[2:4] == (2, 1)
+        fo._eye.cache_clear()
+        tracemalloc.start()
+        try:
+            assert count_satisfying(A, phi, ctx) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= squares * n**2 + 16 * n
+
+    def test_eye_is_the_identity_on_2n_minus_1_bytes(self):
+        for n in range(1, 65):
+            eye = fo._eye(n)
+            assert eye.dtype == bool and np.array_equal(eye, np.eye(n, dtype=bool))
+            assert not eye.flags.writeable
+            low, high = np.lib.array_utils.byte_bounds(eye)
+            assert high - low == 2 * n - 1
 
     def test_charge_refuses_what_one_tensor_would_fit(self):
         n = 700
@@ -448,7 +477,7 @@ class TestShapedCounting:
         phi = parse_formula(
             "exists y. exists z. exists w. (r(x,y) | r(z,w)) & (r(y,z) | r(w,x))", BINARY_SIG
         )
-        assert fo._plan(phi, ("x",))[2:] == (4, 2)
+        assert fo._plan(phi, ("x",))[2:4] == (4, 2)
         assert n**4 > fo.MAX_TENSOR_CELLS >= n**3
         tracemalloc.start()
         try:
@@ -575,7 +604,7 @@ class TestContraction:
             "forall z. r(x,z) -> r(z,y)",
         ):
             phi = parse_formula(text, BINARY_SIG)
-            node, _, width, tensors = fo._plan(phi, ("x", "y"))
+            node, _, width, tensors, _ = fo._plan(phi, ("x", "y"))
             assert (width, tensors) == (2, 13) and _contracts(node), text
 
     def test_every_fo_large_shape_has_width_two(self):
@@ -605,7 +634,7 @@ class TestContraction:
         A = FiniteStructure.from_tables(BINARY_SIG, {"r": rng.random((n, n)) < 0.3})
         phi = parse_formula(text, BINARY_SIG)
         ctx = ("x", "y") if "y" in free_vars(phi) else ("x",)
-        assert fo._plan(phi, ctx)[2:] == (2, 13)
+        assert fo._plan(phi, ctx)[2:4] == (2, 13)
         count_satisfying(A, phi, ctx)
         tracemalloc.start()
         try:
@@ -624,7 +653,7 @@ class TestContraction:
         phi = parse_formula(
             "exists y. exists z. exists w. r(x,y) & r(y,z) & r(z,w) & r(w,x)", BINARY_SIG
         )
-        assert fo._plan(phi, ("x",))[2:] == (2, 13)
+        assert fo._plan(phi, ("x",))[2:4] == (2, 13)
         expected = np.diag(np.linalg.matrix_power(R.astype(np.int64), 4)) > 0
         assert 0 < expected.sum() < n
         assert satisfying_set(A, phi, ["x"]) == {(int(x),) for x in np.flatnonzero(expected)}
@@ -1184,15 +1213,13 @@ class TestStackedCounting:
         phi = parse_formula(text, STACK_SIG)
         ctx = ("x", "y")
         expected = [count_satisfying(A, phi, ctx) for A in members]
-        for A in members:
-            A._identity  # built once per structure, as a lone count builds it
         tracemalloc.start()
         try:
             assert fo._count_stack(members, phi, ctx) == expected
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        charge = fo._stack_bytes(len(members), 40, STACK_SIG, fo._stack_plan(phi, ctx))
+        charge = fo._stack_bytes(len(members), 40, STACK_SIG, fo._plan(phi, ctx))
         # the charge counts the members' own tables, which exist before the call
         held = len(members) * sum(40**arity for _, arity in STACK_SIG.relations)
         assert peak <= charge - held
@@ -1224,6 +1251,20 @@ class TestStackedCounting:
         with pytest.raises(SizeError) as exc:
             count_satisfying(members[1], psi, ("x",))
         assert str(exc.value) == "the counting tensors would take 578 bytes; the guard is 577"
+
+    def test_a_stack_past_the_budget_is_refused_with_its_own_charge(self, monkeypatch):
+        # members of 3, 4 and 4 elements, padded to 4: 264 bytes
+        members = [gen_example_structure(n) for n in (3, 5, 4)]
+        psi = maximal_not_maximum()
+        expected = [count_satisfying(A, psi, ("x",)) for A in members]
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 263)
+        with pytest.raises(SizeError) as exc:
+            fo._count_stack(members, psi, ("x",))
+        assert str(exc.value) == (
+            "the stacked counting tensors would take 264 bytes; the guard is 263"
+        )
+        # the sequence caps its stacks at the budget, so it never meets the refusal
+        assert fo.count_satisfying_stack(members, psi, ("x",)) == expected
 
     def test_members_of_another_signature_start_a_stack(self, monkeypatch):
         stacks = []

@@ -413,7 +413,7 @@ class TestStackedSequences:
                 assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
                 assert [len(s) for s in stacks] == [1] * 40
                 # room for three members of 21 elements, more of fewer
-                plan = fo._stack_plan(phi, ctx)
+                plan = fo._plan(phi, ctx)
                 cap = fo._stack_bytes(3, 21, fo.POSET_SIGNATURE, plan)
                 mp.setattr(fo, "STACK_ROOM", 1)
                 mp.setattr(fo, "STACK_BYTES", cap)

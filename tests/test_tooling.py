@@ -1,11 +1,13 @@
 """The benchmark's tracer names program functions by string; they must resolve.
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
-warning in a test is an error.  README's command table is the CLI's."""
+warning in a test is an error.  README's command table is the CLI's, and
+the limits it states are the code's."""
 
 import ast
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stonepair import chains, fo
 from stonepair.cli import _COMMANDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -62,3 +65,22 @@ def test_readme_lists_the_cli_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## Command line\n")[1].split("```\n")[1]
     assert [line.split()[0] for line in block.splitlines()] == list(_COMMANDS)
+
+
+def test_readme_states_the_limits_of_the_code():
+    # each limit README states, read from its text, is the constant's value
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+
+    def stated(pattern: str) -> tuple[int, ...]:
+        found = re.search(pattern, readme)
+        assert found is not None, pattern
+        return tuple(map(int, found.groups()))
+
+    base, power = stated(r"`fo\.MAX_TENSOR_CELLS` \((\d+)\*\*(\d+) cells")
+    assert base**power == fo.MAX_TENSOR_CELLS
+    mib = stated(r"`fo\.MAX_TENSOR_CELLS` read as bytes \((\d+) MiB\)")[0]
+    assert mib * 2**20 == fo.MAX_TENSOR_CELLS
+    assert stated(r"`fo\.MAX_NESTING` \((\d+)\)")[0] == fo.MAX_NESTING
+    assert stated(r"padded stacks of up to (\d+) MiB")[0] * 2**20 == fo.STACK_BYTES
+    base, power = stated(r"`chains\.MAX_DUALITY_CASES` \((\d+)\*\*(\d+) cases")
+    assert base**power == chains.MAX_DUALITY_CASES
