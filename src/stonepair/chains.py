@@ -42,29 +42,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, InternalInvariantError, SizeError
+from .errors import DomainError, InternalInvariantError, SizeError, require_integer
 from .gamma import GammaValue, format_gamma, point_of_rank, project_of_ranks, rank
 from .lattice import FiniteLattice, chain
 
 
-def _require_integer(what: str, x: object) -> None:
-    if not isinstance(x, Integral):
-        raise DomainError(f"{what} must be an integer: {x!r}")
-
-
 def _require_chain(n: int) -> None:
-    _require_integer("chain parameter", n)
+    require_integer("chain parameter", n)
     if n < 1:
         raise DomainError("chain parameter must be positive")
 
 
 def _require_factor(m: int) -> None:
-    _require_integer("embedding factor", m)
+    require_integer("embedding factor", m)
     if m < 1:
         raise DomainError("embedding factor must be positive")
 
@@ -72,7 +66,7 @@ def _require_factor(m: int) -> None:
 def _require_point(n: int, a: int) -> None:
     """The one check of a point a/n: n is a chain parameter, a an integer in 0..n."""
     _require_chain(n)
-    _require_integer("point numerator", a)
+    require_integer("point numerator", a)
     if not 0 <= a <= n:
         raise DomainError(f"{a}/{n} is not on the chain")
 
@@ -250,7 +244,7 @@ def find_ominus_counterexample(n: int, m: int) -> OminusWitness:
     """First pair, in ascending order, where the embedding fails to commute
     with ominus.  One always exists for m >= 2; failure to find one would
     contradict the adjunction analysis."""
-    _require_integer("embedding factor", m)
+    require_integer("embedding factor", m)
     if m < 2:
         raise DomainError("the embedding is the identity for m = 1; need m >= 2")
     _require_chain(n)
@@ -275,21 +269,23 @@ def embed_point(p: ChainPoint, m: int) -> ChainPoint:
     return ChainPoint(p.n * m, embed_of_ranks(p.a, p.n, m))
 
 
-def floor_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
-    """Round a/(nm) down to the coarser chain: right adjoint to inclusion."""
+def _require_coarser(n: int, m: int, x: ChainPoint) -> None:
+    """x on the chain nm, for chain n and factor m: the check of both roundings."""
     if x.n != n * m:
         raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
     _require_chain(n)
     _require_factor(m)
+
+
+def floor_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
+    """Round a/(nm) down to the coarser chain: right adjoint to inclusion."""
+    _require_coarser(n, m, x)
     return ChainPoint(n, floor_of_ranks(x.a, m))
 
 
 def ceiling_map(n: int, m: int, x: ChainPoint) -> ChainPoint:
     """Round a/(nm) up to the coarser chain: left adjoint to inclusion."""
-    if x.n != n * m:
-        raise DomainError(f"point lives on chain {x.n}, expected {n * m}")
-    _require_chain(n)
-    _require_factor(m)
+    _require_coarser(n, m, x)
     return ChainPoint(n, ceiling_of_ranks(x.a, m))
 
 
@@ -408,8 +404,8 @@ def verify_duality(max_n: int, max_m: int) -> Iterator[DualityLine]:
     The case counts are closed forms, so a sweep past ``MAX_DUALITY_CASES``
     raises ``SizeError`` before any check runs.
     """
-    _require_integer("chain bound", max_n)
-    _require_integer("factor bound", max_m)
+    require_integer("chain bound", max_n)
+    require_integer("factor bound", max_m)
     n_count, m_count = max(max_n, 0), max(max_m - 1, 0)
     k = n_count + 2
     triples = (k * (k + 1) // 2) ** 2 - 9  # (n + 2)^3 for each n

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and ``require_integer``, the
+one check that a size or index is an integer."""
+
+from numbers import Integral
 
 
 class Error(Exception):
@@ -48,3 +51,9 @@ class PresentationError(Error):
 
 class InternalInvariantError(Error):
     """An identity the theory guarantees has failed; this indicates a bug."""
+
+
+def require_integer(what: str, x: object) -> None:
+    """Raise ``DomainError`` naming ``what`` and ``x`` unless x is ``Integral``."""
+    if not isinstance(x, Integral):
+        raise DomainError(f"{what} must be an integer: {x!r}")

@@ -27,9 +27,10 @@ matrices, so that such a body never takes a tensor of three axes.  Every
 size refusal is a ``check_bytes`` charge against the one memory budget,
 made before anything is allocated: relation tables, family members' ``lt``
 tables, the counting tensors (|A| ** width one-byte cells times the most of
-them alive at once) and satisfying sets past ``MAX_TENSOR_CELLS`` bytes
-raise ``SizeError``.  Past its charge a count allocates O(|A|) bytes: an
-equality reads ``_eye(|A|)``, the identity as a view of 2|A| − 1 bytes.
+them alive at once; a stack's charge, ``_stack_bytes``, takes at least one)
+and satisfying sets past ``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
+Past its charge a count allocates O(|A|) bytes: an equality reads
+``_eye(|A|)``, the identity as a view of 2|A| − 1 bytes.
 
 Formula text has one grammar and one parser, which ``pl`` extends for
 threshold formulas.  Precedence, low to high: ``->``, ``|``, ``&``, ``!``;
@@ -63,14 +64,13 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SizeError
+from .errors import DomainError, ParseError, SizeError, require_integer
 
 _T = TypeVar("_T")
 _INTEGERS = (int, np.integer, np.bool_)  # what a tuple entry or assignment value may be
@@ -117,8 +117,7 @@ class FiniteStructure:
         size: int,
         relations: Mapping[str, Iterable[tuple[int, ...]]],
     ) -> None:
-        if not isinstance(size, Integral):
-            raise DomainError(f"universe size must be an integer: {size!r}")
+        require_integer("universe size", size)
         if size < 1:
             raise DomainError("universe must be nonempty")
         _check_names(signature, relations)
@@ -650,9 +649,9 @@ def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], i
     """The root node, the axes of its tensor (context positions), the plan's
     width (the most axes of size |A| on any tensor or table it uses), the
     most one-byte tensors of that width its evaluation keeps alive at once
-    (at least one; a float32 matrix counts as four), which ``_admit``
-    charges, and the (relation, arity) pairs it reads, in the order
-    ``_evaluate`` reads them.  The plan is compiled from ``_miniscope(phi)``."""
+    (a float32 matrix counts as four), which ``_admit`` charges, and the
+    (relation, arity) pairs it reads, in the order ``_evaluate`` reads them.
+    The plan is compiled from ``_miniscope(phi)``."""
     if len(set(ctx)) != len(ctx):
         raise DomainError("context variables must be distinct")
     memo: dict[int, tuple] = {}
@@ -664,7 +663,7 @@ def _plan(phi: Formula, ctx: tuple[str, ...]) -> tuple[tuple, tuple[int, ...], i
         _miniscope(phi, memo), {v: i for i, v in enumerate(ctx)}, len(ctx), widths
     )
     width = max(widths)
-    return node, axes, width, max(alive[width], 1), tuple(_reads(node, {}))
+    return node, axes, width, alive[width], tuple(_reads(node, {}))
 
 
 def _neg(phi: Formula) -> Formula:
@@ -1088,13 +1087,13 @@ class _Stack(NamedTuple):
 
 def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
     """The bytes a stack of ``batch`` members of one signature, padded to n
-    elements, takes: the plan's counting tensors and one more, for the copy
-    a masked reduction makes of a table; the stacked tables of the relations
-    the plan reads; the members' own tables; and the universe mask and its
-    complement."""
+    elements, takes: the plan's counting tensors, at least one, and one more,
+    as a stack masks a copy of a table it reduces or counts and numpy reduces
+    through buffers of its own; the stacked tables of the relations the plan
+    reads; the members' own tables; and the universe mask and its complement."""
     _, _, width, tensors, reads = plan
     tables = sum(n**arity for _, arity in reads) + sum(n**arity for _, arity in signature.relations)
-    return batch * ((tensors + 1) * n**width + tables + 2 * n)
+    return batch * ((max(tensors, 1) + 1) * n**width + tables + 2 * n)
 
 
 def count_satisfying_stack(
@@ -1208,8 +1207,7 @@ def gen_example_structure(n: int) -> FiniteStructure:
     strict order: transitive and irreflexive, holding for every comparable
     pair, not just covers.
     """
-    if not isinstance(n, Integral):
-        raise DomainError(f"family index must be an integer: {n!r}")
+    require_integer("family index", n)
     if n < 1:
         raise DomainError("family index starts at 1")
     k = (n + 1) // 2

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fo
-from .errors import DomainError, InternalInvariantError, LatticeError, ParseError
+from .errors import DomainError, InternalInvariantError, LatticeError, ParseError, require_integer
 
 
 # the most cells of scratch one block of the meet and join pass may take
@@ -99,8 +99,7 @@ class FiniteLattice:
 
     def _index(self, a: int) -> int:
         """``a``, or a ``DomainError`` when it is not an element index (none wraps)."""
-        if not isinstance(a, Integral):
-            raise DomainError(f"element index must be an integer: {a!r}")
+        require_integer("element index", a)
         if not 0 <= a < self.n:
             raise DomainError(f"element index {a} out of range for {self.n} elements")
         return a
@@ -310,9 +309,8 @@ class PrimeFilter:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        bad = next((m for m in self.members if not isinstance(m, Integral)), None)
-        if bad is not None:
-            raise DomainError(f"filter member must be an integer: {bad!r}")
+        for m in self.members:
+            require_integer("filter member", m)
 
     def violations(self) -> list[str]:
         """Every failure, kind by kind (empty, not proper, up-set,
@@ -355,9 +353,8 @@ class LatticeHom:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bad = next((y for y in self.mapping if not isinstance(y, Integral)), None)
-        if bad is not None:
-            raise DomainError(f"mapping entry must be an integer: {bad!r}")
+        for y in self.mapping:
+            require_integer("mapping entry", y)
 
     def __call__(self, a: int) -> int:
         return self.mapping[self.source._index(a)]
@@ -401,8 +398,7 @@ def check_hom(h: LatticeHom) -> list[str]:
 
 def chain(n: int, labels: Sequence[str] | None = None) -> FiniteLattice:
     """The n-element chain c0 < c1 < ... with optional custom labels."""
-    if not isinstance(n, Integral):
-        raise DomainError(f"chain length must be an integer: {n!r}")
+    require_integer("chain length", n)
     if n < 1:
         raise DomainError("a chain needs at least one element")
     if labels is None:
@@ -419,8 +415,7 @@ def boolean_algebra(num_atoms: int) -> FiniteLattice:
     Labels: "0" for the empty set, "1" for the full set, otherwise the
     concatenated atom letters (e.g. "ac").
     """
-    if not isinstance(num_atoms, Integral):
-        raise DomainError(f"atom count must be an integer: {num_atoms!r}")
+    require_integer("atom count", num_atoms)
     if not 0 <= num_atoms <= len(_ATOM_NAMES):
         raise DomainError(f"supported atom counts are 0..{len(_ATOM_NAMES)}")
     size = 1 << num_atoms

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import fo, gamma
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError, InternalInvariantError, require_integer
 from .fo import FiniteStructure, Formula
 from .gamma import GammaValue
 from .measure import FinSuppFn
@@ -64,8 +63,7 @@ class PairingResult:
 
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:
     """The free variables of phi padded with fresh names up to length n."""
-    if not isinstance(n, Integral):
-        raise DomainError(f"context length must be an integer: {n!r}")
+    require_integer("context length", n)
     ctx = fo.free_vars(phi)
     if len(ctx) > n:
         raise DomainError(f"{len(ctx)} free variables do not fit in a context of {n}")
@@ -182,7 +180,7 @@ def _heuristic_verdict(values: Sequence[Fraction]) -> Verdict:
     limit cannot be named exactly, so it stays inconclusive.  ``values`` is
     never empty: ``pairing_sequence`` refuses a horizon below 4.
     """
-    tail = list(values[-math.ceil(len(values) / 2):])
+    tail = list(values[-(-len(values) // 2):])
     if all(v == tail[0] for v in tail):
         return _verdict_for_limit(gamma.iota_exact(tail[0]))
     diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]

@@ -90,6 +90,20 @@ class TestPair:
         assert code == 0
         assert out == "6 9 2/3 2/3^o\n"
 
+    def test_identity_past_one_square_of_budget(self, tmp_path):
+        # 30000**2 cells are past the budget, but the count reads the
+        # identity view and allocates O(|A|) bytes
+        path = tmp_path / "big.struct"
+        path.write_text("signature: p/1\nuniverse: 30000\np = {(3)}\n")
+        tracemalloc.start()
+        try:
+            got = invoke("pair", "--structure", path, "--formula", "x = y", "--vars", "x,y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0, "30000 900000000 1/30000 1/30000^o\n", "")
+        assert peak <= 16 * 30000
+
     def test_formula_from_file(self, workdir):
         (workdir / "psi.fo").write_text(PSI_TEXT)
         code, out, _ = invoke(

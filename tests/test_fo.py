@@ -443,7 +443,7 @@ class TestShapedCounting:
         sig = Signature((("p", 1),))
         A = FiniteStructure(sig, n, {"p": [(3,), (7,)]})
         phi = parse_formula(text, sig)
-        assert fo._plan(phi, ctx)[2:4] == (2, 1)
+        assert fo._plan(phi, ctx)[2:4] == (2, squares)
         fo._eye.cache_clear()
         tracemalloc.start()
         try:
@@ -452,6 +452,27 @@ class TestShapedCounting:
         finally:
             tracemalloc.stop()
         assert peak <= squares * n**2 + 16 * n
+
+    @pytest.mark.parametrize("text, ctx", [
+        ("x = y", ("x", "y")),  # the identity view
+        ("exists y. x = y", ("x",)),  # its reduction, one tensor of |A| bytes
+    ])
+    def test_a_count_that_allocates_no_square_is_charged_none(self, text, ctx):
+        # |A|**2 is past the budget, so any charge of one square would refuse
+        n = 30000
+        assert n**2 > fo.MAX_TENSOR_CELLS
+        sig = Signature((("p", 1),))
+        A = FiniteStructure(sig, n, {"p": [(3,)]})
+        phi = parse_formula(text, sig)
+        assert fo._plan(phi, ctx)[2:4] == (2, 0)
+        fo._eye.cache_clear()
+        tracemalloc.start()
+        try:
+            assert count_satisfying(A, phi, ctx) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n
 
     def test_eye_is_the_identity_on_2n_minus_1_bytes(self):
         for n in range(1, 65):

@@ -1,7 +1,7 @@
 """The benchmark's tracer names program functions by string; they must resolve.
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
 warning in a test is an error.  README's command table is the CLI's, and
-the limits it states are the code's."""
+the limits it states are the code's.  The library computes without floats."""
 
 import ast
 import functools
@@ -19,6 +19,7 @@ from stonepair import chains, fo
 from stonepair.cli import _COMMANDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "stonepair"
 
 
 def traced_names() -> dict[str, list[str]]:
@@ -84,3 +85,45 @@ def test_readme_states_the_limits_of_the_code():
     assert stated(r"padded stacks of up to (\d+) MiB")[0] * 2**20 == fo.STACK_BYTES
     base, power = stated(r"`chains\.MAX_DUALITY_CASES` \((\d+)\*\*(\d+) cases")
     assert base**power == chains.MAX_DUALITY_CASES
+
+
+# every numpy name for a floating-point or complex scalar type
+NUMPY_FLOATS = {
+    name for name, value in vars(np).items() if isinstance(value, type) and issubclass(value, np.inexact)
+}
+FLOATS_ALLOWED = {
+    # exact: the product's terms are 0 or 1, and its sums stay below 2**24
+    # because a contraction's |A| is at most 6426
+    ("fo.py", "_evaluate", "np.float32"),
+    ("cli.py", "_load_measure", "/"),  # a Path join
+}
+
+
+def _floats(tree: ast.AST, top: str = "") -> set[tuple[str, str]]:
+    """(top-level function, construct) for each float literal, ``float``
+    name, true division and numpy float type under ``tree``."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            found |= _floats(node, top or node.name)
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.add((top, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.add((top, node.id))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.add((top, "/"))
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_FLOATS:
+            found.add((top, ast.unparse(node)))
+        found |= _floats(node, top)
+    return found
+
+
+def test_the_library_computes_without_floats():
+    # every count, rank and value is an exact integer or Fraction
+    found = {
+        (path.name, top, what)
+        for path in sorted(SRC.glob("*.py"))
+        for top, what in _floats(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found - FLOATS_ALLOWED == set()
