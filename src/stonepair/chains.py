@@ -35,17 +35,20 @@ embedding.  ``project_gamma`` maps the doubled interval onto each point
 chain compatibly with the floor maps; it is the rank expression
 ``gamma.project_of_ranks``, and the sweep decides the whole projection
 cone on one table of it.  ``verify_duality`` runs all of these checks as
-one report.
+one report.  Each check charges its tables to the memory budget
+(``fo.check_bytes``) before it builds them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
+from . import fo
 from .errors import DomainError, InternalInvariantError, SizeError, require_integer
 from .gamma import GammaValue, format_gamma, point_of_rank, project_of_ranks, rank
 from .lattice import FiniteLattice, chain
@@ -193,6 +196,8 @@ def check_adjunction(n: int) -> AdjunctionViolation | None:
     (u, v, w) order is returned as elements.
     """
     _require_chain(n)
+    # the sum table and the temporaries of its rank expression: four int64 tables
+    fo.check_bytes("the adjunction tables", 4 * 8 * (n + 2) ** 2)
     r = np.arange(n + 2)
     v, w = r[:, None], r
     plus = oplus_of_ranks(v, w, n)
@@ -217,8 +222,13 @@ def _embedded_tables(op, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     The embedded ranks reach (n + 1) * m + 1, and their sums twice that, so
     past 2**61 the table holds Python integers instead of wrapping int64.
+    Five tables are alive at once: the two results and the temporaries of a
+    rank expression.
     """
-    r = np.arange(n + 2, dtype=np.int64 if (n + 2) * m < 2**61 else object)
+    big = (n + 2) * m >= 2**61
+    cell = 8 + big * sys.getsizeof(2 * (n + 2) * m)  # a pointer and its integer
+    fo.check_bytes("the embedded rank tables", 5 * cell * (n + 2) ** 2)
+    r = np.arange(n + 2, dtype=object if big else np.int64)
     e = embed_of_ranks(r, n, m)
     return embed_of_ranks(op(r[:, None], r, n), n, m), op(e[:, None], e, n * m)
 
@@ -295,6 +305,8 @@ def check_floor_ceiling(n: int, m: int) -> tuple[ChainPoint, ChainPoint] | None:
     ceiling(x) <= y iff x <= embed(y), and embed(y) <= x iff y <= floor(x)."""
     _require_chain(n)
     _require_factor(m)
+    # the four comparison tables and their disjunction, one byte a cell
+    fo.check_bytes("the floor-ceiling tables", 5 * (n * m + 1) * (n + 1))
     x, y = np.arange(n * m + 1)[:, None], np.arange(n + 1)
     up, down, e = ceiling_of_ranks(x, m), floor_of_ranks(x, m), embed_of_ranks(y, n, m)
     hit = _first(((up <= y) != (x <= e)) | ((e <= x) != (y <= down)))
@@ -309,6 +321,15 @@ def chain_lattice(n: int) -> FiniteLattice:
     return chain(n + 2, [f"{a}/{n}" for a in range(n + 1)] + ["T"])
 
 
+def _derived_bytes(n: int) -> int:
+    """The bytes a derived table of the point chain n takes: an entry for
+    each pair of points x <= z, its dict slot and its key of two integers,
+    the Fraction shared.  The traced peak of ``derive_partial_plus``, one
+    row's booleans included, was 70 to 140 bytes an entry for n from 30 to
+    1000."""
+    return 160 * ((n + 1) * (n + 2) // 2)
+
+
 def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
     """Partial subtraction on the point chain, derived from the operators.
 
@@ -318,9 +339,11 @@ def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
     a mismatch would contradict the derivation and raises an internal error.
     """
     _require_chain(n)
+    fo.check_bytes("the derived differences", _derived_bytes(n))
     L = chain_lattice(n)
     kappa = {j: L.kappa(j) for j in L.join_irreducibles()}
     kappa_inv = {m: j for j, m in kappa.items()}
+    fracs = [Fraction(a, n) for a in range(n + 1)]
     table: dict[tuple[int, int], Fraction] = {}
     for za in range(n + 1):
         row = ominus_of_ranks(kappa_inv[za], np.arange(za + 1), n)
@@ -332,7 +355,7 @@ def derive_partial_minus(n: int) -> dict[tuple[int, int], Fraction]:
                     f"derived minus {za}/{n} - {xa}/{n} = {Fraction(derived, n)}, "
                     f"expected {Fraction(za - xa, n)}"
                 )
-            table[(za, xa)] = Fraction(derived, n)
+            table[(za, xa)] = fracs[derived]
     return table
 
 
@@ -344,6 +367,7 @@ def derive_partial_plus(n: int) -> dict[tuple[int, int], Fraction]:
     values sum to at most 1).  Checked cell by cell against direct addition.
     """
     _require_chain(n)
+    fo.check_bytes("the derived sums", _derived_bytes(n))
     u = np.arange(n + 2)
     fracs = [Fraction(a, n) for a in range(n + 1)]
     table: dict[tuple[int, int], Fraction] = {}

@@ -27,8 +27,9 @@ matrices, so that such a body never takes a tensor of three axes.  Every
 size refusal is a ``check_bytes`` charge against the one memory budget,
 made before anything is allocated: relation tables, family members' ``lt``
 tables, the counting tensors (|A| ** width one-byte cells times the most of
-them alive at once; a stack's charge, ``_stack_bytes``, takes at least one)
-and satisfying sets past ``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
+them alive at once; a stack's charge, ``_stack_bytes``, takes at least one,
+and numpy's count buffer once a stack) and satisfying sets past
+``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
 Past its charge a count allocates O(|A|) bytes: an equality reads
 ``_eye(|A|)``, the identity as a view of 2|A| − 1 bytes.
 
@@ -1069,9 +1070,10 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
 # members of 34 elements cost 6.5 µs each in a stack against 21 µs alone,
 # and of 70 elements 22 against 34 µs; 4 members in a stack lost at every
 # size, 16 from 90 elements on.  So a stack takes at most STACK_BYTES, its
-# members' own tables included, and only members of a size that leaves room
-# for STACK_ROOM of them join one: up to 57 elements for that plan.  Larger
-# members are counted alone, as ``count_satisfying`` counts them.
+# members' own tables and its one count buffer included, and only members of
+# a size that leaves room for STACK_ROOM of them join one: up to 55 elements
+# for that plan.  Larger members are counted alone, as ``count_satisfying``
+# counts them.
 STACK_BYTES = 2**20
 STACK_ROOM = 64
 
@@ -1085,15 +1087,23 @@ class _Stack(NamedTuple):
     size: int
 
 
-def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
-    """The bytes a stack of ``batch`` members of one signature, padded to n
-    elements, takes: the plan's counting tensors, at least one, and one more,
+def _member_bytes(n: int, signature: Signature, plan: tuple) -> int:
+    """The bytes one member of a stack of one signature, padded to n
+    elements, adds: the plan's counting tensors, at least one, and one more,
     as a stack masks a copy of a table it reduces or counts and numpy reduces
     through buffers of its own; the stacked tables of the relations the plan
-    reads; the members' own tables; and the universe mask and its complement."""
+    reads; the member's own tables; and its column of the universe mask and
+    of its complement."""
     _, _, width, tensors, reads = plan
     tables = sum(n**arity for _, arity in reads) + sum(n**arity for _, arity in signature.relations)
-    return batch * ((max(tensors, 1) + 1) * n**width + tables + 2 * n)
+    return (max(tensors, 1) + 1) * n**width + tables + 2 * n
+
+
+def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
+    """The bytes a stack of ``batch`` members takes: theirs, and once per
+    stack the buffer through which ``np.count_nonzero`` casts the cells it
+    counts along axes, 8 bytes a cell for up to ``np.getbufsize()`` cells."""
+    return batch * _member_bytes(n, signature, plan) + 8 * np.getbufsize()
 
 
 def count_satisfying_stack(
@@ -1107,9 +1117,10 @@ def count_satisfying_stack(
     the memory budget, then each relation the plan reads.  So a refusal, or
     a fault of the iterable, is met at the member where it is met counting
     one member at a time, with the same text.  A member joins the current
-    stack when it has the stack's signature and ``max(B, STACK_ROOM)``
-    members of the stack's padded size, B the stack's size with it, take at
-    most ``STACK_BYTES`` (``_stack_bytes``), or the budget if that is less;
+    stack when it has the stack's signature and a stack of
+    ``max(B, STACK_ROOM)`` members of the stack's padded size, B the stack's
+    size with it, takes at most ``STACK_BYTES`` (``_stack_bytes``), or the
+    budget if that is less;
     otherwise the stack is counted and freed first.  A stack that no member
     could join is counted at once.  A stack of one member is counted by
     ``count_satisfying``, so a member too large to share a stack is counted
@@ -1117,7 +1128,8 @@ def count_satisfying_stack(
     ctx = tuple(context)
     counts: list[int] = []
     stack: list[FiniteStructure] = []
-    cap = min(STACK_BYTES, MAX_TENSOR_CELLS)
+    # the members' bytes may take what the stack's one count buffer leaves
+    cap = min(STACK_BYTES, MAX_TENSOR_CELLS) - 8 * np.getbufsize()
     plan = None
     n = unit = 0  # the stack's padded size and its bytes per member
     for A in members:
@@ -1126,12 +1138,12 @@ def count_satisfying_stack(
         _admit(A, reads, tensors * A.size**width)
         size = max(n, A.size)
         if size != n:
-            unit = _stack_bytes(1, size, A.signature, plan)
+            unit = _member_bytes(size, A.signature, plan)
         room = max(len(stack) + 1, STACK_ROOM)
         if stack and (A.signature != stack[0].signature or room * unit > cap):
             counts += _count_stack(stack, phi, ctx)
             stack, size = [], A.size
-            unit = _stack_bytes(1, size, A.signature, plan)
+            unit = _member_bytes(size, A.signature, plan)
         stack.append(A)
         n = size
         if max(len(stack) + 1, STACK_ROOM) * unit > cap:  # no member can join it

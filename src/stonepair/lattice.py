@@ -2,12 +2,14 @@
 
 Elements are indices 0..n-1 with display labels.  The one stored form of a
 lattice is ``_order_arrays``: the order (the closure of the given relation,
-taken at construction; ``product_lattice`` and ``from_subsets`` build theirs
-closed and hand it over as it is) as a read-only boolean table, and the
-meet and join tables (built at first use) as element indices, each indexed
-[a, b].  Validation, bounds, covers, irreducibles, the order isomorphism
-``kappa`` between them, prime filters and homomorphism checks are
-whole-array passes over these tables.  Each table is checked against the memory budget
+taken at construction; ``chain``, ``boolean_algebra``, ``product_lattice``
+and ``from_subsets`` write theirs down closed and hand it over as it is) as
+a read-only boolean table, and the meet and join tables (built at first use)
+as element indices, each indexed [a, b].  The meet of a and b is the element
+whose down-set is down(a) ∩ down(b), the join the dual on up-sets.
+Validation, bounds, covers, irreducibles, the order isomorphism ``kappa``
+between them, prime filters and homomorphism checks are whole-array passes
+over these tables.  Each table is checked against the memory budget
 (``fo.check_bytes``) before it is built, which covers any temporary no
 larger than it.  The module also provides small factory lattices used
 throughout the test corpus and a one-per-file text format.  Validation
@@ -26,10 +28,6 @@ import numpy as np
 
 from . import fo
 from .errors import DomainError, InternalInvariantError, LatticeError, ParseError, require_integer
-
-
-# the most cells of scratch one block of the meet and join pass may take
-_BLOCK_CELLS = 2**18
 
 
 def _pairs_in_order(first: np.ndarray, second: np.ndarray) -> list[list[int]]:
@@ -137,36 +135,28 @@ class FiniteLattice:
             raise LatticeError("no top element")
         return int(above_all.argmax())
 
-    def _bounds_pass(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The meet and join tables, and the masks of the pairs that have a
-        meet and a join, built a block of rows a at a time.
+    def _bounds_pass(self) -> list[np.ndarray]:
+        """The meet and the join tables, -1 at each pair that has none.
 
-        For the meet, the elements are sorted by downset size, descending,
-        ties by index.  Row a takes, for every b, the first common lower
-        bound of a and b in that order; it is their meet iff its downset
-        holds every common lower bound, that is iff its downset size is
-        their number.  The join is the dual, on upsets.  A block's scratch
-        [a, b, c] is at most ``_BLOCK_CELLS`` cells, or one row.
+        Each element's down-set is one n-bit integer, and the meet of a and b
+        is the lowest-index element whose down-set is down(a) & down(b); the
+        join is the dual, on up-sets.  The rows are filled one at a time
+        from one dict of the sets, so past the charged table the pass holds
+        n sets of n bits and one row.
         """
-        n, leq = self.n, self._leq
-        step = max(1, _BLOCK_CELLS // (n * n))
-        tables, masks = [], []
-        for kind, bound in (("meet", leq.T), ("join", leq)):
-            # bound[b, c]: c is a lower (meet) or an upper (join) bound of b
+        n = self.n
+        tables = []
+        for kind, bound in (("meet", self._leq.T), ("join", self._leq)):
+            # row b of bound: the elements below b (meet) or above it (join)
             fo.check_bytes(f"the {kind} table", np.dtype(np.intp).itemsize * n * n)
-            size = bound.sum(axis=1)
-            by_size = np.argsort(-size, kind="stable")
-            bounds = bound[:, by_size]
+            sets = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(bound, axis=1)]
+            owner = dict(zip(reversed(sets), range(n - 1, -1, -1)))  # the lowest index wins
+            find = owner.get
             table = np.empty((n, n), dtype=np.intp)
-            found = np.empty((n, n), dtype=bool)
-            for a in range(0, n, step):
-                rows = slice(a, a + step)
-                common = bounds & bounds[rows, None]
-                table[rows] = by_size[common.argmax(axis=2)]
-                found[rows] = size[table[rows]] == common.sum(axis=2)
+            for a, s in enumerate(sets):
+                table[a] = [find(s & t, -1) for t in sets]
             tables.append(table)
-            masks.append(found)
-        return tables, masks
+        return tables
 
     @cached_property
     def _order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,10 +164,10 @@ class FiniteLattice:
         as booleans, meets and joins as element indices.  A missing meet is
         reported before a missing join, each at its first pair in row-major
         order."""
-        (meet, join), masks = self._bounds_pass()
-        for kind, found in zip(("meet", "join"), masks):
-            if not found.all():
-                a, b = np.argwhere(~found)[0].tolist()
+        meet, join = self._bounds_pass()
+        for kind, table in (("meet", meet), ("join", join)):
+            if (table < 0).any():
+                a, b = np.argwhere(table < 0)[0].tolist()
                 raise LatticeError(f"no {kind} for ({self.labels[a]}, {self.labels[b]})")
         return self._leq, fo._read_only(meet), fo._read_only(join)
 
@@ -214,10 +204,10 @@ class FiniteLattice:
         try:
             _, meet, join = self._order_arrays
         except LatticeError:
-            _, (has_meet, has_join) = self._bounds_pass()
+            meet, join = self._bounds_pass()
             out.extend(
                 f"no {('meet', 'join')[kind]} for ({labels[a]}, {labels[b]})"
-                for a, b, kind in _pairs_in_order(~has_meet, ~has_join)
+                for a, b, kind in _pairs_in_order(meet < 0, join < 0)
             )
         if out:
             return out
@@ -403,7 +393,9 @@ def chain(n: int, labels: Sequence[str] | None = None) -> FiniteLattice:
         raise DomainError("a chain needs at least one element")
     if labels is None:
         labels = [f"c{i}" for i in range(n)]
-    return FiniteLattice(labels, [(i, i + 1) for i in range(n - 1)])
+    fo.check_bytes("the order", n * n)
+    ranks = np.arange(n)
+    return FiniteLattice._from_closed_order(labels, ranks[:, None] <= ranks)
 
 
 _ATOM_NAMES = "abcdefgh"
@@ -427,8 +419,9 @@ def boolean_algebra(num_atoms: int) -> FiniteLattice:
             labels.append("1")
         else:
             labels.append("".join(a for i, a in enumerate(_ATOM_NAMES) if s >> i & 1))
-    pairs = [(s, s | 1 << i) for s in range(size) for i in range(num_atoms) if not s >> i & 1]
-    return FiniteLattice(labels, pairs)
+    fo.check_bytes("the order", size * size)
+    masks = np.arange(size)  # S <= T iff no atom of S lies outside T
+    return FiniteLattice._from_closed_order(labels, (masks[:, None] & ~masks) == 0)
 
 
 def product_lattice(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:

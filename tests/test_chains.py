@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from conftest import chain_elements, chain_leq
-from stonepair import chains
+from stonepair import chains, fo
 from stonepair.chains import (
     AdjunctionViolation,
     ChainElement,
@@ -550,3 +551,41 @@ class TestSweep:
         monkeypatch.setattr(chains, "MAX_DUALITY_CASES", 467207)
         with pytest.raises(SizeError, match="has 467208 cases; the guard is 467207"):
             next(chains.verify_duality(24, 10))
+
+
+class TestChargedTables:
+    """Each check charges its tables to the memory budget before it builds
+    them, and the charge bounds what the check allocates."""
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_adjunction, (300,)),
+            (check_oplus_preserved, (300, 10)),
+            (find_ominus_counterexample, (300, 10)),
+            (check_oplus_preserved, (300, 2**62)),  # Python integers
+            (find_ominus_counterexample, (300, 2**62)),
+            (check_floor_ceiling, (300, 10)),
+            (derive_partial_plus, (300,)),
+        ],
+        ids=["adjunction", "oplus", "ominus", "oplus-big", "ominus-big", "floor-ceiling", "plus"],
+    )
+    def test_charge_bounds_the_traced_peak(self, check, args, monkeypatch):
+        charges = []
+        check_bytes = fo.check_bytes
+        monkeypatch.setattr(fo, "check_bytes", lambda step, nbytes: charges.append(nbytes) or check_bytes(step, nbytes))
+        tracemalloc.start()
+        try:
+            check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charges) == 1 and peak <= charges[0]
+
+    def test_derive_partial_minus_charges_its_table_first(self, monkeypatch):
+        # 6 * 7 / 2 entries of 160 bytes, before the lattice's order
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 3359)
+        with pytest.raises(SizeError, match="the derived differences would take 3360 bytes"):
+            derive_partial_minus(5)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 3360)
+        assert derive_partial_minus(5)[(5, 2)] == F(3, 5)

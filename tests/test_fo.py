@@ -1227,6 +1227,8 @@ class TestStackedCounting:
         "forall y. r(x,y)",  # a masked reduction of a table
         "exists y. !(x = y) & !r(y,x)",  # the identity
         "t(x,y,x) | exists z. t(x,z,y) & !r(z,z)",  # a diagonal, width 3
+        "x = y",  # a view counted through numpy's count buffer
+        "lt(x,y)",  # a table counted through it
     ])
     def test_charge_bounds_the_traced_peak(self, text):
         rng = random.Random(7)
@@ -1274,15 +1276,17 @@ class TestStackedCounting:
         assert str(exc.value) == "the counting tensors would take 578 bytes; the guard is 577"
 
     def test_a_stack_past_the_budget_is_refused_with_its_own_charge(self, monkeypatch):
-        # members of 3, 4 and 4 elements, padded to 4: 264 bytes
+        # members of 3, 4 and 4 elements, padded to 4: 264 bytes, and the
+        # stack's one count buffer of 8 * 8192 bytes
+        assert np.getbufsize() == 8192
         members = [gen_example_structure(n) for n in (3, 5, 4)]
         psi = maximal_not_maximum()
         expected = [count_satisfying(A, psi, ("x",)) for A in members]
-        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 263)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 65799)
         with pytest.raises(SizeError) as exc:
             fo._count_stack(members, psi, ("x",))
         assert str(exc.value) == (
-            "the stacked counting tensors would take 264 bytes; the guard is 263"
+            "the stacked counting tensors would take 65800 bytes; the guard is 65799"
         )
         # the sequence caps its stacks at the budget, so it never meets the refusal
         assert fo.count_satisfying_stack(members, psi, ("x",)) == expected

@@ -2,7 +2,9 @@
 
 import io
 import itertools
+import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -675,3 +677,78 @@ class TestAgainstReferences:
         with pytest.raises(SizeError, match="the order would take 16 bytes"):
             chain(4)
         chain(3)
+
+
+# -- a seeded differential sweep of the tables against the reference -------------------
+
+
+def seeded_relation(rng: random.Random) -> tuple[list[str], list[tuple[int, int]]]:
+    """Labels (at most 9) and a relation on them, one of three kinds drawn
+    evenly: arbitrary pairs (cycles are likely), pairs i < j (posets, most
+    of them not lattices), or the inclusion order of the first nine sets,
+    shuffled, of a family of subsets of four points closed under
+    intersection, with the empty and the full set (lattices, some of them
+    not distributive, when none is cut)."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        family = {frozenset(), frozenset(range(4))}
+        family |= {frozenset(rng.sample(range(4), rng.randrange(1, 4))) for _ in range(rng.randrange(1, 5))}
+        while (closed := family | {s & t for s in family for t in family}) != family:
+            family = closed
+        sets = sorted(family, key=sorted)[:9]
+        rng.shuffle(sets)
+        n = len(sets)
+        return [f"e{i}" for i in range(n)], [(i, j) for i in range(n) for j in range(n) if sets[i] <= sets[j]]
+    n = rng.randrange(1, 10)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+    if kind == 1:
+        pairs = [(min(p), max(p)) for p in pairs]
+    return [f"e{i}" for i in range(n)], pairs
+
+
+def tables_match_the_reference(L: FiniteLattice, R: ReferenceLattice) -> str:
+    """Assert that the tables (or their error), the irreducibles and kappa of
+    L are the reference's, and return which kind of order L has."""
+    tables = table_outcome(L)
+    assert tables == reference_table_outcome(R)
+    twins = np.triu(L._leq & L._leq.T, 1).any()
+    if twins:
+        return "not antisymmetric"
+    assert outcome(lambda: (L.join_irreducibles(), L.meet_irreducibles())) == outcome(R.irreducibles)
+    if isinstance(tables, tuple):
+        return "no meet or join"
+    # the join-irreducibles, and the two bounds, which kappa refuses
+    for j in {*R.irreducibles()[0], R.bottom, R.top}:
+        assert outcome(L.kappa, j) == outcome(R.kappa, j)
+    return "lattice"
+
+
+class TestDifferentialSweep:
+    def test_seeded_relations(self):
+        rng = random.Random(29)
+        met: Counter = Counter()
+        for _ in range(2000):
+            labels, pairs = seeded_relation(rng)
+            L, R = FiniteLattice(labels, pairs), ReferenceLattice(labels, pairs)
+            met[tables_match_the_reference(L, R)] += 1
+            problems = L.validate()
+            assert problems == R.validate(), (labels, pairs)
+            met.update(p.split(" (")[0].split(":")[0] for p in problems)
+        # every outcome the tables must get right occurs, each many times
+        assert set(met) == {
+            "not antisymmetric", "no meet or join", "lattice", "antisymmetry fails",
+            "no bottom element", "no top element", "no meet for", "no join for",
+            "distributivity fails on",
+        }
+        assert min(met.values()) >= 50, met
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n=n: chain(n) for n in range(1, 41)] + [lambda k=k: boolean_algebra(k) for k in range(9)],
+        ids=[f"C{n}" for n in range(1, 41)] + [f"B{1 << k}" for k in range(9)],
+    )
+    def test_factory_lattices(self, make):
+        L = make()
+        assert tables_match_the_reference(L, ReferenceLattice.of(L)) == "lattice"
+        if L.n <= 128:  # B256's distributivity check alone would take 2 * 8 * 256**3 bytes
+            assert L.validate() == []

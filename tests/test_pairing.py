@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -423,6 +424,18 @@ class TestStackedSequences:
                 for sizes in stacks:
                     assert fo._stack_bytes(len(sizes), max(sizes), fo.POSET_SIGNATURE, plan) <= cap
                     assert len(sizes) <= 3 or max(sizes) < 21
+
+    def test_a_horizon_of_sixty_four_is_one_stack(self, monkeypatch):
+        # 64 members of at most 34 elements and the stack's one count buffer
+        # take 64 * 5848 + 65536 bytes, under STACK_BYTES
+        plan = fo._plan(PSI, ("x",))
+        assert max(FENCE.structure(i).size for i in range(1, 65)) == 34
+        assert fo._stack_bytes(64, 34, fo.POSET_SIGNATURE, plan) == 64 * 5848 + 8 * np.getbufsize()
+        stacks = []
+        count_stack = fo._count_stack
+        monkeypatch.setattr(fo, "_count_stack", lambda m, *a: stacks.append(len(m)) or count_stack(m, *a))
+        assert pairing_sequence(FENCE, PSI, ("x",), 64).results == self.per_member(PSI, ("x",), 64)
+        assert stacks == [64]
 
     def test_a_member_that_cannot_be_counted_fails_before_the_next_is_built(self, tmp_path):
         # member 2 has no lt, and member 3, built after it, is missing

@@ -44,6 +44,15 @@ REFUSALS = {
         "homomorphisms do not compose: target/source mismatch",
     ),
     "chain(0)": (lambda: chain(0), "a chain needs at least one element"),
+    # a chain's labels are one per element of its order table, no fewer, no more
+    "chain(3) with two labels": (
+        lambda: chain(3, ["a", "b"]),
+        "2 labels for an order table of shape (3, 3)",
+    ),
+    "chain(3) with four labels": (
+        lambda: chain(3, ["a", "b", "c", "d"]),
+        "4 labels for an order table of shape (3, 3)",
+    ),
     "boolean_algebra(9)": (lambda: boolean_algebra(9), "supported atom counts are 0..8"),
     "from_subsets with a repeated set": (
         lambda: from_subsets([frozenset(), frozenset({0}), frozenset()]),

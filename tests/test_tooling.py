@@ -1,7 +1,9 @@
 """The benchmark's tracer names program functions by string; they must resolve.
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
 warning in a test is an error.  README's command table is the CLI's, and
-the limits it states are the code's.  The library computes without floats."""
+the limits it states are the code's.  The library computes without floats.
+Every public function of chains and lattice whose arrays grow with its
+arguments charges them to the memory budget before it builds them."""
 
 import ast
 import functools
@@ -10,12 +12,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stonepair import chains, fo
+from stonepair import chains, fo, lattice
+from stonepair.errors import SizeError
 from stonepair.cli import _COMMANDS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -127,3 +131,66 @@ def test_the_library_computes_without_floats():
         for top, what in _floats(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert found - FLOATS_ALLOWED == set()
+
+
+# every public function of chains and lattice whose arrays grow with its
+# arguments, with arguments (built before the budget shrinks) that would
+# take megabytes
+GROWING = {
+    "chains.check_adjunction": lambda: (1000,),
+    "chains.check_oplus_preserved": lambda: (1000, 10),
+    "chains.find_ominus_counterexample": lambda: (1000, 10),
+    "chains.check_floor_ceiling": lambda: (100, 100),
+    "chains.chain_lattice": lambda: (1000,),
+    "chains.derive_partial_minus": lambda: (1000,),
+    "chains.derive_partial_plus": lambda: (1000,),
+    "lattice.chain": lambda: (1000,),
+    "lattice.boolean_algebra": lambda: (8,),
+    "lattice.product_lattice": lambda: (lattice.chain(30), lattice.chain(30)),
+    "lattice.from_subsets": lambda: ([frozenset({i}) for i in range(1000)],),
+    "lattice.FiniteLattice": lambda: ([f"e{i}" for i in range(1000)], [(i, i + 1) for i in range(999)]),
+    "lattice.parse_lattice": lambda: (
+        "elements: " + ", ".join(f"e{i}" for i in range(1000)) + "\norder: e0<=e1\n",
+    ),
+}
+# the public functions whose arrays do not: elementwise rank expressions,
+# single elements and witnesses, maps of one element, a sweep guarded by
+# ``chains.MAX_DUALITY_CASES`` that runs the checks above, and readers of a
+# lattice's tables that build nothing larger than them
+NOT_GROWING = {
+    "chains." + name for name in (
+        "ChainElement", "ChainPoint", "AdjunctionViolation", "OminusWitness", "DualityLine",
+        "oplus_of_ranks", "ominus_of_ranks", "embed_of_ranks", "floor_of_ranks", "ceiling_of_ranks",
+        "oplus", "ominus", "embed", "embed_point", "floor_map", "ceiling_map", "project_gamma",
+        "verify_duality",
+    )
+} | {"lattice." + name for name in ("PrimeFilter", "LatticeHom", "check_hom", "format_lattice")}
+
+
+def test_every_public_function_is_classed():
+    # a new public function is either charged and listed in GROWING, or
+    # listed in NOT_GROWING
+    public = {
+        f"{module.__name__.split('.')[1]}.{name}"
+        for module in (chains, lattice)
+        for name, value in vars(module).items()
+        if not name.startswith("_") and callable(value) and value.__module__ == module.__name__
+    }
+    assert public == set(GROWING) | NOT_GROWING
+
+
+@pytest.mark.parametrize("name", GROWING)
+def test_a_growing_table_is_charged_before_it_is_built(name, monkeypatch):
+    module, attr = name.split(".")
+    f = getattr(importlib.import_module(f"stonepair.{module}"), attr)
+    args = GROWING[name]()
+    monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as exc:
+            f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    charge = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
+    assert peak < charge, (str(exc.value), peak)
