@@ -959,17 +959,19 @@ def _eye(n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
 
 
-def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> np.ndarray:
-    """The node's tensor, A's tables checked by ``_admit``.  Results this
-    evaluation allocated are writeable and used once, so connectives
-    overwrite them; tables, their views and the identity are read-only.
-    With a universe mask ``U``, A is a ``_Stack`` and every tensor has a
-    last batch axis: ∃ and ∀ reduce the axis before it over each member's
-    own elements, and a contraction leaves out the other ones."""
+def _evaluate(
+    node: tuple, tables: Mapping[str, np.ndarray], n: int, U: np.ndarray | None = None
+) -> np.ndarray:
+    """The node's tensor over ``tables``, relation tables on n elements that
+    ``_admit`` checked.  Results this evaluation allocated are writeable and
+    used once, so connectives overwrite them; tables, their views and the
+    identity are read-only.  With a universe mask ``U``, tables and tensors
+    have a last batch axis: ∃ and ∀ reduce the axis before it over each
+    member's own elements, and a contraction leaves out the other ones."""
     op = node[0]
     if op <= _OR:
         _, left, left_index, right, right_index, reuse = node
-        lt, rt = _evaluate(left, A, U), _evaluate(right, A, U)
+        lt, rt = _evaluate(left, tables, n, U), _evaluate(right, tables, n, U)
         if left_index is not None:
             lt = lt[left_index]
         if right_index is not None:
@@ -981,7 +983,7 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
             return ufunc(lt, rt, out=rt)
         return ufunc(lt, rt)
     if op <= _VIEW:
-        table = A.tables[node[1]]
+        table = tables[node[1]]
         if op == _TABLE:
             return table
         for i, j in node[3]:
@@ -990,10 +992,10 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
                 table = table.swapaxes(-1, -2)
         return table.transpose(node[4] if U is None else (*node[4], len(node[4])))
     if op == _NOT:
-        t = _evaluate(node[1], A, U)
+        t = _evaluate(node[1], tables, n, U)
         return np.logical_not(t, out=t) if t.flags.writeable else ~t
     if op == _ANY:
-        t = _evaluate(node[1], A, U)
+        t = _evaluate(node[1], tables, n, U)
         if U is None:
             return t.any(axis=-1)
         # a read-only tensor, a table, a view of one or ``_eye(n)``, is
@@ -1002,26 +1004,26 @@ def _evaluate(node: tuple, A: FiniteStructure, U: np.ndarray | None = None) -> n
             np.logical_and(t, U, out=t)
         return t.any(axis=-2)
     if op == _ALL:
-        t = _evaluate(node[1], A, U)
+        t = _evaluate(node[1], tables, n, U)
         if U is None:
             return t.all(axis=-1)
         return np.logical_or(t, ~U, out=t if t.flags.writeable else None).all(axis=-2)
     if op == _CONTRACT:
         _, left, right, universal = node
         if U is None:
-            factor = _evaluate(left, A).astype(np.float32)
-            product = factor @ _evaluate(right, A).astype(np.float32).T
+            factor = _evaluate(left, tables, n).astype(np.float32)
+            product = factor @ _evaluate(right, tables, n).astype(np.float32).T
         else:  # (B, a, v) @ (B, v, b), the left factor zero off each member on v
-            factor = np.ascontiguousarray(_evaluate(left, A, U).transpose(2, 0, 1), np.float32)
+            factor = np.ascontiguousarray(_evaluate(left, tables, n, U).transpose(2, 0, 1), np.float32)
             factor *= U.T[:, None, :]
             product = factor @ np.ascontiguousarray(
-                _evaluate(right, A, U).transpose(2, 1, 0), np.float32
+                _evaluate(right, tables, n, U).transpose(2, 1, 0), np.float32
             )
             product = product.transpose(1, 2, 0)
         del factor
         return product == 0 if universal else product > 0
     if op == _EYE:
-        eye = _eye(A.size)
+        eye = _eye(n)
         return eye if U is None else np.broadcast_to(eye[:, :, None], (*eye.shape, U.shape[1]))
     return _CELLS[op]
 
@@ -1050,7 +1052,7 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
     ctx = tuple(context)
     node, axes, width, tensors, reads = _plan(phi, ctx)
     _admit(A, reads, tensors * A.size**width)
-    tensor = _evaluate(node, A)
+    tensor = _evaluate(node, A.tables, A.size)
     return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
 
 
@@ -1060,9 +1062,9 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
 # members are padded to the largest size n and stacked on a last batch axis:
 # a relation's table has shape (n,) * arity + (B,), false off each member's
 # own universe, and every tensor carries the batch axis last, so the plan's
-# expander indexes and numpy's broadcasting apply unchanged.  The universe
-# mask U, of shape (n, B), keeps each member's quantifiers and its count to
-# its own elements, so every count is exact.
+# expander indexes, numpy's broadcasting and ``_evaluate`` apply unchanged.
+# The universe mask U, of shape (n, B), keeps each member's quantifiers and
+# its count to its own elements, so every count is exact.
 
 # A stack saves the Python of one evaluation per member, about 15 µs, but
 # its cells cost about twice a lone count's: numpy reduces the axis before a
@@ -1076,15 +1078,6 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
 # counts them.
 STACK_BYTES = 2**20
 STACK_ROOM = 64
-
-
-class _Stack(NamedTuple):
-    """Structures padded to ``size`` elements and stacked on a last batch
-    axis, as ``_evaluate`` reads them: ``tables`` maps each relation the plan
-    reads to its stacked table."""
-
-    tables: dict[str, np.ndarray]
-    size: int
 
 
 def _member_bytes(n: int, signature: Signature, plan: tuple) -> int:
@@ -1171,7 +1164,7 @@ def _count_stack(members: list[FiniteStructure], phi: Formula, ctx: tuple[str, .
         for b, A in enumerate(members):
             table[(slice(A.size),) * arity + (b,)] = A.tables[rel]
         tables[rel] = _read_only(table)
-    tensor = _evaluate(node, _Stack(tables, n), universe)
+    tensor = _evaluate(node, tables, n, universe)
     m = len(axes)
     for k in range(m):  # each member's cells only, on every axis
         mask = universe[(_WHOLE,) + (None,) * (m - 1 - k)]
@@ -1197,7 +1190,7 @@ def satisfying_set(
     ctx = tuple(context)
     node, axes, width, tensors, reads = _plan(phi, ctx)
     _admit(A, reads, max(tensors * A.size**width, A.size ** len(ctx)))
-    tensor = _evaluate(node, A)
+    tensor = _evaluate(node, A.tables, A.size)
     if not ctx:
         return frozenset([()] if bool(tensor) else [])
     index = tuple(_WHOLE if a in axes else None for a in range(len(ctx)))

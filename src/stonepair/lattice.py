@@ -4,9 +4,11 @@ Elements are indices 0..n-1 with display labels.  The one stored form of a
 lattice is ``_order_arrays``: the order (the closure of the given relation,
 taken at construction; ``chain``, ``boolean_algebra``, ``product_lattice``
 and ``from_subsets`` write theirs down closed and hand it over as it is) as
-a read-only boolean table, and the meet and join tables (built at first use)
-as element indices, each indexed [a, b].  The meet of a and b is the element
-whose down-set is down(a) ∩ down(b), the join the dual on up-sets.
+a read-only boolean table, and the meet and join tables as element indices,
+each indexed [a, b].  The meet of a and b is the element whose down-set is
+down(a) ∩ down(b), the join the dual on up-sets.  ``_bounds`` builds these
+two once per lattice, -1 at each missing meet (join), and validation and
+every accessor read that one pass.
 Validation, bounds, covers, irreducibles, the order isomorphism ``kappa``
 between them, prime filters and homomorphism checks are whole-array passes
 over these tables.  Each table is checked against the memory budget
@@ -135,14 +137,16 @@ class FiniteLattice:
             raise LatticeError("no top element")
         return int(above_all.argmax())
 
-    def _bounds_pass(self) -> list[np.ndarray]:
-        """The meet and the join tables, -1 at each pair that has none.
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only meet and join tables, -1 at each pair that has none.
 
         Each element's down-set is one n-bit integer, and the meet of a and b
         is the lowest-index element whose down-set is down(a) & down(b); the
         join is the dual, on up-sets.  The rows are filled one at a time
         from one dict of the sets, so past the charged table the pass holds
-        n sets of n bits and one row.
+        n sets of n bits and one row.  A gap is an entry, not an error, so
+        only a refusal of the memory budget leaves nothing cached.
         """
         n = self.n
         tables = []
@@ -155,21 +159,20 @@ class FiniteLattice:
             table = np.empty((n, n), dtype=np.intp)
             for a, s in enumerate(sets):
                 table[a] = [find(s & t, -1) for t in sets]
-            tables.append(table)
-        return tables
+            tables.append(fo._read_only(table))
+        return tables[0], tables[1]
 
     @cached_property
     def _order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only order, meet and join tables, indexed [a, b]: ``leq``
         as booleans, meets and joins as element indices.  A missing meet is
         reported before a missing join, each at its first pair in row-major
-        order."""
-        meet, join = self._bounds_pass()
-        for kind, table in (("meet", meet), ("join", join)):
+        order, from the cached ``_bounds``."""
+        for kind, table in zip(("meet", "join"), self._bounds):
             if (table < 0).any():
                 a, b = np.argwhere(table < 0)[0].tolist()
                 raise LatticeError(f"no {kind} for ({self.labels[a]}, {self.labels[b]})")
-        return self._leq, fo._read_only(meet), fo._read_only(join)
+        return (self._leq, *self._bounds)
 
     def meet(self, a: int, b: int) -> int:
         return int(self._order_arrays[1][self._index(a), self._index(b)])
@@ -201,14 +204,11 @@ class FiniteLattice:
             out.append("no bottom element")
         if not leq.all(axis=0).any():
             out.append("no top element")
-        try:
-            _, meet, join = self._order_arrays
-        except LatticeError:
-            meet, join = self._bounds_pass()
-            out.extend(
-                f"no {('meet', 'join')[kind]} for ({labels[a]}, {labels[b]})"
-                for a, b, kind in _pairs_in_order(meet < 0, join < 0)
-            )
+        meet, join = self._bounds
+        out.extend(
+            f"no {('meet', 'join')[kind]} for ({labels[a]}, {labels[b]})"
+            for a, b, kind in _pairs_in_order(meet < 0, join < 0)
+        )
         if out:
             return out
         # [a, b, c]: a ^ (b v c) against (a ^ b) v (a ^ c), all triples at once
@@ -274,8 +274,13 @@ class FiniteLattice:
             )
         return m
 
+    @cached_property
+    def _kappa_inverse(self) -> dict[int, int]:
+        """{kappa(j): j}; an error of any kappa(j) is cached nowhere and met at every read."""
+        return {self.kappa(j): j for j in self._irreducibles[0]}
+
     def kappa_inverse(self, m: int) -> int:
-        inv = {self.kappa(j): j for j in self._irreducibles[0]}
+        inv = self._kappa_inverse
         if self._index(m) not in inv:
             raise DomainError(f"{self.labels[m]} is not in the image of kappa")
         return inv[m]

@@ -204,12 +204,19 @@ class StructureFamily:
         return None
 
 
+def _compiled(phi: Formula) -> tuple:
+    """The counting plan of ``phi`` over its free variables in order."""
+    return fo._plan(phi, fo.free_vars(phi))
+
+
 class FenceFamily(StructureFamily):
     """The alternating chain family: chains interleaved with chains plus an
     isolated point.  Publishes closed forms for the built-in one-variable
     formula "maximal but not the maximum" and its negation."""
 
     name = "fence"
+    _PSI = _compiled(fo.maximal_not_maximum())
+    _NOT_PSI = _compiled(fo.Not(fo.maximal_not_maximum()))
 
     def structure(self, index: int) -> FiniteStructure:
         return fo.gen_example_structure(index)
@@ -220,17 +227,11 @@ class FenceFamily(StructureFamily):
         # of its negation: up to renaming free and bound variables, and
         # ``& true``-style constants.
         target = _compiled(phi)
-        psi = fo.maximal_not_maximum()
-        if target == _compiled(psi):
+        if target == self._PSI:
             return ClosedForm(_fence_psi_value, gamma.ZERO, gamma.ZERO)
-        if target == _compiled(fo.Not(psi)):
+        if target == self._NOT_PSI:
             return ClosedForm(_fence_not_psi_value, gamma.ONE, gamma.ONE_APPROX)
         return None
-
-
-def _compiled(phi: Formula) -> tuple:
-    """The counting plan of ``phi`` over its free variables in order."""
-    return fo._plan(phi, fo.free_vars(phi))
 
 
 def _fence_psi_value(index: int) -> Fraction:

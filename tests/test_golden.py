@@ -73,6 +73,11 @@ def test_output_is_the_golden_file(name, monkeypatch):
     assert _output(CASES[name]) == expected
 
 
+def test_every_golden_file_is_a_case():
+    # a renamed or dropped case would leave a file that no test reads
+    assert sorted(path.stem for path in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in CASES.items():

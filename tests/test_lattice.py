@@ -197,6 +197,26 @@ class TestMeetJoin:
         with pytest.raises(LatticeError):
             L.meet(0, 1)
 
+    def test_a_failing_lattice_builds_its_tables_once(self, monkeypatch):
+        # two bottoms e0, e1 under the chain e2 < ... < e119
+        labels = [f"e{i}" for i in range(120)]
+        L = FiniteLattice(labels, [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 119)])
+        packbits, calls = np.packbits, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counted)
+        assert L.validate() == ["no bottom element", "no meet for (e0, e1)"]
+        with pytest.raises(LatticeError, match=r"^no meet for \(e0, e1\)$"):
+            L._order_arrays
+        for _ in range(20):
+            with pytest.raises(LatticeError, match=r"^no meet for \(e0, e1\)$"):
+                L.meet(0, 1)
+        # one down-set and one up-set packing, both tables in one pass
+        assert calls == [(120, 120), (120, 120)]
+
 
 def cover_lists(L: FiniteLattice) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Each element's lower and upper covers, read off the columns and the
@@ -305,6 +325,32 @@ class TestKappa:
                     assert L.leq(L.kappa(j1), L.kappa(j2))
             for j in J:
                 assert L.kappa_inverse(L.kappa(j)) == j
+
+    def test_the_inverse_is_built_once(self, monkeypatch):
+        from stonepair.chains import chain_lattice
+
+        kappa, calls = FiniteLattice.kappa, []
+
+        def counted(self, j):
+            calls.append(j)
+            return kappa(self, j)
+
+        monkeypatch.setattr(FiniteLattice, "kappa", counted)
+        L = chain_lattice(30)
+        J = L.join_irreducibles()
+        inverse = {m: L.kappa_inverse(m) for m in L.meet_irreducibles()}
+        assert sorted(calls) == list(J)
+        assert inverse == {kappa(L, j): j for j in J}
+
+    def test_an_inverse_that_fails_fails_on_every_read(self):
+        # kappa(x) on M3 is its top, which is not meet-irreducible
+        M3 = diamond_m3()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(InternalInvariantError) as exc:
+                M3.kappa_inverse(M3.index_of("x"))
+            texts.append(str(exc.value))
+        assert texts == ["kappa(x) = 1 is not meet-irreducible"] * 2
 
 
 ACCESSORS = {
