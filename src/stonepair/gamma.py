@@ -38,10 +38,10 @@ indices of ``GammaGrid(k).points``.
 
 The order of ``GammaValue`` is decided on ranks too, over the product of the
 two denominators.  The constructor checks its value; the private ``_point``
-builds a point without the check, and its two callers, ``point_of_rank`` and
-``pairing.PairingResult.from_counts``, check on integers first (0 <= r <= 2D,
-0 <= count <= total) and otherwise fall back to the constructor and its
-``DomainError``.
+builds a point without the check, and its two callers check on integers
+first: ``point_of_rank`` that 0 <= r <= 2D, falling back to the constructor
+and its ``DomainError``, and ``iota_exact`` that 0 <= numerator <=
+denominator, raising its own ``DomainError``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _point(value: Fraction, exact: bool) -> GammaValue:
     """The point ``value`` tagged ``exact``, built without the constructor's
     checks: ``value`` must be a ``Fraction`` in [0, 1], and positive when
     not exact.  Its two callers check that on integers first, ``point_of_rank``
-    on the rank and ``pairing.PairingResult.from_counts`` on the counts."""
+    on the rank and ``iota_exact`` on the numerator and denominator."""
     point = object.__new__(GammaValue)
     object.__setattr__(point, "value", value)
     object.__setattr__(point, "exact", exact)
@@ -277,10 +277,9 @@ def gamma_collapse(x: GammaValue) -> Fraction:
 def iota_exact(r: Fraction) -> GammaValue:
     """Tag a rational in [0, 1] as an exact point (right adjoint to collapse)."""
     r = as_fraction(r)
-    try:
-        return GammaValue(r, True)
-    except DomainError:
-        raise DomainError(f"{r} lies outside [0, 1]") from None
+    if not 0 <= r.numerator <= r.denominator:
+        raise DomainError(f"{r} lies outside [0, 1]")
+    return _point(r, True)
 
 
 def iota_approx(r: Fraction) -> GammaValue:
@@ -288,13 +287,8 @@ def iota_approx(r: Fraction) -> GammaValue:
 
     0 has no approximation below it, so it maps to the bottom element 0^o.
     """
-    r = as_fraction(r)
-    if r.numerator == 0:
-        return ZERO
-    try:
-        return GammaValue(r, False)
-    except DomainError:
-        raise DomainError(f"{r} lies outside [0, 1]") from None
+    x = iota_exact(r)
+    return GammaValue(x.value, False) if x.value else x
 
 
 def format_gamma(x: GammaValue) -> str:

@@ -13,12 +13,13 @@ counts the members in padded stacks (``fo.count_satisfying_stack``), one
 evaluation of the formula per stack, and checks each member as it is built,
 so a refusal comes at the member, and with the text, that counting one
 member at a time would give.  For a family that publishes closed forms for
-the formula at hand the verdicts are exact; otherwise they are a
-horizon-bounded heuristic over the tail of the computed values.  One rule
-combines them: the whole sequence diverges when both parity limits exist
-and differ.  A directory family is listed once per run, so files added to
-it later are not seen; its member n is the one regular file whose stem is
-n, with any number of leading zeros (``7.struct``, ``007.struct``).
+the formula at hand the parity verdicts are exact; otherwise they are a
+horizon-bounded heuristic over the tail of each parity's values.  One rule
+gives the whole verdict from the two: equal ones give theirs, a divergent
+parity or two limits that differ give divergence, and anything else is
+inconclusive.  A directory family is listed once per run, so files added
+to it later are not seen; its member n is the one regular file whose stem
+is n, with any number of leading zeros (``7.struct``, ``007.struct``).
 """
 
 from __future__ import annotations
@@ -51,14 +52,9 @@ class PairingResult:
 
     @staticmethod
     def from_counts(count: int, total: int) -> "PairingResult":
-        """The pairing of ``count`` satisfying assignments out of ``total``;
-        a count past the total is ``iota_exact``'s ``DomainError``."""
-        classical = Fraction(count, total)
-        if 0 <= count <= total:
-            point = gamma._point(classical, True)
-        else:
-            point = gamma.iota_exact(classical)
-        return PairingResult(count, total, classical, point)
+        """The pairing ``count / total``; a count outside 0..total is a ``DomainError``."""
+        c = Fraction(count, total)
+        return PairingResult(count, total, c, gamma.iota_exact(c))
 
 
 def padded_context(phi: Formula, n: int) -> tuple[str, ...]:
@@ -171,14 +167,15 @@ class SequenceReport:
 
 
 def _heuristic_verdict(values: Sequence[Fraction]) -> Verdict:
-    """Tail-based classification of a sequence of exact pairing values.
+    """Tail-based classification of one parity's exact pairing values.
 
     A sequence of exact points converges to q^o when the values reach q and
     stay at or above it, and to r^- when they approach r strictly from
     below.  At a finite horizon only a constant tail is conclusive evidence
     of the first situation; a shrinking-step tail is Cauchy-like but its
     limit cannot be named exactly, so it stays inconclusive.  ``values`` is
-    never empty: ``pairing_sequence`` refuses a horizon below 4.
+    one parity's, never empty (``pairing_sequence`` refuses a horizon below
+    4); ``_whole_verdict`` combines the odd and even verdicts by one rule.
     """
     tail = list(values[-(-len(values) // 2):])
     if all(v == tail[0] for v in tail):
@@ -186,6 +183,16 @@ def _heuristic_verdict(values: Sequence[Fraction]) -> Verdict:
     diffs = [abs(b - a) for a, b in zip(tail, tail[1:])]
     shrinking = all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:])) and diffs[-1] < diffs[0]
     return Verdict(VerdictKind.INCONCLUSIVE if shrinking else VerdictKind.DIVERGENT_AT_HORIZON)
+
+
+def _whole_verdict(odd: Verdict, even: Verdict) -> Verdict:
+    """The whole verdict from the odd and even ones, by ``pairing_sequence``'s rule."""
+    if odd == even:
+        return odd
+    divergent = VerdictKind.DIVERGENT_AT_HORIZON
+    if divergent in (odd.kind, even.kind) or None not in (odd.limit, even.limit):
+        return Verdict(divergent)  # two limits, unequal verdicts: the limits differ
+    return Verdict(VerdictKind.INCONCLUSIVE)
 
 
 class StructureFamily:
@@ -281,10 +288,11 @@ def pairing_sequence(
     """Pair phi against family members 1..horizon (an integer, at least 4)
     and classify convergence; member ``horizon`` is built second, after 1.
 
-    With a closed form the values are cross-checked against it and the odd,
-    even and whole verdicts are its odd, even and odd limits; otherwise the
-    tail heuristic classifies the odd, even and whole value lists, and is only
-    as good as the horizon.  Parity limits that differ make the whole divergent.
+    With a closed form the values are cross-checked against it and the odd and
+    even verdicts are its tagged limits; otherwise the tail heuristic classifies
+    the odd and the even values, as well as the horizon allows.  One rule gives
+    the whole verdict from the two: equal ones give theirs, a divergent parity
+    or two limits that differ give divergence, and anything else inconclusive.
     """
     if not isinstance(horizon, Integral) or horizon < 4:
         raise DomainError(f"horizon must be at least 4: {horizon!r} is not an integer >= 4")
@@ -317,9 +325,7 @@ def pairing_sequence(
                     f"{closed.value_at(index)} vs {value}"
                 )
         odd_v, even_v = map(_verdict_for_limit, (closed.odd_limit, closed.even_limit))
-        whole = odd_v
     else:  # odd indices 1, 3, 5, ... sit at 0, 2, 4, ... of the list
-        odd_v, even_v, whole = map(_heuristic_verdict, (classical[::2], classical[1::2], classical))
-    if odd_v.limit is not None and even_v.limit is not None and odd_v.limit != even_v.limit:
-        whole = Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
+        odd_v, even_v = map(_heuristic_verdict, (classical[::2], classical[1::2]))
+    whole = _whole_verdict(odd_v, even_v)
     return SequenceReport(tuple(results), whole, odd_v, even_v, closed is not None)

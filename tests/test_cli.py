@@ -190,6 +190,18 @@ class TestConverge:
         assert code == 0
         assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
 
+    @pytest.mark.parametrize("formula", ["exists y. lt(x,y)", "lt(x,y)"])
+    def test_fence_directory_parities_both_inconclusive(self, tmp_path, formula):
+        # both tend to one limit on each parity (1^- and 1/2^-), which the
+        # heuristic cannot name; a directory family has no closed form
+        for i in range(1, 41):
+            (tmp_path / f"{i}.struct").write_text(fo.format_structure(fo.gen_example_structure(i)))
+        code, out, _ = invoke(
+            "converge", "--family", tmp_path, "--formula", formula, "--horizon", "40"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
+
     def test_horizon_past_the_budget_exits_at_once(self):
         # the last member is built second: fence members are refused from
         # index 46338 on, so no earlier member is paired before the error

@@ -163,6 +163,13 @@ class TestSections:
         assert iota_exact(F(0)) == ZERO
         assert iota_exact(F(1)) == ONE
 
+    def test_iota_exact_equals_the_validating_construction(self):
+        for d in range(1, 13):
+            for n in range(d + 1):
+                x = iota_exact(F(n, d))
+                assert x == GammaValue(F(n, d), True)
+                assert type(x.value) is F and x.exact is True
+
     def test_iota_approx(self):
         assert iota_approx(F(0)) == ZERO
         assert iota_approx(F(1, 2)) == gv("1/2^-")

@@ -7,10 +7,13 @@ beside their input files, so every path they print is relative.  To write
 the files afresh from the code under ``src/``:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose text changed, and prints each one's name.
 """
 
 import io
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ CASES = {
     "converge-not-psi-40": _converge(f"!({PSI})", 40),
     "converge-eq-or-lt-40": _converge("y = x | lt(y,x)", 40, "--vars", "x,y"),
     "converge-lt-40": _converge("lt(x,y)", 40),
+    "converge-exists-lt-40": _converge("exists y. lt(x,y)", 40),
     "pair-fence-2-psi": ["pair", "--family", "fence", "--index", "2", "--formula", PSI],
     "pair-fence-38-neq": ["pair", "--family", "fence", "--index", "38", "--formula", "!(x = y)"],
     "duality-verify-24-10": ["duality-verify", "--max-n", "24", "--max-m", "10"],
@@ -78,7 +82,33 @@ def test_every_golden_file_is_a_case():
     assert sorted(path.stem for path in GOLDEN.glob("*.out")) == sorted(CASES)
 
 
+def rewrite_changed() -> list[str]:
+    """Write each case's ``.out`` file in the working directory where its text
+    changed, or is missing, and return the names written."""
+    written = []
+    for name, argv in CASES.items():
+        path, text = Path(f"{name}.out"), _output(argv)
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            written.append(path.name)
+    return written
+
+
+def test_rewrite_touches_only_changed_files(tmp_path, monkeypatch):
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "integrate.out").write_text("exit 0\nstale\n", encoding="utf-8")
+    (tmp_path / "converge-psi-12.out").unlink()
+    before = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.out")}
+    assert rewrite_changed() == ["converge-psi-12.out", "integrate.out"]
+    for path in tmp_path.glob("*.out"):
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+        if path.name != "integrate.out" and path.name in before:
+            assert path.stat().st_mtime_ns == before[path.name]
+    assert rewrite_changed() == []
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
-    for name, argv in CASES.items():
-        Path(f"{name}.out").write_text(_output(argv), encoding="utf-8")
+    for name in rewrite_changed():
+        print(name)

@@ -17,6 +17,7 @@ from stonepair.pairing import (
     FenceFamily,
     PairingResult,
     StructureFamily,
+    Verdict,
     VerdictKind,
     assignment_distribution,
     check_padding_invariance,
@@ -329,14 +330,27 @@ class TestSequences:
         assert rep.verdict == pairing.Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
 
     def test_heuristic_without_closed_form(self):
-        # a formula the fence family has no closed form for
+        # a formula the fence family has no closed form for: (N - 1)/N on
+        # odd members and (N - 1)/(N + 1) on even ones, both tending to 1^-
         phi = fo.parse_formula("exists y. lt(x,y)", fo.POSET_SIGNATURE)
         rep = pairing_sequence(FENCE, phi, horizon=12)
         assert not rep.exact
-        assert rep.verdict.kind in (
-            VerdictKind.DIVERGENT_AT_HORIZON,
-            VerdictKind.INCONCLUSIVE,
+        assert rep.odd == rep.even == rep.verdict == Verdict(VerdictKind.INCONCLUSIVE)
+
+    @pytest.mark.parametrize(
+        "phi, calls",
+        [(fo.parse_formula("exists y. lt(x,y)", fo.POSET_SIGNATURE), 2), (PSI, 0), (Not(PSI), 0)],
+    )
+    def test_the_heuristic_sees_each_parity_once(self, phi, calls, monkeypatch):
+        seen = []
+        heuristic = pairing._heuristic_verdict
+        monkeypatch.setattr(
+            pairing, "_heuristic_verdict", lambda values: seen.append(values) or heuristic(values)
         )
+        rep = pairing_sequence(FENCE, phi, horizon=12)
+        assert len(seen) == calls
+        classical = [r.classical for r in rep.results]
+        assert seen == [classical[::2], classical[1::2]][:calls]
 
     def test_horizon_guard(self):
         for horizon in (3, 4.5, 12.0, "12", None):
@@ -371,6 +385,29 @@ class TestSequences:
         with pytest.raises(InternalInvariantError) as info:
             pairing_sequence(Inconsistent(), PSI, horizon=4)
         assert type(info.value) is InternalInvariantError
+
+
+CONVERGES_L = Verdict(VerdictKind.CONVERGES_EXACT, iota_exact(F(1, 2)))
+CONVERGES_M = Verdict(VerdictKind.CONVERGES_APPROX, ONE_APPROX)
+INCONCLUSIVE = Verdict(VerdictKind.INCONCLUSIVE)
+DIVERGENT = Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
+
+
+class TestWholeVerdict:
+    # rows: odd verdict; columns: even verdict, in the order of ``PARITIES``
+    PARITIES = (CONVERGES_L, CONVERGES_M, INCONCLUSIVE, DIVERGENT)
+    TABLE = (
+        (CONVERGES_L, DIVERGENT, INCONCLUSIVE, DIVERGENT),
+        (DIVERGENT, CONVERGES_M, INCONCLUSIVE, DIVERGENT),
+        (INCONCLUSIVE, INCONCLUSIVE, INCONCLUSIVE, DIVERGENT),
+        (DIVERGENT, DIVERGENT, DIVERGENT, DIVERGENT),
+    )
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_every_pair_of_parity_verdicts(self, i, j):
+        odd, even = self.PARITIES[i], self.PARITIES[j]
+        assert pairing._whole_verdict(odd, even) == self.TABLE[i][j]
 
 
 class TestStackedSequences:
@@ -475,7 +512,8 @@ class TestPairingResult:
             for count in range(total + 1):
                 r = PairingResult.from_counts(count, total)
                 classical = F(count, total)
-                assert r == PairingResult(count, total, classical, iota_exact(classical))
+                point = gamma.GammaValue(classical, True)
+                assert r == PairingResult(count, total, classical, point)
                 assert type(r.gamma.value) is F and r.gamma.exact is True
 
     @pytest.mark.parametrize(
