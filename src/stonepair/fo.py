@@ -1210,19 +1210,24 @@ def gen_example_structure(n: int) -> FiniteStructure:
     Odd n = 2k-1 gives a (k+1)-element chain; even n = 2k gives a
     (k+1)-element chain plus one isolated point.  The relation ``lt`` is the
     strict order: transitive and irreflexive, holding for every comparable
-    pair, not just covers.
+    pair, not just covers.  The table is built in place, the chain block by
+    one ``np.less.outer``, and handed to the structure as ``from_tables``
+    hands it over, without its checks of a table made here.
     """
     require_integer("family index", n)
     if n < 1:
         raise DomainError("family index starts at 1")
+    n = int(n)  # a numpy index would wrap in size**2 and leak into the size
     k = (n + 1) // 2
     chain_len = k + 1
     size = chain_len + (1 if n % 2 == 0 else 0)
     check_bytes(f"family index {n} gives |A| = {size}, whose lt table", size**2)
-    ranks = np.arange(size)
-    lt = np.less.outer(ranks, ranks)
-    lt[chain_len:] = lt[:, chain_len:] = False  # the isolated point, if any
-    return FiniteStructure.from_tables(POSET_SIGNATURE, {"lt": lt})
+    lt = np.zeros((size, size), dtype=bool)  # the isolated point, if any, relates to nothing
+    ranks = np.arange(chain_len)
+    np.less.outer(ranks, ranks, out=lt[:chain_len, :chain_len])
+    structure = FiniteStructure.__new__(FiniteStructure)
+    structure._init(POSET_SIGNATURE, size, {"lt": lt})
+    return structure
 
 
 def maximal_not_maximum() -> Formula:

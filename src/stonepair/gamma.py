@@ -36,12 +36,18 @@ is ``plus_of_ranks`` alone: ``gamma_sum`` folds it over any number of
 terms, and ``plus`` is its two-term case.  On D = k the ranks 0..2k are the
 indices of ``GammaGrid(k).points``.
 
+Every point a rank names comes from one interned table: ``point_of_rank``
+is an ``lru_cache`` of ``POINT_CACHE_SIZE`` points keyed on (rank,
+denominator), so ``mip``, ``miss``, ``gamma_sum``, ``GammaGrid``, the grid
+measures and the chain reports build each point, and normalise its
+``Fraction``, once per entry rather than once per result.
+
 The order of ``GammaValue`` is decided on ranks too, over the product of the
 two denominators.  The constructor checks its value; the private ``_point``
 builds a point without the check, and its two callers check on integers
 first: ``point_of_rank`` that 0 <= r <= 2D, falling back to the constructor
-and its ``DomainError``, and ``iota_exact`` that 0 <= numerator <=
-denominator, raising its own ``DomainError``.
+and its ``DomainError`` (which enters no table entry), and ``iota_exact``
+that 0 <= numerator <= denominator, raising its own ``DomainError``.
 """
 
 from __future__ import annotations
@@ -50,13 +56,16 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import lcm
 from numbers import Integral, Rational
 from typing import Iterable
 
 from .errors import DomainError, ParseError
+
+# the points ``point_of_rank`` keeps, one per (rank, denominator) entry
+POINT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,10 +228,20 @@ def rank(x: GammaValue, denom: int) -> int:
     return 2 * x.value.numerator * scale - (not x.exact)
 
 
+@lru_cache(maxsize=POINT_CACHE_SIZE, typed=True)
 def point_of_rank(r: int, denom: int) -> GammaValue:
     """The value of rank ``r`` on the denominator ``denom``, inverse to
-    ``rank``: (r/2D)^o for even r, ((r + 1)/2D)^- for odd r.  A rank
-    outside 0..2D is a ``DomainError`` from the ``GammaValue`` constructor."""
+    ``rank``: (r/2D)^o for even r, ((r + 1)/2D)^- for odd r.
+
+    The points are interned: this is a table of up to ``POINT_CACHE_SIZE``
+    points keyed on (r, D) and their types, least recently used out first,
+    so a point is built once per entry and shared by every later caller
+    (points and their ``Fraction`` values are immutable).  An entry is built
+    from ``operator.index`` of r and D, so a numpy rank gives a point of
+    Python ints and a float rank is a ``TypeError``.  A rank outside 0..2D
+    is a ``DomainError`` from the ``GammaValue`` constructor, and an error
+    enters no entry."""
+    r, denom = operator.index(r), operator.index(denom)
     value, exact = Fraction((r + 1) // 2, denom), not r & 1
     if 0 <= r <= 2 * denom:
         return _point(value, exact)

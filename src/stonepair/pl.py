@@ -47,7 +47,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from numbers import Integral
 
 import numpy as np
@@ -174,13 +174,13 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
 
 class GridMeasures(Sequence):
     """A read-only sequence over a rank table, one int64 row of ranks 0..2k
-    per grid measure (``ranks``); an index builds a ``Measure`` on demand,
-    each grid point once per view, and a slice is the view of its rows."""
+    per grid measure (``ranks``); an index builds a ``Measure`` on demand
+    from the interned points of ``gamma.point_of_rank``, and a slice is the
+    view of its rows."""
 
     def __init__(self, D: FiniteLattice, k: int, ranks: np.ndarray):
         ranks.flags.writeable = False
         self.lattice, self.k, self.ranks = D, k, ranks
-        self._point = cache(lambda r: gamma.point_of_rank(r, k))
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -188,7 +188,7 @@ class GridMeasures(Sequence):
     def __getitem__(self, i: int | slice) -> Measure | GridMeasures:
         if isinstance(i, slice):
             return GridMeasures(self.lattice, self.k, self.ranks[i])
-        return Measure(self.lattice, tuple(map(self._point, self.ranks[i].tolist())))
+        return Measure(self.lattice, tuple(gamma.point_of_rank(r, self.k) for r in self.ranks[i].tolist()))
 
 
 def grid_measures(D: FiniteLattice, k: int) -> GridMeasures:

@@ -740,6 +740,28 @@ class TestExampleFamily:
                 if j == k:
                     assert (i, l) in lt
 
+    def test_members_equal_their_tables_built_and_checked(self):
+        # the table built in place, without from_tables' checks, against the
+        # whole strict order masked off the isolated point and checked
+        for n in range(1, 301):
+            chain_len = (n + 1) // 2 + 1
+            ranks = np.arange(chain_len + 1 - n % 2)
+            lt = np.less.outer(ranks, ranks)
+            lt[chain_len:] = lt[:, chain_len:] = False
+            A = gen_example_structure(n)
+            assert A == FiniteStructure.from_tables(fo.POSET_SIGNATURE, {"lt": lt})
+            assert A.signature is fo.POSET_SIGNATURE and type(A.size) is int
+            assert A.tables["lt"].dtype == bool and not A.tables["lt"].flags.writeable
+            with pytest.raises(ValueError):
+                A.tables["lt"][0, 0] = True
+
+    def test_a_numpy_index_is_sized_in_python_ints(self):
+        A = gen_example_structure(np.int64(5))
+        assert type(A.size) is int and A == gen_example_structure(5)
+        # |A| = 2**32 here, whose table's 2**64 bytes wrap to 0 in int64
+        with pytest.raises(SizeError, match=r"would take 18446744073709551616 bytes"):
+            gen_example_structure(np.int64(2**33 - 4))
+
     def test_closed_form_counts(self):
         psi = maximal_not_maximum()
         for n in range(1, 13):

@@ -586,12 +586,13 @@ class TestIntegerPaths:
             assert _outcome(op, y, x) == _outcome(ref, y, x)
 
     def test_points_equal_the_validating_construction(self):
-        for denom in range(1, 25):
+        for denom in range(1, 65):
             for r in range(2 * denom + 1):
                 p = point_of_rank(r, denom)
                 q = GammaValue(F((r + 1) // 2, denom), r % 2 == 0)
                 assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
                 assert type(p.value) is F and type(p.exact) is bool
+                assert point_of_rank(r, denom) is p  # interned
 
     @pytest.mark.parametrize(
         "r, denom, message",
@@ -605,6 +606,38 @@ class TestIntegerPaths:
         ],
     )
     def test_point_of_rank_outside_the_ranks(self, r, denom, message):
-        with pytest.raises(DomainError) as exc:
-            point_of_rank(r, denom)
-        assert str(exc.value) == message
+        point_of_rank(2 * denom, denom)  # the table holds an entry of denom
+        held = point_of_rank.cache_info().currsize
+        for _ in range(2):  # a raise enters nothing, so the second raises too
+            with pytest.raises(DomainError) as exc:
+                point_of_rank(r, denom)
+            assert str(exc.value) == message
+        assert point_of_rank.cache_info().currsize == held
+
+    def test_numpy_ranks_give_points_of_python_ints(self):
+        point_of_rank.cache_clear()  # whichever caller comes first builds the entry
+        for r, denom in ((np.int64(3), np.int64(4)), (3, 4), (np.int32(6), 8), (6, np.uint8(8))):
+            p = point_of_rank(r, denom)
+            assert type(p.value.numerator) is int and type(p.value.denominator) is int
+            assert type(p.exact) is bool
+            assert p == GammaValue(F((int(r) + 1) // 2, int(denom)), r % 2 == 0)
+
+    def test_a_rank_that_is_no_integer_raises(self):
+        # 2.0 and F(2) equal the integer rank 2, whose point is in the table:
+        # the key tells them apart, and operator.index refuses them as the
+        # Fraction arithmetic before the table did
+        point_of_rank(2, 4)
+        for r in (1.5, 2.0, F(2), F(3, 2)):
+            with pytest.raises(TypeError):
+                point_of_rank(r, 4)
+        with pytest.raises(TypeError):
+            point_of_rank(2, 4.0)
+
+    def test_operations_on_the_grids(self):
+        # every pair of GammaGrid(k), k <= 12: the interned results against
+        # the Fraction references and their validating construction
+        for k in range(1, 13):
+            for x, y in itertools.product(GammaGrid(k), repeat=2):
+                for op, ref in ((mip, reference_mip), (miss, reference_miss), (plus, reference_plus)):
+                    assert _outcome(op, x, y) == _outcome(ref, x, y)
+                assert _outcome(gamma_sum, (x, y)) == _outcome(reference_gamma_sum, (x, y))

@@ -1,7 +1,8 @@
 """The benchmark's tracer names program functions by string; they must resolve.
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
 warning in a test is an error.  README's command table is the CLI's, and
-the limits it states are the code's.  The library computes without floats.
+the limits it states are the code's; the table of Γ points stays within
+its bound.  The library computes without floats.
 Every public function of chains and lattice whose arrays grow with its
 arguments charges them to the memory budget before it builds them."""
 
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stonepair import chains, fo, lattice
+from stonepair import chains, fo, gamma, lattice
 from stonepair.errors import SizeError
 from stonepair.cli import _COMMANDS
 
@@ -89,6 +90,16 @@ def test_readme_states_the_limits_of_the_code():
     assert stated(r"padded stacks of up to (\d+) MiB")[0] * 2**20 == fo.STACK_BYTES
     base, power = stated(r"`chains\.MAX_DUALITY_CASES` \((\d+)\*\*(\d+) cases")
     assert base**power == chains.MAX_DUALITY_CASES
+    assert stated(r"`gamma\.POINT_CACHE_SIZE` \((\d+) points\)")[0] == gamma.POINT_CACHE_SIZE
+    assert gamma.point_of_rank.cache_info().maxsize == gamma.POINT_CACHE_SIZE
+
+
+def test_the_point_table_is_bounded():
+    # points on 10 000 distinct denominators fill the table to its bound, no further
+    for denom in range(1, 10_001):
+        gamma.point_of_rank(1, denom)
+    assert gamma.point_of_rank.cache_info().currsize <= gamma.point_of_rank.cache_info().maxsize
+    assert gamma.point_of_rank.cache_info().maxsize == gamma.POINT_CACHE_SIZE < 10_000
 
 
 # every numpy name for a floating-point or complex scalar type
