@@ -16,20 +16,17 @@ whose every subformula evaluates to a boolean tensor with one axis of size
 |A| per free variable.  Tensor size thus follows the formula's width (the
 most free variables of any subformula), not its quantifier depth, and a
 context variable not free in the formula multiplies the count without being
-enumerated.  ``count_satisfying_stack`` runs one plan on a stack of
-structures padded to one size, with a last batch axis on every tensor and
-a universe mask that keeps each member's quantifiers and count to its own
-elements.  Before compiling, miniscoping pushes each quantifier inward, so
-fewer variables meet under it, and an ∃ whose factors each pair its
+enumerated.  Before compiling, miniscoping pushes each quantifier inward,
+so fewer variables meet under it, and an ∃ whose factors each pair its
 variable with one of two others is a matrix product (∀ by duality): the
 Boolean sum over the variable, computed exactly as a float32 product of 0/1
 matrices, so that such a body never takes a tensor of three axes.  Every
 size refusal is a ``check_bytes`` charge against the one memory budget,
 made before anything is allocated: relation tables, family members' ``lt``
-tables, the counting tensors (|A| ** width one-byte cells times the most of
-them alive at once; a stack's charge, ``_stack_bytes``, takes at least one,
-and numpy's count buffer once a stack) and satisfying sets past
-``MAX_TENSOR_CELLS`` bytes raise ``SizeError``.
+tables, the counting tensors (``counting_bytes``: |A| ** width one-byte
+cells times the most of them alive at once), satisfying sets and, in
+``pairing``, assignments and a sequence's rows past ``MAX_TENSOR_CELLS``
+bytes raise ``SizeError``.
 Past its charge a count allocates O(|A|) bytes: an equality reads
 ``_eye(|A|)``, the identity as a view of 2|A| − 1 bytes.
 
@@ -959,19 +956,15 @@ def _eye(n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(line, n)[::-1]
 
 
-def _evaluate(
-    node: tuple, tables: Mapping[str, np.ndarray], n: int, U: np.ndarray | None = None
-) -> np.ndarray:
+def _evaluate(node: tuple, tables: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """The node's tensor over ``tables``, relation tables on n elements that
     ``_admit`` checked.  Results this evaluation allocated are writeable and
     used once, so connectives overwrite them; tables, their views and the
-    identity are read-only.  With a universe mask ``U``, tables and tensors
-    have a last batch axis: ∃ and ∀ reduce the axis before it over each
-    member's own elements, and a contraction leaves out the other ones."""
+    identity are read-only."""
     op = node[0]
     if op <= _OR:
         _, left, left_index, right, right_index, reuse = node
-        lt, rt = _evaluate(left, tables, n, U), _evaluate(right, tables, n, U)
+        lt, rt = _evaluate(left, tables, n), _evaluate(right, tables, n)
         if left_index is not None:
             lt = lt[left_index]
         if right_index is not None:
@@ -988,43 +981,22 @@ def _evaluate(
             return table
         for i, j in node[3]:
             table = table.diagonal(0, i, j)
-            if U is not None:  # the diagonal back in front of the batch axis
-                table = table.swapaxes(-1, -2)
-        return table.transpose(node[4] if U is None else (*node[4], len(node[4])))
+        return table.transpose(node[4])
     if op == _NOT:
-        t = _evaluate(node[1], tables, n, U)
+        t = _evaluate(node[1], tables, n)
         return np.logical_not(t, out=t) if t.flags.writeable else ~t
     if op == _ANY:
-        t = _evaluate(node[1], tables, n, U)
-        if U is None:
-            return t.any(axis=-1)
-        # a read-only tensor, a table, a view of one or ``_eye(n)``, is
-        # already false where only the reduced index lies off its member
-        if t.flags.writeable:
-            np.logical_and(t, U, out=t)
-        return t.any(axis=-2)
+        return _evaluate(node[1], tables, n).any(axis=-1)
     if op == _ALL:
-        t = _evaluate(node[1], tables, n, U)
-        if U is None:
-            return t.all(axis=-1)
-        return np.logical_or(t, ~U, out=t if t.flags.writeable else None).all(axis=-2)
+        return _evaluate(node[1], tables, n).all(axis=-1)
     if op == _CONTRACT:
         _, left, right, universal = node
-        if U is None:
-            factor = _evaluate(left, tables, n).astype(np.float32)
-            product = factor @ _evaluate(right, tables, n).astype(np.float32).T
-        else:  # (B, a, v) @ (B, v, b), the left factor zero off each member on v
-            factor = np.ascontiguousarray(_evaluate(left, tables, n, U).transpose(2, 0, 1), np.float32)
-            factor *= U.T[:, None, :]
-            product = factor @ np.ascontiguousarray(
-                _evaluate(right, tables, n, U).transpose(2, 1, 0), np.float32
-            )
-            product = product.transpose(1, 2, 0)
+        factor = _evaluate(left, tables, n).astype(np.float32)
+        product = factor @ _evaluate(right, tables, n).astype(np.float32).T
         del factor
         return product == 0 if universal else product > 0
     if op == _EYE:
-        eye = _eye(n)
-        return eye if U is None else np.broadcast_to(eye[:, :, None], (*eye.shape, U.shape[1]))
+        return _eye(n)
     return _CELLS[op]
 
 
@@ -1042,6 +1014,14 @@ def _admit(A: FiniteStructure, reads: tuple, nbytes: int) -> None:
         _table(A, rel, arity)
 
 
+def counting_bytes(phi: Formula, context: Sequence[str], n: int) -> int:
+    """The bytes ``count_satisfying`` charges to count ``phi`` over
+    ``context`` on n elements: the most counting tensors its plan keeps
+    alive at once, of n ** width one-byte cells each."""
+    _, _, width, tensors, _ = _plan(phi, tuple(context))
+    return tensors * n**width
+
+
 def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -> int:
     """Number of assignments of ``context`` into A satisfying ``phi``.
 
@@ -1054,123 +1034,6 @@ def count_satisfying(A: FiniteStructure, phi: Formula, context: Sequence[str]) -
     _admit(A, reads, tensors * A.size**width)
     tensor = _evaluate(node, A.tables, A.size)
     return int(np.count_nonzero(tensor)) * A.size ** (len(ctx) - len(axes))
-
-
-# -- counting a stack of structures ------------------------------------------------
-#
-# ``count_satisfying_stack`` runs one plan on many structures at once.  The
-# members are padded to the largest size n and stacked on a last batch axis:
-# a relation's table has shape (n,) * arity + (B,), false off each member's
-# own universe, and every tensor carries the batch axis last, so the plan's
-# expander indexes, numpy's broadcasting and ``_evaluate`` apply unchanged.
-# The universe mask U, of shape (n, B), keeps each member's quantifiers and
-# its count to its own elements, so every count is exact.
-
-# A stack saves the Python of one evaluation per member, about 15 µs, but
-# its cells cost about twice a lone count's: numpy reduces the axis before a
-# short batch axis slowly.  Timed on a fence plan (width 2, 2 tensors), 64
-# members of 34 elements cost 6.5 µs each in a stack against 21 µs alone,
-# and of 70 elements 22 against 34 µs; 4 members in a stack lost at every
-# size, 16 from 90 elements on.  So a stack takes at most STACK_BYTES, its
-# members' own tables and its one count buffer included, and only members of
-# a size that leaves room for STACK_ROOM of them join one: up to 55 elements
-# for that plan.  Larger members are counted alone, as ``count_satisfying``
-# counts them.
-STACK_BYTES = 2**20
-STACK_ROOM = 64
-
-
-def _member_bytes(n: int, signature: Signature, plan: tuple) -> int:
-    """The bytes one member of a stack of one signature, padded to n
-    elements, adds: the plan's counting tensors, at least one, and one more,
-    as a stack masks a copy of a table it reduces or counts and numpy reduces
-    through buffers of its own; the stacked tables of the relations the plan
-    reads; the member's own tables; and its column of the universe mask and
-    of its complement."""
-    _, _, width, tensors, reads = plan
-    tables = sum(n**arity for _, arity in reads) + sum(n**arity for _, arity in signature.relations)
-    return (max(tensors, 1) + 1) * n**width + tables + 2 * n
-
-
-def _stack_bytes(batch: int, n: int, signature: Signature, plan: tuple) -> int:
-    """The bytes a stack of ``batch`` members takes: theirs, and once per
-    stack the buffer through which ``np.count_nonzero`` casts the cells it
-    counts along axes, 8 bytes a cell for up to ``np.getbufsize()`` cells."""
-    return batch * _member_bytes(n, signature, plan) + 8 * np.getbufsize()
-
-
-def count_satisfying_stack(
-    members: Iterable[FiniteStructure], phi: Formula, context: Sequence[str]
-) -> list[int]:
-    """``count_satisfying(A, phi, context)`` for each member A, in order.
-
-    The members are counted in padded stacks, one evaluation of the plan per
-    stack.  Each member is drawn from ``members`` only after the one before
-    it has been checked as ``count_satisfying`` checks it: its charge against
-    the memory budget, then each relation the plan reads.  So a refusal, or
-    a fault of the iterable, is met at the member where it is met counting
-    one member at a time, with the same text.  A member joins the current
-    stack when it has the stack's signature and a stack of
-    ``max(B, STACK_ROOM)`` members of the stack's padded size, B the stack's
-    size with it, takes at most ``STACK_BYTES`` (``_stack_bytes``), or the
-    budget if that is less;
-    otherwise the stack is counted and freed first.  A stack that no member
-    could join is counted at once.  A stack of one member is counted by
-    ``count_satisfying``, so a member too large to share a stack is counted
-    as soon as it is drawn, at what it costs alone."""
-    ctx = tuple(context)
-    counts: list[int] = []
-    stack: list[FiniteStructure] = []
-    # the members' bytes may take what the stack's one count buffer leaves
-    cap = min(STACK_BYTES, MAX_TENSOR_CELLS) - 8 * np.getbufsize()
-    plan = None
-    n = unit = 0  # the stack's padded size and its bytes per member
-    for A in members:
-        plan = plan or _plan(phi, ctx)  # made at the first member, as one count makes it
-        _, _, width, tensors, reads = plan
-        _admit(A, reads, tensors * A.size**width)
-        size = max(n, A.size)
-        if size != n:
-            unit = _member_bytes(size, A.signature, plan)
-        room = max(len(stack) + 1, STACK_ROOM)
-        if stack and (A.signature != stack[0].signature or room * unit > cap):
-            counts += _count_stack(stack, phi, ctx)
-            stack, size = [], A.size
-            unit = _member_bytes(size, A.signature, plan)
-        stack.append(A)
-        n = size
-        if max(len(stack) + 1, STACK_ROOM) * unit > cap:  # no member can join it
-            counts += _count_stack(stack, phi, ctx)
-            stack, n = [], 0
-    if stack:
-        counts += _count_stack(stack, phi, ctx)
-    return counts
-
-
-def _count_stack(members: list[FiniteStructure], phi: Formula, ctx: tuple[str, ...]) -> list[int]:
-    """The counts of ``members``, checked and of one signature, from one
-    evaluation of the plan."""
-    if len(members) == 1:
-        return [count_satisfying(members[0], phi, ctx)]
-    plan = _plan(phi, ctx)
-    node, axes, _, _, reads = plan
-    sizes = [A.size for A in members]
-    n, batch = max(sizes), len(members)
-    check_bytes("the stacked counting tensors", _stack_bytes(batch, n, members[0].signature, plan))
-    universe = np.arange(n)[:, None] < np.array(sizes)
-    tables = {}
-    for rel, arity in reads:
-        table = np.zeros((n,) * arity + (batch,), dtype=bool)
-        for b, A in enumerate(members):
-            table[(slice(A.size),) * arity + (b,)] = A.tables[rel]
-        tables[rel] = _read_only(table)
-    tensor = _evaluate(node, tables, n, universe)
-    m = len(axes)
-    for k in range(m):  # each member's cells only, on every axis
-        mask = universe[(_WHOLE,) + (None,) * (m - 1 - k)]
-        tensor = np.logical_and(tensor, mask, out=tensor if tensor.flags.writeable else None)
-    cells = np.count_nonzero(np.broadcast_to(tensor, (n,) * m + (batch,)), axis=tuple(range(m)))
-    return [count * size ** (len(ctx) - m) for count, size in zip(cells.tolist(), sizes)]
 
 
 def satisfying_tuple_bytes(n: int) -> int:

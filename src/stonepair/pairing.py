@@ -8,24 +8,28 @@ sequence of pairings can distinguish a limit that is achieved (``q^o``) from
 one approached strictly from below (``r^-``).
 
 ``pairing_sequence`` evaluates a family of structures along an index range
-and classifies the whole sequence and its odd and even subsequences.  It
-counts the members in padded stacks (``fo.count_satisfying_stack``), one
-evaluation of the formula per stack, and checks each member as it is built,
-so a refusal comes at the member, and with the text, that counting one
-member at a time would give.  For a family that publishes closed forms for
-the formula at hand the parity verdicts are exact; otherwise they are a
-horizon-bounded heuristic over the tail of each parity's values.  One rule
-gives the whole verdict from the two: equal ones give theirs, a divergent
-parity or two limits that differ give divergence, and anything else is
-inconclusive.  A directory family is listed once per run, so files added
-to it later are not seen; its member n is the one regular file whose stem
-is n, with any number of leading zeros (``7.struct``, ``007.struct``).
+and classifies the whole sequence and its odd and even subsequences.  The
+fence family has a closed form for every formula: on each parity the count
+is a polynomial in the chain length past an onset that the formula's
+quantifier rank and context length fix, certified by counting a few
+members and interpolated exactly (``FenceFamily.closed_form``).  Past the
+onset no member is built, and the parity verdicts are the polynomials'
+tagged limits.  A family without a closed form has each member counted as
+it is built, so a refusal comes at the member, and a horizon-bounded
+heuristic over the tail of each parity's values gives the parity
+verdicts.  One rule gives the whole verdict from the two: equal ones give
+theirs, a divergent parity or two limits that differ give divergence, and
+anything else is inconclusive.  A directory family is listed once per run,
+so files added to it later are not seen; its member n is the one regular
+file whose stem is n, with any number of leading zeros (``7.struct``,
+``007.struct``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -149,10 +153,12 @@ def _verdict_for_limit(limit: GammaValue) -> Verdict:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Exact description of a pairing sequence: values plus tagged limits of
-    the odd and even subsequences."""
+    """A pairing sequence exactly from index ``onset`` on: each member's
+    pairing, ``result_at(index)``, read without building the member, and the
+    tagged limits of the odd and even subsequences."""
 
-    value_at: Callable[[int], Fraction]
+    onset: int
+    result_at: Callable[[int], PairingResult]
     odd_limit: GammaValue
     even_limit: GammaValue
 
@@ -198,8 +204,8 @@ def _whole_verdict(odd: Verdict, even: Verdict) -> Verdict:
 class StructureFamily:
     """An indexed family of finite structures.
 
-    ``closed_form`` may return exact sequence data for a formula the family
-    understands; the default knows none.
+    ``closed_form`` may return exact sequence data for a formula over a
+    context; the default knows none.
     """
 
     name = "family"
@@ -207,51 +213,108 @@ class StructureFamily:
     def structure(self, index: int) -> FiniteStructure:
         raise NotImplementedError(f"{type(self).__name__} defines no members")
 
-    def closed_form(self, phi: Formula) -> ClosedForm | None:
+    def closed_form(self, phi: Formula, ctx: tuple[str, ...]) -> ClosedForm | None:
         return None
 
 
-def _compiled(phi: Formula) -> tuple:
-    """The counting plan of ``phi`` over its free variables in order."""
-    return fo._plan(phi, fo.free_vars(phi))
+def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[Fraction]:
+    """The coefficients, constant first, of the polynomial of degree below
+    ``len(xs)`` through the points (x, y): Newton's divided differences,
+    then the Newton form multiplied out from the innermost term."""
+    diffs = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) * Fraction(1, xs[i] - xs[i - j])
+    poly: list[Fraction] = []
+    for x, d in zip(reversed(xs), reversed(diffs)):  # P = d + (N - x) * P
+        poly = [a - x * b for a, b in zip([Fraction(0), *poly], [*poly, 0])]
+        poly[0] += d
+    return poly
+
+
+def _horner(coefficients: Sequence[int], x: int) -> int:
+    value = 0
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
 
 
 class FenceFamily(StructureFamily):
-    """The alternating chain family: chains interleaved with chains plus an
-    isolated point.  Publishes closed forms for the built-in one-variable
-    formula "maximal but not the maximum" and its negation."""
+    """The alternating chain family: member 2N - 3 is the chain of N >= 2
+    elements, member 2N - 2 the same chain and an isolated point.  Every
+    formula has a closed form here, certified by counting a few members."""
 
     name = "fence"
-    _PSI = _compiled(fo.maximal_not_maximum())
-    _NOT_PSI = _compiled(fo.Not(fo.maximal_not_maximum()))
 
     def structure(self, index: int) -> FiniteStructure:
         return fo.gen_example_structure(index)
 
-    def closed_form(self, phi: Formula) -> ClosedForm | None:
-        # Compiled plans number variables by axis and fold only constants, so
-        # a formula gets a closed form when it compiles to the plan of psi or
-        # of its negation: up to renaming free and bound variables, and
-        # ``& true``-style constants.
-        target = _compiled(phi)
-        if target == self._PSI:
-            return ClosedForm(_fence_psi_value, gamma.ZERO, gamma.ZERO)
-        if target == self._NOT_PSI:
-            return ClosedForm(_fence_not_psi_value, gamma.ONE, gamma.ONE_APPROX)
-        return None
+    def closed_form(self, phi: Formula, ctx: tuple[str, ...]) -> ClosedForm | None:
+        """On each parity, the count of ``phi`` over the m = ``len(ctx)``
+        variables is a polynomial P of degree <= m in the chain length N
+        once N >= (m + 1) * 2**q, q the quantifier rank of ``phi``.
 
+        Two linear orders of at least 2**q elements agree on every sentence
+        of rank q (the Ehrenfeucht-Fraisse game on linear orders; Libkin,
+        *Elements of Finite Model Theory*, 2004, Thm 3.6).  By composition
+        over ordered sums and disjoint unions, whether an assignment
+        satisfies ``phi`` is then fixed by which variables it sends to the
+        isolated point, the order pattern of the j <= m distinct values it
+        takes on the chain, and the j + 1 gaps those leave, each gap's
+        length cut off at 2**q.  Take one such class, with e gaps of exact
+        lengths below 2**q summing to S and l = j + 1 - e long ones.  Its
+        assignments number the ways to split R = N - j - S over the long
+        gaps, each at least 2**q: C(R - l * 2**q + l - 1, l - 1), which is
+        a polynomial of degree l - 1 <= m in N for R - l * 2**q >= 1 - l,
+        as the polynomial vanishes where the count is 0.  Since
+        S <= e * (2**q - 1), that holds once N >= (j + 1) * 2**q, and a
+        class with no long gap, one assignment at N = j + S, is empty there
+        too.  So P is a sum of such polynomials, over the classes that
+        satisfy ``phi``.
 
-def _fence_psi_value(index: int) -> Fraction:
-    # Chains have no maximal-but-not-maximum point; a chain with an isolated
-    # point has exactly two, out of k + 2 elements at even index 2k.
-    if index % 2 == 1:
-        return Fraction(0)
-    k = index // 2
-    return Fraction(2, k + 2)
+        The certificate counts m + 1 chain lengths from the onset, at least
+        3, so that member 1, counted first, is never one of them; it
+        interpolates P exactly and checks it on two chain lengths more.  The
+        limit L is the coefficient of N**m, and it is reached from below,
+        L^-, when the leading nonzero coefficient of P(N) - L * T(N)**m is
+        negative, T(N) the member's size; otherwise it is L^o.  Returns None
+        when the largest member counted would be past the memory budget."""
+        m = len(ctx)
+        start = max(3, (m + 1) * 2 ** fo.quantifier_rank(phi))
+        lengths = range(start, start + m + 3)  # m + 1 to interpolate, two to check
+        largest = lengths[-1] + 1  # the last even member: its chain and isolated point
+        if max(largest**2, fo.counting_bytes(phi, ctx, largest)) > fo.MAX_TENSOR_CELLS:
+            return None
+        counters, limits = [], []
+        for shift in (0, 1):  # odd members, then even ones
+            counts = [
+                fo.count_satisfying(self.structure(2 * n - 3 + shift), phi, ctx) for n in lengths
+            ]
+            poly = _interpolate(lengths[: m + 1], counts[: m + 1])
+            denominator = math.lcm(*(c.denominator for c in poly))
+            numerators = [int(c * denominator) for c in poly]
+            for n, count in zip(lengths[m + 1:], counts[m + 1:]):
+                if _horner(numerators, n) != count * denominator:
+                    total = (n + shift) ** m
+                    value = Fraction(_horner(numerators, n), denominator * total)
+                    raise InternalInvariantError(
+                        f"closed form disagrees with computed value at index {2 * n - 3 + shift}: "
+                        f"{value} vs {Fraction(count, total)}"
+                    )
+            limit = poly[m]
+            excess = [c - limit * math.comb(m, k) * shift ** (m - k) for k, c in enumerate(poly)]
+            below = next((c < 0 for c in reversed(excess) if c), False)
+            limits.append(gamma.iota_approx(limit) if below else gamma.iota_exact(limit))
+            counters.append((numerators, denominator))
 
+        def result_at(index: int) -> PairingResult:
+            n, shift = (index + 3) // 2, 1 - index % 2
+            numerators, denominator = counters[shift]
+            return PairingResult.from_counts(
+                _horner(numerators, n) // denominator, (n + shift) ** m
+            )
 
-def _fence_not_psi_value(index: int) -> Fraction:
-    return 1 - _fence_psi_value(index)
+        return ClosedForm(2 * lengths[0] - 3, result_at, *limits)
 
 
 class DirectoryFamily(StructureFamily):
@@ -279,6 +342,15 @@ class DirectoryFamily(StructureFamily):
         return fo.load(matches[0], fo.parse_structure)
 
 
+def row_bytes(n: int) -> int:
+    """The bytes a row of a sequence over n context variables takes at the
+    traced peak of ``pairing_sequence`` (pairing, count and total, value,
+    point, list slot): over up to 400 000 fence rows the tracemalloc peak per
+    row was 177 to 310 bytes for n <= 4, 359 at 16 and 428 at 32, as the
+    total's integer grows with n."""
+    return 304 + 8 * n
+
+
 def pairing_sequence(
     family: StructureFamily,
     phi: Formula,
@@ -286,46 +358,46 @@ def pairing_sequence(
     horizon: int = 12,
 ) -> SequenceReport:
     """Pair phi against family members 1..horizon (an integer, at least 4)
-    and classify convergence; member ``horizon`` is built second, after 1.
+    and classify convergence; member 1 is counted first.
 
-    With a closed form the values are cross-checked against it and the odd and
-    even verdicts are its tagged limits; otherwise the tail heuristic classifies
-    the odd and the even values, as well as the horizon allows.  One rule gives
-    the whole verdict from the two: equal ones give theirs, a divergent parity
-    or two limits that differ give divergence, and anything else inconclusive.
+    A closed form of the family gives every pairing from its onset on and
+    the odd and even verdicts, its tagged limits; the members below the
+    onset are counted, and the horizon's rows are charged to the memory
+    budget at ``row_bytes`` each before any is filled, as no member past the
+    onset is built.  Without a closed form each member is counted as soon
+    as it is built, member ``horizon`` second, and the tail heuristic
+    classifies the odd and the even values, as well as the horizon allows.
+    One rule gives the whole verdict from the two: equal ones give theirs,
+    a divergent parity or two limits that differ give divergence, and
+    anything else inconclusive.
     """
     if not isinstance(horizon, Integral) or horizon < 4:
         raise DomainError(f"horizon must be at least 4: {horizon!r} is not an integer >= 4")
     ctx = fo.free_vars(phi) if context is None else tuple(context)
-    sizes = []
 
-    def members():
-        for index in itertools.chain((1, horizon), range(2, horizon)):
-            try:
-                A = family.structure(index)
-            except InternalInvariantError:
-                raise
-            except Exception as exc:
-                raise DomainError(
-                    f"family {family.name} failed at index {index}: {exc}"
-                ) from exc
-            sizes.append(A.size)
-            yield A
+    def pair(index: int) -> PairingResult:
+        try:
+            A = family.structure(index)
+        except InternalInvariantError:
+            raise
+        except Exception as exc:
+            raise DomainError(f"family {family.name} failed at index {index}: {exc}") from exc
+        return PairingResult.from_counts(fo.count_satisfying(A, phi, ctx), A.size ** len(ctx))
 
-    counts = fo.count_satisfying_stack(members(), phi, ctx)
-    results = [PairingResult.from_counts(c, s ** len(ctx)) for c, s in zip(counts, sizes)]
-    results.append(results.pop(1))  # member horizon's pairing to its place
-    classical = [r.classical for r in results]
-    closed = family.closed_form(phi)
-    if closed is not None:
-        for index, value in enumerate(classical, start=1):
-            if value != closed.value_at(index):
-                raise InternalInvariantError(
-                    f"closed form disagrees with computed value at index {index}: "
-                    f"{closed.value_at(index)} vs {value}"
-                )
-        odd_v, even_v = map(_verdict_for_limit, (closed.odd_limit, closed.even_limit))
-    else:  # odd indices 1, 3, 5, ... sit at 0, 2, 4, ... of the list
+    results = [pair(1)]
+    closed = family.closed_form(phi, ctx)
+    if closed is None:
+        last = pair(horizon)
+        results += map(pair, range(2, horizon))
+        results.append(last)
+        classical = [r.classical for r in results]
+        # odd indices 1, 3, 5, ... sit at 0, 2, 4, ... of the list
         odd_v, even_v = map(_heuristic_verdict, (classical[::2], classical[1::2]))
+    else:
+        fo.check_bytes(f"the {horizon} rows of the sequence", horizon * row_bytes(len(ctx)))
+        onset = max(2, min(closed.onset, horizon + 1))
+        results += map(pair, range(2, onset))
+        results += map(closed.result_at, range(onset, horizon + 1))
+        odd_v, even_v = map(_verdict_for_limit, (closed.odd_limit, closed.even_limit))
     whole = _whole_verdict(odd_v, even_v)
     return SequenceReport(tuple(results), whole, odd_v, even_v, closed is not None)

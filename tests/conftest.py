@@ -119,6 +119,28 @@ def reference_fence(n: int) -> fo.FiniteStructure:
     return fo.FiniteStructure(fo.POSET_SIGNATURE, size, {"lt": tuples})
 
 
+def reference_fence_psi(index: int) -> Fraction:
+    """The pairing of ``fo.maximal_not_maximum()`` with fence member
+    ``index``, derived by hand: a chain has no maximal point that is not its
+    maximum, and a chain with an isolated point has two, the chain's top and
+    the point, out of k + 2 elements at even index 2k."""
+    return Fraction(0) if index % 2 else Fraction(2, index // 2 + 2)
+
+
+def reference_fence_not_psi(index: int) -> Fraction:
+    return 1 - reference_fence_psi(index)
+
+
+class FenceMembers(pairing.StructureFamily):
+    """The fence's members without its closed forms: a sequence over them is
+    counted member by member and judged by the horizon heuristic."""
+
+    name = "fence-members"
+
+    def structure(self, index: int) -> fo.FiniteStructure:
+        return fo.gen_example_structure(index)
+
+
 def relation_tuples(A: fo.FiniteStructure) -> dict[str, frozenset[tuple[int, ...]]]:
     """Each relation of ``A`` as its set of tuples, read cell by cell from
     its table."""

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula, random_structure
-from stonepair import chains, fo, measure
+from stonepair import chains, fo, measure, pairing
 from stonepair.cli import run
 from stonepair.errors import DomainError
 from stonepair.gamma import format_gamma
@@ -179,16 +179,46 @@ class TestConverge:
         assert listed == [tmp_path]
         assert sorted(loaded) == [tmp_path / f"{i}.struct" for i in range(1, 5)]
         assert invoke("converge", "--family", "fence", "--formula", "true", "--horizon", "6")[0] == 0
-        assert built == [1, 6, 2, 3, 4, 5]
+        assert built[0] == 1 and len(set(built)) == len(built)
 
-    def test_inconclusive_verdict(self):
-        # y <= x: the odd members tend to 1/2^o, the even ones to 1/2^-
+    def test_inconclusive_verdict(self, tmp_path):
+        # y <= x: the odd members tend to 1/2^o, the even ones to 1/2^-,
+        # which the heuristic cannot name on a directory of fence members
+        for i in range(1, 41):
+            (tmp_path / f"{i}.struct").write_text(fo.format_structure(fo.gen_example_structure(i)))
         code, out, _ = invoke(
-            "converge", "--family", "fence", "--formula", "y = x | lt(y,x)",
+            "converge", "--family", tmp_path, "--formula", "y = x | lt(y,x)",
             "--vars", "x,y", "--horizon", "40",
         )
         assert code == 0
         assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
+
+    @pytest.mark.parametrize(
+        "formula, extra, verdict",
+        [
+            ("lt(x,y)", (), "CONVERGES 1/2^-"),
+            ("exists y. lt(x,y)", (), "CONVERGES 1^-"),
+            ("y = x | lt(y,x)", ("--vars", "x,y"), "DIVERGENT odd->1/2^o even->1/2^-"),
+            (f"!!({PSI_TEXT})", (), "CONVERGES 0^o"),
+        ],
+    )
+    def test_fence_verdicts_are_exact(self, formula, extra, verdict):
+        code, out, _ = invoke(
+            "converge", "--family", "fence", "--formula", formula, *extra, "--horizon", "40"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == verdict
+
+    def test_a_certificate_past_the_budget_is_judged_at_the_horizon(self, monkeypatch):
+        # psi's certificate counts members of up to 8 elements; the horizon's have 4
+        psi = fo.parse_formula(PSI_TEXT, fo.POSET_SIGNATURE)
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", fo.counting_bytes(psi, ("x",), 8) - 1)
+        code, out, _ = invoke(
+            "converge", "--family", "fence", "--formula", PSI_TEXT, "--horizon", "4"
+        )
+        assert code == 0
+        # the heuristic on two values a parity
+        assert out.splitlines()[-1] == "DIVERGENT odd->0^o even->1/2^o (at horizon)"
 
     @pytest.mark.parametrize("formula", ["exists y. lt(x,y)", "lt(x,y)"])
     def test_fence_directory_parities_both_inconclusive(self, tmp_path, formula):
@@ -203,14 +233,17 @@ class TestConverge:
         assert out.splitlines()[-1] == "INCONCLUSIVE (at horizon)"
 
     def test_horizon_past_the_budget_exits_at_once(self):
-        # the last member is built second: fence members are refused from
-        # index 46338 on, so no earlier member is paired before the error
+        # the rows past the certificate are charged before any is filled
         start = time.perf_counter()
+        horizon = 99999999999999
         code, out, err = invoke(
-            "converge", "--family", "fence", "--formula", "true", "--horizon", "99999999999999"
+            "converge", "--family", "fence", "--formula", "true", "--horizon", horizon
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: family fence failed at index 99999999999999:")
+        assert err == (
+            f"error: the {horizon} rows of the sequence would take "
+            f"{horizon * pairing.row_bytes(0)} bytes; the guard is {fo.MAX_TENSOR_CELLS}\n"
+        )
         assert time.perf_counter() - start < 1
 
     def test_unknown_family_and_empty_vars(self):

@@ -33,6 +33,7 @@ CASES = {
     "converge-psi-40": _converge(PSI, 40),
     "converge-not-psi-12": _converge(f"!({PSI})", 12),
     "converge-not-psi-40": _converge(f"!({PSI})", 40),
+    "converge-not-not-psi-12": _converge(f"!!({PSI})", 12),
     "converge-eq-or-lt-40": _converge("y = x | lt(y,x)", 40, "--vars", "x,y"),
     "converge-lt-40": _converge("lt(x,y)", 40),
     "converge-exists-lt-40": _converge("exists y. lt(x,y)", 40),

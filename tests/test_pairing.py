@@ -1,13 +1,21 @@
 """Pairing values, padding, distributions, and convergence verdicts."""
 
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import ConstantFamily, formulas, structures
+from conftest import (
+    ConstantFamily,
+    FenceMembers,
+    formulas,
+    random_formula,
+    reference_fence_not_psi,
+    reference_fence_psi,
+    structures,
+)
 from stonepair import fo, gamma, pairing
 from stonepair.errors import DomainError, InternalInvariantError, SizeError
 from stonepair.fo import Not, TRUE, FALSE, gen_example_structure, maximal_not_maximum
@@ -29,6 +37,7 @@ from stonepair.pairing import (
 PSI = maximal_not_maximum()
 BOUND_V1 = fo.parse_formula("exists v1. lt(x, v1)", fo.POSET_SIGNATURE)
 FENCE = FenceFamily()
+MEMBERS = FenceMembers()
 
 
 class TestStonePairing:
@@ -310,9 +319,14 @@ class TestSequences:
         ],
     )
     def test_other_plans_fall_back_to_the_heuristic(self, text):
+        # the members without a closed form are judged by the heuristic; the
+        # fence pairs them alike and exactly
         phi = fo.parse_formula(text, fo.POSET_SIGNATURE)
-        assert FENCE.closed_form(phi) is None
-        assert not pairing_sequence(FENCE, phi, horizon=8).exact
+        assert MEMBERS.closed_form(phi, fo.free_vars(phi)) is None
+        rep = pairing_sequence(MEMBERS, phi, horizon=8)
+        assert not rep.exact
+        exact = pairing_sequence(FENCE, phi, horizon=8)
+        assert exact.exact and exact.results == rep.results
 
     def test_constant_family(self):
         rep = pairing_sequence(ConstantFamily(gen_example_structure(2)), PSI, horizon=8)
@@ -333,7 +347,7 @@ class TestSequences:
         # a formula the fence family has no closed form for: (N - 1)/N on
         # odd members and (N - 1)/(N + 1) on even ones, both tending to 1^-
         phi = fo.parse_formula("exists y. lt(x,y)", fo.POSET_SIGNATURE)
-        rep = pairing_sequence(FENCE, phi, horizon=12)
+        rep = pairing_sequence(MEMBERS, phi, horizon=12)
         assert not rep.exact
         assert rep.odd == rep.even == rep.verdict == Verdict(VerdictKind.INCONCLUSIVE)
 
@@ -342,12 +356,14 @@ class TestSequences:
         [(fo.parse_formula("exists y. lt(x,y)", fo.POSET_SIGNATURE), 2), (PSI, 0), (Not(PSI), 0)],
     )
     def test_the_heuristic_sees_each_parity_once(self, phi, calls, monkeypatch):
+        # once a parity over the members alone; never on the fence, whose
+        # closed forms give the verdicts
         seen = []
         heuristic = pairing._heuristic_verdict
         monkeypatch.setattr(
             pairing, "_heuristic_verdict", lambda values: seen.append(values) or heuristic(values)
         )
-        rep = pairing_sequence(FENCE, phi, horizon=12)
+        rep = pairing_sequence(MEMBERS if calls else FENCE, phi, horizon=12)
         assert len(seen) == calls
         classical = [r.classical for r in rep.results]
         assert seen == [classical[::2], classical[1::2]][:calls]
@@ -387,6 +403,108 @@ class TestSequences:
         assert type(info.value) is InternalInvariantError
 
 
+def fence_corpus() -> list[fo.Formula]:
+    """The 300 random formulas over (x, y) of depth 6 from seed 7, with
+    ``r`` read as ``lt``."""
+    rng = random.Random(7)
+    return [
+        fo.parse_formula(str(random_formula(rng, 6)).replace("r(", "lt("), fo.POSET_SIGNATURE)
+        for _ in range(300)
+    ]
+
+
+class TestClosedForms:
+    """``FenceFamily.closed_form``: a polynomial count on each parity past
+    the onset (m + 1) * 2**q, certified by counting, and its tagged limits."""
+
+    @pytest.mark.parametrize(
+        "text, ctx, odd, even, whole",
+        [
+            ("lt(x,y)", None, "1/2^-", "1/2^-", "1/2^-"),
+            ("exists y. lt(x,y)", None, "1^-", "1^-", "1^-"),
+            ("y = x | lt(y,x)", ("x", "y"), "1/2^o", "1/2^-", None),
+            (f"!!({PSI})", None, "0^o", "0^o", "0^o"),
+        ],
+    )
+    def test_fence_verdicts_are_exact(self, text, ctx, odd, even, whole):
+        phi = fo.parse_formula(text, fo.POSET_SIGNATURE)
+        rep = pairing_sequence(FENCE, phi, ctx, 40)
+        assert rep.exact
+        assert (str(rep.odd.limit), str(rep.even.limit)) == (odd, even)
+        if whole is None:
+            assert rep.verdict == Verdict(VerdictKind.DIVERGENT_AT_HORIZON)
+        else:
+            assert str(rep.verdict.limit) == whole
+        assert rep.results == pairing_sequence(MEMBERS, phi, ctx, 40).results
+
+    def test_psi_values_are_the_oracles(self):
+        for phi, oracle in ((PSI, reference_fence_psi), (Not(PSI), reference_fence_not_psi)):
+            rep = pairing_sequence(FENCE, phi, horizon=64)
+            assert [r.classical for r in rep.results] == [oracle(i) for i in range(1, 65)]
+            closed = FENCE.closed_form(phi, ("x",))
+            assert closed.onset == 5  # chain length 4 = (1 + 1) * 2**1
+            for index in range(closed.onset, 500):
+                assert closed.result_at(index).classical == oracle(index)
+
+    def test_closed_forms_equal_the_counts_on_the_corpus(self):
+        ctx = ("x", "y")
+        split = {"converge": 0, "diverge by tag": 0}
+        for phi in fence_corpus():
+            closed = FENCE.closed_form(phi, ctx)
+            for index in range(closed.onset, 2 * closed.onset + 1):
+                assert closed.result_at(index) == stone_pairing(FENCE.structure(index), phi, ctx), (
+                    str(phi), index
+                )
+            odd, even = closed.odd_limit, closed.even_limit
+            assert odd.value == even.value
+            split["converge" if odd == even else "diverge by tag"] += 1
+        assert split == {"converge": 298, "diverge by tag": 2}
+
+    def test_only_the_certificate_and_the_members_below_the_onset_are_built(self):
+        built = []
+
+        class Recorded(FenceFamily):
+            def structure(self, index):
+                built.append(index)
+                return super().structure(index)
+
+        # psi: onset at chain length 4, two interpolated and two checked
+        # chain lengths on each parity, members 5 to 12
+        rep = pairing_sequence(Recorded(), PSI, horizon=64)
+        assert sorted(built) == list(range(1, 13))
+        assert built[0] == 1
+        assert rep.results == TestStackedSequences.per_member(PSI, ("x",), 64)
+
+    def test_a_certificate_that_disagrees_is_an_invariant_error(self):
+        class Misbuilt(FenceFamily):
+            # member 9, the chain of 6 and a checked point, as member 10
+            def structure(self, index):
+                return super().structure(10 if index == 9 else index)
+
+        with pytest.raises(InternalInvariantError) as exc:
+            pairing_sequence(Misbuilt(), PSI, horizon=12)
+        assert str(exc.value) == "closed form disagrees with computed value at index 9: 0 vs 1/3"
+
+    def test_a_certificate_past_the_budget_falls_back_to_the_heuristic(self, monkeypatch):
+        # the certificate's largest member has 8 elements, the horizon's 4
+        budget = fo.counting_bytes(PSI, ("x",), 8) - 1
+        assert fo.counting_bytes(PSI, ("x",), 4) <= budget
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", budget)
+        assert FENCE.closed_form(PSI, ("x",)) is None
+        rep = pairing_sequence(FENCE, PSI, horizon=4)
+        assert not rep.exact
+        assert [r.classical for r in rep.results] == [reference_fence_psi(i) for i in range(1, 5)]
+
+    def test_the_rows_are_charged_before_they_are_filled(self):
+        horizon = 10**14
+        with pytest.raises(SizeError) as exc:
+            pairing_sequence(FENCE, PSI, horizon=horizon)
+        assert str(exc.value) == (
+            f"the {horizon} rows of the sequence would take {horizon * pairing.row_bytes(1)} "
+            f"bytes; the guard is {fo.MAX_TENSOR_CELLS}"
+        )
+
+
 CONVERGES_L = Verdict(VerdictKind.CONVERGES_EXACT, iota_exact(F(1, 2)))
 CONVERGES_M = Verdict(VerdictKind.CONVERGES_APPROX, ONE_APPROX)
 INCONCLUSIVE = Verdict(VerdictKind.INCONCLUSIVE)
@@ -411,9 +529,9 @@ class TestWholeVerdict:
 
 
 class TestStackedSequences:
-    """``pairing_sequence`` counts its members in padded stacks
-    (``fo.count_satisfying_stack``); the pairings, refusals and build order
-    are those of counting one member at a time."""
+    """A sequence's pairings, read from a closed form past its onset or
+    counted member by member, and its refusals are those of pairing one
+    member at a time."""
 
     SEQUENCES = (
         (PSI, ("x",)),
@@ -430,49 +548,6 @@ class TestStackedSequences:
         for phi, ctx in self.SEQUENCES:
             rep = pairing_sequence(FENCE, phi, ctx, horizon)
             assert rep.results == self.per_member(phi, ctx, horizon), (phi, horizon)
-
-    def test_stack_sizes_do_not_change_the_pairings(self, monkeypatch):
-        stacks = []  # the member sizes of each stack counted
-        count_stack = fo._count_stack
-
-        def recorded(members, *args):
-            stacks.append([A.size for A in members])
-            return count_stack(members, *args)
-
-        for phi, ctx in self.SEQUENCES:
-            expected = self.per_member(phi, ctx, 40)
-            with monkeypatch.context() as mp:
-                mp.setattr(fo, "_count_stack", recorded)
-                stacks.clear()
-                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
-                assert len(stacks) == 1  # 21 elements at most: one stack
-                mp.setattr(fo, "STACK_BYTES", 0)
-                stacks.clear()
-                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
-                assert [len(s) for s in stacks] == [1] * 40
-                # room for three members of 21 elements, more of fewer
-                plan = fo._plan(phi, ctx)
-                cap = fo._stack_bytes(3, 21, fo.POSET_SIGNATURE, plan)
-                mp.setattr(fo, "STACK_ROOM", 1)
-                mp.setattr(fo, "STACK_BYTES", cap)
-                stacks.clear()
-                assert pairing_sequence(FENCE, phi, ctx, 40).results == expected
-                assert sum(map(len, stacks)) == 40 and len(stacks) > 3
-                for sizes in stacks:
-                    assert fo._stack_bytes(len(sizes), max(sizes), fo.POSET_SIGNATURE, plan) <= cap
-                    assert len(sizes) <= 3 or max(sizes) < 21
-
-    def test_a_horizon_of_sixty_four_is_one_stack(self, monkeypatch):
-        # 64 members of at most 34 elements and the stack's one count buffer
-        # take 64 * 5848 + 65536 bytes, under STACK_BYTES
-        plan = fo._plan(PSI, ("x",))
-        assert max(FENCE.structure(i).size for i in range(1, 65)) == 34
-        assert fo._stack_bytes(64, 34, fo.POSET_SIGNATURE, plan) == 64 * 5848 + 8 * np.getbufsize()
-        stacks = []
-        count_stack = fo._count_stack
-        monkeypatch.setattr(fo, "_count_stack", lambda m, *a: stacks.append(len(m)) or count_stack(m, *a))
-        assert pairing_sequence(FENCE, PSI, ("x",), 64).results == self.per_member(PSI, ("x",), 64)
-        assert stacks == [64]
 
     def test_a_member_that_cannot_be_counted_fails_before_the_next_is_built(self, tmp_path):
         # member 2 has no lt, and member 3, built after it, is missing

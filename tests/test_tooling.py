@@ -3,8 +3,9 @@ A fresh ``import stonepair`` loads exactly its eight library modules.  A
 warning in a test is an error.  README's command table is the CLI's, and
 the limits it states are the code's; the table of Γ points stays within
 its bound.  The library computes without floats.
-Every public function of chains and lattice whose arrays grow with its
-arguments charges them to the memory budget before it builds them."""
+Every public function of chains, lattice and pairing whose arrays grow
+with its arguments charges them to the memory budget before it builds
+them."""
 
 import ast
 import functools
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stonepair import chains, fo, gamma, lattice
+from stonepair import chains, fo, gamma, lattice, pairing
 from stonepair.errors import SizeError
 from stonepair.cli import _COMMANDS
 
@@ -87,7 +88,6 @@ def test_readme_states_the_limits_of_the_code():
     mib = stated(r"`fo\.MAX_TENSOR_CELLS` read as bytes \((\d+) MiB\)")[0]
     assert mib * 2**20 == fo.MAX_TENSOR_CELLS
     assert stated(r"`fo\.MAX_NESTING` \((\d+)\)")[0] == fo.MAX_NESTING
-    assert stated(r"padded stacks of up to (\d+) MiB")[0] * 2**20 == fo.STACK_BYTES
     base, power = stated(r"`chains\.MAX_DUALITY_CASES` \((\d+)\*\*(\d+) cases")
     assert base**power == chains.MAX_DUALITY_CASES
     assert stated(r"`gamma\.POINT_CACHE_SIZE` \((\d+) points\)")[0] == gamma.POINT_CACHE_SIZE
@@ -144,9 +144,13 @@ def test_the_library_computes_without_floats():
     assert found - FLOATS_ALLOWED == set()
 
 
-# every public function of chains and lattice whose arrays grow with its
-# arguments, with arguments (built before the budget shrinks) that would
-# take megabytes
+# x and y unequal or ordered: one |A|² counting tensor
+NOT_LT = fo.parse_formula("!(x = y) | lt(x,y)", fo.POSET_SIGNATURE)
+
+# every public function of chains, lattice and pairing whose arrays grow
+# with its arguments, with arguments (built before the budget shrinks) that
+# would take megabytes; a fence sequence's rows past its certificate would
+# take 312 MB
 GROWING = {
     "chains.check_adjunction": lambda: (1000,),
     "chains.check_oplus_preserved": lambda: (1000, 10),
@@ -163,11 +167,16 @@ GROWING = {
     "lattice.parse_lattice": lambda: (
         "elements: " + ", ".join(f"e{i}" for i in range(1000)) + "\norder: e0<=e1\n",
     ),
+    "pairing.stone_pairing": lambda: (fo.gen_example_structure(2000), NOT_LT, ("x", "y")),
+    "pairing.check_padding_invariance": lambda: (fo.gen_example_structure(2000), NOT_LT, 2, 3),
+    "pairing.assignment_distribution": lambda: (fo.gen_example_structure(2000), ("x", "y")),
+    "pairing.pairing_sequence": lambda: (pairing.FenceFamily(), fo.TRUE, ("x",), 10**6),
 }
 # the public functions whose arrays do not: elementwise rank expressions,
 # single elements and witnesses, maps of one element, a sweep guarded by
-# ``chains.MAX_DUALITY_CASES`` that runs the checks above, and readers of a
-# lattice's tables that build nothing larger than them
+# ``chains.MAX_DUALITY_CASES`` that runs the checks above, readers of a
+# lattice's tables that build nothing larger than them, record types,
+# families that build a member only when asked, and byte estimates
 NOT_GROWING = {
     "chains." + name for name in (
         "ChainElement", "ChainPoint", "AdjunctionViolation", "OminusWitness", "DualityLine",
@@ -175,7 +184,13 @@ NOT_GROWING = {
         "oplus", "ominus", "embed", "embed_point", "floor_map", "ceiling_map", "project_gamma",
         "verify_duality",
     )
-} | {"lattice." + name for name in ("PrimeFilter", "LatticeHom", "check_hom", "format_lattice")}
+} | {"lattice." + name for name in ("PrimeFilter", "LatticeHom", "check_hom", "format_lattice")} | {
+    "pairing." + name for name in (
+        "PairingResult", "PaddingViolation", "VerdictKind", "Verdict", "ClosedForm", "SequenceReport",
+        "StructureFamily", "FenceFamily", "DirectoryFamily", "padded_context", "assignment_bytes",
+        "row_bytes",
+    )
+}
 
 
 def test_every_public_function_is_classed():
@@ -183,7 +198,7 @@ def test_every_public_function_is_classed():
     # listed in NOT_GROWING
     public = {
         f"{module.__name__.split('.')[1]}.{name}"
-        for module in (chains, lattice)
+        for module in (chains, lattice, pairing)
         for name, value in vars(module).items()
         if not name.startswith("_") and callable(value) and value.__module__ == module.__name__
     }
