@@ -234,14 +234,15 @@ def _table_of(name: str, arity: int, size: int, tuples: Iterable[tuple[int, ...]
 
 
 class Formula:
-    """Base class for formula AST nodes.  Nodes have slots: the plan cache
-    and ``free_vars`` keep up to ``PLAN_CACHE_SIZE`` formulas alive each.  A
-    node computes its hash once, at construction, from its class and its
-    fields' hashes (a child's is already kept), and keeps it in the slot
-    ``_hash``: a cache lookup reads one attribute instead of walking the tree.
-    Threshold formulas (``pl``) are trees of ``Const``, ``Not``, ``And`` and
-    ``Or`` whose leaves are ``pl.GE`` and ``pl.LT`` atoms; ``count_satisfying``
-    refuses them, and ``format_formula`` renders such a leaf by its repr."""
+    """Base class for formula AST nodes.  Nodes have slots: the plan cache,
+    ``free_vars`` and ``quantifier_rank`` keep up to ``PLAN_CACHE_SIZE``
+    formulas alive each.  A node computes its hash once, at construction,
+    from its class and its fields' hashes (a child's is already kept), and
+    keeps it in the slot ``_hash``: a cache lookup reads one attribute
+    instead of walking the tree.  Threshold formulas (``pl``) are trees of
+    ``Const``, ``Not``, ``And`` and ``Or`` whose leaves are ``pl.GE`` and
+    ``pl.LT`` atoms; ``count_satisfying`` refuses them, and
+    ``format_formula`` renders such a leaf by its repr."""
 
     __slots__ = ("_hash",)
 
@@ -356,8 +357,10 @@ def free_vars(phi: Formula) -> tuple[str, ...]:
     return _facts(phi, {})[0]
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def quantifier_rank(phi: Formula) -> int:
-    """The most quantifiers nested on a branch of ``phi``, 0 if there are none."""
+    """The most quantifiers nested on a branch of ``phi``, 0 if there are
+    none; cached as ``free_vars`` is."""
     return _facts(phi, {})[1]
 
 

@@ -8,7 +8,11 @@ a read-only boolean table, and the meet and join tables as element indices,
 each indexed [a, b].  The meet of a and b is the element whose down-set is
 down(a) ∩ down(b), the join the dual on up-sets.  ``_bounds`` builds these
 two once per lattice, -1 at each missing meet (join), and validation and
-every accessor read that one pass.
+every accessor read that one pass.  Read off these tables once per
+lattice and cached beside them: the pairs a <= b (``_comparable``), the
+incomparable pairs with their meets and joins (``_incomparable``), the grid
+search's placement schedule (``_placements``), the irreducibles, and
+``kappa`` with its inverse.
 Validation, bounds, covers, irreducibles, the order isomorphism ``kappa``
 between them, prime filters and homomorphism checks are whole-array passes
 over these tables.  Each table is checked against the memory budget
@@ -36,6 +40,20 @@ def _pairs_in_order(first: np.ndarray, second: np.ndarray) -> list[list[int]]:
     """[a, b, 0 or 1] for each pair a <= b (by index) flagged in ``first`` or
     ``second``, in row-major order, ``first`` before ``second`` on a pair."""
     return np.argwhere(np.triu(np.stack((first, second))).transpose(1, 2, 0)).tolist()
+
+
+def _pair_columns(step: str, mask: np.ndarray, *tables: np.ndarray) -> np.ndarray:
+    """The pairs (a, b) flagged in the n × n ``mask``, in row-major order, as
+    the columns of one read-only intp table: a, b, then each of ``tables``
+    at (a, b).  The table is charged to the budget as ``step`` first, which
+    covers its flat indices."""
+    fo.check_bytes(step, (2 + len(tables)) * np.dtype(np.intp).itemsize * np.count_nonzero(mask))
+    flat = np.flatnonzero(mask)
+    columns = np.empty((2 + len(tables), len(flat)), dtype=np.intp)
+    np.divmod(flat, len(mask), out=(columns[0], columns[1]))
+    for row, table in zip(columns[2:], tables):
+        np.take(table, flat, out=row)
+    return fo._read_only(columns)
 
 
 def _is_pair(p: object) -> bool:
@@ -173,6 +191,47 @@ class FiniteLattice:
                 a, b = np.argwhere(table < 0)[0].tolist()
                 raise LatticeError(f"no {kind} for ({self.labels[a]}, {self.labels[b]})")
         return (self._leq, *self._bounds)
+
+    @cached_property
+    def _comparable(self) -> np.ndarray:
+        """The pairs a <= b, in row-major order, as the columns (a, b) of a
+        read-only 2 × c table.  Like every pair table it is read off
+        ``_order_arrays``, so a missing meet or join raises that
+        ``LatticeError`` and caches nothing."""
+        return _pair_columns("the comparable pairs", self._order_arrays[0])
+
+    @cached_property
+    def _incomparable(self) -> np.ndarray:
+        """The ordered pairs (a, b) with neither a <= b nor b <= a, in
+        row-major order, as the columns (a, b, a ^ b, a v b) of a read-only
+        4 × m table.  Neither bottom nor top is ever in such a pair."""
+        leq, meet, join = self._order_arrays
+        unordered = np.logical_not(leq | leq.T)  # boolean masks no larger than the order
+        return _pair_columns("the incomparable pairs", unordered, meet, join)
+
+    @cached_property
+    def _placements(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The grid search's schedule (``pl._grid_ranks``), bottom and top
+        placed from the start: for each other element e, in index order, the
+        placed elements below e and above it, and the columns of
+        ``_incomparable`` whose last free member e is, in their order.  Each
+        column belongs to exactly one e, as its pair is never bottom or top.
+        At most one entry per pair a <= b and one copy of the columns are
+        charged to the budget first, which covers the masked copy each
+        column's last free member is read from."""
+        leq, quads = self._order_arrays[0], self._incomparable
+        placed = np.zeros(self.n, dtype=bool)
+        placed[[self.bottom, self.top]] = True
+        entries = np.count_nonzero(leq) + quads.size
+        fo.check_bytes("the placement schedule", np.dtype(np.intp).itemsize * entries)
+        last = np.where(placed[quads], -1, quads).max(axis=0, initial=-1)
+        schedule = []
+        for e in np.flatnonzero(~placed).tolist():
+            below = fo._read_only(np.flatnonzero(placed & leq[:, e]))
+            above = fo._read_only(np.flatnonzero(placed & leq[e]))
+            schedule.append((e, below, above, fo._read_only(quads[:, last == e])))
+            placed[e] = True
+        return tuple(schedule)
 
     def meet(self, a: int, b: int) -> int:
         return int(self._order_arrays[1][self._index(a), self._index(b)])

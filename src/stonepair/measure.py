@@ -93,10 +93,18 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
     left before right on each pair.  Additivity on a pair is only evaluated
     when monotonicity supplies the domains of the partial operations; a pair
     skipped for that reason is already covered by a reported monotonicity
-    violation.  The values are ranked once on their common denominator, and
-    every pair is decided in one whole-table pass over the lattice's order,
-    meet and join tables: int64 ranks while twice the denominator fits with
-    room to spare, Python integers in an object array beyond that.
+    violation.  The values are ranked once on their common denominator:
+    int64 ranks while twice the denominator fits with room to spare, Python
+    integers in an object array beyond that.
+
+    Monotonicity is decided at once on the lattice's pairs a <= b
+    (``_comparable``) and additivity on its incomparable pairs
+    (``_incomparable``) only, as a comparable pair never fails additivity.
+    For a <= b the meet is a and the join b, so both sides of both
+    inequalities are 0.  For b <= a they are b and a: the pair is evaluated
+    only where mu(b) <= mu(a), and both inequalities reduce to
+    ``miss(x, y) <= mip(x, y)`` on ranks y <= x, which holds as at most one
+    of [x odd, y even] and [y odd, x even] is 1.
     """
     L = mu.lattice
     denom = gamma.common_denominator(mu.values)
@@ -106,25 +114,34 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
         out.append(MeasureViolation("bottom"))
     if ranks[L.top] != 2 * denom:
         out.append(MeasureViolation("top"))
-    leq, meets, joins = L._order_arrays
     r = np.array(ranks, dtype=np.int64 if denom < _INT64_DENOMINATOR else object)
-    x, y = r[:, None], r[None, :]
-    monotone = np.argwhere(leq & (x > y)).tolist()
-    out.extend(MeasureViolation("monotone", a, b) for a, b in monotone)
-    lo, hi = r[meets], r[joins]
+    out.extend(_monotone(L, r))
+    quads = L._incomparable
+    x, y, lo, hi = r[quads]
     defined = (lo <= x) & (y <= hi)
-    left, right = (defined & side for side in gamma.additivity_of_ranks(x, y, lo, hi))
-    # [a, b, side] in row-major order: pair by pair, left before right
-    additivity = np.argwhere(np.stack((left, right), axis=-1)).tolist()
-    out.extend(MeasureViolation(_ADDITIVITY[side], a, b) for a, b, side in additivity)
+    left, right = gamma.additivity_of_ranks(x, y, lo, hi)
+    # [pair, side]: pair by pair in row-major order, left before right
+    pair, side = np.nonzero(np.stack((left, right), axis=1) & defined[:, None])
+    pairs = zip(*quads[:2, pair].tolist())
+    out.extend(MeasureViolation(_ADDITIVITY[s], a, b) for s, (a, b) in zip(side.tolist(), pairs))
     return out
+
+
+def _monotone(L: FiniteLattice, r: np.ndarray) -> list[MeasureViolation]:
+    """A monotonicity violation at each pair a <= b of ``L._comparable``
+    whose value ``r[a]`` exceeds ``r[b]``, in that table's order."""
+    comparable = L._comparable
+    below, above = r[comparable]
+    return [MeasureViolation("monotone", a, b) for a, b in zip(*comparable[:, below > above].tolist())]
 
 
 def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
     """Failing instances of the classical axioms: bottom, top, range,
     monotone (a != b), modular, each kind in row-major order.  Every pair is
     decided at once on the numerators over the common denominator, as
-    ``validate_measure`` does on ranks."""
+    ``validate_measure`` does on ranks: monotonicity on the pairs a <= b,
+    the modular law on the incomparable pairs only, since a comparable
+    pair's meet and join are the pair itself and satisfy it identically."""
     L = m.lattice
     denom = math.lcm(*(v.denominator for v in m.values))
     nums = [v.numerator * (denom // v.denominator) for v in m.values]
@@ -135,15 +152,14 @@ def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
         out.append(MeasureViolation("bottom"))
     if r[L.top] != denom:
         out.append(MeasureViolation("top"))
-    leq, meets, joins = L._order_arrays
     out.extend(
         MeasureViolation("range", a, a) for a in np.flatnonzero((r < 0) | (r > denom)).tolist()
     )
-    x, y = r[:, None], r[None, :]
-    monotone = leq & (x > y)  # x > y is false on the diagonal
-    out.extend(MeasureViolation("monotone", a, b) for a, b in np.argwhere(monotone).tolist())
-    modular = x + y != r[joins] + r[meets]
-    out.extend(MeasureViolation("modular", a, b) for a, b in np.argwhere(modular).tolist())
+    out.extend(_monotone(L, r))
+    quads = L._incomparable
+    x, y, meet, join = r[quads]
+    modular = quads[:2, x + y != join + meet].tolist()
+    out.extend(MeasureViolation("modular", a, b) for a, b in zip(*modular))
     return out
 
 

@@ -137,7 +137,8 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
     """The rank table of ``grid_measures`` (D has at least two elements).
 
     Bottom and top are fixed at ranks 0 and 2k; the other elements are
-    placed one level at a time in index order.  Every row of the table is
+    placed one level at a time in index order, as the lattice's cached
+    schedule ``_placements`` lists them.  Every row of the table is
     expanded over the interval its placed lower and upper neighbours leave
     (each row's children contiguous and ascending, so the rows stay in
     lexicographic order), then the rows failing an incomparable pair whose
@@ -146,25 +147,15 @@ def _grid_ranks(D: FiniteLattice, k: int) -> np.ndarray:
     against the memory budget before it is built.
     """
     n, top = D.n, 2 * k
-    leq, meet, join = D._order_arrays
-    placed = np.zeros(n, dtype=bool)
-    placed[[D.bottom, D.top]] = True
-    # columns (a, b, meet, join) of incomparable pairs (never bottom or top),
-    # each tested when the last of its free members is placed
-    a, b = np.nonzero(~(leq | leq.T))
-    quads = np.array((a, b, meet[a, b], join[a, b]))
-    last = np.where(placed[quads], -1, quads).max(axis=0, initial=-1)
     R = np.zeros((1, n), dtype=np.int64)
     R[0, D.top] = top
-    for e in np.flatnonzero(~placed).tolist():
-        lo = R[:, placed & leq[:, e]].max(axis=1)
-        hi = R[:, placed & leq[e]].min(axis=1)
-        tests = quads[:, last == e]
+    for e, below, above, tests in D._placements:
+        lo = R[:, below].max(axis=1)
+        hi = R[:, above].min(axis=1)
         counts = hi - lo + 1  # positive: placed comparable pairs are monotone
         fo.check_bytes("the grid search", int(counts.sum()) * (n + tests.size) * 8)
         R = R.repeat(counts, axis=0)
         R[:, e] = np.arange(len(R)) - np.repeat(counts.cumsum() - counts - lo, counts)
-        placed[e] = True
         if tests.size and len(R):
             # [x, pair, row]: the ranks of x = a, b, meet, join
             left, right = gamma.additivity_of_ranks(*R.T[tests])
@@ -334,7 +325,7 @@ def _put(cols: np.ndarray, start: int, shape: tuple[int, ...], at, *columns) -> 
     column-major table ``cols``, viewed with ``shape`` (its loop axes) and
     indexed by ``at``, and return the next row.  A column is a scalar, an
     array broadcast over the view, or a pair of such written as its sum."""
-    stop = start + int(np.prod(shape))
+    stop = start + math.prod(shape)
     for column, value in zip(cols, columns):
         view = column[start:stop].reshape(shape)[at]
         if isinstance(value, tuple):
@@ -372,7 +363,7 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     n, g = D.n, k + 1
     levels = 2 * k + 1
     true, false = 2 * n * levels, 2 * n * levels + 1
-    leq, meet, join = D._order_arrays
+    _, meet, join = D._order_arrays
     rows, triples = _rule_rows(D, k)
     loops = 12 * g**3 + 64 * triples + 32 * n * n + 24 * np.getbufsize()
     fo.check_bytes("the rule table", 80 * rows + loops)
@@ -390,7 +381,7 @@ def _rule_table(D: FiniteLattice, k: int) -> np.ndarray:
     done = _put(cols, done, (1,), ..., 1, 0, -1, -1, bot, -1, true, true, ge(bot, 0), false)
     done = _put(cols, done, (g,), ..., 1, up, -1, -1, top, -1, true, true, ge(top, up), false)
     done = _put(cols, done, (k,), ..., 1, up[1:], -1, -1, bot, -1, ge(bot, up[1:]), true, false, false)
-    a, b = (x[:, None] for x in np.nonzero(leq))
+    a, b = D._comparable[:, :, None]
     done = _put(cols, done, (len(a), g), ..., 2, up, -1, -1, a, b, ge(a, up), true, ge(b, up), false)
     s = up[:, None, None] + up[:, None] - up  # s[i, j, l] = i + j - l
     i, j, l = np.nonzero((s >= 0) & (s <= k))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from conftest import (
     BINARY_SIG,
     formulas,
+    random_formula,
     reference_fence,
     reference_free_vars,
     reference_quantifier_rank,
@@ -164,6 +165,20 @@ class TestFreeVars:
     def test_threshold_leaves_have_no_variable_and_no_rank(self, phi):
         assert free_vars(phi) == reference_free_vars(phi) == ()
         assert quantifier_rank(phi) == reference_quantifier_rank(phi) == 0
+
+    def test_cached_analysis_against_the_references(self):
+        # the random-formula corpus, each formula asked twice: the second
+        # answer is a hit of a cache bounded as the plan cache is
+        rng = random.Random(34)
+        corpus = [random_formula(rng, 5) for _ in range(300)]
+        for phi in corpus:
+            assert quantifier_rank(phi) == reference_quantifier_rank(phi)
+            assert free_vars(phi) == reference_free_vars(phi)
+        for cached in (quantifier_rank, free_vars):
+            assert cached.cache_info().maxsize == fo.PLAN_CACHE_SIZE
+            hits = cached.cache_info().hits
+            assert [cached(phi) for phi in corpus] == [cached.__wrapped__(phi) for phi in corpus]
+            assert cached.cache_info().hits == hits + len(corpus)
 
     def test_pinned_ranks(self):
         assert quantifier_rank(maximal_not_maximum()) == 1

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,82 @@ from stonepair.lattice import (
     parse_lattice,
     product_lattice,
 )
+
+
+def naive_placements(L: FiniteLattice) -> list[tuple]:
+    """The grid search's schedule by loops: each element but bottom and top,
+    in index order, with the placed elements below and above it and the
+    incomparable quads (a, b, a ^ b, a v b) it is the last free member of."""
+    placed = [L.bottom, L.top]
+    quads = [
+        (a, b, L.meet(a, b), L.join(a, b))
+        for a in range(L.n) for b in range(L.n) if not (L.leq(a, b) or L.leq(b, a))
+    ]
+    out = []
+    for e in range(L.n):
+        if e in (L.bottom, L.top):
+            continue
+        below = sorted(d for d in placed if L.leq(d, e))
+        above = sorted(d for d in placed if L.leq(e, d))
+        tests = [q for q in quads if max(x for x in q if x not in (L.bottom, L.top)) == e]
+        out.append((e, below, above, tests))
+        placed.append(e)
+    return out
+
+
+PAIR_TABLES = ("_comparable", "_incomparable", "_placements")
+
+
+class TestPairTables:
+    @pytest.mark.parametrize("L", small_lattice_corpus(max_size=12), ids=lambda L: f"n{L.n}")
+    def test_tables_against_loops(self, L):
+        n = L.n
+        assert L._comparable.T.tolist() == [[a, b] for a in range(n) for b in range(n) if L.leq(a, b)]
+        assert L._incomparable.T.tolist() == [
+            [a, b, L.meet(a, b), L.join(a, b)]
+            for a in range(n) for b in range(n) if not (L.leq(a, b) or L.leq(b, a))
+        ]
+        got = [(e, below.tolist(), above.tolist(), tests.T.tolist()) for e, below, above, tests in L._placements]
+        assert got == [(e, below, above, [list(q) for q in tests]) for e, below, above, tests in naive_placements(L)]
+
+    @pytest.mark.parametrize("name", PAIR_TABLES)
+    def test_built_once_and_read_only(self, name):
+        L = boolean_algebra(3)
+        table = getattr(L, name)
+        assert getattr(L, name) is table
+        arrays = [a for _, *rest in table for a in rest] if name == "_placements" else [table]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("name", PAIR_TABLES)
+    def test_charged_before_built(self, name, monkeypatch):
+        # the lattice's own tables, and the pair table a schedule reads, are
+        # built under the full budget; the table itself is then refused
+        # before it allocates what it charges
+        L = boolean_algebra(6)
+        L._order_arrays
+        if name == "_placements":
+            L._incomparable
+        monkeypatch.setattr(fo, "MAX_TENSOR_CELLS", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError) as exc:
+                getattr(L, name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charge = int(re.search(r"would take (\d+) bytes", str(exc.value)).group(1))
+        assert peak < charge, (str(exc.value), peak)
+        assert name not in vars(L)
+        monkeypatch.undo()
+        assert len(getattr(L, name))
+
+    def test_a_poset_without_a_meet_caches_no_pair_table(self):
+        # c and d have the two maximal lower bounds a and b
+        L = FiniteLattice(list("0abcd1"), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+        for name in PAIR_TABLES:
+            with pytest.raises(LatticeError, match=r"^no meet for \(c, d\)$"):
+                getattr(L, name)
+        assert not set(PAIR_TABLES) & set(vars(L))
 
 
 # name: (labels, relation, validate(), the error of _order_arrays or None)

@@ -16,9 +16,10 @@ from conftest import (
     small_lattice_corpus,
 )
 from stonepair import gamma
-from stonepair.errors import DomainError, ParseError
+from stonepair.errors import DomainError, LatticeError, ParseError
 from stonepair.gamma import ZERO, ONE, iota_approx, iota_exact, parse_gamma
 from stonepair.lattice import (
+    FiniteLattice,
     LatticeHom,
     boolean_algebra,
     chain,
@@ -223,6 +224,71 @@ class TestWholeTableValidation:
         assert joins.tolist() == [[B4.join(a, b) for b in range(4)] for a in range(4)]
         assert not (leq.flags.writeable or meets.flags.writeable or joins.flags.writeable)
         assert B4._order_arrays is B4._order_arrays
+
+
+def _reversed(values):
+    """Each value v replaced by 1 - v, tagged exact: antitone, so every
+    monotonicity violation sits on a pair a < b of distinct values."""
+    return tuple(iota_exact(1 - v.value) for v in values)
+
+
+class TestComparablePairs:
+    """Monotonicity is tested on the pairs a <= b and additivity, or the
+    modular law, on the incomparable pairs only."""
+
+    def test_a_comparable_pair_never_fails_additivity(self):
+        # for b <= a both inequalities reduce to miss(x, y) <= mip(x, y) on y <= x
+        for denom in range(1, 13):
+            for x in range(2 * denom + 1):
+                for y in range(x + 1):
+                    assert gamma.miss_of_ranks(x, y) <= gamma.mip_of_ranks(x, y), (denom, x, y)
+
+    @pytest.mark.parametrize("denom", [6, 24, 2**61, 2**61 + 1])
+    @pytest.mark.parametrize("L", WIDE_LATTICES + tuple(small_lattice_corpus(max_size=12)), ids=lambda L: f"n{L.n}")
+    def test_violations_on_comparable_pairs(self, L, denom):
+        rng = random.Random(denom)
+        values = _valuation(L, rng, denom)
+        for broken in (_reversed(values), values[::-1], sorted(values, reverse=True)):
+            mu = Measure(L, tuple(broken))
+            got = validate_measure(mu)
+            assert got == reference_validate_measure(mu)
+            assert any(v.kind == "monotone" for v in got)
+            assert all(L.leq(v.a, v.b) for v in got if v.kind == "monotone")
+            m = ClassicalMeasure(L, tuple(v.value for v in broken))
+            assert validate_classical_measure(m) == reference_validate_classical_measure(m)
+        # 1 - m is antitone but still modular: only the endpoints and monotonicity fail
+        m = ClassicalMeasure(L, tuple(v.value for v in _reversed(values)))
+        assert {v.kind for v in validate_classical_measure(m)} == {"bottom", "top", "monotone"}
+
+    def test_object_ranks_at_the_int64_boundary(self):
+        # 2**61 is the least denominator ranked as Python integers
+        L = boolean_algebra(6)
+        for denom in (2**61 - 1, 2**61):
+            values = _valuation(L, random.Random(3), denom)
+            assert gamma.common_denominator(values) == denom
+            for broken in (values, _reversed(values)):
+                mu = Measure(L, tuple(broken))
+                assert validate_measure(mu) == reference_validate_measure(mu)
+                m = ClassicalMeasure(L, tuple(v.value for v in broken))
+                assert validate_classical_measure(m) == reference_validate_classical_measure(m)
+
+    def test_a_poset_without_a_meet(self):
+        # c and d have the two maximal lower bounds a and b: both validators
+        # raise the oracle's LatticeError and cache no pair table
+        pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+        values = tuple(F(i, 5) for i in range(6))
+        cases = (
+            (validate_measure, reference_validate_measure, lambda L: Measure(L, tuple(map(iota_exact, values)))),
+            (validate_classical_measure, reference_validate_classical_measure, lambda L: ClassicalMeasure(L, values)),
+        )
+        for validate, reference, build in cases:
+            L = FiniteLattice(list("0abcd1"), pairs)
+            with pytest.raises(LatticeError) as got:
+                validate(build(L))
+            assert not {"_comparable", "_incomparable", "_placements"} & set(vars(L))
+            with pytest.raises(LatticeError) as want:
+                reference(build(FiniteLattice(list("0abcd1"), pairs)))
+            assert str(got.value) == str(want.value) == "no meet for (c, d)"
 
 
 class TestClassical:
