@@ -220,15 +220,15 @@ def embed(u: ChainElement, m: int) -> ChainElement:
 def _embedded_tables(op, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """embed(u op v) and embed(u) op embed(v) on ranks, row u, column v.
 
-    The embedded ranks reach (n + 1) * m + 1, and their sums twice that, so
-    past 2**61 the table holds Python integers instead of wrapping int64.
+    Every entry, x * m included, is at most (n + 2) * m: the bound from which
+    ``fo._integer_dtype`` chooses the dtype, and the charge reads it.
     Five tables are alive at once: the two results and the temporaries of a
     rank expression.
     """
-    big = (n + 2) * m >= 2**61
-    cell = 8 + big * sys.getsizeof(2 * (n + 2) * m)  # a pointer and its integer
+    dtype = fo._integer_dtype((n + 2) * m)
+    cell = 8 + (dtype is object) * sys.getsizeof(2 * (n + 2) * m)  # a pointer and its integer
     fo.check_bytes("the embedded rank tables", 5 * cell * (n + 2) ** 2)
-    r = np.arange(n + 2, dtype=object if big else np.int64)
+    r = np.arange(n + 2, dtype=dtype)
     e = embed_of_ranks(r, n, m)
     return embed_of_ranks(op(r[:, None], r, n), n, m), op(e[:, None], e, n * m)
 

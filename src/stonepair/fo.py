@@ -642,6 +642,13 @@ def _read_only(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def _integer_dtype(bound: int) -> type:
+    """The dtype of an exact integer table of magnitudes at most ``bound``:
+    int64 below 2**62, so that the sum or difference of two entries that
+    every integer kernel forms still fits, else Python integers (object)."""
+    return np.int64 if bound < 2**62 else object
+
+
 _CELLS = {_TRUE: _read_only(np.array(True)), _FALSE: _read_only(np.array(False))}
 
 

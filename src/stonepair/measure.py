@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Hashable, Sequence
+from typing import Collection, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,11 +32,10 @@ from .gamma import GammaValue
 from .lattice import FiniteLattice, LatticeHom, from_subsets
 
 
-@dataclass(frozen=True)
-class MeasureViolation:
+class MeasureViolation(NamedTuple):
     """One failed axiom instance, identified by kind and element pair."""
 
-    kind: str  # bottom | top | monotone | additivity-left | additivity-right
+    kind: str  # bottom | top | range | monotone | additivity-left | additivity-right | modular
     a: int | None = None
     b: int | None = None
 
@@ -48,7 +47,8 @@ class MeasureViolation:
 
 @dataclass(frozen=True)
 class _Valuation:
-    """A map from lattice elements, one value per element in index order."""
+    """A map from lattice elements, one value per element in index order,
+    each checked by the kind's ``_check_value``."""
 
     lattice: FiniteLattice
     values: tuple
@@ -56,6 +56,8 @@ class _Valuation:
     def __post_init__(self) -> None:
         if len(self.values) != self.lattice.n:
             raise DomainError(f"{len(self.values)} values for {self.lattice.n} elements")
+        for v in self.values:
+            self._check_value(v)
 
     def __call__(self, a: int):
         return self.values[self.lattice._index(a)]
@@ -67,22 +69,18 @@ class Measure(_Valuation):
 
     values: tuple[GammaValue, ...]
 
+    @staticmethod
+    def _check_value(v) -> None:
+        if not isinstance(v, GammaValue):
+            raise DomainError(f"{v!r} is not a point of the doubled interval")
+
 
 @dataclass(frozen=True)
 class ClassicalMeasure(_Valuation):
     """A map from lattice elements to exact rationals in [0, 1]."""
 
     values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for v in self.values:
-            gamma.as_fraction(v)  # a float is a DomainError
-
-
-# int64 ranks below this denominator: ranks reach 2D and the formulas add 1
-_INT64_DENOMINATOR = 2**61
-_ADDITIVITY = ("additivity-left", "additivity-right")
+    _check_value = staticmethod(gamma.as_fraction)  # a float is a DomainError
 
 
 def validate_measure(mu: Measure) -> list[MeasureViolation]:
@@ -93,9 +91,9 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
     left before right on each pair.  Additivity on a pair is only evaluated
     when monotonicity supplies the domains of the partial operations; a pair
     skipped for that reason is already covered by a reported monotonicity
-    violation.  The values are ranked once on their common denominator:
-    int64 ranks while twice the denominator fits with room to spare, Python
-    integers in an object array beyond that.
+    violation.  The values are ranked once on their common denominator D;
+    the ranks reach 2D, so they are int64 below D = 2**61 and Python
+    integers from there (``fo._integer_dtype``).
 
     Monotonicity is decided at once on the lattice's pairs a <= b
     (``_comparable``) and additivity on its incomparable pairs
@@ -108,31 +106,12 @@ def validate_measure(mu: Measure) -> list[MeasureViolation]:
     """
     L = mu.lattice
     denom = gamma.common_denominator(mu.values)
-    ranks = [gamma.rank(v, denom) for v in mu.values]
-    out: list[MeasureViolation] = []
-    if ranks[L.bottom] != 0:
-        out.append(MeasureViolation("bottom"))
-    if ranks[L.top] != 2 * denom:
-        out.append(MeasureViolation("top"))
-    r = np.array(ranks, dtype=np.int64 if denom < _INT64_DENOMINATOR else object)
-    out.extend(_monotone(L, r))
-    quads = L._incomparable
-    x, y, lo, hi = r[quads]
+    r = np.array([gamma.rank(v, denom) for v in mu.values], dtype=fo._integer_dtype(2 * denom))
+    x, y, lo, hi = r[L._incomparable]
     defined = (lo <= x) & (y <= hi)
     left, right = gamma.additivity_of_ranks(x, y, lo, hi)
-    # [pair, side]: pair by pair in row-major order, left before right
-    pair, side = np.nonzero(np.stack((left, right), axis=1) & defined[:, None])
-    pairs = zip(*quads[:2, pair].tolist())
-    out.extend(MeasureViolation(_ADDITIVITY[s], a, b) for s, (a, b) in zip(side.tolist(), pairs))
-    return out
-
-
-def _monotone(L: FiniteLattice, r: np.ndarray) -> list[MeasureViolation]:
-    """A monotonicity violation at each pair a <= b of ``L._comparable``
-    whose value ``r[a]`` exceeds ``r[b]``, in that table's order."""
-    comparable = L._comparable
-    below, above = r[comparable]
-    return [MeasureViolation("monotone", a, b) for a, b in zip(*comparable[:, below > above].tolist())]
+    laws = ("additivity-left", left & defined), ("additivity-right", right & defined)
+    return _violations(L, r, 2 * denom, (), laws)
 
 
 def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
@@ -145,21 +124,30 @@ def validate_classical_measure(m: ClassicalMeasure) -> list[MeasureViolation]:
     L = m.lattice
     denom = math.lcm(*(v.denominator for v in m.values))
     nums = [v.numerator * (denom // v.denominator) for v in m.values]
-    small = max(denom, *map(abs, nums)) < _INT64_DENOMINATOR
-    r = np.array(nums, dtype=np.int64 if small else object)
+    r = np.array(nums, dtype=fo._integer_dtype(max(denom, *map(abs, nums))))
+    x, y, meet, join = r[L._incomparable]
+    out_of_range = np.flatnonzero((r < 0) | (r > denom)).tolist()
+    return _violations(L, r, denom, out_of_range, [("modular", x + y != join + meet)])
+
+
+def _violations(L: FiniteLattice, r: np.ndarray, top, out_of_range, laws) -> list[MeasureViolation]:
+    """The one validation pass over a valuation's integer table ``r``, in
+    report order: bottom (not 0), top (not ``top``), range (the elements of
+    ``out_of_range``), monotone (on ``L._comparable``), then the ``laws``,
+    (kind, mask) pairs on ``L._incomparable``, pair by pair, a pair's laws in order."""
     out: list[MeasureViolation] = []
     if r[L.bottom] != 0:
         out.append(MeasureViolation("bottom"))
-    if r[L.top] != denom:
+    if r[L.top] != top:
         out.append(MeasureViolation("top"))
-    out.extend(
-        MeasureViolation("range", a, a) for a in np.flatnonzero((r < 0) | (r > denom)).tolist()
-    )
-    out.extend(_monotone(L, r))
-    quads = L._incomparable
-    x, y, meet, join = r[quads]
-    modular = quads[:2, x + y != join + meet].tolist()
-    out.extend(MeasureViolation("modular", a, b) for a, b in zip(*modular))
+    out.extend(MeasureViolation("range", a, a) for a in out_of_range)
+    comparable = L._comparable
+    below, above = r[comparable]
+    out.extend(MeasureViolation("monotone", a, b) for a, b in zip(*comparable[:, below > above].tolist()))
+    kinds, masks = zip(*laws)
+    pair, law = np.nonzero(np.stack(masks, axis=1))
+    a, b = L._incomparable[:2, pair].tolist()
+    out.extend(map(MeasureViolation, [kinds[k] for k in law.tolist()], a, b))
     return out
 
 
@@ -216,6 +204,8 @@ class FinSuppFn:
             raise DomainError("one weight per carrier point required")
         if len(set(self.points)) != len(self.points):
             raise DomainError("carrier points must be distinct")
+        for w in self.weights:
+            Measure._check_value(w)
         total = gamma.gamma_sum(w for w in self.weights if w != gamma.ZERO)
         if total != gamma.ONE:
             raise DomainError(f"weights sum to {total}, not 1^o")

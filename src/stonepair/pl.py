@@ -539,7 +539,7 @@ def filter_to_measure(F: FilterPresentation) -> Measure:
     measure.
     """
     D, k = F.lattice, F.k
-    levels = np.array(F.levels)  # an object array past int64
+    levels = np.array(F.levels, dtype=fo._integer_dtype(k + 1))
     leq = D._order_arrays[0]
     lowest = np.where(leq, levels, levels.max()).min(axis=1)
     unclosed = np.flatnonzero(lowest < levels)

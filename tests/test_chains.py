@@ -152,6 +152,15 @@ class TestRankExpressions:
                 witness = find_ominus_counterexample(n, m)
                 assert witness == reference_find_ominus_counterexample(n, m)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_at_the_int64_bound(self, n):
+        # the tables are int64 while (n + 2) * m < 2**62, Python integers from there
+        edge = -(-(2**62) // (n + 2))
+        for m in (edge - 1, edge):
+            assert (fo._integer_dtype((n + 2) * m) is np.int64) == (m < edge)
+            assert check_oplus_preserved(n, m) == reference_check_oplus_preserved(n, m) is None
+            assert find_ominus_counterexample(n, m) == reference_find_ominus_counterexample(n, m)
+
     def test_errors(self):
         with pytest.raises(DomainError, match="mismatched chains: 2 vs 3"):
             ominus(ChainElement(2, 1), ChainElement(3, 1))

@@ -1,6 +1,7 @@
 """Measure axioms, retraction, pushforward, integration."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,7 @@ from stonepair.measure import (
     validate_classical_measure,
     validate_measure,
 )
+from stonepair.pl import GE, eval_pl_measure, presentation_of_measure
 
 B4 = boolean_algebra(2)
 C3 = chain(3, ["0", "d", "1"])
@@ -291,6 +293,41 @@ class TestComparablePairs:
             assert str(got.value) == str(want.value) == "no meet for (c, d)"
 
 
+def _exact_maps(L, denom: int):
+    """Exact-valued maps on ``L``: a lifted valuation on ``denom``, its
+    antitone reversal, and the valuation with one value moved half a step
+    at each element in turn."""
+    values = [v.value for v in _valuation(L, random.Random(L.n * denom), denom)]
+    yield values
+    yield [1 - v for v in values]
+    step = F(1, 2 * denom)
+    for e in range(L.n):
+        yield values[:e] + [values[e] + step if values[e] < 1 else values[e] - step] + values[e + 1:]
+
+
+class TestExactLawsAgree:
+    """On exact values the two additivity inequalities are the modular law:
+    on even ranks with meet <= x and y <= join, left fails iff x - meet >
+    join - y and right iff x - meet < join - y."""
+
+    @pytest.mark.parametrize("L", small_lattice_corpus(), ids=lambda L: f"n{L.n}")
+    def test_the_laws_agree(self, L):
+        split = 0
+        for denom in (6, 24):
+            for values in _exact_maps(L, denom):
+                tagged = validate_measure(Measure(L, tuple(map(iota_exact, values))))
+                classical = validate_classical_measure(ClassicalMeasure(L, tuple(values)))
+                assert (tagged == []) == (classical == []), values
+                if any(v.kind == "monotone" for v in tagged):
+                    continue
+                additivity = [(v.a, v.b) for v in tagged if v.kind.startswith("additivity")]
+                modular = [(v.a, v.b) for v in classical if v.kind == "modular"]
+                assert list(dict.fromkeys(additivity)) == modular, values
+                split += bool(modular)
+        # a moved value breaks the laws on every lattice but a chain
+        assert split or L.n == len(L.join_irreducibles()) + 1
+
+
 class TestClassical:
     def test_modular_law_checked(self):
         m = ClassicalMeasure(B4, (F(0), F(1, 2), F(3, 4), F(1)))
@@ -347,6 +384,20 @@ class TestClassicalAgainstReference:
             (F(0), F(1, big), F(1, 3 * big), F(1)),
             (F(0), F(big + 1, big), F(1, 3), F(1)),
             (F(0), F(1, 2), F(1, 2), F(1)),
+        ):
+            m = ClassicalMeasure(B4, values)
+            assert validate_classical_measure(m) == reference_validate_classical_measure(m)
+
+    @pytest.mark.parametrize("edge", [2**62 - 1, 2**62], ids=["int64", "object"])
+    def test_at_the_int64_bound(self, edge):
+        # the numerators are int64 while they and the denominator stay below
+        # 2**62 in magnitude, and the modular law's sums of two still fit
+        for values in (
+            (F(0), F(1, edge), F(edge - 1, edge), F(1)),
+            (F(0), F(-edge), F(edge), F(1)),
+            (F(0), F(edge), F(edge), F(1)),
+            (F(0), F(-edge), F(-edge), F(1)),
+            (F(-edge), F(edge), F(edge), F(-edge)),  # a wrapped sum would pass the law
         ):
             m = ClassicalMeasure(B4, values)
             assert validate_classical_measure(m) == reference_validate_classical_measure(m)
@@ -443,6 +494,39 @@ class TestFinSupp:
     def test_support_excludes_zero_weights(self):
         f = FinSuppFn(("p", "q"), (ONE, ZERO))
         assert f.support == ("p",)
+
+
+# B4 maps with a value that is not a point: a rational, then a string
+NOT_POINTS = (
+    (ZERO, F(1, 2), parse_gamma("1/2^o"), ONE),
+    (ZERO, parse_gamma("1/2^o"), "1/2^o", ONE),
+)
+# each entry point that takes a Measure, applied to one
+MEASURE_ENTRY_POINTS = {
+    "validate_measure": validate_measure,
+    "pushforward": lambda mu: pushforward(mu, identity_hom(B4)),
+    "format_measure": format_measure,
+    "presentation_of_measure": lambda mu: presentation_of_measure(mu, 2),
+    "eval_pl_measure": lambda mu: eval_pl_measure(mu, GE(F(1, 2), 1)),
+}
+
+
+class TestValuesArePoints:
+    """A ``Measure`` or ``FinSuppFn`` holding anything but points of the
+    doubled interval is refused when built, with a ``DomainError`` naming
+    the first such value, so no entry point meets one."""
+
+    @pytest.mark.parametrize("values", NOT_POINTS, ids=["Fraction", "str"])
+    @pytest.mark.parametrize("entry", MEASURE_ENTRY_POINTS.values(), ids=MEASURE_ENTRY_POINTS)
+    def test_measure_entry_points(self, entry, values):
+        first = next(v for v in values if not isinstance(v, gamma.GammaValue))
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(first))} is not a point of the doubled interval$"):
+            entry(Measure(B4, values))
+
+    @pytest.mark.parametrize("weight", [F(1, 2), "1/2^o"], ids=["Fraction", "str"])
+    def test_fin_supp_fn(self, weight):
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(weight))} is not a point of the doubled interval$"):
+            FinSuppFn(("p", "q", "r"), (iota_exact(F(1, 2)), weight, F(1, 4)))
 
 
 def powerset(points):

@@ -734,6 +734,16 @@ class TestPresentationBudget:
                 filter_to_measure(FilterPresentation(C3, k, (1, k + 1, k)))
             assert str(exc.value) == "order closure fails: (1, d) present but (1, 1) missing"
 
+    @pytest.mark.parametrize("k", [2**62 - 2, 2**62 - 1], ids=["int64", "object"])
+    def test_filter_to_measure_at_the_int64_bound(self, k):
+        # the levels 0..k + 1 are int64 while k + 1 < 2**62, Python integers from there
+        for levels in ((1, k // 2 + 1, k + 1), (0, k, k + 1), (0, 0, k + 1)):
+            expected = Measure(C3, tuple(iota_exact(F(max(level - 1, 0), k)) for level in levels))
+            assert filter_to_measure(FilterPresentation(C3, k, levels)) == expected
+        with pytest.raises(PresentationError) as exc:
+            filter_to_measure(FilterPresentation(C3, k, (1, k + 1, k)))
+        assert str(exc.value) == "order closure fails: (1, d) present but (1, 1) missing"
+
     def test_presentation_of_measure_at_huge_k(self):
         mu = Measure(C3, (ZERO, parse_gamma("1/3^-"), ONE))
         for k in (10**9, 10**30):

@@ -2,7 +2,8 @@
 A fresh ``import stonepair`` loads exactly its eight library modules.  A
 warning in a test is an error.  README's command table is the CLI's, and
 the limits it states are the code's; the table of Γ points stays within
-its bound.  The library computes without floats.
+its bound.  The library computes without floats, and states its int64
+rule once.
 Every public function of chains, lattice and pairing whose arrays grow
 with its arguments charges them to the memory budget before it builds
 them."""
@@ -143,6 +144,45 @@ def test_the_library_computes_without_floats():
     }
     assert found - FLOATS_ALLOWED == set()
 
+
+
+def _int64_bounds(tree: ast.AST, top: str = "") -> set[tuple[str, str]]:
+    """(top-level function, expression) for each integer written near the
+    int64 range under ``tree``: 2**k or 1 << k for k >= 60, and literals of
+    2**60 or more."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            found |= _int64_bounds(node, top or node.name)
+            continue
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Pow, ast.LShift))
+            and isinstance(node.right, ast.Constant)
+            and isinstance(node.right.value, int)
+            and node.right.value >= 60
+        ):
+            found.add((top, ast.unparse(node)))
+            continue
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value >= 2**60:
+            found.add((top, repr(node.value)))
+        found |= _int64_bounds(node, top)
+    return found
+
+
+def test_the_int64_rule_is_stated_once():
+    # every exact integer table takes its dtype from one rule: int64 while
+    # its entries stay below 2**62 in magnitude, so that a sum or
+    # difference of two fits, and Python integers past that
+    found = {
+        (path.name, top, what)
+        for path in sorted(SRC.glob("*.py"))
+        for top, what in _int64_bounds(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("fo.py", "_integer_dtype", "2 ** 62")}
+    assert fo._integer_dtype(2**62 - 1) is np.int64 and fo._integer_dtype(2**62) is object
+    edge = np.array([2**62 - 1, -(2**62 - 1)], dtype=fo._integer_dtype(2**62 - 1))
+    assert (edge + edge[::-1]).tolist() == [0, 0] and (edge - edge[::-1]).tolist() == [2**63 - 2, 2 - 2**63]
 
 # x and y unequal or ordered: one |A|² counting tensor
 NOT_LT = fo.parse_formula("!(x = y) | lt(x,y)", fo.POSET_SIGNATURE)
